@@ -10,8 +10,6 @@ from one limit to the other.
 
 import warnings
 
-import scipy.linalg
-
 from multidescent import (
     ActivationSpec,
     IllConditionedWarning,
@@ -45,7 +43,6 @@ def main() -> None:
     with warnings.catch_warnings():
         # Extreme widths make the framework matrix stiff on purpose here.
         warnings.simplefilter("ignore", IllConditionedWarning)
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         for exponent in range(-6, 7, 2):
             psi = 10.0 ** exponent
             spec = TheorySpec(

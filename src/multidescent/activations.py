@@ -10,7 +10,9 @@ pinned to the kink of the ReLU family so every panel integrand is smooth.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "QuadratureDiverged",
     "eval_activation",
     "compute_moments",
+    "represents_intercept",
     "scaled_moments",
     "ACTIVATION_KINDS",
 ]
@@ -101,14 +104,11 @@ class Moments:
 
     mu0 = E sigma(G), mu1 = E G sigma(G), and
     mu2_sq = E sigma(G)^2 - mu0^2 - mu1^2 (clamped at 0).
-    ``mu2_sq_raw`` keeps the pre-clamp value when the triple came out of
-    quadrature; it is None for hand-built triples.
     """
 
     mu0: float
     mu1: float
     mu2_sq: float
-    mu2_sq_raw: float | None = None
 
     def __post_init__(self):
         if self.mu2_sq < 0.0:
@@ -162,6 +162,7 @@ def _gauss_moments(act: ActivationSpec, quad: QuadratureConfig, nodes: int) -> n
     return np.array([np.dot(w, s), np.dot(w, x * s), np.dot(w, s * s)])
 
 
+@functools.lru_cache
 def compute_moments(act: ActivationSpec, quad: QuadratureConfig | None = None) -> Moments:
     """Compute the Gaussian moment triple of ``act`` by panel quadrature.
 
@@ -169,6 +170,8 @@ def compute_moments(act: ActivationSpec, quad: QuadratureConfig | None = None) -
     any of the three raw integrals moves by more than 1e-8 under the
     refinement the quadrature is considered unresolved and
     ``QuadratureDiverged`` is raised.  The refined values are returned.
+    Results are memoized on the frozen arguments, so callers that need the
+    same activation's moments share one quadrature.
     """
     quad = quad or QuadratureConfig()
     coarse = _gauss_moments(act, quad, quad.nodes_per_panel)
@@ -185,7 +188,14 @@ def compute_moments(act: ActivationSpec, quad: QuadratureConfig | None = None) -
         raise QuadratureDiverged(
             f"nonlinear variance came out at {raw:.3e} < 0 beyond quadrature tolerance"
         )
-    return Moments(mu0=mu0, mu1=mu1, mu2_sq=max(raw, 0.0), mu2_sq_raw=raw)
+    return Moments(mu0=mu0, mu1=mu1, mu2_sq=max(raw, 0.0))
+
+
+def represents_intercept(moments: Iterable[Moments]) -> bool:
+    """Whether these components can fit an intercept F0 != 0: some mean must be nonzero."""
+    # Quadrature yields ~1e-19 rather than exact zero for odd activations,
+    # so means below roundoff count as zero here.
+    return sum(m.mu0 * m.mu0 for m in moments) > 1e-24
 
 
 def scaled_moments(m: Moments, a: float) -> Moments:

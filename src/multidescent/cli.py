@@ -162,7 +162,7 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
                 }
                 for row in result.rows
             ],
-            "metadata": {k: v for k, v in result.metadata.items() if k != "created"},
+            "metadata": result.metadata,
         }
         with open(out.json_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(to_json(payload) + "\n")

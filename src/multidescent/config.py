@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments
+from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments, represents_intercept
 from .nu_system import SolverConfig, TheorySpec
 from .risk import LimitSpec
 from .simulator import EmpiricalConfig
@@ -166,7 +166,6 @@ class RootConfig:
     """Validated configuration with activation moments already resolved."""
 
     activations: tuple[ActivationSpec, ...] | None
-    moments_override: tuple[Moments, ...] | None
     moments: tuple[Moments, ...]
     model: ModelSection
     solver: SolverConfig
@@ -392,13 +391,12 @@ def validate_config(raw: dict) -> RootConfig:
     )
     if ("activations" in obj) == ("moments_override" in obj):
         raise ConfigError("", "give exactly one of activations or moments_override")
-    activations = moments_override = None
+    activations = None
     if "activations" in obj:
         activations = _parse_activations(obj["activations"], "/activations")
         moments = tuple(compute_moments(a) for a in activations)
     else:
-        moments_override = _parse_moments(obj["moments_override"], "/moments_override")
-        moments = moments_override
+        moments = _parse_moments(obj["moments_override"], "/moments_override")
 
     if "model" not in obj:
         raise ConfigError("", "missing required section 'model'")
@@ -408,9 +406,7 @@ def validate_config(raw: dict) -> RootConfig:
             "/model",
             f"model has {model.K} components but {len(moments)} activations/moments given",
         )
-    # Quadrature yields ~1e-19 rather than exact zero for odd activations,
-    # so means below roundoff count as zero here.
-    if model.F0 != 0.0 and sum(m.mu0 * m.mu0 for m in moments) <= 1e-24:
+    if model.F0 != 0.0 and not represents_intercept(moments):
         raise ConfigError(
             "/model/F0",
             "F0 != 0 requires at least one activation with nonzero Gaussian mean",
@@ -433,7 +429,6 @@ def validate_config(raw: dict) -> RootConfig:
 
     return RootConfig(
         activations=activations,
-        moments_override=moments_override,
         moments=moments,
         model=model,
         solver=solver,

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .activations import Moments
 from .nu_system import NuStar, SolverConfig, TheorySpec, solve_nu
@@ -150,7 +149,7 @@ def asymptotic_risk(
     """Asymptotic excess risk of ``spec`` via the matrix route.
 
     Solves the scale system (unless a converged ``nu`` is supplied), builds
-    H and V, and evaluates L = V^T H^{-1} V through a symmetric solve.
+    H and V, and evaluates L = V^T H^{-1} V through one linear solve.
     Emits ``IllConditionedWarning`` when cond(H) exceeds 1e12.
     """
     if nu is None:
@@ -164,7 +163,7 @@ def asymptotic_risk(
             IllConditionedWarning,
             stacklevel=2,
         )
-    x = scipy.linalg.solve(mats.H, mats.V, assume_a="sym")
+    x = np.linalg.solve(mats.H, mats.V)
     L = mats.V.T @ x
     return _risk_from_L(spec, mats.MD, L, nu)
 

@@ -5,19 +5,23 @@ directions, inputs, noise, test set) from a generator keyed by
 (base_seed, replication index), fits the readout by ridge regression and
 estimates the excess risk on a noiseless test set.  Replications are
 independent, so results are bit-identical for any execution order or
-worker count.
+worker count.  BLAS runs one thread while replications run (see
+``_single_threaded_blas``): replications are the unit of parallelism.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .activations import ActivationSpec, Moments, QuadratureConfig, compute_moments
+from .activations import ActivationSpec, Moments, compute_moments, represents_intercept
 from .nu_system import InvalidSpec, TheorySpec
 
 __all__ = [
@@ -171,11 +175,11 @@ def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: int) -> np.ndarray:
         if N <= n:
             gram = Z.T @ Z
             gram[np.arange(N), np.arange(N)] += lam
-            ahat = scipy.linalg.solve(gram, Z.T @ y, assume_a="pos")
+            ahat = np.linalg.solve(gram, Z.T @ y)
         else:
             gram = Z @ Z.T
             gram[np.arange(n), np.arange(n)] += lam
-            ahat = Z.T @ scipy.linalg.solve(gram, y, assume_a="pos")
+            ahat = Z.T @ np.linalg.solve(gram, y)
     except np.linalg.LinAlgError as err:  # pragma: no cover - lam > 0 makes SPD
         raise SolveFailure(str(err)) from err
     return ahat / math.sqrt(d)
@@ -229,32 +233,78 @@ def run_replication(cfg: EmpiricalConfig, index: int) -> float:
     )
 
 
-def _check_intercept_representable(cfg: EmpiricalConfig) -> None:
-    if cfg.F0 == 0.0:
+@functools.cache
+def _openblas_thread_calls():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None."""
+    try:  # the BLAS name is e.g. "openblas", "openblas64" or "<vendor>-openblas"
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no such record
+        return None
+    if "openblas" not in name:
+        return None
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    prefix = name.removesuffix("64").replace("-", "_")
+    for suffix in ("64_", ""):
+        get, set_ = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
+                     for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.restype = ctypes.c_int
+            return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved_threads = 0
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run numpy's OpenBLAS on one thread until the last concurrent user leaves.
+
+    Pool threads that each call a multithreaded BLAS oversubscribe the cores
+    and its threads spin, so run times follow the scheduler; one BLAS thread
+    also keeps results independent of the core count and of ``workers``.
+    Process-wide; no-op when numpy does not link OpenBLAS.
+    """
+    global _blas_users, _blas_saved_threads
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
         return
-    # Quadrature yields ~1e-19 rather than exact zero for odd activations,
-    # so means below roundoff count as zero here.
-    mu0_sq = sum(compute_moments(a).mu0 ** 2 for a in cfg.activations)
-    if mu0_sq <= 1e-24:
-        raise InvalidSpec(
-            "F0 != 0 needs at least one activation with nonzero Gaussian mean, "
-            "otherwise the model cannot represent the intercept"
-        )
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved_threads = calls[0]()
+            calls[1](1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                calls[1](_blas_saved_threads)
 
 
 def run_experiment(cfg: EmpiricalConfig, workers: int | None = None) -> EmpiricalRisk:
     """Excess-risk estimate averaged over cfg.replications independent runs.
 
     ``workers`` > 1 runs replications in threads; results are gathered by
-    replication index so the output never depends on the worker count.
+    replication index and BLAS runs one thread for any ``workers``, so the
+    output never depends on the worker count.
     """
-    _check_intercept_representable(cfg)
+    if cfg.F0 != 0.0 and not represents_intercept(compute_moments(a) for a in cfg.activations):
+        raise InvalidSpec(
+            "F0 != 0 needs at least one activation with nonzero Gaussian mean, "
+            "otherwise the model cannot represent the intercept"
+        )
     indices = range(cfg.replications)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            risks = list(pool.map(lambda r: run_replication(cfg, r), indices))
-    else:
-        risks = [run_replication(cfg, r) for r in indices]
+    with _single_threaded_blas():
+        if workers is not None and workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                risks = list(pool.map(lambda r: run_replication(cfg, r), indices))
+        else:
+            risks = [run_replication(cfg, r) for r in indices]
     per = np.array(risks)
     mean = float(np.mean(per))
     if cfg.replications > 1:
@@ -264,11 +314,9 @@ def run_experiment(cfg: EmpiricalConfig, workers: int | None = None) -> Empirica
     return EmpiricalRisk(per_replication=per, mean=mean, std_error=se)
 
 
-def theory_spec_from_empirical(
-    cfg: EmpiricalConfig, quad: QuadratureConfig | None = None
-) -> TheorySpec:
+def theory_spec_from_empirical(cfg: EmpiricalConfig) -> TheorySpec:
     """Matching asymptotic instance: psi_c = N_c/d, psi_n = n/d, quadrature moments."""
-    moments: tuple[Moments, ...] = tuple(compute_moments(a, quad) for a in cfg.activations)
+    moments: tuple[Moments, ...] = tuple(compute_moments(a) for a in cfg.activations)
     return TheorySpec(
         psi=tuple(nc / cfg.d for nc in cfg.N),
         psi_n=cfg.n / cfg.d,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -205,7 +204,6 @@ def _metadata(spec: SweepSpec) -> dict:
         "ratios": list(spec.ratios),
         "c_grid": list(spec.c_grid),
         "tool_version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
     }
 
 
@@ -371,7 +369,7 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         "emp_se": [r.emp_se for r in result.rows],
         "log_y": log_y,
         "y_cap": y_cap,
-        "metadata": {k: v for k, v in result.metadata.items() if k != "created"},
+        "metadata": result.metadata,
     }
     parts.append("<metadata>" + to_json(series) + "</metadata>")
 

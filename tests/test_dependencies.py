@@ -1,0 +1,24 @@
+"""The package's runtime needs numpy only; scipy serves the tests as an
+independent reference and must not be pulled in by importing the package."""
+
+import os
+import subprocess
+import sys
+
+import multidescent
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multidescent.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import multidescent; "
+        "print(multidescent.__file__); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    path, loaded = proc.stdout.splitlines()
+    assert os.path.samefile(path, multidescent.__file__)
+    assert loaded == "[]"

@@ -19,6 +19,7 @@ from multidescent import (
     ShapeMismatch,
     SolveFailure,
     asymptotic_risk,
+    compute_moments,
     excess_risk_on,
     feature_matrix,
     generate_dataset,
@@ -29,7 +30,8 @@ from multidescent import (
     sample_sphere,
     theory_spec_from_empirical,
 )
-from multidescent.simulator import _sphere_rows
+from multidescent import simulator
+from multidescent.simulator import _openblas_thread_calls, _sphere_rows
 
 
 class TestSphereSampling:
@@ -193,6 +195,25 @@ class TestDeterminism:
         assert serial.mean == threaded.mean
         assert serial.std_error == threaded.std_error
 
+    def test_replications_run_single_threaded_blas(self, monkeypatch):
+        """BLAS runs one thread inside replications and gets its count back after."""
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not link OpenBLAS")
+        get, _ = calls
+        before = get()
+        seen = []
+
+        def recording(cfg, index):
+            seen.append(get())
+            return run_replication(cfg, index)
+
+        monkeypatch.setattr(simulator, "run_replication", recording)
+        for workers in (1, 3):
+            run_experiment(self._cfg(), workers=workers)
+        assert seen == [1] * 12
+        assert get() == before
+
     def test_rng_streams(self):
         a = replication_rng(7, 2).standard_normal(5)
         b = replication_rng(7, 2).standard_normal(5)
@@ -291,6 +312,19 @@ class TestTheorySpecBridge:
         assert spec.lam == 0.2
         assert (spec.F0, spec.F1, spec.tau) == (0.3, 1.1, 0.4)
         assert spec.moments[0].mu1 == pytest.approx(0.5, rel=1e-12)
+
+    def test_moments_computed_once_per_activation(self):
+        """Theory matching and the intercept guard reuse cached moments."""
+        act = ActivationSpec("relu", in_scale=0.7)
+        compute_moments(act)
+        misses = compute_moments.cache_info().misses
+        cfg = EmpiricalConfig(
+            d=10, n=20, N=(6,), activations=(act,),
+            lam=0.1, F0=0.5, n_test=8, replications=1,
+        )
+        theory_spec_from_empirical(cfg)
+        run_experiment(cfg)
+        assert compute_moments.cache_info().misses == misses
 
 
 class TestValidation:

@@ -172,7 +172,6 @@ class TestTheoryPass:
         assert meta["base"]["psi_n"] == spec.base.psi_n
         assert meta["base"]["moments"] == [[0.3, 0.9, 0.5], [0.1, 0.4, 1.1]]
         assert meta["tool_version"] == multidescent.__version__
-        assert "created" in meta
 
 
 def _small_empirical_sweep(workers=None):
