@@ -5,161 +5,25 @@ on mixtures of random nonlinear features (K activation families), exposes
 the self-consistent scale solver behind it, cross-checks the K=2 case
 against closed forms, runs matching finite-size Monte Carlo experiments,
 and sweeps risk curves over a model-complexity grid with CSV/SVG output.
+Each module's ``__all__`` is the one list of its public names.
 """
 
 __version__ = "0.1.0"
 
-from .activations import (
-    ACTIVATION_KINDS,
-    ActivationSpec,
-    Moments,
-    QuadratureConfig,
-    QuadratureDiverged,
-    compute_moments,
-    eval_activation,
-    scaled_moments,
-)
-from .nu_system import (
-    InvalidSpec,
-    NoConvergence,
-    NonPositiveInput,
-    NuStar,
-    SolverConfig,
-    TheorySpec,
-    residual_vector,
-    solve_nu,
-    verify_complex,
-)
-from .risk import (
-    DegenerateB,
-    DegenerateMoments,
-    DegenerateS,
-    IllConditionedWarning,
-    LimitSpec,
-    TheoryMatrices,
-    TheoryRisk,
-    WrongK,
-    asymptotic_risk,
-    build_matrices,
-    explicit_risk_k2,
-    limit_risk_infinite_width,
-    limit_risk_zero_width,
-)
-from .simulator import (
-    Dataset,
-    EmpiricalConfig,
-    EmpiricalRisk,
-    ShapeMismatch,
-    SolveFailure,
-    excess_risk_estimate,
-    excess_risk_on,
-    feature_matrix,
-    generate_dataset,
-    replication_rng,
-    ridge_fit,
-    run_experiment,
-    run_replication,
-    sample_sphere,
-    theory_spec_from_empirical,
-)
-from .sweep import (
-    EmptyGrid,
-    EmpiricalTemplate,
-    GridPoint,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    csv_header,
-    csv_text,
-    expand_grid,
-    render_svg,
-    run_sweep,
-    write_csv,
-)
-from .config import (
-    ConfigError,
-    RootConfig,
-    build_empirical_config,
-    build_limit_spec,
-    build_sweep_spec,
-    build_theory_spec,
-    parse_config,
-)
-from .formatting import format_number, to_json
+from . import activations, config, formatting, nu_system, risk, simulator, sweep
+from .activations import *
+from .nu_system import *
+from .risk import *
+from .simulator import *
+from .sweep import *
+from .config import *
+from .formatting import *
 
-__all__ = [
-    "__version__",
-    # activations
-    "ACTIVATION_KINDS",
-    "ActivationSpec",
-    "Moments",
-    "QuadratureConfig",
-    "QuadratureDiverged",
-    "compute_moments",
-    "eval_activation",
-    "scaled_moments",
-    # scale system
-    "InvalidSpec",
-    "NoConvergence",
-    "NonPositiveInput",
-    "NuStar",
-    "SolverConfig",
-    "TheorySpec",
-    "residual_vector",
-    "solve_nu",
-    "verify_complex",
-    # risk
-    "DegenerateB",
-    "DegenerateMoments",
-    "DegenerateS",
-    "IllConditionedWarning",
-    "LimitSpec",
-    "TheoryMatrices",
-    "TheoryRisk",
-    "WrongK",
-    "asymptotic_risk",
-    "build_matrices",
-    "explicit_risk_k2",
-    "limit_risk_infinite_width",
-    "limit_risk_zero_width",
-    # simulator
-    "Dataset",
-    "EmpiricalConfig",
-    "EmpiricalRisk",
-    "ShapeMismatch",
-    "SolveFailure",
-    "excess_risk_estimate",
-    "excess_risk_on",
-    "feature_matrix",
-    "generate_dataset",
-    "replication_rng",
-    "ridge_fit",
-    "run_experiment",
-    "run_replication",
-    "sample_sphere",
-    "theory_spec_from_empirical",
-    # sweep
-    "EmptyGrid",
-    "EmpiricalTemplate",
-    "GridPoint",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "csv_header",
-    "csv_text",
-    "expand_grid",
-    "render_svg",
-    "run_sweep",
-    "write_csv",
-    # config
-    "ConfigError",
-    "RootConfig",
-    "build_empirical_config",
-    "build_limit_spec",
-    "build_sweep_spec",
-    "build_theory_spec",
-    "parse_config",
-    # formatting
-    "format_number",
-    "to_json",
-]
+__all__ = ["__version__"]
+__all__ += activations.__all__
+__all__ += nu_system.__all__
+__all__ += risk.__all__
+__all__ += simulator.__all__
+__all__ += sweep.__all__
+__all__ += config.__all__
+__all__ += formatting.__all__

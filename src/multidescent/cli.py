@@ -145,23 +145,7 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
         render_svg(result, out.svg_path, log_y=sweep_section.log_y, y_cap=sweep_section.y_cap)
     if out.json_path:
         payload = {
-            "rows": [
-                {
-                    "c": row.c,
-                    "psi": list(row.psi),
-                    "psi_n": row.psi_n,
-                    "lambda": row.lam,
-                    "theory_risk": row.theory_risk,
-                    "theory_bias": row.theory_bias,
-                    "theory_variance": row.theory_variance,
-                    "emp_mean": row.emp_mean,
-                    "emp_se": row.emp_se,
-                    "replications": row.replications,
-                    "solver_iterations": row.solver_iterations,
-                    "error": row.error,
-                }
-                for row in result.rows
-            ],
+            "rows": [row.record() for row in result.rows],
             "metadata": result.metadata,
         }
         with open(out.json_path, "w", encoding="utf-8", newline="\n") as fh:

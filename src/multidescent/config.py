@@ -3,8 +3,10 @@
 A run is described by one JSON document.  Validation is eager and strict:
 unknown keys are rejected, and every error carries a JSON-pointer-style
 location (``/model/lambda: lambda must be > 0``) so a long config can be
-fixed without guesswork.  Builders turn the validated document into the
-concrete inputs of the theory, simulation and sweep layers.
+fixed without guesswork.  Each section is a ``{key: check}`` table walked by
+:func:`_fields`; only rules that span several keys are written by hand.
+Builders turn the validated document into the concrete inputs of the
+theory, simulation and sweep layers.
 """
 
 from __future__ import annotations
@@ -42,10 +44,7 @@ class ConfigError(ValueError):
         self.pointer = pointer
 
 
-def _check_keys(obj: dict, pointer: str, allowed: tuple[str, ...]) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{pointer}/{key}", "unknown key")
+# Checks take (value, pointer) and return the validated value or raise ConfigError.
 
 
 def _object(value, pointer: str) -> dict:
@@ -68,12 +67,15 @@ def _number(value, pointer: str) -> float:
     return float(value)
 
 
-def _integer(value, pointer: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(pointer, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(pointer, f"must be >= {minimum}")
-    return value
+def _integer(minimum: int):
+    def check(value, pointer: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(pointer, f"expected an integer, got {type(value).__name__}")
+        if value < minimum:
+            raise ConfigError(pointer, f"must be >= {minimum}")
+        return value
+
+    return check
 
 
 def _boolean(value, pointer: str) -> bool:
@@ -102,17 +104,85 @@ def _nonnegative(value, pointer: str) -> float:
     return v
 
 
+def _nullable(check):
+    """``check``, except that null passes as None (the key's default)."""
+    return lambda value, pointer: None if value is None else check(value, pointer)
+
+
+def _list_of(check, empty_message: str):
+    """A non-empty array whose entries all pass ``check``; returns a tuple."""
+
+    def checked(value, pointer: str) -> tuple:
+        items = tuple(check(v, f"{pointer}/{i}") for i, v in enumerate(_array(value, pointer)))
+        if not items:
+            raise ConfigError(pointer, empty_message)
+        return items
+
+    return checked
+
+
+def _require(obj: dict, pointer: str, keys) -> None:
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(pointer, f"missing required key {key!r}")
+
+
+def _fields(raw, pointer: str, spec: dict, required=()) -> dict:
+    """Check an object against a ``{key: check}`` table; returns the checked keys present."""
+    obj = _object(raw, pointer)
+    for key in obj:
+        if key not in spec:
+            raise ConfigError(f"{pointer}/{key}", "unknown key")
+    _require(obj, pointer, required)
+    return {key: spec[key](value, f"{pointer}/{key}") for key, value in obj.items()}
+
+
+def _kind(value, pointer: str) -> str:
+    kind = _string(value, pointer)
+    if kind not in ACTIVATION_KINDS:
+        raise ConfigError(pointer, f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
+    return kind
+
+
+def _lambda(value, pointer: str) -> float:
+    lam = _number(value, pointer)
+    if not lam > 0.0:
+        raise ConfigError(pointer, "lambda must be > 0")
+    return lam
+
+
+def _width_weights(value, pointer: str) -> tuple[float, float]:
+    arr = _array(value, pointer)
+    if len(arr) != 2:
+        raise ConfigError(pointer, "expected exactly two width weights")
+    return (_positive(arr[0], f"{pointer}/0"), _positive(arr[1], f"{pointer}/1"))
+
+
+_C_RANGE = {"start": _positive, "stop": _positive, "step": _positive}
+
+
+def _c_range(value, pointer: str) -> tuple[float, ...]:
+    rng = _fields(value, pointer, _C_RANGE, required=("start", "stop"))
+    start, stop, step = rng["start"], rng["stop"], rng.get("step", 0.05)
+    if stop < start:
+        raise ConfigError(pointer, "stop must be >= start")
+    span = (stop - start) / step + 1e-9
+    if not math.isfinite(span):
+        raise ConfigError(pointer, "(stop - start) / step must be finite")
+    return tuple(start + i * step for i in range(int(span) + 1))
+
+
 @dataclass(frozen=True)
 class ModelSection:
-    psi: tuple[float, ...] | None
-    psi_n: float | None
-    d: int | None
-    n: int | None
-    N: tuple[int, ...] | None
     lam: float
-    F0: float
-    F1: float
-    tau: float
+    psi: tuple[float, ...] | None = None
+    psi_n: float | None = None
+    d: int | None = None
+    n: int | None = None
+    N: tuple[int, ...] | None = None
+    F0: float = 0.0
+    F1: float = 1.0
+    tau: float = 0.0
 
     @property
     def K(self) -> int:
@@ -175,232 +245,108 @@ class RootConfig:
     output: OutputSection
 
 
-def _parse_activations(raw, pointer: str) -> tuple[ActivationSpec, ...]:
-    items = _array(raw, pointer)
-    if not items:
-        raise ConfigError(pointer, "needs at least one activation")
-    out = []
-    for i, item in enumerate(items):
-        here = f"{pointer}/{i}"
-        obj = _object(item, here)
-        _check_keys(obj, here, ("kind", "in_scale", "out_scale", "shift"))
-        if "kind" not in obj:
-            raise ConfigError(here, "missing required key 'kind'")
-        kind = _string(obj["kind"], f"{here}/kind")
-        if kind not in ACTIVATION_KINDS:
-            raise ConfigError(
-                f"{here}/kind", f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}"
-            )
-        out.append(
-            ActivationSpec(
-                kind=kind,
-                in_scale=_number(obj.get("in_scale", 1.0), f"{here}/in_scale"),
-                out_scale=_number(obj.get("out_scale", 1.0), f"{here}/out_scale"),
-                shift=_number(obj.get("shift", 0.0), f"{here}/shift"),
-            )
-        )
-    return tuple(out)
+_ACTIVATION = {"kind": _kind, "in_scale": _number, "out_scale": _number, "shift": _number}
+_MOMENTS = {"mu0": _number, "mu1": _number, "mu2_sq": _nonnegative}
+_MODEL = {
+    "psi": _list_of(_positive, "needs at least one entry"),
+    "psi_n": _positive,
+    "d": _integer(1),
+    "n": _integer(1),
+    "N": _list_of(_integer(1), "needs at least one entry"),
+    "lambda": _lambda,
+    "F0": _number,
+    "F1": _nonnegative,
+    "tau": _nonnegative,
+}
+_SOLVER = {
+    "tol": _positive,
+    "max_iter": _integer(1),
+    "damping": _positive,
+    "continuation_start": _nullable(_positive),
+    "continuation_factor": _positive,
+}
+_EMPIRICAL = {
+    "d": _integer(1),
+    "n": _integer(1),
+    "n_test": _integer(1),
+    "replications": _integer(1),
+    "base_seed": _integer(0),
+    "workers": _nullable(_integer(1)),
+}
+_SWEEP = {
+    "ratios": _list_of(_positive, "needs at least one entry"),
+    "c_grid": _list_of(_positive, "grid is empty"),
+    "c_range": _c_range,
+    "log_y": _boolean,
+    "y_cap": _nullable(_positive),
+}
+_LIMIT = {"r": _width_weights}
+_OUTPUT = dict.fromkeys(("csv_path", "svg_path", "json_path"), _nullable(_string))
 
 
-def _parse_moments(raw, pointer: str) -> tuple[Moments, ...]:
-    items = _array(raw, pointer)
-    if not items:
-        raise ConfigError(pointer, "needs at least one moment triple")
-    out = []
-    for i, item in enumerate(items):
-        here = f"{pointer}/{i}"
-        obj = _object(item, here)
-        _check_keys(obj, here, ("mu0", "mu1", "mu2_sq"))
-        for key in ("mu0", "mu1", "mu2_sq"):
-            if key not in obj:
-                raise ConfigError(here, f"missing required key {key!r}")
-        mu2_sq = _nonnegative(obj["mu2_sq"], f"{here}/mu2_sq")
-        out.append(
-            Moments(
-                mu0=_number(obj["mu0"], f"{here}/mu0"),
-                mu1=_number(obj["mu1"], f"{here}/mu1"),
-                mu2_sq=mu2_sq,
-            )
-        )
-    return tuple(out)
-
-
-def _parse_model(raw, pointer: str) -> ModelSection:
-    obj = _object(raw, pointer)
-    _check_keys(obj, pointer, ("psi", "psi_n", "d", "n", "N", "lambda", "F0", "F1", "tau"))
-    has_psi = "psi" in obj or "psi_n" in obj
-    has_counts = "d" in obj or "n" in obj or "N" in obj
+def _model(raw, pointer: str) -> ModelSection:
+    fields = _fields(raw, pointer, _MODEL, required=("lambda",))
+    has_psi = "psi" in fields or "psi_n" in fields
+    has_counts = "d" in fields or "n" in fields or "N" in fields
     if has_psi and has_counts:
         raise ConfigError(pointer, "give either psi/psi_n or d/n/N, not both")
     if not has_psi and not has_counts:
         raise ConfigError(pointer, "give either psi/psi_n or d/n/N")
-
-    psi = psi_n = d = n = counts = None
-    if has_psi:
-        for key in ("psi", "psi_n"):
-            if key not in obj:
-                raise ConfigError(pointer, f"missing required key {key!r}")
-        psi = tuple(
-            _positive(v, f"{pointer}/psi/{i}") for i, v in enumerate(_array(obj["psi"], f"{pointer}/psi"))
-        )
-        if not psi:
-            raise ConfigError(f"{pointer}/psi", "needs at least one entry")
-        psi_n = _positive(obj["psi_n"], f"{pointer}/psi_n")
-    else:
-        for key in ("d", "n", "N"):
-            if key not in obj:
-                raise ConfigError(pointer, f"missing required key {key!r}")
-        d = _integer(obj["d"], f"{pointer}/d", minimum=1)
-        n = _integer(obj["n"], f"{pointer}/n", minimum=1)
-        counts = tuple(
-            _integer(v, f"{pointer}/N/{i}", minimum=1)
-            for i, v in enumerate(_array(obj["N"], f"{pointer}/N"))
-        )
-        if not counts:
-            raise ConfigError(f"{pointer}/N", "needs at least one entry")
-
-    if "lambda" not in obj:
-        raise ConfigError(pointer, "missing required key 'lambda'")
-    lam = _number(obj["lambda"], f"{pointer}/lambda")
-    if not lam > 0.0:
-        raise ConfigError(f"{pointer}/lambda", "lambda must be > 0")
-    return ModelSection(
-        psi=psi,
-        psi_n=psi_n,
-        d=d,
-        n=n,
-        N=counts,
-        lam=lam,
-        F0=_number(obj.get("F0", 0.0), f"{pointer}/F0"),
-        F1=_nonnegative(obj.get("F1", 1.0), f"{pointer}/F1"),
-        tau=_nonnegative(obj.get("tau", 0.0), f"{pointer}/tau"),
-    )
+    _require(fields, pointer, ("psi", "psi_n") if has_psi else ("d", "n", "N"))
+    fields["lam"] = fields.pop("lambda")
+    return ModelSection(**fields)
 
 
-def _parse_solver(raw, pointer: str) -> SolverConfig:
-    obj = _object(raw, pointer)
-    allowed = ("tol", "max_iter", "damping", "continuation_start", "continuation_factor")
-    _check_keys(obj, pointer, allowed)
-    kwargs = {}
-    if "tol" in obj:
-        kwargs["tol"] = _positive(obj["tol"], f"{pointer}/tol")
-    if "max_iter" in obj:
-        kwargs["max_iter"] = _integer(obj["max_iter"], f"{pointer}/max_iter", minimum=1)
-    if "damping" in obj:
-        kwargs["damping"] = _positive(obj["damping"], f"{pointer}/damping")
-    if "continuation_start" in obj and obj["continuation_start"] is not None:
-        kwargs["continuation_start"] = _positive(
-            obj["continuation_start"], f"{pointer}/continuation_start"
-        )
-    if "continuation_factor" in obj:
-        kwargs["continuation_factor"] = _positive(
-            obj["continuation_factor"], f"{pointer}/continuation_factor"
-        )
+def _solver(raw, pointer: str) -> SolverConfig:
+    fields = _fields(raw, pointer, _SOLVER)
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(**fields)
     except ValueError as err:
         raise ConfigError(pointer, str(err)) from err
 
 
-def _parse_empirical(raw, pointer: str) -> EmpiricalSection:
-    obj = _object(raw, pointer)
-    _check_keys(obj, pointer, ("d", "n", "n_test", "replications", "base_seed", "workers"))
-    kwargs = {}
-    for key in ("d", "n", "n_test", "replications"):
-        if key in obj:
-            kwargs[key] = _integer(obj[key], f"{pointer}/{key}", minimum=1)
-    if "base_seed" in obj:
-        kwargs["base_seed"] = _integer(obj["base_seed"], f"{pointer}/base_seed", minimum=0)
-    if "workers" in obj and obj["workers"] is not None:
-        kwargs["workers"] = _integer(obj["workers"], f"{pointer}/workers", minimum=1)
-    return EmpiricalSection(**kwargs)
-
-
-def _parse_sweep(raw, pointer: str) -> SweepSection:
-    obj = _object(raw, pointer)
-    _check_keys(obj, pointer, ("ratios", "c_grid", "c_range", "log_y", "y_cap"))
-    ratios = None
-    if "ratios" in obj:
-        ratios = tuple(
-            _positive(v, f"{pointer}/ratios/{i}")
-            for i, v in enumerate(_array(obj["ratios"], f"{pointer}/ratios"))
-        )
-        if not ratios:
-            raise ConfigError(f"{pointer}/ratios", "needs at least one entry")
-    if ("c_grid" in obj) == ("c_range" in obj):
+def _sweep(raw, pointer: str) -> SweepSection:
+    fields = _fields(raw, pointer, _SWEEP)
+    if ("c_grid" in fields) == ("c_range" in fields):
         raise ConfigError(pointer, "give exactly one of c_grid or c_range")
-    if "c_grid" in obj:
-        grid = tuple(
-            _positive(v, f"{pointer}/c_grid/{i}")
-            for i, v in enumerate(_array(obj["c_grid"], f"{pointer}/c_grid"))
-        )
-    else:
-        here = f"{pointer}/c_range"
-        rng = _object(obj["c_range"], here)
-        _check_keys(rng, here, ("start", "stop", "step"))
-        for key in ("start", "stop"):
-            if key not in rng:
-                raise ConfigError(here, f"missing required key {key!r}")
-        start = _positive(rng["start"], f"{here}/start")
-        stop = _positive(rng["stop"], f"{here}/stop")
-        step = _positive(rng.get("step", 0.05), f"{here}/step")
-        if stop < start:
-            raise ConfigError(here, "stop must be >= start")
-        count = int((stop - start) / step + 1e-9) + 1
-        grid = tuple(start + i * step for i in range(count))
-    if not grid:
-        raise ConfigError(f"{pointer}/c_grid", "grid is empty")
+    grid = fields.pop("c_grid") if "c_grid" in fields else fields.pop("c_range")
     if any(b >= a for a, b in zip(grid[1:], grid)):
         raise ConfigError(f"{pointer}/c_grid", "must be strictly increasing")
-    kwargs = {}
-    if "log_y" in obj:
-        kwargs["log_y"] = _boolean(obj["log_y"], f"{pointer}/log_y")
-    if "y_cap" in obj and obj["y_cap"] is not None:
-        kwargs["y_cap"] = _positive(obj["y_cap"], f"{pointer}/y_cap")
-    return SweepSection(ratios=ratios, c_grid=grid, **kwargs)
+    return SweepSection(ratios=fields.pop("ratios", None), c_grid=grid, **fields)
 
 
-def _parse_limit(raw, pointer: str) -> LimitSection:
-    obj = _object(raw, pointer)
-    _check_keys(obj, pointer, ("r",))
-    if "r" not in obj:
-        return LimitSection()
-    arr = _array(obj["r"], f"{pointer}/r")
-    if len(arr) != 2:
-        raise ConfigError(f"{pointer}/r", "expected exactly two width weights")
-    return LimitSection(
-        r=(_positive(arr[0], f"{pointer}/r/0"), _positive(arr[1], f"{pointer}/r/1"))
-    )
-
-
-def _parse_output(raw, pointer: str) -> OutputSection:
-    obj = _object(raw, pointer)
-    _check_keys(obj, pointer, ("csv_path", "svg_path", "json_path"))
-    kwargs = {}
-    for key in ("csv_path", "svg_path", "json_path"):
-        if key in obj and obj[key] is not None:
-            kwargs[key] = _string(obj[key], f"{pointer}/{key}")
-    return OutputSection(**kwargs)
+_ROOT = {
+    "activations": _list_of(
+        lambda v, p: ActivationSpec(**_fields(v, p, _ACTIVATION, required=("kind",))),
+        "needs at least one activation",
+    ),
+    "moments_override": _list_of(
+        lambda v, p: Moments(**_fields(v, p, _MOMENTS, required=tuple(_MOMENTS))),
+        "needs at least one moment triple",
+    ),
+    "model": _model,
+    "solver": _solver,
+    "empirical": lambda v, p: EmpiricalSection(**_fields(v, p, _EMPIRICAL)),
+    "sweep": _sweep,
+    "limit": lambda v, p: LimitSection(**_fields(v, p, _LIMIT)),
+    "output": lambda v, p: OutputSection(**_fields(v, p, _OUTPUT)),
+}
 
 
 def validate_config(raw: dict) -> RootConfig:
     """Validate a parsed JSON document into a RootConfig, eagerly and strictly."""
-    obj = _object(raw, "")
-    _check_keys(
-        obj, "", ("activations", "moments_override", "model", "solver", "empirical", "sweep", "limit", "output")
-    )
-    if ("activations" in obj) == ("moments_override" in obj):
+    doc = _fields(raw, "", _ROOT)
+    if ("activations" in doc) == ("moments_override" in doc):
         raise ConfigError("", "give exactly one of activations or moments_override")
-    activations = None
-    if "activations" in obj:
-        activations = _parse_activations(obj["activations"], "/activations")
+    if "model" not in doc:
+        raise ConfigError("", "missing required section 'model'")
+    activations = doc.get("activations")
+    if activations is not None:
         moments = tuple(compute_moments(a) for a in activations)
     else:
-        moments = _parse_moments(obj["moments_override"], "/moments_override")
+        moments = doc["moments_override"]
 
-    if "model" not in obj:
-        raise ConfigError("", "missing required section 'model'")
-    model = _parse_model(obj["model"], "/model")
+    model = doc["model"]
     if model.K != len(moments):
         raise ConfigError(
             "/model",
@@ -411,13 +357,7 @@ def validate_config(raw: dict) -> RootConfig:
             "/model/F0",
             "F0 != 0 requires at least one activation with nonzero Gaussian mean",
         )
-
-    solver = _parse_solver(obj["solver"], "/solver") if "solver" in obj else SolverConfig()
-    empirical = _parse_empirical(obj["empirical"], "/empirical") if "empirical" in obj else None
-    sweep = _parse_sweep(obj["sweep"], "/sweep") if "sweep" in obj else None
-    limit = _parse_limit(obj["limit"], "/limit") if "limit" in obj else None
-    output = _parse_output(obj["output"], "/output") if "output" in obj else OutputSection()
-
+    empirical, sweep = doc.get("empirical"), doc.get("sweep")
     if empirical is not None:
         for key in ("d", "n"):
             section_v = getattr(empirical, key)
@@ -431,11 +371,11 @@ def validate_config(raw: dict) -> RootConfig:
         activations=activations,
         moments=moments,
         model=model,
-        solver=solver,
+        solver=doc.get("solver", SolverConfig()),
         empirical=empirical,
         sweep=sweep,
-        limit=limit,
-        output=output,
+        limit=doc.get("limit"),
+        output=doc.get("output", OutputSection()),
     )
 
 
@@ -469,17 +409,20 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = text
         node = raw
         for i, key in enumerate(keys[:-1]):
-            step = int(key) if isinstance(node, list) else key
-            try:
-                nxt = node[step]
-            except (KeyError, IndexError, ValueError):
-                nxt = None
-            if not isinstance(nxt, (dict, list)):
-                if isinstance(node, list):
-                    raise ConfigError(
-                        "/" + "/".join(keys[: i + 1]), "override path runs off the document"
-                    )
-                nxt = node[step] = {}
+            if isinstance(node, list):
+                here = "/" + "/".join(keys[: i + 1])
+                try:
+                    nxt = node[int(key)]
+                except ValueError as err:
+                    raise ConfigError(here, f"bad array index: {err}") from err
+                except IndexError:
+                    nxt = None
+                if not isinstance(nxt, (dict, list)):
+                    raise ConfigError(here, "override path runs off the document")
+            else:
+                nxt = node.get(key)
+                if not isinstance(nxt, (dict, list)):
+                    nxt = node[key] = {}
             node = nxt
         last = keys[-1]
         if isinstance(node, list):
@@ -513,35 +456,42 @@ def build_theory_spec(cfg: RootConfig) -> TheorySpec:
     )
 
 
-def _resolved_counts(cfg: RootConfig) -> tuple[int, int]:
+def _finite_size(cfg: RootConfig, need_feature_counts: bool = False) -> EmpiricalTemplate:
+    """Settings every finite-size run shares: real activations and resolved d, n."""
+    if cfg.activations is None:
+        raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
+    if need_feature_counts and cfg.model.N is None:
+        raise ConfigError("/model", "finite-size runs need explicit feature counts N")
     emp = cfg.empirical or EmpiricalSection()
     d = emp.d if emp.d is not None else cfg.model.d
     n = emp.n if emp.n is not None else cfg.model.n
     if d is None or n is None:
         raise ConfigError("/empirical", "finite-size runs need d and n (model d/n/N or empirical d/n)")
-    return d, n
+    return EmpiricalTemplate(
+        activations=cfg.activations,
+        d=d,
+        n=n,
+        n_test=emp.n_test,
+        replications=emp.replications,
+        base_seed=emp.base_seed,
+    )
 
 
 def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
     """Finite-size instance; requires activations and explicit counts."""
-    if cfg.activations is None:
-        raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
-    if cfg.model.N is None:
-        raise ConfigError("/model", "finite-size runs need explicit feature counts N")
-    d, n = _resolved_counts(cfg)
-    emp = cfg.empirical or EmpiricalSection()
+    tpl = _finite_size(cfg, need_feature_counts=True)
     return EmpiricalConfig(
-        d=d,
-        n=n,
+        d=tpl.d,
+        n=tpl.n,
         N=cfg.model.N,
-        activations=cfg.activations,
+        activations=tpl.activations,
         lam=cfg.model.lam,
         F0=cfg.model.F0,
         F1=cfg.model.F1,
         tau=cfg.model.tau,
-        n_test=emp.n_test,
-        replications=emp.replications,
-        base_seed=emp.base_seed,
+        n_test=tpl.n_test,
+        replications=tpl.replications,
+        base_seed=tpl.base_seed,
     )
 
 
@@ -551,21 +501,7 @@ def build_sweep_spec(cfg: RootConfig) -> SweepSpec:
         raise ConfigError("", "missing required section 'sweep'")
     base = build_theory_spec(cfg)
     ratios = cfg.sweep.ratios if cfg.sweep.ratios is not None else (1.0,) * base.K
-    template = None
-    if cfg.empirical is not None:
-        if cfg.activations is None:
-            raise ConfigError(
-                "/activations", "finite-size runs need activations, not moments_override"
-            )
-        d, n = _resolved_counts(cfg)
-        template = EmpiricalTemplate(
-            activations=cfg.activations,
-            d=d,
-            n=n,
-            n_test=cfg.empirical.n_test,
-            replications=cfg.empirical.replications,
-            base_seed=cfg.empirical.base_seed,
-        )
+    template = _finite_size(cfg) if cfg.empirical is not None else None
     return SweepSpec(base=base, ratios=ratios, c_grid=cfg.sweep.c_grid, empirical=template)
 
 

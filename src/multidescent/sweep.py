@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,19 +37,6 @@ __all__ = [
     "write_csv",
     "render_svg",
 ]
-
-CSV_BASE_COLUMNS = (
-    "psi_n",
-    "lambda",
-    "theory_risk",
-    "theory_bias",
-    "theory_variance",
-    "emp_mean",
-    "emp_se",
-    "replications",
-    "solver_iterations",
-)
-
 
 class EmptyGrid(ValueError):
     """The complexity grid contains no points."""
@@ -109,6 +96,8 @@ class GridPoint:
 
 @dataclass
 class SweepRow:
+    """One grid point; the fields are the output columns, in order."""
+
     c: float
     psi: tuple[float, ...]
     psi_n: float
@@ -116,11 +105,24 @@ class SweepRow:
     theory_risk: float
     theory_bias: float
     theory_variance: float
-    solver_iterations: int | None
     emp_mean: float | None = None
     emp_se: float | None = None
     replications: int | None = None
+    solver_iterations: int | None = None
     error: str | None = None
+
+    def record(self) -> dict:
+        """Every field under its output column name, as in the JSON sidecar."""
+        return {_column(key): value for key, value in asdict(self).items()}
+
+
+def _column(field_name: str) -> str:
+    return "lambda" if field_name == "lam" else field_name
+
+
+# CSV cells after c and psi_1..psi_K.
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name not in ("c", "psi", "error"))
+CSV_BASE_COLUMNS = tuple(_column(name) for name in _CSV_FIELDS)
 
 
 @dataclass
@@ -176,7 +178,6 @@ def _theory_row(point: GridPoint, solver: SolverConfig | None, b0) -> tuple[Swee
         theory_risk=math.nan,
         theory_bias=math.nan,
         theory_variance=math.nan,
-        solver_iterations=None,
     )
     try:
         nu = solve_nu(spec, solver, b0=b0)
@@ -276,17 +277,7 @@ def csv_text(result: SweepResult) -> str:
     for row in result.rows:
         cells = [_cell(row.c)]
         cells += [_cell(p) for p in row.psi]
-        cells += [
-            _cell(row.psi_n),
-            _cell(row.lam),
-            _cell(row.theory_risk),
-            _cell(row.theory_bias),
-            _cell(row.theory_variance),
-            _cell(row.emp_mean),
-            _cell(row.emp_se),
-            _cell(row.replications),
-            _cell(row.solver_iterations),
-        ]
+        cells += [_cell(getattr(row, name)) for name in _CSV_FIELDS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -10,7 +10,9 @@ constant-feature risk, and (sqrt(2)-1)/2 for the equal-ratio width limit.
 import io
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,11 @@ from multidescent import (
     parse_config,
     to_json,
 )
+from multidescent import config as config_module
 from multidescent.cli import ExitStatus, dispatch, main
 from multidescent.config import apply_overrides, load_raw, validate_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _inline(cfg: dict) -> str:
@@ -224,6 +229,14 @@ class TestConfigValidation:
         cfg = _minimal()
         cfg["sweep"] = {"c_range": {"start": 0.5, "stop": 0.7}}
         assert len(parse_config(_inline(cfg)).sweep.c_grid) == 5
+
+    def test_sweep_range_count_overflow(self):
+        cfg = _minimal()
+        cfg["sweep"] = {"c_range": {"start": 0.1, "stop": 1e300, "step": 1e-300}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_inline(cfg))
+        assert exc.value.pointer == "/sweep/c_range"
+        assert str(exc.value) == "/sweep/c_range: (stop - start) / step must be finite"
 
     def test_sweep_grid_xor_range(self):
         cfg = _minimal()
@@ -462,6 +475,20 @@ class TestDispatch:
         root = ET.parse(tmp_path / "curve.svg").getroot()
         assert root.tag.endswith("svg")
 
+    def test_sweep_sidecar_row_keys(self, tmp_path):
+        cfg = _minimal()
+        cfg["sweep"] = {"c_grid": [0.5, 1.0]}
+        cfg["output"] = {"json_path": str(tmp_path / "curve.json")}
+        status, out, err = _run("sweep", cfg)
+        assert status == ExitStatus.OK
+        sidecar = json.loads((tmp_path / "curve.json").read_text(encoding="utf-8"))
+        assert len(sidecar["rows"]) == 2
+        for row in sidecar["rows"]:
+            assert list(row) == [
+                "c", "psi", "psi_n", "lambda", "theory_risk", "theory_bias", "theory_variance",
+                "emp_mean", "emp_se", "replications", "solver_iterations", "error",
+            ]
+
     def test_limit_golden(self):
         cfg = {
             "moments_override": [
@@ -529,6 +556,16 @@ class TestMain:
         changed = json.loads(capsys.readouterr().out)["risk"]
         assert base != changed
 
+    def test_set_non_integer_index_mid_path(self, capsys):
+        argv = ["theory", "--config", _inline(_minimal()), "--set", "activations.x.kind=tanh"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ConfigError: /activations/x: bad array index: "
+            "invalid literal for int() with base 10: 'x'\n"
+        )
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         cfg = _k2_counts_config(empirical={"replications": 2, "n_test": 32})
         cfg["sweep"] = {"c_grid": [0.5, 1.0]}
@@ -569,3 +606,32 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "{}"])
         assert exc.value.code == 2
+
+
+class TestReadme:
+    """The README's config example and key reference follow the parser."""
+
+    def test_config_example_validates(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        cfg = validate_config(json.loads(blocks[0]))
+        assert cfg.empirical is not None and cfg.sweep is not None
+        assert cfg.output.csv_path == "curve.csv"
+
+    def test_reference_lists_every_key(self):
+        tables = {
+            "activations[]": config_module._ACTIVATION,
+            "moments_override[]": config_module._MOMENTS,
+            "model": config_module._MODEL,
+            "solver": config_module._SOLVER,
+            "empirical": config_module._EMPIRICAL,
+            "sweep": config_module._SWEEP,
+            "sweep.c_range": config_module._C_RANGE,
+            "limit": config_module._LIMIT,
+            "output": config_module._OUTPUT,
+        }
+        assert {name.split(".")[0].removesuffix("[]") for name in tables} == set(config_module._ROOT)
+        expected = {f"{name}.{key}" for name, table in tables.items() for key in table}
+        expected.discard("sweep.c_range")  # documented through its own keys
+        text = README.read_text(encoding="utf-8")
+        assert set(re.findall(r"^\| `([\w.\[\]]+)` \|", text, re.M)) == expected
