@@ -99,11 +99,7 @@ def _cmd_theory(cfg: RootConfig, err_stream) -> str:
     spec = build_theory_spec(cfg)
     nu = solve_nu(spec, cfg.solver)
     result = asymptotic_risk(spec, cfg.solver, nu=nu)
-    print(
-        f"solver: {nu.iterations} iterations, residual {nu.residual:.3e}, "
-        f"{len(nu.lambda_path)} continuation stage(s)",
-        file=err_stream,
-    )
+    print(f"solver: {nu.iterations} iterations, residual {nu.residual:.3e}", file=err_stream)
     return to_json(
         {
             "risk": result.risk,

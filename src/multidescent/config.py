@@ -158,6 +158,12 @@ def _width_weights(value, pointer: str) -> tuple[float, float]:
     return (_positive(arr[0], f"{pointer}/0"), _positive(arr[1], f"{pointer}/1"))
 
 
+def _increasing(grid) -> bool:
+    return all(a < b for a, b in zip(grid, grid[1:]))
+
+
+# Far above any useful sweep; a mistyped step must not allocate the grid.
+_MAX_GRID_POINTS = 1_000_000
 _C_RANGE = {"start": _positive, "stop": _positive, "step": _positive}
 
 
@@ -169,7 +175,13 @@ def _c_range(value, pointer: str) -> tuple[float, ...]:
     span = (stop - start) / step + 1e-9
     if not math.isfinite(span):
         raise ConfigError(pointer, "(stop - start) / step must be finite")
-    return tuple(start + i * step for i in range(int(span) + 1))
+    count = int(span) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(pointer, f"gives {count} points, more than {_MAX_GRID_POINTS}")
+    grid = tuple(start + i * step for i in range(count))
+    if not _increasing(grid):
+        raise ConfigError(pointer, "step is too small to give distinct points")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -258,13 +270,7 @@ _MODEL = {
     "F1": _nonnegative,
     "tau": _nonnegative,
 }
-_SOLVER = {
-    "tol": _positive,
-    "max_iter": _integer(1),
-    "damping": _positive,
-    "continuation_start": _nullable(_positive),
-    "continuation_factor": _positive,
-}
+_SOLVER = {"tol": _positive, "max_iter": _integer(1)}
 _EMPIRICAL = {
     "d": _integer(1),
     "n": _integer(1),
@@ -297,21 +303,13 @@ def _model(raw, pointer: str) -> ModelSection:
     return ModelSection(**fields)
 
 
-def _solver(raw, pointer: str) -> SolverConfig:
-    fields = _fields(raw, pointer, _SOLVER)
-    try:
-        return SolverConfig(**fields)
-    except ValueError as err:
-        raise ConfigError(pointer, str(err)) from err
-
-
 def _sweep(raw, pointer: str) -> SweepSection:
     fields = _fields(raw, pointer, _SWEEP)
     if ("c_grid" in fields) == ("c_range" in fields):
         raise ConfigError(pointer, "give exactly one of c_grid or c_range")
-    grid = fields.pop("c_grid") if "c_grid" in fields else fields.pop("c_range")
-    if any(b >= a for a, b in zip(grid[1:], grid)):
+    if "c_grid" in fields and not _increasing(fields["c_grid"]):
         raise ConfigError(f"{pointer}/c_grid", "must be strictly increasing")
+    grid = fields.pop("c_grid") if "c_grid" in fields else fields.pop("c_range")
     return SweepSection(ratios=fields.pop("ratios", None), c_grid=grid, **fields)
 
 
@@ -325,7 +323,7 @@ _ROOT = {
         "needs at least one moment triple",
     ),
     "model": _model,
-    "solver": _solver,
+    "solver": lambda v, p: SolverConfig(**_fields(v, p, _SOLVER)),
     "empirical": lambda v, p: EmpiricalSection(**_fields(v, p, _EMPIRICAL)),
     "sweep": _sweep,
     "limit": lambda v, p: LimitSection(**_fields(v, p, _LIMIT)),

@@ -8,10 +8,10 @@ system is solved directly in those positive real variables:
     sqrt(lam) b_n   + sum_c m2_c b_c b_n + T / (1 + T)      = psi_n
 
 with b_n = b_{K+1}, T = b_n * sum_c m1_c b_c, m1_c = mu_{c,1}^2 and
-m2_c = mu_{c,2}^2.  The solver is a damped fixed-point iteration on the
-positivity-preserving rearrangement b_j = psi_j / (positive bracket), with
-geometric continuation in lam from an easy starting value down to the
-target so the iterate tracks the analytic branch.
+m2_c = mu_{c,2}^2.  The solver is Newton's method in u = log b, which keeps
+every iterate positive, on the relative residuals r_j / psi_j with their
+analytic Jacobian; a backtracking line search makes each step reduce the
+largest relative residual.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class NonPositiveInput(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Fixed-point iteration missed the tolerance within max_iter."""
+    """Newton's method missed the tolerance within max_iter steps, or a step
+    could no longer reduce the residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -100,25 +101,22 @@ class TheorySpec:
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-12
-    max_iter: int = 100_000
-    damping: float = 0.5
-    continuation_start: float | None = None  # None -> max(lam, 1.0)
-    continuation_factor: float = 0.5
+    max_iter: int = 100
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be > 0")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
-        if not (0.0 < self.continuation_factor < 1.0):
-            raise ValueError("continuation_factor must be in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
 class NuStar:
-    """Converged positive imaginary parts b_1..b_{K+1} plus solve diagnostics."""
+    """Converged positive imaginary parts b_1..b_{K+1} plus solve diagnostics.
+
+    ``iterations`` counts Newton steps; ``lambda_path`` is ``[lam]``, the one
+    regularization every solve runs at.
+    """
 
     b: np.ndarray
     residual: float
@@ -126,24 +124,37 @@ class NuStar:
     lambda_path: list[float] = field(default_factory=list)
 
 
-def _coeffs(spec: TheorySpec) -> tuple[list[float], list[float]]:
-    m1 = [m.mu1 * m.mu1 for m in spec.moments]
-    m2 = [m.mu2_sq for m in spec.moments]
+# Largest change of any log b_j in one Newton step.
+_MAX_LOG_STEP = 2.0
+
+
+def _coeffs(spec: TheorySpec) -> tuple[np.ndarray, np.ndarray]:
+    m1 = np.array([m.mu1 * m.mu1 for m in spec.moments])
+    m2 = np.array([m.mu2_sq for m in spec.moments])
     return m1, m2
 
 
-def _residuals(psi, m1, m2, sqrt_lam, b) -> list[float]:
-    k = len(psi) - 1
-    bn = b[k]
-    t = bn * sum(m1[c] * b[c] for c in range(k))
-    opt = 1.0 + t
-    res = [
-        sqrt_lam * b[c] + m2[c] * b[c] * bn + m1[c] * b[c] * bn / opt - psi[c]
-        for c in range(k)
-    ]
-    s2 = sum(m2[c] * b[c] for c in range(k))
-    res.append(sqrt_lam * bn + s2 * bn + t / opt - psi[k])
-    return res
+def _residuals(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
+    bc, bn = b[:-1], b[-1]
+    s1 = m1 @ bc
+    opt = 1.0 + bn * s1
+    return np.append(
+        bc * (sqrt_lam + bn * (m2 + m1 / opt)), bn * (sqrt_lam + m2 @ bc) + bn * s1 / opt
+    ) - psi
+
+
+def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
+    """d(r_i / psi_i) / d(log b_j) of the residuals above."""
+    bc, bn = b[:-1], b[-1]
+    s1 = m1 @ bc
+    opt = 1.0 + bn * s1
+    coupling = m2 + m1 / opt**2
+    jac = np.empty((b.size, b.size))
+    jac[:-1, :-1] = np.diag(sqrt_lam + bn * (m2 + m1 / opt)) - np.outer(m1 * bc, m1) * (bn / opt) ** 2
+    jac[:-1, -1] = bc * coupling
+    jac[-1, :-1] = bn * coupling
+    jac[-1, -1] = sqrt_lam + m2 @ bc + s1 / opt**2
+    return jac * b / psi[:, None]
 
 
 def residual_vector(spec: TheorySpec, b) -> np.ndarray:
@@ -152,79 +163,63 @@ def residual_vector(spec: TheorySpec, b) -> np.ndarray:
     ``b`` must have K+1 strictly positive entries; the residual is zero at
     the solution.
     """
-    b = [float(x) for x in np.asarray(b).ravel()]
-    if len(b) != spec.K + 1:
-        raise NonPositiveInput(f"expected {spec.K + 1} entries, got {len(b)}")
-    if any(x <= 0.0 for x in b):
+    b = np.asarray(b, dtype=float).ravel()
+    if b.size != spec.K + 1:
+        raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
+    if not np.all(b > 0.0):
         raise NonPositiveInput("all entries of b must be > 0")
-    m1, m2 = _coeffs(spec)
-    return np.array(_residuals(list(spec.psi_full), m1, m2, math.sqrt(spec.lam), b))
-
-
-def _solve_stage(psi, m1, m2, lam, b, cfg: SolverConfig):
-    """Damped fixed-point iteration at a fixed lam; mutates and returns b."""
-    k = len(psi) - 1
-    sqrt_lam = math.sqrt(lam)
-    gamma = cfg.damping
-    keep = 1.0 - gamma
-    for it in range(1, cfg.max_iter + 1):
-        bn = b[k]
-        s1 = sum(m1[c] * b[c] for c in range(k))
-        s2 = sum(m2[c] * b[c] for c in range(k))
-        opt = 1.0 + bn * s1
-        for c in range(k):
-            b[c] = keep * b[c] + gamma * psi[c] / (sqrt_lam + m2[c] * bn + m1[c] * bn / opt)
-        b[k] = keep * bn + gamma * psi[k] / (sqrt_lam + s2 + s1 / opt)
-        res = _residuals(psi, m1, m2, sqrt_lam, b)
-        rel = max(abs(r) / p for r, p in zip(res, psi))
-        if rel <= cfg.tol:
-            return b, it, rel
-    raise NoConvergence(
-        f"residual {rel:.3e} > tol {cfg.tol:.1e} after {cfg.max_iter} iterations at lambda={lam:.3e}",
-        residual=rel,
-        iterations=cfg.max_iter,
-    )
+    return _residuals(np.array(spec.psi_full), *_coeffs(spec), math.sqrt(spec.lam), b)
 
 
 def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None, b0=None) -> NuStar:
-    """Solve the positive-variable system at spec.lam.
+    """Solve the positive-variable system at spec.lam by Newton's method in log b.
 
-    When ``b0`` is given it is tried as a warm start directly at the target
-    lambda; on failure the solver falls back to the cold continuation path
-    (solve at max(lam, 1), then shrink lambda geometrically, warm-starting
-    each stage from the previous one).
+    The iteration starts from ``b0`` when it holds K+1 finite positive
+    entries, and from b_j = psi_j / (sqrt(lam) + 1) otherwise.  Each step is
+    capped at 2 in every log b_j and halved until the largest relative
+    residual decreases; when even a step too small to move b cannot reduce
+    it, the solve raises ``NoConvergence`` at once instead of stalling.
     """
     cfg = cfg or SolverConfig()
-    psi = list(spec.psi_full)
+    psi = np.array(spec.psi_full)
     m1, m2 = _coeffs(spec)
-    target = spec.lam
+    sqrt_lam = math.sqrt(spec.lam)
 
+    b = psi / (sqrt_lam + 1.0)
     if b0 is not None:
-        start = [float(x) for x in np.asarray(b0).ravel()]
-        if len(start) == len(psi) and all(x > 0.0 for x in start):
-            try:
-                b, iters, res = _solve_stage(psi, m1, m2, target, list(start), cfg)
-                return NuStar(b=np.array(b), residual=res, iterations=iters,
-                              lambda_path=[target])
-            except NoConvergence:
-                pass
-
-    lam0 = cfg.continuation_start if cfg.continuation_start is not None else max(target, 1.0)
-    if target >= lam0:
-        path = [target]
-    else:
-        path = [lam0]
-        while path[-1] * cfg.continuation_factor > target:
-            path.append(path[-1] * cfg.continuation_factor)
-        path.append(target)
-
-    b = [p / (math.sqrt(path[0]) + 1.0) for p in psi]
-    total = 0
-    res = math.inf
-    for lam_k in path:
-        b, iters, res = _solve_stage(psi, m1, m2, lam_k, b, cfg)
-        total += iters
-    return NuStar(b=np.array(b), residual=res, iterations=total, lambda_path=path)
+        start = np.array(b0, dtype=float).ravel()
+        if start.size == psi.size and np.all(np.isfinite(start) & (start > 0.0)):
+            b = start
+    u = np.log(b)
+    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
+    rel = np.max(np.abs(rel_res))
+    steps = 0
+    while rel > cfg.tol:
+        if steps == cfg.max_iter:
+            raise NoConvergence(
+                f"residual {rel:.3e} > tol {cfg.tol:.1e} after {steps} Newton steps at lambda={spec.lam:.3e}",
+                residual=rel,
+                iterations=steps,
+            )
+        step = np.linalg.solve(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res)
+        step *= min(1.0, _MAX_LOG_STEP / np.max(np.abs(step)))
+        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
+            trial = np.exp(u - step)
+            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
+            trial_rel = np.max(np.abs(trial_res))
+            if trial_rel < rel:
+                break
+            step /= 2.0
+        else:
+            raise NoConvergence(
+                f"residual {rel:.3e} > tol {cfg.tol:.1e}: no Newton step reduces it at lambda={spec.lam:.3e}",
+                residual=rel,
+                iterations=steps,
+            )
+        u -= step
+        b, rel_res, rel = trial, trial_res, trial_rel
+        steps += 1
+    return NuStar(b=b, residual=float(rel), iterations=steps, lambda_path=[spec.lam])
 
 
 def verify_complex(spec: TheorySpec, nu: NuStar) -> float:

