@@ -11,7 +11,9 @@ with b_n = b_{K+1}, T = b_n * sum_c m1_c b_c, m1_c = mu_{c,1}^2 and
 m2_c = mu_{c,2}^2.  The solver is Newton's method in u = log b, which keeps
 every iterate positive, on the relative residuals r_j / psi_j with their
 analytic Jacobian; a backtracking line search makes each step reduce the
-largest relative residual.
+largest relative residual.  A stack of systems that share K, such as the
+points of a sweep grid, is solved at once with batched linear algebra;
+each point keeps its own steps, line search and failure.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "NoConvergence",
     "residual_vector",
     "solve_nu",
+    "solve_nu_stack",
     "verify_complex",
 ]
 
@@ -114,7 +117,8 @@ class SolverConfig:
 class NuStar:
     """Converged positive imaginary parts b_1..b_{K+1} plus solve diagnostics.
 
-    ``iterations`` counts Newton steps; ``lambda_path`` is ``[lam]``, the one
+    ``iterations`` counts Newton steps, the polishing step after reaching
+    the tolerance included; ``lambda_path`` is ``[lam]``, the one
     regularization every solve runs at.
     """
 
@@ -128,33 +132,65 @@ class NuStar:
 _MAX_LOG_STEP = 2.0
 
 
-def _coeffs(spec: TheorySpec) -> tuple[np.ndarray, np.ndarray]:
-    m1 = np.array([m.mu1 * m.mu1 for m in spec.moments])
-    m2 = np.array([m.mu2_sq for m in spec.moments])
-    return m1, m2
+def _stack_coeffs(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """psi_full (G, K+1), m1 and m2 (G, K) and sqrt(lam) (G, 1) of G specs."""
+    if not specs or len({spec.K for spec in specs}) != 1:
+        raise InvalidSpec("a stack needs at least one spec, all with the same K")
+    psi = np.array([spec.psi_full for spec in specs])
+    m1 = np.array([[m.mu1 * m.mu1 for m in spec.moments] for spec in specs])
+    m2 = np.array([[m.mu2_sq for m in spec.moments] for spec in specs])
+    sqrt_lam = np.sqrt([[spec.lam] for spec in specs])
+    return psi, m1, m2, sqrt_lam
+
+
+def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list]:
+    """``np.linalg.solve`` over a stack, where a singular matrix fails only its
+    own entry: returns the solutions (NaN where singular) and, per entry,
+    None or the ``LinAlgError`` it raised."""
+    try:
+        return np.linalg.solve(a, rhs), [None] * len(a)
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        errors = []
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], rhs[i])
+                errors.append(None)
+            except np.linalg.LinAlgError as err:
+                errors.append(err)
+        return x, errors
 
 
 def _residuals(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    bc, bn = b[:-1], b[-1]
-    s1 = m1 @ bc
-    opt = 1.0 + bn * s1
-    return np.append(
-        bc * (sqrt_lam + bn * (m2 + m1 / opt)), bn * (sqrt_lam + m2 @ bc) + bn * s1 / opt
-    ) - psi
+    """Residuals of each row of ``b``; arguments as from ``_stack_coeffs``.
+
+    With w_c = b_n (m2_c + m1_c / (1 + T)), equation c reads
+    b_c (sqrt(lam) + w_c) = psi_c and the last one
+    b_n sqrt(lam) + sum_c b_c w_c = psi_n.
+    """
+    bc, bn = b[:, :-1], b[:, -1:]
+    opt = 1.0 + bn * (m1 * bc).sum(axis=1, keepdims=True)
+    bw = bc * (bn * (m2 + m1 / opt))
+    res = b * sqrt_lam - psi
+    res[:, :-1] += bw
+    res[:, -1] += bw.sum(axis=1)
+    return res
 
 
 def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    """d(r_i / psi_i) / d(log b_j) of the residuals above."""
-    bc, bn = b[:-1], b[-1]
-    s1 = m1 @ bc
+    """d(r_i / psi_i) / d(log b_j) of the residuals above, one matrix per row."""
+    bc, bn = b[:, :-1], b[:, -1:]
+    s1 = (m1 * bc).sum(axis=1, keepdims=True)
     opt = 1.0 + bn * s1
     coupling = m2 + m1 / opt**2
-    jac = np.empty((b.size, b.size))
-    jac[:-1, :-1] = np.diag(sqrt_lam + bn * (m2 + m1 / opt)) - np.outer(m1 * bc, m1) * (bn / opt) ** 2
-    jac[:-1, -1] = bc * coupling
-    jac[-1, :-1] = bn * coupling
-    jac[-1, -1] = sqrt_lam + m2 @ bc + s1 / opt**2
-    return jac * b / psi[:, None]
+    jac = np.zeros((len(b), b.shape[1], b.shape[1]))
+    jac[:, :-1, :-1] = (m1 * bc)[:, :, None] * (m1 * -(bn / opt) ** 2)[:, None, :]
+    jac[:, :-1, -1] = bc * coupling
+    jac[:, -1, :-1] = bn * coupling
+    diag = np.einsum("gii->gi", jac)
+    diag[:, :-1] += sqrt_lam + bn * (m2 + m1 / opt)
+    diag[:, -1:] += sqrt_lam + (m2 * bc).sum(axis=1, keepdims=True) + s1 / opt**2
+    return jac * (b[:, None, :] / psi[:, :, None])
 
 
 def residual_vector(spec: TheorySpec, b) -> np.ndarray:
@@ -168,58 +204,101 @@ def residual_vector(spec: TheorySpec, b) -> np.ndarray:
         raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
     if not np.all(b > 0.0):
         raise NonPositiveInput("all entries of b must be > 0")
-    return _residuals(np.array(spec.psi_full), *_coeffs(spec), math.sqrt(spec.lam), b)
+    return _residuals(*_stack_coeffs([spec]), b[None])[0]
+
+
+def solve_nu_stack(specs, cfg: SolverConfig | None = None, b0=None) -> list:
+    """Solve G systems of one K at once by Newton's method in log b.
+
+    Returns one entry per spec, in order: its ``NuStar``, or the exception
+    that ended its solve (``NoConvergence``, or ``LinAlgError`` for a
+    singular Jacobian), so that one failing point leaves the others be.
+
+    Row g of ``b0`` (shape (G, K+1)) starts point g when it is finite and
+    positive; every other point starts from b_j = psi_j / (sqrt(lam) + 1).
+    Each point takes its own steps, capped at 2 in every log b_j and halved
+    until its largest relative residual decreases; when even a step too
+    small to move b cannot reduce it, that point fails at once instead of
+    stalling.  ``cfg.max_iter`` caps the steps of each point to reach
+    ``cfg.tol``.  A point that reaches it takes one more Newton step, kept
+    only if it does not raise the residual, so that the root does not
+    depend on where the iteration started; ``iterations`` counts that step.
+    """
+    cfg = cfg or SolverConfig()
+    specs = list(specs)
+    psi, m1, m2, sqrt_lam = _stack_coeffs(specs)
+    b = psi / (sqrt_lam + 1.0)
+    if b0 is not None:
+        start = np.asarray(b0, dtype=float)
+        usable = np.all(np.isfinite(start) & (start > 0.0), axis=1)
+        b[usable] = start[usable]
+    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
+    rel = np.abs(rel_res).max(axis=1)
+    steps = np.zeros(len(specs), dtype=int)
+    # The arrays above hold the points still iterating; ids maps them to specs.
+    ids = np.arange(len(specs))
+    outcome: list = [None] * len(specs)
+    while ids.size:
+        step, errors = _solve_stack(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res[:, :, None])
+        step = step[:, :, 0]
+        step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
+        singular = np.array([err is not None for err in errors])
+        step[singular] = 0.0
+        # A point already within tol takes its one polishing step: a single
+        # trial, kept unless it raises the residual.
+        polish = rel <= cfg.tol
+        pending = ~singular
+        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
+            trial = b * np.exp(-step)
+            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
+            trial_rel = np.abs(trial_res).max(axis=1)
+            kept = pending & np.where(polish, trial_rel <= rel, trial_rel < rel)
+            b[kept], rel_res[kept], rel[kept] = trial[kept], trial_res[kept], trial_rel[kept]
+            pending &= ~(kept | polish)
+            if not pending.any():
+                break
+            step *= np.where(pending, 0.5, 0.0)[:, None]
+        stalled = pending
+        steps[~stalled] += 1
+        done = singular | stalled | polish | ((rel > cfg.tol) & (steps == cfg.max_iter))
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done):
+            spec = specs[ids[j]]
+            if singular[j]:
+                result = errors[j]
+            elif polish[j]:
+                result = NuStar(b=b[j].copy(), residual=float(rel[j]), iterations=int(steps[j]),
+                                lambda_path=[spec.lam])
+            else:
+                why = ": no Newton step reduces it" if stalled[j] else f" after {steps[j]} Newton steps"
+                result = NoConvergence(
+                    f"residual {rel[j]:.3e} > tol {cfg.tol:.1e}{why} at lambda={spec.lam:.3e}",
+                    residual=float(rel[j]),
+                    iterations=int(steps[j]),
+                )
+            outcome[ids[j]] = result
+        keep = ~done
+        ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps = (
+            x[keep] for x in (ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps)
+        )
+    return outcome
 
 
 def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None, b0=None) -> NuStar:
-    """Solve the positive-variable system at spec.lam by Newton's method in log b.
+    """Solve the positive-variable system at spec.lam: ``solve_nu_stack`` for
+    one spec, raising its failure.
 
     The iteration starts from ``b0`` when it holds K+1 finite positive
-    entries, and from b_j = psi_j / (sqrt(lam) + 1) otherwise.  Each step is
-    capped at 2 in every log b_j and halved until the largest relative
-    residual decreases; when even a step too small to move b cannot reduce
-    it, the solve raises ``NoConvergence`` at once instead of stalling.
+    entries, and from b_j = psi_j / (sqrt(lam) + 1) otherwise.
     """
-    cfg = cfg or SolverConfig()
-    psi = np.array(spec.psi_full)
-    m1, m2 = _coeffs(spec)
-    sqrt_lam = math.sqrt(spec.lam)
-
-    b = psi / (sqrt_lam + 1.0)
     if b0 is not None:
         start = np.array(b0, dtype=float).ravel()
-        if start.size == psi.size and np.all(np.isfinite(start) & (start > 0.0)):
-            b = start
-    u = np.log(b)
-    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
-    rel = np.max(np.abs(rel_res))
-    steps = 0
-    while rel > cfg.tol:
-        if steps == cfg.max_iter:
-            raise NoConvergence(
-                f"residual {rel:.3e} > tol {cfg.tol:.1e} after {steps} Newton steps at lambda={spec.lam:.3e}",
-                residual=rel,
-                iterations=steps,
-            )
-        step = np.linalg.solve(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res)
-        step *= min(1.0, _MAX_LOG_STEP / np.max(np.abs(step)))
-        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
-            trial = np.exp(u - step)
-            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
-            trial_rel = np.max(np.abs(trial_res))
-            if trial_rel < rel:
-                break
-            step /= 2.0
-        else:
-            raise NoConvergence(
-                f"residual {rel:.3e} > tol {cfg.tol:.1e}: no Newton step reduces it at lambda={spec.lam:.3e}",
-                residual=rel,
-                iterations=steps,
-            )
-        u -= step
-        b, rel_res, rel = trial, trial_res, trial_rel
-        steps += 1
-    return NuStar(b=b, residual=float(rel), iterations=steps, lambda_path=[spec.lam])
+        b0 = start[None] if start.size == spec.K + 1 else None
+    (result,) = solve_nu_stack([spec], cfg, b0)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
@@ -232,7 +311,7 @@ def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
     xi = complex(0.0, math.sqrt(spec.lam))
     nu_c = [complex(0.0, float(x)) for x in nu.b]
     k = spec.K
-    m1, m2 = _coeffs(spec)
+    _, (m1,), (m2,), _ = _stack_coeffs([spec])
     denom = 1.0 - sum(m1[c] * nu_c[c] for c in range(k)) * nu_c[k]
     worst = 0.0
     for c in range(k):

@@ -7,7 +7,8 @@ The risk splits as
 
     risk = F1^2 * (1/MD^2 + L[3,4] + L[1,4])  +  tau^2 * (L[2,3] + L[1,2])
 
-with L = V^T H^{-1} V (1-based indices above).  A closed-form K=2 route for
+with L = V^T H^{-1} V (1-based indices above), evaluated for a whole stack
+of points with one batched solve.  A closed-form K=2 route for
 the same four L entries is kept alongside as an independent oracle, plus the
 two width-limit formulas (infinitely wide, vanishingly narrow).
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Moments
-from .nu_system import NuStar, SolverConfig, TheorySpec, solve_nu
+from .nu_system import NuStar, SolverConfig, TheorySpec, _solve_stack, _stack_coeffs, solve_nu_stack
 
 __all__ = [
     "TheoryMatrices",
@@ -34,6 +35,7 @@ __all__ = [
     "IllConditionedWarning",
     "build_matrices",
     "asymptotic_risk",
+    "asymptotic_risk_stack",
     "explicit_risk_k2",
     "limit_risk_infinite_width",
     "limit_risk_zero_width",
@@ -103,35 +105,41 @@ class LimitSpec:
             raise ValueError("exactly two moment triples required")
 
 
+def _matrices(psi, m1, m2, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mN and MD (G,), H (G, K+1, K+1) and V (G, K+1, 4) of G points."""
+    k = m1.shape[1]
+    bc, bn = b[:, :k], b[:, k]
+    mN = (m1 * bc).sum(axis=1)
+    MD = -(bn * mN + 1.0)
+    md2 = MD * MD
+    bn2 = bn * bn
+    diag = np.arange(k)
+
+    h = np.empty((len(b), k + 1, k + 1))
+    h[:, :k, :k] = bn2[:, None, None] * (m1[:, :, None] * m1[:, None, :]) / md2[:, None, None]
+    h[:, diag, diag] -= psi[:, :k] / (bc * bc)
+    h[:, :k, k] = -m1 / md2[:, None] - m2
+    h[:, k, :k] = h[:, :k, k]
+    h[:, k, k] = mN * mN / md2 - psi[:, k] / bn2
+
+    v = np.zeros((len(b), k + 1, 4))
+    v[:, :k, 0] = m2
+    v[:, k, 1] = 1.0
+    v[:, :k, 2] = m1 / md2[:, None]
+    v[:, k, 2] = -mN * mN / md2
+    v[:, :k, 3] = -bn2[:, None] * m1 / md2[:, None]
+    v[:, k, 3] = 1.0 / md2
+    return mN, MD, h, v
+
+
 def build_matrices(spec: TheorySpec, nu: NuStar) -> TheoryMatrices:
     """Assemble H and V at the converged scales, all-real arithmetic."""
     b = np.asarray(nu.b, dtype=np.float64)
     if np.any(b == 0.0):
         raise DegenerateB("all b_j must be nonzero")
-    k = spec.K
-    m1 = np.array([m.mu1 * m.mu1 for m in spec.moments])
-    m2 = np.array([m.mu2_sq for m in spec.moments])
-    bc, bn = b[:k], b[k]
-    mN = float(np.dot(m1, bc))
-    MD = -(bn * mN + 1.0)
-    md2 = MD * MD
-    bn2 = bn * bn
-
-    h = np.empty((k + 1, k + 1))
-    h[:k, :k] = bn2 * np.outer(m1, m1) / md2
-    h[np.arange(k), np.arange(k)] -= np.asarray(spec.psi) / (bc * bc)
-    h[:k, k] = -m1 / md2 - m2
-    h[k, :k] = h[:k, k]
-    h[k, k] = mN * mN / md2 - spec.psi_n / bn2
-
-    v = np.zeros((k + 1, 4))
-    v[:k, 0] = m2
-    v[k, 1] = 1.0
-    v[:k, 2] = m1 / md2
-    v[k, 2] = -mN * mN / md2
-    v[:k, 3] = -bn2 * m1 / md2
-    v[k, 3] = 1.0 / md2
-    return TheoryMatrices(mN=mN, MD=MD, H=h, V=v)
+    psi, m1, m2, _ = _stack_coeffs([spec])
+    mN, MD, h, v = _matrices(psi, m1, m2, b[None])
+    return TheoryMatrices(mN=float(mN[0]), MD=float(MD[0]), H=h[0], V=v[0])
 
 
 def _risk_from_L(spec: TheorySpec, MD: float, L: np.ndarray, nu: NuStar) -> TheoryRisk:
@@ -141,31 +149,54 @@ def _risk_from_L(spec: TheorySpec, MD: float, L: np.ndarray, nu: NuStar) -> Theo
     return TheoryRisk(risk=bias + variance, bias=bias, variance=variance, L=L, nu=nu)
 
 
+def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None, nus=None) -> list:
+    """Asymptotic excess risk of G specs of one K via the matrix route.
+
+    Solves the stacked scale system (unless the entries of ``nus`` are
+    supplied), builds every H and V, and evaluates each L = V^T H^{-1} V
+    with one batched linear solve.  Returns one entry per spec, in order:
+    its ``TheoryRisk``, or the exception that failed that point alone
+    (``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a singular
+    H).  Emits ``IllConditionedWarning`` for each point whose cond(H)
+    exceeds 1e12.
+    """
+    specs = list(specs)
+    outcome = solve_nu_stack(specs, cfg) if nus is None else list(nus)
+    for i, nu in enumerate(outcome):
+        if isinstance(nu, NuStar) and np.any(np.asarray(nu.b) == 0.0):
+            outcome[i] = DegenerateB("all b_j must be nonzero")
+    ok = [i for i, nu in enumerate(outcome) if isinstance(nu, NuStar)]
+    if not ok:
+        return outcome
+    psi, m1, m2, _ = _stack_coeffs([specs[i] for i in ok])
+    b = np.array([outcome[i].b for i in ok], dtype=np.float64)
+    _, MD, h, v = _matrices(psi, m1, m2, b)
+    for cond in np.linalg.cond(h):
+        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
+            warnings.warn(
+                f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
+                "risk may be inaccurate",
+                IllConditionedWarning,
+                stacklevel=2,
+            )
+    x, errors = _solve_stack(h, v)
+    L = np.swapaxes(v, 1, 2) @ x
+    for j, i in enumerate(ok):
+        outcome[i] = errors[j] or _risk_from_L(specs[i], MD[j], L[j], outcome[i])
+    return outcome
+
+
 def asymptotic_risk(
     spec: TheorySpec,
     cfg: SolverConfig | None = None,
     nu: NuStar | None = None,
 ) -> TheoryRisk:
-    """Asymptotic excess risk of ``spec`` via the matrix route.
-
-    Solves the scale system (unless a converged ``nu`` is supplied), builds
-    H and V, and evaluates L = V^T H^{-1} V through one linear solve.
-    Emits ``IllConditionedWarning`` when cond(H) exceeds 1e12.
-    """
-    if nu is None:
-        nu = solve_nu(spec, cfg)
-    mats = build_matrices(spec, nu)
-    cond = np.linalg.cond(mats.H)
-    if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
-            "risk may be inaccurate",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    x = np.linalg.solve(mats.H, mats.V)
-    L = mats.V.T @ x
-    return _risk_from_L(spec, mats.MD, L, nu)
+    """Asymptotic excess risk of ``spec``: ``asymptotic_risk_stack`` for one
+    spec, raising its failure.  A converged ``nu`` skips the solve."""
+    (result,) = asymptotic_risk_stack([spec], cfg, None if nu is None else [nu])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:

@@ -3,9 +3,9 @@
 A sweep holds the activation moments, the sample ratio and the ridge
 penalty fixed while the total feature budget ``c = sum(psi_c) / psi_n``
 moves along a grid; relative widths between components are set by a ratio
-vector.  Theory risk is evaluated at every point (warm-starting the
-self-consistent solver from the neighboring point), and finite-size
-experiments can be attached to a subset of the same grid.
+vector.  Theory risk is evaluated at every point, the whole grid as one
+stacked solve and one stacked risk evaluation, and finite-size experiments
+can be attached to a subset of the same grid.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
-import numpy as np
-
 from . import __version__
 from .activations import ActivationSpec
 from .formatting import format_number, to_json
-from .nu_system import InvalidSpec, NoConvergence, NonPositiveInput, NuStar, SolverConfig, TheorySpec, solve_nu
-from .risk import asymptotic_risk
+from .nu_system import InvalidSpec, SolverConfig, TheorySpec
+from .risk import asymptotic_risk_stack
 from .simulator import EmpiricalConfig, SolveFailure, run_experiment
 
 __all__ = [
@@ -168,30 +166,6 @@ def expand_grid(spec: SweepSpec) -> list[GridPoint]:
     return points
 
 
-def _theory_row(point: GridPoint, solver: SolverConfig | None, b0) -> tuple[SweepRow, NuStar | None]:
-    spec = point.theory
-    row = SweepRow(
-        c=point.c,
-        psi=spec.psi,
-        psi_n=spec.psi_n,
-        lam=spec.lam,
-        theory_risk=math.nan,
-        theory_bias=math.nan,
-        theory_variance=math.nan,
-    )
-    try:
-        nu = solve_nu(spec, solver, b0=b0)
-        result = asymptotic_risk(spec, solver, nu=nu)
-    except (NoConvergence, NonPositiveInput, ArithmeticError, np.linalg.LinAlgError) as err:
-        row.error = f"{type(err).__name__}: {err}"
-        return row, None
-    row.theory_risk = result.risk
-    row.theory_bias = result.bias
-    row.theory_variance = result.variance
-    row.solver_iterations = nu.iterations
-    return row, nu
-
-
 def _metadata(spec: SweepSpec) -> dict:
     return {
         "base": {
@@ -215,21 +189,26 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the full grid; theory always, finite-size runs when configured.
 
-    The theory pass walks the grid in order so each point starts Newton's
-    method from the previous point's solution, which halves the steps it
-    takes.  A failing point records its error in the row and leaves NaNs
-    instead of aborting the sweep.
+    The theory pass solves and scores the whole grid as one stack, every
+    point from a cold start, so a row depends on its own c alone.
+    A failing point records its error in the row and leaves NaNs instead
+    of aborting the sweep.
     ``workers`` parallelizes the finite-size pass across grid points; output
     does not depend on the worker count.
     """
     points = expand_grid(spec)
     rows: list[SweepRow] = []
-    warm = None
-    for point in points:
-        row, nu = _theory_row(point, solver, warm)
+    for point, outcome in zip(points, asymptotic_risk_stack([p.theory for p in points], solver)):
+        theory = point.theory
+        row = SweepRow(c=point.c, psi=theory.psi, psi_n=theory.psi_n, lam=theory.lam,
+                       theory_risk=math.nan, theory_bias=math.nan, theory_variance=math.nan)
+        if isinstance(outcome, Exception):
+            row.error = f"{type(outcome).__name__}: {outcome}"
+        else:
+            row.theory_risk, row.theory_bias, row.theory_variance = (
+                outcome.risk, outcome.bias, outcome.variance)
+            row.solver_iterations = outcome.nu.iterations
         rows.append(row)
-        if nu is not None:
-            warm = nu.b
     empirical_jobs = [(i, p.empirical) for i, p in enumerate(points) if p.empirical is not None]
     if empirical_jobs:
         def one(job):

@@ -25,6 +25,7 @@ from multidescent import (
     TheorySpec,
     WrongK,
     asymptotic_risk,
+    asymptotic_risk_stack,
     build_matrices,
     explicit_risk_k2,
     limit_risk_infinite_width,
@@ -327,6 +328,30 @@ class TestErrorPaths:
         )
         with pytest.warns(IllConditionedWarning):
             asymptotic_risk(spec)
+
+    def test_stack_isolates_a_singular_h(self):
+        """One exactly singular H in a stack fails its own point alone; the
+        other points equal their single-point evaluations."""
+        good = TheorySpec(
+            psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
+            lam=1e-3, tau=0.2,
+        )
+        # Zero moments make H diagonal, and at b_c = 1e154 its entries
+        # psi_c / b_c^2 underflow to zero.
+        flat = TheorySpec(psi=(1e-20, 1e-20), psi_n=1.5, moments=(Moments(0, 0, 0),) * 2, lam=1e-3)
+        degenerate = NuStar(b=np.array([1e154, 1e154, 1.0]), residual=0.0, iterations=0)
+        nu = solve_nu(good)
+        with pytest.warns(IllConditionedWarning, match="cond\\(H\\) = inf"):
+            out = asymptotic_risk_stack([good, flat, good], nus=[nu, degenerate, nu])
+        assert isinstance(out[1], np.linalg.LinAlgError)
+        direct = asymptotic_risk(good, nu=nu)
+        for result in (out[0], out[2]):
+            assert (result.risk, result.bias, result.variance) == (
+                direct.risk, direct.bias, direct.variance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            with pytest.raises(np.linalg.LinAlgError):
+                asymptotic_risk(flat, nu=degenerate)
 
     def test_limit_needs_coupling(self):
         ms = (Moments(0.0, 1.0, 0.0), Moments(0.0, 1.0, 0.0))

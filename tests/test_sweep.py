@@ -1,15 +1,17 @@
 """Tests for the complexity-sweep engine and its CSV/SVG artifacts.
 
 Grid expansion is pinned by hand-computed width splits, the theory columns
-are checked against direct single-point evaluation (so warm starting is
-purely an accelerator), and the emitted artifacts are re-parsed with the
-standard csv and xml libraries rather than string-matched.
+are checked against direct single-point evaluation (a row depends on its
+own c alone, not on its neighbours in the grid), and the emitted artifacts
+are re-parsed with the standard csv and xml libraries rather than
+string-matched.
 """
 
 import csv
 import io
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -26,16 +28,24 @@ from multidescent import (
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
+    build_sweep_spec,
     csv_header,
     csv_text,
     expand_grid,
     format_number,
+    parse_config,
     render_svg,
     run_sweep,
     write_csv,
 )
+from multidescent.cli import ExitStatus, dispatch
 
 MOMENTS_K2 = (Moments(0.3, 0.9, 0.5), Moments(0.1, 0.4, 1.1))
+# The paper's figure model (criteria 07 and 08) and its three-scale cascade
+# (criterion 09), on the grid c = 0.2, 0.25, ... of their sweeps.
+FIGURE_ACTS = [{"kind": "elu", "in_scale": 3.0}, {"kind": "relu", "in_scale": 0.25}]
+CASCADE_ACTS = [{"kind": "relu", "in_scale": s} for s in (9.0, 1.0, 0.1)]
+FIGURE_GRID = tuple(0.2 + i * 0.05 for i in range(61))
 
 
 def _base(psi=(1.0, 1.0), **kw) -> TheorySpec:
@@ -119,9 +129,27 @@ class TestExpandGrid:
             )
 
 
+def _sweep_config(acts, ratios, lam, **sweep) -> dict:
+    return {
+        "activations": acts,
+        "model": {"psi": [1.0] * len(acts), "psi_n": 10.0 / 3.0, "lambda": lam, "F1": 1.0, "tau": 0.1},
+        "sweep": dict(sweep, ratios=ratios),
+    }
+
+
+def _figure_sweep(c_grid, lam=1e-5) -> SweepSpec:
+    return build_sweep_spec(parse_config(json.dumps(_sweep_config(FIGURE_ACTS, [1, 1], lam, c_grid=c_grid))))
+
+
+def _stdout(command: str, cfg: dict) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    assert dispatch(command, parse_config(json.dumps(cfg)), out, err) == ExitStatus.OK, err.getvalue()
+    return out.getvalue()
+
+
 class TestTheoryPass:
     def test_rows_match_single_point_evaluation(self):
-        """Warm starting the grid walk must not change any value."""
+        """Each row is exactly the direct evaluation at its own c."""
         spec = SweepSpec(
             base=_base(lam=1e-4), ratios=(1.0, 2.0), c_grid=tuple(np.arange(0.2, 3.0, 0.2))
         )
@@ -130,11 +158,10 @@ class TestTheoryPass:
         assert len(result.rows) == len(points)
         for row, point in zip(result.rows, points):
             direct = asymptotic_risk(point.theory)
-            np.testing.assert_allclose(row.theory_risk, direct.risk, rtol=1e-10)
-            np.testing.assert_allclose(row.theory_bias, direct.bias, rtol=1e-10)
-            np.testing.assert_allclose(
-                row.theory_variance, direct.variance, rtol=1e-10, atol=1e-15
-            )
+            assert row.theory_risk == direct.risk
+            assert row.theory_bias == direct.bias
+            assert row.theory_variance == direct.variance
+            assert row.solver_iterations == direct.nu.iterations
             assert row.error is None
             assert row.solver_iterations >= 1
             assert row.psi == point.theory.psi
@@ -163,6 +190,64 @@ class TestTheoryPass:
             assert math.isnan(row.theory_risk)
             assert row.solver_iterations is None
             assert "NoConvergence" in row.error
+
+    def test_row_prints_theory_command_digits(self):
+        """Through the CLI, every row of the criterion-07 sweep prints the
+        numbers the ``theory`` command prints at that row's widths."""
+        cfg = _sweep_config(FIGURE_ACTS, [1, 1], 1e-5, c_range={"start": 0.2, "stop": 3.2, "step": 0.05})
+        rows = list(csv.DictReader(io.StringIO(_stdout("sweep", cfg))))
+        points = expand_grid(build_sweep_spec(parse_config(json.dumps(cfg))))
+        assert len(rows) == len(points) == 61
+        for row, point in zip(rows, points):
+            theory = _stdout("theory", dict(cfg, model=dict(cfg["model"], psi=list(point.theory.psi))))
+            for column, key in (("theory_risk", "risk"), ("theory_bias", "bias"),
+                                ("theory_variance", "variance")):
+                printed = re.search(rf'"{key}": ([^,\n]+)', theory).group(1)
+                assert row[column] == printed, f"c={row['c']} {column}"
+
+    def test_shared_c_gives_identical_cells(self):
+        """Two grids that share c values print byte-identical rows there."""
+        full = csv_text(run_sweep(_figure_sweep(FIGURE_GRID))).splitlines()
+        shared = [FIGURE_GRID[i] for i in (16, 17, 40)]
+        part = csv_text(run_sweep(_figure_sweep([0.33, *shared, 5.0]))).splitlines()
+        by_c = {line.split(",")[0]: line for line in full[1:]}
+        common = [line for line in part[1:] if line.split(",")[0] in by_c]
+        assert len(common) == 3
+        for line in common:
+            assert line == by_c[line.split(",")[0]]
+
+    def test_mixed_failures_leave_converged_rows_unchanged(self):
+        """Under a step cap some points converge and some fail; the converged
+        rows equal those of an uncapped run, the others carry the error."""
+        spec = _figure_sweep(FIGURE_GRID)
+        free = run_sweep(spec)
+        capped = run_sweep(spec, solver=SolverConfig(max_iter=7))
+        failed = [row for row in capped.rows if row.error is not None]
+        assert 0 < len(failed) < len(capped.rows)
+        for a, b in zip(free.rows, capped.rows):
+            if b.error is None:
+                assert (b.theory_risk, b.theory_bias, b.theory_variance, b.solver_iterations) == (
+                    a.theory_risk, a.theory_bias, a.theory_variance, a.solver_iterations)
+            else:
+                assert re.fullmatch(r"NoConvergence: residual \S+ > tol 1\.0e-12 after 7 Newton steps "
+                                    r"at lambda=1\.000e-05", b.error)
+                assert math.isnan(b.theory_risk) and math.isnan(b.theory_bias)
+                assert math.isnan(b.theory_variance) and b.solver_iterations is None
+                assert a.solver_iterations > 7
+
+    @pytest.mark.filterwarnings("ignore::multidescent.IllConditionedWarning")
+    @pytest.mark.parametrize(
+        "acts,ratios,stop,lam",
+        [(FIGURE_ACTS, [1, 1], 3.2, 1e-5), (CASCADE_ACTS, [1, 1, 3], 6.0, 1e-4)],
+        ids=["criterion-07", "criterion-09"],
+    )
+    def test_newton_step_budget(self, acts, ratios, stop, lam):
+        """Every point of the paper's sweeps converges from the cold start in
+        at most 11 Newton steps, the polishing step included."""
+        cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
+        rows = run_sweep(build_sweep_spec(parse_config(json.dumps(cfg)))).rows
+        assert all(row.error is None for row in rows)
+        assert max(row.solver_iterations for row in rows) <= 11
 
     def test_metadata(self):
         spec = SweepSpec(base=_base(), ratios=(1.0, 2.0), c_grid=(0.5, 1.0))
