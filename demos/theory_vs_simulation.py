@@ -14,7 +14,7 @@ from multidescent import (
     ActivationSpec,
     EmpiricalConfig,
     asymptotic_risk,
-    run_experiment,
+    run_experiments,
     theory_spec_from_empirical,
 )
 
@@ -35,14 +35,19 @@ def main() -> None:
     )
     print(f"d={d}, n={n}, activations (elu(3x), relu(x/4)), lambda=1e-3, tau=0.1")
     print(f"{'c':>5} {'theory':>12} {'empirical':>12} {'std err':>10} {'gap/se':>8}")
-    for c in (0.5, 1.0, 1.5, 2.0, 3.0):
-        width = int(round(c * n / 2.0))
-        cfg = EmpiricalConfig(
-            d=d, n=n, N=(width, width), activations=acts,
+    grid = (0.5, 1.0, 1.5, 2.0, 3.0)
+    cfgs = [
+        EmpiricalConfig(
+            d=d, n=n, N=(round(c * n / 2.0),) * 2, activations=acts,
             lam=1e-3, F0=0.2, F1=1.0, tau=0.1,
             n_test=500, replications=args.replications, base_seed=args.seed,
         )
-        emp = run_experiment(cfg, workers=args.workers)
+        for c in grid
+    ]
+    # One batch: the worker threads run every replication of every point.
+    for c, cfg, emp in zip(grid, cfgs, run_experiments(cfgs, workers=args.workers)):
+        if isinstance(emp, Exception):
+            raise emp
         theory = asymptotic_risk(theory_spec_from_empirical(cfg)).risk
         pulls = abs(emp.mean - theory) / emp.std_error if emp.std_error else 0.0
         print(

@@ -5,8 +5,9 @@ with subcommands ``moments``, ``theory``, ``simulate``, ``sweep`` and
 ``limit``.  Results go to stdout as JSON (CSV for ``sweep``) with 12-digit
 numbers; diagnostics and errors go to stderr, one line per error carrying
 the error class name.  Exit codes: 0 success, 2 configuration error,
-3 numerical/solver failure, 4 I/O error.  The environment variable
-``MULTIDESCENT_THREADS`` caps the worker count of parallel sections.
+3 numerical/solver failure, 4 I/O error.  ``simulate`` and ``sweep`` run
+their Monte Carlo replications in one pool of ``empirical.workers``
+threads; the environment variable ``MULTIDESCENT_THREADS`` caps that count.
 """
 
 from __future__ import annotations

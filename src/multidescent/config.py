@@ -477,20 +477,7 @@ def _finite_size(cfg: RootConfig, need_feature_counts: bool = False) -> Empirica
 
 def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
     """Finite-size instance; requires activations and explicit counts."""
-    tpl = _finite_size(cfg, need_feature_counts=True)
-    return EmpiricalConfig(
-        d=tpl.d,
-        n=tpl.n,
-        N=cfg.model.N,
-        activations=tpl.activations,
-        lam=cfg.model.lam,
-        F0=cfg.model.F0,
-        F1=cfg.model.F1,
-        tau=cfg.model.tau,
-        n_test=tpl.n_test,
-        replications=tpl.replications,
-        base_seed=tpl.base_seed,
-    )
+    return _finite_size(cfg, need_feature_counts=True).at(build_theory_spec(cfg), cfg.model.N)
 
 
 def build_sweep_spec(cfg: RootConfig) -> SweepSpec:

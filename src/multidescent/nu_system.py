@@ -88,8 +88,8 @@ class TheorySpec:
             raise InvalidSpec("all psi entries must be > 0")
         if not (self.psi_n > 0.0 and math.isfinite(self.psi_n)):
             raise InvalidSpec("psi_n must be > 0")
-        if self.F1 < 0.0 or self.tau < 0.0:
-            raise InvalidSpec("F1 and tau must be >= 0")
+        if not (0.0 <= self.F1 < math.inf and 0.0 <= self.tau < math.inf):
+            raise InvalidSpec("F1 and tau must be finite and >= 0")
 
     @property
     def K(self) -> int:

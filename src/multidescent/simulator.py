@@ -5,8 +5,10 @@ directions, inputs, noise, test set) from a generator keyed by
 (base_seed, replication index), fits the readout by ridge regression and
 estimates the excess risk on a noiseless test set.  Replications are
 independent, so results are bit-identical for any execution order or
-worker count.  BLAS runs one thread while replications run (see
-``_single_threaded_blas``): replications are the unit of parallelism.
+worker count.  ``run_experiments`` runs every replication of a batch of
+configs in one thread pool, the one parallel section of the package, and
+BLAS runs one thread meanwhile (see ``_single_threaded_blas``):
+replications are the unit of parallelism.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import ctypes
 import functools
 import math
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ __all__ = [
     "excess_risk_estimate",
     "run_replication",
     "run_experiment",
+    "run_experiments",
     "theory_spec_from_empirical",
 ]
 
@@ -76,10 +80,11 @@ class EmpiricalConfig:
             raise InvalidSpec("d, n, n_test and replications must be >= 1")
         if any(x < 1 for x in self.N):
             raise InvalidSpec("all feature counts must be >= 1")
-        if not (self.lam > 0.0):
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise InvalidSpec("lambda must be > 0")
-        if self.F1 < 0.0 or self.tau < 0.0:
-            raise InvalidSpec("F1 and tau must be >= 0")
+        if not (math.isfinite(self.F0)
+                and 0.0 <= self.F1 < math.inf and 0.0 <= self.tau < math.inf):
+            raise InvalidSpec("F0 must be finite, F1 and tau finite and >= 0")
 
     @property
     def K(self) -> int:
@@ -149,14 +154,16 @@ def feature_matrix(
         raise ShapeMismatch(
             f"split {tuple(n_split)} does not partition the {Theta.shape[0]} features"
         )
-    d = X.shape[1]
-    u = X @ Theta.T / math.sqrt(d)
-    z = np.empty_like(u)
+    # In place in the one n x N buffer: replications run side by side.
+    scale = math.sqrt(X.shape[1])
+    z = X @ Theta.T
+    z /= scale
     col = 0
     for act, nc in zip(acts, n_split):
-        z[:, col:col + nc] = act(u[:, col:col + nc])
+        z[:, col:col + nc] = act(z[:, col:col + nc])
         col += nc
-    return z / math.sqrt(d)
+    z /= scale
+    return z
 
 
 def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: int) -> np.ndarray:
@@ -265,7 +272,9 @@ def _single_threaded_blas():
     Pool threads that each call a multithreaded BLAS oversubscribe the cores
     and its threads spin, so run times follow the scheduler; one BLAS thread
     also keeps results independent of the core count and of ``workers``.
-    Process-wide; no-op when numpy does not link OpenBLAS.
+    Process-wide; no-op when numpy does not link OpenBLAS.  The package
+    enters it once per ``run_experiments`` call; the user count lets library
+    callers run experiments from several threads of their own at once.
     """
     global _blas_users, _blas_saved_threads
     calls = _openblas_thread_calls()
@@ -286,32 +295,56 @@ def _single_threaded_blas():
                 calls[1](_blas_saved_threads)
 
 
+def run_experiments(
+    cfgs: Sequence[EmpiricalConfig], workers: int | None = None
+) -> list[EmpiricalRisk | InvalidSpec | SolveFailure]:
+    """Every replication of every config in one pool of ``workers`` threads.
+
+    Returns per config its :class:`EmpiricalRisk` or the error that failed
+    it alone: the intercept guard's ``InvalidSpec``, checked before anything
+    is drawn, or its lowest-index replication's ``SolveFailure``.
+    ``workers`` None or below 2 means one thread.  Results are gathered by
+    (config, index), so no outcome depends on the worker count.
+    """
+    outcomes: list = [
+        None if cfg.F0 == 0.0 or represents_intercept(compute_moments(a) for a in cfg.activations)
+        else InvalidSpec("F0 != 0 needs at least one activation with nonzero Gaussian mean, "
+                         "otherwise the model cannot represent the intercept")
+        for cfg in cfgs
+    ]
+
+    def one(job):
+        try:
+            return run_replication(*job)
+        except SolveFailure as err:
+            return err
+
+    jobs = [(cfg, r) for cfg, err in zip(cfgs, outcomes) if err is None
+            for r in range(cfg.replications)]
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=max(workers or 1, 1)) as pool:
+        results = iter(list(pool.map(one, jobs)))
+    for i, cfg in enumerate(cfgs):
+        if outcomes[i] is None:
+            per = [next(results) for _ in range(cfg.replications)]
+            failures = [r for r in per if isinstance(r, SolveFailure)]
+            outcomes[i] = failures[0] if failures else _summary(np.array(per))
+    return outcomes
+
+
+def _summary(per: np.ndarray) -> EmpiricalRisk:
+    se = float(np.std(per, ddof=1) / math.sqrt(per.size)) if per.size > 1 else 0.0
+    return EmpiricalRisk(per_replication=per, mean=float(np.mean(per)), std_error=se)
+
+
 def run_experiment(cfg: EmpiricalConfig, workers: int | None = None) -> EmpiricalRisk:
     """Excess-risk estimate averaged over cfg.replications independent runs.
 
-    ``workers`` > 1 runs replications in threads; results are gathered by
-    replication index and BLAS runs one thread for any ``workers``, so the
-    output never depends on the worker count.
+    The one-config case of :func:`run_experiments`; raises its failure.
     """
-    if cfg.F0 != 0.0 and not represents_intercept(compute_moments(a) for a in cfg.activations):
-        raise InvalidSpec(
-            "F0 != 0 needs at least one activation with nonzero Gaussian mean, "
-            "otherwise the model cannot represent the intercept"
-        )
-    indices = range(cfg.replications)
-    with _single_threaded_blas():
-        if workers is not None and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                risks = list(pool.map(lambda r: run_replication(cfg, r), indices))
-        else:
-            risks = [run_replication(cfg, r) for r in indices]
-    per = np.array(risks)
-    mean = float(np.mean(per))
-    if cfg.replications > 1:
-        se = float(np.std(per, ddof=1) / math.sqrt(cfg.replications))
-    else:
-        se = 0.0
-    return EmpiricalRisk(per_replication=per, mean=mean, std_error=se)
+    (outcome,) = run_experiments([cfg], workers)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def theory_spec_from_empirical(cfg: EmpiricalConfig) -> TheorySpec:

@@ -11,7 +11,6 @@ can be attached to a subset of the same grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
@@ -19,7 +18,7 @@ from .activations import ActivationSpec
 from .formatting import format_number, to_json
 from .nu_system import InvalidSpec, SolverConfig, TheorySpec
 from .risk import asymptotic_risk_stack
-from .simulator import EmpiricalConfig, SolveFailure, run_experiment
+from .simulator import EmpiricalConfig, run_experiments
 
 __all__ = [
     "EmptyGrid",
@@ -55,6 +54,11 @@ class EmpiricalTemplate:
     replications: int = 30
     base_seed: int = 0
 
+    def at(self, base: TheorySpec, N) -> EmpiricalConfig:
+        """The finite-size run of ``base``'s ridge and target with feature counts ``N``."""
+        return EmpiricalConfig(N=N, lam=base.lam, F0=base.F0, F1=base.F1, tau=base.tau,
+                               **vars(self))
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -89,7 +93,6 @@ class GridPoint:
     c: float
     theory: TheorySpec
     empirical: EmpiricalConfig | None = None
-    n_clamped: bool = False
 
 
 @dataclass
@@ -130,39 +133,20 @@ class SweepResult:
 
 
 def expand_grid(spec: SweepSpec) -> list[GridPoint]:
-    """One instance per grid value; widths split as psi_c = ratio_c*c*psi_n/sum(ratios)."""
+    """One instance per grid value; widths split as psi_c = ratio_c*c*psi_n/sum(ratios),
+    feature counts as N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
     if len(spec.c_grid) == 0:
         raise EmptyGrid("c grid is empty")
     total = sum(spec.ratios)
+    tpl = spec.empirical
     points = []
     for c in spec.c_grid:
         psi = tuple(r * c * spec.base.psi_n / total for r in spec.ratios)
-        theory = replace(spec.base, psi=psi)
         emp = None
-        clamped = False
-        if spec.empirical is not None:
-            tpl = spec.empirical
-            counts = []
-            for r in spec.ratios:
-                nc = int(round(r * c * tpl.n / total))
-                if nc < 1:
-                    nc = 1
-                    clamped = True
-                counts.append(nc)
-            emp = EmpiricalConfig(
-                d=tpl.d,
-                n=tpl.n,
-                N=tuple(counts),
-                activations=tpl.activations,
-                lam=spec.base.lam,
-                F0=spec.base.F0,
-                F1=spec.base.F1,
-                tau=spec.base.tau,
-                n_test=tpl.n_test,
-                replications=tpl.replications,
-                base_seed=tpl.base_seed,
-            )
-        points.append(GridPoint(c=c, theory=theory, empirical=emp, n_clamped=clamped))
+        if tpl is not None:
+            counts = tuple(max(1, int(round(r * c * tpl.n / total))) for r in spec.ratios)
+            emp = tpl.at(spec.base, counts)
+        points.append(GridPoint(c=c, theory=replace(spec.base, psi=psi), empirical=emp))
     return points
 
 
@@ -193,8 +177,8 @@ def run_sweep(
     point from a cold start, so a row depends on its own c alone.
     A failing point records its error in the row and leaves NaNs instead
     of aborting the sweep.
-    ``workers`` parallelizes the finite-size pass across grid points; output
-    does not depend on the worker count.
+    ``workers`` threads run every replication of every point, in one
+    ``run_experiments`` call; output does not depend on the worker count.
     """
     points = expand_grid(spec)
     rows: list[SweepRow] = []
@@ -209,28 +193,16 @@ def run_sweep(
                 outcome.risk, outcome.bias, outcome.variance)
             row.solver_iterations = outcome.nu.iterations
         rows.append(row)
-    empirical_jobs = [(i, p.empirical) for i, p in enumerate(points) if p.empirical is not None]
-    if empirical_jobs:
-        def one(job):
-            _, cfg = job
-            try:
-                return run_experiment(cfg)
-            except (SolveFailure, InvalidSpec) as err:
-                return err
-
-        if workers is not None and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one, empirical_jobs))
-        else:
-            outcomes = [one(job) for job in empirical_jobs]
-        for (i, cfg), outcome in zip(empirical_jobs, outcomes):
+    if spec.empirical is not None:
+        cfgs = [p.empirical for p in points]
+        for row, cfg, outcome in zip(rows, cfgs, run_experiments(cfgs, workers)):
             if isinstance(outcome, Exception):
                 note = f"{type(outcome).__name__}: {outcome}"
-                rows[i].error = note if rows[i].error is None else rows[i].error + "; " + note
+                row.error = note if row.error is None else row.error + "; " + note
             else:
-                rows[i].emp_mean = outcome.mean
-                rows[i].emp_se = outcome.std_error
-                rows[i].replications = cfg.replications
+                row.emp_mean = outcome.mean
+                row.emp_se = outcome.std_error
+                row.replications = cfg.replications
     return SweepResult(rows=rows, metadata=_metadata(spec))
 
 

@@ -309,6 +309,9 @@ class TestSpecValidation:
             TheorySpec(
                 psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, tau=-0.1
             )
+        for bad in ({"F1": math.nan}, {"F1": math.inf}, {"tau": math.nan}):
+            with pytest.raises(InvalidSpec):
+                TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, **bad)
 
     def test_properties(self):
         spec = TheorySpec(

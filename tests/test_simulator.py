@@ -8,6 +8,7 @@ standard errors of the predicted risk.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ import pytest
 from multidescent import (
     ActivationSpec,
     EmpiricalConfig,
+    EmpiricalTemplate,
     InvalidSpec,
     ShapeMismatch,
     SolveFailure,
+    SweepSpec,
     asymptotic_risk,
     compute_moments,
     excess_risk_on,
@@ -26,7 +29,9 @@ from multidescent import (
     replication_rng,
     ridge_fit,
     run_experiment,
+    run_experiments,
     run_replication,
+    run_sweep,
     sample_sphere,
     theory_spec_from_empirical,
 )
@@ -211,7 +216,12 @@ class TestDeterminism:
         monkeypatch.setattr(simulator, "run_replication", recording)
         for workers in (1, 3):
             run_experiment(self._cfg(), workers=workers)
-        assert seen == [1] * 12
+        tpl = EmpiricalTemplate(activations=self._cfg().activations, d=20, n=40,
+                                n_test=50, replications=6, base_seed=42)
+        base = theory_spec_from_empirical(self._cfg())
+        run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(0.5, 1.0), empirical=tpl),
+                  workers=2)
+        assert seen == [1] * 24
         assert get() == before
 
     def test_rng_streams(self):
@@ -243,6 +253,48 @@ class TestDeterminism:
             Theta * flip, acts, (N,), flip * beta1, 0.0, X_test * flip,
         )
         assert r == rf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestFailureIsolation:
+    """A batch reports each config's own result or the error that failed it alone."""
+
+    GOOD = EmpiricalConfig(
+        d=15, n=30, N=(10, 8), activations=(ActivationSpec("relu"), ActivationSpec("tanh")),
+        lam=0.1, tau=0.1, n_test=20, replications=4, base_seed=3,
+    )
+    # relu(1e308 x) overflows to inf on every input with x > 1.8
+    BAD = replace(GOOD, activations=(ActivationSpec("relu", in_scale=1e308), ActivationSpec("tanh")))
+
+    def test_failing_config_leaves_the_others(self):
+        good, bad = run_experiments([self.GOOD, self.BAD], workers=2)
+        assert isinstance(bad, SolveFailure)
+        assert str(bad) == "replication 0: non-finite entries in ridge inputs"
+        alone = run_experiment(self.GOOD)
+        assert np.array_equal(good.per_replication, alone.per_replication)
+        assert (good.mean, good.std_error) == (alone.mean, alone.std_error)
+
+    def test_single_config_raises(self):
+        with pytest.raises(SolveFailure, match="replication 0: non-finite"):
+            run_experiment(self.BAD, workers=2)
+
+    def test_intercept_guard_fails_its_config_alone(self):
+        no_mean = replace(self.GOOD, activations=(ActivationSpec("tanh"),) * 2, F0=0.5)
+        guarded, good = run_experiments([no_mean, self.GOOD])
+        assert isinstance(guarded, InvalidSpec)
+        assert good.per_replication.shape == (4,)
+
+    def test_lowest_failing_index_is_reported(self, monkeypatch):
+        real = simulator.run_replication
+
+        def flaky(cfg, index):
+            if index >= 2:
+                raise SolveFailure(f"replication {index}: injected")
+            return real(cfg, index)
+
+        monkeypatch.setattr(simulator, "run_replication", flaky)
+        (outcome,) = run_experiments([self.GOOD], workers=3)
+        assert str(outcome) == "replication 2: injected"
 
 
 class TestStatistics:
@@ -342,6 +394,11 @@ class TestValidation:
             EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=0.0)
         with pytest.raises(InvalidSpec):
             EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=0.1, tau=-1.0)
+        with pytest.raises(InvalidSpec):
+            EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=math.inf)
+        for bad in ({"F0": math.nan}, {"F1": math.nan}, {"tau": math.nan}, {"tau": math.inf}):
+            with pytest.raises(InvalidSpec):
+                EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=0.1, **bad)
 
     def test_intercept_needs_nonzero_mean(self):
         """tanh has zero Gaussian mean, so F0 != 0 cannot be represented."""

@@ -67,7 +67,7 @@ class TestExpandGrid:
             assert p.theory.psi_n == spec.base.psi_n
             assert p.theory.lam == spec.base.lam
             assert p.theory.moments == spec.base.moments
-            assert p.empirical is None and not p.n_clamped
+            assert p.empirical is None
 
     def test_feature_counts(self):
         """Counts split the budget c*n by the ratios and round to integers."""
@@ -99,8 +99,8 @@ class TestExpandGrid:
             base=_base(), ratios=(1.0, 1.0), c_grid=(0.001, 1.0), empirical=tpl
         )
         tiny, normal = expand_grid(spec)
-        assert tiny.empirical.N == (1, 1) and tiny.n_clamped
-        assert normal.empirical.N == (50, 50) and not normal.n_clamped
+        assert tiny.empirical.N == (1, 1)
+        assert normal.empirical.N == (50, 50)
         # the asymptotic instance keeps the exact (unclamped) widths
         np.testing.assert_allclose(tiny.theory.psi, (0.001 * 10 / 6,) * 2, rtol=1e-15)
 
@@ -259,9 +259,9 @@ class TestTheoryPass:
         assert meta["tool_version"] == multidescent.__version__
 
 
-def _small_empirical_sweep(workers=None):
+def _small_empirical_sweep(workers=None, first=ActivationSpec("relu")):
     tpl = EmpiricalTemplate(
-        activations=(ActivationSpec("relu"), ActivationSpec("tanh")),
+        activations=(first, ActivationSpec("tanh")),
         d=15,
         n=30,
         n_test=40,
@@ -288,6 +288,15 @@ class TestEmpiricalPass:
         for a, b in zip(serial.rows, threaded.rows):
             assert a.emp_mean == b.emp_mean
             assert a.emp_se == b.emp_se
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failed_replications_keep_theory_columns(self):
+        """Features that overflow fail every point's Monte Carlo, not the sweep."""
+        result = _small_empirical_sweep(workers=2, first=ActivationSpec("relu", in_scale=1e308))
+        for row in result.rows:
+            assert row.error == "SolveFailure: replication 0: non-finite entries in ridge inputs"
+            assert (row.emp_mean, row.emp_se, row.replications) == (None, None, None)
+            assert all(map(math.isfinite, (row.theory_risk, row.theory_bias, row.theory_variance)))
 
 
 class TestCsv:
