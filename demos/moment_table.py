@@ -2,7 +2,7 @@
 
 For each activation sigma this prints the mean mu0 = E sigma(G), the linear
 component mu1 = E G sigma(G) and the nonlinear power mu2^2 = E sigma(G)^2 -
-mu0^2 - mu1^2 under G ~ N(0, 1), computed by the adaptive quadrature in
+mu0^2 - mu1^2 under G ~ N(0, 1), computed by the panel quadrature in
 ``compute_moments``.  Where an elementary closed form exists it is printed
 alongside so the agreement is visible at a glance.
 """

@@ -34,7 +34,7 @@ def main() -> None:
     )
     lo = limit_risk_zero_width(narrow)
     hi = limit_risk_infinite_width(
-        LimitSpec(r1=1.0, r2=1.0, psi3=psi_n, moments=moments, F1=F1)
+        LimitSpec(r=(1.0, 1.0), psi_n=psi_n, moments=moments, F1=F1)
     )
     print(f"zero-width limit      : {format_number(lo)}  (= F1^2)")
     print(f"infinite-width limit  : {format_number(hi)}")

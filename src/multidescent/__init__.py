@@ -1,11 +1,13 @@
 """Exact asymptotics and finite-size simulation of random feature ridge models.
 
 The package computes the high-dimensional excess risk of ridge regression
-on mixtures of random nonlinear features (K activation families), exposes
-the self-consistent scale solver behind it, cross-checks the K=2 case
-against closed forms, runs matching finite-size Monte Carlo experiments,
-and sweeps risk curves over a model-complexity grid with CSV/SVG output.
-Each module's ``__all__`` is the one list of its public names.
+on mixtures of random nonlinear features (K activation families) and its
+width limits, exposes the self-consistent scale solver behind it, runs
+matching finite-size Monte Carlo experiments, and sweeps risk curves over a
+model-complexity grid with CSV/SVG output.  Each module's ``__all__`` is the
+one list of its public names: what the CLI, the demos and library callers
+use.  Reference implementations that only the tests need live beside the
+tests, in ``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"

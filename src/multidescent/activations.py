@@ -20,12 +20,10 @@ import numpy as np
 __all__ = [
     "ActivationSpec",
     "Moments",
-    "QuadratureConfig",
     "QuadratureDiverged",
     "eval_activation",
     "compute_moments",
     "represents_intercept",
-    "scaled_moments",
     "ACTIVATION_KINDS",
 ]
 
@@ -75,6 +73,12 @@ ACTIVATION_KINDS = tuple(sorted(_BASE_FUNCS))
 # Base functions with a kink: quadrature panels must break there.
 _KINKED = frozenset({"relu", "step", "elu"})
 
+# Composite Gauss-Legendre rule: equal panels on [-_TRUNCATION, _TRUNCATION],
+# each with _NODES_PER_PANEL nodes (and twice that for the refinement check).
+_PANEL_COUNT = 24
+_TRUNCATION = 12.0
+_NODES_PER_PANEL = 64
+
 
 @dataclass(frozen=True)
 class ActivationSpec:
@@ -115,21 +119,6 @@ class Moments:
             raise ValueError("mu2_sq must be nonnegative (clamp before constructing)")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite Gauss-Legendre rule on [-truncation, truncation]."""
-
-    panel_count: int = 24
-    truncation: float = 12.0
-    nodes_per_panel: int = 64
-
-    def __post_init__(self):
-        if self.panel_count < 1 or self.nodes_per_panel < 1:
-            raise ValueError("panel_count and nodes_per_panel must be >= 1")
-        if self.truncation < 8.0:
-            raise ValueError("truncation must be >= 8")
-
-
 def eval_activation(act: ActivationSpec, x):
     """Evaluate ``act`` at ``x`` (scalar or ndarray, applied elementwise)."""
     base = _BASE_FUNCS[act.kind]
@@ -139,19 +128,18 @@ def eval_activation(act: ActivationSpec, x):
     return out
 
 
-def _panel_boundaries(act: ActivationSpec, quad: QuadratureConfig) -> np.ndarray:
-    t = quad.truncation
-    bounds = np.linspace(-t, t, quad.panel_count + 1)
+def _panel_boundaries(act: ActivationSpec) -> np.ndarray:
+    bounds = np.linspace(-_TRUNCATION, _TRUNCATION, _PANEL_COUNT + 1)
     if act.kind in _KINKED and act.in_scale != 0.0:
         # The base kink sits at in_scale * x = 0, i.e. x = 0.
         bounds = np.union1d(bounds, [0.0])
     return bounds
 
 
-def _gauss_moments(act: ActivationSpec, quad: QuadratureConfig, nodes: int) -> np.ndarray:
+def _gauss_moments(act: ActivationSpec, nodes: int) -> np.ndarray:
     """Integrals of (sigma, x sigma, sigma^2) against the N(0,1) density."""
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
-    bounds = _panel_boundaries(act, quad)
+    bounds = _panel_boundaries(act)
     lo, hi = bounds[:-1], bounds[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -163,24 +151,22 @@ def _gauss_moments(act: ActivationSpec, quad: QuadratureConfig, nodes: int) -> n
 
 
 @functools.lru_cache
-def compute_moments(act: ActivationSpec, quad: QuadratureConfig | None = None) -> Moments:
+def compute_moments(act: ActivationSpec) -> Moments:
     """Compute the Gaussian moment triple of ``act`` by panel quadrature.
 
-    The rule is evaluated at ``nodes_per_panel`` and at twice that count; if
+    The rule is evaluated at 64 nodes per panel and at twice that count; if
     any of the three raw integrals moves by more than 1e-8 under the
     refinement the quadrature is considered unresolved and
     ``QuadratureDiverged`` is raised.  The refined values are returned.
-    Results are memoized on the frozen arguments, so callers that need the
+    Results are memoized on the frozen spec, so callers that need the
     same activation's moments share one quadrature.
     """
-    quad = quad or QuadratureConfig()
-    coarse = _gauss_moments(act, quad, quad.nodes_per_panel)
-    fine = _gauss_moments(act, quad, 2 * quad.nodes_per_panel)
+    coarse = _gauss_moments(act, _NODES_PER_PANEL)
+    fine = _gauss_moments(act, 2 * _NODES_PER_PANEL)
     drift = np.max(np.abs(fine - coarse))
     if drift > 1e-8:
         raise QuadratureDiverged(
-            f"moment integrals moved by {drift:.3e} under node doubling "
-            f"(kind={act.kind!r}, {quad})"
+            f"moment integrals moved by {drift:.3e} under node doubling (kind={act.kind!r})"
         )
     mu0, mu1 = fine[0], fine[1]
     raw = fine[2] - mu0 * mu0 - mu1 * mu1
@@ -196,10 +182,3 @@ def represents_intercept(moments: Iterable[Moments]) -> bool:
     # Quadrature yields ~1e-19 rather than exact zero for odd activations,
     # so means below roundoff count as zero here.
     return sum(m.mu0 * m.mu0 for m in moments) > 1e-24
-
-
-def scaled_moments(m: Moments, a: float) -> Moments:
-    """Moment triple of x -> a * sigma(x) given the triple of sigma."""
-    if not math.isfinite(a):
-        raise ValueError("scale must be finite")
-    return Moments(mu0=a * m.mu0, mu1=a * m.mu1, mu2_sq=a * a * m.mu2_sq)

@@ -7,13 +7,12 @@ numbers; diagnostics and errors go to stderr, one line per error carrying
 the error class name.  Exit codes: 0 success, 2 configuration error,
 3 numerical/solver failure, 4 I/O error.  ``simulate`` and ``sweep`` run
 their Monte Carlo replications in one pool of ``empirical.workers``
-threads; the environment variable ``MULTIDESCENT_THREADS`` caps that count.
+threads; ``--set empirical.workers=N`` changes that count, never the output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from enum import IntEnum
@@ -32,15 +31,8 @@ from .config import (
     parse_config,
 )
 from .formatting import to_json
-from .nu_system import InvalidSpec, NoConvergence, NonPositiveInput, solve_nu
-from .risk import (
-    DegenerateB,
-    DegenerateMoments,
-    DegenerateS,
-    WrongK,
-    asymptotic_risk,
-    limit_risk_infinite_width,
-)
+from .nu_system import InvalidSpec, NoConvergence, solve_nu
+from .risk import DegenerateB, DegenerateMoments, asymptotic_risk, limit_risk_infinite_width
 from .simulator import ShapeMismatch, SolveFailure, run_experiment
 from .sweep import EmptyGrid, csv_text, render_svg, run_sweep, write_csv
 
@@ -56,36 +48,16 @@ class ExitStatus(IntEnum):
 
 SUBCOMMANDS = ("moments", "theory", "simulate", "sweep", "limit")
 
-_CONFIG_ERRORS = (ConfigError, InvalidSpec, DegenerateMoments, WrongK, EmptyGrid, QuadratureDiverged)
-_SOLVER_ERRORS = (
-    NoConvergence,
-    NonPositiveInput,
-    DegenerateB,
-    DegenerateS,
-    SolveFailure,
-    ShapeMismatch,
-    np.linalg.LinAlgError,
-)
+_CONFIG_ERRORS = (ConfigError, InvalidSpec, DegenerateMoments, EmptyGrid, QuadratureDiverged)
+_SOLVER_ERRORS = (NoConvergence, DegenerateB, SolveFailure, ShapeMismatch, np.linalg.LinAlgError)
 
 
 def _diagnose(err: BaseException, stream) -> None:
     print(f"{type(err).__name__}: {err}", file=stream)
 
 
-def _workers(cfg: RootConfig) -> int:
-    requested = 1
-    if cfg.empirical is not None and cfg.empirical.workers is not None:
-        requested = cfg.empirical.workers
-    cap_text = os.environ.get("MULTIDESCENT_THREADS")
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ConfigError("", f"MULTIDESCENT_THREADS must be an integer, got {cap_text!r}")
-        if cap < 1:
-            raise ConfigError("", "MULTIDESCENT_THREADS must be >= 1")
-        requested = min(requested, cap)
-    return requested
+def _workers(cfg: RootConfig) -> int | None:
+    return cfg.empirical.workers if cfg.empirical is not None else None
 
 
 def _moments_payload(m) -> dict:
@@ -153,7 +125,7 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
 def _cmd_limit(cfg: RootConfig, err_stream) -> str:
     ls = build_limit_spec(cfg)
     return to_json(
-        {"risk": limit_risk_infinite_width(ls), "r": [ls.r1, ls.r2], "psi_n": ls.psi3}
+        {"risk": limit_risk_infinite_width(ls), "r": list(ls.r), "psi_n": ls.psi_n}
     )
 
 
@@ -205,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "theory": "solve the asymptotic risk for the configured model",
         "simulate": "run the finite-size Monte Carlo experiment",
         "sweep": "evaluate a complexity grid and emit CSV/SVG",
-        "limit": "evaluate the infinite-width risk limit (K=2)",
+        "limit": "evaluate the infinite-width risk limit at fixed block proportions",
     }
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name, help=help_text[name])

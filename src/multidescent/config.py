@@ -151,13 +151,6 @@ def _lambda(value, pointer: str) -> float:
     return lam
 
 
-def _width_weights(value, pointer: str) -> tuple[float, float]:
-    arr = _array(value, pointer)
-    if len(arr) != 2:
-        raise ConfigError(pointer, "expected exactly two width weights")
-    return (_positive(arr[0], f"{pointer}/0"), _positive(arr[1], f"{pointer}/1"))
-
-
 def _increasing(grid) -> bool:
     return all(a < b for a, b in zip(grid, grid[1:]))
 
@@ -233,7 +226,7 @@ class SweepSection:
 
 @dataclass(frozen=True)
 class LimitSection:
-    r: tuple[float, float] = (1.0, 1.0)
+    r: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -279,14 +272,15 @@ _EMPIRICAL = {
     "base_seed": _integer(0),
     "workers": _nullable(_integer(1)),
 }
+_BLOCK_WEIGHTS = _list_of(_positive, "needs at least one entry")
 _SWEEP = {
-    "ratios": _list_of(_positive, "needs at least one entry"),
+    "ratios": _BLOCK_WEIGHTS,
     "c_grid": _list_of(_positive, "grid is empty"),
     "c_range": _c_range,
     "log_y": _boolean,
     "y_cap": _nullable(_positive),
 }
-_LIMIT = {"r": _width_weights}
+_LIMIT = {"r": _BLOCK_WEIGHTS}
 _OUTPUT = dict.fromkeys(("csv_path", "svg_path", "json_path"), _nullable(_string))
 
 
@@ -355,15 +349,20 @@ def validate_config(raw: dict) -> RootConfig:
             "/model/F0",
             "F0 != 0 requires at least one activation with nonzero Gaussian mean",
         )
-    empirical, sweep = doc.get("empirical"), doc.get("sweep")
+    empirical, sweep, limit = doc.get("empirical"), doc.get("sweep"), doc.get("limit")
     if empirical is not None:
         for key in ("d", "n"):
             section_v = getattr(empirical, key)
             model_v = getattr(model, key)
             if section_v is not None and model_v is not None and section_v != model_v:
                 raise ConfigError(f"/empirical/{key}", f"conflicts with /model/{key}")
-    if sweep is not None and sweep.ratios is not None and len(sweep.ratios) != model.K:
-        raise ConfigError("/sweep/ratios", f"expected {model.K} entries to match the model")
+    weights = {
+        "/sweep/ratios": sweep.ratios if sweep is not None else None,
+        "/limit/r": limit.r if limit is not None else None,
+    }
+    for pointer, values in weights.items():
+        if values is not None and len(values) != model.K:
+            raise ConfigError(pointer, f"expected {model.K} entries to match the model")
 
     return RootConfig(
         activations=activations,
@@ -372,7 +371,7 @@ def validate_config(raw: dict) -> RootConfig:
         solver=doc.get("solver", SolverConfig()),
         empirical=empirical,
         sweep=sweep,
-        limit=doc.get("limit"),
+        limit=limit,
         output=doc.get("output", OutputSection()),
     )
 
@@ -491,15 +490,12 @@ def build_sweep_spec(cfg: RootConfig) -> SweepSpec:
 
 
 def build_limit_spec(cfg: RootConfig) -> LimitSpec:
-    """Infinite-width instance; defined for exactly two components."""
-    if cfg.model.K != 2:
-        raise ConfigError("/model", f"the width limit is defined for K=2, got K={cfg.model.K}")
+    """Infinite-width instance; the block weights default to all 1."""
     limit = cfg.limit or LimitSection()
     return LimitSpec(
-        r1=limit.r[0],
-        r2=limit.r[1],
-        psi3=cfg.model.psi_n_eff,
-        moments=(cfg.moments[0], cfg.moments[1]),
+        r=limit.r if limit.r is not None else (1.0,) * cfg.model.K,
+        psi_n=cfg.model.psi_n_eff,
+        moments=cfg.moments,
         F1=cfg.model.F1,
         tau=cfg.model.tau,
     )

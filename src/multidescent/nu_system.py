@@ -30,21 +30,14 @@ __all__ = [
     "NuStar",
     "SolverConfig",
     "InvalidSpec",
-    "NonPositiveInput",
     "NoConvergence",
-    "residual_vector",
     "solve_nu",
     "solve_nu_stack",
-    "verify_complex",
 ]
 
 
 class InvalidSpec(ValueError):
     """Problem instance violates a hard precondition (e.g. lambda <= 0)."""
-
-
-class NonPositiveInput(ValueError):
-    """A candidate solution vector has a nonpositive entry."""
 
 
 class NoConvergence(RuntimeError):
@@ -55,6 +48,22 @@ class NoConvergence(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def _check_blocks(name: str, widths, moments, psi_n, F1, tau) -> None:
+    """Rules every asymptotic instance obeys; ``name`` labels the per-block
+    widths: one finite entry > 0 and one moment triple per block, a finite
+    psi_n > 0, and finite F1, tau >= 0."""
+    if len(widths) == 0:
+        raise InvalidSpec("need at least one feature component")
+    if len(moments) != len(widths):
+        raise InvalidSpec(f"{name} and moments must have the same length")
+    if any(not (w > 0.0 and math.isfinite(w)) for w in widths):
+        raise InvalidSpec(f"all {name} entries must be > 0")
+    if not (psi_n > 0.0 and math.isfinite(psi_n)):
+        raise InvalidSpec("psi_n must be > 0")
+    if not (0.0 <= F1 < math.inf and 0.0 <= tau < math.inf):
+        raise InvalidSpec("F1 and tau must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,18 +87,9 @@ class TheorySpec:
     def __post_init__(self):
         object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
         object.__setattr__(self, "moments", tuple(self.moments))
-        if len(self.psi) == 0:
-            raise InvalidSpec("need at least one feature component")
-        if len(self.moments) != len(self.psi):
-            raise InvalidSpec("psi and moments must have the same length")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise InvalidSpec("lambda must be > 0")
-        if any(not (p > 0.0 and math.isfinite(p)) for p in self.psi):
-            raise InvalidSpec("all psi entries must be > 0")
-        if not (self.psi_n > 0.0 and math.isfinite(self.psi_n)):
-            raise InvalidSpec("psi_n must be > 0")
-        if not (0.0 <= self.F1 < math.inf and 0.0 <= self.tau < math.inf):
-            raise InvalidSpec("F1 and tau must be finite and >= 0")
+        _check_blocks("psi", self.psi, self.moments, self.psi_n, self.F1, self.tau)
 
     @property
     def K(self) -> int:
@@ -193,20 +193,6 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
-def residual_vector(spec: TheorySpec, b) -> np.ndarray:
-    """Residuals of the positive-variable system at candidate ``b``.
-
-    ``b`` must have K+1 strictly positive entries; the residual is zero at
-    the solution.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != spec.K + 1:
-        raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
-    if not np.all(b > 0.0):
-        raise NonPositiveInput("all entries of b must be > 0")
-    return _residuals(*_stack_coeffs([spec]), b[None])[0]
-
-
 def solve_nu_stack(specs, cfg: SolverConfig | None = None, b0=None) -> list:
     """Solve G systems of one K at once by Newton's method in log b.
 
@@ -299,26 +285,3 @@ def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None, b0=None) -> NuSt
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
-    """Max absolute residual of the complex system at nu_j = i b_j.
-
-    Substitutes xi = sqrt(lam) i and the purely imaginary candidates into
-    the system exactly as written in complex arithmetic, independently of
-    the real-variable rearrangement used by the solver.
-    """
-    xi = complex(0.0, math.sqrt(spec.lam))
-    nu_c = [complex(0.0, float(x)) for x in nu.b]
-    k = spec.K
-    _, (m1,), (m2,), _ = _stack_coeffs([spec])
-    denom = 1.0 - sum(m1[c] * nu_c[c] for c in range(k)) * nu_c[k]
-    worst = 0.0
-    for c in range(k):
-        lhs = nu_c[c] * (-xi - m2[c] * nu_c[k] - m1[c] * nu_c[k] / denom)
-        worst = max(worst, abs(lhs - spec.psi[c]))
-    s1 = sum(m1[c] * nu_c[c] for c in range(k))
-    s2 = sum(m2[c] * nu_c[c] for c in range(k))
-    lhs = nu_c[k] * (-xi - s2 - s1 / denom)
-    worst = max(worst, abs(lhs - spec.psi_n))
-    return worst

@@ -1,0 +1,178 @@
+"""Reference implementations that only the tests use.
+
+Each one re-derives a quantity the package computes, by a different route or
+with bounds checks the package has no use for:
+
+* ``explicit_risk_k2`` - the printed K=2 closed forms of the four L entries,
+  an oracle for the matrix route of ``asymptotic_risk``;
+* ``verify_complex`` - the scale system in its original complex form, an
+  oracle for the real-variable Newton solve;
+* ``residual_vector`` - the solver's own real residuals at a candidate b;
+* ``build_matrices`` - the solver's H and V at one point, for inspection;
+* ``scaled_moments`` - the moment triple of a rescaled activation.
+
+``tests/`` has no ``__init__.py``, so test modules import these as
+``from oracles import ...``.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from multidescent import DegenerateB, Moments, NuStar, TheoryRisk, TheorySpec
+from multidescent.nu_system import _residuals, _stack_coeffs
+from multidescent.risk import _matrices
+
+
+class WrongK(ValueError):
+    """Closed-form route only exists for exactly two components."""
+
+
+class DegenerateS(ArithmeticError):
+    """Closed-form denominator S vanished."""
+
+
+class NonPositiveInput(ValueError):
+    """A candidate solution vector has a nonpositive entry."""
+
+
+@dataclass
+class TheoryMatrices:
+    """Real forms of the auxiliary matrices.
+
+    ``mN`` is sum_c mu_{c,1}^2 b_c (the full quantity is i*mN) and
+    ``MD = -(b_n mN + 1) < 0``.  H is (K+1)x(K+1) symmetric, V is (K+1)x4.
+    """
+
+    mN: float
+    MD: float
+    H: np.ndarray
+    V: np.ndarray
+
+
+def scaled_moments(m: Moments, a: float) -> Moments:
+    """Moment triple of x -> a * sigma(x) given the triple of sigma."""
+    if not math.isfinite(a):
+        raise ValueError("scale must be finite")
+    return Moments(mu0=a * m.mu0, mu1=a * m.mu1, mu2_sq=a * a * m.mu2_sq)
+
+
+def residual_vector(spec: TheorySpec, b) -> np.ndarray:
+    """Residuals of the positive-variable system at candidate ``b``.
+
+    ``b`` must have K+1 strictly positive entries; the residual is zero at
+    the solution.
+    """
+    b = np.asarray(b, dtype=float).ravel()
+    if b.size != spec.K + 1:
+        raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
+    if not np.all(b > 0.0):
+        raise NonPositiveInput("all entries of b must be > 0")
+    return _residuals(*_stack_coeffs([spec]), b[None])[0]
+
+
+def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
+    """Max absolute residual of the complex system at nu_j = i b_j.
+
+    Substitutes xi = sqrt(lam) i and the purely imaginary candidates into
+    the system exactly as written in complex arithmetic, independently of
+    the real-variable rearrangement used by the solver.
+    """
+    xi = complex(0.0, math.sqrt(spec.lam))
+    nu_c = [complex(0.0, float(x)) for x in nu.b]
+    k = spec.K
+    m1 = [m.mu1 * m.mu1 for m in spec.moments]
+    m2 = [m.mu2_sq for m in spec.moments]
+    denom = 1.0 - sum(m1[c] * nu_c[c] for c in range(k)) * nu_c[k]
+    worst = 0.0
+    for c in range(k):
+        lhs = nu_c[c] * (-xi - m2[c] * nu_c[k] - m1[c] * nu_c[k] / denom)
+        worst = max(worst, abs(lhs - spec.psi[c]))
+    s1 = sum(m1[c] * nu_c[c] for c in range(k))
+    s2 = sum(m2[c] * nu_c[c] for c in range(k))
+    lhs = nu_c[k] * (-xi - s2 - s1 / denom)
+    worst = max(worst, abs(lhs - spec.psi_n))
+    return worst
+
+
+def build_matrices(spec: TheorySpec, nu: NuStar) -> TheoryMatrices:
+    """Assemble H and V at the converged scales, all-real arithmetic."""
+    b = np.asarray(nu.b, dtype=np.float64)
+    if np.any(b == 0.0):
+        raise DegenerateB("all b_j must be nonzero")
+    psi, m1, m2, _ = _stack_coeffs([spec])
+    mN, MD, h, v = _matrices(psi, m1, m2, b[None])
+    return TheoryMatrices(mN=float(mN[0]), MD=float(MD[0]), H=h[0], V=v[0])
+
+
+def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:
+    """Closed-form route for K=2; oracle for the matrix route.
+
+    Evaluates the printed closed forms of S and of the four L entries under
+    the purely-imaginary substitutions (squared scales pick up a minus sign)
+    and assembles the same risk expression.  Only the four needed entries of
+    L are populated (symmetrically); the rest stay zero.
+    """
+    if spec.K != 2:
+        raise WrongK(f"closed form requires K=2, got K={spec.K}")
+    b1, b2, b3 = (float(x) for x in nu.b)
+    p1, p2, p3 = spec.psi[0], spec.psi[1], spec.psi_n
+    m11, m21 = (m.mu1 * m.mu1 for m in spec.moments)
+    m12, m22 = (m.mu2_sq for m in spec.moments)
+
+    # Even-power substitutions: nu_j^2 -> -b_j^2, nu_3^4 -> b_3^4,
+    # M_N^2 -> -mN^2, M_D and its even powers stay real.
+    n1s, n2s, n3s = -b1 * b1, -b2 * b2, -b3 * b3
+    n3q = b3 ** 4
+    mN = m11 * b1 + m21 * b2
+    MD = -(b3 * mN + 1.0)
+    mNs = -mN * mN
+    md2 = MD * MD
+    md4 = md2 * md2
+    cross = m12 * m21 - m11 * m22  # mu12^2 mu21^2 - mu11^2 mu22^2
+
+    s = (
+        n3q * (n2s * mNs * m21 * m21 * p1 + n1s * mNs * m11 * m11 * p2
+               + n1s * n2s * md2 * cross * cross)
+        - n3s * n2s * p1 * (2.0 * md2 * m21 * m22 + md4 * m22 * m22
+                            + m21 * m21 * (1.0 + md2 * p3))
+        - n3s * n1s * p2 * (2.0 * md2 * m11 * m12 + md4 * m12 * m12
+                            + m11 * m11 * (1.0 + md2 * p3))
+        - n3s * p1 * p2 * md2 * mNs
+        + md4 * p1 * p2 * p3
+    )
+    if abs(s) < 1e-300:
+        raise DegenerateS(f"closed-form denominator S = {s:.3e}")
+
+    l14 = (n3s / s) * (
+        -n3s * mNs * (n2s * m21 * m22 * p1 + n1s * m11 * m12 * p2)
+        + n1s * m12 * p2 * (md2 * m12 + m11 * (1.0 + md2 * p3))
+        + n2s * m22 * p1 * (md2 * m22 + m21 * (1.0 + md2 * p3))
+    )
+    l23 = (n3s / s) * (
+        n2s * m21 * (m21 + md2 * m22) * p1 + n1s * m11 * (m11 + md2 * m12) * p2
+        - n3s * mNs * (n2s * m21 * m21 * p1 + n1s * m11 * m11 * p2)
+        + md2 * mNs * p1 * p2
+    )
+    l12 = (n3s / s) * md2 * (
+        n2s * m22 * (m21 + md2 * m22) * p1 + n1s * m12 * (m11 + md2 * m12) * p2
+        - n1s * n2s * n3s * cross * cross
+    )
+    l34 = (n3s / (md2 * s)) * (
+        n3s * (n2s * mNs * m21 * (md2 * m22 - m21) * p1
+               + n1s * mNs * m11 * (md2 * m12 - m11) * p2)
+        + p1 * p2 * md2 * mNs
+        - n1s * n2s * n3s * md2 * cross * cross
+        + n2s * m21 * p1 * (md2 * m22 + m21 + md2 * m21 * p3)
+        + n1s * m11 * p2 * (md2 * m12 + m11 + md2 * m11 * p3)
+    )
+
+    L = np.zeros((4, 4))
+    L[0, 3] = L[3, 0] = l14
+    L[1, 2] = L[2, 1] = l23
+    L[0, 1] = L[1, 0] = l12
+    L[2, 3] = L[3, 2] = l34
+    bias = spec.F1 ** 2 * (1.0 / md2 + l34 + l14)
+    variance = spec.tau ** 2 * (l23 + l12)
+    return TheoryRisk(risk=bias + variance, bias=bias, variance=variance, L=L, nu=nu)

@@ -28,7 +28,6 @@ from multidescent import (
     TheorySpec,
     asymptotic_risk,
     compute_moments,
-    explicit_risk_k2,
     limit_risk_infinite_width,
     parse_config,
     ridge_fit,
@@ -36,9 +35,9 @@ from multidescent import (
     run_sweep,
     solve_nu,
     theory_spec_from_empirical,
-    verify_complex,
 )
 from multidescent.cli import ExitStatus, dispatch
+from oracles import explicit_risk_k2, verify_complex
 
 GOLDEN_QUADRATIC = (math.sqrt(5.0) - 1.0) / 2.0  # root of b^2 + b - 1
 GOLDEN_CUBIC = 0.6823278038280195  # real root of b^3 + b - 1
@@ -187,7 +186,7 @@ def test_criterion_04_merge_invariance(acceptance_report):
 def test_criterion_05_infinite_width_limit(acceptance_report):
     unit = Moments(0.0, 1.0, 1.0)
     limit = limit_risk_infinite_width(
-        LimitSpec(r1=1.0, r2=1.0, psi3=2.0, moments=(unit, unit))
+        LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=(unit, unit))
     )
     spec = TheorySpec(
         psi=(1e6, 1e6), psi_n=2.0, moments=(unit, unit), lam=1e-2, F1=1.0, tau=0.0

@@ -381,9 +381,12 @@ class TestBuilders:
         assert spec.empirical.d == 100 and spec.empirical.n == 250
         assert spec.empirical.replications == 2
 
-    def test_limit_requires_k2(self):
-        with pytest.raises(ConfigError, match="K=2"):
-            build_limit_spec(parse_config(_inline(_minimal())))
+    def test_limit_takes_any_k(self):
+        ls = build_limit_spec(parse_config(_inline(_minimal())))
+        assert ls.r == (1.0,)
+        cfg = _minimal()
+        cfg["limit"] = {"r": [2.5]}
+        assert build_limit_spec(parse_config(_inline(cfg))).r == (2.5,)
 
     def test_limit_mapping(self):
         cfg = {
@@ -395,8 +398,8 @@ class TestBuilders:
             "limit": {"r": [2.0, 3.0]},
         }
         ls = build_limit_spec(parse_config(_inline(cfg)))
-        assert (ls.r1, ls.r2) == (2.0, 3.0)
-        assert ls.psi3 == 2.0
+        assert ls.r == (2.0, 3.0)
+        assert ls.psi_n == 2.0
 
 
 def _run(command: str, cfg_dict: dict):
@@ -504,6 +507,19 @@ class TestDispatch:
         assert payload["risk"] == pytest.approx((math.sqrt(2) - 1) / 2, rel=1e-12)
         assert payload["psi_n"] == 2.0
 
+    @pytest.mark.parametrize("r", [[1.0], [1.0, 2.0, 3.0]])
+    def test_limit_any_k(self, r):
+        """Unit moments give (sqrt(2)-1)/2 at psi_n = 2 for any K and weights."""
+        cfg = {
+            "moments_override": [{"mu0": 0, "mu1": 1.0, "mu2_sq": 1.0}] * len(r),
+            "model": {"psi": [1.0] * len(r), "psi_n": 2.0, "lambda": 1.0},
+            "limit": {"r": r},
+        }
+        status, out, err = _run("limit", cfg)
+        assert status == ExitStatus.OK and err == ""
+        assert "0.207106781187" in out
+        assert json.loads(out)["r"] == r
+
     def test_io_error(self, tmp_path):
         cfg = _minimal()
         cfg["sweep"] = {"c_grid": [1.0]}
@@ -578,23 +594,14 @@ class TestMain:
         assert capsys.readouterr().out == first
         assert (tmp_path / "a.csv").read_bytes() == first_bytes
 
-    def test_thread_cap_invisible_in_output(self, capsys, monkeypatch):
+    def test_thread_cap_invisible_in_output(self, capsys):
+        """The worker count changes how replications run, never what is printed."""
         cfg = _k2_counts_config(empirical={"replications": 3, "n_test": 32, "workers": 8})
         argv = ["simulate", "--config", _inline(cfg)]
         assert main(argv) == 0
-        unlimited = capsys.readouterr().out
-        monkeypatch.setenv("MULTIDESCENT_THREADS", "1")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == unlimited
-
-    def test_thread_cap_validation(self, capsys, monkeypatch):
-        cfg = _k2_counts_config(empirical={"replications": 2, "n_test": 16})
-        argv = ["simulate", "--config", _inline(cfg)]
-        monkeypatch.setenv("MULTIDESCENT_THREADS", "abc")
-        assert main(argv) == 2
-        assert "MULTIDESCENT_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("MULTIDESCENT_THREADS", "0")
-        assert main(argv) == 2
+        eight = capsys.readouterr().out
+        assert main(argv + ["--set", "empirical.workers=1"]) == 0
+        assert capsys.readouterr().out == eight
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

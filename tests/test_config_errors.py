@@ -214,7 +214,7 @@ CASES = [
     case("limit-unknown-key", {"limit": {"ratio": [1.0, 1.0]}}, "/limit/ratio", "/limit/ratio: unknown key"),
     case("limit-r-not-array", {"limit": {"r": 1.0}}, "/limit/r", "/limit/r: expected an array, got float"),
     case("limit-r-length", {"limit": {"r": [1.0, 2.0, 3.0]}},
-         "/limit/r", "/limit/r: expected exactly two width weights"),
+         "/limit/r", "/limit/r: expected 1 entries to match the model"),
     case("limit-r-entry-zero", {"limit": {"r": [1.0, 0.0]}}, "/limit/r/1", "/limit/r/1: must be > 0"),
     case("output-not-object", {"output": "curve.csv"}, "/output", "/output: expected an object, got str"),
     case("output-unknown-key", {"output": {"png_path": "x.png"}},
@@ -242,8 +242,6 @@ CASES = [
          "/empirical",
          "/empirical: finite-size runs need d and n (model d/n/N or empirical d/n)",
          build="sweep"),
-    case("build-limit-K1", {},
-         "/model", "/model: the width limit is defined for K=2, got K=1", build="limit"),
 ]
 
 
@@ -256,3 +254,9 @@ def test_single_error_golden(base, edits, build, pointer, text):
         BUILDERS[build](cfg)
     assert exc.value.pointer == pointer
     assert str(exc.value) == text
+
+
+def test_build_limit_k1():
+    """The width limit takes any K: a one-block config builds, weight 1 by default."""
+    spec = build_limit_spec(validate_config(copy.deepcopy(PSI)))
+    assert spec.r == (1.0,) and spec.psi_n == 1.0

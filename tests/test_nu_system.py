@@ -17,15 +17,13 @@ from multidescent import (
     InvalidSpec,
     Moments,
     NoConvergence,
-    NonPositiveInput,
     SolverConfig,
     TheorySpec,
     asymptotic_risk,
     compute_moments,
-    residual_vector,
     solve_nu,
-    verify_complex,
 )
+from oracles import NonPositiveInput, residual_vector, verify_complex
 
 
 def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):

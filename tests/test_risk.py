@@ -1,7 +1,7 @@
 """Tests for the asymptotic risk evaluation.
 
-The two-component closed-form route (``explicit_risk_k2``) and the general
-matrix route share no code beyond the solved scales, so agreement between
+The two-component closed-form route (``explicit_risk_k2`` in
+``oracles.py``) and the general matrix route share no code beyond the solved scales, so agreement between
 them is the core oracle.  General K is then tied back to K=2 through the
 exact block-merge identity (identical activations split across components
 leave the risk unchanged), and the width limits are pinned by hand-derived
@@ -17,21 +17,19 @@ import pytest
 from multidescent import (
     DegenerateB,
     DegenerateMoments,
-    DegenerateS,
     IllConditionedWarning,
+    InvalidSpec,
     LimitSpec,
     Moments,
     NuStar,
     TheorySpec,
-    WrongK,
     asymptotic_risk,
     asymptotic_risk_stack,
-    build_matrices,
-    explicit_risk_k2,
     limit_risk_infinite_width,
     limit_risk_zero_width,
     solve_nu,
 )
+from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2
 
 
 def _random_k2_spec(rng) -> TheorySpec:
@@ -236,31 +234,50 @@ class TestRiskStructure:
 
 class TestWidthLimits:
     def test_infinite_width_golden(self):
-        """Unit moments, equal ratios, psi3 = 2 collapse to (sqrt(2)-1)/2.
+        """Unit moments, equal ratios, psi_n = 2 collapse to (sqrt(2)-1)/2.
 
         By hand: the quadratic gives chi1 = 4 sqrt(2), chi0 = sqrt(2), and
         the ratio (1 * 2) / ((sqrt(2)+1)^2 * 2 - 2) = (sqrt(2)-1)/2.
         """
         ms = (Moments(0.0, 1.0, 1.0), Moments(0.0, 1.0, 1.0))
-        ls = LimitSpec(r1=1.0, r2=1.0, psi3=2.0, moments=ms, F1=1.0, tau=0.0)
+        ls = LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, F1=1.0, tau=0.0)
         np.testing.assert_allclose(
             limit_risk_infinite_width(ls), (math.sqrt(2.0) - 1.0) / 2.0, rtol=1e-14
         )
 
     def test_ratio_scale_invariance(self):
-        """Only the direction of (r1, r2) matters in the limit."""
+        """Only the direction of r matters in the limit."""
         ms = (Moments(0.1, 0.7, 0.3), Moments(0.0, 0.4, 1.1))
         rng = np.random.default_rng(3)
         for _ in range(10):
-            r1, r2 = rng.uniform(0.2, 3.0, size=2)
+            r = rng.uniform(0.2, 3.0, size=2)
             t = float(rng.uniform(0.1, 10.0))
             a = limit_risk_infinite_width(
-                LimitSpec(r1=r1, r2=r2, psi3=2.5, moments=ms, F1=1.2, tau=0.4)
+                LimitSpec(r=r, psi_n=2.5, moments=ms, F1=1.2, tau=0.4)
             )
             b = limit_risk_infinite_width(
-                LimitSpec(r1=t * r1, r2=t * r2, psi3=2.5, moments=ms, F1=1.2, tau=0.4)
+                LimitSpec(r=t * r, psi_n=2.5, moments=ms, F1=1.2, tau=0.4)
             )
             np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_split_block_leaves_limit_unchanged(self):
+        """A block split into two identical blocks of weights w r and (1-w) r
+        is the same model, so its limit is the same."""
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            k = int(rng.integers(1, 4))
+            ms = tuple(
+                Moments(0.0, float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.1, 1.5)))
+                for _ in range(k)
+            )
+            r = tuple(float(x) for x in rng.uniform(0.2, 3.0, size=k))
+            dup, w = int(rng.integers(k)), float(rng.uniform(0.1, 0.9))
+            common = {"psi_n": float(rng.uniform(0.3, 4.0)), "F1": 1.1, "tau": 0.3}
+            merged = limit_risk_infinite_width(LimitSpec(r=r, moments=ms, **common))
+            split_r = r[:dup] + (w * r[dup], (1.0 - w) * r[dup]) + r[dup + 1:]
+            split_ms = ms[:dup] + (ms[dup], ms[dup]) + ms[dup + 1:]
+            split = limit_risk_infinite_width(LimitSpec(r=split_r, moments=split_ms, **common))
+            np.testing.assert_allclose(split, merged, rtol=1e-14)
 
     def test_finite_psi_converges_to_limit(self):
         """The K=2 risk at huge equal widths approaches the limit value.
@@ -270,7 +287,7 @@ class TestWidthLimits:
         for the asserted tolerance.
         """
         ms = (Moments(0.0, 0.8, 0.5), Moments(0.0, 0.3, 1.2))
-        ls = LimitSpec(r1=1.0, r2=1.0, psi3=2.0, moments=ms, F1=1.0, tau=0.5)
+        ls = LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, F1=1.0, tau=0.5)
         lim = limit_risk_infinite_width(ls)
         errs = []
         with warnings.catch_warnings():
@@ -278,6 +295,22 @@ class TestWidthLimits:
             for psi in (1e2, 1e4):
                 spec = TheorySpec(
                     psi=(psi, psi), psi_n=2.0, moments=ms, lam=1e-2, F1=1.0, tau=0.5
+                )
+                errs.append(abs(asymptotic_risk(spec).risk - lim) / lim)
+        assert errs[1] < errs[0] < 1e-1
+        assert errs[1] < 1e-3
+
+    def test_finite_psi_converges_to_limit_k3(self):
+        """A K=3 risk at widths t r_c approaches the limit as t grows."""
+        ms = (Moments(0.0, 0.8, 0.5), Moments(0.0, 0.3, 1.2), Moments(0.2, 1.1, 0.1))
+        r = (1.0, 0.5, 2.0)
+        lim = limit_risk_infinite_width(LimitSpec(r=r, psi_n=2.0, moments=ms, F1=1.0, tau=0.5))
+        errs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for t in (1e2, 1e4):
+                spec = TheorySpec(
+                    psi=tuple(t * x for x in r), psi_n=2.0, moments=ms, lam=1e-2, F1=1.0, tau=0.5
                 )
                 errs.append(abs(asymptotic_risk(spec).risk - lim) / lim)
         assert errs[1] < errs[0] < 1e-1
@@ -306,6 +339,8 @@ class TestErrorPaths:
         nu = NuStar(b=np.array([0.0, 1.0]), residual=0.0, iterations=0)
         with pytest.raises(DegenerateB):
             build_matrices(spec, nu)
+        with pytest.raises(DegenerateB):
+            asymptotic_risk(spec, nu=nu)
 
     def test_wrong_k(self):
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
@@ -356,15 +391,28 @@ class TestErrorPaths:
     def test_limit_needs_coupling(self):
         ms = (Moments(0.0, 1.0, 0.0), Moments(0.0, 1.0, 0.0))
         with pytest.raises(DegenerateMoments):
-            limit_risk_infinite_width(
-                LimitSpec(r1=1.0, r2=1.0, psi3=2.0, moments=ms)
-            )
+            limit_risk_infinite_width(LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms))
 
     def test_limit_spec_validation(self):
         ms = (Moments(0, 1, 1), Moments(0, 1, 1))
         with pytest.raises(ValueError):
-            LimitSpec(r1=0.0, r2=1.0, psi3=2.0, moments=ms)
+            LimitSpec(r=(0.0, 1.0), psi_n=2.0, moments=ms)
         with pytest.raises(ValueError):
-            LimitSpec(r1=1.0, r2=1.0, psi3=-1.0, moments=ms)
+            LimitSpec(r=(1.0, 1.0), psi_n=-1.0, moments=ms)
         with pytest.raises(ValueError):
-            LimitSpec(r1=1.0, r2=1.0, psi3=2.0, moments=(Moments(0, 1, 1),))
+            LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=(Moments(0, 1, 1),))
+        with pytest.raises(InvalidSpec, match="at least one"):
+            LimitSpec(r=(), psi_n=2.0, moments=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidSpec, match="r entries"):
+                LimitSpec(r=(1.0, bad), psi_n=2.0, moments=ms)
+            with pytest.raises(InvalidSpec, match="psi_n"):
+                LimitSpec(r=(1.0, 1.0), psi_n=bad, moments=ms)
+            with pytest.raises(InvalidSpec, match="F1 and tau"):
+                LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, F1=bad)
+            with pytest.raises(InvalidSpec, match="F1 and tau"):
+                LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, tau=bad)
+        with pytest.raises(InvalidSpec, match="F1 and tau"):
+            LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, F1=-1.0)
+        with pytest.raises(InvalidSpec, match="F1 and tau"):
+            LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, tau=-0.5)
