@@ -136,9 +136,18 @@ def _panel_boundaries(act: ActivationSpec) -> np.ndarray:
     return bounds
 
 
+@functools.lru_cache
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    and shared read-only."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+    ref_x.flags.writeable = ref_w.flags.writeable = False
+    return ref_x, ref_w
+
+
 def _gauss_moments(act: ActivationSpec, nodes: int) -> np.ndarray:
     """Integrals of (sigma, x sigma, sigma^2) against the N(0,1) density."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+    ref_x, ref_w = _legendre_rule(nodes)
     bounds = _panel_boundaries(act)
     lo, hi = bounds[:-1], bounds[1:]
     half = 0.5 * (hi - lo)

@@ -133,36 +133,43 @@ _MAX_LOG_STEP = 2.0
 
 
 def _stack_coeffs(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """psi_full (G, K+1), m1 and m2 (G, K) and sqrt(lam) (G, 1) of G specs."""
+    """psi_full (G, K+1), m1 and m2 (G, K) and lam (G, 1) of G specs."""
     if not specs or len({spec.K for spec in specs}) != 1:
         raise InvalidSpec("a stack needs at least one spec, all with the same K")
     psi = np.array([spec.psi_full for spec in specs])
     m1 = np.array([[m.mu1 * m.mu1 for m in spec.moments] for spec in specs])
     m2 = np.array([[m.mu2_sq for m in spec.moments] for spec in specs])
-    sqrt_lam = np.sqrt([[spec.lam] for spec in specs])
-    return psi, m1, m2, sqrt_lam
+    lam = np.array([[spec.lam] for spec in specs])
+    return psi, m1, m2, lam
 
 
-def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list]:
+def _shared_coeffs(psi, psi_n: float, moments, lam: float):
+    """The same arrays for G points that differ only in their widths ``psi`` (G, K)."""
+    g = len(psi)
+    m1 = np.tile([m.mu1 * m.mu1 for m in moments], (g, 1))
+    m2 = np.tile([m.mu2_sq for m in moments], (g, 1))
+    return np.column_stack((psi, np.full(g, psi_n))), m1, m2, np.full((g, 1), lam)
+
+
+def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     """``np.linalg.solve`` over a stack, where a singular matrix fails only its
-    own entry: returns the solutions (NaN where singular) and, per entry,
-    None or the ``LinAlgError`` it raised."""
+    own entry: returns the solutions (NaN where singular) and the
+    ``LinAlgError`` of each singular entry by index (empty when none is)."""
     try:
-        return np.linalg.solve(a, rhs), [None] * len(a)
+        return np.linalg.solve(a, rhs), {}
     except np.linalg.LinAlgError:
         x = np.full(rhs.shape, np.nan)
-        errors = []
+        errors = {}
         for i in range(len(a)):
             try:
                 x[i] = np.linalg.solve(a[i], rhs[i])
-                errors.append(None)
             except np.linalg.LinAlgError as err:
-                errors.append(err)
+                errors[i] = err
         return x, errors
 
 
 def _residuals(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    """Residuals of each row of ``b``; arguments as from ``_stack_coeffs``.
+    """Residuals of each row of ``b``; coefficients as from ``_stack_coeffs``.
 
     With w_c = b_n (m2_c + m1_c / (1 + T)), equation c reads
     b_c (sqrt(lam) + w_c) = psi_c and the last one
@@ -193,6 +200,97 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
+def _newton(psi, m1, m2, lam, cfg: SolverConfig, b0=None):
+    """Newton's method in log b on G stacked systems of one K; coefficients as
+    from ``_stack_coeffs``.
+
+    Returns b (G, K+1), the largest relative residual (G,) and the Newton
+    steps (G,) of every point, and the exception that ended each failed
+    point's solve by index (``NoConvergence``, or ``LinAlgError`` for a
+    singular Jacobian); b is NaN on the failed points.  The rules of each
+    point's iteration are those of ``solve_nu_stack``.
+    """
+    g = len(psi)
+    sqrt_lam = np.sqrt(lam)
+    b = psi / (sqrt_lam + 1.0)
+    if b0 is not None:
+        start = np.asarray(b0, dtype=float)
+        usable = np.all(np.isfinite(start) & (start > 0.0), axis=1)
+        b[usable] = start[usable]
+    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
+    rel = np.abs(rel_res).max(axis=1)
+    steps = np.zeros(g, dtype=int)
+    # psi .. steps hold the points still iterating and ids maps them to the
+    # stack; each point's results move to the outputs when it leaves.
+    ids = np.arange(g)
+    b_out, rel_out, steps_out = np.full(b.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
+    errors: dict = {}
+    while True:
+        step, singular = _solve_stack(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res[:, :, None])
+        step = step[:, :, 0]
+        step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
+        # A point already within tol takes its one polishing step: a single
+        # trial, kept unless it raises the residual.  The others are pending
+        # until a trial reduces their residual.
+        polish = rel <= cfg.tol
+        pending = ~polish
+        if singular:
+            bad = list(singular)
+            step[bad] = 0.0
+            pending[bad] = polish[bad] = False
+        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
+            trial = b * np.exp(-step)
+            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
+            trial_rel = np.abs(trial_res).max(axis=1)
+            # A polishing point past its trial has step 0, so "keeping" it is a no-op.
+            kept = np.where(polish, trial_rel <= rel, pending & (trial_rel < rel))
+            if kept.all():  # every point keeps its trial: no masked copies
+                b, rel_res, rel = trial, trial_res, trial_rel
+                pending[:] = False
+                break
+            b[kept], rel_res[kept], rel[kept] = trial[kept], trial_res[kept], trial_rel[kept]
+            pending &= ~kept
+            if not pending.any():
+                break
+            step *= np.where(pending, 0.5, 0.0)[:, None]
+        # A point still pending is stalled: no step reduces its residual.
+        steps[~pending] += 1
+        done = pending | polish | ((rel > cfg.tol) & (steps == cfg.max_iter))
+        if singular:
+            done[bad] = True
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done & ~polish):
+            i = int(ids[j])
+            if j in singular:
+                errors[i] = singular[j]
+                continue
+            why = ": no Newton step reduces it" if pending[j] else f" after {steps[j]} Newton steps"
+            errors[i] = NoConvergence(
+                f"residual {rel[j]:.3e} > tol {cfg.tol:.1e}{why} at lambda={lam[i, 0]:.3e}",
+                residual=float(rel[j]),
+                iterations=int(steps[j]),
+            )
+        finished = ids[done]
+        rel_out[finished], steps_out[finished] = rel[done], steps[done]
+        b_out[ids[polish]] = b[polish]
+        if done.all():
+            return b_out, rel_out, steps_out, errors
+        keep = ~done
+        ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps = (
+            x[keep] for x in (ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps)
+        )
+
+
+def _nu_stars(specs, b, residual, steps, errors) -> list:
+    """``_newton``'s arrays as one ``NuStar`` or exception per spec."""
+    return [
+        errors.get(i) or NuStar(b=b[i].copy(), residual=float(residual[i]),
+                                iterations=int(steps[i]), lambda_path=[spec.lam])
+        for i, spec in enumerate(specs)
+    ]
+
+
 def solve_nu_stack(specs, cfg: SolverConfig | None = None, b0=None) -> list:
     """Solve G systems of one K at once by Newton's method in log b.
 
@@ -210,65 +308,9 @@ def solve_nu_stack(specs, cfg: SolverConfig | None = None, b0=None) -> list:
     only if it does not raise the residual, so that the root does not
     depend on where the iteration started; ``iterations`` counts that step.
     """
-    cfg = cfg or SolverConfig()
     specs = list(specs)
-    psi, m1, m2, sqrt_lam = _stack_coeffs(specs)
-    b = psi / (sqrt_lam + 1.0)
-    if b0 is not None:
-        start = np.asarray(b0, dtype=float)
-        usable = np.all(np.isfinite(start) & (start > 0.0), axis=1)
-        b[usable] = start[usable]
-    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
-    rel = np.abs(rel_res).max(axis=1)
-    steps = np.zeros(len(specs), dtype=int)
-    # The arrays above hold the points still iterating; ids maps them to specs.
-    ids = np.arange(len(specs))
-    outcome: list = [None] * len(specs)
-    while ids.size:
-        step, errors = _solve_stack(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res[:, :, None])
-        step = step[:, :, 0]
-        step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
-        singular = np.array([err is not None for err in errors])
-        step[singular] = 0.0
-        # A point already within tol takes its one polishing step: a single
-        # trial, kept unless it raises the residual.
-        polish = rel <= cfg.tol
-        pending = ~singular
-        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
-            trial = b * np.exp(-step)
-            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
-            trial_rel = np.abs(trial_res).max(axis=1)
-            kept = pending & np.where(polish, trial_rel <= rel, trial_rel < rel)
-            b[kept], rel_res[kept], rel[kept] = trial[kept], trial_res[kept], trial_rel[kept]
-            pending &= ~(kept | polish)
-            if not pending.any():
-                break
-            step *= np.where(pending, 0.5, 0.0)[:, None]
-        stalled = pending
-        steps[~stalled] += 1
-        done = singular | stalled | polish | ((rel > cfg.tol) & (steps == cfg.max_iter))
-        if not done.any():
-            continue
-        for j in np.flatnonzero(done):
-            spec = specs[ids[j]]
-            if singular[j]:
-                result = errors[j]
-            elif polish[j]:
-                result = NuStar(b=b[j].copy(), residual=float(rel[j]), iterations=int(steps[j]),
-                                lambda_path=[spec.lam])
-            else:
-                why = ": no Newton step reduces it" if stalled[j] else f" after {steps[j]} Newton steps"
-                result = NoConvergence(
-                    f"residual {rel[j]:.3e} > tol {cfg.tol:.1e}{why} at lambda={spec.lam:.3e}",
-                    residual=float(rel[j]),
-                    iterations=int(steps[j]),
-                )
-            outcome[ids[j]] = result
-        keep = ~done
-        ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps = (
-            x[keep] for x in (ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps)
-        )
-    return outcome
+    coeffs = _stack_coeffs(specs)
+    return _nu_stars(specs, *_newton(*coeffs, cfg or SolverConfig(), b0))
 
 
 def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None, b0=None) -> NuStar:

@@ -27,9 +27,10 @@ from .nu_system import (
     SolverConfig,
     TheorySpec,
     _check_blocks,
+    _newton,
+    _nu_stars,
     _solve_stack,
     _stack_coeffs,
-    solve_nu_stack,
 )
 
 __all__ = [
@@ -115,11 +116,68 @@ def _matrices(psi, m1, m2, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return mN, MD, h, v
 
 
-def _risk_from_L(spec: TheorySpec, MD: float, L: np.ndarray, nu: NuStar) -> TheoryRisk:
+def _exact_conds(h: np.ndarray) -> np.ndarray:
+    """Exact cond(H), in stack order, of every H whose cond(H) may exceed
+    ``COND_WARN_THRESHOLD``.
+
+    The SVD behind ``np.linalg.cond`` runs only where the cheap bound
+    ||H||_F ||H^-1||_F, never below cond_2(H), exceeds a tenth of the
+    threshold (room for the rounding of the bound) or is not finite.
+    """
+    screen = COND_WARN_THRESHOLD / 10.0
+    try:
+        with np.errstate(all="ignore"):
+            inv = np.linalg.inv(h)
+            bound_sq = (h * h).sum(axis=(1, 2)) * (inv * inv).sum(axis=(1, 2))
+        h = h[~(bound_sq <= screen * screen)]
+    except np.linalg.LinAlgError:  # a singular H: every point gets the SVD
+        pass
+    return np.linalg.cond(h)
+
+
+def _score(psi, m1, m2, b, f1_sq, tau_sq, errors: dict):
+    """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points.
+
+    Coefficients are as from ``nu_system._stack_coeffs``, ``b`` holds the
+    scales and ``f1_sq``, ``tau_sq`` hold F1^2 and tau^2, one per point.
+    ``errors`` maps the points that already failed to their exception; it
+    gains ``DegenerateB`` for scales with a zero and ``LinAlgError`` for a
+    singular H, and every failed point reads NaN.  Warns
+    ``IllConditionedWarning`` for each scored point whose cond(H) exceeds
+    1e12, in order.
+    """
+    g = len(b)
+    scored = np.ones(g, dtype=bool)
+    scored[list(errors)] = False
+    zero = scored & (b == 0.0).any(axis=1)
+    for i in np.flatnonzero(zero):
+        errors[int(i)] = DegenerateB("all b_j must be nonzero")
+    scored &= ~zero
+    risk, bias, variance = np.full((3, g), np.nan)
+    L = np.full((g, 4, 4), np.nan)
+    rows = np.flatnonzero(scored)
+    if rows.size == 0:
+        return risk, bias, variance, L
+    if rows.size < g:
+        psi, m1, m2, b, f1_sq, tau_sq = (x[rows] for x in (psi, m1, m2, b, f1_sq, tau_sq))
+    _, MD, h, v = _matrices(psi, m1, m2, b)
+    for cond in _exact_conds(h):
+        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
+            warnings.warn(
+                f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
+                "risk may be inaccurate",
+                IllConditionedWarning,
+                stacklevel=3,  # the caller of asymptotic_risk_stack or run_sweep
+            )
+    x, singular = _solve_stack(h, v)
+    for j, err in singular.items():
+        errors[int(rows[j])] = err
+    lr = np.swapaxes(v, 1, 2) @ x
     inv_md2 = 1.0 / (MD * MD)
-    bias = spec.F1 ** 2 * (inv_md2 + L[2, 3] + L[0, 3])
-    variance = spec.tau ** 2 * (L[1, 2] + L[0, 1])
-    return TheoryRisk(risk=bias + variance, bias=bias, variance=variance, L=L, nu=nu)
+    bias_r = f1_sq * (inv_md2 + lr[:, 2, 3] + lr[:, 0, 3])
+    variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
+    risk[rows], bias[rows], variance[rows], L[rows] = bias_r + variance_r, bias_r, variance_r, lr
+    return risk, bias, variance, L
 
 
 def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None, nus=None) -> list:
@@ -134,29 +192,23 @@ def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None, nus=None) -> l
     exceeds 1e12.
     """
     specs = list(specs)
-    outcome = solve_nu_stack(specs, cfg) if nus is None else list(nus)
-    for i, nu in enumerate(outcome):
-        if isinstance(nu, NuStar) and np.any(np.asarray(nu.b) == 0.0):
-            outcome[i] = DegenerateB("all b_j must be nonzero")
-    ok = [i for i, nu in enumerate(outcome) if isinstance(nu, NuStar)]
-    if not ok:
-        return outcome
-    psi, m1, m2, _ = _stack_coeffs([specs[i] for i in ok])
-    b = np.array([outcome[i].b for i in ok], dtype=np.float64)
-    _, MD, h, v = _matrices(psi, m1, m2, b)
-    for cond in np.linalg.cond(h):
-        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
-            warnings.warn(
-                f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
-                "risk may be inaccurate",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
-    x, errors = _solve_stack(h, v)
-    L = np.swapaxes(v, 1, 2) @ x
-    for j, i in enumerate(ok):
-        outcome[i] = errors[j] or _risk_from_L(specs[i], MD[j], L[j], outcome[i])
-    return outcome
+    psi, m1, m2, lam = _stack_coeffs(specs)
+    if nus is None:
+        b, residual, steps, errors = _newton(psi, m1, m2, lam, cfg or SolverConfig())
+        nus = _nu_stars(specs, b, residual, steps, errors)
+    else:
+        nus = list(nus)
+        errors = {i: nu for i, nu in enumerate(nus) if not isinstance(nu, NuStar)}
+        b = np.array([np.full(psi.shape[1], np.nan) if i in errors else nu.b
+                      for i, nu in enumerate(nus)], dtype=np.float64)
+    f1_sq = np.array([spec.F1 ** 2 for spec in specs])
+    tau_sq = np.array([spec.tau ** 2 for spec in specs])
+    risk, bias, variance, L = _score(psi, m1, m2, b, f1_sq, tau_sq, errors)
+    return [
+        errors[i] if i in errors else
+        TheoryRisk(risk=risk[i], bias=bias[i], variance=variance[i], L=L[i], nu=nu)
+        for i, nu in enumerate(nus)
+    ]
 
 
 def asymptotic_risk(
@@ -178,8 +230,13 @@ def limit_risk_infinite_width(ls: LimitSpec) -> float:
     The blocks enter only through lin = sum_c r_c mu_{c,1}^2 and
     nonlin = sum_c r_c mu_{c,2}^2.
     """
-    lin = sum(r * m.mu1 * m.mu1 for r, m in zip(ls.r, ls.moments))
-    nonlin = sum(r * m.mu2_sq for r, m in zip(ls.r, ls.moments))
+    # Only the direction of r matters.  Scaling it by a power of two that
+    # brings its largest entry into [0.5, 1) is exact, and keeps lin, nonlin
+    # and their product from overflowing or underflowing.
+    _, e = math.frexp(max(ls.r))
+    r = [math.ldexp(x, -e) for x in ls.r]
+    lin = sum(x * m.mu1 * m.mu1 for x, m in zip(r, ls.moments))
+    nonlin = sum(x * m.mu2_sq for x, m in zip(r, ls.moments))
     coupling = lin * nonlin
     if coupling <= 0.0:
         raise DegenerateMoments(

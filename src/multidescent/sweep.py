@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .activations import ActivationSpec
 from .formatting import format_number, to_json
-from .nu_system import InvalidSpec, SolverConfig, TheorySpec
-from .risk import asymptotic_risk_stack
+from .nu_system import InvalidSpec, SolverConfig, TheorySpec, _newton, _shared_coeffs
+from .risk import _score
 from .simulator import EmpiricalConfig, run_experiments
 
 __all__ = [
@@ -132,20 +134,25 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _grid_psi(spec: SweepSpec) -> np.ndarray:
+    """Widths psi_c = ratio_c*c*psi_n/sum(ratios) of every grid value, shape (G, K)."""
+    if len(spec.c_grid) == 0:
+        raise EmptyGrid("c grid is empty")
+    return np.multiply.outer(spec.c_grid, spec.ratios) * spec.base.psi_n / sum(spec.ratios)
+
+
+def _empirical_at(spec: SweepSpec, c: float) -> EmpiricalConfig:
+    """The finite-size run at ``c``: N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
+    tpl, total = spec.empirical, sum(spec.ratios)
+    return tpl.at(spec.base, tuple(max(1, int(round(r * c * tpl.n / total))) for r in spec.ratios))
+
+
 def expand_grid(spec: SweepSpec) -> list[GridPoint]:
     """One instance per grid value; widths split as psi_c = ratio_c*c*psi_n/sum(ratios),
     feature counts as N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
-    if len(spec.c_grid) == 0:
-        raise EmptyGrid("c grid is empty")
-    total = sum(spec.ratios)
-    tpl = spec.empirical
     points = []
-    for c in spec.c_grid:
-        psi = tuple(r * c * spec.base.psi_n / total for r in spec.ratios)
-        emp = None
-        if tpl is not None:
-            counts = tuple(max(1, int(round(r * c * tpl.n / total))) for r in spec.ratios)
-            emp = tpl.at(spec.base, counts)
+    for c, psi in zip(spec.c_grid, _grid_psi(spec).tolist()):
+        emp = None if spec.empirical is None else _empirical_at(spec, c)
         points.append(GridPoint(c=c, theory=replace(spec.base, psi=psi), empirical=emp))
     return points
 
@@ -173,28 +180,34 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the full grid; theory always, finite-size runs when configured.
 
-    The theory pass solves and scores the whole grid as one stack, every
-    point from a cold start, so a row depends on its own c alone.
+    The theory pass solves and scores the whole grid as one stack of
+    arrays, with no per-point spec or result objects, every point from a
+    cold start, so a row depends on its own c alone.
     A failing point records its error in the row and leaves NaNs instead
     of aborting the sweep.
     ``workers`` threads run every replication of every point, in one
     ``run_experiments`` call; output does not depend on the worker count.
     """
-    points = expand_grid(spec)
-    rows: list[SweepRow] = []
-    for point, outcome in zip(points, asymptotic_risk_stack([p.theory for p in points], solver)):
-        theory = point.theory
-        row = SweepRow(c=point.c, psi=theory.psi, psi_n=theory.psi_n, lam=theory.lam,
-                       theory_risk=math.nan, theory_bias=math.nan, theory_variance=math.nan)
-        if isinstance(outcome, Exception):
-            row.error = f"{type(outcome).__name__}: {outcome}"
-        else:
-            row.theory_risk, row.theory_bias, row.theory_variance = (
-                outcome.risk, outcome.bias, outcome.variance)
-            row.solver_iterations = outcome.nu.iterations
-        rows.append(row)
-    if spec.empirical is not None:
-        cfgs = [p.empirical for p in points]
+    base = spec.base
+    psi = _grid_psi(spec)
+    cfgs = None if spec.empirical is None else [_empirical_at(spec, c) for c in spec.c_grid]
+    if not (np.isfinite(psi).all() and (psi > 0.0).all()):
+        raise InvalidSpec("all psi entries must be > 0")
+    coeffs = _shared_coeffs(psi, base.psi_n, base.moments, base.lam)
+    b, _, steps, errors = _newton(*coeffs, solver or SolverConfig())
+    g = len(psi)
+    risk, bias, variance, _ = _score(*coeffs[:3], b, np.full(g, base.F1 ** 2),
+                                     np.full(g, base.tau ** 2), errors)
+    rows = [
+        SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,
+                 theory_bias=bi, theory_variance=v, solver_iterations=n)
+        for c, p, r, bi, v, n in zip(spec.c_grid, psi.tolist(), risk.tolist(), bias.tolist(),
+                                     variance.tolist(), steps.tolist())
+    ]
+    for i, err in errors.items():
+        rows[i].solver_iterations = None
+        rows[i].error = f"{type(err).__name__}: {err}"
+    if cfgs is not None:
         for row, cfg, outcome in zip(rows, cfgs, run_experiments(cfgs, workers)):
             if isinstance(outcome, Exception):
                 note = f"{type(outcome).__name__}: {outcome}"

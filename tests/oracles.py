@@ -9,6 +9,8 @@ with bounds checks the package has no use for:
   oracle for the real-variable Newton solve;
 * ``residual_vector`` - the solver's own real residuals at a candidate b;
 * ``build_matrices`` - the solver's H and V at one point, for inspection;
+* ``exact_cond_warnings`` - the ``IllConditionedWarning`` messages of a stack
+  by the exact SVD of every point's H, an oracle for the screened check;
 * ``scaled_moments`` - the moment triple of a rescaled activation.
 
 ``tests/`` has no ``__init__.py``, so test modules import these as
@@ -20,9 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from multidescent import DegenerateB, Moments, NuStar, TheoryRisk, TheorySpec
+from multidescent import (
+    DegenerateB,
+    Moments,
+    NoConvergence,
+    NuStar,
+    TheoryRisk,
+    TheorySpec,
+    solve_nu,
+)
 from multidescent.nu_system import _residuals, _stack_coeffs
-from multidescent.risk import _matrices
+from multidescent.risk import COND_WARN_THRESHOLD, _matrices
 
 
 class WrongK(ValueError):
@@ -69,7 +79,8 @@ def residual_vector(spec: TheorySpec, b) -> np.ndarray:
         raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
     if not np.all(b > 0.0):
         raise NonPositiveInput("all entries of b must be > 0")
-    return _residuals(*_stack_coeffs([spec]), b[None])[0]
+    psi, m1, m2, lam = _stack_coeffs([spec])
+    return _residuals(psi, m1, m2, np.sqrt(lam), b[None])[0]
 
 
 def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
@@ -104,6 +115,23 @@ def build_matrices(spec: TheorySpec, nu: NuStar) -> TheoryMatrices:
     psi, m1, m2, _ = _stack_coeffs([spec])
     mN, MD, h, v = _matrices(psi, m1, m2, b[None])
     return TheoryMatrices(mN=float(mN[0]), MD=float(MD[0]), H=h[0], V=v[0])
+
+
+def exact_cond_warnings(specs) -> list[str]:
+    """The ``IllConditionedWarning`` messages the risk of ``specs`` must emit,
+    in order: ``np.linalg.cond`` of the H of every point that converges,
+    with no screening."""
+    messages = []
+    for spec in specs:
+        try:
+            nu = solve_nu(spec)
+        except NoConvergence:
+            continue
+        cond = np.linalg.cond(build_matrices(spec, nu).H)
+        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
+            messages.append(f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
+                            "risk may be inaccurate")
+    return messages
 
 
 def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:

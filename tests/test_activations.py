@@ -20,6 +20,7 @@ from multidescent import (
     compute_moments,
     eval_activation,
 )
+from multidescent.activations import _legendre_rule
 from oracles import scaled_moments
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -247,6 +248,19 @@ class TestRefinementStability:
             rtol=1e-10,
             atol=1e-12,
         )
+
+
+class TestLegendreRule:
+    def test_rule_is_computed_once_and_read_only(self):
+        """Every activation shares one cached rule per node count; it equals
+        numpy's and cannot be modified through the cache."""
+        x, w = _legendre_rule(64)
+        assert _legendre_rule(64)[0] is x and _legendre_rule(64)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 class TestEvaluation:

@@ -260,6 +260,22 @@ class TestWidthLimits:
             )
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
+    def test_power_of_two_weights_give_identical_limit(self):
+        """r, r*2^1000 and r*2^-1000 give the same limit bit for bit, so
+        extreme weights neither overflow to NaN nor underflow to a false
+        DegenerateMoments."""
+        ms = (Moments(0.1, 0.7, 0.3), Moments(0.0, 0.4, 1.1))
+        risks = [
+            limit_risk_infinite_width(LimitSpec(
+                r=(math.ldexp(1.0, e), math.ldexp(3.0, e)), psi_n=2.5, moments=ms, F1=1.2, tau=0.4))
+            for e in (0, 1000, -1000)
+        ]
+        assert math.isfinite(risks[0])
+        assert risks[1] == risks[0] and risks[2] == risks[0]
+        huge = limit_risk_infinite_width(LimitSpec(r=(1e308, 1e308), psi_n=2.5, moments=ms))
+        unit = limit_risk_infinite_width(LimitSpec(r=(1.0, 1.0), psi_n=2.5, moments=ms))
+        np.testing.assert_allclose(huge, unit, rtol=1e-14)
+
     def test_split_block_leaves_limit_unchanged(self):
         """A block split into two identical blocks of weights w r and (1-w) r
         is the same model, so its limit is the same."""

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,12 +23,14 @@ from multidescent import (
     EmpiricalTemplate,
     EmptyGrid,
     ActivationSpec,
+    IllConditionedWarning,
     InvalidSpec,
     Moments,
     SolverConfig,
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
+    asymptotic_risk_stack,
     build_sweep_spec,
     csv_header,
     csv_text,
@@ -39,6 +42,7 @@ from multidescent import (
     write_csv,
 )
 from multidescent.cli import ExitStatus, dispatch
+from oracles import exact_cond_warnings
 
 MOMENTS_K2 = (Moments(0.3, 0.9, 0.5), Moments(0.1, 0.4, 1.1))
 # The paper's figure model (criteria 07 and 08) and its three-scale cascade
@@ -248,6 +252,63 @@ class TestTheoryPass:
         rows = run_sweep(build_sweep_spec(parse_config(json.dumps(cfg)))).rows
         assert all(row.error is None for row in rows)
         assert max(row.solver_iterations for row in rows) <= 11
+
+    @pytest.mark.filterwarnings("ignore::multidescent.IllConditionedWarning")
+    @pytest.mark.parametrize(
+        "acts,ratios,stop,lam,max_iter",
+        [
+            (FIGURE_ACTS, [1, 1], 3.2, 1e-5, 100),
+            (FIGURE_ACTS, [1, 2], 3.6, 1e-5, 100),
+            (FIGURE_ACTS, [2, 1], 3.2, 1e-5, 100),
+            (CASCADE_ACTS, [1, 1, 3], 6.0, 1e-4, 100),
+            (FIGURE_ACTS, [1, 1], 3.2, 1e-5, 7),
+        ],
+        ids=["criterion-07", "criterion-08-1to2", "criterion-08-2to1", "criterion-09",
+             "criterion-07-max-iter-7"],
+    )
+    def test_rows_equal_public_stack_api(self, acts, ratios, stop, lam, max_iter):
+        """The sweep's array pass gives, bit for bit, what the public stack API
+        gives on the expanded grid, failed points and their errors included."""
+        cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
+        spec = build_sweep_spec(parse_config(json.dumps(cfg)))
+        solver = SolverConfig(max_iter=max_iter)
+        rows = run_sweep(spec, solver).rows
+        points = expand_grid(spec)
+        outcomes = asymptotic_risk_stack([p.theory for p in points], solver)
+        assert len(rows) == len(points) == len(outcomes)
+        for row, point, out in zip(rows, points, outcomes):
+            assert (row.c, row.psi) == (point.c, point.theory.psi)
+            if isinstance(out, Exception):
+                assert row.error == f"{type(out).__name__}: {out}"
+                assert row.solver_iterations is None
+                assert all(map(math.isnan, (row.theory_risk, row.theory_bias, row.theory_variance)))
+            else:
+                assert row.error is None
+                assert (row.theory_risk, row.theory_bias, row.theory_variance, row.solver_iterations) == (
+                    out.risk, out.bias, out.variance, out.nu.iterations)
+        failed = sum(row.error is not None for row in rows)
+        assert (failed > 0) == (max_iter == 7)
+
+    @pytest.mark.parametrize(
+        "acts,ratios,stop,lam",
+        [(FIGURE_ACTS, [1, 1], 3.2, 1e-8), (CASCADE_ACTS, [1, 1, 3], 6.0, 1e-4)],
+        ids=["criterion-07-lambda-1e-8", "criterion-09"],
+    )
+    def test_conditioning_screen_keeps_every_warning(self, acts, ratios, stop, lam):
+        """Screening by ||H||_F ||H^-1||_F before the SVD emits the same
+        IllConditionedWarning messages, in the same order, as the exact
+        cond(H) of every point, and no other warning."""
+        cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
+        spec = build_sweep_spec(parse_config(json.dumps(cfg)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(spec)
+        assert all(w.category is IllConditionedWarning for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            expected = exact_cond_warnings([p.theory for p in expand_grid(spec)])
+        assert expected
+        assert [str(w.message) for w in caught] == expected
 
     def test_metadata(self):
         spec = SweepSpec(base=_base(), ratios=(1.0, 2.0), c_grid=(0.5, 1.0))
