@@ -31,7 +31,7 @@ from .config import (
     parse_config,
 )
 from .formatting import to_json
-from .nu_system import InvalidSpec, NoConvergence, solve_nu
+from .nu_system import InvalidSpec, NoConvergence
 from .risk import DegenerateB, DegenerateMoments, asymptotic_risk, limit_risk_infinite_width
 from .simulator import ShapeMismatch, SolveFailure, run_experiment
 from .sweep import EmptyGrid, csv_text, render_svg, run_sweep, write_csv
@@ -69,9 +69,8 @@ def _cmd_moments(cfg: RootConfig, err_stream) -> str:
 
 
 def _cmd_theory(cfg: RootConfig, err_stream) -> str:
-    spec = build_theory_spec(cfg)
-    nu = solve_nu(spec, cfg.solver)
-    result = asymptotic_risk(spec, cfg.solver, nu=nu)
+    result = asymptotic_risk(build_theory_spec(cfg), cfg.solver)
+    nu = result.nu
     print(f"solver: {nu.iterations} iterations, residual {nu.residual:.3e}", file=err_stream)
     return to_json(
         {

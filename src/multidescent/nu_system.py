@@ -19,7 +19,8 @@ each point keeps its own steps, line search and failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "InvalidSpec",
     "NoConvergence",
     "solve_nu",
-    "solve_nu_stack",
 ]
 
 
@@ -107,10 +107,10 @@ class SolverConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be finite and > 0")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -118,14 +118,12 @@ class NuStar:
     """Converged positive imaginary parts b_1..b_{K+1} plus solve diagnostics.
 
     ``iterations`` counts Newton steps, the polishing step after reaching
-    the tolerance included; ``lambda_path`` is ``[lam]``, the one
-    regularization every solve runs at.
+    the tolerance included.
     """
 
     b: np.ndarray
     residual: float
     iterations: int
-    lambda_path: list[float] = field(default_factory=list)
 
 
 # Largest change of any log b_j in one Newton step.
@@ -200,7 +198,7 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
-def _newton(psi, m1, m2, lam, cfg: SolverConfig, b0=None):
+def _newton(psi, m1, m2, lam, cfg: SolverConfig):
     """Newton's method in log b on G stacked systems of one K; coefficients as
     from ``_stack_coeffs``.
 
@@ -208,15 +206,11 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig, b0=None):
     steps (G,) of every point, and the exception that ended each failed
     point's solve by index (``NoConvergence``, or ``LinAlgError`` for a
     singular Jacobian); b is NaN on the failed points.  The rules of each
-    point's iteration are those of ``solve_nu_stack``.
+    point's iteration are those of ``solve_nu``.
     """
     g = len(psi)
     sqrt_lam = np.sqrt(lam)
     b = psi / (sqrt_lam + 1.0)
-    if b0 is not None:
-        start = np.asarray(b0, dtype=float)
-        usable = np.all(np.isfinite(start) & (start > 0.0), axis=1)
-        b[usable] = start[usable]
     rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
     rel = np.abs(rel_res).max(axis=1)
     steps = np.zeros(g, dtype=int)
@@ -282,48 +276,31 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig, b0=None):
         )
 
 
-def _nu_stars(specs, b, residual, steps, errors) -> list:
-    """``_newton``'s arrays as one ``NuStar`` or exception per spec."""
+def _nu_stars(b, residual, steps, errors) -> list:
+    """``_newton``'s arrays as one ``NuStar`` or exception per point."""
     return [
         errors.get(i) or NuStar(b=b[i].copy(), residual=float(residual[i]),
-                                iterations=int(steps[i]), lambda_path=[spec.lam])
-        for i, spec in enumerate(specs)
+                                iterations=int(steps[i]))
+        for i in range(len(b))
     ]
 
 
-def solve_nu_stack(specs, cfg: SolverConfig | None = None, b0=None) -> list:
-    """Solve G systems of one K at once by Newton's method in log b.
+def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None) -> NuStar:
+    """Solve the positive-variable system at spec.lam by Newton's method in log b.
 
-    Returns one entry per spec, in order: its ``NuStar``, or the exception
-    that ended its solve (``NoConvergence``, or ``LinAlgError`` for a
-    singular Jacobian), so that one failing point leaves the others be.
-
-    Row g of ``b0`` (shape (G, K+1)) starts point g when it is finite and
-    positive; every other point starts from b_j = psi_j / (sqrt(lam) + 1).
-    Each point takes its own steps, capped at 2 in every log b_j and halved
-    until its largest relative residual decreases; when even a step too
-    small to move b cannot reduce it, that point fails at once instead of
-    stalling.  ``cfg.max_iter`` caps the steps of each point to reach
-    ``cfg.tol``.  A point that reaches it takes one more Newton step, kept
-    only if it does not raise the residual, so that the root does not
-    depend on where the iteration started; ``iterations`` counts that step.
+    The iteration starts from b_j = psi_j / (sqrt(lam) + 1).  Each step is
+    capped at 2 in every log b_j and halved until the largest relative
+    residual decreases; when even a step too small to move b cannot reduce
+    it, the solve fails at once instead of stalling.  ``cfg.max_iter`` caps
+    the steps to reach ``cfg.tol``.  A solve that reaches it takes one more
+    Newton step, kept only if it does not raise the residual, so that the
+    root carries the digits of a full step rather than stopping at the first
+    iterate under the tolerance; ``iterations`` counts that step.  Raises
+    ``NoConvergence``, or ``LinAlgError`` for a singular Jacobian.  A sweep
+    runs the same iteration on its whole grid at once, each point with its
+    own steps, line search and failure.
     """
-    specs = list(specs)
-    coeffs = _stack_coeffs(specs)
-    return _nu_stars(specs, *_newton(*coeffs, cfg or SolverConfig(), b0))
-
-
-def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None, b0=None) -> NuStar:
-    """Solve the positive-variable system at spec.lam: ``solve_nu_stack`` for
-    one spec, raising its failure.
-
-    The iteration starts from ``b0`` when it holds K+1 finite positive
-    entries, and from b_j = psi_j / (sqrt(lam) + 1) otherwise.
-    """
-    if b0 is not None:
-        start = np.array(b0, dtype=float).ravel()
-        b0 = start[None] if start.size == spec.K + 1 else None
-    (result,) = solve_nu_stack([spec], cfg, b0)
+    (result,) = _nu_stars(*_newton(*_stack_coeffs([spec]), cfg or SolverConfig()))
     if isinstance(result, Exception):
         raise result
     return result

@@ -180,45 +180,33 @@ def _score(psi, m1, m2, b, f1_sq, tau_sq, errors: dict):
     return risk, bias, variance, L
 
 
-def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None, nus=None) -> list:
+def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
     """Asymptotic excess risk of G specs of one K via the matrix route.
 
-    Solves the stacked scale system (unless the entries of ``nus`` are
-    supplied), builds every H and V, and evaluates each L = V^T H^{-1} V
-    with one batched linear solve.  Returns one entry per spec, in order:
-    its ``TheoryRisk``, or the exception that failed that point alone
-    (``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a singular
-    H).  Emits ``IllConditionedWarning`` for each point whose cond(H)
-    exceeds 1e12.
+    Solves the stacked scale system, builds every H and V, and evaluates
+    each L = V^T H^{-1} V with one batched linear solve.  Returns one entry
+    per spec, in order: its ``TheoryRisk``, or the exception that failed
+    that point alone (``NoConvergence``, ``DegenerateB``, or
+    ``LinAlgError`` for a singular Jacobian or H).  Emits
+    ``IllConditionedWarning`` for each point whose cond(H) exceeds 1e12.
     """
     specs = list(specs)
     psi, m1, m2, lam = _stack_coeffs(specs)
-    if nus is None:
-        b, residual, steps, errors = _newton(psi, m1, m2, lam, cfg or SolverConfig())
-        nus = _nu_stars(specs, b, residual, steps, errors)
-    else:
-        nus = list(nus)
-        errors = {i: nu for i, nu in enumerate(nus) if not isinstance(nu, NuStar)}
-        b = np.array([np.full(psi.shape[1], np.nan) if i in errors else nu.b
-                      for i, nu in enumerate(nus)], dtype=np.float64)
+    b, residual, steps, errors = _newton(psi, m1, m2, lam, cfg or SolverConfig())
     f1_sq = np.array([spec.F1 ** 2 for spec in specs])
     tau_sq = np.array([spec.tau ** 2 for spec in specs])
     risk, bias, variance, L = _score(psi, m1, m2, b, f1_sq, tau_sq, errors)
     return [
         errors[i] if i in errors else
         TheoryRisk(risk=risk[i], bias=bias[i], variance=variance[i], L=L[i], nu=nu)
-        for i, nu in enumerate(nus)
+        for i, nu in enumerate(_nu_stars(b, residual, steps, errors))
     ]
 
 
-def asymptotic_risk(
-    spec: TheorySpec,
-    cfg: SolverConfig | None = None,
-    nu: NuStar | None = None,
-) -> TheoryRisk:
+def asymptotic_risk(spec: TheorySpec, cfg: SolverConfig | None = None) -> TheoryRisk:
     """Asymptotic excess risk of ``spec``: ``asymptotic_risk_stack`` for one
-    spec, raising its failure.  A converged ``nu`` skips the solve."""
-    (result,) = asymptotic_risk_stack([spec], cfg, None if nu is None else [nu])
+    spec, raising its failure.  ``nu`` of the result holds the solved scales."""
+    (result,) = asymptotic_risk_stack([spec], cfg)
     if isinstance(result, Exception):
         raise result
     return result

@@ -142,9 +142,8 @@ def test_criterion_03_k2_oracle_equivalence(acceptance_report):
             F1=1.0,
             tau=0.3,
         )
-        nu = solve_nu(spec)
-        matrix = asymptotic_risk(spec, nu=nu)
-        closed = explicit_risk_k2(spec, nu)
+        matrix = asymptotic_risk(spec)
+        closed = explicit_risk_k2(spec, matrix.nu)
         worst = max(worst, abs(matrix.risk - closed.risk) / abs(closed.risk))
     _verdict(
         acceptance_report, 3, "matrix vs closed-form risk, 120 random K=2 specs",

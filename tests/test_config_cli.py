@@ -26,6 +26,7 @@ from multidescent import (
     build_theory_spec,
     format_number,
     parse_config,
+    solve_nu,
     to_json,
 )
 from multidescent import config as config_module
@@ -430,8 +431,10 @@ class TestDispatch:
         assert "1.000000000000" in out  # constant features leave risk at F1^2
         payload = json.loads(out)
         assert payload["risk"] == pytest.approx(1.0, rel=1e-10)
-        assert len(payload["b"]) == 3
-        assert "solver:" in err and "iterations" in err
+        # The solver line and b come from the risk's own solve, which is solve_nu's.
+        nu = solve_nu(build_theory_spec(parse_config(_inline(cfg))))
+        assert err.splitlines()[0] == f"solver: {nu.iterations} iterations, residual {nu.residual:.3e}"
+        assert payload["b"] == json.loads(to_json([float(x) for x in nu.b]))
 
     def test_theory_solver_failure(self):
         cfg = _minimal(**{"lambda": 1e-6})

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidescent import (
     DegenerateB,
@@ -29,6 +31,8 @@ from multidescent import (
     limit_risk_zero_width,
     solve_nu,
 )
+from multidescent.nu_system import _stack_coeffs
+from multidescent.risk import _score
 from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2
 
 
@@ -49,6 +53,67 @@ def _random_k2_spec(rng) -> TheorySpec:
         F1=float(rng.uniform(0.5, 2.0)),
         tau=float(rng.uniform(0.0, 1.0)),
     )
+
+
+@st.composite
+def _box_specs(draw) -> TheorySpec:
+    """A spec from the box of ``test_nu_system._random_spec``, with a noise
+    level tau in [0, 1]."""
+    k = draw(st.integers(1, 3))
+    moments = tuple(
+        Moments(
+            mu0=draw(st.floats(-0.5, 0.5)),
+            mu1=draw(st.just(0.0) | st.floats(0.1, 2.0)),
+            mu2_sq=draw(st.floats(0.01, 2.0)),
+        )
+        for _ in range(k)
+    )
+    return TheorySpec(
+        psi=tuple(draw(st.floats(0.2, 5.0)) for _ in range(k)),
+        psi_n=draw(st.floats(0.2, 5.0)),
+        moments=moments,
+        lam=10.0 ** draw(st.floats(-6.0, 0.5)),
+        tau=draw(st.floats(0.0, 1.0)),
+    )
+
+
+# Reproducible, with no example database, and a few hundred ms in all.
+_battery = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+def _stack_risks(specs) -> list:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        return [out.risk for out in asymptotic_risk_stack(specs)]
+
+
+class TestRiskProperties:
+    """Property battery, each example evaluated as one stack."""
+
+    @_battery
+    @given(spec=_box_specs(), data=st.data())
+    def test_block_permutation_invariance(self, spec, data):
+        perm = data.draw(st.permutations(range(spec.K)))
+        permuted = TheorySpec(
+            psi=tuple(spec.psi[i] for i in perm), psi_n=spec.psi_n,
+            moments=tuple(spec.moments[i] for i in perm), lam=spec.lam, tau=spec.tau,
+        )
+        risk, risk_p = _stack_risks([spec, permuted])
+        np.testing.assert_allclose(risk_p, risk, rtol=1e-10)
+
+    @_battery
+    @given(spec=_box_specs())
+    def test_risk_nonnegative(self, spec):
+        (risk,) = _stack_risks([spec])
+        assert risk >= 0.0
+
+    @_battery
+    @given(spec=_box_specs(), extra=st.floats(0.0, 1.0))
+    def test_risk_nondecreasing_in_tau(self, spec, extra):
+        louder = TheorySpec(psi=spec.psi, psi_n=spec.psi_n, moments=spec.moments,
+                            lam=spec.lam, tau=spec.tau + extra)
+        risk, risk_louder = _stack_risks([spec, louder])
+        assert risk_louder >= risk * (1.0 - 1e-12)
 
 
 class TestMatrixAssembly:
@@ -112,15 +177,14 @@ class TestMatrixAssembly:
         spec = TheorySpec(
             psi=(1.0, 2.0), psi_n=1.5, moments=(m, m), lam=0.1, F1=1.3, tau=0.5
         )
-        nu = solve_nu(spec)
-        np.testing.assert_allclose(nu.b, np.array(spec.psi_full) / math.sqrt(0.1))
-        mats = build_matrices(spec, nu)
+        out = asymptotic_risk(spec)
+        np.testing.assert_allclose(out.nu.b, np.array(spec.psi_full) / math.sqrt(0.1))
+        mats = build_matrices(spec, out.nu)
         assert mats.MD == -1.0
         expected_v = np.zeros((3, 4))
         expected_v[2, 1] = 1.0
         expected_v[2, 3] = 1.0
         np.testing.assert_allclose(mats.V, expected_v, rtol=0, atol=0)
-        out = asymptotic_risk(spec, nu=nu)
         np.testing.assert_allclose(out.risk, 1.3 ** 2, rtol=1e-12)
         np.testing.assert_allclose(out.variance, 0.0, atol=1e-15)
 
@@ -131,9 +195,8 @@ class TestClosedFormAgreement:
         rng = np.random.default_rng(77)
         for _ in range(40):
             spec = _random_k2_spec(rng)
-            nu = solve_nu(spec)
-            via_matrix = asymptotic_risk(spec, nu=nu)
-            via_forms = explicit_risk_k2(spec, nu)
+            via_matrix = asymptotic_risk(spec)
+            via_forms = explicit_risk_k2(spec, via_matrix.nu)
             np.testing.assert_allclose(via_forms.risk, via_matrix.risk, rtol=1e-9)
             np.testing.assert_allclose(via_forms.bias, via_matrix.bias, rtol=1e-9)
             np.testing.assert_allclose(
@@ -225,11 +288,11 @@ class TestRiskStructure:
             assert out.risk > 0.0
 
     def test_supplied_nu_matches_internal_solve(self):
+        """The scales a risk carries are solve_nu's, bit for bit."""
         spec = _random_k2_spec(np.random.default_rng(55))
-        nu = solve_nu(spec)
-        np.testing.assert_allclose(
-            asymptotic_risk(spec, nu=nu).risk, asymptotic_risk(spec).risk, rtol=1e-12
-        )
+        nu, carried = solve_nu(spec), asymptotic_risk(spec).nu
+        assert np.array_equal(carried.b, nu.b)
+        assert (carried.residual, carried.iterations) == (nu.residual, nu.iterations)
 
 
 class TestWidthLimits:
@@ -351,12 +414,16 @@ class TestWidthLimits:
 
 class TestErrorPaths:
     def test_degenerate_b(self):
+        """A zero scale fails its point with ``DegenerateB`` in the oracle and
+        in the risk core; no solve returns one, so the core is driven directly."""
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
-        nu = NuStar(b=np.array([0.0, 1.0]), residual=0.0, iterations=0)
+        b = np.array([[0.0, 1.0]])
         with pytest.raises(DegenerateB):
-            build_matrices(spec, nu)
-        with pytest.raises(DegenerateB):
-            asymptotic_risk(spec, nu=nu)
+            build_matrices(spec, NuStar(b=b[0], residual=0.0, iterations=0))
+        errors = {}
+        risk, _, _, L = _score(*_stack_coeffs([spec])[:3], b, np.ones(1), np.zeros(1), errors)
+        assert list(errors) == [0] and isinstance(errors[0], DegenerateB)
+        assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
     def test_wrong_k(self):
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
@@ -388,21 +455,26 @@ class TestErrorPaths:
             lam=1e-3, tau=0.2,
         )
         # Zero moments make H diagonal, and at b_c = 1e154 its entries
-        # psi_c / b_c^2 underflow to zero.
+        # psi_c / b_c^2 underflow to zero.  No solve returns such scales,
+        # so the risk core is driven directly with the solved good ones.
         flat = TheorySpec(psi=(1e-20, 1e-20), psi_n=1.5, moments=(Moments(0, 0, 0),) * 2, lam=1e-3)
-        degenerate = NuStar(b=np.array([1e154, 1e154, 1.0]), residual=0.0, iterations=0)
-        nu = solve_nu(good)
+        degenerate = np.array([1e154, 1e154, 1.0])
+        direct = asymptotic_risk(good)
+        specs = [good, flat, good]
+        errors = {}
         with pytest.warns(IllConditionedWarning, match="cond\\(H\\) = inf"):
-            out = asymptotic_risk_stack([good, flat, good], nus=[nu, degenerate, nu])
-        assert isinstance(out[1], np.linalg.LinAlgError)
-        direct = asymptotic_risk(good, nu=nu)
-        for result in (out[0], out[2]):
-            assert (result.risk, result.bias, result.variance) == (
-                direct.risk, direct.bias, direct.variance)
+            risk, bias, variance, _ = _score(
+                *_stack_coeffs(specs)[:3], np.array([direct.nu.b, degenerate, direct.nu.b]),
+                np.array([s.F1 ** 2 for s in specs]), np.array([s.tau ** 2 for s in specs]), errors,
+            )
+        assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
+        for i in (0, 2):
+            assert (risk[i], bias[i], variance[i]) == (direct.risk, direct.bias, direct.variance)
+        errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            with pytest.raises(np.linalg.LinAlgError):
-                asymptotic_risk(flat, nu=degenerate)
+            _score(*_stack_coeffs([flat])[:3], degenerate[None], np.ones(1), np.zeros(1), errors)
+        assert isinstance(errors[0], np.linalg.LinAlgError)
 
     def test_limit_needs_coupling(self):
         ms = (Moments(0.0, 1.0, 0.0), Moments(0.0, 1.0, 0.0))
