@@ -8,11 +8,8 @@ finite-width risk along a geometric ladder of widths and shows it sliding
 from one limit to the other.
 """
 
-import warnings
-
 from multidescent import (
     ActivationSpec,
-    IllConditionedWarning,
     LimitSpec,
     TheorySpec,
     asymptotic_risk,
@@ -40,17 +37,14 @@ def main() -> None:
     print(f"infinite-width limit  : {format_number(hi)}")
     print()
     print(f"{'psi_1 = psi_2':>14} {'risk':>18} {'gap to nearer limit':>22}")
-    with warnings.catch_warnings():
-        # Extreme widths make the framework matrix stiff on purpose here.
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        for exponent in range(-6, 7, 2):
-            psi = 10.0 ** exponent
-            spec = TheorySpec(
-                psi=(psi, psi), psi_n=psi_n, moments=moments, lam=lam, F1=F1
-            )
-            risk = asymptotic_risk(spec).risk
-            gap = min(abs(risk - lo), abs(risk - hi))
-            print(f"{psi:>14.0e} {format_number(risk):>18} {gap:>22.3e}")
+    for exponent in range(-6, 7, 2):
+        psi = 10.0 ** exponent
+        spec = TheorySpec(
+            psi=(psi, psi), psi_n=psi_n, moments=moments, lam=lam, F1=F1
+        )
+        risk = asymptotic_risk(spec).risk
+        gap = min(abs(risk - lo), abs(risk - hi))
+        print(f"{psi:>14.0e} {format_number(risk):>18} {gap:>22.3e}")
     print()
     print("the exact risk interpolates between the two closed-form limits;")
     print("the approach is O(1/psi) on the wide side and O(psi) on the narrow side.")

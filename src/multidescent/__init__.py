@@ -12,9 +12,8 @@ tests, in ``tests/oracles.py``.
 
 __version__ = "0.1.0"
 
-from . import activations, config, formatting, nu_system, risk, simulator, sweep
+from . import activations, config, formatting, risk, simulator, sweep
 from .activations import *
-from .nu_system import *
 from .risk import *
 from .simulator import *
 from .sweep import *
@@ -23,7 +22,6 @@ from .formatting import *
 
 __all__ = ["__version__"]
 __all__ += activations.__all__
-__all__ += nu_system.__all__
 __all__ += risk.__all__
 __all__ += simulator.__all__
 __all__ += sweep.__all__

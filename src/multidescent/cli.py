@@ -31,8 +31,14 @@ from .config import (
     parse_config,
 )
 from .formatting import to_json
-from .nu_system import InvalidSpec, NoConvergence
-from .risk import DegenerateB, DegenerateMoments, asymptotic_risk, limit_risk_infinite_width
+from .risk import (
+    DegenerateB,
+    DegenerateMoments,
+    InvalidSpec,
+    NoConvergence,
+    asymptotic_risk,
+    limit_risk_infinite_width,
+)
 from .simulator import ShapeMismatch, SolveFailure, run_experiment
 from .sweep import EmptyGrid, csv_text, render_svg, run_sweep, write_csv
 

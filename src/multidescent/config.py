@@ -17,8 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments, represents_intercept
-from .nu_system import SolverConfig, TheorySpec
-from .risk import LimitSpec
+from .risk import LimitSpec, SolverConfig, TheorySpec
 from .simulator import EmpiricalConfig
 from .sweep import EmpiricalTemplate, SweepSpec
 

@@ -1,14 +1,34 @@
-"""Asymptotic excess risk from the converged scale system.
+"""The asymptotic theory: the self-consistent scales and the excess risk.
 
-Everything is evaluated in real arithmetic: the scales are purely imaginary
-(nu_j = i b_j), so every squared quantity entering the auxiliary matrices
-gets the sign substitution nu_j^2 -> -b_j^2, and the matrices come out real.
-The risk splits as
+At the evaluation point on the imaginary axis the coupled resolvent scales
+are purely imaginary with positive imaginary parts b_1..b_{K+1}, so the
+system is solved directly in those positive real variables:
+
+    sqrt(lam) b_c   + m2_c b_c b_n + m1_c b_c b_n / (1 + T) = psi_c    (c <= K)
+    sqrt(lam) b_n   + sum_c m2_c b_c b_n + T / (1 + T)      = psi_n
+
+with b_n = b_{K+1}, T = b_n * sum_c m1_c b_c, m1_c = mu_{c,1}^2 and
+m2_c = mu_{c,2}^2.  In u = log b the residuals r are the gradient of the
+strictly convex potential
+
+    Phi(u) = sqrt(lam) sum_j b_j + b_n sum_c m2_c b_c + log(1 + T) - sum_j psi_j u_j,
+
+so the system has exactly one root, and the Newton matrix S = dr/du is the
+Hessian of Phi.  The solver is Newton's method in u, which keeps every
+iterate positive, on the relative residuals r_j / psi_j with their analytic
+Jacobian; a backtracking line search makes each step reduce the largest
+relative residual.
+
+The risk differentiates the same potential at its root.  It splits as
 
     risk = F1^2 * (1/MD^2 + L[3,4] + L[1,4])  +  tau^2 * (L[2,3] + L[1,2])
 
-with L = V^T H^{-1} V (1-based indices above), evaluated for a whole stack
-of points with one batched solve.  The two width limits (infinitely wide at
+(1-based indices) with L = -G^T S^{-1} G, G = b * V and MD, V real forms of
+the framework's auxiliary quantities (each squared scale nu_j^2 enters as
+-b_j^2), so the matrix the risk solves is the one Newton already used.  A
+stack of points that share K, such as the points of a sweep grid, is solved
+and scored at once with batched linear algebra; each point keeps its own
+steps, line search and failure.  The two width limits (infinitely wide at
 fixed block proportions, for any K, and vanishingly narrow) have closed
 forms.
 """
@@ -16,24 +36,21 @@ forms.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import Moments
-from .nu_system import (
-    NuStar,
-    SolverConfig,
-    TheorySpec,
-    _check_blocks,
-    _newton,
-    _nu_stars,
-    _solve_stack,
-    _stack_coeffs,
-)
 
 __all__ = [
+    "TheorySpec",
+    "NuStar",
+    "SolverConfig",
+    "InvalidSpec",
+    "NoConvergence",
+    "solve_nu",
     "TheoryRisk",
     "LimitSpec",
     "DegenerateB",
@@ -45,11 +62,100 @@ __all__ = [
     "limit_risk_zero_width",
 ]
 
-COND_WARN_THRESHOLD = 1e12
+
+class InvalidSpec(ValueError):
+    """Problem instance violates a hard precondition (e.g. lambda <= 0)."""
+
+
+class NoConvergence(RuntimeError):
+    """Newton's method missed the tolerance within max_iter steps, or a step
+    could no longer reduce the residual."""
+
+    def __init__(self, message: str, residual: float, iterations: int):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
+def _check_blocks(name: str, widths, moments, psi_n, F1, tau) -> None:
+    """Rules every asymptotic instance obeys; ``name`` labels the per-block
+    widths: one finite entry > 0 and one moment triple per block, a finite
+    psi_n > 0, and finite F1, tau >= 0."""
+    if len(widths) == 0:
+        raise InvalidSpec("need at least one feature component")
+    if len(moments) != len(widths):
+        raise InvalidSpec(f"{name} and moments must have the same length")
+    if any(not (w > 0.0 and math.isfinite(w)) for w in widths):
+        raise InvalidSpec(f"all {name} entries must be > 0")
+    if not (psi_n > 0.0 and math.isfinite(psi_n)):
+        raise InvalidSpec("psi_n must be > 0")
+    if not (0.0 <= F1 < math.inf and 0.0 <= tau < math.inf):
+        raise InvalidSpec("F1 and tau must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class TheorySpec:
+    """Asymptotic problem instance.
+
+    ``psi`` holds the K feature-width ratios N_c/d, ``psi_n`` the sample
+    ratio n/d, ``moments`` one Gaussian moment triple per activation.
+    ``F0`` only matters when an empirical run is derived from this
+    instance; the asymptotic risk does not depend on it.
+    """
+
+    psi: tuple[float, ...]
+    psi_n: float
+    moments: tuple[Moments, ...]
+    lam: float
+    F1: float = 1.0
+    tau: float = 0.0
+    F0: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
+        object.__setattr__(self, "moments", tuple(self.moments))
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise InvalidSpec("lambda must be > 0")
+        _check_blocks("psi", self.psi, self.moments, self.psi_n, self.F1, self.tau)
+
+    @property
+    def K(self) -> int:
+        return len(self.psi)
+
+    @property
+    def psi_full(self) -> tuple[float, ...]:
+        """psi_1..psi_K followed by psi_n."""
+        return self.psi + (self.psi_n,)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    tol: float = 1e-12
+    max_iter: int = 100
+
+    def __post_init__(self):
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be finite and > 0")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
+
+
+@dataclass
+class NuStar:
+    """Converged positive imaginary parts b_1..b_{K+1} plus solve diagnostics.
+
+    ``iterations`` counts Newton steps, the polishing step after reaching
+    the tolerance included.
+    """
+
+    b: np.ndarray
+    residual: float
+    iterations: int
 
 
 class DegenerateB(ValueError):
-    """A scale b_j is zero, so the 1/b_j^2 matrix entries are undefined."""
+    """A scale b_j is zero; every root of the scale system is positive, so the
+    risk is not defined there."""
 
 
 class DegenerateMoments(ValueError):
@@ -57,7 +163,9 @@ class DegenerateMoments(ValueError):
 
 
 class IllConditionedWarning(UserWarning):
-    """H is numerically ill-conditioned; the risk value may lose digits."""
+    """The Newton matrix S that the risk solves is numerically ill-conditioned
+    (cond(S) above ``COND_WARN_THRESHOLD``, or S not positive definite); the
+    risk value may lose digits."""
 
 
 @dataclass
@@ -89,62 +197,197 @@ class LimitSpec:
         _check_blocks("r", self.r, self.moments, self.psi_n, self.F1, self.tau)
 
 
-def _matrices(psi, m1, m2, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """mN and MD (G,), H (G, K+1, K+1) and V (G, K+1, 4) of G points."""
+# Largest change of any log b_j in one Newton step.
+_MAX_LOG_STEP = 2.0
+
+# cond(S) above which a risk warns.
+COND_WARN_THRESHOLD = 1e12
+
+
+def _stack_coeffs(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """psi_full (G, K+1), m1 and m2 (G, K) and lam (G, 1) of G specs."""
+    if not specs or len({spec.K for spec in specs}) != 1:
+        raise InvalidSpec("a stack needs at least one spec, all with the same K")
+    psi = np.array([spec.psi_full for spec in specs])
+    m1 = np.array([[m.mu1 * m.mu1 for m in spec.moments] for spec in specs])
+    m2 = np.array([[m.mu2_sq for m in spec.moments] for spec in specs])
+    lam = np.array([[spec.lam] for spec in specs])
+    return psi, m1, m2, lam
+
+
+def _shared_coeffs(psi, psi_n: float, moments, lam: float):
+    """The same arrays for G points that differ only in their widths ``psi`` (G, K)."""
+    g = len(psi)
+    m1 = np.tile([m.mu1 * m.mu1 for m in moments], (g, 1))
+    m2 = np.tile([m.mu2_sq for m in moments], (g, 1))
+    return np.column_stack((psi, np.full(g, psi_n))), m1, m2, np.full((g, 1), lam)
+
+
+def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``np.linalg.solve`` over a stack, where a singular matrix fails only its
+    own entry: returns the solutions (NaN where singular) and the
+    ``LinAlgError`` of each singular entry by index (empty when none is)."""
+    try:
+        return np.linalg.solve(a, rhs), {}
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        errors = {}
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], rhs[i])
+            except np.linalg.LinAlgError as err:
+                errors[i] = err
+        return x, errors
+
+
+def _residuals(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
+    """Residuals of each row of ``b``; coefficients as from ``_stack_coeffs``.
+
+    With w_c = b_n (m2_c + m1_c / (1 + T)), equation c reads
+    b_c (sqrt(lam) + w_c) = psi_c and the last one
+    b_n sqrt(lam) + sum_c b_c w_c = psi_n.
+    """
+    bc, bn = b[:, :-1], b[:, -1:]
+    opt = 1.0 + bn * (m1 * bc).sum(axis=1, keepdims=True)
+    bw = bc * (bn * (m2 + m1 / opt))
+    res = b * sqrt_lam - psi
+    res[:, :-1] += bw
+    res[:, -1] += bw.sum(axis=1)
+    return res
+
+
+def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
+    """d(r_i / psi_i) / d(log b_j) of the residuals above, one matrix per row."""
+    bc, bn = b[:, :-1], b[:, -1:]
+    s1 = (m1 * bc).sum(axis=1, keepdims=True)
+    opt = 1.0 + bn * s1
+    coupling = m2 + m1 / opt**2
+    jac = np.zeros((len(b), b.shape[1], b.shape[1]))
+    jac[:, :-1, :-1] = (m1 * bc)[:, :, None] * (m1 * -(bn / opt) ** 2)[:, None, :]
+    jac[:, :-1, -1] = bc * coupling
+    jac[:, -1, :-1] = bn * coupling
+    diag = np.einsum("gii->gi", jac)
+    diag[:, :-1] += sqrt_lam + bn * (m2 + m1 / opt)
+    diag[:, -1:] += sqrt_lam + (m2 * bc).sum(axis=1, keepdims=True) + s1 / opt**2
+    return jac * (b[:, None, :] / psi[:, :, None])
+
+
+def _newton(psi, m1, m2, lam, cfg: SolverConfig):
+    """Newton's method in log b on G stacked systems of one K; coefficients as
+    from ``_stack_coeffs``.
+
+    Returns b (G, K+1), the largest relative residual (G,) and the Newton
+    steps (G,) of every point, and the exception that ended each failed
+    point's solve by index (``NoConvergence``, or ``LinAlgError`` for a
+    singular Jacobian); b is NaN on the failed points.  The rules of each
+    point's iteration are those of ``solve_nu``.
+    """
+    g = len(psi)
+    sqrt_lam = np.sqrt(lam)
+    b = psi / (sqrt_lam + 1.0)
+    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
+    rel = np.abs(rel_res).max(axis=1)
+    steps = np.zeros(g, dtype=int)
+    # psi .. steps hold the points still iterating and ids maps them to the
+    # stack; each point's results move to the outputs when it leaves.
+    ids = np.arange(g)
+    b_out, rel_out, steps_out = np.full(b.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
+    errors: dict = {}
+    while True:
+        step, singular = _solve_stack(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res[:, :, None])
+        step = step[:, :, 0]
+        step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
+        # A point already within tol takes its one polishing step: a single
+        # trial, kept unless it raises the residual.  The others are pending
+        # until a trial reduces their residual.
+        polish = rel <= cfg.tol
+        pending = ~polish
+        if singular:
+            bad = list(singular)
+            step[bad] = 0.0
+            pending[bad] = polish[bad] = False
+        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
+            trial = b * np.exp(-step)
+            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
+            trial_rel = np.abs(trial_res).max(axis=1)
+            # A polishing point past its trial has step 0, so "keeping" it is a no-op.
+            kept = np.where(polish, trial_rel <= rel, pending & (trial_rel < rel))
+            if kept.all():  # every point keeps its trial: no masked copies
+                b, rel_res, rel = trial, trial_res, trial_rel
+                pending[:] = False
+                break
+            b[kept], rel_res[kept], rel[kept] = trial[kept], trial_res[kept], trial_rel[kept]
+            pending &= ~kept
+            if not pending.any():
+                break
+            step *= np.where(pending, 0.5, 0.0)[:, None]
+        # A point still pending is stalled: no step reduces its residual.
+        steps[~pending] += 1
+        done = pending | polish | ((rel > cfg.tol) & (steps == cfg.max_iter))
+        if singular:
+            done[bad] = True
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done & ~polish):
+            i = int(ids[j])
+            if j in singular:
+                errors[i] = singular[j]
+                continue
+            why = ": no Newton step reduces it" if pending[j] else f" after {steps[j]} Newton steps"
+            errors[i] = NoConvergence(
+                f"residual {rel[j]:.3e} > tol {cfg.tol:.1e}{why} at lambda={lam[i, 0]:.3e}",
+                residual=float(rel[j]),
+                iterations=int(steps[j]),
+            )
+        finished = ids[done]
+        rel_out[finished], steps_out[finished] = rel[done], steps[done]
+        b_out[ids[polish]] = b[polish]
+        if done.all():
+            return b_out, rel_out, steps_out, errors
+        keep = ~done
+        ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps = (
+            x[keep] for x in (ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps)
+        )
+
+
+def _nu_stars(b, residual, steps, errors) -> list:
+    """``_newton``'s arrays as one ``NuStar`` or exception per point."""
+    return [
+        errors.get(i) or NuStar(b=b[i].copy(), residual=float(residual[i]),
+                                iterations=int(steps[i]))
+        for i in range(len(b))
+    ]
+
+
+def _matrices(m1, m2, b) -> tuple[np.ndarray, np.ndarray]:
+    """MD (G,) and V (G, K+1, 4) of G points."""
     k = m1.shape[1]
     bc, bn = b[:, :k], b[:, k]
     mN = (m1 * bc).sum(axis=1)
     MD = -(bn * mN + 1.0)
     md2 = MD * MD
-    bn2 = bn * bn
-    diag = np.arange(k)
-
-    h = np.empty((len(b), k + 1, k + 1))
-    h[:, :k, :k] = bn2[:, None, None] * (m1[:, :, None] * m1[:, None, :]) / md2[:, None, None]
-    h[:, diag, diag] -= psi[:, :k] / (bc * bc)
-    h[:, :k, k] = -m1 / md2[:, None] - m2
-    h[:, k, :k] = h[:, :k, k]
-    h[:, k, k] = mN * mN / md2 - psi[:, k] / bn2
-
     v = np.zeros((len(b), k + 1, 4))
     v[:, :k, 0] = m2
     v[:, k, 1] = 1.0
     v[:, :k, 2] = m1 / md2[:, None]
     v[:, k, 2] = -mN * mN / md2
-    v[:, :k, 3] = -bn2[:, None] * m1 / md2[:, None]
+    v[:, :k, 3] = -(bn * bn)[:, None] * m1 / md2[:, None]
     v[:, k, 3] = 1.0 / md2
-    return mN, MD, h, v
+    return MD, v
 
 
-def _exact_conds(h: np.ndarray) -> np.ndarray:
-    """Exact cond(H), in stack order, of every H whose cond(H) may exceed
-    ``COND_WARN_THRESHOLD``.
-
-    The SVD behind ``np.linalg.cond`` runs only where the cheap bound
-    ||H||_F ||H^-1||_F, never below cond_2(H), exceeds a tenth of the
-    threshold (room for the rounding of the bound) or is not finite.
-    """
-    screen = COND_WARN_THRESHOLD / 10.0
-    try:
-        with np.errstate(all="ignore"):
-            inv = np.linalg.inv(h)
-            bound_sq = (h * h).sum(axis=(1, 2)) * (inv * inv).sum(axis=(1, 2))
-        h = h[~(bound_sq <= screen * screen)]
-    except np.linalg.LinAlgError:  # a singular H: every point gets the SVD
-        pass
-    return np.linalg.cond(h)
-
-
-def _score(psi, m1, m2, b, f1_sq, tau_sq, errors: dict):
+def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points.
 
-    Coefficients are as from ``nu_system._stack_coeffs``, ``b`` holds the
-    scales and ``f1_sq``, ``tau_sq`` hold F1^2 and tau^2, one per point.
-    ``errors`` maps the points that already failed to their exception; it
-    gains ``DegenerateB`` for scales with a zero and ``LinAlgError`` for a
-    singular H, and every failed point reads NaN.  Warns
-    ``IllConditionedWarning`` for each scored point whose cond(H) exceeds
-    1e12, in order.
+    Coefficients are as from ``_stack_coeffs``, ``b`` holds the scales and
+    ``f1_sq``, ``tau_sq`` hold F1^2 and tau^2, one per point.  Each
+    L = -G^T S^{-1} G, with G = b * V and S = dr/du the Newton matrix at b,
+    comes from one batched solve.  ``errors`` maps the points that already
+    failed to their exception; it gains ``DegenerateB`` for scales with a
+    zero and ``LinAlgError`` for a singular S, and every failed point reads
+    NaN.  Warns ``IllConditionedWarning`` for each scored point whose
+    cond(S) exceeds ``COND_WARN_THRESHOLD`` or whose S is not positive
+    definite, in order.
     """
     g = len(b)
     scored = np.ones(g, dtype=bool)
@@ -159,20 +402,27 @@ def _score(psi, m1, m2, b, f1_sq, tau_sq, errors: dict):
     if rows.size == 0:
         return risk, bias, variance, L
     if rows.size < g:
-        psi, m1, m2, b, f1_sq, tau_sq = (x[rows] for x in (psi, m1, m2, b, f1_sq, tau_sq))
-    _, MD, h, v = _matrices(psi, m1, m2, b)
-    for cond in _exact_conds(h):
-        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
-            warnings.warn(
-                f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
-                "risk may be inaccurate",
-                IllConditionedWarning,
-                stacklevel=3,  # the caller of asymptotic_risk_stack or run_sweep
-            )
-    x, singular = _solve_stack(h, v)
+        psi, m1, m2, lam, b, f1_sq, tau_sq = (
+            x[rows] for x in (psi, m1, m2, lam, b, f1_sq, tau_sq))
+    MD, v = _matrices(m1, m2, b)
+    s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
+    # S is the Hessian of a strictly convex potential, positive definite at
+    # a root, so its condition number is the ratio of its extreme eigenvalues.
+    eig = np.linalg.eigvalsh(s)
+    cond = np.full(len(b), np.inf)
+    definite = eig[:, 0] > 0.0
+    cond[definite] = eig[definite, -1] / eig[definite, 0]
+    for c in cond[cond > COND_WARN_THRESHOLD]:
+        warnings.warn(
+            f"cond(S) = {c:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; risk may be inaccurate",
+            IllConditionedWarning,
+            stacklevel=4,  # _score <- _theory <- a public entry point <- its caller
+        )
+    gv = b[:, :, None] * v
+    x, singular = _solve_stack(s, gv)
     for j, err in singular.items():
         errors[int(rows[j])] = err
-    lr = np.swapaxes(v, 1, 2) @ x
+    lr = -(np.swapaxes(gv, 1, 2) @ x)
     inv_md2 = 1.0 / (MD * MD)
     bias_r = f1_sq * (inv_md2 + lr[:, 2, 3] + lr[:, 0, 3])
     variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
@@ -180,22 +430,27 @@ def _score(psi, m1, m2, b, f1_sq, tau_sq, errors: dict):
     return risk, bias, variance, L
 
 
-def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
-    """Asymptotic excess risk of G specs of one K via the matrix route.
+def _theory(coeffs, f1_sq, tau_sq, cfg: SolverConfig | None):
+    """The one stacked core of the theory: ``_newton`` on the coefficient
+    arrays ``coeffs`` (as from ``_stack_coeffs``), then ``_score``.
 
-    Solves the stacked scale system, builds every H and V, and evaluates
-    each L = V^T H^{-1} V with one batched linear solve.  Returns one entry
-    per spec, in order: its ``TheoryRisk``, or the exception that failed
-    that point alone (``NoConvergence``, ``DegenerateB``, or
-    ``LinAlgError`` for a singular Jacobian or H).  Emits
-    ``IllConditionedWarning`` for each point whose cond(H) exceeds 1e12.
+    Returns risk, bias, variance and L as from ``_score``, then b, the
+    residuals and the steps as from ``_newton``, then the exception of every
+    failed point by index.  Every public entry point calls it directly, so
+    an ``IllConditionedWarning`` names the line that called the entry point.
     """
-    specs = list(specs)
-    psi, m1, m2, lam = _stack_coeffs(specs)
-    b, residual, steps, errors = _newton(psi, m1, m2, lam, cfg or SolverConfig())
-    f1_sq = np.array([spec.F1 ** 2 for spec in specs])
-    tau_sq = np.array([spec.tau ** 2 for spec in specs])
-    risk, bias, variance, L = _score(psi, m1, m2, b, f1_sq, tau_sq, errors)
+    b, residual, steps, errors = _newton(*coeffs, cfg or SolverConfig())
+    return (*_score(*coeffs, b, f1_sq, tau_sq, errors), b, residual, steps, errors)
+
+
+def _stack_inputs(specs: list) -> tuple:
+    """``_theory``'s coefficient arrays, F1^2 and tau^2 of a list of specs."""
+    return (_stack_coeffs(specs), np.array([spec.F1 ** 2 for spec in specs]),
+            np.array([spec.tau ** 2 for spec in specs]))
+
+
+def _results(risk, bias, variance, L, b, residual, steps, errors) -> list:
+    """``_theory``'s arrays as one ``TheoryRisk`` or exception per point."""
     return [
         errors[i] if i in errors else
         TheoryRisk(risk=risk[i], bias=bias[i], variance=variance[i], L=L[i], nu=nu)
@@ -203,10 +458,44 @@ def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
     ]
 
 
+def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None) -> NuStar:
+    """Solve the positive-variable system at spec.lam by Newton's method in log b.
+
+    The iteration starts from b_j = psi_j / (sqrt(lam) + 1).  Each step is
+    capped at 2 in every log b_j and halved until the largest relative
+    residual decreases; when even a step too small to move b cannot reduce
+    it, the solve fails at once instead of stalling.  ``cfg.max_iter`` caps
+    the steps to reach ``cfg.tol``.  A solve that reaches it takes one more
+    Newton step, kept only if it does not raise the residual, so that the
+    root carries the digits of a full step rather than stopping at the first
+    iterate under the tolerance; ``iterations`` counts that step.  Raises
+    ``NoConvergence``, or ``LinAlgError`` for a singular Jacobian.  A sweep
+    runs the same iteration on its whole grid at once, each point with its
+    own steps, line search and failure.
+    """
+    (result,) = _nu_stars(*_newton(*_stack_coeffs([spec]), cfg or SolverConfig()))
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
+    """Asymptotic excess risk of G specs of one K.
+
+    Solves the stacked scale system and scores every point through the
+    Newton matrix S at its root, all with batched linear algebra.  Returns
+    one entry per spec, in order: its ``TheoryRisk``, or the exception that
+    failed that point alone (``NoConvergence``, ``DegenerateB``, or
+    ``LinAlgError`` for a singular Jacobian or S).  Emits
+    ``IllConditionedWarning`` for each point whose cond(S) exceeds 1e12.
+    """
+    return _results(*_theory(*_stack_inputs(list(specs)), cfg))
+
+
 def asymptotic_risk(spec: TheorySpec, cfg: SolverConfig | None = None) -> TheoryRisk:
     """Asymptotic excess risk of ``spec``: ``asymptotic_risk_stack`` for one
     spec, raising its failure.  ``nu`` of the result holds the solved scales."""
-    (result,) = asymptotic_risk_stack([spec], cfg)
+    (result,) = _results(*_theory(*_stack_inputs([spec]), cfg))
     if isinstance(result, Exception):
         raise result
     return result

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationSpec, Moments, compute_moments, represents_intercept
-from .nu_system import InvalidSpec, TheorySpec
+from .risk import InvalidSpec, TheorySpec
 
 __all__ = [
     "EmpiricalConfig",

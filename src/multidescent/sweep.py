@@ -11,25 +11,22 @@ can be attached to a subset of the same grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .activations import ActivationSpec
 from .formatting import format_number, to_json
-from .nu_system import InvalidSpec, SolverConfig, TheorySpec, _newton, _shared_coeffs
-from .risk import _score
+from .risk import InvalidSpec, SolverConfig, TheorySpec, _shared_coeffs, _theory
 from .simulator import EmpiricalConfig, run_experiments
 
 __all__ = [
     "EmptyGrid",
     "EmpiricalTemplate",
     "SweepSpec",
-    "GridPoint",
     "SweepRow",
     "SweepResult",
-    "expand_grid",
     "run_sweep",
     "csv_header",
     "csv_text",
@@ -88,15 +85,6 @@ class SweepSpec:
             raise InvalidSpec("empirical template needs one activation per component")
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """One expanded instance: exact asymptotic spec plus optional finite-size run."""
-
-    c: float
-    theory: TheorySpec
-    empirical: EmpiricalConfig | None = None
-
-
 @dataclass
 class SweepRow:
     """One grid point; the fields are the output columns, in order."""
@@ -147,16 +135,6 @@ def _empirical_at(spec: SweepSpec, c: float) -> EmpiricalConfig:
     return tpl.at(spec.base, tuple(max(1, int(round(r * c * tpl.n / total))) for r in spec.ratios))
 
 
-def expand_grid(spec: SweepSpec) -> list[GridPoint]:
-    """One instance per grid value; widths split as psi_c = ratio_c*c*psi_n/sum(ratios),
-    feature counts as N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
-    points = []
-    for c, psi in zip(spec.c_grid, _grid_psi(spec).tolist()):
-        emp = None if spec.empirical is None else _empirical_at(spec, c)
-        points.append(GridPoint(c=c, theory=replace(spec.base, psi=psi), empirical=emp))
-    return points
-
-
 def _metadata(spec: SweepSpec) -> dict:
     return {
         "base": {
@@ -193,11 +171,10 @@ def run_sweep(
     cfgs = None if spec.empirical is None else [_empirical_at(spec, c) for c in spec.c_grid]
     if not (np.isfinite(psi).all() and (psi > 0.0).all()):
         raise InvalidSpec("all psi entries must be > 0")
-    coeffs = _shared_coeffs(psi, base.psi_n, base.moments, base.lam)
-    b, _, steps, errors = _newton(*coeffs, solver or SolverConfig())
     g = len(psi)
-    risk, bias, variance, _ = _score(*coeffs[:3], b, np.full(g, base.F1 ** 2),
-                                     np.full(g, base.tau ** 2), errors)
+    risk, bias, variance, _, _, _, steps, errors = _theory(
+        _shared_coeffs(psi, base.psi_n, base.moments, base.lam),
+        np.full(g, base.F1 ** 2), np.full(g, base.tau ** 2), solver)
     rows = [
         SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,
                  theory_bias=bi, theory_variance=v, solver_iterations=n)

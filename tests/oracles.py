@@ -8,9 +8,13 @@ with bounds checks the package has no use for:
 * ``verify_complex`` - the scale system in its original complex form, an
   oracle for the real-variable Newton solve;
 * ``residual_vector`` - the solver's own real residuals at a candidate b;
-* ``build_matrices`` - the solver's H and V at one point, for inspection;
-* ``exact_cond_warnings`` - the ``IllConditionedWarning`` messages of a stack
-  by the exact SVD of every point's H, an oracle for the screened check;
+* ``potential`` - the convex potential Phi whose gradient in log b those
+  residuals are, an oracle for the root being its minimum;
+* ``build_matrices`` - the framework matrices H and V at one point, H by
+  its printed formula, an oracle for the Newton matrix S = -diag(b) H diag(b)
+  through which the package scores the risk;
+* ``expand_grid`` - a sweep's grid as one ``TheorySpec`` (and finite-size
+  run) per point, an oracle for the sweep's array pass;
 * ``scaled_moments`` - the moment triple of a rescaled activation.
 
 ``tests/`` has no ``__init__.py``, so test modules import these as
@@ -18,21 +22,21 @@ with bounds checks the package has no use for:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from multidescent import (
     DegenerateB,
+    EmpiricalConfig,
     Moments,
-    NoConvergence,
     NuStar,
+    SweepSpec,
     TheoryRisk,
     TheorySpec,
-    solve_nu,
 )
-from multidescent.nu_system import _residuals, _stack_coeffs
-from multidescent.risk import COND_WARN_THRESHOLD, _matrices
+from multidescent.risk import _matrices, _residuals, _stack_coeffs
+from multidescent.sweep import _empirical_at, _grid_psi
 
 
 class WrongK(ValueError):
@@ -52,7 +56,8 @@ class TheoryMatrices:
     """Real forms of the auxiliary matrices.
 
     ``mN`` is sum_c mu_{c,1}^2 b_c (the full quantity is i*mN) and
-    ``MD = -(b_n mN + 1) < 0``.  H is (K+1)x(K+1) symmetric, V is (K+1)x4.
+    ``MD = -(b_n mN + 1) < 0``.  H is (K+1)x(K+1) symmetric, V is (K+1)x4,
+    and L = V^T H^{-1} V.
     """
 
     mN: float
@@ -83,6 +88,22 @@ def residual_vector(spec: TheorySpec, b) -> np.ndarray:
     return _residuals(psi, m1, m2, np.sqrt(lam), b[None])[0]
 
 
+def potential(spec: TheorySpec, u) -> float:
+    """Phi(u) = sqrt(lam) sum_j b_j + b_n sum_c m2_c b_c + log(1 + b_n s1)
+    - sum_j psi_j u_j at b = exp(u), with s1 = sum_c m1_c b_c.
+
+    Its gradient in u is the residual vector of the scale system, and it is
+    strictly convex, so the solved scales are its one minimum.
+    """
+    b = [math.exp(x) for x in u]
+    k = spec.K
+    bn = b[k]
+    s1 = math.fsum(m.mu1 * m.mu1 * x for m, x in zip(spec.moments, b))
+    s2 = math.fsum(m.mu2_sq * x for m, x in zip(spec.moments, b))
+    return math.fsum([math.sqrt(spec.lam) * math.fsum(b), bn * s2, math.log1p(bn * s1)]
+                     + [-p * x for p, x in zip(spec.psi_full, u)])
+
+
 def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
     """Max absolute residual of the complex system at nu_j = i b_j.
 
@@ -108,30 +129,45 @@ def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
 
 
 def build_matrices(spec: TheorySpec, nu: NuStar) -> TheoryMatrices:
-    """Assemble H and V at the converged scales, all-real arithmetic."""
+    """Assemble H and V at the converged scales, all-real arithmetic.
+
+    H is built entry by entry from its formula, which the package never
+    evaluates; MD and V are the package's own.
+    """
     b = np.asarray(nu.b, dtype=np.float64)
     if np.any(b == 0.0):
         raise DegenerateB("all b_j must be nonzero")
     psi, m1, m2, _ = _stack_coeffs([spec])
-    mN, MD, h, v = _matrices(psi, m1, m2, b[None])
-    return TheoryMatrices(mN=float(mN[0]), MD=float(MD[0]), H=h[0], V=v[0])
+    MD, v = _matrices(m1, m2, b[None])
+    k, psi, m1, m2, md2 = spec.K, psi[0], m1[0], m2[0], MD[0] * MD[0]
+    bc, bn = b[:k], b[k]
+    mN = (m1 * bc).sum()
+    h = np.empty((k + 1, k + 1))
+    h[:k, :k] = bn * bn * np.outer(m1, m1) / md2
+    h[range(k), range(k)] -= psi[:k] / (bc * bc)
+    h[:k, k] = h[k, :k] = -m1 / md2 - m2
+    h[k, k] = mN * mN / md2 - psi[k] / (bn * bn)
+    return TheoryMatrices(mN=float(mN), MD=float(MD[0]), H=h, V=v[0])
 
 
-def exact_cond_warnings(specs) -> list[str]:
-    """The ``IllConditionedWarning`` messages the risk of ``specs`` must emit,
-    in order: ``np.linalg.cond`` of the H of every point that converges,
-    with no screening."""
-    messages = []
-    for spec in specs:
-        try:
-            nu = solve_nu(spec)
-        except NoConvergence:
-            continue
-        cond = np.linalg.cond(build_matrices(spec, nu).H)
-        if not np.isfinite(cond) or cond > COND_WARN_THRESHOLD:
-            messages.append(f"cond(H) = {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
-                            "risk may be inaccurate")
-    return messages
+@dataclass(frozen=True)
+class GridPoint:
+    """One expanded instance: exact asymptotic spec plus optional finite-size run."""
+
+    c: float
+    theory: TheorySpec
+    empirical: EmpiricalConfig | None = None
+
+
+def expand_grid(spec: SweepSpec) -> list[GridPoint]:
+    """One instance per grid value; widths split as psi_c = ratio_c*c*psi_n/sum(ratios),
+    feature counts as N_c = ratio_c*c*n/sum(ratios), rounded, at least 1, by the
+    sweep's own helpers, so each point's widths equal its row's bit for bit."""
+    points = []
+    for c, psi in zip(spec.c_grid, _grid_psi(spec).tolist()):
+        emp = None if spec.empirical is None else _empirical_at(spec, c)
+        points.append(GridPoint(c=c, theory=replace(spec.base, psi=psi), empirical=emp))
+    return points
 
 
 def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:

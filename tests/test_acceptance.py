@@ -12,7 +12,6 @@ solves for the ridge checks.
 import io
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ import scipy.linalg
 from multidescent import (
     ActivationSpec,
     EmpiricalConfig,
-    IllConditionedWarning,
     LimitSpec,
     Moments,
     SweepSpec,
@@ -190,9 +188,7 @@ def test_criterion_05_infinite_width_limit(acceptance_report):
     spec = TheorySpec(
         psi=(1e6, 1e6), psi_n=2.0, moments=(unit, unit), lam=1e-2, F1=1.0, tau=0.0
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        finite = asymptotic_risk(spec).risk
+    finite = asymptotic_risk(spec).risk
     closed_err = abs(limit - GOLDEN_LIMIT)
     rel = abs(finite - limit) / limit
     _verdict(

@@ -533,7 +533,9 @@ class TestDispatch:
         assert len(lines) == 1
         assert "FileNotFoundError" in lines[0]
 
-    def test_warnings_go_to_stderr(self):
+    def test_warnings_go_to_stderr(self, monkeypatch):
+        # Every cond(S) exceeds a threshold of 1, so this theory run warns.
+        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 1.0)
         cfg = {
             "moments_override": [
                 {"mu0": 0, "mu1": 1e4, "mu2_sq": 1e8},

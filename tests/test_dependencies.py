@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import multidescent
-from multidescent import activations, config, formatting, nu_system, risk, simulator, sweep
+from multidescent import activations, config, formatting, risk, simulator, sweep
 
 
 def test_import_loads_no_scipy():
@@ -27,9 +27,11 @@ def test_import_loads_no_scipy():
 
 
 def test_public_names_are_the_module_lists():
-    modules = (activations, nu_system, risk, simulator, sweep, config, formatting)
+    modules = (activations, risk, simulator, sweep, config, formatting)
     assert multidescent.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
     assert len(set(multidescent.__all__)) == len(multidescent.__all__)
+    for name in multidescent.__all__:
+        assert hasattr(multidescent, name), name
     for module in modules:
         for name in module.__all__:
             assert getattr(multidescent, name) is getattr(module, name)

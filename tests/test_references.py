@@ -5,7 +5,10 @@ instance the benchmark evaluates, computed with mpmath at 50 digits by
 ``bench/make_references.py``, which shares no code with the package.  The
 instances are enumerated by ``bench/workloads.py`` (loaded read-only; it
 imports nothing from the package).  Each command's instances are scored
-as one stack, the path a sweep takes.
+as one stack, the path a sweep takes, and none of them may warn
+``IllConditionedWarning``: each matches its reference.  The same instances
+tie the Newton matrix S the risk is scored through to the framework
+matrix H of the printed formulas (``build_matrices`` in ``oracles.py``).
 """
 
 import importlib.util
@@ -17,6 +20,8 @@ import numpy as np
 import pytest
 
 from multidescent import ActivationSpec, TheorySpec, asymptotic_risk_stack, compute_moments
+from multidescent.risk import _jacobian, _stack_coeffs
+from oracles import build_matrices
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 RTOL = 1e-10
@@ -51,7 +56,7 @@ def test_every_reference_is_enumerated():
         assert len(WORKLOADS.instances(command)) == len(REFERENCES[command.label])
 
 
-@pytest.mark.filterwarnings("ignore::multidescent.IllConditionedWarning")
+@pytest.mark.filterwarnings("error::multidescent.IllConditionedWarning")
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.label)
 def test_risk_and_scales_match_references(command):
     specs = [_spec(inst, command.config["model"]) for inst in WORKLOADS.instances(command)]
@@ -65,3 +70,19 @@ def test_risk_and_scales_match_references(command):
     assert worst_risk <= RTOL and worst_b <= RTOL, (
         f"worst relative error: risk {worst_risk:.2e}, b {worst_b:.2e}"
     )
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.label)
+def test_newton_matrix_is_the_framework_matrix(command):
+    """At every solved root S = dr/du is symmetric and equals -diag(b) H diag(b),
+    so L = -G^T S^-1 G with G = b*V is V^T H^-1 V."""
+    specs = [_spec(inst, command.config["model"]) for inst in WORKLOADS.instances(command)]
+    for spec, result in zip(specs, asymptotic_risk_stack(specs)):
+        b = result.nu.b
+        psi, m1, m2, lam = _stack_coeffs([spec])
+        s = _jacobian(psi, m1, m2, np.sqrt(lam), b[None])[0] * psi[0][:, None]
+        mats = build_matrices(spec, result.nu)
+        np.testing.assert_allclose(s, -(b[:, None] * mats.H * b), rtol=1e-14)
+        np.testing.assert_allclose(s, s.T, rtol=1e-14)
+        np.testing.assert_allclose(result.L, mats.V.T @ np.linalg.solve(mats.H, mats.V),
+                                   rtol=RTOL)

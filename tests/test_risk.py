@@ -5,9 +5,12 @@ The two-component closed-form route (``explicit_risk_k2`` in
 them is the core oracle.  General K is then tied back to K=2 through the
 exact block-merge identity (identical activations split across components
 leave the risk unchanged), and the width limits are pinned by hand-derived
-closed-form values.
+closed-form values.  The risk is scored through the Newton matrix S, the
+Hessian of a convex potential; the framework matrix H (``build_matrices``
+in ``oracles.py``) ties it to the printed formulas.
 """
 
+import inspect
 import math
 import warnings
 
@@ -24,16 +27,17 @@ from multidescent import (
     LimitSpec,
     Moments,
     NuStar,
+    SweepSpec,
     TheorySpec,
     asymptotic_risk,
     asymptotic_risk_stack,
     limit_risk_infinite_width,
     limit_risk_zero_width,
+    run_sweep,
     solve_nu,
 )
-from multidescent.nu_system import _stack_coeffs
-from multidescent.risk import _score
-from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2
+from multidescent.risk import _score, _stack_coeffs
+from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2, potential
 
 
 def _random_k2_spec(rng) -> TheorySpec:
@@ -82,9 +86,19 @@ _battery = settings(max_examples=40, derandomize=True, database=None, deadline=N
 
 
 def _stack_risks(specs) -> list:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        return [out.risk for out in asymptotic_risk_stack(specs)]
+    return [out.risk for out in asymptotic_risk_stack(specs)]
+
+
+# A spec whose framework matrix H has cond(H) = 2.1e28 while the Newton
+# matrix S has cond(S) = 6.4; its risk to 30 digits, from a 60-digit mpmath
+# solve and H-route evaluation (checked against the K=2 closed form).
+STIFF_H = TheorySpec(
+    psi=(1.0, 1.0),
+    psi_n=2.0,
+    moments=(Moments(0, 1e4, 1e8), Moments(0, 1e-4, 1e-8)),
+    lam=1e-6,
+)
+STIFF_H_RISK = 1.21941395322410571871728146676
 
 
 class TestRiskProperties:
@@ -114,6 +128,26 @@ class TestRiskProperties:
                             lam=spec.lam, tau=spec.tau + extra)
         risk, risk_louder = _stack_risks([spec, louder])
         assert risk_louder >= risk * (1.0 - 1e-12)
+
+    @_battery
+    @given(spec=_box_specs())
+    def test_L_negative_semidefinite(self, spec):
+        """L is the Hessian, in four linear tilts of the potential, of its
+        minimum, so it is negative semidefinite."""
+        (out,) = asymptotic_risk_stack([spec])
+        eig = np.linalg.eigvalsh((out.L + out.L.T) / 2.0)
+        assert eig[-1] <= 1e-12 * np.abs(eig).max()
+
+    @_battery
+    @given(spec=_box_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_root_minimises_the_potential(self, spec, seed):
+        """No small random move of log b away from the solved root lowers Phi."""
+        u = np.log(solve_nu(spec).b)
+        phi = potential(spec, u)
+        rng = np.random.default_rng(seed)
+        for scale in (1e-2, 1e-3):
+            for _ in range(5):
+                assert potential(spec, u + scale * rng.standard_normal(len(u))) > phi
 
 
 class TestMatrixAssembly:
@@ -359,23 +393,16 @@ class TestWidthLimits:
             np.testing.assert_allclose(split, merged, rtol=1e-14)
 
     def test_finite_psi_converges_to_limit(self):
-        """The K=2 risk at huge equal widths approaches the limit value.
-
-        Extreme widths make H genuinely ill-conditioned; the conditioning
-        warning is expected and the solve still carries the digits needed
-        for the asserted tolerance.
-        """
+        """The K=2 risk at huge equal widths approaches the limit value."""
         ms = (Moments(0.0, 0.8, 0.5), Moments(0.0, 0.3, 1.2))
         ls = LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, F1=1.0, tau=0.5)
         lim = limit_risk_infinite_width(ls)
         errs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            for psi in (1e2, 1e4):
-                spec = TheorySpec(
-                    psi=(psi, psi), psi_n=2.0, moments=ms, lam=1e-2, F1=1.0, tau=0.5
-                )
-                errs.append(abs(asymptotic_risk(spec).risk - lim) / lim)
+        for psi in (1e2, 1e4):
+            spec = TheorySpec(
+                psi=(psi, psi), psi_n=2.0, moments=ms, lam=1e-2, F1=1.0, tau=0.5
+            )
+            errs.append(abs(asymptotic_risk(spec).risk - lim) / lim)
         assert errs[1] < errs[0] < 1e-1
         assert errs[1] < 1e-3
 
@@ -385,13 +412,11 @@ class TestWidthLimits:
         r = (1.0, 0.5, 2.0)
         lim = limit_risk_infinite_width(LimitSpec(r=r, psi_n=2.0, moments=ms, F1=1.0, tau=0.5))
         errs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            for t in (1e2, 1e4):
-                spec = TheorySpec(
-                    psi=tuple(t * x for x in r), psi_n=2.0, moments=ms, lam=1e-2, F1=1.0, tau=0.5
-                )
-                errs.append(abs(asymptotic_risk(spec).risk - lim) / lim)
+        for t in (1e2, 1e4):
+            spec = TheorySpec(
+                psi=tuple(t * x for x in r), psi_n=2.0, moments=ms, lam=1e-2, F1=1.0, tau=0.5
+            )
+            errs.append(abs(asymptotic_risk(spec).risk - lim) / lim)
         assert errs[1] < errs[0] < 1e-1
         assert errs[1] < 1e-3
 
@@ -406,9 +431,7 @@ class TestWidthLimits:
         spec = TheorySpec(
             psi=(1e-9, 1e-9), psi_n=2.0, moments=ms, lam=1e-2, F1=1.4, tau=0.3
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            risk = asymptotic_risk(spec).risk
+        risk = asymptotic_risk(spec).risk
         np.testing.assert_allclose(risk, limit_risk_zero_width(spec), rtol=1e-6)
 
 
@@ -421,7 +444,7 @@ class TestErrorPaths:
         with pytest.raises(DegenerateB):
             build_matrices(spec, NuStar(b=b[0], residual=0.0, iterations=0))
         errors = {}
-        risk, _, _, L = _score(*_stack_coeffs([spec])[:3], b, np.ones(1), np.zeros(1), errors)
+        risk, _, _, L = _score(*_stack_coeffs([spec]), b, np.ones(1), np.zeros(1), errors)
         assert list(errors) == [0] and isinstance(errors[0], DegenerateB)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
@@ -437,34 +460,56 @@ class TestErrorPaths:
         # contract is what other layers rely on.
         assert issubclass(DegenerateS, ArithmeticError)
 
-    def test_ill_conditioned_warning(self):
-        spec = TheorySpec(
-            psi=(1.0, 1.0),
-            psi_n=2.0,
-            moments=(Moments(0, 1e4, 1e8), Moments(0, 1e-4, 1e-8)),
-            lam=1e-6,
-        )
-        with pytest.warns(IllConditionedWarning):
-            asymptotic_risk(spec)
+    def test_ill_conditioned_warning(self, monkeypatch):
+        """The warning reads cond(S), the matrix the risk solves, not cond(H):
+        the stiff-H spec scores without a warning and matches its 60-digit
+        risk, and it warns once the threshold drops below its cond(S)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditionedWarning)
+            out = asymptotic_risk(STIFF_H)
+        np.testing.assert_allclose(out.risk, STIFF_H_RISK, rtol=1e-14)
+        assert np.linalg.cond(build_matrices(STIFF_H, out.nu).H) > 1e28
+        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 6.0)
+        with pytest.warns(IllConditionedWarning,
+                          match=r"^cond\(S\) = 6\.4\d\de\+00 exceeds 6e\+00; risk may be inaccurate$"):
+            asymptotic_risk(STIFF_H)
+        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditionedWarning)
+            asymptotic_risk(STIFF_H)
 
-    def test_stack_isolates_a_singular_h(self):
-        """One exactly singular H in a stack fails its own point alone; the
+    def test_warning_names_the_callers_line(self, monkeypatch):
+        """Each public entry point warns at the line that called it."""
+        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 1.0)
+        sweep = SweepSpec(base=STIFF_H, ratios=(1.0, 1.0), c_grid=(0.5, 0.6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno
+            asymptotic_risk(STIFF_H)
+            asymptotic_risk_stack([STIFF_H, STIFF_H])
+            run_sweep(sweep)
+        assert all(w.category is IllConditionedWarning for w in caught)
+        assert [(w.filename, w.lineno) for w in caught] == [
+            (__file__, line + n) for n in (1, 2, 2, 3, 3)]
+
+    def test_stack_isolates_a_singular_s(self):
+        """One exactly singular S in a stack fails its own point alone; the
         other points equal their single-point evaluations."""
         good = TheorySpec(
             psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
             lam=1e-3, tau=0.2,
         )
-        # Zero moments make H diagonal, and at b_c = 1e154 its entries
-        # psi_c / b_c^2 underflow to zero.  No solve returns such scales,
-        # so the risk core is driven directly with the solved good ones.
+        # Zero moments make S diagonal, sqrt(lam) b_j, and at b_j = 5e-324
+        # those entries underflow to zero.  No solve returns such scales, so
+        # the risk core is driven directly with the solved good ones.
         flat = TheorySpec(psi=(1e-20, 1e-20), psi_n=1.5, moments=(Moments(0, 0, 0),) * 2, lam=1e-3)
-        degenerate = np.array([1e154, 1e154, 1.0])
+        degenerate = np.full(3, 5e-324)
         direct = asymptotic_risk(good)
         specs = [good, flat, good]
         errors = {}
-        with pytest.warns(IllConditionedWarning, match="cond\\(H\\) = inf"):
+        with pytest.warns(IllConditionedWarning, match="cond\\(S\\) = inf"):
             risk, bias, variance, _ = _score(
-                *_stack_coeffs(specs)[:3], np.array([direct.nu.b, degenerate, direct.nu.b]),
+                *_stack_coeffs(specs), np.array([direct.nu.b, degenerate, direct.nu.b]),
                 np.array([s.F1 ** 2 for s in specs]), np.array([s.tau ** 2 for s in specs]), errors,
             )
         assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
@@ -473,7 +518,7 @@ class TestErrorPaths:
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            _score(*_stack_coeffs([flat])[:3], degenerate[None], np.ones(1), np.zeros(1), errors)
+            _score(*_stack_coeffs([flat]), degenerate[None], np.ones(1), np.zeros(1), errors)
         assert isinstance(errors[0], np.linalg.LinAlgError)
 
     def test_limit_needs_coupling(self):
