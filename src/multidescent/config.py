@@ -178,7 +178,10 @@ def _c_range(value, pointer: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ModelSection:
-    lam: float
+    """The model keys as given; lambda and the widths (psi or N) may be
+    missing, as only the commands that read them require them."""
+
+    lam: float | None = None
     psi: tuple[float, ...] | None = None
     psi_n: float | None = None
     d: int | None = None
@@ -189,8 +192,9 @@ class ModelSection:
     tau: float = 0.0
 
     @property
-    def K(self) -> int:
-        return len(self.psi) if self.psi is not None else len(self.N)
+    def K(self) -> int | None:
+        widths = self.psi if self.psi is not None else self.N
+        return None if widths is None else len(widths)
 
     @property
     def psi_eff(self) -> tuple[float, ...]:
@@ -284,15 +288,18 @@ _OUTPUT = dict.fromkeys(("csv_path", "svg_path", "json_path"), _nullable(_string
 
 
 def _model(raw, pointer: str) -> ModelSection:
-    fields = _fields(raw, pointer, _MODEL, required=("lambda",))
+    fields = _fields(raw, pointer, _MODEL)
     has_psi = "psi" in fields or "psi_n" in fields
     has_counts = "d" in fields or "n" in fields or "N" in fields
     if has_psi and has_counts:
         raise ConfigError(pointer, "give either psi/psi_n or d/n/N, not both")
     if not has_psi and not has_counts:
         raise ConfigError(pointer, "give either psi/psi_n or d/n/N")
-    _require(fields, pointer, ("psi", "psi_n") if has_psi else ("d", "n", "N"))
-    fields["lam"] = fields.pop("lambda")
+    # psi_n (or n/d) is read by every command; lambda and the widths are
+    # required by the builders of the commands that read them.
+    _require(fields, pointer, ("psi_n",) if has_psi else ("d", "n"))
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
     return ModelSection(**fields)
 
 
@@ -338,10 +345,11 @@ def validate_config(raw: dict) -> RootConfig:
         moments = doc["moments_override"]
 
     model = doc["model"]
-    if model.K != len(moments):
+    k = len(moments)
+    if model.K is not None and model.K != k:
         raise ConfigError(
             "/model",
-            f"model has {model.K} components but {len(moments)} activations/moments given",
+            f"model has {model.K} components but {k} activations/moments given",
         )
     if model.F0 != 0.0 and not represents_intercept(moments):
         raise ConfigError(
@@ -360,8 +368,8 @@ def validate_config(raw: dict) -> RootConfig:
         "/limit/r": limit.r if limit is not None else None,
     }
     for pointer, values in weights.items():
-        if values is not None and len(values) != model.K:
-            raise ConfigError(pointer, f"expected {model.K} entries to match the model")
+        if values is not None and len(values) != k:
+            raise ConfigError(pointer, f"expected {k} entries to match the model")
 
     return RootConfig(
         activations=activations,
@@ -441,6 +449,10 @@ def parse_config(source: str, overrides: list[str] | None = None) -> RootConfig:
 
 def build_theory_spec(cfg: RootConfig) -> TheorySpec:
     """Asymptotic instance from the model section (counts become ratios)."""
+    model = cfg.model
+    for key, value in (("lambda", model.lam), ("psi" if model.psi_n is not None else "N", model.K)):
+        if value is None:
+            raise ConfigError("/model", f"missing required key {key!r}")
     return TheorySpec(
         psi=cfg.model.psi_eff,
         psi_n=cfg.model.psi_n_eff,
@@ -492,7 +504,7 @@ def build_limit_spec(cfg: RootConfig) -> LimitSpec:
     """Infinite-width instance; the block weights default to all 1."""
     limit = cfg.limit or LimitSection()
     return LimitSpec(
-        r=limit.r if limit.r is not None else (1.0,) * cfg.model.K,
+        r=limit.r if limit.r is not None else (1.0,) * len(cfg.moments),
         psi_n=cfg.model.psi_n_eff,
         moments=cfg.moments,
         F1=cfg.model.F1,

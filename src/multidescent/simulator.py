@@ -1,14 +1,16 @@
 """Finite-size Monte Carlo for the random feature ridge model.
 
-One replication draws everything fresh (signal direction, feature
-directions, inputs, noise, test set) from a generator keyed by
-(base_seed, replication index), fits the readout by ridge regression and
-estimates the excess risk on a noiseless test set.  Replications are
-independent, so results are bit-identical for any execution order or
-worker count.  ``run_experiments`` runs every replication of a batch of
-configs in one thread pool, the one parallel section of the package, and
-BLAS runs one thread meanwhile (see ``_single_threaded_blas``):
-replications are the unit of parallelism.
+One replication draws everything fresh (signal direction, inputs, noise,
+feature directions, test set) from a generator keyed by (base_seed,
+replication index), fits the readout by ridge regression and estimates the
+excess risk on a noiseless test set.  Configs of a batch that differ only
+in their feature counts N (a sweep's grid) share each replication's draws:
+one job draws them once and fits every config from a prefix of them.  A
+config's draws, and so its result, never depend on its batch, the
+execution order or the worker count.  ``run_experiments`` runs every job of
+a batch in one thread pool, the one parallel section of the package, and
+BLAS runs one thread meanwhile (see ``_single_threaded_blas``): jobs are
+the unit of parallelism.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,6 @@ __all__ = [
     "feature_matrix",
     "ridge_fit",
     "excess_risk_on",
-    "excess_risk_estimate",
     "run_replication",
     "run_experiment",
     "run_experiments",
@@ -128,7 +129,8 @@ def _sphere_rows(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
         bad = norms == 0.0
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(g, axis=1)
-    return g * (math.sqrt(d) / norms)[:, None]
+    g *= (math.sqrt(d) / norms)[:, None]
+    return g
 
 
 def generate_dataset(cfg: EmpiricalConfig, rng: np.random.Generator) -> Dataset:
@@ -141,28 +143,72 @@ def generate_dataset(cfg: EmpiricalConfig, rng: np.random.Generator) -> Dataset:
     return Dataset(X=X, y=y, beta1=beta1)
 
 
+def _elu_in_place(z: np.ndarray) -> None:
+    # max(z, 0) + expm1(min(z, 0)) is elu bit for bit; a ufunc's where=
+    # mask would avoid the temporary but runs several times slower.
+    neg = np.minimum(z, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(z, 0.0, out=z)
+    z += neg
+
+
+def _sigmoid_in_place(z: np.ndarray) -> None:
+    # 1/(1 + e^-z) loses no relative accuracy; e^-z overflows to inf only
+    # where the sigmoid is below the smallest normal double.
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
+# Each activation kind's base function, overwriting a float64 array in place.
+_BASE_IN_PLACE = {
+    "relu": lambda z: np.maximum(z, 0.0, out=z),
+    "step": lambda z: np.greater(z, 0.0, out=z),
+    "elu": _elu_in_place,
+    "sigmoid": _sigmoid_in_place,
+    "tanh": lambda z: np.tanh(z, out=z),
+    "sin": lambda z: np.sin(z, out=z),
+    "cos": lambda z: np.cos(z, out=z),
+    "identity": lambda z: None,
+    "constant": lambda z: z.fill(1.0),
+}
+
+# Rows of the output per elementwise pass, which bounds elu's temporary.
+_CHUNK_ROWS = 128
+
+
 def feature_matrix(
     X: np.ndarray,
     Theta: np.ndarray,
     acts: tuple[ActivationSpec, ...],
     n_split: tuple[int, ...],
 ) -> np.ndarray:
-    """Normalized feature map: Z[j, i] = sigma_{c(i)}(<theta_i, x_j>/sqrt(d))/sqrt(d)."""
+    """Normalized feature map: Z[j, i] = sigma_{c(i)}(<theta_i, x_j>/sqrt(d))/sqrt(d).
+
+    Each block's in_scale/sqrt(d) scales its rows of Theta before the
+    product; the base function, out_scale/sqrt(d) and shift/sqrt(d) then
+    act in place on the block's columns of the one n x N output, a chunk
+    of rows at a time.
+    """
     if X.ndim != 2 or Theta.ndim != 2 or X.shape[1] != Theta.shape[1]:
         raise ShapeMismatch(f"X {X.shape} and Theta {Theta.shape} disagree on d")
     if len(acts) != len(n_split) or sum(n_split) != Theta.shape[0]:
         raise ShapeMismatch(
             f"split {tuple(n_split)} does not partition the {Theta.shape[0]} features"
         )
-    # In place in the one n x N buffer: replications run side by side.
-    scale = math.sqrt(X.shape[1])
-    z = X @ Theta.T
-    z /= scale
-    col = 0
-    for act, nc in zip(acts, n_split):
-        z[:, col:col + nc] = act(z[:, col:col + nc])
-        col += nc
-    z /= scale
+    root_d = math.sqrt(X.shape[1])
+    row_scale = np.repeat([act.in_scale / root_d for act in acts], n_split)
+    z = X @ (Theta * row_scale[:, None]).T
+    ends = np.cumsum(n_split)
+    for top in range(0, z.shape[0], _CHUNK_ROWS):
+        for act, lo, hi in zip(acts, ends - n_split, ends):
+            block = z[top:top + _CHUNK_ROWS, lo:hi]
+            _BASE_IN_PLACE[act.kind](block)
+            block *= act.out_scale / root_d
+            if act.shift != 0.0:
+                block += act.shift / root_d
     return z
 
 
@@ -210,34 +256,41 @@ def excess_risk_on(
     return float(np.mean(gap * gap))
 
 
-def excess_risk_estimate(
-    ahat: np.ndarray,
-    Theta: np.ndarray,
-    acts: tuple[ActivationSpec, ...],
-    n_split: tuple[int, ...],
-    beta1: np.ndarray,
-    F0: float,
-    n_test: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo excess risk over a fresh spherical test set."""
-    X_test = _sphere_rows(n_test, Theta.shape[1], rng)
-    return excess_risk_on(ahat, Theta, acts, n_split, beta1, F0, X_test)
+def _replicate(group: Sequence[EmpiricalConfig], index: int) -> list[float | SolveFailure]:
+    """Replication ``index`` of configs that differ only in N, from one set of draws.
+
+    The draw order is beta, X, noise, then one block of sphere rows: a
+    config's feature directions are the block's first sum(N) rows and its
+    test inputs the next n_test.  One ``standard_normal`` call equals
+    successive smaller ones and a row's norm does not depend on the other
+    rows, so each config sees the draws of running it alone.  Returns per
+    config its excess risk or the ``SolveFailure`` that failed it alone.
+    """
+    first = group[0]
+    rng = replication_rng(first.base_seed, index)
+    data = generate_dataset(first, rng)
+    rows = _sphere_rows(max(sum(cfg.N) for cfg in group) + first.n_test, first.d, rng)
+    out: list[float | SolveFailure] = []
+    for cfg in group:
+        m = sum(cfg.N)
+        Theta = rows[:m]
+        try:
+            ahat = ridge_fit(feature_matrix(data.X, Theta, cfg.activations, cfg.N),
+                             data.y, cfg.lam, cfg.d)
+        except SolveFailure as err:
+            out.append(SolveFailure(f"replication {index}: {err}"))
+            continue
+        out.append(excess_risk_on(ahat, Theta, cfg.activations, cfg.N, data.beta1, cfg.F0,
+                                  rows[m:m + cfg.n_test]))
+    return out
 
 
 def run_replication(cfg: EmpiricalConfig, index: int) -> float:
     """One full draw-fit-evaluate cycle, keyed by the replication index."""
-    rng = replication_rng(cfg.base_seed, index)
-    data = generate_dataset(cfg, rng)
-    Theta = _sphere_rows(sum(cfg.N), cfg.d, rng)
-    Z = feature_matrix(data.X, Theta, cfg.activations, cfg.N)
-    try:
-        ahat = ridge_fit(Z, data.y, cfg.lam, cfg.d)
-    except SolveFailure as err:
-        raise SolveFailure(f"replication {index}: {err}") from err
-    return excess_risk_estimate(
-        ahat, Theta, cfg.activations, cfg.N, data.beta1, cfg.F0, cfg.n_test, rng
-    )
+    (outcome,) = _replicate((cfg,), index)
+    if isinstance(outcome, SolveFailure):
+        raise outcome
+    return outcome
 
 
 @functools.cache
@@ -300,11 +353,13 @@ def run_experiments(
 ) -> list[EmpiricalRisk | InvalidSpec | SolveFailure]:
     """Every replication of every config in one pool of ``workers`` threads.
 
+    Configs that differ only in N form a group, and one job runs one
+    replication of a whole group from one set of draws (``_replicate``).
     Returns per config its :class:`EmpiricalRisk` or the error that failed
     it alone: the intercept guard's ``InvalidSpec``, checked before anything
     is drawn, or its lowest-index replication's ``SolveFailure``.
     ``workers`` None or below 2 means one thread.  Results are gathered by
-    (config, index), so no outcome depends on the worker count.
+    (config, index), so no outcome depends on the worker count or the batch.
     """
     outcomes: list = [
         None if cfg.F0 == 0.0 or represents_intercept(compute_moments(a) for a in cfg.activations)
@@ -312,22 +367,26 @@ def run_experiments(
                          "otherwise the model cannot represent the intercept")
         for cfg in cfgs
     ]
+    groups: dict[EmpiricalConfig, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        if outcomes[i] is None:  # keyed by the config with its feature counts blanked
+            groups.setdefault(replace(cfg, N=(1,) * cfg.K), []).append(i)
+    jobs = [(members, r) for members in groups.values()
+            for r in range(cfgs[members[0]].replications)]
 
     def one(job):
-        try:
-            return run_replication(*job)
-        except SolveFailure as err:
-            return err
+        members, r = job
+        return _replicate([cfgs[i] for i in members], r)
 
-    jobs = [(cfg, r) for cfg, err in zip(cfgs, outcomes) if err is None
-            for r in range(cfg.replications)]
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=max(workers or 1, 1)) as pool:
-        results = iter(list(pool.map(one, jobs)))
-    for i, cfg in enumerate(cfgs):
-        if outcomes[i] is None:
-            per = [next(results) for _ in range(cfg.replications)]
-            failures = [r for r in per if isinstance(r, SolveFailure)]
-            outcomes[i] = failures[0] if failures else _summary(np.array(per))
+        results = list(pool.map(one, jobs))
+    per: dict[int, list] = {i: [] for members in groups.values() for i in members}
+    for (members, _), outs in zip(jobs, results):
+        for i, out in zip(members, outs):
+            per[i].append(out)
+    for i, reps in per.items():
+        failures = [r for r in reps if isinstance(r, SolveFailure)]
+        outcomes[i] = failures[0] if failures else _summary(np.array(reps))
     return outcomes
 
 

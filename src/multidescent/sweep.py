@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .activations import ActivationSpec
-from .formatting import format_number, to_json
+from .formatting import _float_cells, to_json
 from .risk import InvalidSpec, SolverConfig, TheorySpec, _shared_coeffs, _theory
 from .simulator import EmpiricalConfig, run_experiments
 
@@ -112,8 +112,8 @@ def _column(field_name: str) -> str:
 
 
 # CSV cells after c and psi_1..psi_K.
-_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name not in ("c", "psi", "error"))
-CSV_BASE_COLUMNS = tuple(_column(name) for name in _CSV_FIELDS)
+CSV_BASE_COLUMNS = tuple(_column(f.name) for f in fields(SweepRow)
+                         if f.name not in ("c", "psi", "error"))
 
 
 @dataclass
@@ -196,15 +196,6 @@ def run_sweep(
     return SweepResult(rows=rows, metadata=_metadata(spec))
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    v = float(value)
-    return format_number(v) if math.isfinite(v) else ""
-
-
 def csv_header(k: int) -> str:
     return ",".join(["c"] + [f"psi_{i + 1}" for i in range(k)] + list(CSV_BASE_COLUMNS))
 
@@ -216,9 +207,10 @@ def csv_text(result: SweepResult) -> str:
     k = len(result.rows[0].psi)
     lines = [csv_header(k)]
     for row in result.rows:
-        cells = [_cell(row.c)]
-        cells += [_cell(p) for p in row.psi]
-        cells += [_cell(getattr(row, name)) for name in _CSV_FIELDS]
+        emp = [math.nan if v is None else v for v in (row.emp_mean, row.emp_se)]
+        cells = _float_cells([row.c, *row.psi, row.psi_n, row.lam,
+                              row.theory_risk, row.theory_bias, row.theory_variance, *emp])
+        cells += ["" if v is None else str(v) for v in (row.replications, row.solver_iterations)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

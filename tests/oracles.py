@@ -15,7 +15,10 @@ with bounds checks the package has no use for:
   through which the package scores the risk;
 * ``expand_grid`` - a sweep's grid as one ``TheorySpec`` (and finite-size
   run) per point, an oracle for the sweep's array pass;
-* ``scaled_moments`` - the moment triple of a rescaled activation.
+* ``scaled_moments`` - the moment triple of a rescaled activation;
+* ``reference_replication`` - one Monte Carlo replication of a config run
+  alone, drawn call by call and featurized with ``eval_activation``, an
+  oracle for the simulator's shared draws and in-place feature map.
 
 ``tests/`` has no ``__init__.py``, so test modules import these as
 ``from oracles import ...``.
@@ -29,6 +32,8 @@ import numpy as np
 from multidescent import (
     DegenerateB,
     EmpiricalConfig,
+    eval_activation,
+    replication_rng,
     Moments,
     NuStar,
     SweepSpec,
@@ -240,3 +245,39 @@ def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:
     bias = spec.F1 ** 2 * (1.0 / md2 + l34 + l14)
     variance = spec.tau ** 2 * (l23 + l12)
     return TheoryRisk(risk=bias + variance, bias=bias, variance=variance, L=L, nu=nu)
+
+
+def reference_replication(cfg: EmpiricalConfig, index: int) -> float:
+    """Excess risk of replication ``index`` of ``cfg`` alone, by the original route.
+
+    Draws, in order and one call each, from the replication's generator:
+    the signal direction, the inputs, the label noise (if tau > 0), the
+    feature directions and the test inputs.  Features come from
+    ``eval_activation`` on the scaled projections, and the readout from the
+    primal normal equations whatever the shape.
+    """
+    d = cfg.d
+    rng = replication_rng(cfg.base_seed, index)
+
+    def sphere(m):
+        g = rng.standard_normal((m, d))
+        return g * (math.sqrt(d) / np.linalg.norm(g, axis=1))[:, None]
+
+    def features(inputs, theta):
+        u = inputs @ theta.T / math.sqrt(d)
+        cols = np.cumsum((0,) + cfg.N)
+        return np.column_stack([eval_activation(act, u[:, lo:hi])
+                                for act, lo, hi in zip(cfg.activations, cols, cols[1:])]) / math.sqrt(d)
+
+    g = rng.standard_normal(d)
+    beta1 = cfg.F1 * (g * (math.sqrt(d) / np.linalg.norm(g))) / math.sqrt(d)
+    X = sphere(cfg.n)
+    y = X @ beta1 + cfg.F0
+    if cfg.tau > 0.0:
+        y = y + rng.normal(0.0, cfg.tau, size=cfg.n)
+    theta = sphere(sum(cfg.N))
+    Z = features(X, theta)
+    ahat = np.linalg.solve(Z.T @ Z + cfg.lam * np.eye(Z.shape[1]), Z.T @ y) / math.sqrt(d)
+    X_test = sphere(cfg.n_test)
+    gap = X_test @ beta1 + cfg.F0 - math.sqrt(d) * (features(X_test, theta) @ ahat)
+    return float(np.mean(gap * gap))

@@ -130,10 +130,13 @@ class TestConfigValidation:
             parse_config(_inline(_minimal(**{"lambda": 0.0})))
 
     def test_lambda_missing(self):
+        """Validation accepts a config without lambda; the theory builder,
+        which reads it, rejects it."""
         bad = _minimal()
         del bad["model"]["lambda"]
+        cfg = parse_config(_inline(bad))
         with pytest.raises(ConfigError, match="missing required key 'lambda'"):
-            parse_config(_inline(bad))
+            build_theory_spec(cfg)
 
     def test_lambda_nonfinite(self):
         with pytest.raises(ConfigError, match="finite"):
@@ -509,6 +512,23 @@ class TestDispatch:
         payload = json.loads(out)
         assert payload["risk"] == pytest.approx((math.sqrt(2) - 1) / 2, rel=1e-12)
         assert payload["psi_n"] == 2.0
+
+    @pytest.mark.parametrize("model", [{"psi_n": 2.0}, {"d": 10, "n": 20}])
+    def test_limit_reads_neither_lambda_nor_widths(self, model):
+        """limit needs psi_n (or d and n) alone and prints the same bytes."""
+        full = {
+            "moments_override": [{"mu0": 0, "mu1": 1.0, "mu2_sq": 1.0}] * 2,
+            "model": {"psi": [1.0, 1.0], "psi_n": 2.0, "lambda": 1.0},
+        }
+        bare = dict(full, model=model)
+        assert _run("limit", bare) == _run("limit", full)
+        assert "0.207106781187" in _run("limit", bare)[1]
+
+    def test_theory_still_needs_lambda(self):
+        cfg = _minimal()
+        del cfg["model"]["lambda"]
+        assert _run("theory", cfg) == (
+            ExitStatus.CONFIG, "", "ConfigError: /model: missing required key 'lambda'\n")
 
     @pytest.mark.parametrize("r", [[1.0], [1.0, 2.0, 3.0]])
     def test_limit_any_k(self, r):

@@ -17,6 +17,7 @@ from multidescent.config import (
     build_empirical_config,
     build_limit_spec,
     build_sweep_spec,
+    build_theory_spec,
     validate_config,
 )
 
@@ -28,7 +29,8 @@ MOMENTS = {
     "moments_override": [{"mu0": 0.0, "mu1": 1.0, "mu2_sq": 0.5}],
     "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 1.0},
 }
-BUILDERS = {"empirical": build_empirical_config, "sweep": build_sweep_spec, "limit": build_limit_spec}
+BUILDERS = {"theory": build_theory_spec, "empirical": build_empirical_config,
+            "sweep": build_sweep_spec, "limit": build_limit_spec}
 
 
 def _edited(base: dict, edits):
@@ -106,13 +108,15 @@ CASES = [
     case("model-psi-and-counts", {"model.d": 10},
          "/model", "/model: give either psi/psi_n or d/n/N, not both"),
     case("model-no-size", {"model": {"lambda": 1.0}}, "/model", "/model: give either psi/psi_n or d/n/N"),
-    case("model-missing-psi", {"model.psi": DROP}, "/model", "/model: missing required key 'psi'"),
+    case("model-missing-psi", {"model.psi": DROP}, "/model", "/model: missing required key 'psi'",
+         build="theory"),
     case("model-missing-psi-n", {"model.psi_n": DROP}, "/model", "/model: missing required key 'psi_n'"),
     case("model-psi-not-array", {"model.psi": 1.0}, "/model/psi", "/model/psi: expected an array, got float"),
     case("model-psi-empty", {"model.psi": []}, "/model/psi", "/model/psi: needs at least one entry"),
     case("model-psi-entry-zero", {"model.psi": [1.0, 0.0]}, "/model/psi/1", "/model/psi/1: must be > 0"),
     case("model-psi-n-negative", {"model.psi_n": -1.0}, "/model/psi_n", "/model/psi_n: must be > 0"),
-    case("model-missing-N", {"model.N": DROP}, "/model", "/model: missing required key 'N'", base=COUNTS),
+    case("model-missing-N", {"model.N": DROP}, "/model", "/model: missing required key 'N'", base=COUNTS,
+         build="theory"),
     case("model-d-float", {"model.d": 10.0},
          "/model/d", "/model/d: expected an integer, got float", base=COUNTS),
     case("model-n-zero", {"model.n": 0}, "/model/n", "/model/n: must be >= 1", base=COUNTS),
@@ -120,7 +124,10 @@ CASES = [
          "/model/N", "/model/N: expected an array, got int", base=COUNTS),
     case("model-N-empty", {"model.N": []}, "/model/N", "/model/N: needs at least one entry", base=COUNTS),
     case("model-N-entry-zero", {"model.N": [0]}, "/model/N/0", "/model/N/0: must be >= 1", base=COUNTS),
-    case("model-missing-lambda", {"model.lambda": DROP}, "/model", "/model: missing required key 'lambda'"),
+    case("model-missing-lambda", {"model.lambda": DROP}, "/model", "/model: missing required key 'lambda'",
+         build="theory"),
+    case("model-missing-n", {"model.n": DROP, "model.N": DROP}, "/model",
+         "/model: missing required key 'n'", base=COUNTS),
     case("model-lambda-string", {"model.lambda": "1e-3"},
          "/model/lambda", "/model/lambda: expected a number, got str"),
     case("model-lambda-nan", {"model.lambda": math.nan}, "/model/lambda", "/model/lambda: must be finite"),
@@ -254,6 +261,13 @@ def test_single_error_golden(base, edits, build, pointer, text):
         BUILDERS[build](cfg)
     assert exc.value.pointer == pointer
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("build", ["empirical", "sweep"])
+def test_finite_size_builders_need_lambda(build):
+    raw = _edited(COUNTS, {"model.lambda": DROP, "sweep": {"c_grid": [1.0]}})
+    with pytest.raises(ConfigError, match="^/model: missing required key 'lambda'$"):
+        BUILDERS[build](validate_config(raw))
 
 
 def test_build_limit_k1():

@@ -8,12 +8,15 @@ standard errors of the predicted risk.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import expand_grid, reference_replication
 
 from multidescent import (
+    ACTIVATION_KINDS,
     ActivationSpec,
     EmpiricalConfig,
     EmpiricalTemplate,
@@ -23,6 +26,7 @@ from multidescent import (
     SweepSpec,
     asymptotic_risk,
     compute_moments,
+    eval_activation,
     excess_risk_on,
     feature_matrix,
     generate_dataset,
@@ -128,6 +132,41 @@ class TestFeatureMatrix:
         ) / math.sqrt(d)
         np.testing.assert_allclose(Z, expected, rtol=1e-15)
 
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_every_kind_matches_the_formula(self, kind):
+        """The in-place map equals eval_activation on the scaled projections,
+        for negative and zero in_scale, out_scale != 1 and shift != 0.  The
+        atol covers entries whose projection cancels, which the map and the
+        formula round differently."""
+        rng = np.random.default_rng(5)
+        d = 9
+        X = _sphere_rows(40, d, rng)
+        Theta = _sphere_rows(12, d, rng)
+        acts = tuple(ActivationSpec(kind, in_scale=a, out_scale=b, shift=c)
+                     for a, b, c in ((2.5, 1.0, 0.0), (-1.7, 0.6, 0.0), (0.0, 1.0, 0.3),
+                                     (0.8, -1.4, -0.2)))
+        Z = feature_matrix(X, Theta, acts, (3, 3, 3, 3))
+        u = X @ Theta.T / math.sqrt(d)
+        expected = np.column_stack(
+            [eval_activation(act, u[:, 3 * i:3 * i + 3]) for i, act in enumerate(acts)]
+        ) / math.sqrt(d)
+        np.testing.assert_allclose(Z, expected, rtol=1e-13, atol=1e-15)
+
+    def test_allocates_little_beyond_its_output(self):
+        """Peak allocation of the criterion-10 map at c = 3 (d = 200, n = 600,
+        N = 1800) stays within 1.6 times the output it returns."""
+        rng = np.random.default_rng(6)
+        X = _sphere_rows(600, 200, rng)
+        Theta = _sphere_rows(1800, 200, rng)
+        acts = (ActivationSpec("elu", in_scale=3.0), ActivationSpec("relu", in_scale=0.25))
+        tracemalloc.start()
+        try:
+            Z = feature_matrix(X, Theta, acts, (900, 900))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * Z.nbytes, peak / Z.nbytes
+
     def test_shape_mismatch(self):
         X = np.zeros((4, 3))
         with pytest.raises(ShapeMismatch, match="disagree on d"):
@@ -208,12 +247,13 @@ class TestDeterminism:
         get, _ = calls
         before = get()
         seen = []
+        real = simulator._replicate
 
-        def recording(cfg, index):
+        def recording(group, index):
             seen.append(get())
-            return run_replication(cfg, index)
+            return real(group, index)
 
-        monkeypatch.setattr(simulator, "run_replication", recording)
+        monkeypatch.setattr(simulator, "_replicate", recording)
         for workers in (1, 3):
             run_experiment(self._cfg(), workers=workers)
         tpl = EmpiricalTemplate(activations=self._cfg().activations, d=20, n=40,
@@ -221,7 +261,7 @@ class TestDeterminism:
         base = theory_spec_from_empirical(self._cfg())
         run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(0.5, 1.0), empirical=tpl),
                   workers=2)
-        assert seen == [1] * 24
+        assert seen == [1] * 18  # 6 + 6 jobs, then 6 for the sweep's one group
         assert get() == before
 
     def test_rng_streams(self):
@@ -285,16 +325,78 @@ class TestFailureIsolation:
         assert good.per_replication.shape == (4,)
 
     def test_lowest_failing_index_is_reported(self, monkeypatch):
-        real = simulator.run_replication
+        real = simulator._replicate
 
-        def flaky(cfg, index):
+        def flaky(group, index):
             if index >= 2:
-                raise SolveFailure(f"replication {index}: injected")
-            return real(cfg, index)
+                return [SolveFailure(f"replication {index}: injected") for _ in group]
+            return real(group, index)
 
-        monkeypatch.setattr(simulator, "run_replication", flaky)
+        monkeypatch.setattr(simulator, "_replicate", flaky)
         (outcome,) = run_experiments([self.GOOD], workers=3)
         assert str(outcome) == "replication 2: injected"
+
+
+class TestSharedDraws:
+    """Configs that differ only in N share one replication's draws, and no
+    config's result depends on the batch it runs in."""
+
+    BASE = EmpiricalConfig(
+        d=12, n=30, N=(8, 6), activations=(ActivationSpec("elu", in_scale=2.0),
+                                          ActivationSpec("sigmoid", shift=-0.3)),
+        lam=0.05, F0=0.2, F1=1.1, tau=0.3, n_test=25, replications=4, base_seed=8,
+    )
+    # sum(N) = 14, below n = 30 (primal ridge), and 45, above it (dual ridge)
+    GROUP = (BASE, replace(BASE, N=(25, 20)), replace(BASE, N=(1, 2)))
+
+    @staticmethod
+    def _same(a, b):
+        assert np.array_equal(a.per_replication, b.per_replication)
+        assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+    def test_draws_are_those_of_the_reference_replication(self):
+        """Every config of a group sees its own original draws, primal and dual."""
+        for cfg, out in zip(self.GROUP, run_experiments(self.GROUP, workers=2)):
+            expected = [reference_replication(cfg, r) for r in range(cfg.replications)]
+            np.testing.assert_allclose(out.per_replication, expected, rtol=1e-10)
+
+    def test_a_group_batch_is_invisible(self):
+        for cfg, out in zip(self.GROUP, run_experiments(self.GROUP, workers=2)):
+            self._same(out, run_experiment(cfg))
+
+    def test_a_mixed_batch_is_invisible(self):
+        mixed = [
+            self.GROUP[1],
+            replace(self.BASE, activations=(ActivationSpec("relu"), ActivationSpec("cos"))),
+            replace(self.BASE, base_seed=9),
+            self.GROUP[2],
+            replace(self.BASE, base_seed=9, N=(3, 30)),
+            self.BASE,
+        ]
+        for cfg, out in zip(mixed, run_experiments(mixed, workers=3)):
+            self._same(out, run_experiment(cfg))
+
+    def test_one_job_per_group_and_replication(self, monkeypatch):
+        real = simulator._replicate
+        sizes = []
+
+        def counting(group, index):
+            sizes.append(len(group))
+            return real(group, index)
+
+        monkeypatch.setattr(simulator, "_replicate", counting)
+        run_experiments([*self.GROUP, replace(self.BASE, base_seed=9)])
+        assert sorted(sizes) == [1] * 4 + [3] * 4
+
+    def test_sweep_rows_equal_their_configs_alone(self):
+        tpl = EmpiricalTemplate(activations=self.BASE.activations, d=12, n=30, n_test=25,
+                                replications=4, base_seed=8)
+        spec = SweepSpec(base=theory_spec_from_empirical(self.BASE), ratios=(1.0, 2.0),
+                         c_grid=(0.4, 1.0, 1.6), empirical=tpl)
+        rows = run_sweep(spec, workers=2).rows
+        for row, point in zip(rows, expand_grid(spec)):
+            alone = run_experiment(point.empirical)
+            assert (row.emp_mean, row.emp_se) == (alone.mean, alone.std_error)
 
 
 class TestStatistics:

@@ -25,6 +25,8 @@ from multidescent import (
     InvalidSpec,
     Moments,
     SolverConfig,
+    SweepResult,
+    SweepRow,
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
@@ -372,6 +374,31 @@ class TestCsv:
             assert rec["theory_risk"] == ""
             assert rec["solver_iterations"] == ""
             assert rec["c"] != ""
+
+    def test_bytes_are_pinned(self):
+        """None, int, NaN, inf, signed zero and both sides of each fixed/scientific
+        boundary, as format_number writes them."""
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            SweepRow(c=0.5, psi=(0.25, 1e-7), psi_n=3.0, lam=1e-5, theory_risk=1.25,
+                     theory_bias=0.0, theory_variance=-0.0, solver_iterations=9),
+            SweepRow(c=1.0, psi=(0.1, 2e15), psi_n=3.0, lam=1e-5, theory_risk=nan,
+                     theory_bias=inf, theory_variance=-inf, error="NoConvergence: x"),
+            SweepRow(c=1.5, psi=(0.09999999999999999, 123.456), psi_n=3.0, lam=1e-5,
+                     theory_risk=-0.3, theory_bias=1e15, theory_variance=999999999999999.9,
+                     emp_mean=0.31, emp_se=0.0, replications=20, solver_iterations=11),
+        ]
+        assert csv_text(SweepResult(rows=rows)) == (
+            "c,psi_1,psi_2,psi_n,lambda,theory_risk,theory_bias,theory_variance,"
+            "emp_mean,emp_se,replications,solver_iterations\n"
+            "0.500000000000,0.250000000000,1.000000000000e-07,3.000000000000,"
+            "1.000000000000e-05,1.250000000000,0.000000000000,0.000000000000,,,,9\n"
+            "1.000000000000,0.100000000000,2.000000000000e+15,3.000000000000,"
+            "1.000000000000e-05,,,,,,,\n"
+            "1.500000000000,1.000000000000e-01,123.456000000000,3.000000000000,"
+            "1.000000000000e-05,-0.300000000000,1.000000000000e+15,"
+            "999999999999999.875000000000,0.310000000000,0.000000000000,20,11\n"
+        )
 
     def test_write_csv_matches_text(self, tmp_path):
         spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
