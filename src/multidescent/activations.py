@@ -4,8 +4,10 @@ The asymptotic theory sees an activation only through three statistics of
 sigma(G) for G ~ N(0, 1): the mean ``mu0``, the linear (Hermite-1) component
 ``mu1``, and the residual nonlinear variance ``mu2_sq``.  This module
 evaluates the supported activations and computes those moments by composite
-Gauss-Legendre quadrature against the normal density, with panel boundaries
-pinned to the kink of the ReLU family so every panel integrand is smooth.
+Gauss-Legendre quadrature against the normal density, on equal panels whose
+middle boundary is the kink of the ReLU family, so every panel integrand is
+smooth.  Each kind's base function is implemented once, in place, and the
+simulator's feature map applies the same kernels.
 """
 
 from __future__ import annotations
@@ -32,52 +34,51 @@ class QuadratureDiverged(RuntimeError):
     """Raised when refining the quadrature still moves a moment by > 1e-8."""
 
 
-def _relu(u):
-    return np.maximum(u, 0.0)
+def _elu_in_place(z: np.ndarray) -> None:
+    # max(z, 0) + expm1(min(z, 0)) is elu bit for bit; a ufunc's where=
+    # mask would avoid the temporary but runs several times slower.
+    neg = np.minimum(z, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(z, 0.0, out=z)
+    z += neg
 
 
-def _step(u):
-    # Indicator of u > 0; the value at exactly 0 is 0.
-    return (np.asarray(u) > 0).astype(np.float64)
+def _sigmoid_in_place(z: np.ndarray) -> None:
+    # 1/(1 + e^-z) loses no relative accuracy; e^-z overflows to inf only
+    # where the sigmoid is below the smallest normal double.
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
-def _elu(u):
-    u = np.asarray(u, dtype=np.float64)
-    return np.where(u >= 0.0, u, np.expm1(np.minimum(u, 0.0)))
-
-
-def _sigmoid(u):
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-_BASE_FUNCS = {
-    "relu": _relu,
-    "step": _step,
-    "elu": _elu,
-    "sigmoid": _sigmoid,
-    "tanh": np.tanh,
-    "sin": np.sin,
-    "cos": np.cos,
-    "identity": lambda u: np.asarray(u, dtype=np.float64),
-    "constant": lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
+# Each activation kind's base function, overwriting a float64 array in place:
+# the one implementation behind eval_activation (so the moment quadrature)
+# and the simulator's feature map.
+_BASE_IN_PLACE = {
+    "relu": lambda z: np.maximum(z, 0.0, out=z),
+    "step": lambda z: np.greater(z, 0.0, out=z),  # the value at exactly 0 is 0
+    "elu": _elu_in_place,
+    "sigmoid": _sigmoid_in_place,
+    "tanh": lambda z: np.tanh(z, out=z),
+    "sin": lambda z: np.sin(z, out=z),
+    "cos": lambda z: np.cos(z, out=z),
+    "identity": lambda z: None,
+    "constant": lambda z: z.fill(1.0),
 }
 
-ACTIVATION_KINDS = tuple(sorted(_BASE_FUNCS))
-
-# Base functions with a kink: quadrature panels must break there.
-_KINKED = frozenset({"relu", "step", "elu"})
+ACTIVATION_KINDS = tuple(sorted(_BASE_IN_PLACE))
 
 # Composite Gauss-Legendre rule: equal panels on [-_TRUNCATION, _TRUNCATION],
 # each with _NODES_PER_PANEL nodes (and twice that for the refinement check).
+# The panel count is even, so the middle boundary is 0: the kink of relu,
+# step and elu, which leaves every panel's integrand smooth.
 _PANEL_COUNT = 24
 _TRUNCATION = 12.0
 _NODES_PER_PANEL = 64
+_PANEL_BOUNDS = np.linspace(-_TRUNCATION, _TRUNCATION, _PANEL_COUNT + 1)
+_PANEL_BOUNDS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class ActivationSpec:
     shift: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _BASE_FUNCS:
+        if self.kind not in _BASE_IN_PLACE:
             raise ValueError(
                 f"unknown activation kind {self.kind!r}; expected one of {ACTIVATION_KINDS}"
             )
@@ -121,19 +122,12 @@ class Moments:
 
 def eval_activation(act: ActivationSpec, x):
     """Evaluate ``act`` at ``x`` (scalar or ndarray, applied elementwise)."""
-    base = _BASE_FUNCS[act.kind]
-    out = act.out_scale * base(act.in_scale * np.asarray(x, dtype=np.float64)) + act.shift
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def _panel_boundaries(act: ActivationSpec) -> np.ndarray:
-    bounds = np.linspace(-_TRUNCATION, _TRUNCATION, _PANEL_COUNT + 1)
-    if act.kind in _KINKED and act.in_scale != 0.0:
-        # The base kink sits at in_scale * x = 0, i.e. x = 0.
-        bounds = np.union1d(bounds, [0.0])
-    return bounds
+    z = np.array(x, dtype=np.float64, ndmin=1)  # a copy: x is left as it is
+    z *= act.in_scale
+    _BASE_IN_PLACE[act.kind](z)
+    z *= act.out_scale
+    z += act.shift
+    return float(z[0]) if np.ndim(x) == 0 else z
 
 
 @functools.lru_cache
@@ -148,8 +142,7 @@ def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_moments(act: ActivationSpec, nodes: int) -> np.ndarray:
     """Integrals of (sigma, x sigma, sigma^2) against the N(0,1) density."""
     ref_x, ref_w = _legendre_rule(nodes)
-    bounds = _panel_boundaries(act)
-    lo, hi = bounds[:-1], bounds[1:]
+    lo, hi = _PANEL_BOUNDS[:-1], _PANEL_BOUNDS[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()

@@ -23,16 +23,12 @@ def format_number(x: float) -> str:
         return "nan"
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    if v == 0.0:
-        return "0.000000000000"
-    if 0.1 <= abs(v) < 1e15:
-        return f"{v:.12f}"
-    return f"{v:.12e}"
+    return _float_cells((v,))[0]
 
 
 def _float_cells(values) -> list[str]:
-    """:func:`format_number` of each float, "" for NaN and inf: the CSV
-    cells of many numbers in one pass, without a call per number."""
+    """The 12-digit rule of each float, "" for NaN and inf: the CSV cells
+    of many numbers in one pass, and :func:`format_number`'s one case."""
     return [f"{v:.12f}" if 0.1 <= abs(v) < 1e15 else "0.000000000000" if v == 0.0
             else f"{v:.12e}" if math.isfinite(v) else "" for v in values]
 

@@ -21,12 +21,11 @@ import functools
 import math
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activations import ActivationSpec, Moments, compute_moments, represents_intercept
+from .activations import _BASE_IN_PLACE, ActivationSpec, Moments, compute_moments, represents_intercept
 from .risk import InvalidSpec, TheorySpec
 
 __all__ = [
@@ -142,38 +141,6 @@ def generate_dataset(cfg: EmpiricalConfig, rng: np.random.Generator) -> Dataset:
         y = y + rng.normal(0.0, cfg.tau, size=cfg.n)
     return Dataset(X=X, y=y, beta1=beta1)
 
-
-def _elu_in_place(z: np.ndarray) -> None:
-    # max(z, 0) + expm1(min(z, 0)) is elu bit for bit; a ufunc's where=
-    # mask would avoid the temporary but runs several times slower.
-    neg = np.minimum(z, 0.0)
-    np.expm1(neg, out=neg)
-    np.maximum(z, 0.0, out=z)
-    z += neg
-
-
-def _sigmoid_in_place(z: np.ndarray) -> None:
-    # 1/(1 + e^-z) loses no relative accuracy; e^-z overflows to inf only
-    # where the sigmoid is below the smallest normal double.
-    np.negative(z, out=z)
-    with np.errstate(over="ignore"):
-        np.exp(z, out=z)
-    z += 1.0
-    np.reciprocal(z, out=z)
-
-
-# Each activation kind's base function, overwriting a float64 array in place.
-_BASE_IN_PLACE = {
-    "relu": lambda z: np.maximum(z, 0.0, out=z),
-    "step": lambda z: np.greater(z, 0.0, out=z),
-    "elu": _elu_in_place,
-    "sigmoid": _sigmoid_in_place,
-    "tanh": lambda z: np.tanh(z, out=z),
-    "sin": lambda z: np.sin(z, out=z),
-    "cos": lambda z: np.cos(z, out=z),
-    "identity": lambda z: None,
-    "constant": lambda z: z.fill(1.0),
-}
 
 # Rows of the output per elementwise pass, which bounds elu's temporary.
 _CHUNK_ROWS = 128
@@ -377,6 +344,10 @@ def run_experiments(
     def one(job):
         members, r = job
         return _replicate([cfgs[i] for i in members], r)
+
+    # Imported here: processes that only run the theory never load the pool
+    # machinery (concurrent.futures brings in logging).
+    from concurrent.futures import ThreadPoolExecutor
 
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=max(workers or 1, 1)) as pool:
         results = list(pool.map(one, jobs))

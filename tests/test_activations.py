@@ -7,6 +7,7 @@ sigmoidal ones, and an adaptive QUADPACK integral as a cross-method check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from multidescent import (
     compute_moments,
     eval_activation,
 )
-from multidescent.activations import _legendre_rule
+from multidescent.activations import _PANEL_BOUNDS, _legendre_rule
 from oracles import scaled_moments
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -251,6 +252,13 @@ class TestRefinementStability:
 
 
 class TestLegendreRule:
+    def test_the_kink_is_a_panel_boundary(self):
+        """relu, step and elu are smooth on every panel only because 0 is a
+        boundary of the grid (an even panel count)."""
+        assert 0.0 in _PANEL_BOUNDS
+        assert _PANEL_BOUNDS[0] == -12.0 and _PANEL_BOUNDS[-1] == 12.0
+
+
     def test_rule_is_computed_once_and_read_only(self):
         """Every activation shares one cached rule per node count; it equals
         numpy's and cannot be modified through the cache."""
@@ -263,7 +271,30 @@ class TestLegendreRule:
             x[0] = 0.0
 
 
+# Scalar formulas written with the math module, independent of the in-place
+# kernels that eval_activation and the feature map share.
+_SCALAR_FORMULAS = {
+    "relu": lambda u: max(u, 0.0),
+    "step": lambda u: 1.0 if u > 0.0 else 0.0,
+    "elu": lambda u: u if u >= 0.0 else math.expm1(u),
+    "sigmoid": lambda u: (1.0 / (1.0 + math.exp(-u)) if u >= 0.0
+                          else math.exp(u) / (1.0 + math.exp(u))),
+    "tanh": math.tanh,
+    "sin": math.sin,
+    "cos": math.cos,
+    "identity": lambda u: u,
+    "constant": lambda u: 1.0,
+}
+
+
 class TestEvaluation:
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_every_kind_matches_a_scalar_formula(self, kind):
+        act = ActivationSpec(kind, in_scale=-1.3, out_scale=0.7, shift=0.2)
+        xs = np.linspace(-5.0, 5.0, 41)
+        expected = [0.7 * _SCALAR_FORMULAS[kind](-1.3 * float(x)) + 0.2 for x in xs]
+        np.testing.assert_allclose(eval_activation(act, xs), expected, rtol=1e-15, atol=1e-15)
+
     def test_scalar_and_array_agree(self):
         act = ActivationSpec("elu", in_scale=2.0, out_scale=-1.5, shift=0.3)
         xs = np.linspace(-3, 3, 11)
@@ -271,6 +302,28 @@ class TestEvaluation:
         scalars = [eval_activation(act, float(x)) for x in xs]
         np.testing.assert_allclose(arr, scalars, rtol=0, atol=0)
         assert isinstance(eval_activation(act, 0.5), float)
+
+    def test_input_is_left_unchanged(self):
+        xs = np.linspace(-3, 3, 7)
+        before = xs.copy()
+        for kind in ACTIVATION_KINDS:
+            out = eval_activation(ActivationSpec(kind, in_scale=2.0, out_scale=3.0, shift=1.0), xs)
+            assert out is not xs
+            np.testing.assert_array_equal(xs, before)
+
+    def test_zero_dimensional_input_gives_a_float(self):
+        for x in (0.5, np.float64(0.5), np.array(0.5), 2):
+            assert type(eval_activation(ActivationSpec("tanh"), x)) is float
+
+    def test_sigmoid_saturates_without_warnings(self):
+        act = ActivationSpec("sigmoid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = eval_activation(act, np.array([-1000.0, -720.0, 720.0, 1000.0]))
+            scalars = [act(x) for x in (-1000.0, -720.0, 720.0, 1000.0)]
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        np.testing.assert_array_equal(out, scalars)
+        np.testing.assert_allclose(out, [0.0, 0.0, 1.0, 1.0], rtol=0, atol=1e-300)
 
     def test_spec_is_callable(self):
         act = ActivationSpec("relu", in_scale=4.0)

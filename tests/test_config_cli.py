@@ -32,6 +32,7 @@ from multidescent import (
 from multidescent import config as config_module
 from multidescent.cli import ExitStatus, dispatch, main
 from multidescent.config import apply_overrides, load_raw, validate_config
+from multidescent.formatting import _float_cells
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -71,6 +72,23 @@ class TestFormatNumber:
         assert format_number(0.05) == "5.000000000000e-02"
         assert format_number(1e15) == "1.000000000000e+15"
         assert format_number(-3.5e20) == "-3.500000000000e+20"
+
+    def test_one_rule_for_json_and_csv(self):
+        """format_number and the CSV cells write the same bytes at every
+        edge of the fixed/scientific rule."""
+        goldens = [
+            (0.0, "0.000000000000"),
+            (-0.0, "0.000000000000"),
+            (0.1, "0.100000000000"),
+            (-0.1, "-0.100000000000"),
+            (math.nextafter(0.1, 0.0), "1.000000000000e-01"),
+            (1e15, "1.000000000000e+15"),
+            (-1e300, "-1.000000000000e+300"),
+            (5e-324, "4.940656458412e-324"),
+        ]
+        for v, text in goldens:
+            assert format_number(v) == text
+            assert _float_cells([v]) == [text]
 
     def test_nonfinite(self):
         assert format_number(float("nan")) == "nan"
