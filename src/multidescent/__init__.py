@@ -1,8 +1,8 @@
 """Exact asymptotics and finite-size simulation of random feature ridge models.
 
 The package computes the high-dimensional excess risk of ridge regression
-on mixtures of random nonlinear features (K activation families) and its
-width limits, exposes the self-consistent scale solver behind it, runs
+on mixtures of random nonlinear features (K activation families), together
+with the self-consistent scales it solves for, and its width limits, runs
 matching finite-size Monte Carlo experiments, and sweeps risk curves over a
 model-complexity grid with CSV/SVG output.  Each module's ``__all__`` is the
 one list of its public names: what the CLI, the demos and library callers

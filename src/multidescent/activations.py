@@ -131,23 +131,24 @@ def eval_activation(act: ActivationSpec, x):
 
 
 @functools.lru_cache
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
-    and shared read-only."""
+def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with ``nodes`` nodes per panel over the
+    panels of ``_PANEL_BOUNDS``: the nodes x and the weights times the N(0,1)
+    density at x, computed once per count and shared read-only."""
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
-    ref_x.flags.writeable = ref_w.flags.writeable = False
-    return ref_x, ref_w
-
-
-def _gauss_moments(act: ActivationSpec, nodes: int) -> np.ndarray:
-    """Integrals of (sigma, x sigma, sigma^2) against the N(0,1) density."""
-    ref_x, ref_w = _legendre_rule(nodes)
     lo, hi = _PANEL_BOUNDS[:-1], _PANEL_BOUNDS[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     w = (half[:, None] * ref_w[None, :]).ravel()
     w = w * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_moments(act: ActivationSpec, nodes: int) -> np.ndarray:
+    """Integrals of (sigma, x sigma, sigma^2) against the N(0,1) density."""
+    x, w = _normal_rule(nodes)
     s = eval_activation(act, x)
     return np.array([np.dot(w, s), np.dot(w, x * s), np.dot(w, s * s)])
 

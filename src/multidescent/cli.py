@@ -52,8 +52,6 @@ class ExitStatus(IntEnum):
     IO = 4
 
 
-SUBCOMMANDS = ("moments", "theory", "simulate", "sweep", "limit")
-
 _CONFIG_ERRORS = (ConfigError, InvalidSpec, DegenerateMoments, EmptyGrid, QuadratureDiverged)
 _SOLVER_ERRORS = (NoConvergence, DegenerateB, SolveFailure, ShapeMismatch, np.linalg.LinAlgError)
 
@@ -76,14 +74,14 @@ def _cmd_moments(cfg: RootConfig, err_stream) -> str:
 
 def _cmd_theory(cfg: RootConfig, err_stream) -> str:
     result = asymptotic_risk(build_theory_spec(cfg), cfg.solver)
-    nu = result.nu
-    print(f"solver: {nu.iterations} iterations, residual {nu.residual:.3e}", file=err_stream)
+    print(f"solver: {result.iterations} iterations, residual {result.residual:.3e}",
+          file=err_stream)
     return to_json(
         {
             "risk": result.risk,
             "bias": result.bias,
             "variance": result.variance,
-            "b": [float(x) for x in nu.b],
+            "b": [float(x) for x in result.b],
         }
     )
 
@@ -134,12 +132,15 @@ def _cmd_limit(cfg: RootConfig, err_stream) -> str:
     )
 
 
-_HANDLERS = {
-    "moments": _cmd_moments,
-    "theory": _cmd_theory,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "limit": _cmd_limit,
+# Each subcommand's handler and its --help line, in the order --help lists them.
+_COMMANDS = {
+    "moments": (_cmd_moments,
+                "print the Gaussian moment triple of each configured activation"),
+    "theory": (_cmd_theory, "solve the asymptotic risk for the configured model"),
+    "simulate": (_cmd_simulate, "run the finite-size Monte Carlo experiment"),
+    "sweep": (_cmd_sweep, "evaluate a complexity grid and emit CSV/SVG"),
+    "limit": (_cmd_limit,
+              "evaluate the infinite-width risk limit at fixed block proportions"),
 }
 
 
@@ -150,7 +151,7 @@ def dispatch(command: str, cfg: RootConfig, out_stream=None, err_stream=None) ->
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            payload = _HANDLERS[command](cfg, err_stream)
+            payload = _COMMANDS[command][0](cfg, err_stream)
         seen = set()
         for w in caught:
             line = f"{w.category.__name__}: {w.message}"
@@ -177,15 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "moments": "print the Gaussian moment triple of each configured activation",
-        "theory": "solve the asymptotic risk for the configured model",
-        "simulate": "run the finite-size Monte Carlo experiment",
-        "sweep": "evaluate a complexity grid and emit CSV/SVG",
-        "limit": "evaluate the infinite-width risk limit at fixed block proportions",
-    }
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=help_text[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, help="path to a JSON config (or inline JSON)")
         sp.add_argument(
             "--set",

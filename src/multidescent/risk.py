@@ -46,11 +46,9 @@ from .activations import Moments
 
 __all__ = [
     "TheorySpec",
-    "NuStar",
     "SolverConfig",
     "InvalidSpec",
     "NoConvergence",
-    "solve_nu",
     "TheoryRisk",
     "LimitSpec",
     "DegenerateB",
@@ -140,19 +138,6 @@ class SolverConfig:
             raise ValueError("max_iter must be an integer >= 1")
 
 
-@dataclass
-class NuStar:
-    """Converged positive imaginary parts b_1..b_{K+1} plus solve diagnostics.
-
-    ``iterations`` counts Newton steps, the polishing step after reaching
-    the tolerance included.
-    """
-
-    b: np.ndarray
-    residual: float
-    iterations: int
-
-
 class DegenerateB(ValueError):
     """A scale b_j is zero; every root of the scale system is positive, so the
     risk is not defined there."""
@@ -170,11 +155,20 @@ class IllConditionedWarning(UserWarning):
 
 @dataclass
 class TheoryRisk:
+    """The risk of one point and the solve behind it.
+
+    ``b`` holds the solved scales b_1..b_{K+1}, ``residual`` the largest
+    relative residual at them, and ``iterations`` the Newton steps, the
+    polishing step after reaching the tolerance included.
+    """
+
     risk: float
     bias: float
     variance: float
     L: np.ndarray
-    nu: NuStar
+    b: np.ndarray
+    residual: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -279,8 +273,8 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig):
     Returns b (G, K+1), the largest relative residual (G,) and the Newton
     steps (G,) of every point, and the exception that ended each failed
     point's solve by index (``NoConvergence``, or ``LinAlgError`` for a
-    singular Jacobian); b is NaN on the failed points.  The rules of each
-    point's iteration are those of ``solve_nu``.
+    singular Jacobian); b is NaN on the failed points.  Each point iterates
+    by the rules in ``asymptotic_risk``'s docstring.
     """
     g = len(psi)
     sqrt_lam = np.sqrt(lam)
@@ -348,15 +342,6 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig):
         ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps = (
             x[keep] for x in (ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps)
         )
-
-
-def _nu_stars(b, residual, steps, errors) -> list:
-    """``_newton``'s arrays as one ``NuStar`` or exception per point."""
-    return [
-        errors.get(i) or NuStar(b=b[i].copy(), residual=float(residual[i]),
-                                iterations=int(steps[i]))
-        for i in range(len(b))
-    ]
 
 
 def _matrices(m1, m2, b) -> tuple[np.ndarray, np.ndarray]:
@@ -453,30 +438,10 @@ def _results(risk, bias, variance, L, b, residual, steps, errors) -> list:
     """``_theory``'s arrays as one ``TheoryRisk`` or exception per point."""
     return [
         errors[i] if i in errors else
-        TheoryRisk(risk=risk[i], bias=bias[i], variance=variance[i], L=L[i], nu=nu)
-        for i, nu in enumerate(_nu_stars(b, residual, steps, errors))
+        TheoryRisk(risk=risk[i], bias=bias[i], variance=variance[i], L=L[i], b=b[i].copy(),
+                   residual=float(residual[i]), iterations=int(steps[i]))
+        for i in range(len(b))
     ]
-
-
-def solve_nu(spec: TheorySpec, cfg: SolverConfig | None = None) -> NuStar:
-    """Solve the positive-variable system at spec.lam by Newton's method in log b.
-
-    The iteration starts from b_j = psi_j / (sqrt(lam) + 1).  Each step is
-    capped at 2 in every log b_j and halved until the largest relative
-    residual decreases; when even a step too small to move b cannot reduce
-    it, the solve fails at once instead of stalling.  ``cfg.max_iter`` caps
-    the steps to reach ``cfg.tol``.  A solve that reaches it takes one more
-    Newton step, kept only if it does not raise the residual, so that the
-    root carries the digits of a full step rather than stopping at the first
-    iterate under the tolerance; ``iterations`` counts that step.  Raises
-    ``NoConvergence``, or ``LinAlgError`` for a singular Jacobian.  A sweep
-    runs the same iteration on its whole grid at once, each point with its
-    own steps, line search and failure.
-    """
-    (result,) = _nu_stars(*_newton(*_stack_coeffs([spec]), cfg or SolverConfig()))
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
@@ -494,7 +459,20 @@ def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
 
 def asymptotic_risk(spec: TheorySpec, cfg: SolverConfig | None = None) -> TheoryRisk:
     """Asymptotic excess risk of ``spec``: ``asymptotic_risk_stack`` for one
-    spec, raising its failure.  ``nu`` of the result holds the solved scales."""
+    spec, raising its failure.
+
+    The scales are found by Newton's method in log b, starting from
+    b_j = psi_j / (sqrt(lam) + 1).  Each step is capped at 2 in every log b_j
+    and halved until the largest relative residual decreases; when even a
+    step too small to move b cannot reduce it, the solve fails at once
+    instead of stalling.  ``cfg.max_iter`` caps the steps to reach
+    ``cfg.tol``.  A solve that reaches it takes one more Newton step, kept
+    only if it does not raise the residual, so that the root carries the
+    digits of a full step rather than stopping at the first iterate under
+    the tolerance; ``iterations`` counts that step.  Raises
+    ``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a singular
+    Jacobian or S.
+    """
     (result,) = _results(*_theory(*_stack_inputs([spec]), cfg))
     if isinstance(result, Exception):
         raise result

@@ -186,7 +186,7 @@ def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: int) -> np.ndarray:
     Z^T (Z Z^T + lam I)^{-1} y / sqrt(d) when there are more features than
     samples, keeping the factorization at min(N, n)^3 cost.
     """
-    if lam <= 0.0:
+    if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lambda must be > 0")
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(y))):
         raise SolveFailure("non-finite entries in ridge inputs")

@@ -75,9 +75,9 @@ class SweepSpec:
             raise InvalidSpec(
                 f"need {self.base.K} ratios to match the base model, got {len(self.ratios)}"
             )
-        if any(r <= 0.0 for r in self.ratios):
+        if any(not (r > 0.0 and math.isfinite(r)) for r in self.ratios):
             raise InvalidSpec("ratios must be > 0")
-        if any(c <= 0.0 for c in self.c_grid):
+        if any(not (c > 0.0 and math.isfinite(c)) for c in self.c_grid):
             raise InvalidSpec("c grid values must be > 0")
         if any(b >= a for a, b in zip(self.c_grid[1:], self.c_grid)):
             raise InvalidSpec("c grid must be strictly increasing")

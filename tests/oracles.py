@@ -35,7 +35,6 @@ from multidescent import (
     eval_activation,
     replication_rng,
     Moments,
-    NuStar,
     SweepSpec,
     TheoryRisk,
     TheorySpec,
@@ -109,7 +108,7 @@ def potential(spec: TheorySpec, u) -> float:
                      + [-p * x for p, x in zip(spec.psi_full, u)])
 
 
-def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
+def verify_complex(spec: TheorySpec, b) -> float:
     """Max absolute residual of the complex system at nu_j = i b_j.
 
     Substitutes xi = sqrt(lam) i and the purely imaginary candidates into
@@ -117,7 +116,7 @@ def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
     the real-variable rearrangement used by the solver.
     """
     xi = complex(0.0, math.sqrt(spec.lam))
-    nu_c = [complex(0.0, float(x)) for x in nu.b]
+    nu_c = [complex(0.0, float(x)) for x in b]
     k = spec.K
     m1 = [m.mu1 * m.mu1 for m in spec.moments]
     m2 = [m.mu2_sq for m in spec.moments]
@@ -133,13 +132,13 @@ def verify_complex(spec: TheorySpec, nu: NuStar) -> float:
     return worst
 
 
-def build_matrices(spec: TheorySpec, nu: NuStar) -> TheoryMatrices:
-    """Assemble H and V at the converged scales, all-real arithmetic.
+def build_matrices(spec: TheorySpec, b) -> TheoryMatrices:
+    """Assemble H and V at the converged scales ``b``, all-real arithmetic.
 
     H is built entry by entry from its formula, which the package never
     evaluates; MD and V are the package's own.
     """
-    b = np.asarray(nu.b, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if np.any(b == 0.0):
         raise DegenerateB("all b_j must be nonzero")
     psi, m1, m2, _ = _stack_coeffs([spec])
@@ -175,17 +174,18 @@ def expand_grid(spec: SweepSpec) -> list[GridPoint]:
     return points
 
 
-def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:
-    """Closed-form route for K=2; oracle for the matrix route.
+def explicit_risk_k2(spec: TheorySpec, b) -> TheoryRisk:
+    """Closed-form route for K=2 at the scales ``b``; oracle for the matrix route.
 
     Evaluates the printed closed forms of S and of the four L entries under
     the purely-imaginary substitutions (squared scales pick up a minus sign)
     and assembles the same risk expression.  Only the four needed entries of
-    L are populated (symmetrically); the rest stay zero.
+    L are populated (symmetrically); the rest stay zero.  The result carries
+    ``b`` as given, with residual NaN and 0 iterations: nothing is solved.
     """
     if spec.K != 2:
         raise WrongK(f"closed form requires K=2, got K={spec.K}")
-    b1, b2, b3 = (float(x) for x in nu.b)
+    b1, b2, b3 = (float(x) for x in b)
     p1, p2, p3 = spec.psi[0], spec.psi[1], spec.psi_n
     m11, m21 = (m.mu1 * m.mu1 for m in spec.moments)
     m12, m22 = (m.mu2_sq for m in spec.moments)
@@ -244,7 +244,8 @@ def explicit_risk_k2(spec: TheorySpec, nu: NuStar) -> TheoryRisk:
     L[2, 3] = L[3, 2] = l34
     bias = spec.F1 ** 2 * (1.0 / md2 + l34 + l14)
     variance = spec.tau ** 2 * (l23 + l12)
-    return TheoryRisk(risk=bias + variance, bias=bias, variance=variance, L=L, nu=nu)
+    return TheoryRisk(risk=bias + variance, bias=bias, variance=variance, L=L, b=b,
+                      residual=math.nan, iterations=0)
 
 
 def reference_replication(cfg: EmpiricalConfig, index: int) -> float:

@@ -31,7 +31,6 @@ from multidescent import (
     ridge_fit,
     run_experiment,
     run_sweep,
-    solve_nu,
     theory_spec_from_empirical,
 )
 from multidescent.cli import ExitStatus, dispatch
@@ -110,13 +109,13 @@ def test_criterion_02_solver_golden_roots(acceptance_report):
     cubic_spec = TheorySpec(
         psi=(1.0,), psi_n=1.0, moments=(Moments(0.0, 1.0, 0.0),), lam=1.0
     )
-    quad = solve_nu(quad_spec)
-    cubic = solve_nu(cubic_spec)
+    quad = asymptotic_risk(quad_spec)
+    cubic = asymptotic_risk(cubic_spec)
     root_err = max(
         float(np.max(np.abs(quad.b - GOLDEN_QUADRATIC))),
         float(np.max(np.abs(cubic.b - GOLDEN_CUBIC))),
     )
-    complex_res = max(verify_complex(quad_spec, quad), verify_complex(cubic_spec, cubic))
+    complex_res = max(verify_complex(quad_spec, quad.b), verify_complex(cubic_spec, cubic.b))
     _verdict(
         acceptance_report, 2, "scale-system golden roots",
         root_err < 1e-10 and complex_res < 1e-10,
@@ -141,7 +140,7 @@ def test_criterion_03_k2_oracle_equivalence(acceptance_report):
             tau=0.3,
         )
         matrix = asymptotic_risk(spec)
-        closed = explicit_risk_k2(spec, matrix.nu)
+        closed = explicit_risk_k2(spec, matrix.b)
         worst = max(worst, abs(matrix.risk - closed.risk) / abs(closed.risk))
     _verdict(
         acceptance_report, 3, "matrix vs closed-form risk, 120 random K=2 specs",

@@ -21,7 +21,7 @@ from multidescent import (
     compute_moments,
     eval_activation,
 )
-from multidescent.activations import _PANEL_BOUNDS, _legendre_rule
+from multidescent.activations import _PANEL_BOUNDS, _normal_rule
 from oracles import scaled_moments
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -260,15 +260,22 @@ class TestLegendreRule:
 
 
     def test_rule_is_computed_once_and_read_only(self):
-        """Every activation shares one cached rule per node count; it equals
-        numpy's and cannot be modified through the cache."""
-        x, w = _legendre_rule(64)
-        assert _legendre_rule(64)[0] is x and _legendre_rule(64)[1] is w
+        """Every activation shares one cached rule per node count: numpy's
+        Gauss-Legendre nodes on each panel, with weights that integrate
+        polynomials against the N(0,1) density; it cannot be modified
+        through the cache."""
+        x, w = _normal_rule(64)
+        assert _normal_rule(64)[0] is x and _normal_rule(64)[1] is w
         assert not x.flags.writeable and not w.flags.writeable
-        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        ref_x, _ = np.polynomial.legendre.leggauss(64)
+        lo, hi = _PANEL_BOUNDS[:-1, None], _PANEL_BOUNDS[1:, None]
+        assert np.array_equal(x, (0.5 * (hi + lo) + 0.5 * (hi - lo) * ref_x).ravel())
+        for power, moment in ((0, 1.0), (1, 0.0), (2, 1.0), (4, 3.0), (6, 15.0)):
+            assert abs(np.dot(w, x ** power) - moment) <= 1e-14 * max(moment, 1.0)
         with pytest.raises(ValueError):
             x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 # Scalar formulas written with the math module, independent of the in-place

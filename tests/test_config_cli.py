@@ -20,13 +20,13 @@ import pytest
 from multidescent import (
     ConfigError,
     QuadratureDiverged,
+    asymptotic_risk,
     build_empirical_config,
     build_limit_spec,
     build_sweep_spec,
     build_theory_spec,
     format_number,
     parse_config,
-    solve_nu,
     to_json,
 )
 from multidescent import config as config_module
@@ -452,10 +452,11 @@ class TestDispatch:
         assert "1.000000000000" in out  # constant features leave risk at F1^2
         payload = json.loads(out)
         assert payload["risk"] == pytest.approx(1.0, rel=1e-10)
-        # The solver line and b come from the risk's own solve, which is solve_nu's.
-        nu = solve_nu(build_theory_spec(parse_config(_inline(cfg))))
-        assert err.splitlines()[0] == f"solver: {nu.iterations} iterations, residual {nu.residual:.3e}"
-        assert payload["b"] == json.loads(to_json([float(x) for x in nu.b]))
+        # The solver line and b are the fields of the risk's own result.
+        direct = asymptotic_risk(build_theory_spec(parse_config(_inline(cfg))))
+        assert err.splitlines()[0] == (
+            f"solver: {direct.iterations} iterations, residual {direct.residual:.3e}")
+        assert payload["b"] == json.loads(to_json([float(x) for x in direct.b]))
 
     def test_theory_solver_failure(self):
         cfg = _minimal(**{"lambda": 1e-6})
@@ -667,6 +668,19 @@ class TestReadme:
         cfg = validate_config(json.loads(blocks[0]))
         assert cfg.empirical is not None and cfg.sweep is not None
         assert cfg.output.csv_path == "curve.csv"
+
+    def test_python_blocks_run(self, capsys):
+        """The quickstart's Python blocks run as written, so none names a
+        deleted API, and each prints one line of finite numbers."""
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        for line in printed:
+            values = [float(x) for x in line.split() if x not in ("+-", "vs")]
+            assert values and all(math.isfinite(v) for v in values)
 
     def test_reference_lists_every_key(self):
         tables = {

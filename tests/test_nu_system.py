@@ -21,7 +21,6 @@ from multidescent import (
     TheorySpec,
     asymptotic_risk,
     compute_moments,
-    solve_nu,
 )
 from oracles import NonPositiveInput, residual_vector, verify_complex
 
@@ -102,9 +101,9 @@ class TestClosedFormOracles:
         spec = TheorySpec(
             psi=(psi1,), psi_n=psi_n, moments=(Moments(0.0, 0.0, m2),), lam=lam
         )
-        nu = solve_nu(spec)
+        out = asymptotic_risk(spec)
         b1, bn = _pure_nonlinear_oracle(psi1, psi_n, m2, lam)
-        np.testing.assert_allclose(nu.b, [b1, bn], rtol=1e-10)
+        np.testing.assert_allclose(out.b, [b1, bn], rtol=1e-10)
 
     @pytest.mark.parametrize(
         "psi1,psi_n,lam",
@@ -114,14 +113,14 @@ class TestClosedFormOracles:
         spec = TheorySpec(
             psi=(psi1,), psi_n=psi_n, moments=(Moments(0.0, 1.0, 0.0),), lam=lam
         )
-        nu = solve_nu(spec)
+        out = asymptotic_risk(spec)
         candidates = _pure_linear_roots(psi1, psi_n, lam)
         assert candidates, "cubic oracle found no admissible root"
         err = min(
-            max(abs(nu.b[0] - b1) / b1, abs(nu.b[1] - bn) / bn)
+            max(abs(out.b[0] - b1) / b1, abs(out.b[1] - bn) / bn)
             for b1, bn in candidates
         )
-        assert err < 1e-9, f"solver b={nu.b} not among cubic roots {candidates}"
+        assert err < 1e-9, f"solver b={out.b} not among cubic roots {candidates}"
 
 
 class TestSolutionProperties:
@@ -136,26 +135,26 @@ class TestSolutionProperties:
             rng = np.random.default_rng(41)
             for _ in range(count):
                 spec = make_spec(rng)
-                nu = solve_nu(spec)
-                res = residual_vector(spec, nu.b)
+                out = asymptotic_risk(spec)
+                res = residual_vector(spec, out.b)
                 assert np.max(np.abs(res) / np.array(spec.psi_full)) <= tol
-                assert verify_complex(spec, nu) / max(spec.psi_full) <= 1e-11
-                assert np.all(nu.b > 0.0)
+                assert verify_complex(spec, out.b) / max(spec.psi_full) <= 1e-11
+                assert np.all(out.b > 0.0)
 
     def test_upper_bound(self):
         """All bracket terms are positive, so b_j <= psi_j / sqrt(lam)."""
         rng = np.random.default_rng(99)
         for _ in range(25):
             spec = _random_spec(rng)
-            nu = solve_nu(spec)
+            out = asymptotic_risk(spec)
             bound = np.array(spec.psi_full) / math.sqrt(spec.lam)
-            assert np.all(nu.b <= bound * (1.0 + 1e-12))
+            assert np.all(out.b <= bound * (1.0 + 1e-12))
 
     def test_permutation_equivariance(self):
         """Relabelling the feature components permutes b accordingly."""
         rng = np.random.default_rng(5)
         spec = _random_spec(rng, k=3)
-        nu = solve_nu(spec)
+        out = asymptotic_risk(spec)
         perm = [2, 0, 1]
         spec_p = TheorySpec(
             psi=tuple(spec.psi[i] for i in perm),
@@ -163,9 +162,9 @@ class TestSolutionProperties:
             moments=tuple(spec.moments[i] for i in perm),
             lam=spec.lam,
         )
-        nu_p = solve_nu(spec_p)
-        expected = np.array([nu.b[perm[0]], nu.b[perm[1]], nu.b[perm[2]], nu.b[3]])
-        np.testing.assert_allclose(nu_p.b, expected, rtol=1e-9)
+        out_p = asymptotic_risk(spec_p)
+        expected = np.array([out.b[perm[0]], out.b[perm[1]], out.b[perm[2]], out.b[3]])
+        np.testing.assert_allclose(out_p.b, expected, rtol=1e-9)
 
     def test_merge_identical_components(self):
         """Two components with equal moments behave as one with summed psi.
@@ -179,16 +178,16 @@ class TestSolutionProperties:
             psi=(0.7, 1.8), psi_n=2.5, moments=(m, m), lam=1e-3
         )
         merged = TheorySpec(psi=(2.5,), psi_n=2.5, moments=(m,), lam=1e-3)
-        nu_s = solve_nu(split)
-        nu_m = solve_nu(merged)
-        np.testing.assert_allclose(nu_s.b[0] + nu_s.b[1], nu_m.b[0], rtol=1e-9)
-        np.testing.assert_allclose(nu_s.b[2], nu_m.b[1], rtol=1e-9)
-        np.testing.assert_allclose(nu_s.b[0] / nu_s.b[1], 0.7 / 1.8, rtol=1e-9)
+        out_s = asymptotic_risk(split)
+        out_m = asymptotic_risk(merged)
+        np.testing.assert_allclose(out_s.b[0] + out_s.b[1], out_m.b[0], rtol=1e-9)
+        np.testing.assert_allclose(out_s.b[2], out_m.b[1], rtol=1e-9)
+        np.testing.assert_allclose(out_s.b[0] / out_s.b[1], 0.7 / 1.8, rtol=1e-9)
 
     def test_determinism(self):
         spec = _random_spec(np.random.default_rng(123))
-        b1 = solve_nu(spec).b
-        b2 = solve_nu(spec).b
+        b1 = asymptotic_risk(spec).b
+        b2 = asymptotic_risk(spec).b
         assert np.array_equal(b1, b2)
 
 
@@ -198,16 +197,16 @@ class TestContinuationAndWarmStart:
         spec = TheorySpec(
             psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-4
         )
-        assert solve_nu(spec).residual <= SolverConfig().tol
+        assert asymptotic_risk(spec).residual <= SolverConfig().tol
 
     def test_tiny_lambda(self):
         """Newton in log b stays on the positive branch at 1e-10."""
         spec = TheorySpec(
             psi=(0.5,), psi_n=2.0, moments=(Moments(0.1, 0.4, 0.7),), lam=1e-10
         )
-        nu = solve_nu(spec)
-        assert nu.residual <= 1e-12
-        assert verify_complex(spec, nu) < 1e-8
+        out = asymptotic_risk(spec)
+        assert out.residual <= 1e-12
+        assert verify_complex(spec, out.b) < 1e-8
 
     def test_interpolation_peak_at_tiny_lambda(self):
         """The figure model at c=1, lam=1e-10 against a 50-digit mpmath solve."""
@@ -221,7 +220,7 @@ class TestContinuationAndWarmStart:
         out = asymptotic_risk(spec)
         # bench/references.json, "peak-c1-lam1e-10"
         np.testing.assert_allclose(
-            out.nu.b,
+            out.b,
             [0.1078373860287470069454352, 15.17355339439964475959739, 15.28139078042839176654282],
             rtol=1e-10,
         )
@@ -292,7 +291,7 @@ class TestErrorPaths:
             psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-6
         )
         with pytest.raises(NoConvergence) as exc:
-            solve_nu(spec, cfg=SolverConfig(max_iter=2))
+            asymptotic_risk(spec, cfg=SolverConfig(max_iter=2))
         assert exc.value.iterations == 2
         assert exc.value.residual > 1e-12
 
@@ -305,7 +304,7 @@ class TestErrorPaths:
             lam=1e-3,
         )
         with pytest.raises(NoConvergence, match="no Newton step reduces it") as exc:
-            solve_nu(spec, cfg=SolverConfig(tol=1e-30))
+            asymptotic_risk(spec, cfg=SolverConfig(tol=1e-30))
         assert exc.value.iterations < 20
         assert exc.value.residual < 1e-14
 

@@ -66,7 +66,7 @@ def test_risk_and_scales_match_references(command):
         assert not isinstance(result, Exception), f"c={ref['c']}: {result}"
         ref_b = np.array([float(x) for x in ref["b"]])
         worst_risk = max(worst_risk, abs(result.risk / float(ref["risk"]) - 1.0))
-        worst_b = max(worst_b, float(np.max(np.abs(result.nu.b / ref_b - 1.0))))
+        worst_b = max(worst_b, float(np.max(np.abs(result.b / ref_b - 1.0))))
     assert worst_risk <= RTOL and worst_b <= RTOL, (
         f"worst relative error: risk {worst_risk:.2e}, b {worst_b:.2e}"
     )
@@ -78,10 +78,10 @@ def test_newton_matrix_is_the_framework_matrix(command):
     so L = -G^T S^-1 G with G = b*V is V^T H^-1 V."""
     specs = [_spec(inst, command.config["model"]) for inst in WORKLOADS.instances(command)]
     for spec, result in zip(specs, asymptotic_risk_stack(specs)):
-        b = result.nu.b
+        b = result.b
         psi, m1, m2, lam = _stack_coeffs([spec])
         s = _jacobian(psi, m1, m2, np.sqrt(lam), b[None])[0] * psi[0][:, None]
-        mats = build_matrices(spec, result.nu)
+        mats = build_matrices(spec, result.b)
         np.testing.assert_allclose(s, -(b[:, None] * mats.H * b), rtol=1e-14)
         np.testing.assert_allclose(s, s.T, rtol=1e-14)
         np.testing.assert_allclose(result.L, mats.V.T @ np.linalg.solve(mats.H, mats.V),

@@ -26,7 +26,6 @@ from multidescent import (
     InvalidSpec,
     LimitSpec,
     Moments,
-    NuStar,
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
@@ -34,7 +33,6 @@ from multidescent import (
     limit_risk_infinite_width,
     limit_risk_zero_width,
     run_sweep,
-    solve_nu,
 )
 from multidescent.risk import _score, _stack_coeffs
 from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2, potential
@@ -142,7 +140,7 @@ class TestRiskProperties:
     @given(spec=_box_specs(), seed=st.integers(0, 2**32 - 1))
     def test_root_minimises_the_potential(self, spec, seed):
         """No small random move of log b away from the solved root lowers Phi."""
-        u = np.log(solve_nu(spec).b)
+        u = np.log(asymptotic_risk(spec).b)
         phi = potential(spec, u)
         rng = np.random.default_rng(seed)
         for scale in (1e-2, 1e-3):
@@ -156,8 +154,7 @@ class TestMatrixAssembly:
         m = Moments(mu0=0.2, mu1=0.8, mu2_sq=0.5)
         spec = TheorySpec(psi=(1.5,), psi_n=2.0, moments=(m,), lam=0.04)
         b1, bn = 0.7, 1.1
-        nu = NuStar(b=np.array([b1, bn]), residual=0.0, iterations=0)
-        mats = build_matrices(spec, nu)
+        mats = build_matrices(spec, np.array([b1, bn]))
 
         m1 = 0.8 * 0.8
         mN = m1 * b1
@@ -186,8 +183,7 @@ class TestMatrixAssembly:
         mb = Moments(0.0, 1.2, 0.9)
         spec = TheorySpec(psi=(1.0, 2.0), psi_n=1.5, moments=(ma, mb), lam=0.1)
         b = np.array([0.5, 0.8, 1.3])
-        nu = NuStar(b=b, residual=0.0, iterations=0)
-        mats = build_matrices(spec, nu)
+        mats = build_matrices(spec, b)
         m1a, m1b = 0.36, 1.44
         mN = m1a * b[0] + m1b * b[1]
         md2 = (b[2] * mN + 1.0) ** 2
@@ -200,8 +196,7 @@ class TestMatrixAssembly:
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         spec = _random_k2_spec(rng)
-        nu = solve_nu(spec)
-        mats = build_matrices(spec, nu)
+        mats = build_matrices(spec, asymptotic_risk(spec).b)
         np.testing.assert_allclose(mats.H, mats.H.T, rtol=0, atol=0)
 
     def test_constant_features_structure(self):
@@ -212,8 +207,8 @@ class TestMatrixAssembly:
             psi=(1.0, 2.0), psi_n=1.5, moments=(m, m), lam=0.1, F1=1.3, tau=0.5
         )
         out = asymptotic_risk(spec)
-        np.testing.assert_allclose(out.nu.b, np.array(spec.psi_full) / math.sqrt(0.1))
-        mats = build_matrices(spec, out.nu)
+        np.testing.assert_allclose(out.b, np.array(spec.psi_full) / math.sqrt(0.1))
+        mats = build_matrices(spec, out.b)
         assert mats.MD == -1.0
         expected_v = np.zeros((3, 4))
         expected_v[2, 1] = 1.0
@@ -230,7 +225,7 @@ class TestClosedFormAgreement:
         for _ in range(40):
             spec = _random_k2_spec(rng)
             via_matrix = asymptotic_risk(spec)
-            via_forms = explicit_risk_k2(spec, via_matrix.nu)
+            via_forms = explicit_risk_k2(spec, via_matrix.b)
             np.testing.assert_allclose(via_forms.risk, via_matrix.risk, rtol=1e-9)
             np.testing.assert_allclose(via_forms.bias, via_matrix.bias, rtol=1e-9)
             np.testing.assert_allclose(
@@ -281,9 +276,9 @@ class TestBlockMerge:
             asymptotic_risk(merged).risk, asymptotic_risk(split).risk, rtol=1e-9
         )
         # and the split case is itself pinned by the closed form
-        nu = solve_nu(split)
+        b = asymptotic_risk(split).b
         np.testing.assert_allclose(
-            explicit_risk_k2(split, nu).risk, asymptotic_risk(merged).risk, rtol=1e-9
+            explicit_risk_k2(split, b).risk, asymptotic_risk(merged).risk, rtol=1e-9
         )
 
 
@@ -320,13 +315,6 @@ class TestRiskStructure:
             assert out.bias >= -1e-12
             assert out.variance >= -1e-12
             assert out.risk > 0.0
-
-    def test_supplied_nu_matches_internal_solve(self):
-        """The scales a risk carries are solve_nu's, bit for bit."""
-        spec = _random_k2_spec(np.random.default_rng(55))
-        nu, carried = solve_nu(spec), asymptotic_risk(spec).nu
-        assert np.array_equal(carried.b, nu.b)
-        assert (carried.residual, carried.iterations) == (nu.residual, nu.iterations)
 
 
 class TestWidthLimits:
@@ -442,7 +430,7 @@ class TestErrorPaths:
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
         b = np.array([[0.0, 1.0]])
         with pytest.raises(DegenerateB):
-            build_matrices(spec, NuStar(b=b[0], residual=0.0, iterations=0))
+            build_matrices(spec, b[0])
         errors = {}
         risk, _, _, L = _score(*_stack_coeffs([spec]), b, np.ones(1), np.zeros(1), errors)
         assert list(errors) == [0] and isinstance(errors[0], DegenerateB)
@@ -450,9 +438,8 @@ class TestErrorPaths:
 
     def test_wrong_k(self):
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
-        nu = solve_nu(spec)
         with pytest.raises(WrongK, match="K=2"):
-            explicit_risk_k2(spec, nu)
+            explicit_risk_k2(spec, asymptotic_risk(spec).b)
 
     def test_degenerate_s_is_arithmetic_error(self):
         # S > 0 whenever the scales solve the system with positive psi, so
@@ -468,7 +455,7 @@ class TestErrorPaths:
             warnings.simplefilter("error", IllConditionedWarning)
             out = asymptotic_risk(STIFF_H)
         np.testing.assert_allclose(out.risk, STIFF_H_RISK, rtol=1e-14)
-        assert np.linalg.cond(build_matrices(STIFF_H, out.nu).H) > 1e28
+        assert np.linalg.cond(build_matrices(STIFF_H, out.b).H) > 1e28
         monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 6.0)
         with pytest.warns(IllConditionedWarning,
                           match=r"^cond\(S\) = 6\.4\d\de\+00 exceeds 6e\+00; risk may be inaccurate$"):
@@ -509,7 +496,7 @@ class TestErrorPaths:
         errors = {}
         with pytest.warns(IllConditionedWarning, match="cond\\(S\\) = inf"):
             risk, bias, variance, _ = _score(
-                *_stack_coeffs(specs), np.array([direct.nu.b, degenerate, direct.nu.b]),
+                *_stack_coeffs(specs), np.array([direct.b, degenerate, direct.b]),
                 np.array([s.F1 ** 2 for s in specs]), np.array([s.tau ** 2 for s in specs]), errors,
             )
         assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)

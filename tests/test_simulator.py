@@ -109,8 +109,9 @@ class TestRidgeFit:
 
     def test_lambda_validation(self):
         Z = np.eye(2)
-        with pytest.raises(ValueError, match="> 0"):
-            ridge_fit(Z, np.ones(2), lam=0.0, d=1)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="> 0"):
+                ridge_fit(Z, np.ones(2), lam=lam, d=1)
 
     def test_nonfinite_inputs(self):
         Z = np.array([[1.0, np.nan], [0.0, 1.0]])

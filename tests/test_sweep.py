@@ -115,12 +115,13 @@ class TestExpandGrid:
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec, match="ratios"):
             SweepSpec(base=_base(), ratios=(1.0,), c_grid=(1.0,))
-        with pytest.raises(InvalidSpec, match="> 0"):
-            SweepSpec(base=_base(), ratios=(1.0, 0.0), c_grid=(1.0,))
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidSpec, match="ratios must be > 0"):
+                SweepSpec(base=_base(), ratios=(1.0, bad), c_grid=(1.0,))
+            with pytest.raises(InvalidSpec, match="c grid values must be > 0"):
+                SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(bad, 1.0))
         with pytest.raises(InvalidSpec, match="increasing"):
             SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(2.0, 1.0))
-        with pytest.raises(InvalidSpec, match="> 0"):
-            SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.0, 1.0))
         with pytest.raises(InvalidSpec, match="one activation per component"):
             SweepSpec(
                 base=_base(),
@@ -164,7 +165,7 @@ class TestTheoryPass:
             assert row.theory_risk == direct.risk
             assert row.theory_bias == direct.bias
             assert row.theory_variance == direct.variance
-            assert row.solver_iterations == direct.nu.iterations
+            assert row.solver_iterations == direct.iterations
             assert row.error is None
             assert row.solver_iterations >= 1
             assert row.psi == point.theory.psi
@@ -282,7 +283,7 @@ class TestTheoryPass:
             else:
                 assert row.error is None
                 assert (row.theory_risk, row.theory_bias, row.theory_variance, row.solver_iterations) == (
-                    out.risk, out.bias, out.variance, out.nu.iterations)
+                    out.risk, out.bias, out.variance, out.iterations)
         failed = sum(row.error is not None for row in rows)
         assert (failed > 0) == (max_iter == 7)
 
