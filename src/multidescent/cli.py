@@ -73,7 +73,7 @@ def _cmd_moments(cfg: RootConfig, err_stream) -> str:
 
 
 def _cmd_theory(cfg: RootConfig, err_stream) -> str:
-    result = asymptotic_risk(build_theory_spec(cfg), cfg.solver)
+    result = asymptotic_risk(build_theory_spec(cfg))
     print(f"solver: {result.iterations} iterations, residual {result.residual:.3e}",
           file=err_stream)
     return to_json(
@@ -101,7 +101,7 @@ def _cmd_simulate(cfg: RootConfig, err_stream) -> str:
 
 def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
     spec = build_sweep_spec(cfg)
-    result = run_sweep(spec, cfg.solver, workers=_workers(cfg))
+    result = run_sweep(spec, workers=_workers(cfg))
     failed = [row for row in result.rows if row.error is not None]
     if failed:
         print(

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments, represents_intercept
-from .risk import LimitSpec, SolverConfig, TheorySpec
+from .risk import LimitSpec, TheorySpec
 from .simulator import EmpiricalConfig
 from .sweep import EmpiricalTemplate, SweepSpec
 
@@ -246,7 +246,6 @@ class RootConfig:
     activations: tuple[ActivationSpec, ...] | None
     moments: tuple[Moments, ...]
     model: ModelSection
-    solver: SolverConfig
     empirical: EmpiricalSection | None
     sweep: SweepSection | None
     limit: LimitSection | None
@@ -266,7 +265,6 @@ _MODEL = {
     "F1": _nonnegative,
     "tau": _nonnegative,
 }
-_SOLVER = {"tol": _positive, "max_iter": _integer(1)}
 _EMPIRICAL = {
     "d": _integer(1),
     "n": _integer(1),
@@ -323,7 +321,6 @@ _ROOT = {
         "needs at least one moment triple",
     ),
     "model": _model,
-    "solver": lambda v, p: SolverConfig(**_fields(v, p, _SOLVER)),
     "empirical": lambda v, p: EmpiricalSection(**_fields(v, p, _EMPIRICAL)),
     "sweep": _sweep,
     "limit": lambda v, p: LimitSection(**_fields(v, p, _LIMIT)),
@@ -375,7 +372,6 @@ def validate_config(raw: dict) -> RootConfig:
         activations=activations,
         moments=moments,
         model=model,
-        solver=doc.get("solver", SolverConfig()),
         empirical=empirical,
         sweep=sweep,
         limit=limit,

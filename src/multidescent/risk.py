@@ -36,7 +36,6 @@ forms.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ from .activations import Moments
 
 __all__ = [
     "TheorySpec",
-    "SolverConfig",
     "InvalidSpec",
     "NoConvergence",
     "TheoryRisk",
@@ -66,7 +64,7 @@ class InvalidSpec(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Newton's method missed the tolerance within max_iter steps, or a step
+    """Newton's method missed the tolerance within its step cap, or a step
     could no longer reduce the residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
@@ -126,18 +124,6 @@ class TheorySpec:
         return self.psi + (self.psi_n,)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be finite and > 0")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer >= 1")
-
-
 class DegenerateB(ValueError):
     """A scale b_j is zero; every root of the scale system is positive, so the
     risk is not defined there."""
@@ -190,6 +176,11 @@ class LimitSpec:
         object.__setattr__(self, "moments", tuple(self.moments))
         _check_blocks("r", self.r, self.moments, self.psi_n, self.F1, self.tau)
 
+
+# Largest relative residual a solve must reach, and the Newton steps it may
+# take to reach it.
+_TOL = 1e-12
+_MAX_ITER = 100
 
 # Largest change of any log b_j in one Newton step.
 _MAX_LOG_STEP = 2.0
@@ -266,7 +257,7 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
-def _newton(psi, m1, m2, lam, cfg: SolverConfig):
+def _newton(psi, m1, m2, lam):
     """Newton's method in log b on G stacked systems of one K; coefficients as
     from ``_stack_coeffs``.
 
@@ -294,7 +285,7 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig):
         # A point already within tol takes its one polishing step: a single
         # trial, kept unless it raises the residual.  The others are pending
         # until a trial reduces their residual.
-        polish = rel <= cfg.tol
+        polish = rel <= _TOL
         pending = ~polish
         if singular:
             bad = list(singular)
@@ -317,7 +308,7 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig):
             step *= np.where(pending, 0.5, 0.0)[:, None]
         # A point still pending is stalled: no step reduces its residual.
         steps[~pending] += 1
-        done = pending | polish | ((rel > cfg.tol) & (steps == cfg.max_iter))
+        done = pending | polish | ((rel > _TOL) & (steps == _MAX_ITER))
         if singular:
             done[bad] = True
         if not done.any():
@@ -329,7 +320,7 @@ def _newton(psi, m1, m2, lam, cfg: SolverConfig):
                 continue
             why = ": no Newton step reduces it" if pending[j] else f" after {steps[j]} Newton steps"
             errors[i] = NoConvergence(
-                f"residual {rel[j]:.3e} > tol {cfg.tol:.1e}{why} at lambda={lam[i, 0]:.3e}",
+                f"residual {rel[j]:.3e} > tol {_TOL:.1e}{why} at lambda={lam[i, 0]:.3e}",
                 residual=float(rel[j]),
                 iterations=int(steps[j]),
             )
@@ -415,7 +406,7 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     return risk, bias, variance, L
 
 
-def _theory(coeffs, f1_sq, tau_sq, cfg: SolverConfig | None):
+def _theory(coeffs, f1_sq, tau_sq):
     """The one stacked core of the theory: ``_newton`` on the coefficient
     arrays ``coeffs`` (as from ``_stack_coeffs``), then ``_score``.
 
@@ -424,7 +415,7 @@ def _theory(coeffs, f1_sq, tau_sq, cfg: SolverConfig | None):
     failed point by index.  Every public entry point calls it directly, so
     an ``IllConditionedWarning`` names the line that called the entry point.
     """
-    b, residual, steps, errors = _newton(*coeffs, cfg or SolverConfig())
+    b, residual, steps, errors = _newton(*coeffs)
     return (*_score(*coeffs, b, f1_sq, tau_sq, errors), b, residual, steps, errors)
 
 
@@ -444,7 +435,7 @@ def _results(risk, bias, variance, L, b, residual, steps, errors) -> list:
     ]
 
 
-def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
+def asymptotic_risk_stack(specs) -> list:
     """Asymptotic excess risk of G specs of one K.
 
     Solves the stacked scale system and scores every point through the
@@ -454,10 +445,10 @@ def asymptotic_risk_stack(specs, cfg: SolverConfig | None = None) -> list:
     ``LinAlgError`` for a singular Jacobian or S).  Emits
     ``IllConditionedWarning`` for each point whose cond(S) exceeds 1e12.
     """
-    return _results(*_theory(*_stack_inputs(list(specs)), cfg))
+    return _results(*_theory(*_stack_inputs(list(specs))))
 
 
-def asymptotic_risk(spec: TheorySpec, cfg: SolverConfig | None = None) -> TheoryRisk:
+def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     """Asymptotic excess risk of ``spec``: ``asymptotic_risk_stack`` for one
     spec, raising its failure.
 
@@ -465,15 +456,15 @@ def asymptotic_risk(spec: TheorySpec, cfg: SolverConfig | None = None) -> Theory
     b_j = psi_j / (sqrt(lam) + 1).  Each step is capped at 2 in every log b_j
     and halved until the largest relative residual decreases; when even a
     step too small to move b cannot reduce it, the solve fails at once
-    instead of stalling.  ``cfg.max_iter`` caps the steps to reach
-    ``cfg.tol``.  A solve that reaches it takes one more Newton step, kept
-    only if it does not raise the residual, so that the root carries the
-    digits of a full step rather than stopping at the first iterate under
-    the tolerance; ``iterations`` counts that step.  Raises
-    ``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a singular
-    Jacobian or S.
+    instead of stalling.  A solve that has not brought the largest relative
+    residual to 1e-12 within 100 steps fails.  A solve that reaches it takes
+    one more Newton step, kept only if it does not raise the residual, so
+    that the root carries the digits of a full step rather than stopping at
+    the first iterate under the tolerance; ``iterations`` counts that step.
+    Raises ``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a
+    singular Jacobian or S.
     """
-    (result,) = _results(*_theory(*_stack_inputs([spec]), cfg))
+    (result,) = _results(*_theory(*_stack_inputs([spec])))
     if isinstance(result, Exception):
         raise result
     return result

@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -72,7 +73,11 @@ class EmpiricalConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "N", tuple(int(x) for x in self.N))
+        N = tuple(self.N)
+        if not all(isinstance(x, numbers.Integral)
+                   for x in (self.d, self.n, self.n_test, self.replications, *N)):
+            raise InvalidSpec("d, n, N, n_test and replications must be integers")
+        object.__setattr__(self, "N", tuple(int(x) for x in N))
         object.__setattr__(self, "activations", tuple(self.activations))
         if len(self.N) != len(self.activations) or len(self.N) == 0:
             raise InvalidSpec("N and activations must be same nonzero length")

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .activations import ActivationSpec
 from .formatting import _float_cells, to_json
-from .risk import InvalidSpec, SolverConfig, TheorySpec, _shared_coeffs, _theory
+from .risk import InvalidSpec, TheorySpec, _shared_coeffs, _theory
 from .simulator import EmpiricalConfig, run_experiments
 
 __all__ = [
@@ -123,10 +123,17 @@ class SweepResult:
 
 
 def _grid_psi(spec: SweepSpec) -> np.ndarray:
-    """Widths psi_c = ratio_c*c*psi_n/sum(ratios) of every grid value, shape (G, K)."""
+    """Widths psi_c = ratio_c*c*psi_n/sum(ratios) of every grid value, shape (G, K);
+    widths that overflow to inf or underflow to 0 raise ``InvalidSpec``."""
     if len(spec.c_grid) == 0:
         raise EmptyGrid("c grid is empty")
-    return np.multiply.outer(spec.c_grid, spec.ratios) * spec.base.psi_n / sum(spec.ratios)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.multiply.outer(spec.c_grid, spec.ratios) * spec.base.psi_n / sum(spec.ratios)
+    if not np.isfinite(psi).all():
+        raise InvalidSpec("psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite")
+    if not (psi > 0.0).all():
+        raise InvalidSpec("all psi entries must be > 0")
+    return psi
 
 
 def _empirical_at(spec: SweepSpec, c: float) -> EmpiricalConfig:
@@ -151,11 +158,7 @@ def _metadata(spec: SweepSpec) -> dict:
     }
 
 
-def run_sweep(
-    spec: SweepSpec,
-    solver: SolverConfig | None = None,
-    workers: int | None = None,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate the full grid; theory always, finite-size runs when configured.
 
     The theory pass solves and scores the whole grid as one stack of
@@ -169,12 +172,10 @@ def run_sweep(
     base = spec.base
     psi = _grid_psi(spec)
     cfgs = None if spec.empirical is None else [_empirical_at(spec, c) for c in spec.c_grid]
-    if not (np.isfinite(psi).all() and (psi > 0.0).all()):
-        raise InvalidSpec("all psi entries must be > 0")
     g = len(psi)
     risk, bias, variance, _, _, _, steps, errors = _theory(
         _shared_coeffs(psi, base.psi_n, base.moments, base.lam),
-        np.full(g, base.F1 ** 2), np.full(g, base.tau ** 2), solver)
+        np.full(g, base.F1 ** 2), np.full(g, base.tau ** 2))
     rows = [
         SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,
                  theory_bias=bi, theory_variance=v, solver_iterations=n)

@@ -281,16 +281,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="/empirical/d: conflicts"):
             parse_config(_inline(cfg))
 
-    def test_solver_section(self):
-        cfg = _minimal()
-        cfg["solver"] = {"tol": 1e-10, "max_iter": 500}
-        parsed = parse_config(_inline(cfg))
-        assert parsed.solver.tol == 1e-10
-        assert parsed.solver.max_iter == 500
-        cfg["solver"] = {"tol": -1.0}
-        with pytest.raises(ConfigError, match="/solver/tol"):
-            parse_config(_inline(cfg))
-
     def test_limit_section(self):
         cfg = _minimal()
         cfg["limit"] = {"r": [1.0, 2.0, 3.0]}
@@ -330,6 +320,9 @@ class TestOverrides:
         raw = _minimal()
         apply_overrides(raw, ["solver.tol=1e-9"])
         assert raw["solver"]["tol"] == 1e-9
+        # The solver takes no settings: validation rejects the section itself.
+        with pytest.raises(ConfigError, match="^/solver: unknown key$"):
+            validate_config(raw)
 
     def test_array_indexing(self):
         raw = _minimal()
@@ -458,9 +451,9 @@ class TestDispatch:
             f"solver: {direct.iterations} iterations, residual {direct.residual:.3e}")
         assert payload["b"] == json.loads(to_json([float(x) for x in direct.b]))
 
-    def test_theory_solver_failure(self):
+    def test_theory_solver_failure(self, monkeypatch):
         cfg = _minimal(**{"lambda": 1e-6})
-        cfg["solver"] = {"max_iter": 2}
+        monkeypatch.setattr("multidescent.risk._MAX_ITER", 2)
         status, out, err = _run("theory", cfg)
         assert status == ExitStatus.SOLVER
         assert out == ""
@@ -572,6 +565,15 @@ class TestDispatch:
         assert len(lines) == 1
         assert "FileNotFoundError" in lines[0]
 
+    def test_sweep_width_overflow_is_config_error(self):
+        """A finite c and ratio whose width overflows exit 2 with one line
+        that names the overflow."""
+        cfg = _minimal()
+        cfg["sweep"] = {"c_grid": [1e308], "ratios": [1e10]}
+        assert _run("sweep", cfg) == (
+            ExitStatus.CONFIG, "",
+            "InvalidSpec: psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite\n")
+
     def test_warnings_go_to_stderr(self, monkeypatch):
         # Every cond(S) exceeds a threshold of 1, so this theory run warns.
         monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 1.0)
@@ -615,6 +617,12 @@ class TestMain:
         assert main(argv + ["--set", "model.lambda=1e-4"]) == 0
         changed = json.loads(capsys.readouterr().out)["risk"]
         assert base != changed
+
+    def test_set_solver_is_config_error(self, capsys):
+        argv = ["theory", "--config", _inline(_minimal()), "--set", "solver.tol=1e-9"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "ConfigError: /solver: unknown key\n")
 
     def test_set_non_integer_index_mid_path(self, capsys):
         argv = ["theory", "--config", _inline(_minimal()), "--set", "activations.x.kind=tanh"]
@@ -687,7 +695,6 @@ class TestReadme:
             "activations[]": config_module._ACTIVATION,
             "moments_override[]": config_module._MOMENTS,
             "model": config_module._MODEL,
-            "solver": config_module._SOLVER,
             "empirical": config_module._EMPIRICAL,
             "sweep": config_module._SWEEP,
             "sweep.c_range": config_module._C_RANGE,

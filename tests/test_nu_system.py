@@ -17,10 +17,10 @@ from multidescent import (
     InvalidSpec,
     Moments,
     NoConvergence,
-    SolverConfig,
     TheorySpec,
     asymptotic_risk,
     compute_moments,
+    risk,
 )
 from oracles import NonPositiveInput, residual_vector, verify_complex
 
@@ -130,7 +130,7 @@ class TestSolutionProperties:
         Two boxes: the moderate one of ``_random_spec`` and the whole box the
         CLI accepts, down to lambda = 1e-10 and over six decades of ratios.
         """
-        tol = SolverConfig().tol
+        tol = risk._TOL
         for make_spec, count in ((_random_spec, 25), (_cli_box_spec, 60)):
             rng = np.random.default_rng(41)
             for _ in range(count):
@@ -197,7 +197,7 @@ class TestContinuationAndWarmStart:
         spec = TheorySpec(
             psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-4
         )
-        assert asymptotic_risk(spec).residual <= SolverConfig().tol
+        assert asymptotic_risk(spec).residual <= risk._TOL
 
     def test_tiny_lambda(self):
         """Newton in log b stays on the positive branch at 1e-10."""
@@ -286,34 +286,26 @@ class TestErrorPaths:
         with pytest.raises(NonPositiveInput, match="> 0"):
             residual_vector(spec, [-1.0, 1.0])
 
-    def test_no_convergence_carries_diagnostics(self):
+    def test_no_convergence_carries_diagnostics(self, monkeypatch):
         spec = TheorySpec(
             psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-6
         )
+        monkeypatch.setattr(risk, "_MAX_ITER", 2)
         with pytest.raises(NoConvergence) as exc:
-            asymptotic_risk(spec, cfg=SolverConfig(max_iter=2))
+            asymptotic_risk(spec)
         assert exc.value.iterations == 2
         assert exc.value.residual > 1e-12
 
-    def test_stall_fails_at_once(self):
+    def test_stall_fails_at_once(self, monkeypatch):
         """A tolerance below roundoff fails at the first step that cannot
-        reduce the residual, long before max_iter."""
+        reduce the residual, long before the step cap."""
         spec = TheorySpec(
             psi=(0.8, 1.4, 0.5), psi_n=2.0,
             moments=(Moments(0.0, 0.7, 0.3), Moments(0.0, 0.2, 0.9), Moments(0.0, 1.1, 0.4)),
             lam=1e-3,
         )
+        monkeypatch.setattr(risk, "_TOL", 1e-30)
         with pytest.raises(NoConvergence, match="no Newton step reduces it") as exc:
-            asymptotic_risk(spec, cfg=SolverConfig(tol=1e-30))
+            asymptotic_risk(spec)
         assert exc.value.iterations < 20
         assert exc.value.residual < 1e-14
-
-    def test_solver_config_validation(self):
-        """Besides the out-of-range values, an infinite tol would accept the
-        start point after one step, a NaN tol would fail a converged solve,
-        and a fractional max_iter would never be reached."""
-        bad = ({"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan},
-               {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": 3.0})
-        for fields in bad:
-            with pytest.raises(ValueError):
-                SolverConfig(**fields)

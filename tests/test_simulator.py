@@ -503,6 +503,20 @@ class TestValidation:
             with pytest.raises(InvalidSpec):
                 EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=0.1, **bad)
 
+    def test_counts_must_be_integers(self):
+        """A fractional count is rejected, not truncated or passed on to
+        numpy; numpy integers are counts like any other."""
+        act = (ActivationSpec("relu"),)
+        base = dict(d=10, n=20, N=(5,), activations=act, lam=0.1, n_test=30, replications=2)
+        for bad in ({"N": (10.7,)}, {"N": (5.0,)}, {"d": 20.5}, {"n": 20.0},
+                    {"n_test": 30.5}, {"replications": 2.5}):
+            with pytest.raises(InvalidSpec, match="must be integers"):
+                EmpiricalConfig(**{**base, **bad})
+        cfg = EmpiricalConfig(**{**base, "d": np.int64(10), "N": (np.int32(5),),
+                                 "replications": np.int64(2)})
+        assert cfg.N == (5,) and type(cfg.N[0]) is int
+        assert run_experiment(cfg).per_replication.shape == (2,)
+
     def test_intercept_needs_nonzero_mean(self):
         """tanh has zero Gaussian mean, so F0 != 0 cannot be represented."""
         cfg = EmpiricalConfig(

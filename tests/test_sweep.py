@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -24,7 +25,6 @@ from multidescent import (
     ActivationSpec,
     InvalidSpec,
     Moments,
-    SolverConfig,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -186,14 +186,31 @@ class TestTheoryPass:
             np.testing.assert_allclose(row.theory_risk, 1.3 ** 2, rtol=1e-10)
             np.testing.assert_allclose(row.theory_variance, 0.0, atol=1e-12)
 
-    def test_failed_points_record_error(self):
+    def test_failed_points_record_error(self, monkeypatch):
         """A starved solver leaves NaN theory values and an error note."""
         spec = SweepSpec(base=_base(lam=1e-6), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
-        result = run_sweep(spec, solver=SolverConfig(max_iter=2))
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
+        result = run_sweep(spec)
         for row in result.rows:
             assert math.isnan(row.theory_risk)
             assert row.solver_iterations is None
             assert "NoConvergence" in row.error
+
+    def test_overflowing_widths_name_the_overflow(self):
+        """Finite c values and ratios whose widths overflow fail, with no numpy
+        warning and before any finite-size config is built, by a message
+        that names the overflow; widths that underflow to 0 keep theirs."""
+        tpl = EmpiricalTemplate(activations=(ActivationSpec("elu"), ActivationSpec("relu")), d=10, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ratios, c, empirical in (((1e300, 1e300), 1e300, None), ((1e300, 1e300), 1e300, tpl),
+                                         ((1e308, 1e308), 1.0, None)):
+                spec = SweepSpec(base=_base(), ratios=ratios, c_grid=(0.5, c), empirical=empirical)
+                with pytest.raises(InvalidSpec, match="^psi entries overflow"):
+                    run_sweep(spec)
+            spec = SweepSpec(base=_base(), ratios=(1.0, 1e-10), c_grid=(5e-324,))
+            with pytest.raises(InvalidSpec, match="^all psi entries must be > 0$"):
+                run_sweep(spec)
 
     def test_row_prints_theory_command_digits(self):
         """Through the CLI, every row of the criterion-07 sweep prints the
@@ -220,12 +237,13 @@ class TestTheoryPass:
         for line in common:
             assert line == by_c[line.split(",")[0]]
 
-    def test_mixed_failures_leave_converged_rows_unchanged(self):
+    def test_mixed_failures_leave_converged_rows_unchanged(self, monkeypatch):
         """Under a step cap some points converge and some fail; the converged
         rows equal those of an uncapped run, the others carry the error."""
         spec = _figure_sweep(FIGURE_GRID)
         free = run_sweep(spec)
-        capped = run_sweep(spec, solver=SolverConfig(max_iter=7))
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 7)
+        capped = run_sweep(spec)
         failed = [row for row in capped.rows if row.error is not None]
         assert 0 < len(failed) < len(capped.rows)
         for a, b in zip(free.rows, capped.rows):
@@ -264,15 +282,15 @@ class TestTheoryPass:
         ids=["criterion-07", "criterion-08-1to2", "criterion-08-2to1", "criterion-09",
              "criterion-07-max-iter-7"],
     )
-    def test_rows_equal_public_stack_api(self, acts, ratios, stop, lam, max_iter):
+    def test_rows_equal_public_stack_api(self, acts, ratios, stop, lam, max_iter, monkeypatch):
         """The sweep's array pass gives, bit for bit, what the public stack API
         gives on the expanded grid, failed points and their errors included."""
         cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
         spec = build_sweep_spec(parse_config(json.dumps(cfg)))
-        solver = SolverConfig(max_iter=max_iter)
-        rows = run_sweep(spec, solver).rows
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", max_iter)
+        rows = run_sweep(spec).rows
         points = expand_grid(spec)
-        outcomes = asymptotic_risk_stack([p.theory for p in points], solver)
+        outcomes = asymptotic_risk_stack([p.theory for p in points])
         assert len(rows) == len(points) == len(outcomes)
         for row, point, out in zip(rows, points, outcomes):
             assert (row.c, row.psi) == (point.c, point.theory.psi)
@@ -367,9 +385,10 @@ class TestCsv:
             np.testing.assert_allclose(float(rec["emp_mean"]), row.emp_mean, rtol=1e-11)
             assert rec["replications"] == "3"
 
-    def test_failed_rows_leave_empty_cells(self):
+    def test_failed_rows_leave_empty_cells(self, monkeypatch):
         spec = SweepSpec(base=_base(lam=1e-6), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
-        result = run_sweep(spec, solver=SolverConfig(max_iter=2))
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
+        result = run_sweep(spec)
         parsed = list(csv.DictReader(io.StringIO(csv_text(result))))
         for rec in parsed:
             assert rec["theory_risk"] == ""
