@@ -158,22 +158,26 @@ def compute_moments(act: ActivationSpec) -> Moments:
     """Compute the Gaussian moment triple of ``act`` by panel quadrature.
 
     The rule is evaluated at 64 nodes per panel and at twice that count; if
-    any of the three raw integrals moves by more than 1e-8 under the
-    refinement the quadrature is considered unresolved and
-    ``QuadratureDiverged`` is raised.  The refined values are returned.
+    any of the three raw integrals moves by more than 1e-8 of its scale
+    under the refinement the quadrature is considered unresolved and
+    ``QuadratureDiverged`` is raised.  The scale of E sigma^2 is itself and
+    that of mu0 and mu1 its square root, so the check does not depend on
+    the scale of sigma.  The refined values are returned.
     Results are memoized on the frozen spec, so callers that need the
     same activation's moments share one quadrature.
     """
     coarse = _gauss_moments(act, _NODES_PER_PANEL)
     fine = _gauss_moments(act, 2 * _NODES_PER_PANEL)
-    drift = np.max(np.abs(fine - coarse))
-    if drift > 1e-8:
+    rms = math.sqrt(fine[2])
+    drift = np.abs(fine - coarse)
+    if np.any(drift > 1e-8 * np.array([rms, rms, fine[2]])):
         raise QuadratureDiverged(
-            f"moment integrals moved by {drift:.3e} under node doubling (kind={act.kind!r})"
+            f"moment integrals moved by {drift.max():.3e} under node doubling, more than "
+            f"1e-8 of their scale (E sigma^2 = {fine[2]:.3e}, kind={act.kind!r})"
         )
     mu0, mu1 = fine[0], fine[1]
     raw = fine[2] - mu0 * mu0 - mu1 * mu1
-    if raw < -1e-8:
+    if raw < -1e-8 * fine[2]:
         raise QuadratureDiverged(
             f"nonlinear variance came out at {raw:.3e} < 0 beyond quadrature tolerance"
         )

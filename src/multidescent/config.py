@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments, represents_intercept
 from .risk import LimitSpec, TheorySpec
 from .simulator import EmpiricalConfig
-from .sweep import EmpiricalTemplate, SweepSpec
+from .sweep import SweepSpec
 
 __all__ = [
     "ConfigError",
@@ -211,11 +211,11 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class EmpiricalSection:
-    d: int | None = None
-    n: int | None = None
-    n_test: int = 500
-    replications: int = 30
-    base_seed: int = 0
+    """The empirical keys; the run's settings default to ``EmpiricalConfig``'s."""
+
+    n_test: int = EmpiricalConfig.n_test
+    replications: int = EmpiricalConfig.replications
+    base_seed: int = EmpiricalConfig.base_seed
     workers: int | None = None
 
 
@@ -266,8 +266,6 @@ _MODEL = {
     "tau": _nonnegative,
 }
 _EMPIRICAL = {
-    "d": _integer(1),
-    "n": _integer(1),
     "n_test": _integer(1),
     "replications": _integer(1),
     "base_seed": _integer(0),
@@ -353,13 +351,7 @@ def validate_config(raw: dict) -> RootConfig:
             "/model/F0",
             "F0 != 0 requires at least one activation with nonzero Gaussian mean",
         )
-    empirical, sweep, limit = doc.get("empirical"), doc.get("sweep"), doc.get("limit")
-    if empirical is not None:
-        for key in ("d", "n"):
-            section_v = getattr(empirical, key)
-            model_v = getattr(model, key)
-            if section_v is not None and model_v is not None and section_v != model_v:
-                raise ConfigError(f"/empirical/{key}", f"conflicts with /model/{key}")
+    sweep, limit = doc.get("sweep"), doc.get("limit")
     weights = {
         "/sweep/ratios": sweep.ratios if sweep is not None else None,
         "/limit/r": limit.r if limit is not None else None,
@@ -372,7 +364,7 @@ def validate_config(raw: dict) -> RootConfig:
         activations=activations,
         moments=moments,
         model=model,
-        empirical=empirical,
+        empirical=doc.get("empirical"),
         sweep=sweep,
         limit=limit,
         output=doc.get("output", OutputSection()),
@@ -460,40 +452,30 @@ def build_theory_spec(cfg: RootConfig) -> TheorySpec:
     )
 
 
-def _finite_size(cfg: RootConfig, need_feature_counts: bool = False) -> EmpiricalTemplate:
-    """Settings every finite-size run shares: real activations and resolved d, n."""
+def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
+    """The finite-size run of the model: its activations, d, n and N, and the
+    empirical section's settings."""
     if cfg.activations is None:
         raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
-    if need_feature_counts and cfg.model.N is None:
+    if cfg.model.N is None:
         raise ConfigError("/model", "finite-size runs need explicit feature counts N")
+    spec = build_theory_spec(cfg)
     emp = cfg.empirical or EmpiricalSection()
-    d = emp.d if emp.d is not None else cfg.model.d
-    n = emp.n if emp.n is not None else cfg.model.n
-    if d is None or n is None:
-        raise ConfigError("/empirical", "finite-size runs need d and n (model d/n/N or empirical d/n)")
-    return EmpiricalTemplate(
-        activations=cfg.activations,
-        d=d,
-        n=n,
-        n_test=emp.n_test,
-        replications=emp.replications,
-        base_seed=emp.base_seed,
+    return EmpiricalConfig(
+        d=cfg.model.d, n=cfg.model.n, N=cfg.model.N, activations=cfg.activations,
+        lam=spec.lam, F0=spec.F0, F1=spec.F1, tau=spec.tau,
+        n_test=emp.n_test, replications=emp.replications, base_seed=emp.base_seed,
     )
 
 
-def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
-    """Finite-size instance; requires activations and explicit counts."""
-    return _finite_size(cfg, need_feature_counts=True).at(build_theory_spec(cfg), cfg.model.N)
-
-
 def build_sweep_spec(cfg: RootConfig) -> SweepSpec:
-    """Sweep instance; attaches a finite-size template iff /empirical is present."""
+    """Sweep instance; attaches the model's finite-size run iff /empirical is present."""
     if cfg.sweep is None:
         raise ConfigError("", "missing required section 'sweep'")
     base = build_theory_spec(cfg)
     ratios = cfg.sweep.ratios if cfg.sweep.ratios is not None else (1.0,) * base.K
-    template = _finite_size(cfg) if cfg.empirical is not None else None
-    return SweepSpec(base=base, ratios=ratios, c_grid=cfg.sweep.c_grid, empirical=template)
+    empirical = build_empirical_config(cfg) if cfg.empirical is not None else None
+    return SweepSpec(base=base, ratios=ratios, c_grid=cfg.sweep.c_grid, empirical=empirical)
 
 
 def build_limit_spec(cfg: RootConfig) -> LimitSpec:

@@ -41,7 +41,6 @@ __all__ = [
     "feature_matrix",
     "ridge_fit",
     "excess_risk_on",
-    "run_replication",
     "run_experiment",
     "run_experiments",
     "theory_spec_from_empirical",
@@ -68,7 +67,7 @@ class EmpiricalConfig:
     F0: float = 0.0
     F1: float = 1.0
     tau: float = 0.0
-    n_test: int = 700
+    n_test: int = 500
     replications: int = 30
     base_seed: int = 0
 
@@ -255,14 +254,6 @@ def _replicate(group: Sequence[EmpiricalConfig], index: int) -> list[float | Sol
         out.append(excess_risk_on(ahat, Theta, cfg.activations, cfg.N, data.beta1, cfg.F0,
                                   rows[m:m + cfg.n_test]))
     return out
-
-
-def run_replication(cfg: EmpiricalConfig, index: int) -> float:
-    """One full draw-fit-evaluate cycle, keyed by the replication index."""
-    (outcome,) = _replicate((cfg,), index)
-    if isinstance(outcome, SolveFailure):
-        raise outcome
-    return outcome
 
 
 @functools.cache

@@ -4,26 +4,24 @@ A sweep holds the activation moments, the sample ratio and the ridge
 penalty fixed while the total feature budget ``c = sum(psi_c) / psi_n``
 moves along a grid; relative widths between components are set by a ratio
 vector.  Theory risk is evaluated at every point, the whole grid as one
-stacked solve and one stacked risk evaluation, and finite-size experiments
-can be attached to a subset of the same grid.
+stacked solve and one stacked risk evaluation, and a finite-size run of the
+same model can be simulated at every point of the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .activations import ActivationSpec
 from .formatting import _float_cells, to_json
 from .risk import InvalidSpec, TheorySpec, _shared_coeffs, _theory
-from .simulator import EmpiricalConfig, run_experiments
+from .simulator import EmpiricalConfig, run_experiments, theory_spec_from_empirical
 
 __all__ = [
     "EmptyGrid",
-    "EmpiricalTemplate",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -39,34 +37,18 @@ class EmptyGrid(ValueError):
 
 
 @dataclass(frozen=True)
-class EmpiricalTemplate:
-    """Finite-size settings shared by all grid points of a sweep.
-
-    Per-point feature counts are derived from the grid, everything else is
-    copied verbatim into each point's :class:`EmpiricalConfig`.
-    """
-
-    activations: tuple[ActivationSpec, ...]
-    d: int
-    n: int
-    n_test: int = 500
-    replications: int = 30
-    base_seed: int = 0
-
-    def at(self, base: TheorySpec, N) -> EmpiricalConfig:
-        """The finite-size run of ``base``'s ridge and target with feature counts ``N``."""
-        return EmpiricalConfig(N=N, lam=base.lam, F0=base.F0, F1=base.F1, tau=base.tau,
-                               **vars(self))
-
-
-@dataclass(frozen=True)
 class SweepSpec:
-    """A complexity sweep: base model, relative widths and the c grid."""
+    """A complexity sweep: base model, relative widths and the c grid.
+
+    ``empirical``, when given, is a finite-size run of ``base``: its theory
+    instance may differ from ``base`` in the widths alone.  Each grid point
+    runs it with that point's feature counts.
+    """
 
     base: TheorySpec
     ratios: tuple[float, ...]
     c_grid: tuple[float, ...]
-    empirical: EmpiricalTemplate | None = None
+    empirical: EmpiricalConfig | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
@@ -81,8 +63,11 @@ class SweepSpec:
             raise InvalidSpec("c grid values must be > 0")
         if any(b >= a for a, b in zip(self.c_grid[1:], self.c_grid)):
             raise InvalidSpec("c grid must be strictly increasing")
-        if self.empirical is not None and len(self.empirical.activations) != self.base.K:
-            raise InvalidSpec("empirical template needs one activation per component")
+        if self.empirical is not None:
+            run = vars(theory_spec_from_empirical(self.empirical))
+            differ = [key for key, value in vars(self.base).items() if key != "psi" and run[key] != value]
+            if differ:
+                raise InvalidSpec(f"empirical runs a different model from base: {', '.join(differ)} differ")
 
 
 @dataclass
@@ -122,13 +107,23 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _shares(spec: SweepSpec) -> tuple[list[float], float]:
+    """The ratios scaled by one power of two, so that their sum is finite, and that sum.
+
+    The scaling is exact, so ratio_c*c*x/sum(ratios) keeps its bits."""
+    _, e = math.frexp(max(spec.ratios))
+    ratios = [math.ldexp(r, -e) for r in spec.ratios]
+    return ratios, sum(ratios)
+
+
 def _grid_psi(spec: SweepSpec) -> np.ndarray:
     """Widths psi_c = ratio_c*c*psi_n/sum(ratios) of every grid value, shape (G, K);
     widths that overflow to inf or underflow to 0 raise ``InvalidSpec``."""
     if len(spec.c_grid) == 0:
         raise EmptyGrid("c grid is empty")
+    ratios, total = _shares(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.multiply.outer(spec.c_grid, spec.ratios) * spec.base.psi_n / sum(spec.ratios)
+        psi = np.multiply.outer(spec.c_grid, ratios) * spec.base.psi_n / total
     if not np.isfinite(psi).all():
         raise InvalidSpec("psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite")
     if not (psi > 0.0).all():
@@ -138,8 +133,9 @@ def _grid_psi(spec: SweepSpec) -> np.ndarray:
 
 def _empirical_at(spec: SweepSpec, c: float) -> EmpiricalConfig:
     """The finite-size run at ``c``: N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
-    tpl, total = spec.empirical, sum(spec.ratios)
-    return tpl.at(spec.base, tuple(max(1, int(round(r * c * tpl.n / total))) for r in spec.ratios))
+    ratios, total = _shares(spec)
+    n = spec.empirical.n
+    return replace(spec.empirical, N=tuple(max(1, int(round(r * c * n / total))) for r in ratios))
 
 
 def _metadata(spec: SweepSpec) -> dict:

@@ -194,6 +194,18 @@ class TestScalingLaws:
             np.testing.assert_allclose(full.mu1, s * base.mu1, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(full.mu2_sq, s * s * base.mu2_sq, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("a", [0.0, 1e-8, 1e5])
+    @pytest.mark.parametrize("kind", ["relu", "identity", "elu", "tanh"])
+    def test_output_scale_of_any_size_is_resolved(self, kind, a):
+        """The node-doubling check is relative to the activation's scale, so
+        out_scale = a gives a mu0, a mu1 and a^2 mu2_sq, and does not raise
+        however small or large a is; an activation that is zero everywhere
+        has no drift."""
+        base = compute_moments(ActivationSpec(kind, in_scale=1.3))
+        m = compute_moments(ActivationSpec(kind, in_scale=1.3, out_scale=a))
+        np.testing.assert_allclose([m.mu0, m.mu1], [a * base.mu0, a * base.mu1], rtol=1e-12, atol=1e-15 * a)
+        np.testing.assert_allclose(m.mu2_sq, a * a * base.mu2_sq, rtol=1e-12, atol=1e-15 * a * a)
+
     def test_scaled_moments_matches_direct(self):
         base = compute_moments(ActivationSpec("elu", in_scale=3.0))
         scaled = scaled_moments(base, 0.5)
@@ -365,6 +377,12 @@ class TestErrorPaths:
         """A wildly oscillatory activation fails the node-doubling check."""
         with pytest.raises(QuadratureDiverged):
             compute_moments(ActivationSpec("sin", in_scale=300.0))
+
+    @pytest.mark.parametrize("a", [1e-8, 1e5])
+    def test_oscillatory_integrand_diverges_at_any_scale(self, a):
+        """Scaling the output scales the drift with it: no scale resolves sin(300 x)."""
+        with pytest.raises(QuadratureDiverged, match="more than 1e-8 of their scale"):
+            compute_moments(ActivationSpec("sin", in_scale=300.0, out_scale=a))
 
     def test_scaled_moments_nonfinite(self):
         m = Moments(mu0=0.0, mu1=1.0, mu2_sq=0.5)

@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from multidescent import (
+    ActivationSpec,
     ConfigError,
+    EmpiricalConfig,
+    InvalidSpec,
+    SweepSpec,
     QuadratureDiverged,
     asymptotic_risk,
     build_empirical_config,
@@ -27,6 +31,7 @@ from multidescent import (
     build_theory_spec,
     format_number,
     parse_config,
+    theory_spec_from_empirical,
     to_json,
 )
 from multidescent import config as config_module
@@ -276,10 +281,12 @@ class TestConfigValidation:
             parse_config(_inline(cfg))
 
     def test_empirical_conflicts_with_model(self):
-        cfg = _k2_counts_config()
-        cfg["empirical"] = {"d": 50}
-        with pytest.raises(ConfigError, match="/empirical/d: conflicts"):
-            parse_config(_inline(cfg))
+        """d and n are stated once, in the model: the empirical section
+        cannot restate them, agreeing or not."""
+        for key, value in (("d", 50), ("d", 100), ("n", 250)):
+            cfg = _k2_counts_config(empirical={key: value})
+            with pytest.raises(ConfigError, match=f"^/empirical/{key}: unknown key$"):
+                parse_config(_inline(cfg))
 
     def test_limit_section(self):
         cfg = _minimal()
@@ -372,9 +379,15 @@ class TestBuilders:
         assert ecfg.lam == 0.01 and ecfg.tau == 0.1
 
     def test_empirical_defaults(self):
-        cfg = parse_config(_inline(_k2_counts_config(empirical={})))
-        ecfg = build_empirical_config(cfg)
-        assert (ecfg.n_test, ecfg.replications, ecfg.base_seed) == (500, 30, 0)
+        """An empty section, or none, gives EmpiricalConfig's own defaults."""
+        expected = EmpiricalConfig(
+            d=100, n=250, N=(120, 80),
+            activations=(ActivationSpec("elu", in_scale=3.0), ActivationSpec("relu", in_scale=0.25)),
+            lam=0.01, tau=0.1,
+        )
+        for extra in ({"empirical": {}}, {}):
+            assert build_empirical_config(parse_config(_inline(_k2_counts_config(**extra)))) == expected
+        assert (expected.n_test, expected.replications, expected.base_seed) == (500, 30, 0)
 
     def test_sweep_defaults(self):
         cfg = _minimal()
@@ -391,10 +404,29 @@ class TestBuilders:
     def test_sweep_with_template(self):
         cfg = _k2_counts_config(empirical={"replications": 2, "n_test": 32})
         cfg["sweep"] = {"c_grid": [0.5, 1.0], "ratios": [1.0, 1.0]}
-        spec = build_sweep_spec(parse_config(_inline(cfg)))
-        assert spec.empirical is not None
-        assert spec.empirical.d == 100 and spec.empirical.n == 250
+        parsed = parse_config(_inline(cfg))
+        spec = build_sweep_spec(parsed)
+        assert spec.empirical == build_empirical_config(parsed)
+        assert theory_spec_from_empirical(spec.empirical) == spec.base
         assert spec.empirical.replications == 2
+
+    def test_sweep_simulates_its_own_model(self, capsys):
+        """A sweep cannot print the theory of one model beside simulations of
+        another: a psi-mode model has no counts to simulate (exit 2), and a
+        library spec whose run differs from its base raises InvalidSpec."""
+        psi_mode = {"activations": [{"kind": "relu"}], "model": {"psi": [1], "psi_n": 3, "lambda": 0.01},
+                    "sweep": {"c_grid": [1]}}
+        for empirical, message in (({"d": 20, "n": 20}, "/empirical/d: unknown key"),
+                                   ({}, "/model: finite-size runs need explicit feature counts N")):
+            argv = ["sweep", "--config", _inline(dict(psi_mode, empirical=empirical))]
+            assert main(argv) == ExitStatus.CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
+        spec = build_sweep_spec(parse_config(_inline(_k2_counts_config(sweep={"c_grid": [1.0]}))))
+        run = build_empirical_config(parse_config(_inline(_k2_counts_config(model=dict(
+            _k2_counts_config()["model"], n=400)))))
+        with pytest.raises(InvalidSpec, match="^empirical runs a different model from base: psi_n differ$"):
+            SweepSpec(base=spec.base, ratios=spec.ratios, c_grid=spec.c_grid, empirical=run)
 
     def test_limit_takes_any_k(self):
         ls = build_limit_spec(parse_config(_inline(_minimal())))
@@ -567,8 +599,8 @@ class TestDispatch:
 
     def test_sweep_width_overflow_is_config_error(self):
         """A finite c and ratio whose width overflows exit 2 with one line
-        that names the overflow."""
-        cfg = _minimal()
+        that names the overflow; here c*psi_n = 2e308."""
+        cfg = _minimal(psi_n=2.0)
         cfg["sweep"] = {"c_grid": [1e308], "ratios": [1e10]}
         assert _run("sweep", cfg) == (
             ExitStatus.CONFIG, "",

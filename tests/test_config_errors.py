@@ -152,7 +152,8 @@ CASES = [
     case("empirical-not-object", {"empirical": []}, "/empirical", "/empirical: expected an object, got list"),
     case("empirical-unknown-key", {"empirical": {"seed": 1}},
          "/empirical/seed", "/empirical/seed: unknown key"),
-    case("empirical-d-zero", {"empirical": {"d": 0}}, "/empirical/d", "/empirical/d: must be >= 1"),
+    # d and n are stated once, in the model: the empirical section takes neither.
+    case("empirical-d-zero", {"empirical": {"d": 0}}, "/empirical/d", "/empirical/d: unknown key"),
     case("empirical-n-test-string", {"empirical": {"n_test": "500"}},
          "/empirical/n_test", "/empirical/n_test: expected an integer, got str"),
     case("empirical-replications-zero", {"empirical": {"replications": 0}},
@@ -162,9 +163,9 @@ CASES = [
     case("empirical-workers-zero", {"empirical": {"workers": 0}},
          "/empirical/workers", "/empirical/workers: must be >= 1"),
     case("empirical-d-conflict", {"empirical": {"d": 50}},
-         "/empirical/d", "/empirical/d: conflicts with /model/d", base=COUNTS),
+         "/empirical/d", "/empirical/d: unknown key", base=COUNTS),
     case("empirical-n-conflict", {"empirical": {"n": 50}},
-         "/empirical/n", "/empirical/n: conflicts with /model/n", base=COUNTS),
+         "/empirical/n", "/empirical/n: unknown key", base=COUNTS),
     case("sweep-not-object", {"sweep": [1.0]}, "/sweep", "/sweep: expected an object, got list"),
     case("sweep-unknown-key", {"sweep": {"c_grid": [1.0], "grid": [1.0]}},
          "/sweep/grid", "/sweep/grid: unknown key"),
@@ -242,9 +243,9 @@ CASES = [
          base=MOMENTS,
          build="sweep"),
     case("build-sweep-no-counts", {"sweep": {"c_grid": [1.0]}, "empirical": {"d": 10}},
-         "/empirical",
-         "/empirical: finite-size runs need d and n (model d/n/N or empirical d/n)",
-         build="sweep"),
+         "/empirical/d", "/empirical/d: unknown key"),
+    case("build-sweep-psi-model", {"sweep": {"c_grid": [1.0]}, "empirical": {}},
+         "/model", "/model: finite-size runs need explicit feature counts N", build="sweep"),
 ]
 
 

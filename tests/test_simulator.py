@@ -19,7 +19,6 @@ from multidescent import (
     ACTIVATION_KINDS,
     ActivationSpec,
     EmpiricalConfig,
-    EmpiricalTemplate,
     InvalidSpec,
     ShapeMismatch,
     SolveFailure,
@@ -34,7 +33,6 @@ from multidescent import (
     ridge_fit,
     run_experiment,
     run_experiments,
-    run_replication,
     run_sweep,
     sample_sphere,
     theory_spec_from_empirical,
@@ -229,8 +227,8 @@ class TestDeterminism:
 
     def test_replication_is_pure(self):
         cfg = self._cfg()
-        assert run_replication(cfg, 3) == run_replication(cfg, 3)
-        assert run_replication(cfg, 3) != run_replication(cfg, 4)
+        assert simulator._replicate((cfg,), 3) == simulator._replicate((cfg,), 3)
+        assert simulator._replicate((cfg,), 3) != simulator._replicate((cfg,), 4)
 
     def test_worker_count_is_invisible(self):
         cfg = self._cfg()
@@ -257,10 +255,8 @@ class TestDeterminism:
         monkeypatch.setattr(simulator, "_replicate", recording)
         for workers in (1, 3):
             run_experiment(self._cfg(), workers=workers)
-        tpl = EmpiricalTemplate(activations=self._cfg().activations, d=20, n=40,
-                                n_test=50, replications=6, base_seed=42)
         base = theory_spec_from_empirical(self._cfg())
-        run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(0.5, 1.0), empirical=tpl),
+        run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(0.5, 1.0), empirical=self._cfg()),
                   workers=2)
         assert seen == [1] * 18  # 6 + 6 jobs, then 6 for the sweep's one group
         assert get() == before
@@ -390,10 +386,8 @@ class TestSharedDraws:
         assert sorted(sizes) == [1] * 4 + [3] * 4
 
     def test_sweep_rows_equal_their_configs_alone(self):
-        tpl = EmpiricalTemplate(activations=self.BASE.activations, d=12, n=30, n_test=25,
-                                replications=4, base_seed=8)
         spec = SweepSpec(base=theory_spec_from_empirical(self.BASE), ratios=(1.0, 2.0),
-                         c_grid=(0.4, 1.0, 1.6), empirical=tpl)
+                         c_grid=(0.4, 1.0, 1.6), empirical=self.BASE)
         rows = run_sweep(spec, workers=2).rows
         for row, point in zip(rows, expand_grid(spec)):
             alone = run_experiment(point.empirical)

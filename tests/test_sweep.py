@@ -14,13 +14,14 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import multidescent
 from multidescent import (
-    EmpiricalTemplate,
+    EmpiricalConfig,
     EmptyGrid,
     ActivationSpec,
     InvalidSpec,
@@ -38,6 +39,8 @@ from multidescent import (
     parse_config,
     render_svg,
     run_sweep,
+    simulator,
+    theory_spec_from_empirical,
     write_csv,
 )
 from multidescent.cli import ExitStatus, dispatch
@@ -57,6 +60,19 @@ def _base(psi=(1.0, 1.0), **kw) -> TheorySpec:
     return TheorySpec(**args)
 
 
+def _run(**kw) -> EmpiricalConfig:
+    """A finite-size run of elu and relu features; ``_matched`` gives its theory."""
+    args = dict(d=30, n=100, N=(30, 30), activations=(ActivationSpec("elu"), ActivationSpec("relu")),
+                lam=1e-3, F1=1.0, tau=0.1)
+    args.update(kw)
+    return EmpiricalConfig(**args)
+
+
+def _matched(run: EmpiricalConfig, ratios=(1.0, 1.0), c_grid=(1.0,)) -> SweepSpec:
+    """The sweep of ``run``'s own model, simulated by ``run``."""
+    return SweepSpec(base=theory_spec_from_empirical(run), ratios=ratios, c_grid=c_grid, empirical=run)
+
+
 class TestExpandGrid:
     def test_equal_ratio_widths(self):
         """psi_c = ratio_c * c * psi_n / sum(ratios), here just c*psi_n/2."""
@@ -73,34 +89,17 @@ class TestExpandGrid:
             assert p.empirical is None
 
     def test_feature_counts(self):
-        """Counts split the budget c*n by the ratios and round to integers."""
-        tpl = EmpiricalTemplate(
-            activations=(ActivationSpec("elu"), ActivationSpec("relu")),
-            d=300,
-            n=1000,
-        )
-        spec = SweepSpec(
-            base=_base(), ratios=(1.0, 2.0), c_grid=(1.5,), empirical=tpl
-        )
+        """Counts split the budget c*n by the ratios and round to integers;
+        everything else is the sweep's run as given."""
+        run = _run(d=300, n=1000, F0=0.2, n_test=40, replications=3, base_seed=5)
+        spec = _matched(run, ratios=(1.0, 2.0), c_grid=(1.5,))
         (point,) = expand_grid(spec)
-        assert point.empirical.N == (500, 1000)
-        assert point.empirical.d == 300 and point.empirical.n == 1000
-        assert point.empirical.lam == spec.base.lam
-        assert (point.empirical.F0, point.empirical.F1, point.empirical.tau) == (
-            spec.base.F0,
-            spec.base.F1,
-            spec.base.tau,
-        )
+        assert point.empirical == replace(run, N=(500, 1000))
+        assert theory_spec_from_empirical(point.empirical) == point.theory
 
     def test_count_clamping(self):
-        tpl = EmpiricalTemplate(
-            activations=(ActivationSpec("elu"), ActivationSpec("relu")),
-            d=50,
-            n=100,
-        )
-        spec = SweepSpec(
-            base=_base(), ratios=(1.0, 1.0), c_grid=(0.001, 1.0), empirical=tpl
-        )
+        spec = _matched(_run(), c_grid=(0.001, 1.0))
+        assert spec.base.psi_n == 10.0 / 3.0
         tiny, normal = expand_grid(spec)
         assert tiny.empirical.N == (1, 1)
         assert normal.empirical.N == (50, 50)
@@ -122,15 +121,40 @@ class TestExpandGrid:
                 SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(bad, 1.0))
         with pytest.raises(InvalidSpec, match="increasing"):
             SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(2.0, 1.0))
-        with pytest.raises(InvalidSpec, match="one activation per component"):
-            SweepSpec(
-                base=_base(),
-                ratios=(1.0, 1.0),
-                c_grid=(1.0,),
-                empirical=EmpiricalTemplate(
-                    activations=(ActivationSpec("relu"),), d=10, n=20
-                ),
-            )
+        with pytest.raises(InvalidSpec, match="^empirical runs a different model from base: moments differ$"):
+            SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(1.0,),
+                      empirical=_run(N=(5,), activations=(ActivationSpec("relu"),)))
+
+    def test_empirical_runs_the_base_model(self):
+        """The run may differ from the base in its widths alone; any other
+        difference, each of the theory's inputs in turn, is named."""
+        run = _run(F0=0.2)
+        base = theory_spec_from_empirical(run)
+        SweepSpec(base=replace(base, psi=(0.5, 2.0)), ratios=(1.0, 1.0), c_grid=(1.0,), empirical=run)
+        other = (ActivationSpec("elu"), ActivationSpec("tanh"))
+        for edit, differ in (({"activations": other}, "moments"), ({"n": 60}, "psi_n"),
+                             ({"d": 60, "N": (60, 60)}, "psi_n"), ({"lam": 1e-2}, "lam"),
+                             ({"F0": 0.0}, "F0"), ({"F1": 2.0}, "F1"), ({"tau": 0.0}, "tau"),
+                             ({"lam": 1e-2, "tau": 0.0}, "lam, tau")):
+            with pytest.raises(InvalidSpec, match=f"^empirical runs a different model from base: "
+                                                  f"{differ} differ$"):
+                SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(1.0,), empirical=replace(run, **edit))
+        with pytest.raises(InvalidSpec, match=": moments, F0 differ$"):
+            SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(1.0,), empirical=run)
+
+    def test_huge_ratios_give_the_widths_of_their_proportions(self):
+        """Ratios whose sum overflows say "equal widths" like (1, 1) do, in
+        widths and in feature counts; in-range ratios keep every bit of the
+        unscaled formula."""
+        huge, unit = (_matched(_run(), ratios=r, c_grid=(1e-10, 0.5, 1.0, 3.0))
+                      for r in ((1e308, 1e308), (1.0, 1.0)))
+        for a, b in zip(expand_grid(huge), expand_grid(unit)):
+            np.testing.assert_allclose(a.theory.psi, b.theory.psi, rtol=1e-15)
+            assert a.empirical.N == b.empirical.N
+        spec = _matched(_run(), ratios=(1.0, 3.0), c_grid=(0.3, 0.7, 1.9))
+        for c, point in zip(spec.c_grid, expand_grid(spec)):
+            assert point.theory.psi == tuple(r * c * spec.base.psi_n / 4.0 for r in spec.ratios)
+            assert point.empirical.N == tuple(max(1, round(r * c * 100 / 4.0)) for r in spec.ratios)
 
 
 def _sweep_config(acts, ratios, lam, **sweep) -> dict:
@@ -200,12 +224,12 @@ class TestTheoryPass:
         """Finite c values and ratios whose widths overflow fail, with no numpy
         warning and before any finite-size config is built, by a message
         that names the overflow; widths that underflow to 0 keep theirs."""
-        tpl = EmpiricalTemplate(activations=(ActivationSpec("elu"), ActivationSpec("relu")), d=10, n=20)
+        run = _run()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for ratios, c, empirical in (((1e300, 1e300), 1e300, None), ((1e300, 1e300), 1e300, tpl),
-                                         ((1e308, 1e308), 1.0, None)):
-                spec = SweepSpec(base=_base(), ratios=ratios, c_grid=(0.5, c), empirical=empirical)
+            for ratios, c, empirical in (((3e300, 1e300), 1.5e308, None), ((3.0, 1.0), 1.5e308, run)):
+                spec = SweepSpec(base=theory_spec_from_empirical(run), ratios=ratios, c_grid=(0.5, c),
+                                 empirical=empirical)
                 with pytest.raises(InvalidSpec, match="^psi entries overflow"):
                     run_sweep(spec)
             spec = SweepSpec(base=_base(), ratios=(1.0, 1e-10), c_grid=(5e-324,))
@@ -315,19 +339,10 @@ class TestTheoryPass:
         assert meta["tool_version"] == multidescent.__version__
 
 
-def _small_empirical_sweep(workers=None, first=ActivationSpec("relu")):
-    tpl = EmpiricalTemplate(
-        activations=(first, ActivationSpec("tanh")),
-        d=15,
-        n=30,
-        n_test=40,
-        replications=3,
-        base_seed=11,
-    )
-    spec = SweepSpec(
-        base=_base(lam=1e-2), ratios=(1.0, 1.0), c_grid=(0.5, 1.0, 1.5), empirical=tpl
-    )
-    return run_sweep(spec, workers=workers)
+def _small_empirical_sweep(workers=None):
+    run = _run(d=15, n=30, activations=(ActivationSpec("relu"), ActivationSpec("tanh")), lam=1e-2,
+               n_test=40, replications=3, base_seed=11)
+    return run_sweep(_matched(run, c_grid=(0.5, 1.0, 1.5)), workers=workers)
 
 
 class TestEmpiricalPass:
@@ -345,10 +360,14 @@ class TestEmpiricalPass:
             assert a.emp_mean == b.emp_mean
             assert a.emp_se == b.emp_se
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_failed_replications_keep_theory_columns(self):
-        """Features that overflow fail every point's Monte Carlo, not the sweep."""
-        result = _small_empirical_sweep(workers=2, first=ActivationSpec("relu", in_scale=1e308))
+    def test_failed_replications_keep_theory_columns(self, monkeypatch):
+        """A ridge fit that fails every point's Monte Carlo fails no theory column."""
+
+        def failing(*args):
+            raise simulator.SolveFailure("non-finite entries in ridge inputs")
+
+        monkeypatch.setattr(simulator, "ridge_fit", failing)
+        result = _small_empirical_sweep(workers=2)
         for row in result.rows:
             assert row.error == "SolveFailure: replication 0: non-finite entries in ridge inputs"
             assert (row.emp_mean, row.emp_se, row.replications) == (None, None, None)
