@@ -25,10 +25,10 @@ The risk differentiates the same potential at its root.  It splits as
 
 (1-based indices) with L = -G^T S^{-1} G, G = b * V and MD, V real forms of
 the framework's auxiliary quantities (each squared scale nu_j^2 enters as
--b_j^2), so the matrix the risk solves is the one Newton already used.  A
-stack of points that share K, such as the points of a sweep grid, is solved
-and scored at once with batched linear algebra; each point keeps its own
-steps, line search and failure.  The two width limits (infinitely wide at
+-b_j^2), so the matrix the risk solves is the one Newton already used.  One
+model at a stack of block widths, such as the points of a sweep grid, is
+solved and scored at once with batched linear algebra; each point keeps its
+own steps, line search and failure.  The two width limits (infinitely wide at
 fixed block proportions, for any K, and vanishingly narrow) have closed
 forms.
 """
@@ -53,7 +53,6 @@ __all__ = [
     "DegenerateMoments",
     "IllConditionedWarning",
     "asymptotic_risk",
-    "asymptotic_risk_stack",
     "limit_risk_infinite_width",
     "limit_risk_zero_width",
 ]
@@ -189,23 +188,13 @@ _MAX_LOG_STEP = 2.0
 COND_WARN_THRESHOLD = 1e12
 
 
-def _stack_coeffs(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """psi_full (G, K+1), m1 and m2 (G, K) and lam (G, 1) of G specs."""
-    if not specs or len({spec.K for spec in specs}) != 1:
-        raise InvalidSpec("a stack needs at least one spec, all with the same K")
-    psi = np.array([spec.psi_full for spec in specs])
-    m1 = np.array([[m.mu1 * m.mu1 for m in spec.moments] for spec in specs])
-    m2 = np.array([[m.mu2_sq for m in spec.moments] for spec in specs])
-    lam = np.array([[spec.lam] for spec in specs])
-    return psi, m1, m2, lam
-
-
-def _shared_coeffs(psi, psi_n: float, moments, lam: float):
-    """The same arrays for G points that differ only in their widths ``psi`` (G, K)."""
-    g = len(psi)
-    m1 = np.tile([m.mu1 * m.mu1 for m in moments], (g, 1))
-    m2 = np.tile([m.mu2_sq for m in moments], (g, 1))
-    return np.column_stack((psi, np.full(g, psi_n))), m1, m2, np.full((g, 1), lam)
+def _coeffs(base: TheorySpec, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """psi_full (G, K+1) of ``base``'s model at each row of the widths ``psi``
+    (G, K), and the model's m1 and m2 (K,) and lam, which every point shares."""
+    psi_full = np.column_stack((psi, np.full(len(psi), base.psi_n)))
+    m1 = np.array([m.mu1 * m.mu1 for m in base.moments])
+    m2 = np.array([m.mu2_sq for m in base.moments])
+    return psi_full, m1, m2, base.lam
 
 
 def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -226,7 +215,7 @@ def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def _residuals(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    """Residuals of each row of ``b``; coefficients as from ``_stack_coeffs``.
+    """Residuals of each row of ``b``; coefficients as from ``_coeffs``.
 
     With w_c = b_n (m2_c + m1_c / (1 + T)), equation c reads
     b_c (sqrt(lam) + w_c) = psi_c and the last one
@@ -258,8 +247,8 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
 
 
 def _newton(psi, m1, m2, lam):
-    """Newton's method in log b on G stacked systems of one K; coefficients as
-    from ``_stack_coeffs``.
+    """Newton's method in log b on the G systems of one model at G widths;
+    coefficients as from ``_coeffs``.
 
     Returns b (G, K+1), the largest relative residual (G,) and the Newton
     steps (G,) of every point, and the exception that ended each failed
@@ -279,7 +268,12 @@ def _newton(psi, m1, m2, lam):
     b_out, rel_out, steps_out = np.full(b.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
     errors: dict = {}
     while True:
-        step, singular = _solve_stack(_jacobian(psi, m1, m2, sqrt_lam, b), rel_res[:, :, None])
+        # A width so small that its scale underflows to 0 overflows the b/psi
+        # scaling to inf and NaN.  That point fails loudly all the same: its
+        # Jacobian is singular, or no step reduces its residual.
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = _jacobian(psi, m1, m2, sqrt_lam, b)
+        step, singular = _solve_stack(jac, rel_res[:, :, None])
         step = step[:, :, 0]
         step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
         # A point already within tol takes its one polishing step: a single
@@ -320,7 +314,7 @@ def _newton(psi, m1, m2, lam):
                 continue
             why = ": no Newton step reduces it" if pending[j] else f" after {steps[j]} Newton steps"
             errors[i] = NoConvergence(
-                f"residual {rel[j]:.3e} > tol {_TOL:.1e}{why} at lambda={lam[i, 0]:.3e}",
+                f"residual {rel[j]:.3e} > tol {_TOL:.1e}{why} at lambda={lam:.3e}",
                 residual=float(rel[j]),
                 iterations=int(steps[j]),
             )
@@ -330,14 +324,14 @@ def _newton(psi, m1, m2, lam):
         if done.all():
             return b_out, rel_out, steps_out, errors
         keep = ~done
-        ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps = (
-            x[keep] for x in (ids, psi, m1, m2, sqrt_lam, b, rel_res, rel, steps)
+        ids, psi, b, rel_res, rel, steps = (
+            x[keep] for x in (ids, psi, b, rel_res, rel, steps)
         )
 
 
 def _matrices(m1, m2, b) -> tuple[np.ndarray, np.ndarray]:
     """MD (G,) and V (G, K+1, 4) of G points."""
-    k = m1.shape[1]
+    k = m1.shape[-1]
     bc, bn = b[:, :k], b[:, k]
     mN = (m1 * bc).sum(axis=1)
     MD = -(bn * mN + 1.0)
@@ -355,8 +349,8 @@ def _matrices(m1, m2, b) -> tuple[np.ndarray, np.ndarray]:
 def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points.
 
-    Coefficients are as from ``_stack_coeffs``, ``b`` holds the scales and
-    ``f1_sq``, ``tau_sq`` hold F1^2 and tau^2, one per point.  Each
+    Coefficients are as from ``_coeffs``, ``b`` holds the scales and
+    ``f1_sq``, ``tau_sq`` hold the shared F1^2 and tau^2.  Each
     L = -G^T S^{-1} G, with G = b * V and S = dr/du the Newton matrix at b,
     comes from one batched solve.  ``errors`` maps the points that already
     failed to their exception; it gains ``DegenerateB`` for scales with a
@@ -378,8 +372,7 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     if rows.size == 0:
         return risk, bias, variance, L
     if rows.size < g:
-        psi, m1, m2, lam, b, f1_sq, tau_sq = (
-            x[rows] for x in (psi, m1, m2, lam, b, f1_sq, tau_sq))
+        psi, b = psi[rows], b[rows]
     MD, v = _matrices(m1, m2, b)
     s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
     # S is the Hessian of a strictly convex potential, positive definite at
@@ -406,51 +399,23 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     return risk, bias, variance, L
 
 
-def _theory(coeffs, f1_sq, tau_sq):
-    """The one stacked core of the theory: ``_newton`` on the coefficient
-    arrays ``coeffs`` (as from ``_stack_coeffs``), then ``_score``.
+def _theory(base: TheorySpec, psi):
+    """The one core of the theory: ``base``'s model at each row of the block
+    widths ``psi`` (G, K), solved by ``_newton`` and scored by ``_score``.
 
     Returns risk, bias, variance and L as from ``_score``, then b, the
     residuals and the steps as from ``_newton``, then the exception of every
     failed point by index.  Every public entry point calls it directly, so
     an ``IllConditionedWarning`` names the line that called the entry point.
     """
+    coeffs = _coeffs(base, psi)
     b, residual, steps, errors = _newton(*coeffs)
-    return (*_score(*coeffs, b, f1_sq, tau_sq, errors), b, residual, steps, errors)
-
-
-def _stack_inputs(specs: list) -> tuple:
-    """``_theory``'s coefficient arrays, F1^2 and tau^2 of a list of specs."""
-    return (_stack_coeffs(specs), np.array([spec.F1 ** 2 for spec in specs]),
-            np.array([spec.tau ** 2 for spec in specs]))
-
-
-def _results(risk, bias, variance, L, b, residual, steps, errors) -> list:
-    """``_theory``'s arrays as one ``TheoryRisk`` or exception per point."""
-    return [
-        errors[i] if i in errors else
-        TheoryRisk(risk=risk[i], bias=bias[i], variance=variance[i], L=L[i], b=b[i].copy(),
-                   residual=float(residual[i]), iterations=int(steps[i]))
-        for i in range(len(b))
-    ]
-
-
-def asymptotic_risk_stack(specs) -> list:
-    """Asymptotic excess risk of G specs of one K.
-
-    Solves the stacked scale system and scores every point through the
-    Newton matrix S at its root, all with batched linear algebra.  Returns
-    one entry per spec, in order: its ``TheoryRisk``, or the exception that
-    failed that point alone (``NoConvergence``, ``DegenerateB``, or
-    ``LinAlgError`` for a singular Jacobian or S).  Emits
-    ``IllConditionedWarning`` for each point whose cond(S) exceeds 1e12.
-    """
-    return _results(*_theory(*_stack_inputs(list(specs))))
+    return (*_score(*coeffs, b, base.F1 ** 2, base.tau ** 2, errors), b, residual, steps, errors)
 
 
 def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
-    """Asymptotic excess risk of ``spec``: ``asymptotic_risk_stack`` for one
-    spec, raising its failure.
+    """Asymptotic excess risk of ``spec``: ``_theory`` at its one set of
+    widths, raising its failure.
 
     The scales are found by Newton's method in log b, starting from
     b_j = psi_j / (sqrt(lam) + 1).  Each step is capped at 2 in every log b_j
@@ -464,10 +429,11 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     Raises ``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a
     singular Jacobian or S.
     """
-    (result,) = _results(*_theory(*_stack_inputs([spec])))
-    if isinstance(result, Exception):
-        raise result
-    return result
+    risk, bias, variance, L, b, residual, steps, errors = _theory(spec, np.array([spec.psi]))
+    if errors:
+        raise errors[0]
+    return TheoryRisk(risk=risk[0], bias=bias[0], variance=variance[0], L=L[0], b=b[0],
+                      residual=float(residual[0]), iterations=int(steps[0]))
 
 
 def limit_risk_infinite_width(ls: LimitSpec) -> float:

@@ -55,6 +55,13 @@ class SolveFailure(RuntimeError):
     """Ridge system could not be factorized (NaN/Inf inputs)."""
 
 
+# float64 entries (1 GiB) that the arrays of one replication may hold: the
+# inputs, feature directions and test inputs, n + n_test + sum(N) rows of d,
+# and the training and test features, (n + n_test) x sum(N).  A larger run
+# would exhaust memory partway through its draws, so its config is refused.
+_MAX_REPLICATION_ENTRIES = 2**27
+
+
 @dataclass(frozen=True)
 class EmpiricalConfig:
     """Finite-size experiment parameters."""
@@ -84,6 +91,12 @@ class EmpiricalConfig:
             raise InvalidSpec("d, n, n_test and replications must be >= 1")
         if any(x < 1 for x in self.N):
             raise InvalidSpec("all feature counts must be >= 1")
+        rows, features = self.n + self.n_test, sum(self.N)
+        entries = (rows + features) * self.d + rows * features
+        if entries > _MAX_REPLICATION_ENTRIES:
+            raise InvalidSpec(
+                f"a replication needs {entries} float64 entries, (n + n_test + sum(N))*d + "
+                f"(n + n_test)*sum(N); the cap is {_MAX_REPLICATION_ENTRIES}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise InvalidSpec("lambda must be > 0")
         if not (math.isfinite(self.F0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .formatting import _float_cells, to_json
-from .risk import InvalidSpec, TheorySpec, _shared_coeffs, _theory
+from .risk import InvalidSpec, TheorySpec, _theory
 from .simulator import EmpiricalConfig, run_experiments, theory_spec_from_empirical
 
 __all__ = [
@@ -134,8 +134,10 @@ def _grid_psi(spec: SweepSpec) -> np.ndarray:
 def _empirical_at(spec: SweepSpec, c: float) -> EmpiricalConfig:
     """The finite-size run at ``c``: N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
     ratios, total = _shares(spec)
-    n = spec.empirical.n
-    return replace(spec.empirical, N=tuple(max(1, int(round(r * c * n / total))) for r in ratios))
+    counts = [r * c * spec.empirical.n / total for r in ratios]
+    if not all(map(math.isfinite, counts)):
+        raise InvalidSpec("feature counts overflow: ratio_c*c*n/sum(ratios) must be finite")
+    return replace(spec.empirical, N=tuple(max(1, int(round(x))) for x in counts))
 
 
 def _metadata(spec: SweepSpec) -> dict:
@@ -168,10 +170,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     base = spec.base
     psi = _grid_psi(spec)
     cfgs = None if spec.empirical is None else [_empirical_at(spec, c) for c in spec.c_grid]
-    g = len(psi)
-    risk, bias, variance, _, _, _, steps, errors = _theory(
-        _shared_coeffs(psi, base.psi_n, base.moments, base.lam),
-        np.full(g, base.F1 ** 2), np.full(g, base.tau ** 2))
+    risk, bias, variance, _, _, _, steps, errors = _theory(base, psi)
     rows = [
         SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,
                  theory_bias=bi, theory_variance=v, solver_iterations=n)

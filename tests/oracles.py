@@ -39,7 +39,7 @@ from multidescent import (
     TheoryRisk,
     TheorySpec,
 )
-from multidescent.risk import _matrices, _residuals, _stack_coeffs
+from multidescent.risk import _coeffs, _matrices, _residuals
 from multidescent.sweep import _empirical_at, _grid_psi
 
 
@@ -88,7 +88,7 @@ def residual_vector(spec: TheorySpec, b) -> np.ndarray:
         raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
     if not np.all(b > 0.0):
         raise NonPositiveInput("all entries of b must be > 0")
-    psi, m1, m2, lam = _stack_coeffs([spec])
+    psi, m1, m2, lam = _coeffs(spec, np.array([spec.psi]))
     return _residuals(psi, m1, m2, np.sqrt(lam), b[None])[0]
 
 
@@ -141,9 +141,9 @@ def build_matrices(spec: TheorySpec, b) -> TheoryMatrices:
     b = np.asarray(b, dtype=np.float64)
     if np.any(b == 0.0):
         raise DegenerateB("all b_j must be nonzero")
-    psi, m1, m2, _ = _stack_coeffs([spec])
+    psi, m1, m2, _ = _coeffs(spec, np.array([spec.psi]))
     MD, v = _matrices(m1, m2, b[None])
-    k, psi, m1, m2, md2 = spec.K, psi[0], m1[0], m2[0], MD[0] * MD[0]
+    k, psi, md2 = spec.K, psi[0], MD[0] * MD[0]
     bc, bn = b[:k], b[k]
     mN = (m1 * bc).sum()
     h = np.empty((k + 1, k + 1))

@@ -4,23 +4,25 @@
 instance the benchmark evaluates, computed with mpmath at 50 digits by
 ``bench/make_references.py``, which shares no code with the package.  The
 instances are enumerated by ``bench/workloads.py`` (loaded read-only; it
-imports nothing from the package).  Each command's instances are scored
-as one stack, the path a sweep takes, and none of them may warn
-``IllConditionedWarning``: each matches its reference.  The same instances
-tie the Newton matrix S the risk is scored through to the framework
-matrix H of the printed formulas (``build_matrices`` in ``oracles.py``).
+imports nothing from the package).  Each command's instances are one model
+at several widths, scored in one ``_theory`` call, the path a sweep takes,
+and none of them may warn ``IllConditionedWarning``: each matches its
+reference.  The same instances tie the Newton matrix S the risk is scored
+through to the framework matrix H of the printed formulas
+(``build_matrices`` in ``oracles.py``).
 """
 
 import importlib.util
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from multidescent import ActivationSpec, TheorySpec, asymptotic_risk_stack, compute_moments
-from multidescent.risk import _jacobian, _stack_coeffs
+from multidescent import ActivationSpec, TheorySpec, compute_moments
+from multidescent.risk import _coeffs, _jacobian, _theory
 from oracles import build_matrices
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -50,6 +52,13 @@ def _spec(instance: dict, model: dict) -> TheorySpec:
                       lam=instance["lambda"], F1=model["F1"], tau=model["tau"])
 
 
+def _base_and_psi(command):
+    """The command's model and the widths (G, K) of its instances, which
+    differ in nothing else."""
+    insts = WORKLOADS.instances(command)
+    return _spec(insts[0], command.config["model"]), np.array([inst["psi"] for inst in insts])
+
+
 def test_every_reference_is_enumerated():
     assert sorted(command.label for command in COMMANDS) == sorted(REFERENCES)
     for command in COMMANDS:
@@ -59,14 +68,14 @@ def test_every_reference_is_enumerated():
 @pytest.mark.filterwarnings("error::multidescent.IllConditionedWarning")
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.label)
 def test_risk_and_scales_match_references(command):
-    specs = [_spec(inst, command.config["model"]) for inst in WORKLOADS.instances(command)]
+    base, psi = _base_and_psi(command)
     refs = REFERENCES[command.label]
-    worst_risk = worst_b = 0.0
-    for spec, ref, result in zip(specs, refs, asymptotic_risk_stack(specs)):
-        assert not isinstance(result, Exception), f"c={ref['c']}: {result}"
-        ref_b = np.array([float(x) for x in ref["b"]])
-        worst_risk = max(worst_risk, abs(result.risk / float(ref["risk"]) - 1.0))
-        worst_b = max(worst_b, float(np.max(np.abs(result.b / ref_b - 1.0))))
+    risk, _, _, _, b, _, _, errors = _theory(base, psi)
+    assert not errors, {refs[i]["c"]: str(err) for i, err in errors.items()}
+    ref_risk = np.array([float(ref["risk"]) for ref in refs])
+    ref_b = np.array([[float(x) for x in ref["b"]] for ref in refs])
+    worst_risk = float(np.max(np.abs(risk / ref_risk - 1.0)))
+    worst_b = float(np.max(np.abs(b / ref_b - 1.0)))
     assert worst_risk <= RTOL and worst_b <= RTOL, (
         f"worst relative error: risk {worst_risk:.2e}, b {worst_b:.2e}"
     )
@@ -76,13 +85,13 @@ def test_risk_and_scales_match_references(command):
 def test_newton_matrix_is_the_framework_matrix(command):
     """At every solved root S = dr/du is symmetric and equals -diag(b) H diag(b),
     so L = -G^T S^-1 G with G = b*V is V^T H^-1 V."""
-    specs = [_spec(inst, command.config["model"]) for inst in WORKLOADS.instances(command)]
-    for spec, result in zip(specs, asymptotic_risk_stack(specs)):
-        b = result.b
-        psi, m1, m2, lam = _stack_coeffs([spec])
-        s = _jacobian(psi, m1, m2, np.sqrt(lam), b[None])[0] * psi[0][:, None]
-        mats = build_matrices(spec, result.b)
-        np.testing.assert_allclose(s, -(b[:, None] * mats.H * b), rtol=1e-14)
-        np.testing.assert_allclose(s, s.T, rtol=1e-14)
-        np.testing.assert_allclose(result.L, mats.V.T @ np.linalg.solve(mats.H, mats.V),
+    base, widths = _base_and_psi(command)
+    _, _, _, L, b, _, _, _ = _theory(base, widths)
+    psi, m1, m2, lam = _coeffs(base, widths)
+    s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
+    for i, row in enumerate(widths):
+        mats = build_matrices(replace(base, psi=tuple(row)), b[i])
+        np.testing.assert_allclose(s[i], -(b[i][:, None] * mats.H * b[i]), rtol=1e-14)
+        np.testing.assert_allclose(s[i], s[i].T, rtol=1e-14)
+        np.testing.assert_allclose(L[i], mats.V.T @ np.linalg.solve(mats.H, mats.V),
                                    rtol=RTOL)

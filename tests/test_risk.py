@@ -29,12 +29,11 @@ from multidescent import (
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
-    asymptotic_risk_stack,
     limit_risk_infinite_width,
     limit_risk_zero_width,
     run_sweep,
 )
-from multidescent.risk import _score, _stack_coeffs
+from multidescent.risk import _coeffs, _score
 from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2, potential
 
 
@@ -83,8 +82,8 @@ def _box_specs(draw) -> TheorySpec:
 _battery = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 
-def _stack_risks(specs) -> list:
-    return [out.risk for out in asymptotic_risk_stack(specs)]
+def _risks(specs) -> list:
+    return [asymptotic_risk(spec).risk for spec in specs]
 
 
 # A spec whose framework matrix H has cond(H) = 2.1e28 while the Newton
@@ -100,7 +99,7 @@ STIFF_H_RISK = 1.21941395322410571871728146676
 
 
 class TestRiskProperties:
-    """Property battery, each example evaluated as one stack."""
+    """Property battery over the box of ``_box_specs``."""
 
     @_battery
     @given(spec=_box_specs(), data=st.data())
@@ -110,13 +109,13 @@ class TestRiskProperties:
             psi=tuple(spec.psi[i] for i in perm), psi_n=spec.psi_n,
             moments=tuple(spec.moments[i] for i in perm), lam=spec.lam, tau=spec.tau,
         )
-        risk, risk_p = _stack_risks([spec, permuted])
+        risk, risk_p = _risks([spec, permuted])
         np.testing.assert_allclose(risk_p, risk, rtol=1e-10)
 
     @_battery
     @given(spec=_box_specs())
     def test_risk_nonnegative(self, spec):
-        (risk,) = _stack_risks([spec])
+        (risk,) = _risks([spec])
         assert risk >= 0.0
 
     @_battery
@@ -124,7 +123,7 @@ class TestRiskProperties:
     def test_risk_nondecreasing_in_tau(self, spec, extra):
         louder = TheorySpec(psi=spec.psi, psi_n=spec.psi_n, moments=spec.moments,
                             lam=spec.lam, tau=spec.tau + extra)
-        risk, risk_louder = _stack_risks([spec, louder])
+        risk, risk_louder = _risks([spec, louder])
         assert risk_louder >= risk * (1.0 - 1e-12)
 
     @_battery
@@ -132,7 +131,7 @@ class TestRiskProperties:
     def test_L_negative_semidefinite(self, spec):
         """L is the Hessian, in four linear tilts of the potential, of its
         minimum, so it is negative semidefinite."""
-        (out,) = asymptotic_risk_stack([spec])
+        out = asymptotic_risk(spec)
         eig = np.linalg.eigvalsh((out.L + out.L.T) / 2.0)
         assert eig[-1] <= 1e-12 * np.abs(eig).max()
 
@@ -432,7 +431,7 @@ class TestErrorPaths:
         with pytest.raises(DegenerateB):
             build_matrices(spec, b[0])
         errors = {}
-        risk, _, _, L = _score(*_stack_coeffs([spec]), b, np.ones(1), np.zeros(1), errors)
+        risk, _, _, L = _score(*_coeffs(spec, np.array([spec.psi])), b, 1.0, 0.0, errors)
         assert list(errors) == [0] and isinstance(errors[0], DegenerateB)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
@@ -473,11 +472,10 @@ class TestErrorPaths:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno
             asymptotic_risk(STIFF_H)
-            asymptotic_risk_stack([STIFF_H, STIFF_H])
             run_sweep(sweep)
         assert all(w.category is IllConditionedWarning for w in caught)
         assert [(w.filename, w.lineno) for w in caught] == [
-            (__file__, line + n) for n in (1, 2, 2, 3, 3)]
+            (__file__, line + n) for n in (1, 2, 2)]
 
     def test_stack_isolates_a_singular_s(self):
         """One exactly singular S in a stack fails its own point alone; the
@@ -486,18 +484,18 @@ class TestErrorPaths:
             psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
             lam=1e-3, tau=0.2,
         )
-        # Zero moments make S diagonal, sqrt(lam) b_j, and at b_j = 5e-324
-        # those entries underflow to zero.  No solve returns such scales, so
-        # the risk core is driven directly with the solved good ones.
-        flat = TheorySpec(psi=(1e-20, 1e-20), psi_n=1.5, moments=(Moments(0, 0, 0),) * 2, lam=1e-3)
+        # Entry (i, j) of S is an order-one factor times b_j / psi_i, times
+        # psi_i; at widths 1e-300 and scales b_j = 5e-324 every entry
+        # underflows to zero.  No solve returns such scales, so the risk core
+        # is driven directly, with the solved scales at the other widths.
+        widths = np.array([good.psi, (1e-300, 1e-300), good.psi])
         degenerate = np.full(3, 5e-324)
         direct = asymptotic_risk(good)
-        specs = [good, flat, good]
         errors = {}
         with pytest.warns(IllConditionedWarning, match="cond\\(S\\) = inf"):
             risk, bias, variance, _ = _score(
-                *_stack_coeffs(specs), np.array([direct.b, degenerate, direct.b]),
-                np.array([s.F1 ** 2 for s in specs]), np.array([s.tau ** 2 for s in specs]), errors,
+                *_coeffs(good, widths), np.array([direct.b, degenerate, direct.b]),
+                good.F1 ** 2, good.tau ** 2, errors,
             )
         assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
         for i in (0, 2):
@@ -505,7 +503,7 @@ class TestErrorPaths:
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            _score(*_stack_coeffs([flat]), degenerate[None], np.ones(1), np.zeros(1), errors)
+            _score(*_coeffs(good, widths[1:2]), degenerate[None], good.F1 ** 2, good.tau ** 2, errors)
         assert isinstance(errors[0], np.linalg.LinAlgError)
 
     def test_limit_needs_coupling(self):

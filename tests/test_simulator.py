@@ -7,7 +7,10 @@ matched moment parameters, where finite-size means must sit within a few
 standard errors of the predicted risk.
 """
 
+import io
+import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -29,6 +32,7 @@ from multidescent import (
     excess_risk_on,
     feature_matrix,
     generate_dataset,
+    parse_config,
     replication_rng,
     ridge_fit,
     run_experiment,
@@ -38,6 +42,7 @@ from multidescent import (
     theory_spec_from_empirical,
 )
 from multidescent import simulator
+from multidescent.cli import ExitStatus, dispatch
 from multidescent.simulator import _openblas_thread_calls, _sphere_rows
 
 
@@ -510,6 +515,31 @@ class TestValidation:
                                  "replications": np.int64(2)})
         assert cfg.N == (5,) and type(cfg.N[0]) is int
         assert run_experiment(cfg).per_replication.shape == (2,)
+
+    def test_replication_size_is_capped(self, monkeypatch):
+        """(n + n_test + sum(N))*d + (n + n_test)*sum(N) float64 entries, what
+        one replication's arrays hold, may reach 2**27 and not exceed it; a
+        larger run fails at construction, through the library and the CLI
+        (exit 2), before anything is drawn."""
+        act = (ActivationSpec("relu"),)
+        at_cap = dict(d=14336, n=3596, n_test=500, N=(4096,), activations=act, lam=0.1)
+        EmpiricalConfig(**at_cap)
+        with pytest.raises(InvalidSpec, match=r"^a replication needs 134236160 float64 entries, "
+                                              r".*; the cap is 134217728$"):
+            EmpiricalConfig(**{**at_cap, "N": (4097,)})
+
+        def no_draws(*args):
+            raise AssertionError("drew sphere rows")
+
+        monkeypatch.setattr(simulator, "_sphere_rows", no_draws)
+        cfg = {"activations": [{"kind": "relu"}],
+               "model": {"d": 30, "n": 100, "N": [10**12], "lambda": 1e-3},
+               "empirical": {"replications": 2}}
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch("simulate", parse_config(json.dumps(cfg)), out, err) == ExitStatus.CONFIG
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"InvalidSpec: a replication needs \d+ float64 entries, .*; "
+                            r"the cap is 134217728\n", err.getvalue())
 
     def test_intercept_needs_nonzero_mean(self):
         """tanh has zero Gaussian mean, so F0 != 0 cannot be represented."""

@@ -26,12 +26,12 @@ from multidescent import (
     ActivationSpec,
     InvalidSpec,
     Moments,
+    NoConvergence,
     SweepResult,
     SweepRow,
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
-    asymptotic_risk_stack,
     build_sweep_spec,
     csv_header,
     csv_text,
@@ -307,14 +307,22 @@ class TestTheoryPass:
              "criterion-07-max-iter-7"],
     )
     def test_rows_equal_public_stack_api(self, acts, ratios, stop, lam, max_iter, monkeypatch):
-        """The sweep's array pass gives, bit for bit, what the public stack API
-        gives on the expanded grid, failed points and their errors included."""
+        """The sweep's array pass gives, bit for bit, what ``asymptotic_risk``
+        gives at each point of the expanded grid, failed points and their
+        errors included."""
         cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
         spec = build_sweep_spec(parse_config(json.dumps(cfg)))
         monkeypatch.setattr(multidescent.risk, "_MAX_ITER", max_iter)
         rows = run_sweep(spec).rows
         points = expand_grid(spec)
-        outcomes = asymptotic_risk_stack([p.theory for p in points])
+
+        def outcome(theory):
+            try:
+                return asymptotic_risk(theory)
+            except NoConvergence as err:
+                return err
+
+        outcomes = [outcome(p.theory) for p in points]
         assert len(rows) == len(points) == len(outcomes)
         for row, point, out in zip(rows, points, outcomes):
             assert (row.c, row.psi) == (point.c, point.theory.psi)
@@ -328,6 +336,29 @@ class TestTheoryPass:
                     out.risk, out.bias, out.variance, out.iterations)
         failed = sum(row.error is not None for row in rows)
         assert (failed > 0) == (max_iter == 7)
+
+    def test_singular_jacobian_fails_its_point_alone(self):
+        """At c = 1e-323 the cold-start scale b_1 = psi_1/4 underflows to 0, so
+        that point's Newton matrix is singular: it fails with ``LinAlgError``
+        and no numpy warning, and the other rows equal ``asymptotic_risk`` at
+        their widths bit for bit, through the library and the CLI."""
+        cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
+               "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 9.0},
+               "sweep": {"c_grid": [1e-323, 0.5, 1.0]}}
+        spec = build_sweep_spec(parse_config(json.dumps(cfg)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(spec).rows
+        assert rows[0].error == "LinAlgError: Singular matrix"
+        assert math.isnan(rows[0].theory_risk) and rows[0].solver_iterations is None
+        for row in rows[1:]:
+            direct = asymptotic_risk(replace(spec.base, psi=row.psi))
+            assert row.error is None
+            assert (row.theory_risk, row.theory_bias, row.theory_variance, row.solver_iterations) == (
+                direct.risk, direct.bias, direct.variance, direct.iterations)
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch("sweep", parse_config(json.dumps(cfg)), out, err) == ExitStatus.OK
+        assert err.getvalue() == "sweep: 1 of 3 grid points failed (first: LinAlgError: Singular matrix)\n"
 
     def test_metadata(self):
         spec = SweepSpec(base=_base(), ratios=(1.0, 2.0), c_grid=(0.5, 1.0))
@@ -372,6 +403,31 @@ class TestEmpiricalPass:
             assert row.error == "SolveFailure: replication 0: non-finite entries in ridge inputs"
             assert (row.emp_mean, row.emp_se, row.replications) == (None, None, None)
             assert all(map(math.isfinite, (row.theory_risk, row.theory_bias, row.theory_variance)))
+
+    def test_oversized_runs_fail_before_any_draw(self, monkeypatch):
+        """A grid value whose finite-size run would need more memory than the
+        replication cap, or whose feature counts overflow, fails the whole
+        sweep with ``InvalidSpec`` saying so, through the library and the CLI
+        (exit 2), before anything is drawn."""
+
+        def no_draws(*args):
+            raise AssertionError("drew sphere rows")
+
+        monkeypatch.setattr(simulator, "_sphere_rows", no_draws)
+        with pytest.raises(InvalidSpec, match=r"float64 entries, .*; the cap is 134217728$"):
+            run_sweep(_matched(_run(), c_grid=(1.0, 1e10)))
+        # Widths 1.7e307 are finite, counts 5e308 are not.
+        with pytest.raises(InvalidSpec, match=r"^feature counts overflow"):
+            run_sweep(_matched(_run(), c_grid=(1.0, 1e307)))
+        cfg = {"activations": [{"kind": "elu"}, {"kind": "relu"}],
+               "model": {"d": 30, "n": 100, "N": [30, 30], "lambda": 1e-3},
+               "empirical": {"replications": 2},
+               "sweep": {"c_grid": [1.0, 1e10]}}
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch("sweep", parse_config(json.dumps(cfg)), out, err) == ExitStatus.CONFIG
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"InvalidSpec: a replication needs \d+ float64 entries, .*; "
+                            r"the cap is 134217728\n", err.getvalue())
 
 
 class TestCsv:
