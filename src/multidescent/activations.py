@@ -186,6 +186,8 @@ def compute_moments(act: ActivationSpec) -> Moments:
 
 def represents_intercept(moments: Iterable[Moments]) -> bool:
     """Whether these components can fit an intercept F0 != 0: some mean must be nonzero."""
-    # Quadrature yields ~1e-19 rather than exact zero for odd activations,
-    # so means below roundoff count as zero here.
-    return sum(m.mu0 * m.mu0 for m in moments) > 1e-24
+    # Quadrature leaves odd activations a mean of about 1e-17 of their scale
+    # rather than exact zero, so a block's mean counts as zero below 1e-12 of
+    # its rms (E sigma^2)^(1/2): the verdict does not depend on the scale.
+    return any(abs(m.mu0) > 1e-12 * math.hypot(m.mu0, m.mu1, math.sqrt(m.mu2_sq))
+               for m in moments)

@@ -61,7 +61,7 @@ def _diagnose(err: BaseException, stream) -> None:
 
 
 def _workers(cfg: RootConfig) -> int | None:
-    return cfg.empirical.workers if cfg.empirical is not None else None
+    return (cfg.empirical or {}).get("workers")
 
 
 def _moments_payload(m) -> dict:
@@ -110,17 +110,17 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
             file=err_stream,
         )
     out = cfg.output
-    if out.csv_path:
-        write_csv(result, out.csv_path)
-    if out.svg_path:
-        sweep_section = cfg.sweep
-        render_svg(result, out.svg_path, log_y=sweep_section.log_y, y_cap=sweep_section.y_cap)
-    if out.json_path:
+    if out.get("csv_path"):
+        write_csv(result, out["csv_path"])
+    if out.get("svg_path"):
+        style = {key: cfg.sweep[key] for key in ("log_y", "y_cap") if key in cfg.sweep}
+        render_svg(result, out["svg_path"], **style)
+    if out.get("json_path"):
         payload = {
             "rows": [row.record() for row in result.rows],
             "metadata": result.metadata,
         }
-        with open(out.json_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out["json_path"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(to_json(payload) + "\n")
     return csv_text(result).rstrip("\n")
 

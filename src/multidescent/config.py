@@ -5,8 +5,11 @@ unknown keys are rejected, and every error carries a JSON-pointer-style
 location (``/model/lambda: lambda must be > 0``) so a long config can be
 fixed without guesswork.  Each section is a ``{key: check}`` table walked by
 :func:`_fields`; only rules that span several keys are written by hand.
-Builders turn the validated document into the concrete inputs of the
-theory, simulation and sweep layers.
+There is one data model: a validated section is the dict of its checked
+keys, and the builders read those dicts into ``TheorySpec``,
+``EmpiricalConfig``, ``SweepSpec`` and ``LimitSpec``.  A builder passes an
+optional key only when the document gives it, so every default lives in
+the spec (or ``render_svg``) that reads it.
 """
 
 from __future__ import annotations
@@ -177,79 +180,23 @@ def _c_range(value, pointer: str) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    """The model keys as given; lambda and the widths (psi or N) may be
-    missing, as only the commands that read them require them."""
-
-    lam: float | None = None
-    psi: tuple[float, ...] | None = None
-    psi_n: float | None = None
-    d: int | None = None
-    n: int | None = None
-    N: tuple[int, ...] | None = None
-    F0: float = 0.0
-    F1: float = 1.0
-    tau: float = 0.0
-
-    @property
-    def K(self) -> int | None:
-        widths = self.psi if self.psi is not None else self.N
-        return None if widths is None else len(widths)
-
-    @property
-    def psi_eff(self) -> tuple[float, ...]:
-        if self.psi is not None:
-            return self.psi
-        return tuple(nc / self.d for nc in self.N)
-
-    @property
-    def psi_n_eff(self) -> float:
-        if self.psi_n is not None:
-            return self.psi_n
-        return self.n / self.d
-
-
-@dataclass(frozen=True)
-class EmpiricalSection:
-    """The empirical keys; the run's settings default to ``EmpiricalConfig``'s."""
-
-    n_test: int = EmpiricalConfig.n_test
-    replications: int = EmpiricalConfig.replications
-    base_seed: int = EmpiricalConfig.base_seed
-    workers: int | None = None
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    ratios: tuple[float, ...] | None
-    c_grid: tuple[float, ...]
-    log_y: bool = False
-    y_cap: float | None = None
-
-
-@dataclass(frozen=True)
-class LimitSection:
-    r: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class OutputSection:
-    csv_path: str | None = None
-    svg_path: str | None = None
-    json_path: str | None = None
-
-
-@dataclass(frozen=True)
 class RootConfig:
-    """Validated configuration with activation moments already resolved."""
+    """Validated configuration with activation moments already resolved.
+
+    Every other section is the dict of its checked keys, named as in the
+    JSON (``"lambda"``); a section the document omits is None (``output``:
+    empty).  A key the document omits is absent, so the builders leave it
+    to the default of the spec they build.  ``sweep`` holds ``c_grid``
+    whether the document gave a grid or a ``c_range``.
+    """
 
     activations: tuple[ActivationSpec, ...] | None
     moments: tuple[Moments, ...]
-    model: ModelSection
-    empirical: EmpiricalSection | None
-    sweep: SweepSection | None
-    limit: LimitSection | None
-    output: OutputSection
+    model: dict
+    empirical: dict | None
+    sweep: dict | None
+    limit: dict | None
+    output: dict
 
 
 _ACTIVATION = {"kind": _kind, "in_scale": _number, "out_scale": _number, "shift": _number}
@@ -283,7 +230,7 @@ _LIMIT = {"r": _BLOCK_WEIGHTS}
 _OUTPUT = dict.fromkeys(("csv_path", "svg_path", "json_path"), _nullable(_string))
 
 
-def _model(raw, pointer: str) -> ModelSection:
+def _model(raw, pointer: str) -> dict:
     fields = _fields(raw, pointer, _MODEL)
     has_psi = "psi" in fields or "psi_n" in fields
     has_counts = "d" in fields or "n" in fields or "N" in fields
@@ -294,19 +241,18 @@ def _model(raw, pointer: str) -> ModelSection:
     # psi_n (or n/d) is read by every command; lambda and the widths are
     # required by the builders of the commands that read them.
     _require(fields, pointer, ("psi_n",) if has_psi else ("d", "n"))
-    if "lambda" in fields:
-        fields["lam"] = fields.pop("lambda")
-    return ModelSection(**fields)
+    return fields
 
 
-def _sweep(raw, pointer: str) -> SweepSection:
+def _sweep(raw, pointer: str) -> dict:
     fields = _fields(raw, pointer, _SWEEP)
     if ("c_grid" in fields) == ("c_range" in fields):
         raise ConfigError(pointer, "give exactly one of c_grid or c_range")
     if "c_grid" in fields and not _increasing(fields["c_grid"]):
         raise ConfigError(f"{pointer}/c_grid", "must be strictly increasing")
-    grid = fields.pop("c_grid") if "c_grid" in fields else fields.pop("c_range")
-    return SweepSection(ratios=fields.pop("ratios", None), c_grid=grid, **fields)
+    if "c_range" in fields:
+        fields["c_grid"] = fields.pop("c_range")
+    return fields
 
 
 _ROOT = {
@@ -319,10 +265,10 @@ _ROOT = {
         "needs at least one moment triple",
     ),
     "model": _model,
-    "empirical": lambda v, p: EmpiricalSection(**_fields(v, p, _EMPIRICAL)),
+    "empirical": lambda v, p: _fields(v, p, _EMPIRICAL),
     "sweep": _sweep,
-    "limit": lambda v, p: LimitSection(**_fields(v, p, _LIMIT)),
-    "output": lambda v, p: OutputSection(**_fields(v, p, _OUTPUT)),
+    "limit": lambda v, p: _fields(v, p, _LIMIT),
+    "output": lambda v, p: _fields(v, p, _OUTPUT),
 }
 
 
@@ -341,33 +287,30 @@ def validate_config(raw: dict) -> RootConfig:
 
     model = doc["model"]
     k = len(moments)
-    if model.K is not None and model.K != k:
+    widths = model.get("psi", model.get("N"))
+    if widths is not None and len(widths) != k:
         raise ConfigError(
             "/model",
-            f"model has {model.K} components but {k} activations/moments given",
+            f"model has {len(widths)} components but {k} activations/moments given",
         )
-    if model.F0 != 0.0 and not represents_intercept(moments):
+    if model.get("F0") and not represents_intercept(moments):
         raise ConfigError(
             "/model/F0",
             "F0 != 0 requires at least one activation with nonzero Gaussian mean",
         )
-    sweep, limit = doc.get("sweep"), doc.get("limit")
-    weights = {
-        "/sweep/ratios": sweep.ratios if sweep is not None else None,
-        "/limit/r": limit.r if limit is not None else None,
-    }
-    for pointer, values in weights.items():
+    for section, key in (("sweep", "ratios"), ("limit", "r")):
+        values = doc.get(section, {}).get(key)
         if values is not None and len(values) != k:
-            raise ConfigError(pointer, f"expected {k} entries to match the model")
+            raise ConfigError(f"/{section}/{key}", f"expected {k} entries to match the model")
 
     return RootConfig(
         activations=activations,
         moments=moments,
         model=model,
         empirical=doc.get("empirical"),
-        sweep=sweep,
-        limit=limit,
-        output=doc.get("output", OutputSection()),
+        sweep=doc.get("sweep"),
+        limit=doc.get("limit"),
+        output=doc.get("output", {}),
     )
 
 
@@ -435,20 +378,26 @@ def parse_config(source: str, overrides: list[str] | None = None) -> RootConfig:
     return validate_config(raw)
 
 
+def _given(section: dict, keys) -> dict:
+    """The ``keys`` that the section gives: the rest keep their spec defaults."""
+    return {key: section[key] for key in keys if key in section}
+
+
+def _psi_n(model: dict) -> float:
+    return model["psi_n"] if "psi_n" in model else model["n"] / model["d"]
+
+
 def build_theory_spec(cfg: RootConfig) -> TheorySpec:
     """Asymptotic instance from the model section (counts become ratios)."""
     model = cfg.model
-    for key, value in (("lambda", model.lam), ("psi" if model.psi_n is not None else "N", model.K)):
-        if value is None:
-            raise ConfigError("/model", f"missing required key {key!r}")
+    widths = "psi" if "psi_n" in model else "N"
+    _require(model, "/model", ("lambda", widths))
     return TheorySpec(
-        psi=cfg.model.psi_eff,
-        psi_n=cfg.model.psi_n_eff,
+        psi=model["psi"] if widths == "psi" else tuple(nc / model["d"] for nc in model["N"]),
+        psi_n=_psi_n(model),
         moments=cfg.moments,
-        lam=cfg.model.lam,
-        F1=cfg.model.F1,
-        tau=cfg.model.tau,
-        F0=cfg.model.F0,
+        lam=model["lambda"],
+        **_given(model, ("F0", "F1", "tau")),
     )
 
 
@@ -457,14 +406,13 @@ def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
     empirical section's settings."""
     if cfg.activations is None:
         raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
-    if cfg.model.N is None:
+    if "N" not in cfg.model:
         raise ConfigError("/model", "finite-size runs need explicit feature counts N")
     spec = build_theory_spec(cfg)
-    emp = cfg.empirical or EmpiricalSection()
     return EmpiricalConfig(
-        d=cfg.model.d, n=cfg.model.n, N=cfg.model.N, activations=cfg.activations,
+        d=cfg.model["d"], n=cfg.model["n"], N=cfg.model["N"], activations=cfg.activations,
         lam=spec.lam, F0=spec.F0, F1=spec.F1, tau=spec.tau,
-        n_test=emp.n_test, replications=emp.replications, base_seed=emp.base_seed,
+        **_given(cfg.empirical or {}, ("n_test", "replications", "base_seed")),
     )
 
 
@@ -473,18 +421,16 @@ def build_sweep_spec(cfg: RootConfig) -> SweepSpec:
     if cfg.sweep is None:
         raise ConfigError("", "missing required section 'sweep'")
     base = build_theory_spec(cfg)
-    ratios = cfg.sweep.ratios if cfg.sweep.ratios is not None else (1.0,) * base.K
+    ratios = cfg.sweep.get("ratios", (1.0,) * base.K)
     empirical = build_empirical_config(cfg) if cfg.empirical is not None else None
-    return SweepSpec(base=base, ratios=ratios, c_grid=cfg.sweep.c_grid, empirical=empirical)
+    return SweepSpec(base=base, ratios=ratios, c_grid=cfg.sweep["c_grid"], empirical=empirical)
 
 
 def build_limit_spec(cfg: RootConfig) -> LimitSpec:
     """Infinite-width instance; the block weights default to all 1."""
-    limit = cfg.limit or LimitSection()
     return LimitSpec(
-        r=limit.r if limit.r is not None else (1.0,) * len(cfg.moments),
-        psi_n=cfg.model.psi_n_eff,
+        r=(cfg.limit or {}).get("r", (1.0,) * len(cfg.moments)),
+        psi_n=_psi_n(cfg.model),
         moments=cfg.moments,
-        F1=cfg.model.F1,
-        tau=cfg.model.tau,
+        **_given(cfg.model, ("F1", "tau")),
     )

@@ -20,6 +20,7 @@ from multidescent import (
     QuadratureDiverged,
     compute_moments,
     eval_activation,
+    represents_intercept,
 )
 from multidescent.activations import _PANEL_BOUNDS, _normal_rule
 from oracles import scaled_moments
@@ -388,3 +389,26 @@ class TestErrorPaths:
         m = Moments(mu0=0.0, mu1=1.0, mu2_sq=0.5)
         with pytest.raises(ValueError, match="finite"):
             scaled_moments(m, float("nan"))
+
+
+class TestRepresentsIntercept:
+    """The intercept guard weighs each block's mean against that block's own
+    rms, so scaling an activation's input or output never flips its verdict."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    @pytest.mark.parametrize("which", ["in_scale", "out_scale"])
+    def test_relu_at_any_scale(self, which, scale):
+        assert represents_intercept([compute_moments(ActivationSpec("relu", **{which: scale}))])
+
+    @pytest.mark.parametrize("which, scale",
+                             [("in_scale", 1.0), ("in_scale", 1e-12), ("out_scale", 1e-12), ("out_scale", 1e12)])
+    @pytest.mark.parametrize("kind", ["tanh", "sin", "identity"])
+    def test_odd_kinds_at_any_scale(self, kind, which, scale):
+        m = compute_moments(ActivationSpec(kind, **{which: scale}))
+        assert m.mu0 != 0.0  # quadrature roundoff, not an exact zero
+        assert not represents_intercept([m])
+
+    def test_any_block_suffices(self):
+        odd, even = Moments(0.0, 1.0, 0.5), Moments(1e-200, 0.0, 0.0)
+        assert represents_intercept([odd, even])
+        assert not represents_intercept([odd, Moments(0.0, 0.0, 0.0)])

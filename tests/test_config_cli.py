@@ -141,12 +141,10 @@ class TestToJson:
 class TestConfigValidation:
     def test_minimal_parses(self):
         cfg = parse_config(_inline(_minimal()))
-        assert cfg.model.psi == (1.0,)
-        assert cfg.model.psi_n == 1.0
-        assert cfg.model.lam == 1.0
+        assert cfg.model == {"psi": (1.0,), "psi_n": 1.0, "lambda": 1.0}
         assert cfg.moments[0].mu1 == pytest.approx(0.5, rel=1e-12)
         assert cfg.sweep is None and cfg.empirical is None and cfg.limit is None
-        assert cfg.output.csv_path is None
+        assert cfg.output == {}
 
     def test_lambda_zero(self):
         with pytest.raises(ConfigError, match="lambda must be > 0"):
@@ -175,6 +173,18 @@ class TestConfigValidation:
             parse_config(_inline(cfg))
         assert exc.value.pointer == "/model/F0"
 
+    @pytest.mark.parametrize("which", ["in_scale", "out_scale"])
+    def test_intercept_guard_ignores_scale(self, which):
+        """relu's mean is nonzero at any scale; tanh's is zero at any scale."""
+        for scale in (1e-12, 1e12):
+            cfg = {"activations": [{"kind": "relu", which: scale}],
+                   "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 1.0, "F0": 0.5}}
+            assert build_theory_spec(parse_config(_inline(cfg))).F0 == 0.5
+            cfg["activations"][0]["kind"] = "tanh"
+            with pytest.raises(ConfigError, match="nonzero Gaussian mean") as exc:
+                parse_config(_inline(cfg))
+            assert exc.value.pointer == "/model/F0"
+
     def test_unknown_keys_carry_pointer(self):
         bad = _minimal()
         bad["bogus"] = 1
@@ -201,11 +211,11 @@ class TestConfigValidation:
 
     def test_count_form_derives_ratios(self):
         cfg = parse_config(_inline(_k2_counts_config()))
-        assert cfg.model.psi_eff == (1.2, 0.8)
-        assert cfg.model.psi_n_eff == 2.5
-        assert cfg.model.K == 2
+        assert cfg.model["N"] == (120, 80) and "psi" not in cfg.model
         spec = build_theory_spec(cfg)
         assert spec.psi == (1.2, 0.8) and spec.psi_n == 2.5
+        assert spec.K == 2
+        assert build_limit_spec(cfg).psi_n == 2.5
 
     def test_component_count_mismatch(self):
         bad = _minimal()
@@ -246,7 +256,8 @@ class TestConfigValidation:
         cfg = _minimal()
         cfg["sweep"] = {"c_range": {"start": 0.2, "stop": 3.0, "step": 0.05}}
         parsed = parse_config(_inline(cfg))
-        grid = parsed.sweep.c_grid
+        assert "c_range" not in parsed.sweep
+        grid = parsed.sweep["c_grid"]
         assert len(grid) == 57
         assert grid[0] == pytest.approx(0.2, abs=1e-12)
         assert grid[-1] == pytest.approx(3.0, abs=1e-12)
@@ -255,7 +266,7 @@ class TestConfigValidation:
     def test_sweep_range_default_step(self):
         cfg = _minimal()
         cfg["sweep"] = {"c_range": {"start": 0.5, "stop": 0.7}}
-        assert len(parse_config(_inline(cfg)).sweep.c_grid) == 5
+        assert len(parse_config(_inline(cfg)).sweep["c_grid"]) == 5
 
     def test_sweep_range_count_overflow(self):
         cfg = _minimal()
@@ -297,7 +308,7 @@ class TestConfigValidation:
     def test_file_loading(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(_inline(_minimal()), encoding="utf-8")
-        assert parse_config(str(path)).model.lam == 1.0
+        assert parse_config(str(path)).model["lambda"] == 1.0
         with pytest.raises(ConfigError, match="not found"):
             load_raw(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
@@ -707,7 +718,7 @@ class TestReadme:
         assert len(blocks) == 1
         cfg = validate_config(json.loads(blocks[0]))
         assert cfg.empirical is not None and cfg.sweep is not None
-        assert cfg.output.csv_path == "curve.csv"
+        assert cfg.output["csv_path"] == "curve.csv"
 
     def test_python_blocks_run(self, capsys):
         """The quickstart's Python blocks run as written, so none names a

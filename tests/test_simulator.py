@@ -22,6 +22,7 @@ from multidescent import (
     ACTIVATION_KINDS,
     ActivationSpec,
     EmpiricalConfig,
+    EmpiricalRisk,
     InvalidSpec,
     ShapeMismatch,
     SolveFailure,
@@ -549,3 +550,14 @@ class TestValidation:
         )
         with pytest.raises(InvalidSpec, match="nonzero Gaussian mean"):
             run_experiment(cfg)
+
+    def test_intercept_guard_ignores_scale(self):
+        """A tiny relu keeps its mean, and a huge tanh has none: the guard
+        weighs each mean against its block's own scale."""
+        def run(act):
+            cfg = EmpiricalConfig(d=10, n=20, N=(8,), activations=(act,), lam=0.1, F0=0.5,
+                                  n_test=10, replications=1)
+            return run_experiments([cfg])[0]
+
+        assert isinstance(run(ActivationSpec("relu", out_scale=1e-12)), EmpiricalRisk)
+        assert isinstance(run(ActivationSpec("tanh", out_scale=1e12)), InvalidSpec)
