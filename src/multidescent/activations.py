@@ -31,7 +31,8 @@ __all__ = [
 
 
 class QuadratureDiverged(RuntimeError):
-    """Raised when refining the quadrature still moves a moment by > 1e-8."""
+    """Raised when a moment integral is not finite, or refining the
+    quadrature still moves one by > 1e-8."""
 
 
 def _elu_in_place(z: np.ndarray) -> None:
@@ -116,6 +117,8 @@ class Moments:
     mu2_sq: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu0, self.mu1, self.mu2_sq))):
+            raise ValueError("moments must be finite")
         if self.mu2_sq < 0.0:
             raise ValueError("mu2_sq must be nonnegative (clamp before constructing)")
 
@@ -158,16 +161,23 @@ def compute_moments(act: ActivationSpec) -> Moments:
     """Compute the Gaussian moment triple of ``act`` by panel quadrature.
 
     The rule is evaluated at 64 nodes per panel and at twice that count; if
-    any of the three raw integrals moves by more than 1e-8 of its scale
-    under the refinement the quadrature is considered unresolved and
-    ``QuadratureDiverged`` is raised.  The scale of E sigma^2 is itself and
-    that of mu0 and mu1 its square root, so the check does not depend on
-    the scale of sigma.  The refined values are returned.
+    any of the three raw integrals is not finite in double precision, or
+    moves by more than 1e-8 of its scale under the refinement, the
+    quadrature is considered unresolved and ``QuadratureDiverged`` is
+    raised.  The scale of E sigma^2 is itself and that of mu0 and mu1 its
+    square root, so the check does not depend on the scale of sigma.  The
+    refined values are returned.
     Results are memoized on the frozen spec, so callers that need the
     same activation's moments share one quadrature.
     """
-    coarse = _gauss_moments(act, _NODES_PER_PANEL)
-    fine = _gauss_moments(act, 2 * _NODES_PER_PANEL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _gauss_moments(act, _NODES_PER_PANEL)
+        fine = _gauss_moments(act, 2 * _NODES_PER_PANEL)
+    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+        raise QuadratureDiverged(
+            f"moment integrals are not finite in double precision "
+            f"(E sigma^2 = {fine[2]:.3e}, kind={act.kind!r})"
+        )
     rms = math.sqrt(fine[2])
     drift = np.abs(fine - coarse)
     if np.any(drift > 1e-8 * np.array([rms, rms, fine[2]])):

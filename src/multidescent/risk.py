@@ -16,8 +16,7 @@ strictly convex potential
 so the system has exactly one root, and the Newton matrix S = dr/du is the
 Hessian of Phi.  The solver is Newton's method in u, which keeps every
 iterate positive, on the relative residuals r_j / psi_j with their analytic
-Jacobian; a backtracking line search makes each step reduce the largest
-relative residual.
+Jacobian; capping each step in u is its only safeguard.
 
 The risk differentiates the same potential at its root.  It splits as
 
@@ -28,7 +27,7 @@ the framework's auxiliary quantities (each squared scale nu_j^2 enters as
 -b_j^2), so the matrix the risk solves is the one Newton already used.  One
 model at a stack of block widths, such as the points of a sweep grid, is
 solved and scored at once with batched linear algebra; each point keeps its
-own steps, line search and failure.  The two width limits (infinitely wide at
+own steps and failure.  The two width limits (infinitely wide at
 fixed block proportions, for any K, and vanishingly narrow) have closed
 forms.
 """
@@ -63,8 +62,8 @@ class InvalidSpec(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Newton's method missed the tolerance within its step cap, or a step
-    could no longer reduce the residual."""
+    """Newton's method missed the tolerance within its step cap, or its
+    residual stopped being finite."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -270,41 +269,26 @@ def _newton(psi, m1, m2, lam):
     while True:
         # A width so small that its scale underflows to 0 overflows the b/psi
         # scaling to inf and NaN.  That point fails loudly all the same: its
-        # Jacobian is singular, or no step reduces its residual.
+        # Jacobian is singular, or its residual turns NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             jac = _jacobian(psi, m1, m2, sqrt_lam, b)
+        # A singular Jacobian's step is NaN, so its point leaves below with
+        # a residual that is not finite.
         step, singular = _solve_stack(jac, rel_res[:, :, None])
         step = step[:, :, 0]
         step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
-        # A point already within tol takes its one polishing step: a single
-        # trial, kept unless it raises the residual.  The others are pending
-        # until a trial reduces their residual.
+        # A point already within tol takes its last, polishing step; the
+        # others take theirs whatever it does to the residual.
         polish = rel <= _TOL
-        pending = ~polish
-        if singular:
-            bad = list(singular)
-            step[bad] = 0.0
-            pending[bad] = polish[bad] = False
-        for _ in range(60):  # 60 halvings shrink a step of at most 2 below the spacing of b
-            trial = b * np.exp(-step)
-            trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
-            trial_rel = np.abs(trial_res).max(axis=1)
-            # A polishing point past its trial has step 0, so "keeping" it is a no-op.
-            kept = np.where(polish, trial_rel <= rel, pending & (trial_rel < rel))
-            if kept.all():  # every point keeps its trial: no masked copies
-                b, rel_res, rel = trial, trial_res, trial_rel
-                pending[:] = False
-                break
-            b[kept], rel_res[kept], rel[kept] = trial[kept], trial_res[kept], trial_rel[kept]
-            pending &= ~kept
-            if not pending.any():
-                break
-            step *= np.where(pending, 0.5, 0.0)[:, None]
-        # A point still pending is stalled: no step reduces its residual.
-        steps[~pending] += 1
-        done = pending | polish | ((rel > _TOL) & (steps == _MAX_ITER))
-        if singular:
-            done[bad] = True
+        trial = b * np.exp(-step)
+        trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
+        trial_rel = np.abs(trial_res).max(axis=1)
+        # The polishing step is undone where it raises the residual.
+        worse = polish & ~(trial_rel <= rel)
+        trial[worse], trial_res[worse], trial_rel[worse] = b[worse], rel_res[worse], rel[worse]
+        b, rel_res, rel = trial, trial_res, trial_rel
+        steps += 1
+        done = polish | ~np.isfinite(rel) | ((rel > _TOL) & (steps == _MAX_ITER))
         if not done.any():
             continue
         for j in np.flatnonzero(done & ~polish):
@@ -312,9 +296,9 @@ def _newton(psi, m1, m2, lam):
             if j in singular:
                 errors[i] = singular[j]
                 continue
-            why = ": no Newton step reduces it" if pending[j] else f" after {steps[j]} Newton steps"
             errors[i] = NoConvergence(
-                f"residual {rel[j]:.3e} > tol {_TOL:.1e}{why} at lambda={lam:.3e}",
+                f"residual {rel[j]:.3e} > tol {_TOL:.1e} after {steps[j]} Newton steps "
+                f"at lambda={lam:.3e}",
                 residual=float(rel[j]),
                 iterations=int(steps[j]),
             )
@@ -418,14 +402,14 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     widths, raising its failure.
 
     The scales are found by Newton's method in log b, starting from
-    b_j = psi_j / (sqrt(lam) + 1).  Each step is capped at 2 in every log b_j
-    and halved until the largest relative residual decreases; when even a
-    step too small to move b cannot reduce it, the solve fails at once
-    instead of stalling.  A solve that has not brought the largest relative
-    residual to 1e-12 within 100 steps fails.  A solve that reaches it takes
-    one more Newton step, kept only if it does not raise the residual, so
-    that the root carries the digits of a full step rather than stopping at
-    the first iterate under the tolerance; ``iterations`` counts that step.
+    b_j = psi_j / (sqrt(lam) + 1).  Each step is scaled down so that no
+    log b_j moves by more than 2, and is taken whatever it does to the
+    residual.  A solve fails as soon as its largest relative residual is not
+    finite, or when it has not brought that residual to 1e-12 within 100
+    steps.  A solve that reaches it takes one more Newton step, kept only if
+    it does not raise the residual, so that the root carries the digits of a
+    full step rather than stopping at the first iterate under the tolerance;
+    ``iterations`` counts that step.
     Raises ``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a
     singular Jacobian or S.
     """

@@ -16,6 +16,10 @@ with bounds checks the package has no use for:
 * ``expand_grid`` - a sweep's grid as one ``TheorySpec`` (and finite-size
   run) per point, an oracle for the sweep's array pass;
 * ``scaled_moments`` - the moment triple of a rescaled activation;
+* ``mp_risk`` - the risk by minimising Phi in mpmath at high precision and
+  solving with H, the generator of the tests' high-precision constants;
+* ``box_spec`` - a seeded spec from a wide box of widths, ridges and
+  moments, the solver's robustness battery;
 * ``reference_replication`` - one Monte Carlo replication of a config run
   alone, drawn call by call and featurized with ``eval_activation``, an
   oracle for the simulator's shared draws and in-place feature map.
@@ -27,6 +31,7 @@ with bounds checks the package has no use for:
 import math
 from dataclasses import dataclass, replace
 
+import mpmath as mp
 import numpy as np
 
 from multidescent import (
@@ -75,6 +80,109 @@ def scaled_moments(m: Moments, a: float) -> Moments:
     if not math.isfinite(a):
         raise ValueError("scale must be finite")
     return Moments(mu0=a * m.mu0, mu1=a * m.mu1, mu2_sq=a * a * m.mu2_sq)
+
+
+def box_spec(rng, lam_exp=(-15.0, 3.0), k_max=5) -> TheorySpec:
+    """A spec drawn from a wide box: K = 1..k_max blocks, lambda log-uniform
+    over 10**lam_exp, psi_c and psi_n log-uniform over [1e-6, 1e6], mu1 in
+    [0, 2] and mu2^2 in [0, 2], with one block in ten losing its linear or
+    its nonlinear part (mu1 = 0 or mu2 = 0, never both)."""
+    k = int(rng.integers(1, k_max + 1))
+    moments = []
+    for _ in range(k):
+        mu1, mu2_sq = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))
+        if rng.uniform() < 0.1:
+            if rng.uniform() < 0.5:
+                mu1 = 0.0
+            else:
+                mu2_sq = 0.0
+        moments.append(Moments(mu0=0.0, mu1=mu1, mu2_sq=mu2_sq))
+    return TheorySpec(
+        psi=tuple(float(10.0 ** rng.uniform(-6.0, 6.0)) for _ in range(k)),
+        psi_n=float(10.0 ** rng.uniform(-6.0, 6.0)),
+        moments=tuple(moments),
+        lam=float(10.0 ** rng.uniform(*lam_exp)),
+    )
+
+
+def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
+    """The risk in mpmath at ``dps`` digits, by a route the package does not take.
+
+    ``m1`` and ``m2`` hold each block's mu1^2 and mu2^2; pass exact values
+    (strings or mpf) to keep every digit.  The scales minimise the convex
+    potential Phi (see ``potential``) by Newton's method in u = log b with a
+    backtracking (Armijo) search on Phi itself, which converges from any
+    start, until the gradient is below 10**-(dps - 20) of psi.  The risk is
+    F1^2 (1/MD^2 + L[3,4] + L[1,4]) + tau^2 (L[2,3] + L[1,2]) with
+    L = V^T H^{-1} V and H built from its printed formula, as in
+    ``build_matrices``.
+    """
+    with mp.workdps(dps):
+        psi = [mp.mpf(p) for p in psi] + [mp.mpf(psi_n)]
+        m1, m2 = [mp.mpf(x) for x in m1], [mp.mpf(x) for x in m2]
+        sl, k = mp.sqrt(mp.mpf(lam)), len(m1)
+
+        def phi(u):
+            b = [mp.exp(x) for x in u]
+            t = b[k] * mp.fsum(a * x for a, x in zip(m1, b))
+            return (sl * mp.fsum(b) + b[k] * mp.fsum(a * x for a, x in zip(m2, b))
+                    + mp.log1p(t) - mp.fsum(p * x for p, x in zip(psi, u)))
+
+        def grad_hess(u):
+            b = [mp.exp(x) for x in u]
+            bn = b[k]
+            a = [m1[c] * b[c] for c in range(k)]
+            p = [m2[c] * b[c] for c in range(k)]
+            t = bn * mp.fsum(a)
+            q = 1 / (1 + t)
+            g = [sl * b[c] + bn * p[c] + bn * a[c] * q - psi[c] for c in range(k)]
+            g.append(sl * bn + bn * mp.fsum(p) + t * q - psi[k])
+            h = mp.matrix(k + 1, k + 1)
+            for c in range(k):
+                for d in range(k):
+                    h[c, d] = -bn * a[c] * bn * a[d] * q * q
+                h[c, c] += sl * b[c] + bn * p[c] + bn * a[c] * q
+                h[c, k] = h[k, c] = bn * p[c] + bn * a[c] * q * q
+            h[k, k] = sl * bn + bn * mp.fsum(p) + t * q * q
+            return g, h
+
+        u = [mp.log(p / (sl + 1)) for p in psi]
+        f = phi(u)
+        tol = mp.mpf(10) ** (20 - dps)
+        for _ in range(500):
+            g, h = grad_hess(u)
+            if max(abs(x / p) for x, p in zip(g, psi)) < tol:
+                break
+            d = mp.lu_solve(h, mp.matrix(g))
+            slope = -mp.fsum(x * y for x, y in zip(g, d))
+            t = mp.mpf(1)
+            while True:
+                trial = [x - t * y for x, y in zip(u, d)]
+                ft = phi(trial)
+                if ft <= f + t * slope / 10**4:
+                    break
+                t /= 2
+                if t < mp.mpf(10) ** -30:
+                    raise ArithmeticError("Armijo search on Phi failed")
+            u, f = trial, ft
+        else:
+            raise ArithmeticError("Newton on Phi did not converge")
+        b = [mp.exp(x) for x in u]
+        bc, bn = b[:k], b[k]
+        mN = mp.fsum(a * x for a, x in zip(m1, bc))
+        md2 = (bn * mN + 1) ** 2
+        H, V = mp.matrix(k + 1, k + 1), mp.matrix(k + 1, 4)
+        for i in range(k):
+            for j in range(k):
+                H[i, j] = bn * bn * m1[i] * m1[j] / md2
+            H[i, i] -= psi[i] / bc[i] ** 2
+            H[i, k] = H[k, i] = -m1[i] / md2 - m2[i]
+            V[i, 0], V[i, 2], V[i, 3] = m2[i], m1[i] / md2, -bn * bn * m1[i] / md2
+        H[k, k] = mN * mN / md2 - psi[k] / (bn * bn)
+        V[k, 1], V[k, 2], V[k, 3] = 1, -mN * mN / md2, 1 / md2
+        L = V.T * (mp.inverse(H) * V)
+        F1, tau = mp.mpf(F1), mp.mpf(tau)
+        return +(F1 ** 2 * (1 / md2 + L[2, 3] + L[0, 3]) + tau ** 2 * (L[1, 2] + L[0, 1]))
 
 
 def residual_vector(spec: TheorySpec, b) -> np.ndarray:

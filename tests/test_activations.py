@@ -385,6 +385,25 @@ class TestErrorPaths:
         with pytest.raises(QuadratureDiverged, match="more than 1e-8 of their scale"):
             compute_moments(ActivationSpec("sin", in_scale=300.0, out_scale=a))
 
+    @pytest.mark.parametrize(
+        "act",
+        [ActivationSpec("relu", out_scale=1e200), ActivationSpec("identity", out_scale=1e307),
+         ActivationSpec("sin", in_scale=1e308)],
+        ids=["square-overflows", "product-overflows", "nan"],
+    )
+    def test_nonfinite_integral_diverges(self, act):
+        """An integral that overflows or turns NaN in double precision fails
+        the quadrature without a numpy warning, which pytest makes an error."""
+        with pytest.raises(QuadratureDiverged, match="not finite"):
+            compute_moments(act)
+
+    @pytest.mark.parametrize("bad", [{"mu0": math.nan}, {"mu1": math.inf}, {"mu2_sq": math.nan},
+                                     {"mu2_sq": math.inf}],
+                             ids=["mu0-nan", "mu1-inf", "mu2_sq-nan", "mu2_sq-inf"])
+    def test_nonfinite_moments_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Moments(**{"mu0": 0.0, "mu1": 1.0, "mu2_sq": 0.5, **bad})
+
     def test_scaled_moments_nonfinite(self):
         m = Moments(mu0=0.0, mu1=1.0, mu2_sq=0.5)
         with pytest.raises(ValueError, match="finite"):

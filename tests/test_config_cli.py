@@ -14,6 +14,7 @@ import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -38,6 +39,7 @@ from multidescent import config as config_module
 from multidescent.cli import ExitStatus, dispatch, main
 from multidescent.config import apply_overrides, load_raw, validate_config
 from multidescent.formatting import _float_cells
+from oracles import mp_risk
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -460,6 +462,12 @@ class TestBuilders:
         assert ls.psi_n == 2.0
 
 
+# Its risk to 50 digits, from ``oracles.mp_risk`` at 60 digits.
+FAR_APART = {"activations": [{"kind": "identity"}, {"kind": "relu"}],
+             "model": {"psi": [100, 0.01], "psi_n": 100, "lambda": 1e-12, "tau": 0.1}}
+FAR_APART_RISK = "1.0203050813213431068369087224786244377257050527889e-4"
+
+
 def _run(command: str, cfg_dict: dict):
     out, err = io.StringIO(), io.StringIO()
     status = dispatch(command, parse_config(_inline(cfg_dict)), out, err)
@@ -493,6 +501,22 @@ class TestDispatch:
         assert err.splitlines()[0] == (
             f"solver: {direct.iterations} iterations, residual {direct.residual:.3e}")
         assert payload["b"] == json.loads(to_json([float(x) for x in direct.b]))
+
+    def test_theory_far_apart_scales(self):
+        """Identity and relu blocks whose scales lie 17 decades apart at a
+        small ridge: the solve converges and its risk is the high-precision
+        one."""
+        status, out, err = _run("theory", FAR_APART)
+        assert status == ExitStatus.OK
+        assert json.loads(out)["risk"] == pytest.approx(float(FAR_APART_RISK), rel=1e-12)
+
+    def test_far_apart_risk_generator(self):
+        """``oracles.mp_risk`` reproduces FAR_APART_RISK from the closed-form
+        moments: identity (mu1, mu2^2) = (1, 0), relu (1/2, 1/4 - 1/(2 pi))."""
+        with mp.workdps(60):
+            relu_mu2_sq = mp.mpf(1) / 4 - 1 / (2 * mp.pi)
+            risk = mp_risk([100, "0.01"], 100, [1, "0.25"], [0, relu_mu2_sq], "1e-12", 1, "0.1")
+            assert abs(risk / mp.mpf(FAR_APART_RISK) - 1) < mp.mpf(10) ** -45
 
     def test_theory_solver_failure(self, monkeypatch):
         cfg = _minimal(**{"lambda": 1e-6})
@@ -652,6 +676,17 @@ class TestMain:
         cfg["activations"] = [{"kind": "sin", "in_scale": 300.0}]
         assert main(["moments", "--config", _inline(cfg)]) == 2
         assert "QuadratureDiverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["moments", "theory"])
+    def test_overflowing_moments_are_config_error(self, command, capsys):
+        """A moment integral that overflows stops the run before anything is
+        solved, with one diagnostic line and no numpy warning."""
+        cfg = _minimal()
+        cfg["activations"] = [{"kind": "relu", "out_scale": 1e200}]
+        assert main([command, "--config", _inline(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"QuadratureDiverged: moment integrals are not finite .*\n", captured.err)
 
     def test_set_overrides(self, capsys):
         argv = ["theory", "--config", _inline(_minimal())]

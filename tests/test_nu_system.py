@@ -22,7 +22,7 @@ from multidescent import (
     compute_moments,
     risk,
 )
-from oracles import NonPositiveInput, residual_vector, verify_complex
+from oracles import NonPositiveInput, box_spec, residual_vector, verify_complex
 
 
 def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
@@ -127,11 +127,13 @@ class TestSolutionProperties:
     def test_residual_battery(self):
         """Converged solutions satisfy both real and complex systems.
 
-        Two boxes: the moderate one of ``_random_spec`` and the whole box the
-        CLI accepts, down to lambda = 1e-10 and over six decades of ratios.
+        Three boxes: the moderate one of ``_random_spec``, the box the CLI
+        accepts down to lambda = 1e-10 and over six decades of ratios, and
+        ``box_spec``'s down to lambda = 1e-15, over twelve decades and up to
+        five blocks.
         """
         tol = risk._TOL
-        for make_spec, count in ((_random_spec, 25), (_cli_box_spec, 60)):
+        for make_spec, count in ((_random_spec, 25), (_cli_box_spec, 60), (box_spec, 300)):
             rng = np.random.default_rng(41)
             for _ in range(count):
                 spec = make_spec(rng)
@@ -226,6 +228,21 @@ class TestContinuationAndWarmStart:
         )
         np.testing.assert_allclose(out.risk, 1162.634462666235186708418, rtol=1e-10)
 
+    @pytest.mark.parametrize("c,ridgeless", [(0.5, 0.466592137232), (2.0, 0.534890232573)])
+    def test_figure_model_at_lambda_1e_34(self, c, ridgeless):
+        """Off the peak the figure model's risk has reached its ridgeless
+        value (the lambda = 1e-30 risk) long before lambda = 1e-34, where the
+        scales lie 33 to 35 decades apart; the solve still converges to it."""
+        moments = tuple(
+            compute_moments(ActivationSpec(kind=kind, in_scale=scale))
+            for kind, scale in (("elu", 3.0), ("relu", 0.25))
+        )
+        psi = c * (10 / 3) / 2
+        spec = TheorySpec(psi=(psi, psi), psi_n=10 / 3, moments=moments, lam=1e-34, tau=0.1)
+        out = asymptotic_risk(spec)
+        assert out.residual <= risk._TOL
+        assert out.risk == pytest.approx(ridgeless, rel=1e-10)
+
 
 class TestSpecValidation:
     def test_empty_psi(self):
@@ -296,16 +313,17 @@ class TestErrorPaths:
         assert exc.value.iterations == 2
         assert exc.value.residual > 1e-12
 
-    def test_stall_fails_at_once(self, monkeypatch):
-        """A tolerance below roundoff fails at the first step that cannot
-        reduce the residual, long before the step cap."""
+    def test_tolerance_below_roundoff_fails_at_the_cap(self, monkeypatch):
+        """With a tolerance below roundoff every step is taken and none meets
+        it: the solve fails loudly at the step cap, its residual at roundoff."""
         spec = TheorySpec(
             psi=(0.8, 1.4, 0.5), psi_n=2.0,
             moments=(Moments(0.0, 0.7, 0.3), Moments(0.0, 0.2, 0.9), Moments(0.0, 1.1, 0.4)),
             lam=1e-3,
         )
         monkeypatch.setattr(risk, "_TOL", 1e-30)
-        with pytest.raises(NoConvergence, match="no Newton step reduces it") as exc:
+        monkeypatch.setattr(risk, "_MAX_ITER", 30)
+        with pytest.raises(NoConvergence, match="after 30 Newton steps") as exc:
             asymptotic_risk(spec)
-        assert exc.value.iterations < 20
+        assert exc.value.iterations == 30
         assert exc.value.residual < 1e-14

@@ -283,8 +283,9 @@ class TestTheoryPass:
 
     @pytest.mark.parametrize(
         "acts,ratios,stop,lam",
-        [(FIGURE_ACTS, [1, 1], 3.2, 1e-5), (CASCADE_ACTS, [1, 1, 3], 6.0, 1e-4)],
-        ids=["criterion-07", "criterion-09"],
+        [(FIGURE_ACTS, [1, 1], 3.2, 1e-5), (FIGURE_ACTS, [1, 2], 3.6, 1e-5),
+         (FIGURE_ACTS, [2, 1], 3.2, 1e-5), (CASCADE_ACTS, [1, 1, 3], 6.0, 1e-4)],
+        ids=["criterion-07", "criterion-08-1to2", "criterion-08-2to1", "criterion-09"],
     )
     def test_newton_step_budget(self, acts, ratios, stop, lam):
         """Every point of the paper's sweeps converges from the cold start in
