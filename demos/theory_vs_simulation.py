@@ -9,6 +9,7 @@ curve.
 """
 
 import argparse
+from dataclasses import replace
 
 from multidescent import (
     ActivationSpec,
@@ -36,19 +37,17 @@ def main() -> None:
     print(f"d={d}, n={n}, activations (elu(3x), relu(x/4)), lambda=1e-3, tau=0.1")
     print(f"{'c':>5} {'theory':>12} {'empirical':>12} {'std err':>10} {'gap/se':>8}")
     grid = (0.5, 1.0, 1.5, 2.0, 3.0)
-    cfgs = [
-        EmpiricalConfig(
-            d=d, n=n, N=(round(c * n / 2.0),) * 2, activations=acts,
-            lam=1e-3, F0=0.2, F1=1.0, tau=0.1,
-            n_test=500, replications=args.replications, base_seed=args.seed,
-        )
-        for c in grid
-    ]
-    # One batch: the worker threads run every replication of every point.
-    for c, cfg, emp in zip(grid, cfgs, run_experiments(cfgs, workers=args.workers)):
+    counts = [(round(c * n / 2.0),) * 2 for c in grid]
+    cfg = EmpiricalConfig(
+        d=d, n=n, N=counts[0], activations=acts,
+        lam=1e-3, F0=0.2, F1=1.0, tau=0.1,
+        n_test=500, replications=args.replications, base_seed=args.seed,
+    )
+    # One call: the worker threads run every replication of every point.
+    for c, N, emp in zip(grid, counts, run_experiments(cfg, counts, workers=args.workers)):
         if isinstance(emp, Exception):
             raise emp
-        theory = asymptotic_risk(theory_spec_from_empirical(cfg)).risk
+        theory = asymptotic_risk(theory_spec_from_empirical(replace(cfg, N=N))).risk
         pulls = abs(emp.mean - theory) / emp.std_error if emp.std_error else 0.0
         print(
             f"{c:>5.2f} {theory:>12.6f} {emp.mean:>12.6f} "

@@ -32,7 +32,6 @@ from .config import (
 )
 from .formatting import to_json
 from .risk import (
-    DegenerateB,
     DegenerateMoments,
     InvalidSpec,
     NoConvergence,
@@ -53,7 +52,7 @@ class ExitStatus(IntEnum):
 
 
 _CONFIG_ERRORS = (ConfigError, InvalidSpec, DegenerateMoments, EmptyGrid, QuadratureDiverged)
-_SOLVER_ERRORS = (NoConvergence, DegenerateB, SolveFailure, ShapeMismatch, np.linalg.LinAlgError)
+_SOLVER_ERRORS = (NoConvergence, SolveFailure, ShapeMismatch, np.linalg.LinAlgError)
 
 
 def _diagnose(err: BaseException, stream) -> None:

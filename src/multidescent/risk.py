@@ -48,7 +48,6 @@ __all__ = [
     "NoConvergence",
     "TheoryRisk",
     "LimitSpec",
-    "DegenerateB",
     "DegenerateMoments",
     "IllConditionedWarning",
     "asymptotic_risk",
@@ -74,7 +73,7 @@ class NoConvergence(RuntimeError):
 def _check_blocks(name: str, widths, moments, psi_n, F1, tau) -> None:
     """Rules every asymptotic instance obeys; ``name`` labels the per-block
     widths: one finite entry > 0 and one moment triple per block, a finite
-    psi_n > 0, and finite F1, tau >= 0."""
+    psi_n > 0, and F1, tau >= 0 whose squares are finite."""
     if len(widths) == 0:
         raise InvalidSpec("need at least one feature component")
     if len(moments) != len(widths):
@@ -85,6 +84,8 @@ def _check_blocks(name: str, widths, moments, psi_n, F1, tau) -> None:
         raise InvalidSpec("psi_n must be > 0")
     if not (0.0 <= F1 < math.inf and 0.0 <= tau < math.inf):
         raise InvalidSpec("F1 and tau must be finite and >= 0")
+    if not (math.isfinite(F1 * F1) and math.isfinite(tau * tau)):
+        raise InvalidSpec("F1^2 and tau^2 must be finite")
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,6 @@ class TheorySpec:
     def psi_full(self) -> tuple[float, ...]:
         """psi_1..psi_K followed by psi_n."""
         return self.psi + (self.psi_n,)
-
-
-class DegenerateB(ValueError):
-    """A scale b_j is zero; every root of the scale system is positive, so the
-    risk is not defined there."""
 
 
 class DegenerateMoments(ValueError):
@@ -245,6 +241,11 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
+# A width so small that its scale underflows to 0 overflows the b/psi scaling
+# to inf and NaN, and a width near the float range overflows its residuals and
+# trial steps.  Such a point fails loudly all the same: its Jacobian is
+# singular, or its residual is not finite.
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(psi, m1, m2, lam):
     """Newton's method in log b on the G systems of one model at G widths;
     coefficients as from ``_coeffs``.
@@ -267,11 +268,7 @@ def _newton(psi, m1, m2, lam):
     b_out, rel_out, steps_out = np.full(b.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
     errors: dict = {}
     while True:
-        # A width so small that its scale underflows to 0 overflows the b/psi
-        # scaling to inf and NaN.  That point fails loudly all the same: its
-        # Jacobian is singular, or its residual turns NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = _jacobian(psi, m1, m2, sqrt_lam, b)
+        jac = _jacobian(psi, m1, m2, sqrt_lam, b)
         # A singular Jacobian's step is NaN, so its point leaves below with
         # a residual that is not finite.
         step, singular = _solve_stack(jac, rel_res[:, :, None])
@@ -337,19 +334,14 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     ``f1_sq``, ``tau_sq`` hold the shared F1^2 and tau^2.  Each
     L = -G^T S^{-1} G, with G = b * V and S = dr/du the Newton matrix at b,
     comes from one batched solve.  ``errors`` maps the points that already
-    failed to their exception; it gains ``DegenerateB`` for scales with a
-    zero and ``LinAlgError`` for a singular S, and every failed point reads
-    NaN.  Warns ``IllConditionedWarning`` for each scored point whose
-    cond(S) exceeds ``COND_WARN_THRESHOLD`` or whose S is not positive
-    definite, in order.
+    failed to their exception; it gains ``LinAlgError`` for a singular S,
+    and every failed point reads NaN.  Warns ``IllConditionedWarning`` for
+    each scored point whose cond(S) exceeds ``COND_WARN_THRESHOLD`` or whose
+    S is not positive definite, in order.
     """
     g = len(b)
     scored = np.ones(g, dtype=bool)
     scored[list(errors)] = False
-    zero = scored & (b == 0.0).any(axis=1)
-    for i in np.flatnonzero(zero):
-        errors[int(i)] = DegenerateB("all b_j must be nonzero")
-    scored &= ~zero
     risk, bias, variance = np.full((3, g), np.nan)
     L = np.full((g, 4, 4), np.nan)
     rows = np.flatnonzero(scored)
@@ -410,8 +402,7 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     it does not raise the residual, so that the root carries the digits of a
     full step rather than stopping at the first iterate under the tolerance;
     ``iterations`` counts that step.
-    Raises ``NoConvergence``, ``DegenerateB``, or ``LinAlgError`` for a
-    singular Jacobian or S.
+    Raises ``NoConvergence``, or ``LinAlgError`` for a singular Jacobian or S.
     """
     risk, bias, variance, L, b, residual, steps, errors = _theory(spec, np.array([spec.psi]))
     if errors:

@@ -3,14 +3,14 @@
 One replication draws everything fresh (signal direction, inputs, noise,
 feature directions, test set) from a generator keyed by (base_seed,
 replication index), fits the readout by ridge regression and estimates the
-excess risk on a noiseless test set.  Configs of a batch that differ only
-in their feature counts N (a sweep's grid) share each replication's draws:
-one job draws them once and fits every config from a prefix of them.  A
-config's draws, and so its result, never depend on its batch, the
-execution order or the worker count.  ``run_experiments`` runs every job of
-a batch in one thread pool, the one parallel section of the package, and
-BLAS runs one thread meanwhile (see ``_single_threaded_blas``): jobs are
-the unit of parallelism.
+excess risk on a noiseless test set.  ``run_experiments`` runs one model
+at many feature counts N (a sweep's grid), which share each replication's
+draws: one job draws them once and fits every count from a prefix of them.
+A count's draws, and so its result, never depend on the other counts, the
+execution order or the worker count.  Every job of a call runs in one
+thread pool, the one parallel section of the package, and BLAS runs one
+thread meanwhile (see ``_single_threaded_blas``): jobs are the unit of
+parallelism.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .risk import InvalidSpec, TheorySpec
 
 __all__ = [
     "EmpiricalConfig",
-    "Dataset",
     "EmpiricalRisk",
     "ShapeMismatch",
     "SolveFailure",
     "replication_rng",
     "sample_sphere",
-    "generate_dataset",
     "feature_matrix",
     "ridge_fit",
     "excess_risk_on",
@@ -102,17 +100,8 @@ class EmpiricalConfig:
         if not (math.isfinite(self.F0)
                 and 0.0 <= self.F1 < math.inf and 0.0 <= self.tau < math.inf):
             raise InvalidSpec("F0 must be finite, F1 and tau finite and >= 0")
-
-    @property
-    def K(self) -> int:
-        return len(self.N)
-
-
-@dataclass
-class Dataset:
-    X: np.ndarray
-    y: np.ndarray
-    beta1: np.ndarray
+        if not (math.isfinite(self.F1 * self.F1) and math.isfinite(self.tau * self.tau)):
+            raise InvalidSpec("F1^2 and tau^2 must be finite")
 
 
 @dataclass
@@ -147,16 +136,6 @@ def _sphere_rows(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
         norms = np.linalg.norm(g, axis=1)
     g *= (math.sqrt(d) / norms)[:, None]
     return g
-
-
-def generate_dataset(cfg: EmpiricalConfig, rng: np.random.Generator) -> Dataset:
-    """Signal direction, spherical inputs and noisy labels, in that draw order."""
-    beta1 = cfg.F1 * sample_sphere(cfg.d, rng) / math.sqrt(cfg.d)
-    X = _sphere_rows(cfg.n, cfg.d, rng)
-    y = X @ beta1 + cfg.F0
-    if cfg.tau > 0.0:
-        y = y + rng.normal(0.0, cfg.tau, size=cfg.n)
-    return Dataset(X=X, y=y, beta1=beta1)
 
 
 # Rows of the output per elementwise pass, which bounds elu's temporary.
@@ -240,31 +219,34 @@ def excess_risk_on(
     return float(np.mean(gap * gap))
 
 
-def _replicate(group: Sequence[EmpiricalConfig], index: int) -> list[float | SolveFailure]:
-    """Replication ``index`` of configs that differ only in N, from one set of draws.
+def _replicate(cfg: EmpiricalConfig, counts: Sequence[tuple[int, ...]],
+               index: int) -> list[float | SolveFailure]:
+    """Replication ``index`` of ``cfg``'s model at each of ``counts``, from one set of draws.
 
     The draw order is beta, X, noise, then one block of sphere rows: a
-    config's feature directions are the block's first sum(N) rows and its
+    count's feature directions are the block's first sum(N) rows and its
     test inputs the next n_test.  One ``standard_normal`` call equals
     successive smaller ones and a row's norm does not depend on the other
-    rows, so each config sees the draws of running it alone.  Returns per
-    config its excess risk or the ``SolveFailure`` that failed it alone.
+    rows, so each count sees the draws of running it alone.  Returns per
+    count its excess risk or the ``SolveFailure`` that failed it alone.
     """
-    first = group[0]
-    rng = replication_rng(first.base_seed, index)
-    data = generate_dataset(first, rng)
-    rows = _sphere_rows(max(sum(cfg.N) for cfg in group) + first.n_test, first.d, rng)
+    rng = replication_rng(cfg.base_seed, index)
+    beta1 = cfg.F1 * sample_sphere(cfg.d, rng) / math.sqrt(cfg.d)
+    X = _sphere_rows(cfg.n, cfg.d, rng)
+    y = X @ beta1 + cfg.F0
+    if cfg.tau > 0.0:
+        y = y + rng.normal(0.0, cfg.tau, size=cfg.n)
+    rows = _sphere_rows(max(map(sum, counts), default=0) + cfg.n_test, cfg.d, rng)
     out: list[float | SolveFailure] = []
-    for cfg in group:
-        m = sum(cfg.N)
+    for N in counts:
+        m = sum(N)
         Theta = rows[:m]
         try:
-            ahat = ridge_fit(feature_matrix(data.X, Theta, cfg.activations, cfg.N),
-                             data.y, cfg.lam, cfg.d)
+            ahat = ridge_fit(feature_matrix(X, Theta, cfg.activations, N), y, cfg.lam, cfg.d)
         except SolveFailure as err:
             out.append(SolveFailure(f"replication {index}: {err}"))
             continue
-        out.append(excess_risk_on(ahat, Theta, cfg.activations, cfg.N, data.beta1, cfg.F0,
+        out.append(excess_risk_on(ahat, Theta, cfg.activations, N, beta1, cfg.F0,
                                   rows[m:m + cfg.n_test]))
     return out
 
@@ -325,48 +307,37 @@ def _single_threaded_blas():
 
 
 def run_experiments(
-    cfgs: Sequence[EmpiricalConfig], workers: int | None = None
+    cfg: EmpiricalConfig, counts: Sequence[Sequence[int]], workers: int | None = None
 ) -> list[EmpiricalRisk | InvalidSpec | SolveFailure]:
-    """Every replication of every config in one pool of ``workers`` threads.
+    """``cfg``'s model at each feature-count tuple of ``counts``, every
+    replication in one pool of ``workers`` threads.
 
-    Configs that differ only in N form a group, and one job runs one
-    replication of a whole group from one set of draws (``_replicate``).
-    Returns per config its :class:`EmpiricalRisk` or the error that failed
-    it alone: the intercept guard's ``InvalidSpec``, checked before anything
-    is drawn, or its lowest-index replication's ``SolveFailure``.
+    Each count must make a valid config, ``replace(cfg, N=count)``, or its
+    ``InvalidSpec`` is raised before anything is drawn; ``cfg.N`` itself is
+    not run.  One job runs one replication at every count from one set of
+    draws (``_replicate``).  Returns per count its :class:`EmpiricalRisk` or
+    the error that failed it: the intercept guard's ``InvalidSpec``, which
+    fails every count, or its lowest-index replication's ``SolveFailure``.
     ``workers`` None or below 2 means one thread.  Results are gathered by
-    (config, index), so no outcome depends on the worker count or the batch.
+    replication index, so no outcome depends on the worker count.
     """
-    outcomes: list = [
-        None if cfg.F0 == 0.0 or represents_intercept(compute_moments(a) for a in cfg.activations)
-        else InvalidSpec("F0 != 0 needs at least one activation with nonzero Gaussian mean, "
-                         "otherwise the model cannot represent the intercept")
-        for cfg in cfgs
-    ]
-    groups: dict[EmpiricalConfig, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        if outcomes[i] is None:  # keyed by the config with its feature counts blanked
-            groups.setdefault(replace(cfg, N=(1,) * cfg.K), []).append(i)
-    jobs = [(members, r) for members in groups.values()
-            for r in range(cfgs[members[0]].replications)]
-
-    def one(job):
-        members, r = job
-        return _replicate([cfgs[i] for i in members], r)
+    counts = [replace(cfg, N=N).N for N in counts]
+    if cfg.F0 != 0.0 and not represents_intercept(compute_moments(a) for a in cfg.activations):
+        guard = InvalidSpec("F0 != 0 needs at least one activation with nonzero Gaussian mean, "
+                            "otherwise the model cannot represent the intercept")
+        return [guard] * len(counts)
 
     # Imported here: processes that only run the theory never load the pool
     # machinery (concurrent.futures brings in logging).
     from concurrent.futures import ThreadPoolExecutor
 
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=max(workers or 1, 1)) as pool:
-        results = list(pool.map(one, jobs))
-    per: dict[int, list] = {i: [] for members in groups.values() for i in members}
-    for (members, _), outs in zip(jobs, results):
-        for i, out in zip(members, outs):
-            per[i].append(out)
-    for i, reps in per.items():
+        results = list(pool.map(functools.partial(_replicate, cfg, counts),
+                                range(cfg.replications)))
+    outcomes: list[EmpiricalRisk | InvalidSpec | SolveFailure] = []
+    for reps in zip(*results):
         failures = [r for r in reps if isinstance(r, SolveFailure)]
-        outcomes[i] = failures[0] if failures else _summary(np.array(reps))
+        outcomes.append(failures[0] if failures else _summary(np.array(reps)))
     return outcomes
 
 
@@ -378,9 +349,9 @@ def _summary(per: np.ndarray) -> EmpiricalRisk:
 def run_experiment(cfg: EmpiricalConfig, workers: int | None = None) -> EmpiricalRisk:
     """Excess-risk estimate averaged over cfg.replications independent runs.
 
-    The one-config case of :func:`run_experiments`; raises its failure.
+    The one-count case of :func:`run_experiments`; raises its failure.
     """
-    (outcome,) = run_experiments([cfg], workers)
+    (outcome,) = run_experiments(cfg, [cfg.N], workers)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -11,7 +11,7 @@ same model can be simulated at every point of the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -131,13 +131,14 @@ def _grid_psi(spec: SweepSpec) -> np.ndarray:
     return psi
 
 
-def _empirical_at(spec: SweepSpec, c: float) -> EmpiricalConfig:
-    """The finite-size run at ``c``: N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
+def _counts_at(spec: SweepSpec, c: float) -> tuple[int, ...]:
+    """The feature counts of the finite-size run at ``c``:
+    N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
     ratios, total = _shares(spec)
     counts = [r * c * spec.empirical.n / total for r in ratios]
     if not all(map(math.isfinite, counts)):
         raise InvalidSpec("feature counts overflow: ratio_c*c*n/sum(ratios) must be finite")
-    return replace(spec.empirical, N=tuple(max(1, int(round(x))) for x in counts))
+    return tuple(max(1, int(round(x))) for x in counts)
 
 
 def _metadata(spec: SweepSpec) -> dict:
@@ -169,7 +170,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """
     base = spec.base
     psi = _grid_psi(spec)
-    cfgs = None if spec.empirical is None else [_empirical_at(spec, c) for c in spec.c_grid]
+    counts = None if spec.empirical is None else [_counts_at(spec, c) for c in spec.c_grid]
     risk, bias, variance, _, _, _, steps, errors = _theory(base, psi)
     rows = [
         SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,
@@ -180,15 +181,15 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     for i, err in errors.items():
         rows[i].solver_iterations = None
         rows[i].error = f"{type(err).__name__}: {err}"
-    if cfgs is not None:
-        for row, cfg, outcome in zip(rows, cfgs, run_experiments(cfgs, workers)):
+    if counts is not None:
+        for row, outcome in zip(rows, run_experiments(spec.empirical, counts, workers)):
             if isinstance(outcome, Exception):
                 note = f"{type(outcome).__name__}: {outcome}"
                 row.error = note if row.error is None else row.error + "; " + note
             else:
                 row.emp_mean = outcome.mean
                 row.emp_se = outcome.std_error
-                row.replications = cfg.replications
+                row.replications = spec.empirical.replications
     return SweepResult(rows=rows, metadata=_metadata(spec))
 
 

@@ -35,7 +35,6 @@ import mpmath as mp
 import numpy as np
 
 from multidescent import (
-    DegenerateB,
     EmpiricalConfig,
     eval_activation,
     replication_rng,
@@ -45,7 +44,7 @@ from multidescent import (
     TheorySpec,
 )
 from multidescent.risk import _coeffs, _matrices, _residuals
-from multidescent.sweep import _empirical_at, _grid_psi
+from multidescent.sweep import _counts_at, _grid_psi
 
 
 class WrongK(ValueError):
@@ -248,7 +247,7 @@ def build_matrices(spec: TheorySpec, b) -> TheoryMatrices:
     """
     b = np.asarray(b, dtype=np.float64)
     if np.any(b == 0.0):
-        raise DegenerateB("all b_j must be nonzero")
+        raise ValueError("all b_j must be nonzero")
     psi, m1, m2, _ = _coeffs(spec, np.array([spec.psi]))
     MD, v = _matrices(m1, m2, b[None])
     k, psi, md2 = spec.K, psi[0], MD[0] * MD[0]
@@ -277,7 +276,7 @@ def expand_grid(spec: SweepSpec) -> list[GridPoint]:
     sweep's own helpers, so each point's widths equal its row's bit for bit."""
     points = []
     for c, psi in zip(spec.c_grid, _grid_psi(spec).tolist()):
-        emp = None if spec.empirical is None else _empirical_at(spec, c)
+        emp = None if spec.empirical is None else replace(spec.empirical, N=_counts_at(spec, c))
         points.append(GridPoint(c=c, theory=replace(spec.base, psi=psi), empirical=emp))
     return points
 

@@ -36,7 +36,7 @@ from multidescent import (
     to_json,
 )
 from multidescent import config as config_module
-from multidescent.cli import ExitStatus, dispatch, main
+from multidescent.cli import _CONFIG_ERRORS, _SOLVER_ERRORS, ExitStatus, dispatch, main
 from multidescent.config import apply_overrides, load_raw, validate_config
 from multidescent.formatting import _float_cells
 from oracles import mp_risk
@@ -743,6 +743,74 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "{}"])
         assert exc.value.code == 2
+
+
+FIGURE = [{"kind": "elu", "in_scale": 3.0}, {"kind": "relu", "in_scale": 0.25}]
+
+
+def _figure(**model) -> dict:
+    return {"activations": FIGURE,
+            "model": {"psi": [1.0, 1.0], "psi_n": 10.0 / 3.0, "lambda": 1e-3, **model}}
+
+
+def _figure_counts(**model) -> dict:
+    return {"activations": FIGURE,
+            "model": {"d": 20, "n": 40, "N": [10, 10], "lambda": 1e-3, **model},
+            "empirical": {"replications": 2, "n_test": 10}}
+
+
+def _swept(cfg: dict, c_grid) -> dict:
+    return {**cfg, "sweep": {"c_grid": c_grid}}
+
+
+# Lines the CLI writes to stderr start with one of these: an error or
+# warning class it diagnoses, or the theory and sweep summaries.
+_DIAGNOSTICS = tuple(f"{name}: " for name in (
+    "solver", "sweep", "IllConditionedWarning",
+    *(err.__name__ for err in _CONFIG_ERRORS + _SOLVER_ERRORS)))
+
+
+class TestCliContract:
+    """Extreme but valid configs end in a status the CLI documents, with
+    nothing on stderr but the package's own diagnostic lines: no traceback
+    and no numpy warning."""
+
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("theory", _figure(F1=1e300), id="theory-F1-square-overflows"),
+        pytest.param("theory", _figure(tau=1e160), id="theory-tau-square-overflows"),
+        pytest.param("limit", _figure(F1=1e300), id="limit-F1-square-overflows"),
+        pytest.param("sweep", _swept(_figure(tau=1e160), [1.0]), id="sweep-tau-square-overflows"),
+        pytest.param("simulate", _figure_counts(F1=1e300), id="simulate-F1-square-overflows"),
+        pytest.param("sweep", _swept({**_figure(), "activations": [{"kind": "elu"}, {"kind": "relu"}]},
+                                     [1.0, 1e307]), id="sweep-newton-step-overflows"),
+        pytest.param("sweep", _swept(_figure(), [1.0, 1e307]), id="sweep-first-residual-overflows"),
+        pytest.param("sweep", _swept(_figure(), [1e-300, 1.0]), id="sweep-tiny-c"),
+        pytest.param("theory", {"activations": [{"kind": "relu", "out_scale": 1e200}],
+                                "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 1.0}},
+                     id="theory-relu-out-scale-1e200"),
+        pytest.param("moments", {"activations": [{"kind": "elu", "in_scale": 1e300}],
+                                 "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 1.0}},
+                     id="moments-elu-in-scale-1e300"),
+        pytest.param("theory", _figure(**{"lambda": 1e-34}), id="theory-lambda-1e-34"),
+        pytest.param("theory", _figure(**{"lambda": 1e300}), id="theory-lambda-1e300"),
+        pytest.param("theory", _figure(psi=[1e-300, 1e300]), id="theory-psi-far-apart"),
+        pytest.param("theory", _figure(psi_n=1e-300), id="theory-psi-n-1e-300"),
+        pytest.param("theory", _figure(psi_n=1e300), id="theory-psi-n-1e300"),
+        pytest.param("theory", _figure(F1=1e150, tau=1e150), id="theory-F1-tau-1e150"),
+        pytest.param("theory", {"activations": [{"kind": "identity"}, {"kind": "relu"}],
+                                "model": {"psi": [100, 0.01], "psi_n": 100, "lambda": 1e-12}},
+                     id="theory-identity-relu-small-ridge"),
+        pytest.param("simulate", _figure_counts(**{"lambda": 1e-300}), id="simulate-lambda-1e-300"),
+        pytest.param("simulate", _figure_counts(**{"lambda": 1e300}), id="simulate-lambda-1e300"),
+    ])
+    def test_status_and_stderr(self, command, cfg, capsys):
+        status = main([command, "--config", _inline(cfg)])
+        captured = capsys.readouterr()
+        assert status in (ExitStatus.OK, ExitStatus.CONFIG, ExitStatus.SOLVER), captured.err
+        assert "Traceback" not in captured.out + captured.err
+        for line in captured.err.splitlines():
+            assert line.startswith(_DIAGNOSTICS), line
+            assert not line.startswith("RuntimeWarning"), line
 
 
 class TestReadme:

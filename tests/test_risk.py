@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidescent import (
-    DegenerateB,
     DegenerateMoments,
     IllConditionedWarning,
     InvalidSpec,
@@ -424,15 +423,17 @@ class TestWidthLimits:
 
 class TestErrorPaths:
     def test_degenerate_b(self):
-        """A zero scale fails its point with ``DegenerateB`` in the oracle and
-        in the risk core; no solve returns one, so the core is driven directly."""
+        """A zero scale zeroes its row and column of S, so the risk core fails
+        its point with ``LinAlgError`` and NaN, and the oracle refuses it; no
+        solve returns one, so the core is driven directly."""
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
         b = np.array([[0.0, 1.0]])
-        with pytest.raises(DegenerateB):
+        with pytest.raises(ValueError, match="nonzero"):
             build_matrices(spec, b[0])
         errors = {}
-        risk, _, _, L = _score(*_coeffs(spec, np.array([spec.psi])), b, 1.0, 0.0, errors)
-        assert list(errors) == [0] and isinstance(errors[0], DegenerateB)
+        with pytest.warns(IllConditionedWarning, match=r"^cond\(S\) = inf"):
+            risk, _, _, L = _score(*_coeffs(spec, np.array([spec.psi])), b, 1.0, 0.0, errors)
+        assert list(errors) == [0] and isinstance(errors[0], np.linalg.LinAlgError)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
     def test_wrong_k(self):
@@ -510,6 +511,18 @@ class TestErrorPaths:
         ms = (Moments(0.0, 1.0, 0.0), Moments(0.0, 1.0, 0.0))
         with pytest.raises(DegenerateMoments):
             limit_risk_infinite_width(LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms))
+
+    def test_squares_of_F1_and_tau_must_be_finite(self):
+        """The risk weighs F1^2 and tau^2, so a finite F1 or tau whose square
+        overflows is refused by name, not left to overflow mid-formula."""
+        ms = (Moments(0, 1, 1),)
+        for bad in ({"F1": 1e300}, {"tau": 1e160}):
+            with pytest.raises(InvalidSpec, match=r"^F1\^2 and tau\^2 must be finite$"):
+                TheorySpec(psi=(1.0,), psi_n=2.0, moments=ms, lam=0.1, **bad)
+            with pytest.raises(InvalidSpec, match=r"^F1\^2 and tau\^2 must be finite$"):
+                LimitSpec(r=(1.0,), psi_n=2.0, moments=ms, **bad)
+        big = TheorySpec(psi=(1.0,), psi_n=2.0, moments=ms, lam=0.1, F1=1e150, tau=1e150)
+        assert math.isfinite(asymptotic_risk(big).risk)
 
     def test_limit_spec_validation(self):
         ms = (Moments(0, 1, 1), Moments(0, 1, 1))

@@ -32,7 +32,6 @@ from multidescent import (
     eval_activation,
     excess_risk_on,
     feature_matrix,
-    generate_dataset,
     parse_config,
     replication_rng,
     ridge_fit,
@@ -194,16 +193,7 @@ class TestClosedFormPipeline:
             d=d, n=n, N=(N,), activations=(ActivationSpec("constant"),),
             lam=lam, F0=F0, F1=0.0, tau=0.0, n_test=6, replications=1,
         )
-        rng = replication_rng(0, 0)
-        data = generate_dataset(cfg, rng)
-        np.testing.assert_allclose(data.y, F0)  # F1 = 0, tau = 0
-        Theta = _sphere_rows(N, d, rng)
-        Z = feature_matrix(data.X, Theta, cfg.activations, cfg.N)
-        ahat = ridge_fit(Z, data.y, lam, d)
-        X_test = _sphere_rows(cfg.n_test, d, rng)
-        risk = excess_risk_on(
-            ahat, Theta, cfg.activations, cfg.N, data.beta1, F0, X_test
-        )
+        risk = run_experiment(cfg).per_replication[0]  # F1 = 0, tau = 0: labels are F0
         expected = (F0 * lam / (n * N / d + lam)) ** 2  # shrinkage gap
         np.testing.assert_allclose(risk, expected, rtol=1e-6)
 
@@ -233,8 +223,8 @@ class TestDeterminism:
 
     def test_replication_is_pure(self):
         cfg = self._cfg()
-        assert simulator._replicate((cfg,), 3) == simulator._replicate((cfg,), 3)
-        assert simulator._replicate((cfg,), 3) != simulator._replicate((cfg,), 4)
+        assert simulator._replicate(cfg, [cfg.N], 3) == simulator._replicate(cfg, [cfg.N], 3)
+        assert simulator._replicate(cfg, [cfg.N], 3) != simulator._replicate(cfg, [cfg.N], 4)
 
     def test_worker_count_is_invisible(self):
         cfg = self._cfg()
@@ -254,9 +244,9 @@ class TestDeterminism:
         seen = []
         real = simulator._replicate
 
-        def recording(group, index):
+        def recording(cfg, counts, index):
             seen.append(get())
-            return real(group, index)
+            return real(cfg, counts, index)
 
         monkeypatch.setattr(simulator, "_replicate", recording)
         for workers in (1, 3):
@@ -264,7 +254,7 @@ class TestDeterminism:
         base = theory_spec_from_empirical(self._cfg())
         run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(0.5, 1.0), empirical=self._cfg()),
                   workers=2)
-        assert seen == [1] * 18  # 6 + 6 jobs, then 6 for the sweep's one group
+        assert seen == [1] * 18  # 6 + 6 jobs, then 6 carrying the sweep's two counts
         assert get() == before
 
     def test_rng_streams(self):
@@ -300,7 +290,7 @@ class TestDeterminism:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestFailureIsolation:
-    """A batch reports each config's own result or the error that failed it alone."""
+    """A call reports each count's own result or the error that failed it alone."""
 
     GOOD = EmpiricalConfig(
         d=15, n=30, N=(10, 8), activations=(ActivationSpec("relu"), ActivationSpec("tanh")),
@@ -309,11 +299,20 @@ class TestFailureIsolation:
     # relu(1e308 x) overflows to inf on every input with x > 1.8
     BAD = replace(GOOD, activations=(ActivationSpec("relu", in_scale=1e308), ActivationSpec("tanh")))
 
-    def test_failing_config_leaves_the_others(self):
-        good, bad = run_experiments([self.GOOD, self.BAD], workers=2)
+    def test_failing_config_leaves_the_others(self, monkeypatch):
+        """A ridge fit that fails at one count fails that count alone."""
+        real = simulator.ridge_fit
+
+        def failing_at_18_features(Z, y, lam, d):
+            if Z.shape[1] == 18:
+                raise SolveFailure("non-finite entries in ridge inputs")
+            return real(Z, y, lam, d)
+
+        monkeypatch.setattr(simulator, "ridge_fit", failing_at_18_features)
+        good, bad = run_experiments(self.GOOD, [(4, 3), (10, 8)], workers=2)
         assert isinstance(bad, SolveFailure)
         assert str(bad) == "replication 0: non-finite entries in ridge inputs"
-        alone = run_experiment(self.GOOD)
+        alone = run_experiment(replace(self.GOOD, N=(4, 3)))
         assert np.array_equal(good.per_replication, alone.per_replication)
         assert (good.mean, good.std_error) == (alone.mean, alone.std_error)
 
@@ -321,28 +320,34 @@ class TestFailureIsolation:
         with pytest.raises(SolveFailure, match="replication 0: non-finite"):
             run_experiment(self.BAD, workers=2)
 
-    def test_intercept_guard_fails_its_config_alone(self):
+    def test_intercept_guard_fails_its_config_alone(self, monkeypatch):
+        """The guard fails every count of its config, before anything is drawn."""
         no_mean = replace(self.GOOD, activations=(ActivationSpec("tanh"),) * 2, F0=0.5)
-        guarded, good = run_experiments([no_mean, self.GOOD])
-        assert isinstance(guarded, InvalidSpec)
-        assert good.per_replication.shape == (4,)
+
+        def no_draws(*args):
+            raise AssertionError("drew sphere rows")
+
+        monkeypatch.setattr(simulator, "_sphere_rows", no_draws)
+        guarded = run_experiments(no_mean, [(10, 8), (3, 2)])
+        assert len(guarded) == 2
+        assert all(isinstance(g, InvalidSpec) for g in guarded)
 
     def test_lowest_failing_index_is_reported(self, monkeypatch):
         real = simulator._replicate
 
-        def flaky(group, index):
+        def flaky(cfg, counts, index):
             if index >= 2:
-                return [SolveFailure(f"replication {index}: injected") for _ in group]
-            return real(group, index)
+                return [SolveFailure(f"replication {index}: injected") for _ in counts]
+            return real(cfg, counts, index)
 
         monkeypatch.setattr(simulator, "_replicate", flaky)
-        (outcome,) = run_experiments([self.GOOD], workers=3)
+        (outcome,) = run_experiments(self.GOOD, [self.GOOD.N], workers=3)
         assert str(outcome) == "replication 2: injected"
 
 
 class TestSharedDraws:
-    """Configs that differ only in N share one replication's draws, and no
-    config's result depends on the batch it runs in."""
+    """The counts of one call share each replication's draws, and no count's
+    result depends on the other counts it runs with."""
 
     BASE = EmpiricalConfig(
         d=12, n=30, N=(8, 6), activations=(ActivationSpec("elu", in_scale=2.0),
@@ -350,7 +355,7 @@ class TestSharedDraws:
         lam=0.05, F0=0.2, F1=1.1, tau=0.3, n_test=25, replications=4, base_seed=8,
     )
     # sum(N) = 14, below n = 30 (primal ridge), and 45, above it (dual ridge)
-    GROUP = (BASE, replace(BASE, N=(25, 20)), replace(BASE, N=(1, 2)))
+    COUNTS = ((8, 6), (25, 20), (1, 2))
 
     @staticmethod
     def _same(a, b):
@@ -358,38 +363,28 @@ class TestSharedDraws:
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     def test_draws_are_those_of_the_reference_replication(self):
-        """Every config of a group sees its own original draws, primal and dual."""
-        for cfg, out in zip(self.GROUP, run_experiments(self.GROUP, workers=2)):
+        """Every count sees its own original draws, primal and dual."""
+        for N, out in zip(self.COUNTS, run_experiments(self.BASE, self.COUNTS, workers=2)):
+            cfg = replace(self.BASE, N=N)
             expected = [reference_replication(cfg, r) for r in range(cfg.replications)]
             np.testing.assert_allclose(out.per_replication, expected, rtol=1e-10)
 
     def test_a_group_batch_is_invisible(self):
-        for cfg, out in zip(self.GROUP, run_experiments(self.GROUP, workers=2)):
-            self._same(out, run_experiment(cfg))
-
-    def test_a_mixed_batch_is_invisible(self):
-        mixed = [
-            self.GROUP[1],
-            replace(self.BASE, activations=(ActivationSpec("relu"), ActivationSpec("cos"))),
-            replace(self.BASE, base_seed=9),
-            self.GROUP[2],
-            replace(self.BASE, base_seed=9, N=(3, 30)),
-            self.BASE,
-        ]
-        for cfg, out in zip(mixed, run_experiments(mixed, workers=3)):
-            self._same(out, run_experiment(cfg))
+        for N, out in zip(self.COUNTS, run_experiments(self.BASE, self.COUNTS, workers=2)):
+            self._same(out, run_experiment(replace(self.BASE, N=N)))
 
     def test_one_job_per_group_and_replication(self, monkeypatch):
+        """One job per replication, carrying every count."""
         real = simulator._replicate
-        sizes = []
+        jobs = []
 
-        def counting(group, index):
-            sizes.append(len(group))
-            return real(group, index)
+        def counting(cfg, counts, index):
+            jobs.append((index, tuple(counts)))
+            return real(cfg, counts, index)
 
         monkeypatch.setattr(simulator, "_replicate", counting)
-        run_experiments([*self.GROUP, replace(self.BASE, base_seed=9)])
-        assert sorted(sizes) == [1] * 4 + [3] * 4
+        run_experiments(self.BASE, self.COUNTS)
+        assert sorted(jobs) == [(r, self.COUNTS) for r in range(4)]
 
     def test_sweep_rows_equal_their_configs_alone(self):
         spec = SweepSpec(base=theory_spec_from_empirical(self.BASE), ratios=(1.0, 2.0),
@@ -502,6 +497,25 @@ class TestValidation:
         for bad in ({"F0": math.nan}, {"F1": math.nan}, {"tau": math.nan}, {"tau": math.inf}):
             with pytest.raises(InvalidSpec):
                 EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=0.1, **bad)
+        for bad in ({"F1": 1e300}, {"tau": 1e160}):
+            with pytest.raises(InvalidSpec, match=r"^F1\^2 and tau\^2 must be finite$"):
+                EmpiricalConfig(d=10, n=10, N=(5,), activations=act, lam=0.1, **bad)
+
+    def test_counts_are_checked_before_any_draw(self, monkeypatch):
+        """Each count runs as ``replace(cfg, N=count)`` and is checked as
+        that config before anything is drawn."""
+        cfg = EmpiricalConfig(d=10, n=20, N=(5,), activations=(ActivationSpec("relu"),),
+                              lam=0.1, n_test=10, replications=2)
+
+        def no_draws(*args):
+            raise AssertionError("drew sphere rows")
+
+        monkeypatch.setattr(simulator, "_sphere_rows", no_draws)
+        for bad, message in ((((5,), (0,)), "feature counts must be >= 1"),
+                             (((5,), (5, 5)), "same nonzero length"),
+                             (((5,), (2**26,)), "float64 entries")):
+            with pytest.raises(InvalidSpec, match=message):
+                run_experiments(cfg, bad)
 
     def test_counts_must_be_integers(self):
         """A fractional count is rejected, not truncated or passed on to
@@ -557,7 +571,7 @@ class TestValidation:
         def run(act):
             cfg = EmpiricalConfig(d=10, n=20, N=(8,), activations=(act,), lam=0.1, F0=0.5,
                                   n_test=10, replications=1)
-            return run_experiments([cfg])[0]
+            return run_experiments(cfg, [cfg.N])[0]
 
         assert isinstance(run(ActivationSpec("relu", out_scale=1e-12)), EmpiricalRisk)
         assert isinstance(run(ActivationSpec("tanh", out_scale=1e12)), InvalidSpec)

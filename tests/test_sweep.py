@@ -236,6 +236,18 @@ class TestTheoryPass:
             with pytest.raises(InvalidSpec, match="^all psi entries must be > 0$"):
                 run_sweep(spec)
 
+    @pytest.mark.parametrize("acts", [[{"kind": "elu"}, {"kind": "relu"}], FIGURE_ACTS])
+    def test_overflowing_newton_step_fails_its_point_quietly(self, acts):
+        """Widths near the float range overflow the first residual or a trial
+        step; that point fails with ``NoConvergence`` and no numpy warning,
+        and the other point keeps its row."""
+        spec = build_sweep_spec(parse_config(json.dumps(
+            _sweep_config(acts, [1, 1], 1e-3, c_grid=[1.0, 1e307]))))
+        ok, failed = run_sweep(spec).rows
+        assert ok.error is None and math.isfinite(ok.theory_risk)
+        assert failed.error.startswith("NoConvergence: residual ")
+        assert math.isnan(failed.theory_risk)
+
     def test_row_prints_theory_command_digits(self):
         """Through the CLI, every row of the criterion-07 sweep prints the
         numbers the ``theory`` command prints at that row's widths."""
