@@ -2,7 +2,7 @@
 
 At the evaluation point on the imaginary axis the coupled resolvent scales
 are purely imaginary with positive imaginary parts b_1..b_{K+1}, so the
-system is solved directly in those positive real variables:
+system is posed directly in those positive real variables:
 
     sqrt(lam) b_c   + m2_c b_c b_n + m1_c b_c b_n / (1 + T) = psi_c    (c <= K)
     sqrt(lam) b_n   + sum_c m2_c b_c b_n + T / (1 + T)      = psi_n
@@ -13,23 +13,33 @@ strictly convex potential
 
     Phi(u) = sqrt(lam) sum_j b_j + b_n sum_c m2_c b_c + log(1 + T) - sum_j psi_j u_j,
 
-so the system has exactly one root, and the Newton matrix S = dr/du is the
-Hessian of Phi.  The solver is Newton's method in u, which keeps every
-iterate positive, on the relative residuals r_j / psi_j with their analytic
-Jacobian; capping each step in u is its only safeguard.
+so the system has exactly one root, and S = dr/du is the Hessian of Phi.
 
-The risk differentiates the same potential at its root.  It splits as
+The solver has two unknowns whatever K is.  As
+log(1 + T) = min_s [s (1 + T) - 1 - log s], Phi is the minimum over
+sigma = log s of a function jointly convex in (u, sigma).  Given b_n and s,
+its minimum over the block scales is at b_c = psi_c / D_c with
+D_c = sqrt(lam) + b_n (m2_c + m1_c s), which leaves the smooth convex
+
+    F(u_n, sigma) = sqrt(lam) b_n + sum_c psi_c log D_c + s - sigma - psi_n u_n
+
+in u_n = log b_n.  Its gradient (r_n at those b_c, s (1 + T) - 1) vanishes
+exactly at the root, where s = 1 / (1 + T).  The solver is Newton's method
+on F with its closed-form 2x2 Hessian, O(K) a step; capping each step in
+(u_n, sigma) is its only safeguard, and a root is accepted on the relative
+residuals r_j / psi_j of the full system.
+
+The risk differentiates Phi at its root.  It splits as
 
     risk = F1^2 * (1/MD^2 + L[3,4] + L[1,4])  +  tau^2 * (L[2,3] + L[1,2])
 
 (1-based indices) with L = -G^T S^{-1} G, G = b * V and MD, V real forms of
 the framework's auxiliary quantities (each squared scale nu_j^2 enters as
--b_j^2), so the matrix the risk solves is the one Newton already used.  One
-model at a stack of block widths, such as the points of a sweep grid, is
-solved and scored at once with batched linear algebra; each point keeps its
-own steps and failure.  The two width limits (infinitely wide at
-fixed block proportions, for any K, and vanishingly narrow) have closed
-forms.
+-b_j^2).  One model at a stack of block widths, such as the points of a
+sweep grid, is solved and scored at once with batched arithmetic; each
+point keeps its own steps and failure.  The two width limits (infinitely
+wide at fixed block proportions, for any K, and vanishingly narrow) have
+closed forms.
 """
 
 from __future__ import annotations
@@ -128,9 +138,9 @@ class DegenerateMoments(ValueError):
 
 
 class IllConditionedWarning(UserWarning):
-    """The Newton matrix S that the risk solves is numerically ill-conditioned
-    (cond(S) above ``COND_WARN_THRESHOLD``, or S not positive definite); the
-    risk value may lose digits."""
+    """The matrix S = dr/du that the risk solves, the Hessian of Phi, is
+    numerically ill-conditioned (cond(S) above ``COND_WARN_THRESHOLD``, or S
+    not positive definite); the risk value may lose digits."""
 
 
 @dataclass
@@ -176,7 +186,7 @@ class LimitSpec:
 _TOL = 1e-12
 _MAX_ITER = 100
 
-# Largest change of any log b_j in one Newton step.
+# Largest change of log b_n or log s in one Newton step.
 _MAX_LOG_STEP = 2.0
 
 # cond(S) above which a risk warns.
@@ -241,73 +251,108 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
-# A width so small that its scale underflows to 0 overflows the b/psi scaling
-# to inf and NaN, and a width near the float range overflows its residuals and
-# trial steps.  Such a point fails loudly all the same: its Jacobian is
-# singular, or its residual is not finite.
-@np.errstate(over="ignore", invalid="ignore")
-def _newton(psi, m1, m2, lam):
-    """Newton's method in log b on the G systems of one model at G widths;
-    coefficients as from ``_coeffs``.
+def _reduced_step(psi, m, sqrt_lam, v):
+    """The scales b (G, K+1) at the G points v = (log b_n, log s) (G, 2), and
+    there the Newton step H^-1 grad (G, 2) of the reduced potential F and the
+    determinant of its Hessian H (G,).  ``psi`` is as from ``_coeffs`` and
+    ``m`` (K, 3) holds each block's m1, m2 and m1 m2.
 
-    Returns b (G, K+1), the largest relative residual (G,) and the Newton
-    steps (G,) of every point, and the exception that ended each failed
-    point's solve by index (``NoConvergence``, or ``LinAlgError`` for a
-    singular Jacobian); b is NaN on the failed points.  Each point iterates
-    by the rules in ``asymptotic_risk``'s docstring.
+    Block c's scale is b_c = psi_c / D_c with D_c = sqrt(lam) + b_n (m1_c s + m2_c).
+    With the sums S_x = sum_c b_c x_c and R_x = sum_c b_c x_c / D_c over
+    x = m1, m2 or m1 m2,
+    grad F = (b_n (sqrt(lam) + s S_m1 + S_m2) - psi_n, s (1 + b_n S_m1) - 1)
+    and H = [[P + C, C], [C, Q + C]] with P = sqrt(lam) b_n (1 + R_m2),
+    C = sqrt(lam) b_n s R_m1 and Q = s (1 + b_n^2 R_m1m2).  The determinant
+    PQ + C(P + Q) is a sum of terms >= 0, so it keeps its digits where H is
+    nearly singular, as at a tiny ridge.
+    """
+    bn, s = np.exp(v).T
+    d = sqrt_lam + bn[:, None] * (np.multiply.outer(s, m[:, 0]) + m[:, 1])
+    bc = psi[:, :-1] / d
+    s1, s2 = (bc @ m[:, :2]).T
+    r1, r2, r12 = ((bc / d) @ m).T
+    g_n = bn * (sqrt_lam + s * s1 + s2) - psi[:, -1]
+    g_s = s * (1.0 + bn * s1) - 1.0
+    p = sqrt_lam * bn * (1.0 + r2)
+    c = sqrt_lam * bn * s * r1
+    q = s * (1.0 + bn * bn * r12)
+    det = p * q + c * (p + q)
+    step = np.column_stack(((q + c) * g_n - c * g_s, (p + c) * g_s - c * g_n)) / det[:, None]
+    return np.column_stack((bc, bn)), step, det
+
+
+# A width so small that its scale underflows to 0 pins that block's relative
+# residual at 1, and one near the float range overflows the scales, the
+# residuals or the Newton matrix to inf and NaN.  Such a point fails loudly
+# all the same: at the step cap, on a residual that is not finite, or on a
+# determinant that is not positive.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _newton(psi, m1, m2, lam):
+    """Newton's method on the reduced potential F(log b_n, log s) of the G
+    systems of one model at G widths; coefficients as from ``_coeffs``.
+
+    Returns b (G, K+1), the largest relative residual (G,) of the full
+    system and the Newton steps (G,) of every point, and the exception that
+    ended each failed point's solve by index (``NoConvergence``, or
+    ``LinAlgError`` for a Newton matrix whose determinant is not positive);
+    b is NaN on the failed points.  Each point iterates by the rules in
+    ``asymptotic_risk``'s docstring.
     """
     g = len(psi)
     sqrt_lam = np.sqrt(lam)
-    b = psi / (sqrt_lam + 1.0)
-    rel_res = _residuals(psi, m1, m2, sqrt_lam, b) / psi
-    rel = np.abs(rel_res).max(axis=1)
+    m = np.column_stack((m1, m2, m1 * m2))
+    v = np.column_stack((np.log(psi[:, -1] / (sqrt_lam + 1.0)), np.full(g, math.log(0.5))))
+    b, step, det = _reduced_step(psi, m, sqrt_lam, v)
+    rel = np.abs(_residuals(psi, m1, m2, sqrt_lam, b) / psi).max(axis=1)
     steps = np.zeros(g, dtype=int)
-    # psi .. steps hold the points still iterating and ids maps them to the
-    # stack; each point's results move to the outputs when it leaves.
+    polished = np.zeros(g, dtype=bool)
+    # The arrays compacted below hold the points still iterating and ids maps
+    # them to the stack; each point's results move to the outputs when it
+    # leaves.
     ids = np.arange(g)
     b_out, rel_out, steps_out = np.full(b.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
     errors: dict = {}
     while True:
-        jac = _jacobian(psi, m1, m2, sqrt_lam, b)
-        # A singular Jacobian's step is NaN, so its point leaves below with
-        # a residual that is not finite.
-        step, singular = _solve_stack(jac, rel_res[:, :, None])
-        step = step[:, :, 0]
+        within = rel <= _TOL
+        # A root is accepted on the residual of the full system.  A point
+        # leaves once polished, or fails: on a residual that is not finite,
+        # then on a determinant that is not positive, then at the step cap.
+        failed = ~within & (~np.isfinite(rel) | ~(det > 0.0) | (steps >= _MAX_ITER))
+        done = polished | failed
+        if done.any():
+            for j in np.flatnonzero(failed):
+                i = int(ids[j])
+                if np.isfinite(rel[j]) and not det[j] > 0.0:
+                    errors[i] = np.linalg.LinAlgError(
+                        f"Newton matrix determinant {det[j]:.3e} is not positive after "
+                        f"{steps[j]} Newton steps at lambda={lam:.3e}")
+                    continue
+                errors[i] = NoConvergence(
+                    f"residual {rel[j]:.3e} > tol {_TOL:.1e} after {steps[j]} Newton steps "
+                    f"at lambda={lam:.3e}",
+                    residual=float(rel[j]),
+                    iterations=int(steps[j]),
+                )
+            finished = ids[done]
+            rel_out[finished], steps_out[finished] = rel[done], steps[done]
+            b_out[ids[polished]] = b[polished]
+            if done.all():
+                return b_out, rel_out, steps_out, errors
+            keep = ~done
+            ids, psi, v, b, step, rel, steps, within = (
+                x[keep] for x in (ids, psi, v, b, step, rel, steps, within)
+            )
         step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
         # A point already within tol takes its last, polishing step; the
         # others take theirs whatever it does to the residual.
-        polish = rel <= _TOL
-        trial = b * np.exp(-step)
-        trial_res = _residuals(psi, m1, m2, sqrt_lam, trial) / psi
-        trial_rel = np.abs(trial_res).max(axis=1)
+        v = v - step
+        trial, step, det = _reduced_step(psi, m, sqrt_lam, v)
+        trial_rel = np.abs(_residuals(psi, m1, m2, sqrt_lam, trial) / psi).max(axis=1)
         # The polishing step is undone where it raises the residual.
-        worse = polish & ~(trial_rel <= rel)
-        trial[worse], trial_res[worse], trial_rel[worse] = b[worse], rel_res[worse], rel[worse]
-        b, rel_res, rel = trial, trial_res, trial_rel
+        worse = within & ~(trial_rel <= rel)
+        trial[worse], trial_rel[worse] = b[worse], rel[worse]
+        b, rel, polished = trial, trial_rel, within
         steps += 1
-        done = polish | ~np.isfinite(rel) | ((rel > _TOL) & (steps == _MAX_ITER))
-        if not done.any():
-            continue
-        for j in np.flatnonzero(done & ~polish):
-            i = int(ids[j])
-            if j in singular:
-                errors[i] = singular[j]
-                continue
-            errors[i] = NoConvergence(
-                f"residual {rel[j]:.3e} > tol {_TOL:.1e} after {steps[j]} Newton steps "
-                f"at lambda={lam:.3e}",
-                residual=float(rel[j]),
-                iterations=int(steps[j]),
-            )
-        finished = ids[done]
-        rel_out[finished], steps_out[finished] = rel[done], steps[done]
-        b_out[ids[polish]] = b[polish]
-        if done.all():
-            return b_out, rel_out, steps_out, errors
-        keep = ~done
-        ids, psi, b, rel_res, rel, steps = (
-            x[keep] for x in (ids, psi, b, rel_res, rel, steps)
-        )
 
 
 def _matrices(m1, m2, b) -> tuple[np.ndarray, np.ndarray]:
@@ -332,10 +377,11 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
 
     Coefficients are as from ``_coeffs``, ``b`` holds the scales and
     ``f1_sq``, ``tau_sq`` hold the shared F1^2 and tau^2.  Each
-    L = -G^T S^{-1} G, with G = b * V and S = dr/du the Newton matrix at b,
+    L = -G^T S^{-1} G, with G = b * V and S = dr/du the Hessian of Phi at b,
     comes from one batched solve.  ``errors`` maps the points that already
-    failed to their exception; it gains ``LinAlgError`` for a singular S,
-    and every failed point reads NaN.  Warns ``IllConditionedWarning`` for
+    failed to their exception; it gains ``LinAlgError`` for a singular S and
+    ``InvalidSpec`` for a risk that is not finite, and every failed point
+    reads NaN.  Warns ``IllConditionedWarning`` for
     each scored point whose cond(S) exceeds ``COND_WARN_THRESHOLD`` or whose
     S is not positive definite, in order.
     """
@@ -369,9 +415,18 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
         errors[int(rows[j])] = err
     lr = -(np.swapaxes(gv, 1, 2) @ x)
     inv_md2 = 1.0 / (MD * MD)
-    bias_r = f1_sq * (inv_md2 + lr[:, 2, 3] + lr[:, 0, 3])
-    variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
-    risk[rows], bias[rows], variance[rows], L[rows] = bias_r + variance_r, bias_r, variance_r, lr
+    # F1^2 and tau^2 are finite, yet the risk they weigh may overflow; such a
+    # point fails with InvalidSpec.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bias_r = f1_sq * (inv_md2 + lr[:, 2, 3] + lr[:, 0, 3])
+        variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
+        risk_r = bias_r + variance_r
+    overflow = ~np.isfinite(risk_r)
+    for j in np.flatnonzero(overflow):
+        errors.setdefault(int(rows[j]), InvalidSpec(
+            f"risk overflows: bias {bias_r[j]:.3e} + variance {variance_r[j]:.3e} is not finite"))
+    risk_r[overflow] = bias_r[overflow] = variance_r[overflow] = lr[overflow] = np.nan
+    risk[rows], bias[rows], variance[rows], L[rows] = risk_r, bias_r, variance_r, lr
     return risk, bias, variance, L
 
 
@@ -393,16 +448,20 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     """Asymptotic excess risk of ``spec``: ``_theory`` at its one set of
     widths, raising its failure.
 
-    The scales are found by Newton's method in log b, starting from
-    b_j = psi_j / (sqrt(lam) + 1).  Each step is scaled down so that no
-    log b_j moves by more than 2, and is taken whatever it does to the
-    residual.  A solve fails as soon as its largest relative residual is not
-    finite, or when it has not brought that residual to 1e-12 within 100
-    steps.  A solve that reaches it takes one more Newton step, kept only if
-    it does not raise the residual, so that the root carries the digits of a
-    full step rather than stopping at the first iterate under the tolerance;
+    The scales are found by Newton's method on the module docstring's
+    F(log b_n, log s), starting from b_n = psi_n / (sqrt(lam) + 1) and
+    s = 1/2.  Each step is scaled down so that neither log b_n nor log s
+    moves by more than 2, and is taken whatever it does to the residual,
+    the largest relative residual of the full system at b_n and
+    b_c = psi_c / D_c.  A solve fails as soon as that residual is not
+    finite, then when the determinant of F's Hessian is not positive, or
+    when it has not brought the residual to 1e-12 within 100 steps.  A solve
+    that reaches it takes one more Newton step, kept only if it does not
+    raise the residual, so that the root carries the digits of a full step
+    rather than stopping at the first iterate under the tolerance;
     ``iterations`` counts that step.
-    Raises ``NoConvergence``, or ``LinAlgError`` for a singular Jacobian or S.
+    Raises ``NoConvergence``; ``LinAlgError`` for that determinant or a
+    singular S; or ``InvalidSpec`` for a risk that is not finite.
     """
     risk, bias, variance, L, b, residual, steps, errors = _theory(spec, np.array([spec.psi]))
     if errors:
@@ -415,26 +474,42 @@ def limit_risk_infinite_width(ls: LimitSpec) -> float:
     """Risk limit as every width grows in the fixed proportions ``ls.r``.
 
     The blocks enter only through lin = sum_c r_c mu_{c,1}^2 and
-    nonlin = sum_c r_c mu_{c,2}^2.
+    nonlin = sum_c r_c mu_{c,2}^2.  With chi the positive root of
+    nonlin chi^2 - a chi - psi_n lin = 0, a = (psi_n - 1) lin - nonlin, and
+    e = chi + 1, the risk is
+
+        F1^2 (nonlin + lin/e) / (e D)  +  tau^2 (chi/e) (lin/D),
+        D = nonlin e + lin/e,
+
+    the printed formula (F1^2 psi_n + tau^2 chi^2) / (e^2 psi_n - chi^2)
+    rewritten through the quadratic so that its denominator has no
+    cancellation and no factor overflows before the risk would.  Raises
+    ``InvalidSpec`` when chi or the risk is not finite in floating point.
     """
     # Only the direction of r matters.  Scaling it by a power of two that
     # brings its largest entry into [0.5, 1) is exact, and keeps lin, nonlin
     # and their product from overflowing or underflowing.
     _, e = math.frexp(max(ls.r))
     r = [math.ldexp(x, -e) for x in ls.r]
-    lin = sum(x * m.mu1 * m.mu1 for x, m in zip(r, ls.moments))
-    nonlin = sum(x * m.mu2_sq for x, m in zip(r, ls.moments))
-    coupling = lin * nonlin
-    if coupling <= 0.0:
+    lin = float(sum(x * m.mu1 * m.mu1 for x, m in zip(r, ls.moments)))
+    nonlin = float(sum(x * m.mu2_sq for x, m in zip(r, ls.moments)))
+    if lin * nonlin <= 0.0:
         raise DegenerateMoments(
             "need sum_c r_c mu_{c,1}^2 > 0 and sum_c r_c mu_{c,2}^2 > 0 for the width limit"
         )
-    a = (ls.psi_n - 1.0) * lin - nonlin
-    chi1 = a + math.sqrt(a * a + 4.0 * ls.psi_n * coupling)
-    chi0 = chi1 / (2.0 * nonlin)
-    return (ls.F1 ** 2 * ls.psi_n + ls.tau ** 2 * chi0 * chi0) / (
-        (chi0 + 1.0) ** 2 * ls.psi_n - chi0 * chi0
-    )
+    # In Python floats an overflow below gives inf, refused at the end,
+    # rather than a numpy warning.
+    psi_n = float(ls.psi_n)
+    a = (psi_n - 1.0) * lin - nonlin
+    # The root's two forms, each free of cancellation on its side of a = 0.
+    h = math.hypot(a, 2.0 * math.sqrt(psi_n) * math.sqrt(lin * nonlin))
+    chi = (a + h) / (2.0 * nonlin) if a >= 0.0 else 2.0 * psi_n * lin / (h - a)
+    e = chi + 1.0
+    d = nonlin * e + lin / e
+    risk = ls.F1 ** 2 * ((nonlin + lin / e) / (e * d)) + ls.tau ** 2 * (chi / e * (lin / d))
+    if not (math.isfinite(chi) and math.isfinite(risk)):
+        raise InvalidSpec(f"the width limit overflows at psi_n={psi_n:.3e}")
+    return risk
 
 
 def limit_risk_zero_width(spec: TheorySpec) -> float:

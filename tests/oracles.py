@@ -18,6 +18,8 @@ with bounds checks the package has no use for:
 * ``scaled_moments`` - the moment triple of a rescaled activation;
 * ``mp_risk`` - the risk by minimising Phi in mpmath at high precision and
   solving with H, the generator of the tests' high-precision constants;
+* ``mp_limit_risk`` - the infinite-width risk limit by its printed formula
+  in mpmath, an oracle for the overflow-free form the package evaluates;
 * ``box_spec`` - a seeded spec from a wide box of widths, ridges and
   moments, the solver's robustness battery;
 * ``reference_replication`` - one Monte Carlo replication of a config run
@@ -36,6 +38,7 @@ import numpy as np
 
 from multidescent import (
     EmpiricalConfig,
+    LimitSpec,
     eval_activation,
     replication_rng,
     Moments,
@@ -182,6 +185,24 @@ def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
         L = V.T * (mp.inverse(H) * V)
         F1, tau = mp.mpf(F1), mp.mpf(tau)
         return +(F1 ** 2 * (1 / md2 + L[2, 3] + L[0, 3]) + tau ** 2 * (L[1, 2] + L[0, 1]))
+
+
+def mp_limit_risk(ls: LimitSpec, dps=800):
+    """The infinite-width risk limit of ``ls`` in mpmath at ``dps`` digits,
+    by its printed formula: with lin = sum_c r_c mu_{c,1}^2,
+    nonlin = sum_c r_c mu_{c,2}^2, a = (psi_n - 1) lin - nonlin,
+    chi = (a + sqrt(a^2 + 4 psi_n lin nonlin)) / (2 nonlin), it is
+    (F1^2 psi_n + tau^2 chi^2) / ((chi + 1)^2 psi_n - chi^2).  mpmath's
+    exponent range has no overflow, and ``dps`` digits outlast the
+    cancellation in chi down to psi_n = 1e-300."""
+    with mp.workdps(dps):
+        r = [mp.mpf(x) for x in ls.r]
+        lin = mp.fsum(x * mp.mpf(m.mu1) ** 2 for x, m in zip(r, ls.moments))
+        nonlin = mp.fsum(x * mp.mpf(m.mu2_sq) for x, m in zip(r, ls.moments))
+        psi_n, f1, tau = mp.mpf(ls.psi_n), mp.mpf(ls.F1), mp.mpf(ls.tau)
+        a = (psi_n - 1) * lin - nonlin
+        chi = (a + mp.sqrt(a * a + 4 * psi_n * lin * nonlin)) / (2 * nonlin)
+        return +((f1 ** 2 * psi_n + tau ** 2 * chi ** 2) / ((chi + 1) ** 2 * psi_n - chi ** 2))
 
 
 def residual_vector(spec: TheorySpec, b) -> np.ndarray:

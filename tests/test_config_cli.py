@@ -39,7 +39,7 @@ from multidescent import config as config_module
 from multidescent.cli import _CONFIG_ERRORS, _SOLVER_ERRORS, ExitStatus, dispatch, main
 from multidescent.config import apply_overrides, load_raw, validate_config
 from multidescent.formatting import _float_cells
-from oracles import mp_risk
+from oracles import mp_limit_risk, mp_risk
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -518,6 +518,25 @@ class TestDispatch:
             risk = mp_risk([100, "0.01"], 100, [1, "0.25"], [0, relu_mu2_sq], "1e-12", 1, "0.1")
             assert abs(risk / mp.mpf(FAR_APART_RISK) - 1) < mp.mpf(10) ** -45
 
+    def test_theory_risk_overflow_is_config_error(self):
+        """F1 = tau = 1e154 have finite squares, but the risk they weigh
+        overflows: exit 2 with one line naming it, and no numpy warning."""
+        cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
+               "model": {"psi": [1.0], "psi_n": 2.0, "lambda": 0.1, "F1": 1e154, "tau": 1e154}}
+        assert _run("theory", cfg) == (
+            ExitStatus.CONFIG, "",
+            "InvalidSpec: risk overflows: bias 1.119e+308 + variance 8.079e+307 is not finite\n")
+
+    def test_limit_at_huge_sample_ratio(self):
+        """psi_n = 1e300 gives the finite limit of the mpmath evaluation,
+        with nothing on stderr."""
+        cfg = {"activations": [{"kind": "elu", "in_scale": 3.0}, {"kind": "relu", "in_scale": 0.25}],
+               "model": {"psi_n": 1e300, "tau": 0.1}}
+        status, out, err = _run("limit", cfg)
+        assert (status, err) == (ExitStatus.OK, "")
+        expected = float(mp_limit_risk(build_limit_spec(parse_config(_inline(cfg)))))
+        assert json.loads(out)["risk"] == pytest.approx(expected, rel=1e-11)
+
     def test_theory_solver_failure(self, monkeypatch):
         cfg = _minimal(**{"lambda": 1e-6})
         monkeypatch.setattr("multidescent.risk._MAX_ITER", 2)
@@ -797,6 +816,7 @@ class TestCliContract:
         pytest.param("theory", _figure(psi_n=1e-300), id="theory-psi-n-1e-300"),
         pytest.param("theory", _figure(psi_n=1e300), id="theory-psi-n-1e300"),
         pytest.param("theory", _figure(F1=1e150, tau=1e150), id="theory-F1-tau-1e150"),
+        pytest.param("sweep", _swept(_figure(F1=1e154, tau=1e154), [0.5, 1.0]), id="sweep-risk-overflows"),
         pytest.param("theory", {"activations": [{"kind": "identity"}, {"kind": "relu"}],
                                 "model": {"psi": [100, 0.01], "psi_n": 100, "lambda": 1e-12}},
                      id="theory-identity-relu-small-ridge"),

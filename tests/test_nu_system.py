@@ -22,7 +22,7 @@ from multidescent import (
     compute_moments,
     risk,
 )
-from oracles import NonPositiveInput, box_spec, residual_vector, verify_complex
+from oracles import NonPositiveInput, box_spec, mp_risk, residual_vector, verify_complex
 
 
 def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
@@ -142,6 +142,29 @@ class TestSolutionProperties:
                 assert np.max(np.abs(res) / np.array(spec.psi_full)) <= tol
                 assert verify_complex(spec, out.b) / max(spec.psi_full) <= 1e-11
                 assert np.all(out.b > 0.0)
+
+    def test_harsh_box_slice_converges(self):
+        """Every spec of a seeded slice of the harsh box (lambda log-uniform
+        over [1e-30, 1e-20], ratios over twelve decades, up to eight blocks)
+        converges from the cold start, its root passes the full residual
+        test and its risk is finite."""
+        for i in range(400):
+            spec = box_spec(np.random.default_rng([21, i]), lam_exp=(-30.0, -20.0), k_max=8)
+            out = asymptotic_risk(spec)
+            res = residual_vector(spec, out.b)
+            assert np.max(np.abs(res) / np.array(spec.psi_full)) <= risk._TOL, i
+            assert np.all(out.b > 0.0) and math.isfinite(out.risk), i
+
+    @pytest.mark.parametrize("index", [2, 2129, 4492, 6887])
+    def test_harsh_box_risk_matches_mpmath(self, index):
+        """Specs of the seeded harsh box at lambda from 3.9e-33 to 3.0e-25
+        and K = 8, 2, 6 and 3, whose scales lie 30 to 41 decades apart:
+        the risk matches ``mp_risk`` at 120 digits."""
+        spec = box_spec(np.random.default_rng([0, index]), lam_exp=(-33.0, 3.0), k_max=8)
+        out = asymptotic_risk(spec)
+        ref = mp_risk(spec.psi, spec.psi_n, [m.mu1 ** 2 for m in spec.moments],
+                      [m.mu2_sq for m in spec.moments], spec.lam, spec.F1, spec.tau, dps=120)
+        assert out.risk == pytest.approx(float(ref), rel=1e-10)
 
     def test_upper_bound(self):
         """All bracket terms are positive, so b_j <= psi_j / sqrt(lam)."""

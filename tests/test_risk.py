@@ -33,7 +33,7 @@ from multidescent import (
     run_sweep,
 )
 from multidescent.risk import _coeffs, _score
-from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2, potential
+from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2, mp_limit_risk, potential
 
 
 def _random_k2_spec(rng) -> TheorySpec:
@@ -406,6 +406,19 @@ class TestWidthLimits:
         assert errs[1] < errs[0] < 1e-1
         assert errs[1] < 1e-3
 
+    @pytest.mark.parametrize("psi_n", [1e-300, 1e-12, 0.5, 2.0, 1e12, 1e300, 1.7e308])
+    def test_extreme_sample_ratios_match_mpmath(self, psi_n):
+        """From psi_n = 1e-300 to the float range, the limit is finite, raises
+        no numpy warning and matches its printed formula evaluated in mpmath,
+        where the float form of that formula overflows or cancels."""
+        ms = (Moments(0.3, 0.9, 0.5), Moments(0.1, 0.4, 1.1))
+        for F1, tau in ((1.2, 0.4), (0.0, 1.0)):
+            ls = LimitSpec(r=(1.0, 2.0), psi_n=psi_n, moments=ms, F1=F1, tau=tau)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                risk = limit_risk_infinite_width(ls)
+            assert risk == pytest.approx(float(mp_limit_risk(ls)), rel=1e-14)
+
     def test_zero_width(self):
         spec = TheorySpec(
             psi=(1.0,), psi_n=2.0, moments=(Moments(0, 1, 0.5),), lam=0.1, F1=1.7
@@ -523,6 +536,13 @@ class TestErrorPaths:
                 LimitSpec(r=(1.0,), psi_n=2.0, moments=ms, **bad)
         big = TheorySpec(psi=(1.0,), psi_n=2.0, moments=ms, lam=0.1, F1=1e150, tau=1e150)
         assert math.isfinite(asymptotic_risk(big).risk)
+
+    def test_limit_whose_root_overflows_is_refused(self):
+        """A root chi beyond the float range is refused by name rather than
+        read as a risk of 0."""
+        ls = LimitSpec(r=(1.0,), psi_n=1e300, moments=(Moments(0.0, 1e150, 1e-150),), tau=1.0)
+        with pytest.raises(InvalidSpec, match=r"^the width limit overflows at psi_n=1\.000e\+300$"):
+            limit_risk_infinite_width(ls)
 
     def test_limit_spec_validation(self):
         ms = (Moments(0, 1, 1), Moments(0, 1, 1))

@@ -248,6 +248,25 @@ class TestTheoryPass:
         assert failed.error.startswith("NoConvergence: residual ")
         assert math.isnan(failed.theory_risk)
 
+    def test_overflowing_risk_fails_its_point(self):
+        """F1 = tau = 1e154 have finite squares, but at c = 0.5 the risk they
+        weigh overflows: that row fails with ``InvalidSpec`` and no numpy
+        warning, and the row at c = 0.001, whose risk is finite, equals
+        ``asymptotic_risk`` at its widths."""
+        cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
+               "model": {"psi": [1.0], "psi_n": 2.0, "lambda": 0.1, "F1": 1e154, "tau": 1e154},
+               "sweep": {"c_grid": [0.001, 0.5]}}
+        spec = build_sweep_spec(parse_config(json.dumps(cfg)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, failed = run_sweep(spec).rows
+        direct = asymptotic_risk(replace(spec.base, psi=ok.psi))
+        assert ok.error is None and (ok.theory_risk, ok.solver_iterations) == (direct.risk, direct.iterations)
+        assert failed.error == ("InvalidSpec: risk overflows: bias 1.119e+308 + variance 8.079e+307 "
+                                "is not finite")
+        assert math.isnan(failed.theory_risk) and math.isnan(failed.theory_bias)
+        assert failed.solver_iterations is None
+
     def test_row_prints_theory_command_digits(self):
         """Through the CLI, every row of the criterion-07 sweep prints the
         numbers the ``theory`` command prints at that row's widths."""
@@ -351,10 +370,11 @@ class TestTheoryPass:
         assert (failed > 0) == (max_iter == 7)
 
     def test_singular_jacobian_fails_its_point_alone(self):
-        """At c = 1e-323 the cold-start scale b_1 = psi_1/4 underflows to 0, so
-        that point's Newton matrix is singular: it fails with ``LinAlgError``
-        and no numpy warning, and the other rows equal ``asymptotic_risk`` at
-        their widths bit for bit, through the library and the CLI."""
+        """At c = 1e-323 the scale b_1 = psi_1/D_1 underflows to 0, so that
+        point's relative residual stays at 1: it fails with ``NoConvergence``
+        at the step cap and no numpy warning, and the other rows equal
+        ``asymptotic_risk`` at their widths bit for bit, through the library
+        and the CLI."""
         cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
                "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 9.0},
                "sweep": {"c_grid": [1e-323, 0.5, 1.0]}}
@@ -362,7 +382,8 @@ class TestTheoryPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = run_sweep(spec).rows
-        assert rows[0].error == "LinAlgError: Singular matrix"
+        cap = "NoConvergence: residual 1.000e+00 > tol 1.0e-12 after 100 Newton steps at lambda=9.000e+00"
+        assert rows[0].error == cap
         assert math.isnan(rows[0].theory_risk) and rows[0].solver_iterations is None
         for row in rows[1:]:
             direct = asymptotic_risk(replace(spec.base, psi=row.psi))
@@ -371,7 +392,7 @@ class TestTheoryPass:
                 direct.risk, direct.bias, direct.variance, direct.iterations)
         out, err = io.StringIO(), io.StringIO()
         assert dispatch("sweep", parse_config(json.dumps(cfg)), out, err) == ExitStatus.OK
-        assert err.getvalue() == "sweep: 1 of 3 grid points failed (first: LinAlgError: Singular matrix)\n"
+        assert err.getvalue() == f"sweep: 1 of 3 grid points failed (first: {cap})\n"
 
     def test_metadata(self):
         spec = SweepSpec(base=_base(), ratios=(1.0, 2.0), c_grid=(0.5, 1.0))
