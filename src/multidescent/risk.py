@@ -27,7 +27,12 @@ in u_n = log b_n.  Its gradient (r_n at those b_c, s (1 + T) - 1) vanishes
 exactly at the root, where s = 1 / (1 + T).  The solver is Newton's method
 on F with its closed-form 2x2 Hessian, O(K) a step; capping each step in
 (u_n, sigma) is its only safeguard, and a root is accepted on the relative
-residuals r_j / psi_j of the full system.
+residuals r_j / psi_j of the full system, formed from the sums the step
+takes.  Each point starts cold at s = 1/2 and a b_n of closed form: the
+root of d F / d u_n = 0 with every block given one width-weighted moment,
+which has b_n's own order as lam -> 0+ (b_n ~ 1/sqrt(lam) where
+sum_c psi_c < psi_n, with b_n's exact limit, and b_n ~ sqrt(lam) where
+sum_c psi_c > psi_n).
 
 The risk differentiates Phi at its root.  It splits as
 
@@ -189,6 +194,14 @@ _MAX_ITER = 100
 # Largest change of log b_n or log s in one Newton step.
 _MAX_LOG_STEP = 2.0
 
+# The s = 1 / (1 + T) every solve starts from, and at which its start
+# weighs the block moments.
+_S0 = 0.5
+
+# The smallest normal float: a block scale below it fails the residual test
+# (see ``_step``).
+_TINY = np.finfo(float).tiny
+
 # cond(S) above which a risk warns.
 COND_WARN_THRESHOLD = 1e12
 
@@ -219,24 +232,9 @@ def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
         return x, errors
 
 
-def _residuals(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    """Residuals of each row of ``b``; coefficients as from ``_coeffs``.
-
-    With w_c = b_n (m2_c + m1_c / (1 + T)), equation c reads
-    b_c (sqrt(lam) + w_c) = psi_c and the last one
-    b_n sqrt(lam) + sum_c b_c w_c = psi_n.
-    """
-    bc, bn = b[:, :-1], b[:, -1:]
-    opt = 1.0 + bn * (m1 * bc).sum(axis=1, keepdims=True)
-    bw = bc * (bn * (m2 + m1 / opt))
-    res = b * sqrt_lam - psi
-    res[:, :-1] += bw
-    res[:, -1] += bw.sum(axis=1)
-    return res
-
-
 def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    """d(r_i / psi_i) / d(log b_j) of the residuals above, one matrix per row."""
+    """d(r_i / psi_i) / d(log b_j) of the residuals r of the module
+    docstring's system at each row of ``b``, one matrix per row."""
     bc, bn = b[:, :-1], b[:, -1:]
     s1 = (m1 * bc).sum(axis=1, keepdims=True)
     opt = 1.0 + bn * s1
@@ -251,38 +249,75 @@ def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
     return jac * (b[:, None, :] / psi[:, :, None])
 
 
-def _reduced_step(psi, m, sqrt_lam, v):
-    """The scales b (G, K+1) at the G points v = (log b_n, log s) (G, 2), and
-    there the Newton step H^-1 grad (G, 2) of the reduced potential F and the
-    determinant of its Hessian H (G,).  ``psi`` is as from ``_coeffs`` and
-    ``m`` (K, 3) holds each block's m1, m2 and m1 m2.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _start(psi, m1, m2, lam):
+    """The cold start b_n (G,) of each of the G points of one model;
+    coefficients as from ``_coeffs``.
+
+    It is the positive root of a sqrt(lam) b^2 + (lam + (P - psi_n) a) b
+    - psi_n sqrt(lam) = 0, with P = sum_c psi_c and a = sum_c psi_c
+    (m2_c + m1_c s0) / P the width-weighted block moment at s0 = 1/2: the
+    equation grad_n F = 0 with every block given the moment a.  As
+    lam -> 0+ the root has b_n's own order on both sides of P = psi_n:
+    where P < psi_n, sqrt(lam) b_n -> psi_n - P, b_n's exact limit; where
+    P > psi_n, b_n / sqrt(lam) -> psi_n / ((P - psi_n) a); at P = psi_n it
+    stays finite.  Each sign of the middle coefficient takes the form of
+    the root free of cancellation; a = 0 gives psi_n / sqrt(lam).  The form
+    not taken may divide by zero; it is discarded.
+    """
+    sqrt_lam, psi_n = math.sqrt(lam), psi[:, -1]
+    total = psi[:, :-1].sum(axis=1)
+    a = (psi[:, :-1] * (m2 + _S0 * m1)).sum(axis=1) / total
+    mid = lam + (total - psi_n) * a
+    h = np.hypot(mid, 2.0 * sqrt_lam * np.sqrt(a * psi_n))
+    return np.where(mid >= 0.0, 2.0 * sqrt_lam * psi_n / (mid + h), (h - mid) / (2.0 * sqrt_lam * a))
+
+
+def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
+    """At the G points (u, sigma) = (log b_n, log s), each (G,): the block
+    scales b_c (G, K) and b_n, the Newton step (du, dsigma) = H^-1 grad F,
+    the determinant of F's Hessian H and the largest relative residual of
+    the full K+1 system at (b_c, b_n).  ``psi_c`` (G, K) and ``psi_n`` (G,)
+    are the widths and ``m`` (K, 3) holds each block's m1, m2 and m1 m2.
 
     Block c's scale is b_c = psi_c / D_c with D_c = sqrt(lam) + b_n (m1_c s + m2_c).
     With the sums S_x = sum_c b_c x_c and R_x = sum_c b_c x_c / D_c over
-    x = m1, m2 or m1 m2,
-    grad F = (b_n (sqrt(lam) + s S_m1 + S_m2) - psi_n, s (1 + b_n S_m1) - 1)
+    x = m1, m2 or m1 m2, and T = b_n S_m1,
+    grad F = (g_n, g_s) = (b_n (sqrt(lam) + s S_m1 + S_m2) - psi_n, s (1 + T) - 1)
     and H = [[P + C, C], [C, Q + C]] with P = sqrt(lam) b_n (1 + R_m2),
     C = sqrt(lam) b_n s R_m1 and Q = s (1 + b_n^2 R_m1m2).  The determinant
     PQ + C(P + Q) is a sum of terms >= 0, so it keeps its digits where H is
     nearly singular, as at a tiny ridge.
+
+    As b_c D_c = psi_c, the residuals of the full system at (b_c, b_n) are
+    r_c / psi_c = -b_n m1_c k / D_c and r_n = g_n - T k, with k = g_s / (1 + T).
+    A block scale below the normal float range has lost the bits that
+    b_c D_c = psi_c assumes: such a point reads a relative residual of 1,
+    exact where the scale underflowed to 0 and its equation reads -psi_c.
     """
-    bn, s = np.exp(v).T
+    bn, s = np.exp(u), np.exp(sigma)
     d = sqrt_lam + bn[:, None] * (np.multiply.outer(s, m[:, 0]) + m[:, 1])
-    bc = psi[:, :-1] / d
+    bc = psi_c / d
     s1, s2 = (bc @ m[:, :2]).T
     r1, r2, r12 = ((bc / d) @ m).T
-    g_n = bn * (sqrt_lam + s * s1 + s2) - psi[:, -1]
-    g_s = s * (1.0 + bn * s1) - 1.0
-    p = sqrt_lam * bn * (1.0 + r2)
-    c = sqrt_lam * bn * s * r1
+    t = bn * s1
+    opt = 1.0 + t
+    g_n = bn * (sqrt_lam + s * s1 + s2) - psi_n
+    g_s = s * opt - 1.0
+    lb = sqrt_lam * bn
+    p = lb * (1.0 + r2)
+    c = lb * s * r1
     q = s * (1.0 + bn * bn * r12)
     det = p * q + c * (p + q)
-    step = np.column_stack(((q + c) * g_n - c * g_s, (p + c) * g_s - c * g_n)) / det[:, None]
-    return np.column_stack((bc, bn)), step, det
+    du = ((q + c) * g_n - c * g_s) / det
+    dsigma = ((p + c) * g_s - c * g_n) / det
+    k = g_s / opt
+    rel = np.maximum(np.abs(g_n - t * k) / psi_n, bn * np.abs(k) * (m[:, 0] / d).max(axis=1))
+    return bc, bn, du, dsigma, det, np.maximum(rel, (bc < _TINY).any(axis=1))
 
 
-# A width so small that its scale underflows to 0 pins that block's relative
-# residual at 1, and one near the float range overflows the scales, the
+# A width so small that its scale falls below the normal float range pins
+# that block's relative residual at 1, and one near the float range overflows the scales, the
 # residuals or the Newton matrix to inf and NaN.  Such a point fails loudly
 # all the same: at the step cap, on a residual that is not finite, or on a
 # determinant that is not positive.
@@ -299,18 +334,18 @@ def _newton(psi, m1, m2, lam):
     ``asymptotic_risk``'s docstring.
     """
     g = len(psi)
-    sqrt_lam = np.sqrt(lam)
+    sqrt_lam = math.sqrt(lam)
     m = np.column_stack((m1, m2, m1 * m2))
-    v = np.column_stack((np.log(psi[:, -1] / (sqrt_lam + 1.0)), np.full(g, math.log(0.5))))
-    b, step, det = _reduced_step(psi, m, sqrt_lam, v)
-    rel = np.abs(_residuals(psi, m1, m2, sqrt_lam, b) / psi).max(axis=1)
+    psi_c, psi_n = psi[:, :-1], psi[:, -1]
+    u, sigma = np.log(_start(psi, m1, m2, lam)), np.full(g, math.log(_S0))
+    bc, bn, du, dsigma, det, rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
     steps = np.zeros(g, dtype=int)
     polished = np.zeros(g, dtype=bool)
     # The arrays compacted below hold the points still iterating and ids maps
     # them to the stack; each point's results move to the outputs when it
     # leaves.
     ids = np.arange(g)
-    b_out, rel_out, steps_out = np.full(b.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
+    b_out, rel_out, steps_out = np.full(psi.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
     errors: dict = {}
     while True:
         within = rel <= _TOL
@@ -335,23 +370,24 @@ def _newton(psi, m1, m2, lam):
                 )
             finished = ids[done]
             rel_out[finished], steps_out[finished] = rel[done], steps[done]
-            b_out[ids[polished]] = b[polished]
+            b_out[ids[polished], :-1], b_out[ids[polished], -1] = bc[polished], bn[polished]
             if done.all():
                 return b_out, rel_out, steps_out, errors
             keep = ~done
-            ids, psi, v, b, step, rel, steps, within = (
-                x[keep] for x in (ids, psi, v, b, step, rel, steps, within)
+            ids, psi_c, psi_n, u, sigma, bc, bn, du, dsigma, rel, steps, within = (
+                x[keep] for x in (ids, psi_c, psi_n, u, sigma, bc, bn, du, dsigma, rel, steps, within)
             )
-        step *= _MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP)[:, None]
+        scale = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
         # A point already within tol takes its last, polishing step; the
         # others take theirs whatever it does to the residual.
-        v = v - step
-        trial, step, det = _reduced_step(psi, m, sqrt_lam, v)
-        trial_rel = np.abs(_residuals(psi, m1, m2, sqrt_lam, trial) / psi).max(axis=1)
+        u = u - du * scale
+        sigma = sigma - dsigma * scale
+        trial_bc, trial_bn, du, dsigma, det, trial_rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
         # The polishing step is undone where it raises the residual.
         worse = within & ~(trial_rel <= rel)
-        trial[worse], trial_rel[worse] = b[worse], rel[worse]
-        b, rel, polished = trial, trial_rel, within
+        if worse.any():
+            trial_bc[worse], trial_bn[worse], trial_rel[worse] = bc[worse], bn[worse], rel[worse]
+        bc, bn, rel, polished = trial_bc, trial_bn, trial_rel, within
         steps += 1
 
 
@@ -395,32 +431,33 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
         return risk, bias, variance, L
     if rows.size < g:
         psi, b = psi[rows], b[rows]
-    MD, v = _matrices(m1, m2, b)
-    s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
-    # S is the Hessian of a strictly convex potential, positive definite at
-    # a root, so its condition number is the ratio of its extreme eigenvalues.
-    eig = np.linalg.eigvalsh(s)
-    cond = np.full(len(b), np.inf)
-    definite = eig[:, 0] > 0.0
-    cond[definite] = eig[definite, -1] / eig[definite, 0]
+    # F1^2 and tau^2 are finite, yet the risk they weigh may overflow, and so
+    # may the matrices of a root whose scales lie near the ends of the float
+    # range; such a point fails with InvalidSpec.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        MD, v = _matrices(m1, m2, b)
+        s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
+        # S is the Hessian of a strictly convex potential, positive definite
+        # at a root, so its condition number is the ratio of its extreme
+        # eigenvalues.
+        eig = np.linalg.eigvalsh(s)
+        cond = np.full(len(b), np.inf)
+        definite = eig[:, 0] > 0.0
+        cond[definite] = eig[definite, -1] / eig[definite, 0]
+        gv = b[:, :, None] * v
+        x, singular = _solve_stack(s, gv)
+        lr = -(np.swapaxes(gv, 1, 2) @ x)
+        bias_r = f1_sq * (1.0 / (MD * MD) + lr[:, 2, 3] + lr[:, 0, 3])
+        variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
+        risk_r = bias_r + variance_r
     for c in cond[cond > COND_WARN_THRESHOLD]:
         warnings.warn(
             f"cond(S) = {c:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; risk may be inaccurate",
             IllConditionedWarning,
             stacklevel=4,  # _score <- _theory <- a public entry point <- its caller
         )
-    gv = b[:, :, None] * v
-    x, singular = _solve_stack(s, gv)
     for j, err in singular.items():
         errors[int(rows[j])] = err
-    lr = -(np.swapaxes(gv, 1, 2) @ x)
-    inv_md2 = 1.0 / (MD * MD)
-    # F1^2 and tau^2 are finite, yet the risk they weigh may overflow; such a
-    # point fails with InvalidSpec.
-    with np.errstate(over="ignore", invalid="ignore"):
-        bias_r = f1_sq * (inv_md2 + lr[:, 2, 3] + lr[:, 0, 3])
-        variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
-        risk_r = bias_r + variance_r
     overflow = ~np.isfinite(risk_r)
     for j in np.flatnonzero(overflow):
         errors.setdefault(int(rows[j]), InvalidSpec(
@@ -449,8 +486,9 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     widths, raising its failure.
 
     The scales are found by Newton's method on the module docstring's
-    F(log b_n, log s), starting from b_n = psi_n / (sqrt(lam) + 1) and
-    s = 1/2.  Each step is scaled down so that neither log b_n nor log s
+    F(log b_n, log s), starting from s = 1/2 and the closed-form b_n of
+    ``_start``, which depends on the point's own widths, moments and lambda
+    alone.  Each step is scaled down so that neither log b_n nor log s
     moves by more than 2, and is taken whatever it does to the residual,
     the largest relative residual of the full system at b_n and
     b_c = psi_c / D_c.  A solve fails as soon as that residual is not

@@ -50,7 +50,8 @@ class ShapeMismatch(ValueError):
 
 
 class SolveFailure(RuntimeError):
-    """Ridge system could not be factorized (NaN/Inf inputs)."""
+    """A replication failed: its ridge system could not be factorized
+    (NaN/Inf inputs), or its excess risk is not finite."""
 
 
 # float64 entries (1 GiB) that the arrays of one replication may hold: the
@@ -210,13 +211,21 @@ def excess_risk_on(
     F0: float,
     X_test: np.ndarray,
 ) -> float:
-    """Mean squared gap to the noiseless target over the given test inputs."""
+    """Mean squared gap to the noiseless target over the given test inputs.
+
+    Raises ``SolveFailure`` when it is not finite, as when a target near
+    the float range overflows its square.
+    """
     d = Theta.shape[1]
     z = feature_matrix(X_test, Theta, acts, n_split)
-    preds = math.sqrt(d) * (z @ ahat)
-    targets = X_test @ beta1 + F0
-    gap = targets - preds
-    return float(np.mean(gap * gap))
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = math.sqrt(d) * (z @ ahat)
+        targets = X_test @ beta1 + F0
+        gap = targets - preds
+        risk = float(np.mean(gap * gap))
+    if not math.isfinite(risk):
+        raise SolveFailure(f"excess risk {risk} is not finite")
+    return risk
 
 
 def _replicate(cfg: EmpiricalConfig, counts: Sequence[tuple[int, ...]],
@@ -243,11 +252,10 @@ def _replicate(cfg: EmpiricalConfig, counts: Sequence[tuple[int, ...]],
         Theta = rows[:m]
         try:
             ahat = ridge_fit(feature_matrix(X, Theta, cfg.activations, N), y, cfg.lam, cfg.d)
+            out.append(excess_risk_on(ahat, Theta, cfg.activations, N, beta1, cfg.F0,
+                                      rows[m:m + cfg.n_test]))
         except SolveFailure as err:
             out.append(SolveFailure(f"replication {index}: {err}"))
-            continue
-        out.append(excess_risk_on(ahat, Theta, cfg.activations, N, beta1, cfg.F0,
-                                  rows[m:m + cfg.n_test]))
     return out
 
 
@@ -342,8 +350,15 @@ def run_experiments(
 
 
 def _summary(per: np.ndarray) -> EmpiricalRisk:
-    se = float(np.std(per, ddof=1) / math.sqrt(per.size)) if per.size > 1 else 0.0
-    return EmpiricalRisk(per_replication=per, mean=float(np.mean(per)), std_error=se)
+    """Mean and standard error of finite per-replication risks.  Both are
+    taken of the risks scaled by the power of two that brings the largest
+    into [0.5, 1), so that no sum or square overflows, and scaled back;
+    that scaling is exact, so in-range risks keep every bit."""
+    _, e = math.frexp(float(np.max(per)))
+    scaled = np.ldexp(per, -e)
+    mean = math.ldexp(float(np.mean(scaled)), e)
+    sd = math.ldexp(float(np.std(scaled, ddof=1)), e) if per.size > 1 else 0.0
+    return EmpiricalRisk(per_replication=per, mean=mean, std_error=sd / math.sqrt(per.size))
 
 
 def run_experiment(cfg: EmpiricalConfig, workers: int | None = None) -> EmpiricalRisk:

@@ -161,8 +161,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate the full grid; theory always, finite-size runs when configured.
 
     The theory pass solves and scores the whole grid as one stack of
-    arrays, with no per-point spec or result objects, every point from a
-    cold start, so a row depends on its own c alone.
+    arrays, with no per-point spec or result objects, every point from the
+    closed-form start of its own widths (``risk._start``), so a row
+    depends on its own c alone.
     A failing point records its error in the row and leaves NaNs instead
     of aborting the sweep.
     ``workers`` threads run every replication of every point, in one
@@ -201,15 +202,23 @@ def csv_text(result: SweepResult) -> str:
     """Fixed-schema CSV: one row per grid point, LF newlines, 12-digit numbers."""
     if not result.rows:
         raise EmptyGrid("no rows to write")
-    k = len(result.rows[0].psi)
-    lines = [csv_header(k)]
-    for row in result.rows:
-        emp = [math.nan if v is None else v for v in (row.emp_mean, row.emp_se)]
-        cells = _float_cells([row.c, *row.psi, row.psi_n, row.lam,
-                              row.theory_risk, row.theory_bias, row.theory_variance, *emp])
-        cells += ["" if v is None else str(v) for v in (row.replications, row.solver_iterations)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = result.rows
+    floats = zip(*((r.c, *r.psi, r.psi_n, r.lam, r.theory_risk, r.theory_bias, r.theory_variance,
+                    math.nan if r.emp_mean is None else r.emp_mean,
+                    math.nan if r.emp_se is None else r.emp_se) for r in rows))
+    columns = [_column_cells(values) for values in floats]
+    columns += [["" if v is None else str(v) for v in values]
+                for values in ([r.replications for r in rows], [r.solver_iterations for r in rows])]
+    k = len(rows[0].psi)
+    return "\n".join([csv_header(k), *map(",".join, zip(*columns))]) + "\n"
+
+
+def _column_cells(values: tuple) -> list[str]:
+    """The cells of one float column; a constant column, such as psi_n or
+    lambda, is formatted once (values that compare equal format alike)."""
+    if values.count(values[0]) == len(values):
+        return _float_cells(values[:1]) * len(values)
+    return _float_cells(values)
 
 
 def write_csv(result: SweepResult, path) -> None:

@@ -7,7 +7,9 @@ with bounds checks the package has no use for:
   an oracle for the matrix route of ``asymptotic_risk``;
 * ``verify_complex`` - the scale system in its original complex form, an
   oracle for the real-variable Newton solve;
-* ``residual_vector`` - the solver's own real residuals at a candidate b;
+* ``residual_vector`` - the real residuals of the full K+1 system at a
+  candidate b, equation by equation, an oracle for the residual the solver
+  accepts a root on;
 * ``potential`` - the convex potential Phi whose gradient in log b those
   residuals are, an oracle for the root being its minimum;
 * ``build_matrices`` - the framework matrices H and V at one point, H by
@@ -46,7 +48,7 @@ from multidescent import (
     TheoryRisk,
     TheorySpec,
 )
-from multidescent.risk import _coeffs, _matrices, _residuals
+from multidescent.risk import _coeffs, _matrices
 from multidescent.sweep import _counts_at, _grid_psi
 
 
@@ -206,18 +208,26 @@ def mp_limit_risk(ls: LimitSpec, dps=800):
 
 
 def residual_vector(spec: TheorySpec, b) -> np.ndarray:
-    """Residuals of the positive-variable system at candidate ``b``.
+    """Residuals of the positive-variable system at candidate ``b``, each
+    equation evaluated as printed in the ``risk`` module docstring.
 
-    ``b`` must have K+1 strictly positive entries; the residual is zero at
-    the solution.
+    With w_c = b_n (m2_c + m1_c / (1 + T)), equation c reads
+    b_c (sqrt(lam) + w_c) = psi_c and the last one
+    b_n sqrt(lam) + sum_c b_c w_c = psi_n.  ``b`` must have K+1 strictly
+    positive entries; the residual is zero at the solution.
     """
     b = np.asarray(b, dtype=float).ravel()
     if b.size != spec.K + 1:
         raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
     if not np.all(b > 0.0):
         raise NonPositiveInput("all entries of b must be > 0")
-    psi, m1, m2, lam = _coeffs(spec, np.array([spec.psi]))
-    return _residuals(psi, m1, m2, np.sqrt(lam), b[None])[0]
+    (psi,), m1, m2, lam = _coeffs(spec, np.array([spec.psi]))
+    bc, bn = b[:-1], b[-1]
+    bw = bc * (bn * (m2 + m1 / (1.0 + bn * (m1 * bc).sum())))
+    res = b * math.sqrt(lam) - psi
+    res[:-1] += bw
+    res[-1] += bw.sum()
+    return res
 
 
 def potential(spec: TheorySpec, u) -> float:

@@ -822,6 +822,9 @@ class TestCliContract:
                      id="theory-identity-relu-small-ridge"),
         pytest.param("simulate", _figure_counts(**{"lambda": 1e-300}), id="simulate-lambda-1e-300"),
         pytest.param("simulate", _figure_counts(**{"lambda": 1e300}), id="simulate-lambda-1e300"),
+        pytest.param("simulate", _figure_counts(F0=1e300), id="simulate-F0-1e300"),
+        pytest.param("simulate", _figure_counts(F1=1e150), id="simulate-F1-1e150"),
+        pytest.param("simulate", _figure_counts(tau=1e150), id="simulate-tau-1e150"),
     ])
     def test_status_and_stderr(self, command, cfg, capsys):
         status = main([command, "--config", _inline(cfg)])

@@ -537,6 +537,15 @@ class TestErrorPaths:
         big = TheorySpec(psi=(1.0,), psi_n=2.0, moments=ms, lam=0.1, F1=1e150, tau=1e150)
         assert math.isfinite(asymptotic_risk(big).risk)
 
+    def test_root_whose_matrices_overflow_fails_quietly(self):
+        """Widths of 1e307 at psi_n = 2 and lambda = 1 have a root, with b_n
+        near the smallest normal float, whose score matrices overflow: the
+        point fails with ``InvalidSpec`` and no numpy warning."""
+        spec = TheorySpec(psi=(1e307, 1e307), psi_n=2.0, lam=1.0,
+                          moments=(Moments(0.0, 0.9, 0.5), Moments(0.0, 0.4, 1.1)))
+        with pytest.warns(IllConditionedWarning), pytest.raises(InvalidSpec, match="^risk overflows: "):
+            asymptotic_risk(spec)
+
     def test_limit_whose_root_overflows_is_refused(self):
         """A root chi beyond the float range is refused by name rather than
         read as a risk of 0."""
