@@ -38,13 +38,20 @@ The risk differentiates Phi at its root.  It splits as
 
     risk = F1^2 * (1/MD^2 + L[3,4] + L[1,4])  +  tau^2 * (L[2,3] + L[1,2])
 
-(1-based indices) with L = -G^T S^{-1} G, G = b * V and MD, V real forms of
-the framework's auxiliary quantities (each squared scale nu_j^2 enters as
--b_j^2).  One model at a stack of block widths, such as the points of a
-sweep grid, is solved and scored at once with batched arithmetic; each
-point keeps its own steps and failure.  The two width limits (infinitely
-wide at fixed block proportions, for any K, and vanishingly narrow) have
-closed forms.
+(1-based indices) with L = -G^T S^{-1} G, G = b * V and MD = -(1 + T), V
+real forms of the framework's auxiliary quantities (each squared scale
+nu_j^2 enters as -b_j^2).  L has a closed form, O(K) a point, no matrix
+solve: with s = 1/(1 + T), S = A - s^2 w w^T for w = (m1_c b_n b_c | T) and
+the arrowhead A with A_cc = b_c D_c, A_cn = a_c = b_n b_c (m2_c + m1_c s)
+and A_nn = sqrt(lam) b_n + sum_c a_c.  G's columns and w lie in the span
+of P = ((m2_c b_c | 0), e_n, (m1_c b_c | 0)), so L = -C^T (P^T S^{-1} P) C
+with C holding V's coefficients; A's Schur complement on b_n's row,
+sigma = sqrt(lam) (b_n + sum_c a_c / D_c), a sum of positive terms, gives
+P^T A^{-1} P, and Sherman-Morrison adds the rank-one term.  One model at a
+stack of block widths, such as the points of a sweep grid, is solved and
+scored at once with batched arithmetic; each point keeps its own steps and
+failure.  The two width limits (infinitely wide at fixed block proportions,
+for any K, and vanishingly narrow) have closed forms.
 """
 
 from __future__ import annotations
@@ -76,8 +83,9 @@ class InvalidSpec(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Newton's method missed the tolerance within its step cap, or its
-    residual stopped being finite."""
+    """Newton's method missed the tolerance within its step cap, its
+    residual stopped being finite, or a block scale lies below the normal
+    float range whatever the step."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -143,9 +151,10 @@ class DegenerateMoments(ValueError):
 
 
 class IllConditionedWarning(UserWarning):
-    """The matrix S = dr/du that the risk solves, the Hessian of Phi, is
-    numerically ill-conditioned (cond(S) above ``COND_WARN_THRESHOLD``, or S
-    not positive definite); the risk value may lose digits."""
+    """The matrix S = dr/du through which the risk is scored, the Hessian of
+    Phi, is numerically ill-conditioned (cond(S) above
+    ``COND_WARN_THRESHOLD``, or S not positive definite); the risk value may
+    lose digits."""
 
 
 @dataclass
@@ -199,7 +208,8 @@ _MAX_LOG_STEP = 2.0
 _S0 = 0.5
 
 # The smallest normal float: a block scale below it fails the residual test
-# (see ``_step``).
+# (see ``_step``).  As D_c >= sqrt(lam), b_c <= psi_c / sqrt(lam): a point
+# where that bound lies below it fails before its first step.
 _TINY = np.finfo(float).tiny
 
 # cond(S) above which a risk warns.
@@ -213,23 +223,6 @@ def _coeffs(base: TheorySpec, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     m1 = np.array([m.mu1 * m.mu1 for m in base.moments])
     m2 = np.array([m.mu2_sq for m in base.moments])
     return psi_full, m1, m2, base.lam
-
-
-def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``np.linalg.solve`` over a stack, where a singular matrix fails only its
-    own entry: returns the solutions (NaN where singular) and the
-    ``LinAlgError`` of each singular entry by index (empty when none is)."""
-    try:
-        return np.linalg.solve(a, rhs), {}
-    except np.linalg.LinAlgError:
-        x = np.full(rhs.shape, np.nan)
-        errors = {}
-        for i in range(len(a)):
-            try:
-                x[i] = np.linalg.solve(a[i], rhs[i])
-            except np.linalg.LinAlgError as err:
-                errors[i] = err
-        return x, errors
 
 
 def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
@@ -316,11 +309,10 @@ def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
     return bc, bn, du, dsigma, det, np.maximum(rel, (bc < _TINY).any(axis=1))
 
 
-# A width so small that its scale falls below the normal float range pins
-# that block's relative residual at 1, and one near the float range overflows the scales, the
-# residuals or the Newton matrix to inf and NaN.  Such a point fails loudly
-# all the same: at the step cap, on a residual that is not finite, or on a
-# determinant that is not positive.
+# A width near the float range overflows the scales, the residuals or the
+# Newton matrix to inf and NaN, and a scale below the normal float range pins
+# its block's relative residual at 1.  Such a point fails loudly all the same:
+# at once, at the step cap, on a residual not finite or a determinant not > 0.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton(psi, m1, m2, lam):
     """Newton's method on the reduced potential F(log b_n, log s) of the G
@@ -336,17 +328,25 @@ def _newton(psi, m1, m2, lam):
     g = len(psi)
     sqrt_lam = math.sqrt(lam)
     m = np.column_stack((m1, m2, m1 * m2))
-    psi_c, psi_n = psi[:, :-1], psi[:, -1]
-    u, sigma = np.log(_start(psi, m1, m2, lam)), np.full(g, math.log(_S0))
-    bc, bn, du, dsigma, det, rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
-    steps = np.zeros(g, dtype=int)
-    polished = np.zeros(g, dtype=bool)
+    b_out, rel_out, steps_out = np.full(psi.shape, np.nan), np.ones(g), np.zeros(g, dtype=int)
+    errors: dict = {}
     # The arrays compacted below hold the points still iterating and ids maps
     # them to the stack; each point's results move to the outputs when it
     # leaves.
     ids = np.arange(g)
-    b_out, rel_out, steps_out = np.full(psi.shape, np.nan), np.empty(g), np.empty(g, dtype=int)
-    errors: dict = {}
+    bound = psi[:, :-1] / sqrt_lam
+    if bound.min() < _TINY:
+        lost = (bound < _TINY).any(axis=1)
+        for i in np.flatnonzero(lost):
+            c = int(np.argmax(bound[i] < _TINY))
+            errors[int(i)] = NoConvergence(
+                f"block {c + 1} scale is at most psi_{c + 1}/sqrt(lambda) = {bound[i, c]:.3e}, "
+                f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
+        ids, psi = ids[~lost], psi[~lost]
+    psi_c, psi_n = psi[:, :-1], psi[:, -1]
+    u, sigma = np.log(_start(psi, m1, m2, lam)), np.full(ids.size, math.log(_S0))
+    bc, bn, du, dsigma, det, rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
+    steps, polished = np.zeros(ids.size, dtype=int), np.zeros(ids.size, dtype=bool)
     while True:
         within = rel <= _TOL
         # A root is accepted on the residual of the full system.  A point
@@ -371,12 +371,12 @@ def _newton(psi, m1, m2, lam):
             finished = ids[done]
             rel_out[finished], steps_out[finished] = rel[done], steps[done]
             b_out[ids[polished], :-1], b_out[ids[polished], -1] = bc[polished], bn[polished]
-            if done.all():
-                return b_out, rel_out, steps_out, errors
             keep = ~done
             ids, psi_c, psi_n, u, sigma, bc, bn, du, dsigma, rel, steps, within = (
                 x[keep] for x in (ids, psi_c, psi_n, u, sigma, bc, bn, du, dsigma, rel, steps, within)
             )
+        if not ids.size:
+            return b_out, rel_out, steps_out, errors
         scale = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
         # A point already within tol takes its last, polishing step; the
         # others take theirs whatever it does to the residual.
@@ -391,78 +391,75 @@ def _newton(psi, m1, m2, lam):
         steps += 1
 
 
-def _matrices(m1, m2, b) -> tuple[np.ndarray, np.ndarray]:
-    """MD (G,) and V (G, K+1, 4) of G points."""
-    k = m1.shape[-1]
-    bc, bn = b[:, :k], b[:, k]
-    mN = (m1 * bc).sum(axis=1)
-    MD = -(bn * mN + 1.0)
-    md2 = MD * MD
-    v = np.zeros((len(b), k + 1, 4))
-    v[:, :k, 0] = m2
-    v[:, k, 1] = 1.0
-    v[:, :k, 2] = m1 / md2[:, None]
-    v[:, k, 2] = -mN * mN / md2
-    v[:, :k, 3] = -(bn * bn)[:, None] * m1 / md2[:, None]
-    v[:, k, 3] = 1.0 / md2
-    return MD, v
-
-
 def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
-    """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points.
-
-    Coefficients are as from ``_coeffs``, ``b`` holds the scales and
-    ``f1_sq``, ``tau_sq`` hold the shared F1^2 and tau^2.  Each
-    L = -G^T S^{-1} G, with G = b * V and S = dr/du the Hessian of Phi at b,
-    comes from one batched solve.  ``errors`` maps the points that already
-    failed to their exception; it gains ``LinAlgError`` for a singular S and
-    ``InvalidSpec`` for a risk that is not finite, and every failed point
-    reads NaN.  Warns ``IllConditionedWarning`` for
-    each scored point whose cond(S) exceeds ``COND_WARN_THRESHOLD`` or whose
-    S is not positive definite, in order.
+    """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points by the
+    module docstring's closed form; coefficients as from ``_coeffs``, ``b``
+    the scales and ``f1_sq``, ``tau_sq`` the shared F1^2 and tau^2.
+    ``errors`` maps the points that already failed to their exception; it
+    gains ``LinAlgError`` where a pivot b_c D_c, sigma or the Sherman-Morrison
+    denominator is not positive and finite (a singular S), and ``InvalidSpec``
+    for a risk that is not finite; failed points read NaN.  Each point whose
+    S is finite with cond(S) > ``COND_WARN_THRESHOLD`` or not definite warns
+    ``IllConditionedWarning``, in order, unless its risk overflows.
     """
     g = len(b)
-    scored = np.ones(g, dtype=bool)
-    scored[list(errors)] = False
-    risk, bias, variance = np.full((3, g), np.nan)
-    L = np.full((g, 4, 4), np.nan)
-    rows = np.flatnonzero(scored)
-    if rows.size == 0:
-        return risk, bias, variance, L
-    if rows.size < g:
+    rows = np.arange(g)
+    if errors:
+        rows = np.delete(rows, list(errors))
         psi, b = psi[rows], b[rows]
-    # F1^2 and tau^2 are finite, yet the risk they weigh may overflow, and so
-    # may the matrices of a root whose scales lie near the ends of the float
-    # range; such a point fails with InvalidSpec.
+    sqrt_lam = math.sqrt(lam)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        MD, v = _matrices(m1, m2, b)
-        s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
-        # S is the Hessian of a strictly convex potential, positive definite
-        # at a root, so its condition number is the ratio of its extreme
-        # eigenvalues.
-        eig = np.linalg.eigvalsh(s)
-        cond = np.full(len(b), np.inf)
-        definite = eig[:, 0] > 0.0
-        cond[definite] = eig[definite, -1] / eig[definite, 0]
-        gv = b[:, :, None] * v
-        x, singular = _solve_stack(s, gv)
-        lr = -(np.swapaxes(gv, 1, 2) @ x)
-        bias_r = f1_sq * (1.0 / (MD * MD) + lr[:, 2, 3] + lr[:, 0, 3])
+        s = _jacobian(psi, m1, m2, sqrt_lam, b) * psi[:, :, None]
+        # S, the Hessian of a strictly convex potential, is positive definite at
+        # a root: cond(S) is the ratio of its extreme eigenvalues, where S is finite.
+        finite = np.isfinite(s).all(axis=(1, 2))
+        eig = np.linalg.eigvalsh(s[finite])
+        cond = np.zeros(len(b))
+        cond[finite] = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
+        bc, bn = b[:, :-1], b[:, -1]
+        mN = (m1 * bc).sum(axis=1)
+        t = bn * mN
+        md2 = (1.0 + t) ** 2
+        bmix = bn[:, None] * (m2 + np.multiply.outer(1.0 / (1.0 + t), m1))
+        d = sqrt_lam + bmix
+        a_d = bmix * bc / d
+        sigma = sqrt_lam * (bn + a_d.sum(axis=1))
+        # M_A = P^T A^-1 P, then M by Sherman-Morrison with w = P (0, T, b_n).
+        x = np.zeros((len(m1), 3))
+        x[:, 0], x[:, 2] = m2, m1
+        eps = -(a_d @ x)
+        eps[:, 1] = 1.0
+        ma = ((bc / d)[:, None, :] * x.T) @ x + eps[:, :, None] * (eps / sigma[:, None])[:, None, :]
+        u = ma[:, :, 1] * t[:, None] + ma[:, :, 2] * bn[:, None]
+        den = md2 - t * u[:, 1] - bn * u[:, 2]
+        # G = P C, row by row, with MD^2 = (1 + T)^2.
+        coef = np.zeros((len(b), 3, 4))
+        coef[:, 0, 0], coef[:, 1, 1] = 1.0, bn
+        coef[:, 1, 2], coef[:, 1, 3] = -mN * mN * bn / md2, bn / md2
+        coef[:, 2, 2], coef[:, 2, 3] = 1.0 / md2, -bn * bn / md2
+        lr = -(np.swapaxes(coef, 1, 2) @ (ma + u[:, :, None] * (u / den[:, None])[:, None, :]) @ coef)
+        bias_r = f1_sq * (1.0 / md2 + lr[:, 2, 3] + lr[:, 0, 3])
         variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
         risk_r = bias_r + variance_r
-    for c in cond[cond > COND_WARN_THRESHOLD]:
-        warnings.warn(
-            f"cond(S) = {c:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; risk may be inaccurate",
-            IllConditionedWarning,
-            stacklevel=4,  # _score <- _theory <- a public entry point <- its caller
-        )
-    for j, err in singular.items():
-        errors[int(rows[j])] = err
-    overflow = ~np.isfinite(risk_r)
-    for j in np.flatnonzero(overflow):
-        errors.setdefault(int(rows[j]), InvalidSpec(
-            f"risk overflows: bias {bias_r[j]:.3e} + variance {variance_r[j]:.3e} is not finite"))
-    risk_r[overflow] = bias_r[overflow] = variance_r[overflow] = lr[overflow] = np.nan
+        pivots = np.concatenate((bc * d, sigma[:, None], den[:, None]), axis=1)
+    valid = (pivots > 0.0) & (pivots < math.inf)
+    singular = ~valid.all(axis=1)
+    overflow = ~singular & ~np.isfinite(risk_r)
+    # F1^2 and tau^2 are finite, yet the risk may overflow, as may the sums of
+    # a root near the ends of the float range: such a point fails with
+    # InvalidSpec and no warning for a risk it lacks; a singular S still warns.
+    for c in cond[(cond > COND_WARN_THRESHOLD) & ~overflow]:
+        warnings.warn(f"cond(S) = {c:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; risk may be inaccurate",
+                      IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
+    failed = singular | overflow
+    for j in np.flatnonzero(failed):
+        errors[int(rows[j])] = (
+            np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
+            if singular[j] else
+            InvalidSpec(f"risk overflows: bias {bias_r[j]:.3e} + variance {variance_r[j]:.3e} is not finite"))
+    risk_r[failed] = bias_r[failed] = variance_r[failed] = lr[failed] = np.nan
+    risk, bias, variance = np.full((3, g), np.nan)
+    L = np.full((g, 4, 4), np.nan)
     risk[rows], bias[rows], variance[rows], L[rows] = risk_r, bias_r, variance_r, lr
     return risk, bias, variance, L
 
@@ -497,7 +494,9 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     that reaches it takes one more Newton step, kept only if it does not
     raise the residual, so that the root carries the digits of a full step
     rather than stopping at the first iterate under the tolerance;
-    ``iterations`` counts that step.
+    ``iterations`` counts that step.  A point where some psi_c / sqrt(lam),
+    the largest b_c can be, lies below the normal float range fails before
+    its first step.
     Raises ``NoConvergence``; ``LinAlgError`` for that determinant or a
     singular S; or ``InvalidSpec`` for a risk that is not finite.
     """

@@ -12,14 +12,17 @@ with bounds checks the package has no use for:
   accepts a root on;
 * ``potential`` - the convex potential Phi whose gradient in log b those
   residuals are, an oracle for the root being its minimum;
-* ``build_matrices`` - the framework matrices H and V at one point, H by
-  its printed formula, an oracle for the Newton matrix S = -diag(b) H diag(b)
+* ``build_matrices`` - the framework matrices H and V at one point by their
+  printed formulas, an oracle for the Newton matrix S = -diag(b) H diag(b)
   through which the package scores the risk;
 * ``expand_grid`` - a sweep's grid as one ``TheorySpec`` (and finite-size
   run) per point, an oracle for the sweep's array pass;
 * ``scaled_moments`` - the moment triple of a rescaled activation;
 * ``mp_risk`` - the risk by minimising Phi in mpmath at high precision and
   solving with H, the generator of the tests' high-precision constants;
+* ``peak_spec`` and ``peak_risk`` - the figure model at its interpolation
+  peak c = 1 and a vanishing ridge, and its ``mp_risk`` at 80 digits, the
+  generator of the risk's accuracy references;
 * ``mp_limit_risk`` - the infinite-width risk limit by its printed formula
   in mpmath, an oracle for the overflow-free form the package evaluates;
 * ``box_spec`` - a seeded spec from a wide box of widths, ridges and
@@ -39,6 +42,7 @@ import mpmath as mp
 import numpy as np
 
 from multidescent import (
+    ActivationSpec,
     EmpiricalConfig,
     LimitSpec,
     eval_activation,
@@ -47,8 +51,9 @@ from multidescent import (
     SweepSpec,
     TheoryRisk,
     TheorySpec,
+    compute_moments,
 )
-from multidescent.risk import _coeffs, _matrices
+from multidescent.risk import _coeffs
 from multidescent.sweep import _counts_at, _grid_psi
 
 
@@ -189,6 +194,24 @@ def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
         return +(F1 ** 2 * (1 / md2 + L[2, 3] + L[0, 3]) + tau ** 2 * (L[1, 2] + L[0, 1]))
 
 
+def peak_spec(lam: float) -> TheorySpec:
+    """The paper's K = 2 figure model (elu at input scale 3, relu at 0.25) at
+    its interpolation peak c = 1: psi = (5/3, 5/3), psi_n = 10/3, F1 = 1,
+    tau = 0.1 and ridge ``lam``.  cond(S) grows as 1/lam there, so the
+    risk's digits at a vanishing ridge measure how it is scored."""
+    moments = tuple(compute_moments(ActivationSpec(kind=kind, in_scale=scale))
+                    for kind, scale in (("elu", 3.0), ("relu", 0.25)))
+    return TheorySpec(psi=(5 / 3, 5 / 3), psi_n=10 / 3, moments=moments, lam=lam, F1=1.0, tau=0.1)
+
+
+def peak_risk(lam: float, dps=80):
+    """``mp_risk`` of ``peak_spec(lam)`` at ``dps`` digits, from the float
+    inputs the package reads: each m1_c is the rounded mu1_c * mu1_c."""
+    spec = peak_spec(lam)
+    return mp_risk(spec.psi, spec.psi_n, [m.mu1 * m.mu1 for m in spec.moments],
+                   [m.mu2_sq for m in spec.moments], spec.lam, spec.F1, spec.tau, dps=dps)
+
+
 def mp_limit_risk(ls: LimitSpec, dps=800):
     """The infinite-width risk limit of ``ls`` in mpmath at ``dps`` digits,
     by its printed formula: with lin = sum_c r_c mu_{c,1}^2,
@@ -273,23 +296,32 @@ def verify_complex(spec: TheorySpec, b) -> float:
 def build_matrices(spec: TheorySpec, b) -> TheoryMatrices:
     """Assemble H and V at the converged scales ``b``, all-real arithmetic.
 
-    H is built entry by entry from its formula, which the package never
-    evaluates; MD and V are the package's own.
+    MD, H and V are built entry by entry from their printed formulas, which
+    the package never evaluates: with mN = sum_c m1_c b_c and
+    MD = -(b_n mN + 1), V's rows are (m2_c, 0, m1_c / MD^2,
+    -b_n^2 m1_c / MD^2) for each block and (0, 1, -mN^2 / MD^2, 1 / MD^2)
+    for the samples.
     """
     b = np.asarray(b, dtype=np.float64)
     if np.any(b == 0.0):
         raise ValueError("all b_j must be nonzero")
-    psi, m1, m2, _ = _coeffs(spec, np.array([spec.psi]))
-    MD, v = _matrices(m1, m2, b[None])
-    k, psi, md2 = spec.K, psi[0], MD[0] * MD[0]
+    (psi,), m1, m2, _ = _coeffs(spec, np.array([spec.psi]))
+    k = spec.K
     bc, bn = b[:k], b[k]
     mN = (m1 * bc).sum()
+    MD = -(bn * mN + 1.0)
+    md2 = MD * MD
     h = np.empty((k + 1, k + 1))
     h[:k, :k] = bn * bn * np.outer(m1, m1) / md2
     h[range(k), range(k)] -= psi[:k] / (bc * bc)
     h[:k, k] = h[k, :k] = -m1 / md2 - m2
     h[k, k] = mN * mN / md2 - psi[k] / (bn * bn)
-    return TheoryMatrices(mN=float(mN), MD=float(MD[0]), H=h, V=v[0])
+    v = np.zeros((k + 1, 4))
+    v[:k, 0] = m2
+    v[:k, 2] = m1 / md2
+    v[:k, 3] = -bn * bn * m1 / md2
+    v[k] = 0.0, 1.0, -mN * mN / md2, 1.0 / md2
+    return TheoryMatrices(mN=float(mN), MD=float(MD), H=h, V=v)
 
 
 @dataclass(frozen=True)

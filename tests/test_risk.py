@@ -12,8 +12,10 @@ in ``oracles.py``) ties it to the printed formulas.
 
 import inspect
 import math
+import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,16 @@ from multidescent import (
     run_sweep,
 )
 from multidescent.risk import _coeffs, _score
-from oracles import DegenerateS, WrongK, build_matrices, explicit_risk_k2, mp_limit_risk, potential
+from oracles import (
+    DegenerateS,
+    WrongK,
+    build_matrices,
+    explicit_risk_k2,
+    mp_limit_risk,
+    peak_risk,
+    peak_spec,
+    potential,
+)
 
 
 def _random_k2_spec(rng) -> TheorySpec:
@@ -95,6 +106,17 @@ STIFF_H = TheorySpec(
     lam=1e-6,
 )
 STIFF_H_RISK = 1.21941395322410571871728146676
+
+# The figure model at its interpolation peak (``oracles.peak_spec``): its risk
+# to 30 digits at each ridge, from ``oracles.peak_risk`` (80 digits), and the
+# relative error the package must stay within there.  cond(S) is 3.7e7 at
+# lambda = 1e-16 and grows as 1/lambda.
+PEAK_RISKS = {
+    1e-16: ("1162528.82538488814881273367755", 1e-14),
+    1e-20: ("116252872.070508753721112398146", 1e-12),
+    1e-24: ("11625287196.5828960129609918899", 1e-8),
+    1e-28: ("1162528719647.82159418936140597", 1e-4),
+}
 
 
 class TestRiskProperties:
@@ -434,6 +456,30 @@ class TestWidthLimits:
         np.testing.assert_allclose(risk, limit_risk_zero_width(spec), rtol=1e-6)
 
 
+class TestPeakAccuracy:
+    @pytest.mark.parametrize("lam", list(PEAK_RISKS))
+    def test_risk_at_a_vanishing_ridge(self, lam):
+        """At the peak the risk keeps its digits as the ridge vanishes, to the
+        bound of each ridge; only lambda = 1e-28, where cond(S) = 3.7e13,
+        warns."""
+        reference, bound = PEAK_RISKS[lam]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            risk = asymptotic_risk(peak_spec(lam)).risk
+        assert abs(risk / float(reference) - 1.0) <= bound
+        messages = [f"{w.category.__name__}: {w.message}" for w in caught]
+        if lam == 1e-28:
+            assert len(messages) == 1
+            assert re.match(r"^IllConditionedWarning: cond\(S\) = 3\.7\d\de\+13 exceeds 1e\+12", messages[0])
+        else:
+            assert messages == []
+
+    def test_references_generator(self):
+        """``oracles.peak_risk`` reproduces PEAK_RISKS to their 30 digits."""
+        for lam, (reference, _) in PEAK_RISKS.items():
+            assert abs(peak_risk(lam) / mp.mpf(reference) - 1) < mp.mpf(10) ** -28
+
+
 class TestErrorPaths:
     def test_degenerate_b(self):
         """A zero scale zeroes its row and column of S, so the risk core fails
@@ -539,12 +585,15 @@ class TestErrorPaths:
 
     def test_root_whose_matrices_overflow_fails_quietly(self):
         """Widths of 1e307 at psi_n = 2 and lambda = 1 have a root, with b_n
-        near the smallest normal float, whose score matrices overflow: the
-        point fails with ``InvalidSpec`` and no numpy warning."""
+        near the smallest normal float, whose score overflows (mN^2 in V):
+        the point fails with ``InvalidSpec`` and no warning at all, not even
+        an ``IllConditionedWarning`` for a risk it does not return."""
         spec = TheorySpec(psi=(1e307, 1e307), psi_n=2.0, lam=1.0,
                           moments=(Moments(0.0, 0.9, 0.5), Moments(0.0, 0.4, 1.1)))
-        with pytest.warns(IllConditionedWarning), pytest.raises(InvalidSpec, match="^risk overflows: "):
-            asymptotic_risk(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec, match="^risk overflows: "):
+                asymptotic_risk(spec)
 
     def test_limit_whose_root_overflows_is_refused(self):
         """A root chi beyond the float range is refused by name rather than

@@ -370,11 +370,11 @@ class TestTheoryPass:
         assert (failed > 0) == (max_iter == 5)
 
     def test_singular_jacobian_fails_its_point_alone(self):
-        """At c = 1e-323 the scale b_1 = psi_1/D_1 underflows to 0, so that
-        point's relative residual stays at 1: it fails with ``NoConvergence``
-        at the step cap and no numpy warning, and the other rows equal
-        ``asymptotic_risk`` at their widths bit for bit, through the library
-        and the CLI."""
+        """At c = 1e-323 the bound psi_1/sqrt(lambda) of the scale b_1 lies
+        below the normal float range, so that point fails with
+        ``NoConvergence`` before its first step, naming the block, and no
+        numpy warning, and the other rows equal ``asymptotic_risk`` at their
+        widths bit for bit, through the library and the CLI."""
         cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
                "model": {"psi": [1.0], "psi_n": 1.0, "lambda": 9.0},
                "sweep": {"c_grid": [1e-323, 0.5, 1.0]}}
@@ -382,8 +382,9 @@ class TestTheoryPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = run_sweep(spec).rows
-        cap = "NoConvergence: residual 1.000e+00 > tol 1.0e-12 after 100 Newton steps at lambda=9.000e+00"
-        assert rows[0].error == cap
+        reason = ("NoConvergence: block 1 scale is at most psi_1/sqrt(lambda) = 4.941e-324, "
+                  "below the normal float range, at lambda=9.000e+00")
+        assert rows[0].error == reason
         assert math.isnan(rows[0].theory_risk) and rows[0].solver_iterations is None
         for row in rows[1:]:
             direct = asymptotic_risk(replace(spec.base, psi=row.psi))
@@ -392,7 +393,7 @@ class TestTheoryPass:
                 direct.risk, direct.bias, direct.variance, direct.iterations)
         out, err = io.StringIO(), io.StringIO()
         assert dispatch("sweep", parse_config(json.dumps(cfg)), out, err) == ExitStatus.OK
-        assert err.getvalue() == f"sweep: 1 of 3 grid points failed (first: {cap})\n"
+        assert err.getvalue() == f"sweep: 1 of 3 grid points failed (first: {reason})\n"
 
     def test_metadata(self):
         spec = SweepSpec(base=_base(), ratios=(1.0, 2.0), c_grid=(0.5, 1.0))
