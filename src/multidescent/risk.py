@@ -52,6 +52,10 @@ stack of block widths, such as the points of a sweep grid, is solved and
 scored at once with batched arithmetic; each point keeps its own steps and
 failure.  The two width limits (infinitely wide at fixed block proportions,
 for any K, and vanishingly narrow) have closed forms.
+
+How far a root can be off is estimated from F's 2x2 Hessian at it, the
+matrix the solver steps with; a point warns where that estimate exceeds
+1e-4 (see ``_score``).
 """
 
 from __future__ import annotations
@@ -151,10 +155,9 @@ class DegenerateMoments(ValueError):
 
 
 class IllConditionedWarning(UserWarning):
-    """The matrix S = dr/du through which the risk is scored, the Hessian of
-    Phi, is numerically ill-conditioned (cond(S) above
-    ``COND_WARN_THRESHOLD``, or S not positive definite); the risk value may
-    lose digits."""
+    """The estimated relative error of a point's solved scales exceeds
+    ``_ERR_WARN`` (see ``_score``): the risk value may have lost digits.  A
+    point that fails does not warn."""
 
 
 @dataclass
@@ -212,8 +215,8 @@ _S0 = 0.5
 # where that bound lies below it fails before its first step.
 _TINY = np.finfo(float).tiny
 
-# cond(S) above which a risk warns.
-COND_WARN_THRESHOLD = 1e12
+# Estimated relative error of the scales above which a risk warns.
+_ERR_WARN = 1e-4
 
 
 def _coeffs(base: TheorySpec, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -223,23 +226,6 @@ def _coeffs(base: TheorySpec, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     m1 = np.array([m.mu1 * m.mu1 for m in base.moments])
     m2 = np.array([m.mu2_sq for m in base.moments])
     return psi_full, m1, m2, base.lam
-
-
-def _jacobian(psi, m1, m2, sqrt_lam, b) -> np.ndarray:
-    """d(r_i / psi_i) / d(log b_j) of the residuals r of the module
-    docstring's system at each row of ``b``, one matrix per row."""
-    bc, bn = b[:, :-1], b[:, -1:]
-    s1 = (m1 * bc).sum(axis=1, keepdims=True)
-    opt = 1.0 + bn * s1
-    coupling = m2 + m1 / opt**2
-    jac = np.zeros((len(b), b.shape[1], b.shape[1]))
-    jac[:, :-1, :-1] = (m1 * bc)[:, :, None] * (m1 * -(bn / opt) ** 2)[:, None, :]
-    jac[:, :-1, -1] = bc * coupling
-    jac[:, -1, :-1] = bn * coupling
-    diag = np.einsum("gii->gi", jac)
-    diag[:, :-1] += sqrt_lam + bn * (m2 + m1 / opt)
-    diag[:, -1:] += sqrt_lam + (m2 * bc).sum(axis=1, keepdims=True) + s1 / opt**2
-    return jac * (b[:, None, :] / psi[:, :, None])
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -266,21 +252,31 @@ def _start(psi, m1, m2, lam):
     return np.where(mid >= 0.0, 2.0 * sqrt_lam * psi_n / (mid + h), (h - mid) / (2.0 * sqrt_lam * a))
 
 
+def _hessian(bc_d, bn, s, m, sqrt_lam):
+    """P, C, Q and the determinant of F's Hessian H = [[P + C, C], [C, Q + C]]
+    in (log b_n, log s) at G points, from b_c / D_c (G, K), b_n and s (G,).
+    With R_x = sum_c b_c x_c / D_c over x = m1, m2, m1 m2 (the columns of
+    ``m``, (K, 3)), P = sqrt(lam) b_n (1 + R_m2), C = sqrt(lam) b_n s R_m1
+    and Q = s (1 + b_n^2 R_m1m2).  The determinant PQ + C(P + Q) is a sum of
+    terms >= 0, so it keeps its digits where H is nearly singular."""
+    r1, r2, r12 = (bc_d @ m).T
+    lb = sqrt_lam * bn
+    p = lb * (1.0 + r2)
+    c = lb * s * r1
+    q = s * (1.0 + bn * bn * r12)
+    return p, c, q, p * q + c * (p + q)
+
+
 def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
     """At the G points (u, sigma) = (log b_n, log s), each (G,): the block
     scales b_c (G, K) and b_n, the Newton step (du, dsigma) = H^-1 grad F,
-    the determinant of F's Hessian H and the largest relative residual of
-    the full K+1 system at (b_c, b_n).  ``psi_c`` (G, K) and ``psi_n`` (G,)
-    are the widths and ``m`` (K, 3) holds each block's m1, m2 and m1 m2.
+    the determinant of F's Hessian H (``_hessian``) and the largest relative
+    residual of the full K+1 system at (b_c, b_n).  ``psi_c`` (G, K) and
+    ``psi_n`` (G,) are the widths and ``m`` (K, 3) each block's m1, m2, m1 m2.
 
     Block c's scale is b_c = psi_c / D_c with D_c = sqrt(lam) + b_n (m1_c s + m2_c).
-    With the sums S_x = sum_c b_c x_c and R_x = sum_c b_c x_c / D_c over
-    x = m1, m2 or m1 m2, and T = b_n S_m1,
-    grad F = (g_n, g_s) = (b_n (sqrt(lam) + s S_m1 + S_m2) - psi_n, s (1 + T) - 1)
-    and H = [[P + C, C], [C, Q + C]] with P = sqrt(lam) b_n (1 + R_m2),
-    C = sqrt(lam) b_n s R_m1 and Q = s (1 + b_n^2 R_m1m2).  The determinant
-    PQ + C(P + Q) is a sum of terms >= 0, so it keeps its digits where H is
-    nearly singular, as at a tiny ridge.
+    With the sums S_x = sum_c b_c x_c and T = b_n S_m1,
+    grad F = (g_n, g_s) = (b_n (sqrt(lam) + s S_m1 + S_m2) - psi_n, s (1 + T) - 1).
 
     As b_c D_c = psi_c, the residuals of the full system at (b_c, b_n) are
     r_c / psi_c = -b_n m1_c k / D_c and r_n = g_n - T k, with k = g_s / (1 + T).
@@ -292,16 +288,11 @@ def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
     d = sqrt_lam + bn[:, None] * (np.multiply.outer(s, m[:, 0]) + m[:, 1])
     bc = psi_c / d
     s1, s2 = (bc @ m[:, :2]).T
-    r1, r2, r12 = ((bc / d) @ m).T
     t = bn * s1
     opt = 1.0 + t
     g_n = bn * (sqrt_lam + s * s1 + s2) - psi_n
     g_s = s * opt - 1.0
-    lb = sqrt_lam * bn
-    p = lb * (1.0 + r2)
-    c = lb * s * r1
-    q = s * (1.0 + bn * bn * r12)
-    det = p * q + c * (p + q)
+    p, c, q, det = _hessian(bc / d, bn, s, m, sqrt_lam)
     du = ((q + c) * g_n - c * g_s) / det
     dsigma = ((p + c) * g_s - c * g_n) / det
     k = g_s / opt
@@ -398,9 +389,16 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     ``errors`` maps the points that already failed to their exception; it
     gains ``LinAlgError`` where a pivot b_c D_c, sigma or the Sherman-Morrison
     denominator is not positive and finite (a singular S), and ``InvalidSpec``
-    for a risk that is not finite; failed points read NaN.  Each point whose
-    S is finite with cond(S) > ``COND_WARN_THRESHOLD`` or not definite warns
-    ``IllConditionedWarning``, in order, unless its risk overflows.
+    for a risk that is not finite; failed points read NaN.
+
+    Each point that does not fail warns ``IllConditionedWarning``, in order,
+    where the estimated relative error of its scales exceeds ``_ERR_WARN``:
+    e = eps ((Q + C) psi_n + C) / det(H) from F's Hessian H (``_hessian``)
+    at ``b`` and s = 1 / (1 + T), how far rounding errors of eps psi_n and
+    eps in grad F move log b_n.  It is eps psi_n / s_n, with s_n the Schur
+    complement of S on b_n's row, up to a factor in [1, 1 + 1/psi_n].  It
+    misses cancellation within L's entries, which can leave a risk near 0
+    with no correct digit, even negative.
     """
     g = len(b)
     rows = np.arange(g)
@@ -409,19 +407,15 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
         psi, b = psi[rows], b[rows]
     sqrt_lam = math.sqrt(lam)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = _jacobian(psi, m1, m2, sqrt_lam, b) * psi[:, :, None]
-        # S, the Hessian of a strictly convex potential, is positive definite at
-        # a root: cond(S) is the ratio of its extreme eigenvalues, where S is finite.
-        finite = np.isfinite(s).all(axis=(1, 2))
-        eig = np.linalg.eigvalsh(s[finite])
-        cond = np.zeros(len(b))
-        cond[finite] = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
         bc, bn = b[:, :-1], b[:, -1]
         mN = (m1 * bc).sum(axis=1)
         t = bn * mN
         md2 = (1.0 + t) ** 2
-        bmix = bn[:, None] * (m2 + np.multiply.outer(1.0 / (1.0 + t), m1))
+        s = 1.0 / (1.0 + t)
+        bmix = bn[:, None] * (m2 + np.multiply.outer(s, m1))
         d = sqrt_lam + bmix
+        _, c, q, det = _hessian(bc / d, bn, s, np.column_stack((m1, m2, m1 * m2)), sqrt_lam)
+        err = np.finfo(float).eps * ((q + c) * psi[:, -1] + c) / det
         a_d = bmix * bc / d
         sigma = sqrt_lam * (bn + a_d.sum(axis=1))
         # M_A = P^T A^-1 P, then M by Sherman-Morrison with w = P (0, T, b_n).
@@ -447,11 +441,11 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     overflow = ~singular & ~np.isfinite(risk_r)
     # F1^2 and tau^2 are finite, yet the risk may overflow, as may the sums of
     # a root near the ends of the float range: such a point fails with
-    # InvalidSpec and no warning for a risk it lacks; a singular S still warns.
-    for c in cond[(cond > COND_WARN_THRESHOLD) & ~overflow]:
-        warnings.warn(f"cond(S) = {c:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; risk may be inaccurate",
-                      IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
+    # InvalidSpec.  A failed point gives no warning for a risk it lacks.
     failed = singular | overflow
+    for e in err[(err > _ERR_WARN) & ~failed]:
+        warnings.warn(f"estimated relative error {e:.3e} of the scales exceeds {_ERR_WARN:.0e}; risk may "
+                      "be inaccurate", IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
     for j in np.flatnonzero(failed):
         errors[int(rows[j])] = (
             np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")

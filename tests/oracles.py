@@ -20,9 +20,9 @@ with bounds checks the package has no use for:
 * ``scaled_moments`` - the moment triple of a rescaled activation;
 * ``mp_risk`` - the risk by minimising Phi in mpmath at high precision and
   solving with H, the generator of the tests' high-precision constants;
-* ``peak_spec`` and ``peak_risk`` - the figure model at its interpolation
-  peak c = 1 and a vanishing ridge, and its ``mp_risk`` at 80 digits, the
-  generator of the risk's accuracy references;
+* ``peak_spec`` and ``peak_risk`` - the figure model at a vanishing ridge,
+  at its interpolation peak c = 1 or near it, and its ``mp_risk`` at 80
+  digits, the generator of the risk's accuracy references;
 * ``mp_limit_risk`` - the infinite-width risk limit by its printed formula
   in mpmath, an oracle for the overflow-free form the package evaluates;
 * ``box_spec`` - a seeded spec from a wide box of widths, ridges and
@@ -121,7 +121,10 @@ def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
     (strings or mpf) to keep every digit.  The scales minimise the convex
     potential Phi (see ``potential``) by Newton's method in u = log b with a
     backtracking (Armijo) search on Phi itself, which converges from any
-    start, until the gradient is below 10**-(dps - 20) of psi.  The risk is
+    start, until the gradient is below 10**-(dps - 20) of psi.  Once it is
+    below 10**-(dps / 2) of psi, the steps are taken whole: there the
+    decrease of Phi is below Phi's own resolution, which an Armijo test
+    cannot see.  The risk is
     F1^2 (1/MD^2 + L[3,4] + L[1,4]) + tau^2 (L[2,3] + L[1,2]) with
     L = V^T H^{-1} V and H built from its printed formula, as in
     ``build_matrices``.
@@ -157,10 +160,11 @@ def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
 
         u = [mp.log(p / (sl + 1)) for p in psi]
         f = phi(u)
-        tol = mp.mpf(10) ** (20 - dps)
+        tol, near = mp.mpf(10) ** (20 - dps), mp.mpf(10) ** (-dps / 2)
         for _ in range(500):
             g, h = grad_hess(u)
-            if max(abs(x / p) for x, p in zip(g, psi)) < tol:
+            rel = max(abs(x / p) for x, p in zip(g, psi))
+            if rel < tol:
                 break
             d = mp.lu_solve(h, mp.matrix(g))
             slope = -mp.fsum(x * y for x, y in zip(g, d))
@@ -168,7 +172,7 @@ def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
             while True:
                 trial = [x - t * y for x, y in zip(u, d)]
                 ft = phi(trial)
-                if ft <= f + t * slope / 10**4:
+                if rel < near or ft <= f + t * slope / 10**4:
                     break
                 t /= 2
                 if t < mp.mpf(10) ** -30:
@@ -194,20 +198,22 @@ def mp_risk(psi, psi_n, m1, m2, lam, F1, tau, dps=60):
         return +(F1 ** 2 * (1 / md2 + L[2, 3] + L[0, 3]) + tau ** 2 * (L[1, 2] + L[0, 1]))
 
 
-def peak_spec(lam: float) -> TheorySpec:
+def peak_spec(lam: float, c: float = 1.0) -> TheorySpec:
     """The paper's K = 2 figure model (elu at input scale 3, relu at 0.25) at
-    its interpolation peak c = 1: psi = (5/3, 5/3), psi_n = 10/3, F1 = 1,
-    tau = 0.1 and ridge ``lam``.  cond(S) grows as 1/lam there, so the
-    risk's digits at a vanishing ridge measure how it is scored."""
+    feature ratio ``c``, by default its interpolation peak c = 1: psi_n = 10/3,
+    psi = (c psi_n / 2, c psi_n / 2), F1 = 1, tau = 0.1 and ridge ``lam``.
+    At c = 1 the scales' error grows as 1/lam, so the risk's digits at a
+    vanishing ridge measure how it is scored."""
     moments = tuple(compute_moments(ActivationSpec(kind=kind, in_scale=scale))
                     for kind, scale in (("elu", 3.0), ("relu", 0.25)))
-    return TheorySpec(psi=(5 / 3, 5 / 3), psi_n=10 / 3, moments=moments, lam=lam, F1=1.0, tau=0.1)
+    psi_n = 10 / 3
+    return TheorySpec(psi=(c * psi_n / 2,) * 2, psi_n=psi_n, moments=moments, lam=lam, F1=1.0, tau=0.1)
 
 
-def peak_risk(lam: float, dps=80):
-    """``mp_risk`` of ``peak_spec(lam)`` at ``dps`` digits, from the float
+def peak_risk(lam: float, c: float = 1.0, dps=80):
+    """``mp_risk`` of ``peak_spec(lam, c)`` at ``dps`` digits, from the float
     inputs the package reads: each m1_c is the rounded mu1_c * mu1_c."""
-    spec = peak_spec(lam)
+    spec = peak_spec(lam, c)
     return mp_risk(spec.psi, spec.psi_n, [m.mu1 * m.mu1 for m in spec.moments],
                    [m.mu2_sq for m in spec.moments], spec.lam, spec.F1, spec.tau, dps=dps)
 

@@ -661,8 +661,8 @@ class TestDispatch:
             "InvalidSpec: psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite\n")
 
     def test_warnings_go_to_stderr(self, monkeypatch):
-        # Every cond(S) exceeds a threshold of 1, so this theory run warns.
-        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 1.0)
+        # Every estimated error exceeds a threshold of 0, so this theory run warns.
+        monkeypatch.setattr("multidescent.risk._ERR_WARN", 0.0)
         cfg = {
             "moments_override": [
                 {"mu0": 0, "mu1": 1e4, "mu2_sq": 1e8},

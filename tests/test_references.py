@@ -7,22 +7,24 @@ instances are enumerated by ``bench/workloads.py`` (loaded read-only; it
 imports nothing from the package).  Each command's instances are one model
 at several widths, scored in one ``_theory`` call, the path a sweep takes,
 and none of them may warn ``IllConditionedWarning``: each matches its
-reference.  The same instances tie the Newton matrix S the risk is scored
-through to the framework matrix H of the printed formulas
+reference.  The same instances tie the risk and the error estimate the
+warning reads to the framework matrix H of the printed formulas
 (``build_matrices`` in ``oracles.py``).
 """
 
 import importlib.util
 import json
 import pathlib
+import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multidescent import ActivationSpec, TheorySpec, compute_moments
-from multidescent.risk import _coeffs, _jacobian, _theory
+from multidescent.risk import _theory
 from oracles import build_matrices
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -82,16 +84,26 @@ def test_risk_and_scales_match_references(command):
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.label)
-def test_newton_matrix_is_the_framework_matrix(command):
-    """At every solved root S = dr/du is symmetric and equals -diag(b) H diag(b),
-    so L = -G^T S^-1 G with G = b*V is V^T H^-1 V."""
+def test_newton_matrix_is_the_framework_matrix(command, monkeypatch):
+    """At every solved root L = -G^T S^-1 G with G = b*V and
+    S = -diag(b) H diag(b) is V^T H^-1 V, and the estimated error e of the
+    scales, which every point warns at a threshold of 0, lies in
+    [1, 1 + 1/psi_n] eps psi_n / s_n, with s_n the Schur complement of S on
+    b_n's row, to the 4 digits the warning prints."""
     base, widths = _base_and_psi(command)
-    _, _, _, L, b, _, _, _ = _theory(base, widths)
-    psi, m1, m2, lam = _coeffs(base, widths)
-    s = _jacobian(psi, m1, m2, np.sqrt(lam), b) * psi[:, :, None]
+    monkeypatch.setattr("multidescent.risk._ERR_WARN", 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, _, _, L, b, _, _, _ = _theory(base, widths)
+    est = [float(re.match(r"^estimated relative error (\S+) of the scales", str(w.message))[1])
+           for w in caught]
+    assert len(est) == len(widths)
+    psi_n, eps = base.psi_n, np.finfo(float).eps
     for i, row in enumerate(widths):
         mats = build_matrices(replace(base, psi=tuple(row)), b[i])
-        np.testing.assert_allclose(s[i], -(b[i][:, None] * mats.H * b[i]), rtol=1e-14)
-        np.testing.assert_allclose(s[i], s[i].T, rtol=1e-14)
+        s = -(b[i][:, None] * mats.H * b[i])
+        s_n = s[-1, -1] - s[-1, :-1] @ np.linalg.solve(s[:-1, :-1], s[:-1, -1])
+        ratio = est[i] / (eps * psi_n / s_n)
+        assert 1.0 - 1e-3 <= ratio <= (1.0 + 1.0 / psi_n) * (1.0 + 1e-3), ratio
         np.testing.assert_allclose(L[i], mats.V.T @ np.linalg.solve(mats.H, mats.V),
                                    rtol=RTOL)

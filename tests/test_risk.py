@@ -97,8 +97,9 @@ def _risks(specs) -> list:
 
 
 # A spec whose framework matrix H has cond(H) = 2.1e28 while the Newton
-# matrix S has cond(S) = 6.4; its risk to 30 digits, from a 60-digit mpmath
-# solve and H-route evaluation (checked against the K=2 closed form).
+# matrix S has cond(S) = 6.4 and its scales' estimated error is 4.5e-16; its
+# risk to 30 digits, from a 60-digit mpmath solve and H-route evaluation
+# (checked against the K=2 closed form).
 STIFF_H = TheorySpec(
     psi=(1.0, 1.0),
     psi_n=2.0,
@@ -109,14 +110,27 @@ STIFF_H_RISK = 1.21941395322410571871728146676
 
 # The figure model at its interpolation peak (``oracles.peak_spec``): its risk
 # to 30 digits at each ridge, from ``oracles.peak_risk`` (80 digits), and the
-# relative error the package must stay within there.  cond(S) is 3.7e7 at
-# lambda = 1e-16 and grows as 1/lambda.
+# relative error the package must stay within there.  The scales' estimated
+# error is 2.4e-9 at lambda = 1e-16 and grows as 1/lambda.
 PEAK_RISKS = {
     1e-16: ("1162528.82538488814881273367755", 1e-14),
     1e-20: ("116252872.070508753721112398146", 1e-12),
     1e-24: ("11625287196.5828960129609918899", 1e-8),
     1e-28: ("1162528719647.82159418936140597", 1e-4),
 }
+
+# The same model just past its peak, at c = 1.01, where the risk errs to first
+# order in its scales: its risk to 30 digits at two ridges, from
+# ``oracles.peak_risk`` (80 digits).
+FIRST_ORDER_RISKS = {
+    1e-20: "10.7653694725606668383824227860",
+    1e-28: "10.7653694725607117177723572460",
+}
+
+
+def _estimate(caught) -> float:
+    """The estimated relative error e that one ``IllConditionedWarning`` reads."""
+    return float(re.match(r"^estimated relative error (\S+) of the scales", str(caught.message))[1])
 
 
 class TestRiskProperties:
@@ -460,8 +474,8 @@ class TestPeakAccuracy:
     @pytest.mark.parametrize("lam", list(PEAK_RISKS))
     def test_risk_at_a_vanishing_ridge(self, lam):
         """At the peak the risk keeps its digits as the ridge vanishes, to the
-        bound of each ridge; only lambda = 1e-28, where cond(S) = 3.7e13,
-        warns."""
+        bound of each ridge; only lambda = 1e-28, where the scales' estimated
+        error is 2.4e-3, warns."""
         reference, bound = PEAK_RISKS[lam]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -470,27 +484,51 @@ class TestPeakAccuracy:
         messages = [f"{w.category.__name__}: {w.message}" for w in caught]
         if lam == 1e-28:
             assert len(messages) == 1
-            assert re.match(r"^IllConditionedWarning: cond\(S\) = 3\.7\d\de\+13 exceeds 1e\+12", messages[0])
+            assert re.match(r"^IllConditionedWarning: estimated relative error 2\.4\d\de-03 of the scales "
+                            r"exceeds 1e-04; risk may be inaccurate$", messages[0])
         else:
             assert messages == []
 
+    @pytest.mark.parametrize("lam", list(FIRST_ORDER_RISKS))
+    def test_first_order_error_within_the_estimate(self, lam, monkeypatch):
+        """Past the peak the risk errs by at most twice its scales' estimated
+        error e, which is far below the threshold: no warning."""
+        spec = peak_spec(lam, c=1.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk = asymptotic_risk(spec).risk
+        monkeypatch.setattr("multidescent.risk._ERR_WARN", 0.0)
+        with pytest.warns(IllConditionedWarning) as caught:
+            asymptotic_risk(spec)
+        assert abs(risk / float(FIRST_ORDER_RISKS[lam]) - 1.0) <= 2.0 * _estimate(caught[0])
+
     def test_references_generator(self):
-        """``oracles.peak_risk`` reproduces PEAK_RISKS to their 30 digits."""
-        for lam, (reference, _) in PEAK_RISKS.items():
-            assert abs(peak_risk(lam) / mp.mpf(reference) - 1) < mp.mpf(10) ** -28
+        """``oracles.peak_risk`` reproduces PEAK_RISKS and FIRST_ORDER_RISKS
+        to their 30 digits, and converges at 90 digits where the decrease of
+        the potential near its root falls below its resolution.  Each ratio
+        is formed at more digits than it is checked to."""
+        with mp.workdps(40):
+            for lam, (reference, _) in PEAK_RISKS.items():
+                assert abs(peak_risk(lam) / mp.mpf(reference) - 1) < mp.mpf(10) ** -28
+            for lam, reference in FIRST_ORDER_RISKS.items():
+                assert abs(peak_risk(lam, c=1.01) / mp.mpf(reference) - 1) < mp.mpf(10) ** -28
+        with mp.workdps(90):
+            for lam, c in ((1e-16, 0.9), (1e-28, 1.1)):
+                assert abs(peak_risk(lam, c, dps=90) / peak_risk(lam, c) - 1) < mp.mpf(10) ** -75
 
 
 class TestErrorPaths:
     def test_degenerate_b(self):
         """A zero scale zeroes its row and column of S, so the risk core fails
-        its point with ``LinAlgError`` and NaN, and the oracle refuses it; no
-        solve returns one, so the core is driven directly."""
+        its point with ``LinAlgError`` and NaN, and no warning, and the oracle
+        refuses it; no solve returns one, so the core is driven directly."""
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
         b = np.array([[0.0, 1.0]])
         with pytest.raises(ValueError, match="nonzero"):
             build_matrices(spec, b[0])
         errors = {}
-        with pytest.warns(IllConditionedWarning, match=r"^cond\(S\) = inf"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             risk, _, _, L = _score(*_coeffs(spec, np.array([spec.psi])), b, 1.0, 0.0, errors)
         assert list(errors) == [0] and isinstance(errors[0], np.linalg.LinAlgError)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
@@ -507,26 +545,26 @@ class TestErrorPaths:
         assert issubclass(DegenerateS, ArithmeticError)
 
     def test_ill_conditioned_warning(self, monkeypatch):
-        """The warning reads cond(S), the matrix the risk solves, not cond(H):
-        the stiff-H spec scores without a warning and matches its 60-digit
-        risk, and it warns once the threshold drops below its cond(S)."""
+        """The warning reads the scales' estimated error, not cond(H): the
+        stiff-H spec scores without a warning and matches its 60-digit risk,
+        and it warns once the threshold drops below its estimate."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", IllConditionedWarning)
             out = asymptotic_risk(STIFF_H)
         np.testing.assert_allclose(out.risk, STIFF_H_RISK, rtol=1e-14)
         assert np.linalg.cond(build_matrices(STIFF_H, out.b).H) > 1e28
-        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 6.0)
-        with pytest.warns(IllConditionedWarning,
-                          match=r"^cond\(S\) = 6\.4\d\de\+00 exceeds 6e\+00; risk may be inaccurate$"):
+        monkeypatch.setattr("multidescent.risk._ERR_WARN", 4e-16)
+        with pytest.warns(IllConditionedWarning, match=r"^estimated relative error 4\.4\d\de-16 of the scales "
+                                                       r"exceeds 4e-16; risk may be inaccurate$"):
             asymptotic_risk(STIFF_H)
-        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 7.0)
+        monkeypatch.setattr("multidescent.risk._ERR_WARN", 5e-16)
         with warnings.catch_warnings():
             warnings.simplefilter("error", IllConditionedWarning)
             asymptotic_risk(STIFF_H)
 
     def test_warning_names_the_callers_line(self, monkeypatch):
         """Each public entry point warns at the line that called it."""
-        monkeypatch.setattr("multidescent.risk.COND_WARN_THRESHOLD", 1.0)
+        monkeypatch.setattr("multidescent.risk._ERR_WARN", 0.0)
         sweep = SweepSpec(base=STIFF_H, ratios=(1.0, 1.0), c_grid=(0.5, 0.6))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -538,8 +576,8 @@ class TestErrorPaths:
             (__file__, line + n) for n in (1, 2, 2)]
 
     def test_stack_isolates_a_singular_s(self):
-        """One exactly singular S in a stack fails its own point alone; the
-        other points equal their single-point evaluations."""
+        """One exactly singular S in a stack fails its own point alone, with
+        no warning; the other points equal their single-point evaluations."""
         good = TheorySpec(
             psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
             lam=1e-3, tau=0.2,
@@ -552,7 +590,8 @@ class TestErrorPaths:
         degenerate = np.full(3, 5e-324)
         direct = asymptotic_risk(good)
         errors = {}
-        with pytest.warns(IllConditionedWarning, match="cond\\(S\\) = inf"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             risk, bias, variance, _ = _score(
                 *_coeffs(good, widths), np.array([direct.b, degenerate, direct.b]),
                 good.F1 ** 2, good.tau ** 2, errors,
@@ -562,7 +601,7 @@ class TestErrorPaths:
             assert (risk[i], bias[i], variance[i]) == (direct.risk, direct.bias, direct.variance)
         errors = {}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
+            warnings.simplefilter("error")
             _score(*_coeffs(good, widths[1:2]), degenerate[None], good.F1 ** 2, good.tau ** 2, errors)
         assert isinstance(errors[0], np.linalg.LinAlgError)
 
