@@ -16,7 +16,6 @@ from multidescent import (
     compute_moments,
     format_number,
     limit_risk_infinite_width,
-    limit_risk_zero_width,
 )
 
 
@@ -29,7 +28,7 @@ def main() -> None:
     narrow = TheorySpec(
         psi=(1e-6, 1e-6), psi_n=psi_n, moments=moments, lam=lam, F1=F1
     )
-    lo = limit_risk_zero_width(narrow)
+    lo = narrow.F1 ** 2
     hi = limit_risk_infinite_width(
         LimitSpec(r=(1.0, 1.0), psi_n=psi_n, moments=moments, F1=F1)
     )

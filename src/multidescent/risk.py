@@ -49,9 +49,11 @@ with C holding V's coefficients; A's Schur complement on b_n's row,
 sigma = sqrt(lam) (b_n + sum_c a_c / D_c), a sum of positive terms, gives
 P^T A^{-1} P, and Sherman-Morrison adds the rank-one term.  One model at a
 stack of block widths, such as the points of a sweep grid, is solved and
-scored at once with batched arithmetic; each point keeps its own steps and
-failure.  The two width limits (infinitely wide at fixed block proportions,
-for any K, and vanishingly narrow) have closed forms.
+scored at once with batched arithmetic.  Every point keeps its row of every
+array from start to end, with its own steps and failure; a point that has
+left the solve keeps its values while the others iterate.  The risk has a
+closed-form limit as the widths grow at fixed block proportions, for any K,
+and tends to F1^2 as they vanish.
 
 How far a root can be off is estimated from F's 2x2 Hessian at it, the
 matrix the solver steps with; a point warns where that estimate exceeds
@@ -78,7 +80,6 @@ __all__ = [
     "IllConditionedWarning",
     "asymptotic_risk",
     "limit_risk_infinite_width",
-    "limit_risk_zero_width",
 ]
 
 
@@ -314,82 +315,76 @@ def _newton(psi, m1, m2, lam):
     ended each failed point's solve by index (``NoConvergence``, or
     ``LinAlgError`` for a Newton matrix whose determinant is not positive);
     b is NaN on the failed points.  Each point iterates by the rules in
-    ``asymptotic_risk``'s docstring.
+    ``asymptotic_risk``'s docstring and keeps its row of every array; a
+    point that has left keeps its scales, residual and steps while the
+    others iterate.
     """
-    g = len(psi)
     sqrt_lam = math.sqrt(lam)
     m = np.column_stack((m1, m2, m1 * m2))
-    b_out, rel_out, steps_out = np.full(psi.shape, np.nan), np.ones(g), np.zeros(g, dtype=int)
-    errors: dict = {}
-    # The arrays compacted below hold the points still iterating and ids maps
-    # them to the stack; each point's results move to the outputs when it
-    # leaves.
-    ids = np.arange(g)
-    bound = psi[:, :-1] / sqrt_lam
-    if bound.min() < _TINY:
-        lost = (bound < _TINY).any(axis=1)
-        for i in np.flatnonzero(lost):
-            c = int(np.argmax(bound[i] < _TINY))
-            errors[int(i)] = NoConvergence(
-                f"block {c + 1} scale is at most psi_{c + 1}/sqrt(lambda) = {bound[i, c]:.3e}, "
-                f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
-        ids, psi = ids[~lost], psi[~lost]
     psi_c, psi_n = psi[:, :-1], psi[:, -1]
-    u, sigma = np.log(_start(psi, m1, m2, lam)), np.full(ids.size, math.log(_S0))
+    errors: dict = {}
+    bound = psi_c / sqrt_lam
+    lost = (bound < _TINY).any(axis=1)
+    for i in np.flatnonzero(lost):
+        c = int(np.argmax(bound[i] < _TINY))
+        errors[int(i)] = NoConvergence(
+            f"block {c + 1} scale is at most psi_{c + 1}/sqrt(lambda) = {bound[i, c]:.3e}, "
+            f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
+    # The points still iterating; the others take no step.
+    active = ~lost
+    u, sigma = np.log(_start(psi, m1, m2, lam)), np.full(len(psi), math.log(_S0))
     bc, bn, du, dsigma, det, rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
-    steps, polished = np.zeros(ids.size, dtype=int), np.zeros(ids.size, dtype=bool)
+    rel[lost] = 1.0
+    steps, polished = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool)
     while True:
         within = rel <= _TOL
         # A root is accepted on the residual of the full system.  A point
         # leaves once polished, or fails: on a residual that is not finite,
         # then on a determinant that is not positive, then at the step cap.
-        failed = ~within & (~np.isfinite(rel) | ~(det > 0.0) | (steps >= _MAX_ITER))
-        done = polished | failed
-        if done.any():
-            for j in np.flatnonzero(failed):
-                i = int(ids[j])
-                if np.isfinite(rel[j]) and not det[j] > 0.0:
-                    errors[i] = np.linalg.LinAlgError(
-                        f"Newton matrix determinant {det[j]:.3e} is not positive after "
-                        f"{steps[j]} Newton steps at lambda={lam:.3e}")
-                    continue
-                errors[i] = NoConvergence(
-                    f"residual {rel[j]:.3e} > tol {_TOL:.1e} after {steps[j]} Newton steps "
-                    f"at lambda={lam:.3e}",
-                    residual=float(rel[j]),
-                    iterations=int(steps[j]),
-                )
-            finished = ids[done]
-            rel_out[finished], steps_out[finished] = rel[done], steps[done]
-            b_out[ids[polished], :-1], b_out[ids[polished], -1] = bc[polished], bn[polished]
-            keep = ~done
-            ids, psi_c, psi_n, u, sigma, bc, bn, du, dsigma, rel, steps, within = (
-                x[keep] for x in (ids, psi_c, psi_n, u, sigma, bc, bn, du, dsigma, rel, steps, within)
+        failed = active & ~within & (~np.isfinite(rel) | ~(det > 0.0) | (steps >= _MAX_ITER))
+        for i in np.flatnonzero(failed):
+            if np.isfinite(rel[i]) and not det[i] > 0.0:
+                errors[int(i)] = np.linalg.LinAlgError(
+                    f"Newton matrix determinant {det[i]:.3e} is not positive after "
+                    f"{steps[i]} Newton steps at lambda={lam:.3e}")
+                continue
+            errors[int(i)] = NoConvergence(
+                f"residual {rel[i]:.3e} > tol {_TOL:.1e} after {steps[i]} Newton steps "
+                f"at lambda={lam:.3e}",
+                residual=float(rel[i]),
+                iterations=int(steps[i]),
             )
-        if not ids.size:
-            return b_out, rel_out, steps_out, errors
-        scale = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
+        active &= ~(polished | failed)
+        if not active.any():
+            b = np.column_stack((bc, bn))
+            b[list(errors)] = np.nan
+            return b, rel, steps, errors
+        scale = active * _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
         # A point already within tol takes its last, polishing step; the
         # others take theirs whatever it does to the residual.
         u = u - du * scale
         sigma = sigma - dsigma * scale
         trial_bc, trial_bn, du, dsigma, det, trial_rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
-        # The polishing step is undone where it raises the residual.
-        worse = within & ~(trial_rel <= rel)
-        if worse.any():
-            trial_bc[worse], trial_bn[worse], trial_rel[worse] = bc[worse], bn[worse], rel[worse]
+        # A point that has left keeps its values, and the polishing step is
+        # undone where it raises the residual.
+        keep = ~active | (within & ~(trial_rel <= rel))
+        if keep.any():
+            trial_bc[keep], trial_bn[keep], trial_rel[keep] = bc[keep], bn[keep], rel[keep]
         bc, bn, rel, polished = trial_bc, trial_bn, trial_rel, within
-        steps += 1
+        steps += active
 
 
 def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points by the
     module docstring's closed form; coefficients as from ``_coeffs``, ``b``
     the scales and ``f1_sq``, ``tau_sq`` the shared F1^2 and tau^2.
-    ``errors`` maps the points that already failed to their exception; it
-    gains ``LinAlgError`` where a pivot b_c D_c, sigma or the Sherman-Morrison
-    denominator is not positive and finite (a singular S), and ``InvalidSpec``
-    for a risk that is not finite; failed points read NaN.
+    ``errors`` maps the points that already failed to their exception; such
+    a point comes with NaN scales, as from ``_newton``, and is neither
+    diagnosed again nor warned about.  ``errors`` gains ``LinAlgError`` where
+    a pivot b_c D_c, sigma or the Sherman-Morrison denominator is not
+    positive and finite (a singular S), and ``InvalidSpec`` for a risk that
+    is not finite.  Every point keeps its row, and every failed point reads
+    NaN.
 
     Each point that does not fail warns ``IllConditionedWarning``, in order,
     where the estimated relative error of its scales exceeds ``_ERR_WARN``:
@@ -400,11 +395,6 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     misses cancellation within L's entries, which can leave a risk near 0
     with no correct digit, even negative.
     """
-    g = len(b)
-    rows = np.arange(g)
-    if errors:
-        rows = np.delete(rows, list(errors))
-        psi, b = psi[rows], b[rows]
     sqrt_lam = math.sqrt(lam)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bc, bn = b[:, :-1], b[:, -1]
@@ -432,30 +422,29 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
         coef[:, 1, 2], coef[:, 1, 3] = -mN * mN * bn / md2, bn / md2
         coef[:, 2, 2], coef[:, 2, 3] = 1.0 / md2, -bn * bn / md2
         lr = -(np.swapaxes(coef, 1, 2) @ (ma + u[:, :, None] * (u / den[:, None])[:, None, :]) @ coef)
-        bias_r = f1_sq * (1.0 / md2 + lr[:, 2, 3] + lr[:, 0, 3])
-        variance_r = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
-        risk_r = bias_r + variance_r
+        bias = f1_sq * (1.0 / md2 + lr[:, 2, 3] + lr[:, 0, 3])
+        variance = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
+        risk = bias + variance
         pivots = np.concatenate((bc * d, sigma[:, None], den[:, None]), axis=1)
     valid = (pivots > 0.0) & (pivots < math.inf)
     singular = ~valid.all(axis=1)
-    overflow = ~singular & ~np.isfinite(risk_r)
     # F1^2 and tau^2 are finite, yet the risk may overflow, as may the sums of
     # a root near the ends of the float range: such a point fails with
     # InvalidSpec.  A failed point gives no warning for a risk it lacks.
-    failed = singular | overflow
+    failed = singular | ~np.isfinite(risk)
+    # A point that already failed reads NaN from its NaN scales, gives no
+    # warning and keeps the exception it has.
+    failed[list(errors)] = False
     for e in err[(err > _ERR_WARN) & ~failed]:
         warnings.warn(f"estimated relative error {e:.3e} of the scales exceeds {_ERR_WARN:.0e}; risk may "
                       "be inaccurate", IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
     for j in np.flatnonzero(failed):
-        errors[int(rows[j])] = (
+        errors[int(j)] = (
             np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
             if singular[j] else
-            InvalidSpec(f"risk overflows: bias {bias_r[j]:.3e} + variance {variance_r[j]:.3e} is not finite"))
-    risk_r[failed] = bias_r[failed] = variance_r[failed] = lr[failed] = np.nan
-    risk, bias, variance = np.full((3, g), np.nan)
-    L = np.full((g, 4, 4), np.nan)
-    risk[rows], bias[rows], variance[rows], L[rows] = risk_r, bias_r, variance_r, lr
-    return risk, bias, variance, L
+            InvalidSpec(f"risk overflows: bias {bias[j]:.3e} + variance {variance[j]:.3e} is not finite"))
+    risk[failed] = bias[failed] = variance[failed] = lr[failed] = np.nan
+    return risk, bias, variance, lr
 
 
 def _theory(base: TheorySpec, psi):
@@ -541,8 +530,3 @@ def limit_risk_infinite_width(ls: LimitSpec) -> float:
     if not (math.isfinite(chi) and math.isfinite(risk)):
         raise InvalidSpec(f"the width limit overflows at psi_n={psi_n:.3e}")
     return risk
-
-
-def limit_risk_zero_width(spec: TheorySpec) -> float:
-    """Risk limit as every width ratio shrinks to zero: F1^2."""
-    return spec.F1 ** 2

@@ -27,14 +27,14 @@ from multidescent import (
     InvalidSpec,
     LimitSpec,
     Moments,
+    NoConvergence,
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
     limit_risk_infinite_width,
-    limit_risk_zero_width,
     run_sweep,
 )
-from multidescent.risk import _coeffs, _score
+from multidescent.risk import _coeffs, _score, _theory
 from oracles import (
     DegenerateS,
     WrongK,
@@ -455,19 +455,13 @@ class TestWidthLimits:
                 risk = limit_risk_infinite_width(ls)
             assert risk == pytest.approx(float(mp_limit_risk(ls)), rel=1e-14)
 
-    def test_zero_width(self):
-        spec = TheorySpec(
-            psi=(1.0,), psi_n=2.0, moments=(Moments(0, 1, 0.5),), lam=0.1, F1=1.7
-        )
-        np.testing.assert_allclose(limit_risk_zero_width(spec), 1.7 ** 2, rtol=0)
-
     def test_tiny_widths_approach_zero_width_limit(self):
         ms = (Moments(0.0, 0.8, 0.5), Moments(0.0, 0.3, 1.2))
         spec = TheorySpec(
             psi=(1e-9, 1e-9), psi_n=2.0, moments=ms, lam=1e-2, F1=1.4, tau=0.3
         )
         risk = asymptotic_risk(spec).risk
-        np.testing.assert_allclose(risk, limit_risk_zero_width(spec), rtol=1e-6)
+        np.testing.assert_allclose(risk, spec.F1 ** 2, rtol=1e-6)
 
 
 class TestPeakAccuracy:
@@ -604,6 +598,57 @@ class TestErrorPaths:
             warnings.simplefilter("error")
             _score(*_coeffs(good, widths[1:2]), degenerate[None], good.F1 ** 2, good.tau ** 2, errors)
         assert isinstance(errors[0], np.linalg.LinAlgError)
+
+    def test_score_leaves_known_failures_alone(self):
+        """A point that failed in the solve reaches the risk core with NaN
+        scales and its exception: it reads NaN and is neither diagnosed again
+        nor warned about, while a singular point in the same stack still
+        fails and a good one equals its single-point evaluation."""
+        good = TheorySpec(
+            psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
+            lam=1e-3, tau=0.2,
+        )
+        widths = np.array([good.psi, (1e-300, 1e-300), good.psi])
+        direct = asymptotic_risk(good)
+        known = NoConvergence("residual nan > tol 1.0e-12 after 0 Newton steps", residual=math.nan,
+                              iterations=0)
+        errors = {0: known}
+        b = np.array([np.full(3, np.nan), np.full(3, 5e-324), direct.b])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk, bias, variance, L = _score(*_coeffs(good, widths), b, good.F1 ** 2, good.tau ** 2, errors)
+        assert list(errors) == [0, 1] and errors[0] is known
+        assert str(known) == "residual nan > tol 1.0e-12 after 0 Newton steps" and known.iterations == 0
+        assert isinstance(errors[1], np.linalg.LinAlgError)
+        for i in (0, 1):
+            assert np.isnan([risk[i], bias[i], variance[i]]).all() and np.isnan(L[i]).all()
+        assert (risk[2], bias[2], variance[2]) == (direct.risk, direct.bias, direct.variance)
+        np.testing.assert_array_equal(L[2], direct.L)
+
+    def test_stack_rows_equal_single_point_solves(self, monkeypatch):
+        """Every row of a stack equals its widths solved alone, in every
+        output: fast points far from the peak, a slow one near c = 1 at a
+        tiny lambda, one whose block scale lies below the float range (it
+        fails before its first step), one that hits the step cap, one whose
+        residual is not finite, one whose Newton determinant is not positive
+        and one whose risk overflows.  A point that has left the solve keeps
+        its values while the others iterate."""
+        base = TheorySpec(psi=(1.0, 1.0), psi_n=2.0, moments=(Moments(0, 0.8, 0.5), Moments(0, 1.0, 0.0)),
+                          lam=1e-24)
+        psi = np.array([(1e-3, 1e-3), (0.3, 0.3), (0.999, 0.999), (1e-320, 1.0), (1.0, 1.0), (3.0, 3.0),
+                        (1e150, 1e150), (1e300, 1e300), (1e290, 1e290)])
+        monkeypatch.setattr("multidescent.risk._MAX_ITER", 15)
+        *stack, errors = _theory(base, psi)
+        steps = stack[6]
+        assert max(steps[[0, 1, 5]]) < steps[2] < 15 and steps[4] == 15 and steps[[3, 7, 8]].max() == 0
+        assert {i: type(e) for i, e in errors.items()} == {
+            3: NoConvergence, 4: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: np.linalg.LinAlgError}
+        for i in range(len(psi)):
+            *alone, alone_errors = _theory(base, psi[i:i + 1])
+            for a, b in zip(stack, alone):
+                np.testing.assert_array_equal(a[i], b[0])
+            assert [(type(e), str(e)) for e in alone_errors.values()] == (
+                [(type(errors[i]), str(errors[i]))] if i in errors else [])
 
     def test_limit_needs_coupling(self):
         ms = (Moments(0.0, 1.0, 0.0), Moments(0.0, 1.0, 0.0))
