@@ -257,7 +257,7 @@ class TestSolutionProperties:
         assert np.array_equal(b1, b2)
 
 
-class TestContinuationAndWarmStart:
+class TestVanishingRidge:
     def test_lambda_path_shape(self):
         """A small lambda is solved from the cold start to within tol."""
         spec = TheorySpec(
