@@ -46,27 +46,20 @@ def _emit(obj, parts: list, indent: int) -> None:
         parts.append(format_number(v) if math.isfinite(v) else "null")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        # One rule for every container: its items between brackets, a dict's each after its key.
+        keyed = isinstance(obj, dict)
+        open_, close = "{}" if keyed else "[]"
+        items = [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()] if keyed else [("", v) for v in obj]
+        if not items:
+            parts.append(open_ + close)
             return
-        parts.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            parts.append(f"{pad}  {json.dumps(str(key))}: ")
+        parts.append(open_ + "\n")
+        for i, (key, val) in enumerate(items):
+            parts.append(pad + "  " + key)
             _emit(val, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, val in enumerate(seq):
-            parts.append(pad + "  ")
-            _emit(val, parts, indent + 1)
-            parts.append(",\n" if i < len(seq) - 1 else "\n")
-        parts.append(pad + "]")
+            parts.append(",\n" if i < len(items) - 1 else "\n")
+        parts.append(pad + close)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

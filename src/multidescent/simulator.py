@@ -35,7 +35,6 @@ __all__ = [
     "ShapeMismatch",
     "SolveFailure",
     "replication_rng",
-    "sample_sphere",
     "feature_matrix",
     "ridge_fit",
     "excess_risk_on",
@@ -117,18 +116,8 @@ def replication_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(index,)))
 
 
-def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the uniform distribution on the radius-sqrt(d) sphere."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    while True:
-        g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            return g * (math.sqrt(d) / norm)
-
-
 def _sphere_rows(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """``m`` draws from the uniform distribution on the radius-sqrt(d) sphere, one a row."""
     g = rng.standard_normal((m, d))
     norms = np.linalg.norm(g, axis=1)
     while np.any(norms == 0.0):  # probability-0 event; redraw those rows
@@ -240,7 +229,7 @@ def _replicate(cfg: EmpiricalConfig, counts: Sequence[tuple[int, ...]],
     count its excess risk or the ``SolveFailure`` that failed it alone.
     """
     rng = replication_rng(cfg.base_seed, index)
-    beta1 = cfg.F1 * sample_sphere(cfg.d, rng) / math.sqrt(cfg.d)
+    beta1 = cfg.F1 * _sphere_rows(1, cfg.d, rng)[0] / math.sqrt(cfg.d)
     X = _sphere_rows(cfg.n, cfg.d, rng)
     y = X @ beta1 + cfg.F0
     if cfg.tau > 0.0:

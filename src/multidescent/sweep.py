@@ -163,7 +163,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     The theory pass solves and scores the whole grid as one stack of
     arrays, with no per-point spec or result objects, every point from the
     closed-form start of its own widths (``risk._start``), so a row
-    depends on its own c alone.
+    depends on its own c alone: it is the same, bit for bit, in any stack
+    of two or more points.  From the one-point stack of ``asymptotic_risk``
+    (the ``theory`` command) a row of a model with K >= 4 blocks may differ
+    in the last bits: numpy's one-row matrix product rounds differently.
     A failing point records its error in the row and leaves NaNs instead
     of aborting the sweep.
     ``workers`` threads run every replication of every point, in one
@@ -242,35 +245,39 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
     so off-scale peaks stay visible without flattening the rest of the
     curve.  ``log_y`` switches the vertical axis to log10.
     """
-    # Rows with any drawable value set the axis ranges; rows that only mark
-    # a failed point still take part in the curve pass so the polyline
-    # breaks there instead of bridging the gap.
-    rows = [r for r in result.rows if math.isfinite(r.theory_risk) or r.emp_mean is not None]
-    if not rows:
+    # Rows with any drawable value set the x range; rows that only mark a
+    # failed point still break the theory curve instead of bridging the gap.
+    xs = [r.c for r in result.rows if math.isfinite(r.theory_risk) or r.emp_mean is not None]
+    if not xs:
         raise EmptyGrid("no finite points to draw")
 
     def usable(v):
         return v is not None and math.isfinite(v) and (not log_y or v > 0.0)
 
+    def whisker(r):
+        return (r.emp_mean - 2.0 * r.emp_se, r.emp_mean + 2.0 * r.emp_se) if r.emp_se else ()
+
+    def clamp(v):
+        if y_cap is not None and v > y_cap:
+            return y_cap, True
+        return v, False
+
+    def scale(v):
+        return math.log10(v) if log_y else v
+
+    # A whisker's ends widen the y range even when the whisker is not drawn.
     ys = []
-    for r in rows:
+    for r in result.rows:
         if usable(r.theory_risk):
             ys.append(r.theory_risk)
         if usable(r.emp_mean):
-            ys.append(r.emp_mean)
-            if r.emp_se:
-                lo = r.emp_mean - 2.0 * r.emp_se
-                hi = r.emp_mean + 2.0 * r.emp_se
-                ys += [v for v in (lo, hi) if not log_y or v > 0.0]
+            ys += [r.emp_mean] + [v for v in whisker(r) if not log_y or v > 0.0]
     if not ys:
         raise EmptyGrid("no drawable values on this axis scale")
-    if y_cap is not None:
-        ys = [min(v, y_cap) for v in ys]
-    ty = [math.log10(v) for v in ys] if log_y else ys
+    ty = [scale(clamp(v)[0]) for v in ys]
     y_lo, y_hi = min(ty), max(ty)
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    xs = [r.c for r in rows]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi - x_lo < 1e-12:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
@@ -278,8 +285,8 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
     def px(c):
         return _LEFT + (c - x_lo) / (x_hi - x_lo) * (_WIDTH - _LEFT - _RIGHT)
 
-    def py(v):
-        t = math.log10(v) if log_y else v
+    def py(t):
+        """The pixel row of ``t``, a value already on the axis scale."""
         return _HEIGHT - _BOTTOM - (t - y_lo) / (y_hi - y_lo) * (_HEIGHT - _TOP - _BOTTOM)
 
     def fmt(x):
@@ -317,10 +324,9 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         )
     for t in _axis_ticks(y_lo, y_hi):
         value = 10.0 ** t if log_y else t
-        ypix = _HEIGHT - _BOTTOM - (t - y_lo) / (y_hi - y_lo) * (_HEIGHT - _TOP - _BOTTOM)
-        parts.append(f'<line x1="{x0 - 5}" y1="{fmt(ypix)}" x2="{x0}" y2="{fmt(ypix)}" stroke="black"/>')
+        parts.append(f'<line x1="{x0 - 5}" y1="{fmt(py(t))}" x2="{x0}" y2="{fmt(py(t))}" stroke="black"/>')
         parts.append(
-            f'<text x="{x0 - 8}" y="{fmt(ypix + 4)}" font-size="12" text-anchor="end">{value:.3g}</text>'
+            f'<text x="{x0 - 8}" y="{fmt(py(t) + 4)}" font-size="12" text-anchor="end">{value:.3g}</text>'
         )
     parts.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 12}" font-size="14" text-anchor="middle">c</text>'
@@ -330,43 +336,36 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">excess risk</text>'
     )
 
+    # The theory curve breaks at every row without a drawable risk.  A
+    # one-point segment is drawn only at the end of the grid.
     clipped: list[tuple[float, float]] = []
-
-    def clamp(v):
-        if y_cap is not None and v > y_cap:
-            return y_cap, True
-        return v, False
-
-    coords = []
+    segments: list[list[tuple[float, float]]] = [[]]
     for r in result.rows:
         if not usable(r.theory_risk):
-            if len(coords) > 1:
-                pts = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in coords)
-                parts.append(f'<polyline class="theory" fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>')
-            coords = []
+            segments.append([])
             continue
         v, was_clipped = clamp(r.theory_risk)
-        coords.append((px(r.c), py(v)))
+        segments[-1].append((px(r.c), py(scale(v))))
         if was_clipped:
-            clipped.append((px(r.c), py(v)))
-    if coords:
-        pts = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in coords)
-        parts.append(f'<polyline class="theory" fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>')
+            clipped.append(segments[-1][-1])
+    last = len(segments) - 1
+    for i, coords in enumerate(segments):
+        if len(coords) > 1 or (coords and i == last):
+            pts = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in coords)
+            parts.append(f'<polyline class="theory" fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>')
 
-    for r in rows:
+    for r in result.rows:
         if not usable(r.emp_mean):
             continue
         v, was_clipped = clamp(r.emp_mean)
-        cx, cy = px(r.c), py(v)
-        if r.emp_se and not was_clipped:
-            lo = r.emp_mean - 2.0 * r.emp_se
-            hi = r.emp_mean + 2.0 * r.emp_se
-            if not log_y or lo > 0.0:
-                hi_c, _ = clamp(hi)
-                parts.append(
-                    f'<line class="whisker" x1="{fmt(cx)}" y1="{fmt(py(lo))}" '
-                    f'x2="{fmt(cx)}" y2="{fmt(py(hi_c))}" stroke="#d62728"/>'
-                )
+        cx, cy = px(r.c), py(scale(v))
+        ends = whisker(r)
+        if ends and not was_clipped and (not log_y or ends[0] > 0.0):
+            lo, hi = ends
+            parts.append(
+                f'<line class="whisker" x1="{fmt(cx)}" y1="{fmt(py(scale(lo)))}" '
+                f'x2="{fmt(cx)}" y2="{fmt(py(scale(clamp(hi)[0])))}" stroke="#d62728"/>'
+            )
         parts.append(f'<circle class="empirical" cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#d62728"/>')
         if was_clipped:
             clipped.append((cx, cy))

@@ -113,10 +113,13 @@ class TestFormatNumber:
 
 class TestToJson:
     def test_golden_layout(self):
-        payload = {"a": 1, "b": [0.5, True, None], "c": {"d": "x"}}
+        payload = {"a": 1, "b": [0.5, True, None, {}, []], "c": {"d": "x", "e": {}},
+                   "t": (2, "y"), "n": np.array([[0.25], [3.0]])}
         assert to_json(payload) == (
-            '{\n  "a": 1,\n  "b": [\n    0.500000000000,\n    true,\n    null\n  ],'
-            '\n  "c": {\n    "d": "x"\n  }\n}'
+            '{\n  "a": 1,\n  "b": [\n    0.500000000000,\n    true,\n    null,\n    {},\n    []\n  ],'
+            '\n  "c": {\n    "d": "x",\n    "e": {}\n  },'
+            '\n  "t": [\n    2,\n    "y"\n  ],'
+            '\n  "n": [\n    [\n      0.250000000000\n    ],\n    [\n      3.000000000000\n    ]\n  ]\n}'
         )
 
     def test_nonfinite_floats_become_null(self):

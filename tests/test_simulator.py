@@ -38,7 +38,6 @@ from multidescent import (
     run_experiment,
     run_experiments,
     run_sweep,
-    sample_sphere,
     theory_spec_from_empirical,
 )
 from multidescent import simulator
@@ -49,19 +48,15 @@ from multidescent.simulator import _openblas_thread_calls, _sphere_rows
 class TestSphereSampling:
     def test_norms(self):
         rng = np.random.default_rng(0)
-        for d in (1, 2, 7, 100):
-            x = sample_sphere(d, rng)
-            assert x.shape == (d,)
-            np.testing.assert_allclose(np.linalg.norm(x), math.sqrt(d), rtol=1e-12)
-        rows = _sphere_rows(50, 13, rng)
-        np.testing.assert_allclose(
-            np.linalg.norm(rows, axis=1), math.sqrt(13), rtol=1e-12
-        )
+        for m, d in ((1, 1), (1, 2), (3, 7), (1, 100), (50, 13)):
+            x = _sphere_rows(m, d, rng)
+            assert x.shape == (m, d)
+            np.testing.assert_allclose(np.linalg.norm(x, axis=1), math.sqrt(d), rtol=1e-12)
 
     def test_d1_is_sign(self):
         """In one dimension the draws are +-1 up to normalization roundoff."""
         rng = np.random.default_rng(1)
-        vals = np.array([float(sample_sphere(1, rng)[0]) for _ in range(32)])
+        vals = _sphere_rows(32, 1, rng)[:, 0]
         np.testing.assert_allclose(np.abs(vals), 1.0, rtol=1e-15)
         assert np.any(vals > 0) and np.any(vals < 0)
 
@@ -75,8 +70,9 @@ class TestSphereSampling:
         np.testing.assert_allclose(cov, np.eye(d), atol=0.05)
 
     def test_d_validation(self):
-        with pytest.raises(ValueError):
-            sample_sphere(0, np.random.default_rng(0))
+        """The sphere's dimension is the config's d, refused below 1."""
+        with pytest.raises(InvalidSpec, match="d, n, n_test and replications must be >= 1"):
+            EmpiricalConfig(d=0, n=4, N=(2,), activations=(ActivationSpec("relu"),), lam=0.1)
 
 
 class TestRidgeFit:
@@ -201,7 +197,7 @@ class TestClosedFormPipeline:
         """With ahat = 0 the excess risk is E[(x beta1 + F0)^2] = F1^2 + F0^2."""
         rng = np.random.default_rng(11)
         d, F1, F0 = 30, 1.3, 0.4
-        beta1 = F1 * sample_sphere(d, rng) / math.sqrt(d)
+        beta1 = F1 * _sphere_rows(1, d, rng)[0] / math.sqrt(d)
         Theta = _sphere_rows(8, d, rng)
         X_test = _sphere_rows(40000, d, rng)
         risk = excess_risk_on(
@@ -272,7 +268,7 @@ class TestDeterminism:
         flip = np.where(rng.uniform(size=d) < 0.5, -1.0, 1.0)
         X = _sphere_rows(n, d, rng)
         Theta = _sphere_rows(N, d, rng)
-        beta1 = sample_sphere(d, rng) / math.sqrt(d)
+        beta1 = _sphere_rows(1, d, rng)[0] / math.sqrt(d)
         y = X @ beta1
         acts = (ActivationSpec("elu", in_scale=2.0),)
         Z = feature_matrix(X, Theta, acts, (N,))

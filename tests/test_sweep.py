@@ -668,3 +668,44 @@ class TestSvg:
         result = run_sweep(spec)
         render_svg(result, tmp_path / "one.svg")  # degenerate ranges must not crash
         assert (tmp_path / "one.svg").exists()
+
+    def test_clipped_dot_has_marker_and_no_whisker(self, tmp_path):
+        result = _drawn([(0.6, 0.5, 0.1), (0.7, 3.0, 0.1), (0.9, 0.8, 0.05)])
+        render_svg(result, tmp_path / "cap.svg", y_cap=2.0)
+        root = _svg_root(tmp_path / "cap.svg")
+        dots = _by_class(root, "empirical")
+        (marker,) = _by_class(root, "clipped")
+        assert len(dots) == 3 and len(_by_class(root, "whisker")) == 2
+        # the marker sits on the clipped dot, the second one
+        assert marker.get("d").split()[1:3] == [f"{float(dots[1].get('cx')) - 5:.2f}", dots[1].get("cy")]
+        assert {w.get("x1") for w in _by_class(root, "whisker")} == {dots[0].get("cx"), dots[2].get("cx")}
+
+    def test_log_y_drops_a_whisker_that_reaches_zero(self, tmp_path):
+        result = _drawn([(0.6, 0.5, 0.3), (0.7, 0.4, 0.1), (0.9, 0.8, 0.05)])
+        render_svg(result, tmp_path / "log.svg", log_y=True)
+        root = _svg_root(tmp_path / "log.svg")
+        dots = _by_class(root, "empirical")
+        assert len(dots) == 3  # the dot whose lower end 0.5 - 2*0.3 is below 0 stays
+        assert [w.get("x1") for w in _by_class(root, "whisker")] == [dots[1].get("cx"), dots[2].get("cx")]
+
+    def test_equal_values_span_one_unit_each_way(self, tmp_path):
+        result = _drawn([(0.7, None, None)] * 3)
+        render_svg(result, tmp_path / "flat.svg")
+        root = _svg_root(tmp_path / "flat.svg")
+        labels = [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
+        assert labels == ["-0.3", "0.2", "0.7", "1.2", "1.7"]
+        (poly,) = _by_class(root, "theory")
+        assert {p.split(",")[1] for p in poly.get("points").split()} == {f"{_HALF_HEIGHT:.2f}"}
+
+
+# The pixel row halfway up the plot area of render_svg's 720x480 canvas.
+_HALF_HEIGHT = 480 - 56 - 0.5 * (480 - 24 - 56)
+
+
+def _drawn(points) -> SweepResult:
+    """A result to draw at c = 1, 2, ...: (theory risk, emp mean, emp se) per row."""
+    return SweepResult(rows=[
+        SweepRow(c=float(i + 1), psi=(0.5, 0.5), psi_n=1.0, lam=1e-3, theory_risk=risk,
+                 theory_bias=0.0, theory_variance=0.0, emp_mean=mean, emp_se=se)
+        for i, (risk, mean, se) in enumerate(points)
+    ])
