@@ -53,10 +53,15 @@ class ExitStatus(IntEnum):
 
 _CONFIG_ERRORS = (ConfigError, InvalidSpec, DegenerateMoments, EmptyGrid, QuadratureDiverged)
 _SOLVER_ERRORS = (NoConvergence, SolveFailure, ShapeMismatch, np.linalg.LinAlgError)
+_STATUSES = ((_CONFIG_ERRORS, ExitStatus.CONFIG), (_SOLVER_ERRORS, ExitStatus.SOLVER),
+             ((OSError,), ExitStatus.IO))
+_ERRORS = _CONFIG_ERRORS + _SOLVER_ERRORS + (OSError,)
 
 
-def _diagnose(err: BaseException, stream) -> None:
+def _failure(err: Exception, stream) -> ExitStatus:
+    """Print ``Name: message`` for an error of ``_ERRORS``; return its exit status."""
     print(f"{type(err).__name__}: {err}", file=stream)
+    return next(status for kinds, status in _STATUSES if isinstance(err, kinds))
 
 
 def _workers(cfg: RootConfig) -> int | None:
@@ -80,7 +85,7 @@ def _cmd_theory(cfg: RootConfig, err_stream) -> str:
             "risk": result.risk,
             "bias": result.bias,
             "variance": result.variance,
-            "b": [float(x) for x in result.b],
+            "b": result.b,
         }
     )
 
@@ -93,7 +98,7 @@ def _cmd_simulate(cfg: RootConfig, err_stream) -> str:
             "mean": result.mean,
             "std_error": result.std_error,
             "replications": ecfg.replications,
-            "per_replication": [float(x) for x in result.per_replication],
+            "per_replication": result.per_replication,
         }
     )
 
@@ -157,15 +162,8 @@ def dispatch(command: str, cfg: RootConfig, out_stream=None, err_stream=None) ->
             if line not in seen:
                 seen.add(line)
                 print(line, file=err_stream)
-    except _CONFIG_ERRORS as err:
-        _diagnose(err, err_stream)
-        return ExitStatus.CONFIG
-    except _SOLVER_ERRORS as err:
-        _diagnose(err, err_stream)
-        return ExitStatus.SOLVER
-    except OSError as err:
-        _diagnose(err, err_stream)
-        return ExitStatus.IO
+    except _ERRORS as err:
+        return _failure(err, err_stream)
     print(payload, file=out_stream)
     return ExitStatus.OK
 
@@ -195,12 +193,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides)
-    except (ConfigError, QuadratureDiverged) as err:
-        _diagnose(err, sys.stderr)
-        return int(ExitStatus.CONFIG)
-    except OSError as err:
-        _diagnose(err, sys.stderr)
-        return int(ExitStatus.IO)
+    except _ERRORS as err:
+        return int(_failure(err, sys.stderr))
     return int(dispatch(args.command, cfg, sys.stdout, sys.stderr))
 
 

@@ -234,8 +234,8 @@ _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 24, 24, 56
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _axis_ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | None = None) -> None:
@@ -243,39 +243,37 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
 
     Values above ``y_cap`` are drawn at the cap with a distinct clip marker
     so off-scale peaks stay visible without flattening the rest of the
-    curve.  ``log_y`` switches the vertical axis to log10.
+    curve.  ``log_y`` switches the vertical axis to log10.  The drawn marks
+    alone set both axis ranges; a row without a drawable theory risk breaks
+    the curve, and a theory point left alone in its segment is a short dash.
     """
-    # Rows with any drawable value set the x range; rows that only mark a
-    # failed point still break the theory curve instead of bridging the gap.
-    xs = [r.c for r in result.rows if math.isfinite(r.theory_risk) or r.emp_mean is not None]
-    if not xs:
-        raise EmptyGrid("no finite points to draw")
 
     def usable(v):
         return v is not None and math.isfinite(v) and (not log_y or v > 0.0)
 
-    def whisker(r):
-        return (r.emp_mean - 2.0 * r.emp_se, r.emp_mean + 2.0 * r.emp_se) if r.emp_se else ()
+    def mark(v):  # v capped at y_cap and put on the axis scale, and whether it was capped
+        capped = y_cap is not None and v > y_cap
+        v = y_cap if capped else v
+        return (math.log10(v) if log_y else v), capped
 
-    def clamp(v):
-        if y_cap is not None and v > y_cap:
-            return y_cap, True
-        return v, False
-
-    def scale(v):
-        return math.log10(v) if log_y else v
-
-    # A whisker's ends widen the y range even when the whisker is not drawn.
-    ys = []
+    # Theory vertices (c, t, capped) per unbroken segment; dots (c, t, capped, whisker ends or []).
+    segments: list[list[tuple]] = [[]]
+    dots = []
     for r in result.rows:
         if usable(r.theory_risk):
-            ys.append(r.theory_risk)
+            segments[-1].append((r.c, *mark(r.theory_risk)))
+        elif segments[-1]:
+            segments.append([])
         if usable(r.emp_mean):
-            ys += [r.emp_mean] + [v for v in whisker(r) if not log_y or v > 0.0]
-    if not ys:
+            t, capped = mark(r.emp_mean)
+            ends = [r.emp_mean + k * r.emp_se for k in (-2.0, 2.0)] if r.emp_se and not capped else []
+            dots.append((r.c, t, capped, [mark(e)[0] for e in ends] if all(map(usable, ends)) else []))
+    vertices = [v for seg in segments for v in seg]
+    xs = [v[0] for v in vertices] + [d[0] for d in dots]
+    if not xs:
         raise EmptyGrid("no drawable values on this axis scale")
-    ty = [scale(clamp(v)[0]) for v in ys]
-    y_lo, y_hi = min(ty), max(ty)
+    ys = [v[1] for v in vertices] + [d[1] for d in dots] + [e for d in dots for e in d[3]]
+    y_lo, y_hi = min(ys), max(ys)
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     x_lo, x_hi = min(xs), max(xs)
@@ -299,9 +297,7 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
     ]
     series = {
         "c": [r.c for r in result.rows],
-        "theory_risk": [
-            r.theory_risk if math.isfinite(r.theory_risk) else None for r in result.rows
-        ],
+        "theory_risk": [r.theory_risk for r in result.rows],
         "emp_mean": [r.emp_mean for r in result.rows],
         "emp_se": [r.emp_se for r in result.rows],
         "log_y": log_y,
@@ -336,38 +332,21 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">excess risk</text>'
     )
 
-    # The theory curve breaks at every row without a drawable risk.  A
-    # one-point segment is drawn only at the end of the grid.
-    clipped: list[tuple[float, float]] = []
-    segments: list[list[tuple[float, float]]] = [[]]
-    for r in result.rows:
-        if not usable(r.theory_risk):
-            segments.append([])
-            continue
-        v, was_clipped = clamp(r.theory_risk)
-        segments[-1].append((px(r.c), py(scale(v))))
-        if was_clipped:
-            clipped.append(segments[-1][-1])
-    last = len(segments) - 1
-    for i, coords in enumerate(segments):
-        if len(coords) > 1 or (coords and i == last):
-            pts = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in coords)
-            parts.append(f'<polyline class="theory" fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>')
+    clipped = [(px(c), py(t)) for c, t, capped in vertices if capped]
+    for seg in filter(None, segments):
+        dash = (-3.0, 3.0) if len(seg) == 1 else (0.0,)  # a lone vertex is a 6 px dash
+        pts = " ".join(f"{fmt(px(c) + d)},{fmt(py(t))}" for c, t, _ in seg for d in dash)
+        parts.append(f'<polyline class="theory" fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>')
 
-    for r in result.rows:
-        if not usable(r.emp_mean):
-            continue
-        v, was_clipped = clamp(r.emp_mean)
-        cx, cy = px(r.c), py(scale(v))
-        ends = whisker(r)
-        if ends and not was_clipped and (not log_y or ends[0] > 0.0):
-            lo, hi = ends
+    for c, t, capped, ends in dots:
+        cx, cy = px(c), py(t)
+        if ends:
             parts.append(
-                f'<line class="whisker" x1="{fmt(cx)}" y1="{fmt(py(scale(lo)))}" '
-                f'x2="{fmt(cx)}" y2="{fmt(py(scale(clamp(hi)[0])))}" stroke="#d62728"/>'
+                f'<line class="whisker" x1="{fmt(cx)}" y1="{fmt(py(ends[0]))}" '
+                f'x2="{fmt(cx)}" y2="{fmt(py(ends[1]))}" stroke="#d62728"/>'
             )
         parts.append(f'<circle class="empirical" cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#d62728"/>')
-        if was_clipped:
+        if capped:
             clipped.append((cx, cy))
 
     for cx, cy in clipped:

@@ -18,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidescent
 from multidescent import (
@@ -44,6 +46,7 @@ from multidescent import (
     write_csv,
 )
 from multidescent.cli import ExitStatus, dispatch
+from multidescent.sweep import _BOTTOM, _HEIGHT, _TOP
 from oracles import expand_grid
 
 MOMENTS_K2 = (Moments(0.3, 0.9, 0.5), Moments(0.1, 0.4, 1.1))
@@ -575,6 +578,11 @@ class TestCsv:
             csv_text(SweepResult(rows=[]))
 
 
+# Quarters from -2 to 10 and the non-finite values: distinct drawable values are
+# far apart on either axis scale, so they never share a pixel row.
+_SVG_VALUES = st.one_of(st.integers(-8, 40).map(lambda k: k / 4), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
 def _svg_root(path):
     return ET.parse(path).getroot()
 
@@ -651,9 +659,11 @@ class TestSvg:
         result.rows[1].theory_risk = math.nan
         out = tmp_path / "gap.svg"
         render_svg(result, out)
-        polylines = _by_class(_svg_root(out), "theory")
-        assert len(polylines) == 1  # single-point head segment is dropped
-        assert len(polylines[0].get("points").split()) == 2
+        head, tail = (p.get("points").split() for p in _by_class(_svg_root(out), "theory"))
+        assert len(tail) == 2
+        # the lone head point is a 6 px horizontal dash
+        (x0, y0), (x1, y1) = (map(float, p.split(",")) for p in head)
+        assert y0 == y1 and x1 - x0 == pytest.approx(6.0)
 
     def test_all_nan_raises(self, tmp_path):
         spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
@@ -692,14 +702,87 @@ class TestSvg:
         result = _drawn([(0.7, None, None)] * 3)
         render_svg(result, tmp_path / "flat.svg")
         root = _svg_root(tmp_path / "flat.svg")
-        labels = [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
-        assert labels == ["-0.3", "0.2", "0.7", "1.2", "1.7"]
+        assert _y_labels(root) == ["-0.3", "0.2", "0.7", "1.2", "1.7"]
         (poly,) = _by_class(root, "theory")
         assert {p.split(",")[1] for p in poly.get("points").split()} == {f"{_HALF_HEIGHT:.2f}"}
 
 
+    @pytest.mark.parametrize("risks, expected", [
+        ((1.0, math.nan, 2.0, math.nan, 3.0, 4.0),
+         ["69.00,424.00 75.00,424.00", "318.60,290.67 324.60,290.67", "571.20,157.33 696.00,24.00"]),
+        ((1.0, 2.0, math.nan, 3.0), ["72.00,424.00 280.00,224.00", "693.00,24.00 699.00,24.00"]),
+    ], ids=["between-gaps", "grid-end"])
+    def test_lone_theory_point_is_a_dash(self, tmp_path, risks, expected):
+        render_svg(_drawn([(r, None, None) for r in risks]), tmp_path / "lone.svg")
+        assert [p.get("points") for p in _by_class(_svg_root(tmp_path / "lone.svg"), "theory")] == expected
+
+    def test_undrawn_whisker_leaves_the_log_range(self, tmp_path):
+        """The lower end 0.5 - 2*0.3 is not > 0, so the whisker is not drawn and its
+        upper end 1.1 does not widen the axis."""
+        render_svg(_drawn([(0.4, 0.5, 0.3), (0.45, None, None)]), tmp_path / "log.svg", log_y=True)
+        root = _svg_root(tmp_path / "log.svg")
+        assert not _by_class(root, "whisker")
+        assert _y_labels(root) == ["0.4", "0.423", "0.447", "0.473", "0.5"]
+
+    def test_capped_dot_whisker_leaves_the_range(self, tmp_path):
+        render_svg(_drawn([(0.5, 3.0, 1.4), (0.6, None, None)]), tmp_path / "cap.svg", y_cap=2.0)
+        root = _svg_root(tmp_path / "cap.svg")
+        assert not _by_class(root, "whisker")
+        assert _y_labels(root) == ["0.5", "0.875", "1.25", "1.62", "2"]  # not down to 3.0 - 2*1.4
+
+    def test_undrawable_rows_leave_the_x_range(self, tmp_path):
+        """On the log axis the risks at c = 1 and 4 are not drawn, so c spans 2 to 3."""
+        render_svg(_drawn([(-1.0, None, None), (2.0, 2.5, 0.1), (3.0, None, None), (-0.5, None, None)]),
+                   tmp_path / "x.svg", log_y=True)
+        root = _svg_root(tmp_path / "x.svg")
+        labels = [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "middle"]
+        assert labels[:5] == ["2", "2.25", "2.5", "2.75", "3"]
+
+    @pytest.mark.parametrize("log_y", [False, True])
+    def test_non_finite_se_draws_no_whisker(self, tmp_path, log_y):
+        render_svg(_drawn([(0.5, 0.6, math.nan), (0.6, 0.7, math.inf), (0.7, 0.8, 0.05)]),
+                   tmp_path / "se.svg", log_y=log_y)
+        text = (tmp_path / "se.svg").read_text()
+        root = _svg_root(tmp_path / "se.svg")
+        dots = _by_class(root, "empirical")
+        assert [w.get("x1") for w in _by_class(root, "whisker")] == [dots[2].get("cx")]
+        assert "nan" not in text and "inf" not in text
+        assert _y_labels(root) == (["0.5", "0.579", "0.671", "0.777", "0.9"] if log_y
+                                   else ["0.5", "0.6", "0.7", "0.8", "0.9"])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(rows=st.lists(st.tuples(_SVG_VALUES, st.one_of(st.none(), _SVG_VALUES),
+                                   st.sampled_from([None, 0.0, 0.25, 1.0, 3.0, math.nan, math.inf])),
+                         min_size=1, max_size=8),
+           log_y=st.booleans(), y_cap=st.sampled_from([None, 0.5, 2.0, 5.0]))
+    def test_drawn_marks_span_the_plot_height(self, tmp_path_factory, rows, log_y, y_cap):
+        """The drawn pixel rows reach the top and bottom of the plot area exactly,
+        or all sit halfway up when every drawn value is the same."""
+        out = tmp_path_factory.mktemp("svg") / "prop.svg"
+        drawable = [v for r, m, _ in rows for v in (r, m)
+                    if v is not None and math.isfinite(v) and (v > 0.0 or not log_y)]
+        if not drawable:
+            with pytest.raises(EmptyGrid):
+                render_svg(_drawn(rows), out, log_y=log_y, y_cap=y_cap)
+            return
+        render_svg(_drawn(rows), out, log_y=log_y, y_cap=y_cap)
+        assert "nan" not in out.read_text()
+        root = _svg_root(out)
+        ys = [float(p.split(",")[1]) for el in _by_class(root, "theory") for p in el.get("points").split()]
+        ys += [float(el.get("cy")) for el in _by_class(root, "empirical")]
+        ys += [float(el.get(k)) for el in _by_class(root, "whisker") for k in ("y1", "y2")]
+        if len(set(ys)) == 1:
+            assert ys[0] == _HALF_HEIGHT
+        else:
+            assert (min(ys), max(ys)) == (_TOP, _HEIGHT - _BOTTOM)
+
+
 # The pixel row halfway up the plot area of render_svg's 720x480 canvas.
 _HALF_HEIGHT = 480 - 56 - 0.5 * (480 - 24 - 56)
+
+
+def _y_labels(root) -> list[str]:
+    return [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
 
 
 def _drawn(points) -> SweepResult:
