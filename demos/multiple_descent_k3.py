@@ -39,12 +39,13 @@ def main() -> None:
             f"relu({s:g}x): mu1^2 = {m.mu1**2:.6g}, mu2^2 = {m.mu2_sq:.6g}, "
             f"total power {m.mu1**2 + m.mu2_sq:.6g}"
         )
+    # Block widths in proportions 1:1:3; the sweep scales them along c.
     base = TheorySpec(
-        psi=(1.0, 1.0, 1.0), psi_n=10.0 / 3.0, moments=moments,
+        psi=(1.0, 1.0, 3.0), psi_n=10.0 / 3.0, moments=moments,
         lam=1e-4, F1=1.0, tau=0.1,
     )
     grid = tuple(0.2 + 0.05 * i for i in range(117))
-    result = run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0, 3.0), c_grid=grid))
+    result = run_sweep(SweepSpec(base=base, c_grid=grid))
 
     risks = [row.theory_risk for row in result.rows]
     peaks = [

@@ -41,11 +41,12 @@ def main() -> None:
         compute_moments(ActivationSpec("elu", in_scale=3.0)),
         compute_moments(ActivationSpec("relu", in_scale=0.25)),
     )
+    # Equal block widths; the sweep scales them along c.
     base = TheorySpec(
         psi=(1.0, 1.0), psi_n=10.0 / 3.0, moments=moments, lam=1e-5, F1=1.0, tau=0.1
     )
     grid = tuple(0.2 + 0.05 * i for i in range(61))
-    result = run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=grid))
+    result = run_sweep(SweepSpec(base=base, c_grid=grid))
 
     csv_path = outdir / "triple_descent.csv"
     svg_path = outdir / "triple_descent.svg"

@@ -192,7 +192,7 @@ class RootConfig:
 
     activations: tuple[ActivationSpec, ...] | None
     moments: tuple[Moments, ...]
-    model: dict
+    model: dict | None
     empirical: dict | None
     sweep: dict | None
     limit: dict | None
@@ -238,8 +238,7 @@ def _model(raw, pointer: str) -> dict:
         raise ConfigError(pointer, "give either psi/psi_n or d/n/N, not both")
     if not has_psi and not has_counts:
         raise ConfigError(pointer, "give either psi/psi_n or d/n/N")
-    # psi_n (or n/d) is read by every command; lambda and the widths are
-    # required by the builders of the commands that read them.
+    # Every builder reads psi_n (or n/d); lambda and the widths, only those that need them.
     _require(fields, pointer, ("psi_n",) if has_psi else ("d", "n"))
     return fields
 
@@ -277,15 +276,13 @@ def validate_config(raw: dict) -> RootConfig:
     doc = _fields(raw, "", _ROOT)
     if ("activations" in doc) == ("moments_override" in doc):
         raise ConfigError("", "give exactly one of activations or moments_override")
-    if "model" not in doc:
-        raise ConfigError("", "missing required section 'model'")
     activations = doc.get("activations")
     if activations is not None:
         moments = tuple(compute_moments(a) for a in activations)
     else:
         moments = doc["moments_override"]
 
-    model = doc["model"]
+    model = doc.get("model", {})
     k = len(moments)
     widths = model.get("psi", model.get("N"))
     if widths is not None and len(widths) != k:
@@ -306,7 +303,7 @@ def validate_config(raw: dict) -> RootConfig:
     return RootConfig(
         activations=activations,
         moments=moments,
-        model=model,
+        model=doc.get("model"),
         empirical=doc.get("empirical"),
         sweep=doc.get("sweep"),
         limit=doc.get("limit"),
@@ -387,50 +384,60 @@ def _psi_n(model: dict) -> float:
     return model["psi_n"] if "psi_n" in model else model["n"] / model["d"]
 
 
+def _model_of(cfg: RootConfig) -> dict:
+    """The model section, which every command but ``moments`` reads."""
+    if cfg.model is None:
+        raise ConfigError("", "missing required section 'model'")
+    return cfg.model
+
+
+def _at_widths(cfg: RootConfig, psi) -> TheorySpec:
+    """The model at the widths ``psi``; its ``lambda`` must be given."""
+    return TheorySpec(psi=psi, psi_n=_psi_n(cfg.model), moments=cfg.moments, lam=cfg.model["lambda"],
+                      **_given(cfg.model, ("F0", "F1", "tau")))
+
+
 def build_theory_spec(cfg: RootConfig) -> TheorySpec:
     """Asymptotic instance from the model section (counts become ratios)."""
-    model = cfg.model
+    model = _model_of(cfg)
     widths = "psi" if "psi_n" in model else "N"
     _require(model, "/model", ("lambda", widths))
-    return TheorySpec(
-        psi=model["psi"] if widths == "psi" else tuple(nc / model["d"] for nc in model["N"]),
-        psi_n=_psi_n(model),
-        moments=cfg.moments,
-        lam=model["lambda"],
-        **_given(model, ("F0", "F1", "tau")),
-    )
+    return _at_widths(cfg, model["psi"] if widths == "psi" else tuple(nc / model["d"] for nc in model["N"]))
 
 
 def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
     """The finite-size run of the model: its activations, d, n and N, and the
     empirical section's settings."""
+    model = _model_of(cfg)
     if cfg.activations is None:
         raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
-    if "N" not in cfg.model:
+    if "N" not in model:
         raise ConfigError("/model", "finite-size runs need explicit feature counts N")
     spec = build_theory_spec(cfg)
     return EmpiricalConfig(
-        d=cfg.model["d"], n=cfg.model["n"], N=cfg.model["N"], activations=cfg.activations,
+        d=model["d"], n=model["n"], N=model["N"], activations=cfg.activations,
         lam=spec.lam, F0=spec.F0, F1=spec.F1, tau=spec.tau,
         **_given(cfg.empirical or {}, ("n_test", "replications", "base_seed")),
     )
 
 
 def build_sweep_spec(cfg: RootConfig) -> SweepSpec:
-    """Sweep instance; attaches the model's finite-size run iff /empirical is present."""
+    """Sweep instance: the model at widths ``sweep.ratios`` (all 1 by default), so a theory-only
+    sweep reads no model widths; attaches the model's finite-size run iff /empirical is present."""
+    model = _model_of(cfg)
     if cfg.sweep is None:
         raise ConfigError("", "missing required section 'sweep'")
-    base = build_theory_spec(cfg)
-    ratios = cfg.sweep.get("ratios", (1.0,) * base.K)
+    _require(model, "/model", ("lambda",))
+    base = _at_widths(cfg, cfg.sweep.get("ratios", (1.0,) * len(cfg.moments)))
     empirical = build_empirical_config(cfg) if cfg.empirical is not None else None
-    return SweepSpec(base=base, ratios=ratios, c_grid=cfg.sweep["c_grid"], empirical=empirical)
+    return SweepSpec(base=base, c_grid=cfg.sweep["c_grid"], empirical=empirical)
 
 
 def build_limit_spec(cfg: RootConfig) -> LimitSpec:
     """Infinite-width instance; the block weights default to all 1."""
     return LimitSpec(
         r=(cfg.limit or {}).get("r", (1.0,) * len(cfg.moments)),
-        psi_n=_psi_n(cfg.model),
+        psi_n=_psi_n(_model_of(cfg)),
         moments=cfg.moments,
         **_given(cfg.model, ("F1", "tau")),
     )

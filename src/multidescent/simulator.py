@@ -56,7 +56,7 @@ class SolveFailure(RuntimeError):
 # float64 entries (1 GiB) that the arrays of one replication may hold: the
 # inputs, feature directions and test inputs, n + n_test + sum(N) rows of d,
 # and the training and test features, (n + n_test) x sum(N).  A larger run
-# would exhaust memory partway through its draws, so its config is refused.
+# would exhaust memory partway through its draws, so it is refused first.
 _MAX_REPLICATION_ENTRIES = 2**27
 
 
@@ -89,12 +89,6 @@ class EmpiricalConfig:
             raise InvalidSpec("d, n, n_test and replications must be >= 1")
         if any(x < 1 for x in self.N):
             raise InvalidSpec("all feature counts must be >= 1")
-        rows, features = self.n + self.n_test, sum(self.N)
-        entries = (rows + features) * self.d + rows * features
-        if entries > _MAX_REPLICATION_ENTRIES:
-            raise InvalidSpec(
-                f"a replication needs {entries} float64 entries, (n + n_test + sum(N))*d + "
-                f"(n + n_test)*sum(N); the cap is {_MAX_REPLICATION_ENTRIES}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise InvalidSpec("lambda must be > 0")
         if not (math.isfinite(self.F0)
@@ -309,16 +303,23 @@ def run_experiments(
     """``cfg``'s model at each feature-count tuple of ``counts``, every
     replication in one pool of ``workers`` threads.
 
-    Each count must make a valid config, ``replace(cfg, N=count)``, or its
-    ``InvalidSpec`` is raised before anything is drawn; ``cfg.N`` itself is
-    not run.  One job runs one replication at every count from one set of
-    draws (``_replicate``).  Returns per count its :class:`EmpiricalRisk` or
-    the error that failed it: the intercept guard's ``InvalidSpec``, which
-    fails every count, or its lowest-index replication's ``SolveFailure``.
-    ``workers`` None or below 2 means one thread.  Results are gathered by
-    replication index, so no outcome depends on the worker count.
+    Each count must make a valid config, ``replace(cfg, N=count)``, whose
+    replication fits the cap, or its ``InvalidSpec`` is raised before any
+    draw; ``cfg.N`` itself is not run.  One job runs one replication at
+    every count from one set of draws (``_replicate``).  Returns per count
+    its :class:`EmpiricalRisk` or the error that failed it: the intercept
+    guard's ``InvalidSpec``, which fails every count, or its lowest-index
+    replication's ``SolveFailure``.  ``workers`` None or below 2 means one
+    thread.  Results are gathered by replication index, so no outcome
+    depends on the worker count.
     """
     counts = [replace(cfg, N=N).N for N in counts]
+    rows = cfg.n + cfg.n_test
+    for entries in ((rows + m) * cfg.d + rows * m for m in map(sum, counts)):
+        if entries > _MAX_REPLICATION_ENTRIES:
+            raise InvalidSpec(
+                f"a replication needs {entries} float64 entries, (n + n_test + sum(N))*d + "
+                f"(n + n_test)*sum(N); the cap is {_MAX_REPLICATION_ENTRIES}")
     if cfg.F0 != 0.0 and not represents_intercept(compute_moments(a) for a in cfg.activations):
         guard = InvalidSpec("F0 != 0 needs at least one activation with nonzero Gaussian mean, "
                             "otherwise the model cannot represent the intercept")

@@ -1,11 +1,10 @@
 """Risk curves over a model-complexity grid, with CSV and SVG emission.
 
-A sweep holds the activation moments, the sample ratio and the ridge
-penalty fixed while the total feature budget ``c = sum(psi_c) / psi_n``
-moves along a grid; relative widths between components are set by a ratio
-vector.  Theory risk is evaluated at every point, the whole grid as one
-stacked solve and one stacked risk evaluation, and a finite-size run of the
-same model can be simulated at every point of the grid.
+A sweep moves one base model along a grid of the total feature budget
+``c = sum(psi_c) / psi_n``; its moments, sample ratio, ridge penalty and
+block proportions stay fixed.  Theory risk is evaluated at every point,
+the whole grid as one stacked solve and one stacked risk evaluation, and a
+finite-size run of the same model can be simulated at every point.
 """
 
 from __future__ import annotations
@@ -38,27 +37,20 @@ class EmptyGrid(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A complexity sweep: base model, relative widths and the c grid.
+    """A complexity sweep: ``base`` moved along the c grid.
 
-    ``empirical``, when given, is a finite-size run of ``base``: its theory
-    instance may differ from ``base`` in the widths alone.  Each grid point
-    runs it with that point's feature counts.
+    The widths of ``base`` are the block proportions (only their direction
+    matters), scaled at each c to sum to c*psi_n, and the counts of the
+    finite-size run to c*n.  ``empirical``, when given, is that run: its
+    theory instance may differ from ``base`` in the widths alone.
     """
 
     base: TheorySpec
-    ratios: tuple[float, ...]
     c_grid: tuple[float, ...]
     empirical: EmpiricalConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
-        if len(self.ratios) != self.base.K:
-            raise InvalidSpec(
-                f"need {self.base.K} ratios to match the base model, got {len(self.ratios)}"
-            )
-        if any(not (r > 0.0 and math.isfinite(r)) for r in self.ratios):
-            raise InvalidSpec("ratios must be > 0")
         if any(not (c > 0.0 and math.isfinite(c)) for c in self.c_grid):
             raise InvalidSpec("c grid values must be > 0")
         if any(b >= a for a, b in zip(self.c_grid[1:], self.c_grid)):
@@ -108,22 +100,21 @@ class SweepResult:
 
 
 def _shares(spec: SweepSpec) -> tuple[list[float], float]:
-    """The ratios scaled by one power of two, so that their sum is finite, and that sum.
-
-    The scaling is exact, so ratio_c*c*x/sum(ratios) keeps its bits."""
-    _, e = math.frexp(max(spec.ratios))
-    ratios = [math.ldexp(r, -e) for r in spec.ratios]
-    return ratios, sum(ratios)
+    """The base widths r scaled by one power of two, so that their sum is
+    finite, and that sum.  The scaling is exact, so r_c*c*x/sum(r) keeps its bits."""
+    _, e = math.frexp(max(spec.base.psi))
+    shares = [math.ldexp(r, -e) for r in spec.base.psi]
+    return shares, sum(shares)
 
 
 def _grid_psi(spec: SweepSpec) -> np.ndarray:
-    """Widths psi_c = ratio_c*c*psi_n/sum(ratios) of every grid value, shape (G, K);
+    """Widths psi_c = r_c*c*psi_n/sum(r) of every grid value, shape (G, K);
     widths that overflow to inf or underflow to 0 raise ``InvalidSpec``."""
     if len(spec.c_grid) == 0:
         raise EmptyGrid("c grid is empty")
-    ratios, total = _shares(spec)
+    shares, total = _shares(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.multiply.outer(spec.c_grid, ratios) * spec.base.psi_n / total
+        psi = np.multiply.outer(spec.c_grid, shares) * spec.base.psi_n / total
     if not np.isfinite(psi).all():
         raise InvalidSpec("psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite")
     if not (psi > 0.0).all():
@@ -133,9 +124,9 @@ def _grid_psi(spec: SweepSpec) -> np.ndarray:
 
 def _counts_at(spec: SweepSpec, c: float) -> tuple[int, ...]:
     """The feature counts of the finite-size run at ``c``:
-    N_c = ratio_c*c*n/sum(ratios), rounded, at least 1."""
-    ratios, total = _shares(spec)
-    counts = [r * c * spec.empirical.n / total for r in ratios]
+    N_c = r_c*c*n/sum(r), rounded, at least 1."""
+    shares, total = _shares(spec)
+    counts = [r * c * spec.empirical.n / total for r in shares]
     if not all(map(math.isfinite, counts)):
         raise InvalidSpec("feature counts overflow: ratio_c*c*n/sum(ratios) must be finite")
     return tuple(max(1, int(round(x))) for x in counts)
@@ -151,14 +142,14 @@ def _metadata(spec: SweepSpec) -> dict:
             "tau": spec.base.tau,
             "moments": [[m.mu0, m.mu1, m.mu2_sq] for m in spec.base.moments],
         },
-        "ratios": list(spec.ratios),
+        "ratios": list(spec.base.psi),
         "c_grid": list(spec.c_grid),
         "tool_version": __version__,
     }
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
-    """Evaluate the full grid; theory always, finite-size runs when configured.
+    """Evaluate the base model at every c; theory always, finite-size runs when configured.
 
     The theory pass solves and scores the whole grid as one stack of
     arrays, with no per-point spec or result objects, every point from the

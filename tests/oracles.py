@@ -340,9 +340,10 @@ class GridPoint:
 
 
 def expand_grid(spec: SweepSpec) -> list[GridPoint]:
-    """One instance per grid value; widths split as psi_c = ratio_c*c*psi_n/sum(ratios),
-    feature counts as N_c = ratio_c*c*n/sum(ratios), rounded, at least 1, by the
-    sweep's own helpers, so each point's widths equal its row's bit for bit."""
+    """One instance per grid value; with r the base widths, widths split as
+    psi_c = r_c*c*psi_n/sum(r), feature counts as N_c = r_c*c*n/sum(r),
+    rounded, at least 1, by the sweep's own helpers, so each point's widths
+    equal its row's bit for bit."""
     points = []
     for c, psi in zip(spec.c_grid, _grid_psi(spec).tolist()):
         emp = None if spec.empirical is None else replace(spec.empirical, N=_counts_at(spec, c))

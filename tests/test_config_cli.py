@@ -12,6 +12,7 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -409,7 +410,7 @@ class TestBuilders:
         cfg = _minimal()
         cfg["sweep"] = {"c_grid": [0.5, 1.0]}
         spec = build_sweep_spec(parse_config(_inline(cfg)))
-        assert spec.ratios == (1.0,)
+        assert spec.base.psi == (1.0,)
         assert spec.c_grid == (0.5, 1.0)
         assert spec.empirical is None
 
@@ -423,7 +424,7 @@ class TestBuilders:
         parsed = parse_config(_inline(cfg))
         spec = build_sweep_spec(parsed)
         assert spec.empirical == build_empirical_config(parsed)
-        assert theory_spec_from_empirical(spec.empirical) == spec.base
+        assert replace(theory_spec_from_empirical(spec.empirical), psi=(1.0, 1.0)) == spec.base
         assert spec.empirical.replications == 2
 
     def test_sweep_simulates_its_own_model(self, capsys):
@@ -442,7 +443,7 @@ class TestBuilders:
         run = build_empirical_config(parse_config(_inline(_k2_counts_config(model=dict(
             _k2_counts_config()["model"], n=400)))))
         with pytest.raises(InvalidSpec, match="^empirical runs a different model from base: psi_n differ$"):
-            SweepSpec(base=spec.base, ratios=spec.ratios, c_grid=spec.c_grid, empirical=run)
+            SweepSpec(base=spec.base, c_grid=spec.c_grid, empirical=run)
 
     def test_limit_takes_any_k(self):
         ls = build_limit_spec(parse_config(_inline(_minimal())))
@@ -683,6 +684,13 @@ class TestMain:
     def test_ok_exit(self, capsys):
         assert main(["moments", "--config", _inline(_minimal())]) == 0
         assert "0.398942280401" in capsys.readouterr().out
+
+    def test_moments_needs_no_model(self, capsys):
+        """``moments`` reads the activations alone."""
+        assert main(["moments", "--config", _inline({"activations": [{"kind": "relu"}]})]) == 0
+        assert main(["moments", "--config", _inline(_minimal())]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[: len(out) // 2] == out[len(out) // 2:]
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["theory", "--config", "/nonexistent/run.json"]) == 2

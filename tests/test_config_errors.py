@@ -62,7 +62,12 @@ CASES = [
     case("root-both-sources", {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 0}]},
          "", "give exactly one of activations or moments_override"),
     case("root-no-source", {"activations": DROP}, "", "give exactly one of activations or moments_override"),
-    case("root-missing-model", {"model": DROP}, "", "missing required section 'model'"),
+    # Validation accepts a config with no model, which ``moments`` never reads.
+    case("root-missing-model", {"model": DROP}, "", "missing required section 'model'", build="theory"),
+    case("build-empirical-no-model", {"model": DROP}, "", "missing required section 'model'",
+         build="empirical"),
+    case("build-sweep-no-model", {"model": DROP}, "", "missing required section 'model'", build="sweep"),
+    case("build-limit-no-model", {"model": DROP}, "", "missing required section 'model'", build="limit"),
     case("activations-not-array", {"activations": {"kind": "relu"}},
          "/activations", "/activations: expected an array, got dict"),
     case("activations-empty", {"activations": []},

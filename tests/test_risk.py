@@ -559,7 +559,7 @@ class TestErrorPaths:
     def test_warning_names_the_callers_line(self, monkeypatch):
         """Each public entry point warns at the line that called it."""
         monkeypatch.setattr("multidescent.risk._ERR_WARN", 0.0)
-        sweep = SweepSpec(base=STIFF_H, ratios=(1.0, 1.0), c_grid=(0.5, 0.6))
+        sweep = SweepSpec(base=STIFF_H, c_grid=(0.5, 0.6))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno

@@ -248,7 +248,7 @@ class TestDeterminism:
         for workers in (1, 3):
             run_experiment(self._cfg(), workers=workers)
         base = theory_spec_from_empirical(self._cfg())
-        run_sweep(SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(0.5, 1.0), empirical=self._cfg()),
+        run_sweep(SweepSpec(base=base, c_grid=(0.5, 1.0), empirical=self._cfg()),
                   workers=2)
         assert seen == [1] * 18  # 6 + 6 jobs, then 6 carrying the sweep's two counts
         assert get() == before
@@ -383,7 +383,7 @@ class TestSharedDraws:
         assert sorted(jobs) == [(r, self.COUNTS) for r in range(4)]
 
     def test_sweep_rows_equal_their_configs_alone(self):
-        spec = SweepSpec(base=theory_spec_from_empirical(self.BASE), ratios=(1.0, 2.0),
+        spec = SweepSpec(base=replace(theory_spec_from_empirical(self.BASE), psi=(1.0, 2.0)),
                          c_grid=(0.4, 1.0, 1.6), empirical=self.BASE)
         rows = run_sweep(spec, workers=2).rows
         for row, point in zip(rows, expand_grid(spec)):
@@ -530,19 +530,20 @@ class TestValidation:
     def test_replication_size_is_capped(self, monkeypatch):
         """(n + n_test + sum(N))*d + (n + n_test)*sum(N) float64 entries, what
         one replication's arrays hold, may reach 2**27 and not exceed it; a
-        larger run fails at construction, through the library and the CLI
-        (exit 2), before anything is drawn."""
-        act = (ActivationSpec("relu"),)
-        at_cap = dict(d=14336, n=3596, n_test=500, N=(4096,), activations=act, lam=0.1)
-        EmpiricalConfig(**at_cap)
-        with pytest.raises(InvalidSpec, match=r"^a replication needs 134236160 float64 entries, "
-                                              r".*; the cap is 134217728$"):
-            EmpiricalConfig(**{**at_cap, "N": (4097,)})
-
+        larger run fails in ``run_experiment``, through the library and the
+        CLI (exit 2), before anything is drawn."""
         def no_draws(*args):
             raise AssertionError("drew sphere rows")
 
         monkeypatch.setattr(simulator, "_sphere_rows", no_draws)
+        act = (ActivationSpec("relu"),)
+        at_cap = EmpiricalConfig(d=14336, n=3596, n_test=500, N=(4096,), activations=act, lam=0.1,
+                                 replications=1)
+        with pytest.raises(AssertionError, match="^drew sphere rows$"):
+            run_experiment(at_cap)
+        with pytest.raises(InvalidSpec, match=r"^a replication needs 134236160 float64 entries, "
+                                              r".*; the cap is 134217728$"):
+            run_experiment(replace(at_cap, N=(4097,)))
         cfg = {"activations": [{"kind": "relu"}],
                "model": {"d": 30, "n": 100, "N": [10**12], "lambda": 1e-3},
                "empirical": {"replications": 2}}

@@ -72,14 +72,14 @@ def _run(**kw) -> EmpiricalConfig:
 
 
 def _matched(run: EmpiricalConfig, ratios=(1.0, 1.0), c_grid=(1.0,)) -> SweepSpec:
-    """The sweep of ``run``'s own model, simulated by ``run``."""
-    return SweepSpec(base=theory_spec_from_empirical(run), ratios=ratios, c_grid=c_grid, empirical=run)
+    """The sweep of ``run``'s own model in block proportions ``ratios``, simulated by ``run``."""
+    return SweepSpec(base=replace(theory_spec_from_empirical(run), psi=ratios), c_grid=c_grid, empirical=run)
 
 
 class TestExpandGrid:
     def test_equal_ratio_widths(self):
-        """psi_c = ratio_c * c * psi_n / sum(ratios), here just c*psi_n/2."""
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.6, 1.0, 2.0))
+        """psi_c = r_c * c * psi_n / sum(r), r the base widths, here just c*psi_n/2."""
+        spec = SweepSpec(base=_base(), c_grid=(0.6, 1.0, 2.0))
         points = expand_grid(spec)
         assert [p.c for p in points] == [0.6, 1.0, 2.0]
         np.testing.assert_allclose(points[0].theory.psi, (1.0, 1.0), rtol=1e-15)
@@ -92,7 +92,7 @@ class TestExpandGrid:
             assert p.empirical is None
 
     def test_feature_counts(self):
-        """Counts split the budget c*n by the ratios and round to integers;
+        """Counts split the budget c*n in the base proportions and round to integers;
         everything else is the sweep's run as given."""
         run = _run(d=300, n=1000, F0=0.2, n_test=40, replications=3, base_seed=5)
         spec = _matched(run, ratios=(1.0, 2.0), c_grid=(1.5,))
@@ -110,22 +110,21 @@ class TestExpandGrid:
         np.testing.assert_allclose(tiny.theory.psi, (0.001 * 10 / 6,) * 2, rtol=1e-15)
 
     def test_empty_grid(self):
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=())
+        spec = SweepSpec(base=_base(), c_grid=())
         with pytest.raises(EmptyGrid):
             expand_grid(spec)
 
     def test_spec_validation(self):
-        with pytest.raises(InvalidSpec, match="ratios"):
-            SweepSpec(base=_base(), ratios=(1.0,), c_grid=(1.0,))
+        """The proportions are the base widths, which the base checks."""
         for bad in (0.0, math.nan, math.inf):
-            with pytest.raises(InvalidSpec, match="ratios must be > 0"):
-                SweepSpec(base=_base(), ratios=(1.0, bad), c_grid=(1.0,))
+            with pytest.raises(InvalidSpec, match="^all psi entries must be > 0$"):
+                _base((1.0, bad))
             with pytest.raises(InvalidSpec, match="c grid values must be > 0"):
-                SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(bad, 1.0))
+                SweepSpec(base=_base(), c_grid=(bad, 1.0))
         with pytest.raises(InvalidSpec, match="increasing"):
-            SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(2.0, 1.0))
+            SweepSpec(base=_base(), c_grid=(2.0, 1.0))
         with pytest.raises(InvalidSpec, match="^empirical runs a different model from base: moments differ$"):
-            SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(1.0,),
+            SweepSpec(base=_base(), c_grid=(1.0,),
                       empirical=_run(N=(5,), activations=(ActivationSpec("relu"),)))
 
     def test_empirical_runs_the_base_model(self):
@@ -133,7 +132,7 @@ class TestExpandGrid:
         difference, each of the theory's inputs in turn, is named."""
         run = _run(F0=0.2)
         base = theory_spec_from_empirical(run)
-        SweepSpec(base=replace(base, psi=(0.5, 2.0)), ratios=(1.0, 1.0), c_grid=(1.0,), empirical=run)
+        SweepSpec(base=replace(base, psi=(0.5, 2.0)), c_grid=(1.0,), empirical=run)
         other = (ActivationSpec("elu"), ActivationSpec("tanh"))
         for edit, differ in (({"activations": other}, "moments"), ({"n": 60}, "psi_n"),
                              ({"d": 60, "N": (60, 60)}, "psi_n"), ({"lam": 1e-2}, "lam"),
@@ -141,9 +140,9 @@ class TestExpandGrid:
                              ({"lam": 1e-2, "tau": 0.0}, "lam, tau")):
             with pytest.raises(InvalidSpec, match=f"^empirical runs a different model from base: "
                                                   f"{differ} differ$"):
-                SweepSpec(base=base, ratios=(1.0, 1.0), c_grid=(1.0,), empirical=replace(run, **edit))
+                SweepSpec(base=base, c_grid=(1.0,), empirical=replace(run, **edit))
         with pytest.raises(InvalidSpec, match=": moments, F0 differ$"):
-            SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(1.0,), empirical=run)
+            SweepSpec(base=_base(), c_grid=(1.0,), empirical=run)
 
     def test_huge_ratios_give_the_widths_of_their_proportions(self):
         """Ratios whose sum overflows say "equal widths" like (1, 1) do, in
@@ -156,8 +155,8 @@ class TestExpandGrid:
             assert a.empirical.N == b.empirical.N
         spec = _matched(_run(), ratios=(1.0, 3.0), c_grid=(0.3, 0.7, 1.9))
         for c, point in zip(spec.c_grid, expand_grid(spec)):
-            assert point.theory.psi == tuple(r * c * spec.base.psi_n / 4.0 for r in spec.ratios)
-            assert point.empirical.N == tuple(max(1, round(r * c * 100 / 4.0)) for r in spec.ratios)
+            assert point.theory.psi == tuple(r * c * spec.base.psi_n / 4.0 for r in spec.base.psi)
+            assert point.empirical.N == tuple(max(1, round(r * c * 100 / 4.0)) for r in spec.base.psi)
 
 
 def _sweep_config(acts, ratios, lam, **sweep) -> dict:
@@ -181,9 +180,7 @@ def _stdout(command: str, cfg: dict) -> str:
 class TestTheoryPass:
     def test_rows_match_single_point_evaluation(self):
         """Each row is exactly the direct evaluation at its own c."""
-        spec = SweepSpec(
-            base=_base(lam=1e-4), ratios=(1.0, 2.0), c_grid=tuple(np.arange(0.2, 3.0, 0.2))
-        )
+        spec = SweepSpec(base=_base((1.0, 2.0), lam=1e-4), c_grid=tuple(np.arange(0.2, 3.0, 0.2)))
         result = run_sweep(spec)
         points = expand_grid(spec)
         assert len(result.rows) == len(points)
@@ -200,14 +197,14 @@ class TestTheoryPass:
     def test_constant_variance_features_flat_curve(self):
         """Zero linear and nonlinear moments leave the risk at F1^2 everywhere."""
         base = TheorySpec(
-            psi=(1.0, 1.0),
+            psi=(1.0, 3.0),
             psi_n=2.0,
             moments=(Moments(0.5, 0.0, 0.0), Moments(0.2, 0.0, 0.0)),
             lam=1e-2,
             F1=1.3,
             tau=0.4,
         )
-        spec = SweepSpec(base=base, ratios=(1.0, 3.0), c_grid=(0.5, 1.0, 2.0, 4.0))
+        spec = SweepSpec(base=base, c_grid=(0.5, 1.0, 2.0, 4.0))
         result = run_sweep(spec)
         for row in result.rows:
             np.testing.assert_allclose(row.theory_risk, 1.3 ** 2, rtol=1e-10)
@@ -215,7 +212,7 @@ class TestTheoryPass:
 
     def test_failed_points_record_error(self, monkeypatch):
         """A starved solver leaves NaN theory values and an error note."""
-        spec = SweepSpec(base=_base(lam=1e-6), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
+        spec = SweepSpec(base=_base(lam=1e-6), c_grid=(0.5, 1.0))
         monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
         result = run_sweep(spec)
         for row in result.rows:
@@ -231,11 +228,11 @@ class TestTheoryPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ratios, c, empirical in (((3e300, 1e300), 1.5e308, None), ((3.0, 1.0), 1.5e308, run)):
-                spec = SweepSpec(base=theory_spec_from_empirical(run), ratios=ratios, c_grid=(0.5, c),
+                spec = SweepSpec(base=replace(theory_spec_from_empirical(run), psi=ratios), c_grid=(0.5, c),
                                  empirical=empirical)
                 with pytest.raises(InvalidSpec, match="^psi entries overflow"):
                     run_sweep(spec)
-            spec = SweepSpec(base=_base(), ratios=(1.0, 1e-10), c_grid=(5e-324,))
+            spec = SweepSpec(base=_base((1.0, 1e-10)), c_grid=(5e-324,))
             with pytest.raises(InvalidSpec, match="^all psi entries must be > 0$"):
                 run_sweep(spec)
 
@@ -399,7 +396,7 @@ class TestTheoryPass:
         assert err.getvalue() == f"sweep: 1 of 3 grid points failed (first: {reason})\n"
 
     def test_metadata(self):
-        spec = SweepSpec(base=_base(), ratios=(1.0, 2.0), c_grid=(0.5, 1.0))
+        spec = SweepSpec(base=_base((1.0, 2.0)), c_grid=(0.5, 1.0))
         meta = run_sweep(spec).metadata
         assert meta["ratios"] == [1.0, 2.0]
         assert meta["c_grid"] == [0.5, 1.0]
@@ -412,6 +409,26 @@ def _small_empirical_sweep(workers=None):
     run = _run(d=15, n=30, activations=(ActivationSpec("relu"), ActivationSpec("tanh")), lam=1e-2,
                n_test=40, replications=3, base_seed=11)
     return run_sweep(_matched(run, c_grid=(0.5, 1.0, 1.5)), workers=workers)
+
+
+class TestBaseWidths:
+    """The sweep moves its base model along c; only the direction of the
+    base widths matters, and a config's sweep.ratios gives it."""
+
+    def test_widths_in_equal_proportions_give_equal_csv(self):
+        a, b = (csv_text(run_sweep(SweepSpec(base=_base(psi), c_grid=(0.5, 1.0, 2.0))))
+                for psi in ((1.0, 2.0), (2.0, 4.0)))
+        assert a == b
+
+    def test_theory_sweep_needs_no_model_widths(self):
+        """Model widths, which a theory-only sweep never reads, may be left
+        out (in either model form) and do not change its CSV."""
+        model = {"lambda": 1e-5, "F1": 1.0, "tau": 0.1}
+        cfg = {"activations": FIGURE_ACTS, "sweep": {"c_grid": [0.5, 1.0, 2.0], "ratios": [1, 2]}}
+        outs = {_stdout("sweep", dict(cfg, model=dict(model, **size)))
+                for size in ({"psi_n": 10.0 / 3.0}, {"psi_n": 10.0 / 3.0, "psi": [1, 1]},
+                             {"psi_n": 10.0 / 3.0, "psi": [123, 5]}, {"d": 3, "n": 10})}
+        assert len(outs) == 1
 
 
 class TestEmpiricalPass:
@@ -468,6 +485,17 @@ class TestEmpiricalPass:
                             r"the cap is 134217728\n", err.getvalue())
 
 
+    def test_unused_model_counts_are_not_capped(self):
+        """The replication cap applies to the counts that a run uses, not to
+        model.N, which an empirical sweep never runs."""
+        cfg = {"activations": FIGURE_ACTS,
+               "model": {"d": 200, "n": 600, "N": [1000000, 1], "lambda": 1e-3},
+               "empirical": {"replications": 2, "n_test": 50},
+               "sweep": {"c_grid": [0.5]}}
+        small = dict(cfg, model=dict(cfg["model"], N=[1, 1]))
+        assert _stdout("sweep", cfg) == _stdout("sweep", small)
+
+
 class TestCsv:
     def test_header(self):
         assert csv_header(2) == (
@@ -477,7 +505,7 @@ class TestCsv:
         assert csv_header(1).startswith("c,psi_1,psi_n,")
 
     def test_round_trip(self):
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.5, 1.0, 2.0))
+        spec = SweepSpec(base=_base(), c_grid=(0.5, 1.0, 2.0))
         result = run_sweep(spec)
         text = csv_text(result)
         assert text.endswith("\n") and "\r" not in text
@@ -499,7 +527,7 @@ class TestCsv:
             assert rec["replications"] == "3"
 
     def test_failed_rows_leave_empty_cells(self, monkeypatch):
-        spec = SweepSpec(base=_base(lam=1e-6), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
+        spec = SweepSpec(base=_base(lam=1e-6), c_grid=(0.5, 1.0))
         monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
         result = run_sweep(spec)
         parsed = list(csv.DictReader(io.StringIO(csv_text(result))))
@@ -565,7 +593,7 @@ class TestCsv:
         assert csv_text(result) == "\n".join(expected) + "\n"
 
     def test_write_csv_matches_text(self, tmp_path):
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
+        spec = SweepSpec(base=_base(), c_grid=(0.5, 1.0))
         result = run_sweep(spec)
         out = tmp_path / "sweep.csv"
         write_csv(result, out)
@@ -628,9 +656,7 @@ class TestSvg:
         assert payload["metadata"]["ratios"] == [1.0, 1.0]
 
     def test_y_cap_marks_clipped_points(self, tmp_path):
-        spec = SweepSpec(
-            base=_base(lam=1e-4), ratios=(1.0, 1.0), c_grid=(0.6, 1.0, 1.4)
-        )
+        spec = SweepSpec(base=_base(lam=1e-4), c_grid=(0.6, 1.0, 1.4))
         result = run_sweep(spec)
         cap = min(r.theory_risk for r in result.rows) * 1.01
         out = tmp_path / "capped.svg"
@@ -654,7 +680,7 @@ class TestSvg:
 
     def test_gap_splits_polyline(self, tmp_path):
         """A NaN theory point interrupts the curve instead of bridging it."""
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.5, 1.0, 1.5, 2.0))
+        spec = SweepSpec(base=_base(), c_grid=(0.5, 1.0, 1.5, 2.0))
         result = run_sweep(spec)
         result.rows[1].theory_risk = math.nan
         out = tmp_path / "gap.svg"
@@ -666,7 +692,7 @@ class TestSvg:
         assert y0 == y1 and x1 - x0 == pytest.approx(6.0)
 
     def test_all_nan_raises(self, tmp_path):
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(0.5, 1.0))
+        spec = SweepSpec(base=_base(), c_grid=(0.5, 1.0))
         result = run_sweep(spec)
         for row in result.rows:
             row.theory_risk = math.nan
@@ -674,7 +700,7 @@ class TestSvg:
             render_svg(result, tmp_path / "never.svg")
 
     def test_single_point_grid(self, tmp_path):
-        spec = SweepSpec(base=_base(), ratios=(1.0, 1.0), c_grid=(1.0,))
+        spec = SweepSpec(base=_base(), c_grid=(1.0,))
         result = run_sweep(spec)
         render_svg(result, tmp_path / "one.svg")  # degenerate ranges must not crash
         assert (tmp_path / "one.svg").exists()
