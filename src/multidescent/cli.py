@@ -39,7 +39,7 @@ from .risk import (
     limit_risk_infinite_width,
 )
 from .simulator import ShapeMismatch, SolveFailure, run_experiment
-from .sweep import EmptyGrid, csv_text, render_svg, run_sweep, write_csv
+from .sweep import EmptyGrid, csv_text, render_svg, run_sweep
 
 __all__ = ["ExitStatus", "main", "dispatch"]
 
@@ -114,8 +114,10 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
             file=err_stream,
         )
     out = cfg.output
+    text = csv_text(result)
     if out.get("csv_path"):
-        write_csv(result, out["csv_path"])
+        with open(out["csv_path"], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     if out.get("svg_path"):
         style = {key: cfg.sweep[key] for key in ("log_y", "y_cap") if key in cfg.sweep}
         render_svg(result, out["svg_path"], **style)
@@ -126,7 +128,7 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
         }
         with open(out["json_path"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(to_json(payload) + "\n")
-    return csv_text(result).rstrip("\n")
+    return text.rstrip("\n")
 
 
 def _cmd_limit(cfg: RootConfig, err_stream) -> str:

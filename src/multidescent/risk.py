@@ -49,9 +49,11 @@ with C holding V's coefficients; A's Schur complement on b_n's row,
 sigma = sqrt(lam) (b_n + sum_c a_c / D_c), a sum of positive terms, gives
 P^T A^{-1} P, and Sherman-Morrison adds the rank-one term.  One model at a
 stack of block widths, such as the points of a sweep grid, is solved and
-scored at once with batched arithmetic.  Every point keeps its row of every
-array from start to end, with its own steps and failure; a point that has
-left the solve keeps its values while the others iterate.  The risk has a
+scored at once with batched arithmetic: each stage takes the model's
+``TheorySpec``, whose moments, psi_n, lam, F1 and tau every point shares
+as scalars, and the widths as a (G, K) array.  Every point keeps its row of
+every array from start to end, with its own steps and failure; a point that
+has left the solve keeps its values while the others iterate.  The risk has a
 closed-form limit as the widths grow at fixed block proportions, for any K,
 and tends to F1^2 as they vanish.
 
@@ -141,15 +143,6 @@ class TheorySpec:
             raise InvalidSpec("lambda must be > 0")
         _check_blocks("psi", self.psi, self.moments, self.psi_n, self.F1, self.tau)
 
-    @property
-    def K(self) -> int:
-        return len(self.psi)
-
-    @property
-    def psi_full(self) -> tuple[float, ...]:
-        """psi_1..psi_K followed by psi_n."""
-        return self.psi + (self.psi_n,)
-
 
 class DegenerateMoments(ValueError):
     """Width-limit formula needs nonzero linear and nonlinear moment weights."""
@@ -220,19 +213,18 @@ _TINY = np.finfo(float).tiny
 _ERR_WARN = 1e-4
 
 
-def _coeffs(base: TheorySpec, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """psi_full (G, K+1) of ``base``'s model at each row of the widths ``psi``
-    (G, K), and the model's m1 and m2 (K,) and lam, which every point shares."""
-    psi_full = np.column_stack((psi, np.full(len(psi), base.psi_n)))
+def _moment_matrix(base: TheorySpec) -> np.ndarray:
+    """The columns m1, m2 and m1 m2 (K, 3) of ``base``'s blocks, with
+    m1_c = mu_{c,1}^2 and m2_c = mu_{c,2}^2."""
     m1 = np.array([m.mu1 * m.mu1 for m in base.moments])
     m2 = np.array([m.mu2_sq for m in base.moments])
-    return psi_full, m1, m2, base.lam
+    return np.column_stack((m1, m2, m1 * m2))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _start(psi, m1, m2, lam):
-    """The cold start b_n (G,) of each of the G points of one model;
-    coefficients as from ``_coeffs``.
+def _start(base: TheorySpec, psi):
+    """The cold start b_n (G,) of ``base``'s model at each row of the
+    widths ``psi`` (G, K); psi_n and lam are ``base``'s scalars.
 
     It is the positive root of a sqrt(lam) b^2 + (lam + (P - psi_n) a) b
     - psi_n sqrt(lam) = 0, with P = sum_c psi_c and a = sum_c psi_c
@@ -245,9 +237,10 @@ def _start(psi, m1, m2, lam):
     the root free of cancellation; a = 0 gives psi_n / sqrt(lam).  The form
     not taken may divide by zero; it is discarded.
     """
-    sqrt_lam, psi_n = math.sqrt(lam), psi[:, -1]
-    total = psi[:, :-1].sum(axis=1)
-    a = (psi[:, :-1] * (m2 + _S0 * m1)).sum(axis=1) / total
+    lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base)
+    sqrt_lam = math.sqrt(lam)
+    total = psi.sum(axis=1)
+    a = (psi * (m[:, 1] + _S0 * m[:, 0])).sum(axis=1) / total
     mid = lam + (total - psi_n) * a
     h = np.hypot(mid, 2.0 * sqrt_lam * np.sqrt(a * psi_n))
     return np.where(mid >= 0.0, 2.0 * sqrt_lam * psi_n / (mid + h), (h - mid) / (2.0 * sqrt_lam * a))
@@ -268,12 +261,13 @@ def _hessian(bc_d, bn, s, m, sqrt_lam):
     return p, c, q, p * q + c * (p + q)
 
 
-def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
+def _step(psi, psi_n, m, sqrt_lam, u, sigma):
     """At the G points (u, sigma) = (log b_n, log s), each (G,): the block
     scales b_c (G, K) and b_n, the Newton step (du, dsigma) = H^-1 grad F,
     the determinant of F's Hessian H (``_hessian``) and the largest relative
-    residual of the full K+1 system at (b_c, b_n).  ``psi_c`` (G, K) and
-    ``psi_n`` (G,) are the widths and ``m`` (K, 3) each block's m1, m2, m1 m2.
+    residual of the full K+1 system at (b_c, b_n).  ``psi`` (G, K) holds the
+    block widths, the scalar ``psi_n`` the sample ratio every point shares
+    and ``m`` (K, 3) each block's m1, m2, m1 m2 (``_moment_matrix``).
 
     Block c's scale is b_c = psi_c / D_c with D_c = sqrt(lam) + b_n (m1_c s + m2_c).
     With the sums S_x = sum_c b_c x_c and T = b_n S_m1,
@@ -287,7 +281,7 @@ def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
     """
     bn, s = np.exp(u), np.exp(sigma)
     d = sqrt_lam + bn[:, None] * (np.multiply.outer(s, m[:, 0]) + m[:, 1])
-    bc = psi_c / d
+    bc = psi / d
     s1, s2 = (bc @ m[:, :2]).T
     t = bn * s1
     opt = 1.0 + t
@@ -306,9 +300,10 @@ def _step(psi_c, psi_n, m, sqrt_lam, u, sigma):
 # its block's relative residual at 1.  Such a point fails loudly all the same:
 # at once, at the step cap, on a residual not finite or a determinant not > 0.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton(psi, m1, m2, lam):
-    """Newton's method on the reduced potential F(log b_n, log s) of the G
-    systems of one model at G widths; coefficients as from ``_coeffs``.
+def _newton(base: TheorySpec, psi):
+    """Newton's method on the reduced potential F(log b_n, log s) of
+    ``base``'s model at each row of the widths ``psi`` (G, K); psi_n and
+    lam are ``base``'s scalars.
 
     Returns b (G, K+1), the largest relative residual (G,) of the full
     system and the Newton steps (G,) of every point, and the exception that
@@ -319,11 +314,10 @@ def _newton(psi, m1, m2, lam):
     point that has left keeps its scales, residual and steps while the
     others iterate.
     """
+    lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base)
     sqrt_lam = math.sqrt(lam)
-    m = np.column_stack((m1, m2, m1 * m2))
-    psi_c, psi_n = psi[:, :-1], psi[:, -1]
     errors: dict = {}
-    bound = psi_c / sqrt_lam
+    bound = psi / sqrt_lam
     lost = (bound < _TINY).any(axis=1)
     for i in np.flatnonzero(lost):
         c = int(np.argmax(bound[i] < _TINY))
@@ -332,8 +326,8 @@ def _newton(psi, m1, m2, lam):
             f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
     # The points still iterating; the others take no step.
     active = ~lost
-    u, sigma = np.log(_start(psi, m1, m2, lam)), np.full(len(psi), math.log(_S0))
-    bc, bn, du, dsigma, det, rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
+    u, sigma = np.log(_start(base, psi)), np.full(len(psi), math.log(_S0))
+    bc, bn, du, dsigma, det, rel = _step(psi, psi_n, m, sqrt_lam, u, sigma)
     rel[lost] = 1.0
     steps, polished = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool)
     while True:
@@ -364,7 +358,7 @@ def _newton(psi, m1, m2, lam):
         # others take theirs whatever it does to the residual.
         u = u - du * scale
         sigma = sigma - dsigma * scale
-        trial_bc, trial_bn, du, dsigma, det, trial_rel = _step(psi_c, psi_n, m, sqrt_lam, u, sigma)
+        trial_bc, trial_bn, du, dsigma, det, trial_rel = _step(psi, psi_n, m, sqrt_lam, u, sigma)
         # A point that has left keeps its values, and the polishing step is
         # undone where it raises the residual.
         keep = ~active | (within & ~(trial_rel <= rel))
@@ -374,10 +368,11 @@ def _newton(psi, m1, m2, lam):
         steps += active
 
 
-def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
-    """Risk, bias and variance (G,) and L (G, 4, 4) of G solved points by the
-    module docstring's closed form; coefficients as from ``_coeffs``, ``b``
-    the scales and ``f1_sq``, ``tau_sq`` the shared F1^2 and tau^2.
+def _score(base: TheorySpec, b, errors: dict):
+    """Risk, bias and variance (G,) and L (G, 4, 4) of ``base``'s model at G
+    solved points by the module docstring's closed form; ``b`` (G, K+1)
+    holds each point's scales, and psi_n, lam, F1 and tau are ``base``'s
+    scalars.
     ``errors`` maps the points that already failed to their exception; such
     a point comes with NaN scales, as from ``_newton``, and is neither
     diagnosed again nor warned about.  ``errors`` gains ``LinAlgError`` where
@@ -395,7 +390,8 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
     misses cancellation within L's entries, which can leave a risk near 0
     with no correct digit, even negative.
     """
-    sqrt_lam = math.sqrt(lam)
+    sqrt_lam, m = math.sqrt(base.lam), _moment_matrix(base)
+    m1, m2 = m[:, 0], m[:, 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bc, bn = b[:, :-1], b[:, -1]
         mN = (m1 * bc).sum(axis=1)
@@ -404,8 +400,8 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
         s = 1.0 / (1.0 + t)
         bmix = bn[:, None] * (m2 + np.multiply.outer(s, m1))
         d = sqrt_lam + bmix
-        _, c, q, det = _hessian(bc / d, bn, s, np.column_stack((m1, m2, m1 * m2)), sqrt_lam)
-        err = np.finfo(float).eps * ((q + c) * psi[:, -1] + c) / det
+        _, c, q, det = _hessian(bc / d, bn, s, m, sqrt_lam)
+        err = np.finfo(float).eps * ((q + c) * base.psi_n + c) / det
         a_d = bmix * bc / d
         sigma = sqrt_lam * (bn + a_d.sum(axis=1))
         # M_A = P^T A^-1 P, then M by Sherman-Morrison with w = P (0, T, b_n).
@@ -422,8 +418,8 @@ def _score(psi, m1, m2, lam, b, f1_sq, tau_sq, errors: dict):
         coef[:, 1, 2], coef[:, 1, 3] = -mN * mN * bn / md2, bn / md2
         coef[:, 2, 2], coef[:, 2, 3] = 1.0 / md2, -bn * bn / md2
         lr = -(np.swapaxes(coef, 1, 2) @ (ma + u[:, :, None] * (u / den[:, None])[:, None, :]) @ coef)
-        bias = f1_sq * (1.0 / md2 + lr[:, 2, 3] + lr[:, 0, 3])
-        variance = tau_sq * (lr[:, 1, 2] + lr[:, 0, 1])
+        bias = base.F1 ** 2 * (1.0 / md2 + lr[:, 2, 3] + lr[:, 0, 3])
+        variance = base.tau ** 2 * (lr[:, 1, 2] + lr[:, 0, 1])
         risk = bias + variance
         pivots = np.concatenate((bc * d, sigma[:, None], den[:, None]), axis=1)
     valid = (pivots > 0.0) & (pivots < math.inf)
@@ -456,9 +452,8 @@ def _theory(base: TheorySpec, psi):
     failed point by index.  Every public entry point calls it directly, so
     an ``IllConditionedWarning`` names the line that called the entry point.
     """
-    coeffs = _coeffs(base, psi)
-    b, residual, steps, errors = _newton(*coeffs)
-    return (*_score(*coeffs, b, base.F1 ** 2, base.tau ** 2, errors), b, residual, steps, errors)
+    b, residual, steps, errors = _newton(base, psi)
+    return (*_score(base, b, errors), b, residual, steps, errors)
 
 
 def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:

@@ -99,12 +99,20 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _shares(spec: SweepSpec) -> tuple[list[float], float]:
-    """The base widths r scaled by one power of two, so that their sum is
-    finite, and that sum.  The scaling is exact, so r_c*c*x/sum(r) keeps its bits."""
+def _along_grid(spec: SweepSpec, x: float, name: str, x_name: str) -> np.ndarray:
+    """r_c*c*x/sum(r) at every grid value c, shape (G, K), with r the base
+    widths; an entry that overflows raises ``InvalidSpec``, its message led
+    by ``name`` and naming x as ``x_name``.  r is first scaled by one power
+    of two, so that its sum is finite; the scaling is exact, so every entry
+    keeps its bits.  The sum is Python's, in order: numpy's pairwise sum
+    rounds differently from K = 8 blocks on."""
     _, e = math.frexp(max(spec.base.psi))
     shares = [math.ldexp(r, -e) for r in spec.base.psi]
-    return shares, sum(shares)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply.outer(spec.c_grid, shares) * x / sum(shares)
+    if not np.isfinite(out).all():
+        raise InvalidSpec(f"{name} overflow: r_c*c*{x_name}/sum(r) must be finite, with r the base widths")
+    return out
 
 
 def _grid_psi(spec: SweepSpec) -> np.ndarray:
@@ -112,24 +120,18 @@ def _grid_psi(spec: SweepSpec) -> np.ndarray:
     widths that overflow to inf or underflow to 0 raise ``InvalidSpec``."""
     if len(spec.c_grid) == 0:
         raise EmptyGrid("c grid is empty")
-    shares, total = _shares(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.multiply.outer(spec.c_grid, shares) * spec.base.psi_n / total
-    if not np.isfinite(psi).all():
-        raise InvalidSpec("psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite")
+    psi = _along_grid(spec, spec.base.psi_n, "psi entries", "psi_n")
     if not (psi > 0.0).all():
         raise InvalidSpec("all psi entries must be > 0")
     return psi
 
 
-def _counts_at(spec: SweepSpec, c: float) -> tuple[int, ...]:
-    """The feature counts of the finite-size run at ``c``:
-    N_c = r_c*c*n/sum(r), rounded, at least 1."""
-    shares, total = _shares(spec)
-    counts = [r * c * spec.empirical.n / total for r in shares]
-    if not all(map(math.isfinite, counts)):
-        raise InvalidSpec("feature counts overflow: ratio_c*c*n/sum(ratios) must be finite")
-    return tuple(max(1, int(round(x))) for x in counts)
+def _grid_counts(spec: SweepSpec) -> list[tuple[int, ...]]:
+    """The feature counts of the finite-size run at every grid value:
+    N_c = r_c*c*n/sum(r), rounded, at least 1.  They round as Python
+    floats, as a numpy cast to int would wrap past 2**63."""
+    counts = _along_grid(spec, spec.empirical.n, "feature counts", "n")
+    return [tuple(max(1, int(round(x))) for x in row) for row in counts.tolist()]
 
 
 def _metadata(spec: SweepSpec) -> dict:
@@ -165,7 +167,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """
     base = spec.base
     psi = _grid_psi(spec)
-    counts = None if spec.empirical is None else [_counts_at(spec, c) for c in spec.c_grid]
+    counts = None if spec.empirical is None else _grid_counts(spec)
     risk, bias, variance, _, _, _, steps, errors = _theory(base, psi)
     rows = [
         SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,

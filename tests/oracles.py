@@ -17,6 +17,9 @@ with bounds checks the package has no use for:
   through which the package scores the risk;
 * ``expand_grid`` - a sweep's grid as one ``TheorySpec`` (and finite-size
   run) per point, an oracle for the sweep's array pass;
+* ``K``, ``psi_full`` and ``block_moments`` - a spec's block count, its
+  widths followed by psi_n, and its m1 and m2 arrays, from which the
+  oracles above form their coefficients without the package's solver code;
 * ``scaled_moments`` - the moment triple of a rescaled activation;
 * ``mp_risk`` - the risk by minimising Phi in mpmath at high precision and
   solving with H, the generator of the tests' high-precision constants;
@@ -53,8 +56,7 @@ from multidescent import (
     TheorySpec,
     compute_moments,
 )
-from multidescent.risk import _coeffs
-from multidescent.sweep import _counts_at, _grid_psi
+from multidescent.sweep import _grid_counts, _grid_psi
 
 
 class WrongK(ValueError):
@@ -82,6 +84,22 @@ class TheoryMatrices:
     MD: float
     H: np.ndarray
     V: np.ndarray
+
+
+def K(spec: TheorySpec) -> int:
+    """The number of feature blocks of ``spec``."""
+    return len(spec.psi)
+
+
+def psi_full(spec: TheorySpec) -> tuple[float, ...]:
+    """psi_1..psi_K followed by psi_n."""
+    return spec.psi + (spec.psi_n,)
+
+
+def block_moments(spec: TheorySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's m1 = mu1^2 and m2 = mu2^2, as two (K,) arrays."""
+    return (np.array([m.mu1 * m.mu1 for m in spec.moments]),
+            np.array([m.mu2_sq for m in spec.moments]))
 
 
 def scaled_moments(m: Moments, a: float) -> Moments:
@@ -246,14 +264,14 @@ def residual_vector(spec: TheorySpec, b) -> np.ndarray:
     positive entries; the residual is zero at the solution.
     """
     b = np.asarray(b, dtype=float).ravel()
-    if b.size != spec.K + 1:
-        raise NonPositiveInput(f"expected {spec.K + 1} entries, got {b.size}")
+    if b.size != K(spec) + 1:
+        raise NonPositiveInput(f"expected {K(spec) + 1} entries, got {b.size}")
     if not np.all(b > 0.0):
         raise NonPositiveInput("all entries of b must be > 0")
-    (psi,), m1, m2, lam = _coeffs(spec, np.array([spec.psi]))
+    m1, m2 = block_moments(spec)
     bc, bn = b[:-1], b[-1]
     bw = bc * (bn * (m2 + m1 / (1.0 + bn * (m1 * bc).sum())))
-    res = b * math.sqrt(lam) - psi
+    res = b * math.sqrt(spec.lam) - np.array(psi_full(spec))
     res[:-1] += bw
     res[-1] += bw.sum()
     return res
@@ -267,12 +285,11 @@ def potential(spec: TheorySpec, u) -> float:
     strictly convex, so the solved scales are its one minimum.
     """
     b = [math.exp(x) for x in u]
-    k = spec.K
-    bn = b[k]
+    bn = b[K(spec)]
     s1 = math.fsum(m.mu1 * m.mu1 * x for m, x in zip(spec.moments, b))
     s2 = math.fsum(m.mu2_sq * x for m, x in zip(spec.moments, b))
     return math.fsum([math.sqrt(spec.lam) * math.fsum(b), bn * s2, math.log1p(bn * s1)]
-                     + [-p * x for p, x in zip(spec.psi_full, u)])
+                     + [-p * x for p, x in zip(psi_full(spec), u)])
 
 
 def verify_complex(spec: TheorySpec, b) -> float:
@@ -284,7 +301,7 @@ def verify_complex(spec: TheorySpec, b) -> float:
     """
     xi = complex(0.0, math.sqrt(spec.lam))
     nu_c = [complex(0.0, float(x)) for x in b]
-    k = spec.K
+    k = K(spec)
     m1 = [m.mu1 * m.mu1 for m in spec.moments]
     m2 = [m.mu2_sq for m in spec.moments]
     denom = 1.0 - sum(m1[c] * nu_c[c] for c in range(k)) * nu_c[k]
@@ -311,8 +328,8 @@ def build_matrices(spec: TheorySpec, b) -> TheoryMatrices:
     b = np.asarray(b, dtype=np.float64)
     if np.any(b == 0.0):
         raise ValueError("all b_j must be nonzero")
-    (psi,), m1, m2, _ = _coeffs(spec, np.array([spec.psi]))
-    k = spec.K
+    psi, (m1, m2) = np.array(psi_full(spec)), block_moments(spec)
+    k = K(spec)
     bc, bn = b[:k], b[k]
     mN = (m1 * bc).sum()
     MD = -(bn * mN + 1.0)
@@ -345,9 +362,11 @@ def expand_grid(spec: SweepSpec) -> list[GridPoint]:
     rounded, at least 1, by the sweep's own helpers, so each point's widths
     equal its row's bit for bit."""
     points = []
-    for c, psi in zip(spec.c_grid, _grid_psi(spec).tolist()):
-        emp = None if spec.empirical is None else replace(spec.empirical, N=_counts_at(spec, c))
-        points.append(GridPoint(c=c, theory=replace(spec.base, psi=psi), empirical=emp))
+    psi = _grid_psi(spec).tolist()
+    counts = [None] * len(psi) if spec.empirical is None else _grid_counts(spec)
+    for c, widths, n in zip(spec.c_grid, psi, counts):
+        emp = None if n is None else replace(spec.empirical, N=n)
+        points.append(GridPoint(c=c, theory=replace(spec.base, psi=widths), empirical=emp))
     return points
 
 
@@ -360,8 +379,8 @@ def explicit_risk_k2(spec: TheorySpec, b) -> TheoryRisk:
     L are populated (symmetrically); the rest stay zero.  The result carries
     ``b`` as given, with residual NaN and 0 iterations: nothing is solved.
     """
-    if spec.K != 2:
-        raise WrongK(f"closed form requires K=2, got K={spec.K}")
+    if K(spec) != 2:
+        raise WrongK(f"closed form requires K=2, got K={K(spec)}")
     b1, b2, b3 = (float(x) for x in b)
     p1, p2, p3 = spec.psi[0], spec.psi[1], spec.psi_n
     m11, m21 = (m.mu1 * m.mu1 for m in spec.moments)

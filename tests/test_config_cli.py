@@ -220,7 +220,7 @@ class TestConfigValidation:
         assert cfg.model["N"] == (120, 80) and "psi" not in cfg.model
         spec = build_theory_spec(cfg)
         assert spec.psi == (1.2, 0.8) and spec.psi_n == 2.5
-        assert spec.K == 2
+        assert len(spec.moments) == 2
         assert build_limit_spec(cfg).psi_n == 2.5
 
     def test_component_count_mismatch(self):
@@ -662,7 +662,7 @@ class TestDispatch:
         cfg["sweep"] = {"c_grid": [1e308], "ratios": [1e10]}
         assert _run("sweep", cfg) == (
             ExitStatus.CONFIG, "",
-            "InvalidSpec: psi entries overflow: ratio_c*c*psi_n/sum(ratios) must be finite\n")
+            "InvalidSpec: psi entries overflow: r_c*c*psi_n/sum(r) must be finite, with r the base widths\n")
 
     def test_warnings_go_to_stderr(self, monkeypatch):
         # Every estimated error exceeds a threshold of 0, so this theory run warns.

@@ -8,7 +8,6 @@ system independently of the real residual the Newton iteration drives to zero.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from multidescent import (
     compute_moments,
     risk,
 )
-from oracles import NonPositiveInput, box_spec, mp_risk, residual_vector, verify_complex
+from oracles import K, NonPositiveInput, box_spec, mp_risk, psi_full, residual_vector, verify_complex
 
 
 def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
@@ -124,42 +123,6 @@ class TestClosedFormOracles:
         assert err < 1e-9, f"solver b={out.b} not among cubic roots {candidates}"
 
 
-class TestColdStart:
-    """The closed-form start b_n of ``risk._start``."""
-
-    def test_finite_and_positive_over_the_box(self):
-        """Across the harsh box, and with every block's moments set to zero
-        (a = 0, where the start is psi_n / sqrt(lam)), the start is finite
-        and > 0."""
-        for i in range(1000):
-            spec = box_spec(np.random.default_rng([22, i]), lam_exp=(-33.0, 3.0), k_max=8)
-            bare = replace(spec, moments=(Moments(0.0, 0.0, 0.0),) * spec.K)
-            for s in (spec, bare):
-                (bn,) = risk._start(*risk._coeffs(s, np.array([s.psi])))
-                assert math.isfinite(bn) and bn > 0.0, i
-            assert bn == pytest.approx(spec.psi_n / math.sqrt(spec.lam), rel=1e-15), i
-
-    @pytest.mark.parametrize("c", [0.5, 0.9, 1.0, 1.2, 2.0, 5.0])
-    def test_ridgeless_limits(self, c):
-        """At lambda = 1e-30 the start meets the lambda -> 0+ limits, with
-        P = sum_c psi_c: sqrt(lam) b_n -> psi_n - P for c < 1, which the
-        solved b_n meets as well; b_n / sqrt(lam) -> psi_n / ((P - psi_n) a)
-        for c > 1, a = sum_c psi_c (m2_c + m1_c / 2) / P; and at c = 1 it
-        is finite and > 0."""
-        moments = (Moments(0.0, 0.9, 0.5), Moments(0.0, 0.4, 1.1))
-        spec = TheorySpec(psi=(c, 3.0 * c), psi_n=4.0, moments=moments, lam=1e-30)
-        (bn,) = risk._start(*risk._coeffs(spec, np.array([spec.psi])))
-        total, root = sum(spec.psi), math.sqrt(spec.lam)
-        if c < 1.0:
-            assert root * bn == pytest.approx(spec.psi_n - total, rel=1e-12)
-            assert root * asymptotic_risk(spec).b[-1] == pytest.approx(spec.psi_n - total, rel=1e-12)
-        elif c > 1.0:
-            a = sum(p * (m.mu2_sq + 0.5 * m.mu1 ** 2) for p, m in zip(spec.psi, moments)) / total
-            assert bn / root == pytest.approx(spec.psi_n / ((total - spec.psi_n) * a), rel=1e-12)
-        else:
-            assert math.isfinite(bn) and bn > 0.0
-
-
 class TestSolutionProperties:
     def test_residual_battery(self):
         """Converged solutions satisfy both real and complex systems.
@@ -176,8 +139,8 @@ class TestSolutionProperties:
                 spec = make_spec(rng)
                 out = asymptotic_risk(spec)
                 res = residual_vector(spec, out.b)
-                assert np.max(np.abs(res) / np.array(spec.psi_full)) <= tol
-                assert verify_complex(spec, out.b) / max(spec.psi_full) <= 1e-11
+                assert np.max(np.abs(res) / np.array(psi_full(spec))) <= tol
+                assert verify_complex(spec, out.b) / max(psi_full(spec)) <= 1e-11
                 assert np.all(out.b > 0.0)
 
     def test_harsh_box_slice_converges(self):
@@ -191,7 +154,7 @@ class TestSolutionProperties:
             spec = box_spec(np.random.default_rng([21, i]), lam_exp=(-30.0, -20.0), k_max=8)
             out = asymptotic_risk(spec)
             res = residual_vector(spec, out.b)
-            assert np.max(np.abs(res) / np.array(spec.psi_full)) <= risk._TOL, i
+            assert np.max(np.abs(res) / np.array(psi_full(spec))) <= risk._TOL, i
             assert np.all(out.b > 0.0) and math.isfinite(out.risk), i
             steps.append(out.iterations)
         assert np.median(steps) <= 6 and max(steps) <= 52
@@ -213,7 +176,7 @@ class TestSolutionProperties:
         for _ in range(25):
             spec = _random_spec(rng)
             out = asymptotic_risk(spec)
-            bound = np.array(spec.psi_full) / math.sqrt(spec.lam)
+            bound = np.array(psi_full(spec)) / math.sqrt(spec.lam)
             assert np.all(out.b <= bound * (1.0 + 1e-12))
 
     def test_permutation_equivariance(self):
@@ -350,8 +313,8 @@ class TestSpecValidation:
             moments=(Moments(0, 1, 0), Moments(0, 0, 1)),
             lam=1.0,
         )
-        assert spec.K == 2
-        assert spec.psi_full == (1.0, 2.0, 3.0)
+        assert K(spec) == 2
+        assert psi_full(spec) == (1.0, 2.0, 3.0)
 
 
 class TestErrorPaths:

@@ -14,6 +14,7 @@ import inspect
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -34,16 +35,19 @@ from multidescent import (
     limit_risk_infinite_width,
     run_sweep,
 )
-from multidescent.risk import _coeffs, _score, _theory
+from multidescent.risk import _score, _start, _theory
 from oracles import (
+    K,
     DegenerateS,
     WrongK,
+    box_spec,
     build_matrices,
     explicit_risk_k2,
     mp_limit_risk,
     peak_risk,
     peak_spec,
     potential,
+    psi_full,
 )
 
 
@@ -139,7 +143,7 @@ class TestRiskProperties:
     @_battery
     @given(spec=_box_specs(), data=st.data())
     def test_block_permutation_invariance(self, spec, data):
-        perm = data.draw(st.permutations(range(spec.K)))
+        perm = data.draw(st.permutations(range(K(spec))))
         permuted = TheorySpec(
             psi=tuple(spec.psi[i] for i in perm), psi_n=spec.psi_n,
             moments=tuple(spec.moments[i] for i in perm), lam=spec.lam, tau=spec.tau,
@@ -241,7 +245,7 @@ class TestMatrixAssembly:
             psi=(1.0, 2.0), psi_n=1.5, moments=(m, m), lam=0.1, F1=1.3, tau=0.5
         )
         out = asymptotic_risk(spec)
-        np.testing.assert_allclose(out.b, np.array(spec.psi_full) / math.sqrt(0.1))
+        np.testing.assert_allclose(out.b, np.array(psi_full(spec)) / math.sqrt(0.1))
         mats = build_matrices(spec, out.b)
         assert mats.MD == -1.0
         expected_v = np.zeros((3, 4))
@@ -511,6 +515,42 @@ class TestPeakAccuracy:
                 assert abs(peak_risk(lam, c, dps=90) / peak_risk(lam, c) - 1) < mp.mpf(10) ** -75
 
 
+class TestColdStart:
+    """The closed-form start b_n of ``_start``."""
+
+    def test_finite_and_positive_over_the_box(self):
+        """Across the harsh box, and with every block's moments set to zero
+        (a = 0, where the start is psi_n / sqrt(lam)), the start is finite
+        and > 0."""
+        for i in range(1000):
+            spec = box_spec(np.random.default_rng([22, i]), lam_exp=(-33.0, 3.0), k_max=8)
+            bare = replace(spec, moments=(Moments(0.0, 0.0, 0.0),) * K(spec))
+            for s in (spec, bare):
+                (bn,) = _start(s, np.array([s.psi]))
+                assert math.isfinite(bn) and bn > 0.0, i
+            assert bn == pytest.approx(spec.psi_n / math.sqrt(spec.lam), rel=1e-15), i
+
+    @pytest.mark.parametrize("c", [0.5, 0.9, 1.0, 1.2, 2.0, 5.0])
+    def test_ridgeless_limits(self, c):
+        """At lambda = 1e-30 the start meets the lambda -> 0+ limits, with
+        P = sum_c psi_c: sqrt(lam) b_n -> psi_n - P for c < 1, which the
+        solved b_n meets as well; b_n / sqrt(lam) -> psi_n / ((P - psi_n) a)
+        for c > 1, a = sum_c psi_c (m2_c + m1_c / 2) / P; and at c = 1 it
+        is finite and > 0."""
+        moments = (Moments(0.0, 0.9, 0.5), Moments(0.0, 0.4, 1.1))
+        spec = TheorySpec(psi=(c, 3.0 * c), psi_n=4.0, moments=moments, lam=1e-30)
+        (bn,) = _start(spec, np.array([spec.psi]))
+        total, root = sum(spec.psi), math.sqrt(spec.lam)
+        if c < 1.0:
+            assert root * bn == pytest.approx(spec.psi_n - total, rel=1e-12)
+            assert root * asymptotic_risk(spec).b[-1] == pytest.approx(spec.psi_n - total, rel=1e-12)
+        elif c > 1.0:
+            a = sum(p * (m.mu2_sq + 0.5 * m.mu1 ** 2) for p, m in zip(spec.psi, moments)) / total
+            assert bn / root == pytest.approx(spec.psi_n / ((total - spec.psi_n) * a), rel=1e-12)
+        else:
+            assert math.isfinite(bn) and bn > 0.0
+
+
 class TestErrorPaths:
     def test_degenerate_b(self):
         """A zero scale zeroes its row and column of S, so the risk core fails
@@ -523,7 +563,7 @@ class TestErrorPaths:
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            risk, _, _, L = _score(*_coeffs(spec, np.array([spec.psi])), b, 1.0, 0.0, errors)
+            risk, _, _, L = _score(spec, b, errors)
         assert list(errors) == [0] and isinstance(errors[0], np.linalg.LinAlgError)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
@@ -576,27 +616,23 @@ class TestErrorPaths:
             psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
             lam=1e-3, tau=0.2,
         )
-        # Entry (i, j) of S is an order-one factor times b_j / psi_i, times
-        # psi_i; at widths 1e-300 and scales b_j = 5e-324 every entry
-        # underflows to zero.  No solve returns such scales, so the risk core
-        # is driven directly, with the solved scales at the other widths.
-        widths = np.array([good.psi, (1e-300, 1e-300), good.psi])
+        # Each pivot of S carries a factor b_j, so at scales b_j = 5e-324
+        # every pivot underflows to zero.  No solve returns such scales, so
+        # the risk core is driven directly, with the solved scales of
+        # ``good`` at the other points.
         degenerate = np.full(3, 5e-324)
         direct = asymptotic_risk(good)
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            risk, bias, variance, _ = _score(
-                *_coeffs(good, widths), np.array([direct.b, degenerate, direct.b]),
-                good.F1 ** 2, good.tau ** 2, errors,
-            )
+            risk, bias, variance, _ = _score(good, np.array([direct.b, degenerate, direct.b]), errors)
         assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
         for i in (0, 2):
             assert (risk[i], bias[i], variance[i]) == (direct.risk, direct.bias, direct.variance)
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _score(*_coeffs(good, widths[1:2]), degenerate[None], good.F1 ** 2, good.tau ** 2, errors)
+            _score(good, degenerate[None], errors)
         assert isinstance(errors[0], np.linalg.LinAlgError)
 
     def test_score_leaves_known_failures_alone(self):
@@ -608,7 +644,6 @@ class TestErrorPaths:
             psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
             lam=1e-3, tau=0.2,
         )
-        widths = np.array([good.psi, (1e-300, 1e-300), good.psi])
         direct = asymptotic_risk(good)
         known = NoConvergence("residual nan > tol 1.0e-12 after 0 Newton steps", residual=math.nan,
                               iterations=0)
@@ -616,7 +651,7 @@ class TestErrorPaths:
         b = np.array([np.full(3, np.nan), np.full(3, 5e-324), direct.b])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            risk, bias, variance, L = _score(*_coeffs(good, widths), b, good.F1 ** 2, good.tau ** 2, errors)
+            risk, bias, variance, L = _score(good, b, errors)
         assert list(errors) == [0, 1] and errors[0] is known
         assert str(known) == "residual nan > tol 1.0e-12 after 0 Newton steps" and known.iterations == 0
         assert isinstance(errors[1], np.linalg.LinAlgError)

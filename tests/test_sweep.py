@@ -236,6 +236,22 @@ class TestTheoryPass:
             with pytest.raises(InvalidSpec, match="^all psi entries must be > 0$"):
                 run_sweep(spec)
 
+    def test_overflow_messages_name_the_base_widths(self):
+        """An overflowing width, and an overflowing feature count of the
+        finite-size run, are named in terms of the base widths r, which a
+        ``SweepSpec`` holds, with no numpy warning."""
+        run = _run()
+        cases = (((3e300, 1e300), 1.5e308, None, "psi entries overflow: r_c*c*psi_n/sum(r)"),
+                 ((3.0, 1.0), 1e307, run, "feature counts overflow: r_c*c*n/sum(r)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for widths, c, empirical, head in cases:
+                spec = SweepSpec(base=replace(theory_spec_from_empirical(run), psi=widths), c_grid=(0.5, c),
+                                 empirical=empirical)
+                with pytest.raises(InvalidSpec) as exc:
+                    run_sweep(spec)
+                assert str(exc.value) == f"{head} must be finite, with r the base widths"
+
     @pytest.mark.parametrize("acts", [[{"kind": "elu"}, {"kind": "relu"}], FIGURE_ACTS])
     def test_overflowing_newton_step_fails_its_point_quietly(self, acts):
         """Widths near the float range overflow the first residual or a trial
