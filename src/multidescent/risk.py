@@ -25,8 +25,9 @@ D_c = sqrt(lam) + b_n (m2_c + m1_c s), which leaves the smooth convex
 
 in u_n = log b_n.  Its gradient (r_n at those b_c, s (1 + T) - 1) vanishes
 exactly at the root, where s = 1 / (1 + T).  The solver is Newton's method
-on F with its closed-form 2x2 Hessian, O(K) a step; capping each step in
-(u_n, sigma) is its only safeguard, and a root is accepted on the relative
+on F with its closed-form 2x2 Hessian, O(K) a step; its one safeguard cuts
+a step longer than 2 in (u_n, sigma) to 2, then extends it while F still
+falls (``_extend``), and a root is accepted on the relative
 residuals r_j / psi_j of the full system, formed from the sums the step
 takes.  Each point starts cold at s = 1/2 and a b_n of closed form: the
 root of d F / d u_n = 0 with every block given one width-weighted moment,
@@ -64,6 +65,7 @@ matrix the solver steps with; a point warns where that estimate exceeds
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,7 +92,7 @@ class InvalidSpec(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Newton's method missed the tolerance within its step cap, its
+    """Newton's method missed the tolerance within its step limit, its
     residual stopped being finite, or a block scale lies below the normal
     float range whatever the step."""
 
@@ -197,7 +199,7 @@ class LimitSpec:
 _TOL = 1e-12
 _MAX_ITER = 100
 
-# Largest change of log b_n or log s in one Newton step.
+# The change of log b_n or log s a long Newton step tries first (``_extend``).
 _MAX_LOG_STEP = 2.0
 
 # The s = 1 / (1 + T) every solve starts from, and at which its start
@@ -264,10 +266,10 @@ def _hessian(bc_d, bn, s, m, sqrt_lam):
 def _step(psi, psi_n, m, sqrt_lam, u, sigma):
     """At the G points (u, sigma) = (log b_n, log s), each (G,): the block
     scales b_c (G, K) and b_n, the Newton step (du, dsigma) = H^-1 grad F,
-    the determinant of F's Hessian H (``_hessian``) and the largest relative
-    residual of the full K+1 system at (b_c, b_n).  ``psi`` (G, K) holds the
-    block widths, the scalar ``psi_n`` the sample ratio every point shares
-    and ``m`` (K, 3) each block's m1, m2, m1 m2 (``_moment_matrix``).
+    the determinant of F's Hessian H (``_hessian``), the largest relative
+    residual of the full K+1 system at (b_c, b_n) and grad F = (g_n, g_s);
+    ``psi`` (G, K) holds the block widths, the scalar ``psi_n`` the sample
+    ratio and ``m`` (K, 3) each block's m1, m2, m1 m2 (``_moment_matrix``).
 
     Block c's scale is b_c = psi_c / D_c with D_c = sqrt(lam) + b_n (m1_c s + m2_c).
     With the sums S_x = sum_c b_c x_c and T = b_n S_m1,
@@ -292,13 +294,37 @@ def _step(psi, psi_n, m, sqrt_lam, u, sigma):
     dsigma = ((p + c) * g_s - c * g_n) / det
     k = g_s / opt
     rel = np.maximum(np.abs(g_n - t * k) / psi_n, bn * np.abs(k) * (m[:, 0] / d).max(axis=1))
-    return bc, bn, du, dsigma, det, np.maximum(rel, (bc < _TINY).any(axis=1))
+    return bc, bn, du, dsigma, det, np.maximum(rel, (bc < _TINY).any(axis=1)), g_n, g_s
+
+
+def _extend(step, u, sigma, du, dsigma, slope, t, trial, active):
+    """Lengthen the capped steps t < 1 of the ``active`` points along
+    -(du, dsigma) from (u, sigma) while F falls, given ``step``'s outputs
+    ``trial`` at their ends and ``slope`` = phi'(0), where
+    phi'(t) = -grad F . (du, dsigma) rises with t as F is convex.  While
+    phi'(t) keeps 3/4 of phi'(0), or 4/5 of phi'(t/4), a secant on phi' has
+    its zero at 4 t or beyond: t grows to min(4 t, 1), kept if phi' < 0, F's
+    Hessian determinant > 0 and the residual finite there.  Returns the
+    ends (u, sigma) and ``trial`` with their rows; F's value is never read."""
+    at, ratio = -(trial[6] * du + trial[7] * dsigma), 0.75
+    while True:
+        grow = active & (t < 1.0) & (at <= ratio * slope)
+        if not grow.any():
+            return (u - du * t, sigma - dsigma * t), trial
+        t_next = np.minimum(4.0 * t, 1.0)
+        probe = step(u - du * t_next, sigma - dsigma * t_next)
+        at_next = -(probe[6] * du + probe[7] * dsigma)
+        active = grow & (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
+        for kept, new in zip(trial, probe):
+            kept[active] = new[active]
+        slope, at, t = (np.where(active, a, b) for a, b in ((at, slope), (at_next, at), (t_next, t)))
+        ratio = 0.8
 
 
 # A width near the float range overflows the scales, the residuals or the
 # Newton matrix to inf and NaN, and a scale below the normal float range pins
 # its block's relative residual at 1.  Such a point fails loudly all the same:
-# at once, at the step cap, on a residual not finite or a determinant not > 0.
+# at once, at the step limit, on a residual not finite or a determinant not > 0.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton(base: TheorySpec, psi):
     """Newton's method on the reduced potential F(log b_n, log s) of
@@ -316,6 +342,7 @@ def _newton(base: TheorySpec, psi):
     """
     lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base)
     sqrt_lam = math.sqrt(lam)
+    step = functools.partial(_step, psi, psi_n, m, sqrt_lam)
     errors: dict = {}
     bound = psi / sqrt_lam
     lost = (bound < _TINY).any(axis=1)
@@ -327,14 +354,14 @@ def _newton(base: TheorySpec, psi):
     # The points still iterating; the others take no step.
     active = ~lost
     u, sigma = np.log(_start(base, psi)), np.full(len(psi), math.log(_S0))
-    bc, bn, du, dsigma, det, rel = _step(psi, psi_n, m, sqrt_lam, u, sigma)
+    bc, bn, du, dsigma, det, rel, g_n, g_s = step(u, sigma)
     rel[lost] = 1.0
     steps, polished = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool)
     while True:
         within = rel <= _TOL
         # A root is accepted on the residual of the full system.  A point
         # leaves once polished, or fails: on a residual that is not finite,
-        # then on a determinant that is not positive, then at the step cap.
+        # then on a determinant that is not positive, then at the step limit.
         failed = active & ~within & (~np.isfinite(rel) | ~(det > 0.0) | (steps >= _MAX_ITER))
         for i in np.flatnonzero(failed):
             if np.isfinite(rel[i]) and not det[i] > 0.0:
@@ -353,12 +380,15 @@ def _newton(base: TheorySpec, psi):
             b = np.column_stack((bc, bn))
             b[list(errors)] = np.nan
             return b, rel, steps, errors
-        scale = active * _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
+        t = active * _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
         # A point already within tol takes its last, polishing step; the
-        # others take theirs whatever it does to the residual.
-        u = u - du * scale
-        sigma = sigma - dsigma * scale
-        trial_bc, trial_bn, du, dsigma, det, trial_rel = _step(psi, psi_n, m, sqrt_lam, u, sigma)
+        # others take theirs, a capped one extended while F falls.
+        x = (u - du * t, sigma - dsigma * t)
+        trial = step(*x)
+        if (active & (t < 1.0)).any():
+            x, trial = _extend(step, u, sigma, du, dsigma, -(g_n * du + g_s * dsigma), t, trial, active)
+        u, sigma = x
+        trial_bc, trial_bn, du, dsigma, det, trial_rel, g_n, g_s = trial
         # A point that has left keeps its values, and the polishing step is
         # undone where it raises the residual.
         keep = ~active | (within & ~(trial_rel <= rel))
@@ -463,15 +493,15 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     The scales are found by Newton's method on the module docstring's
     F(log b_n, log s), starting from s = 1/2 and the closed-form b_n of
     ``_start``, which depends on the point's own widths, moments and lambda
-    alone.  Each step is scaled down so that neither log b_n nor log s
-    moves by more than 2, and is taken whatever it does to the residual,
-    the largest relative residual of the full system at b_n and
-    b_c = psi_c / D_c.  A solve fails as soon as that residual is not
-    finite, then when the determinant of F's Hessian is not positive, or
-    when it has not brought the residual to 1e-12 within 100 steps.  A solve
-    that reaches it takes one more Newton step, kept only if it does not
-    raise the residual, so that the root carries the digits of a full step
-    rather than stopping at the first iterate under the tolerance;
+    alone.  A step that would move log b_n or log s by more than 2 is cut
+    to 2, then lengthened while F still falls (``_extend``), and is taken
+    whatever it does to the residual, the largest relative residual of the
+    full system at b_n and b_c = psi_c / D_c.  A solve fails as soon as that
+    residual is not finite, then when the determinant of F's Hessian is not
+    positive, or when it has not brought the residual to 1e-12 within 100
+    steps.  A solve that reaches it takes one more Newton step, kept only if
+    it does not raise the residual, so that the root carries the digits of a
+    full step rather than stopping at the first iterate under the tolerance;
     ``iterations`` counts that step.  A point where some psi_c / sqrt(lam),
     the largest b_c can be, lies below the normal float range fails before
     its first step.

@@ -541,6 +541,20 @@ class TestDispatch:
         expected = float(mp_limit_risk(build_limit_spec(parse_config(_inline(cfg)))))
         assert json.loads(out)["risk"] == pytest.approx(expected, rel=1e-11)
 
+    def test_theory_wide_linear_block(self):
+        """A purely linear block 1e80 times as wide as a nonlinear one, at
+        lambda = 1e-8: its Newton steps are far longer than the first trial
+        length of 2, and lengthened while F falls they reach the root
+        (cutting them alone failed at the 100-step limit)."""
+        cfg = {"moments_override": [{"mu0": 0, "mu1": 0.894427190999916, "mu2_sq": 0.5},
+                                    {"mu0": 0, "mu1": 1, "mu2_sq": 0}],
+               "model": {"psi": [1, 1e80], "psi_n": 2, "lambda": 1e-8}}
+        status, out, err = _run("theory", cfg)
+        assert status == ExitStatus.OK
+        assert math.isfinite(json.loads(out)["risk"])
+        iterations, residual = re.match(r"^solver: (\d+) iterations, residual (\S+)$", err.splitlines()[0]).groups()
+        assert int(iterations) < 100 and float(residual) <= 1e-12
+
     def test_theory_solver_failure(self, monkeypatch):
         cfg = _minimal(**{"lambda": 1e-6})
         monkeypatch.setattr("multidescent.risk._MAX_ITER", 2)

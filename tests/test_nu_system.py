@@ -16,13 +16,12 @@ from multidescent import (
     ActivationSpec,
     InvalidSpec,
     Moments,
-    NoConvergence,
     TheorySpec,
     asymptotic_risk,
     compute_moments,
     risk,
 )
-from oracles import K, NonPositiveInput, box_spec, mp_risk, psi_full, residual_vector, verify_complex
+from oracles import K, box_spec, mp_risk, psi_full, residual_vector, verify_complex
 
 
 def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
@@ -148,7 +147,7 @@ class TestSolutionProperties:
         over [1e-30, 1e-20], ratios over twelve decades, up to eight blocks)
         converges from the cold start, its root passes the full residual
         test and its risk is finite; the solves take a median of 6 Newton
-        steps and at most 52 (the measured budget)."""
+        steps and at most 19 (the measured budget)."""
         steps = []
         for i in range(400):
             spec = box_spec(np.random.default_rng([21, i]), lam_exp=(-30.0, -20.0), k_max=8)
@@ -157,7 +156,7 @@ class TestSolutionProperties:
             assert np.max(np.abs(res) / np.array(psi_full(spec))) <= risk._TOL, i
             assert np.all(out.b > 0.0) and math.isfinite(out.risk), i
             steps.append(out.iterations)
-        assert np.median(steps) <= 6 and max(steps) <= 52
+        assert np.median(steps) <= 6 and max(steps) <= 19
 
     @pytest.mark.parametrize("index", [2, 2129, 4492, 6887])
     def test_harsh_box_risk_matches_mpmath(self, index):
@@ -316,42 +315,3 @@ class TestSpecValidation:
         assert K(spec) == 2
         assert psi_full(spec) == (1.0, 2.0, 3.0)
 
-
-class TestErrorPaths:
-    def test_residual_vector_wrong_length(self):
-        spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0)
-        with pytest.raises(NonPositiveInput, match="expected 2 entries"):
-            residual_vector(spec, [1.0, 1.0, 1.0])
-
-    def test_residual_vector_nonpositive(self):
-        spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0)
-        with pytest.raises(NonPositiveInput, match="> 0"):
-            residual_vector(spec, [1.0, 0.0])
-        with pytest.raises(NonPositiveInput, match="> 0"):
-            residual_vector(spec, [-1.0, 1.0])
-
-    def test_no_convergence_carries_diagnostics(self, monkeypatch):
-        spec = TheorySpec(
-            psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-6
-        )
-        monkeypatch.setattr(risk, "_MAX_ITER", 0)
-        with pytest.raises(NoConvergence) as exc:
-            asymptotic_risk(spec)
-        assert exc.value.iterations == 0
-        assert exc.value.residual > 1e-12
-
-    def test_tolerance_below_roundoff_fails_at_the_cap(self, monkeypatch):
-        """With a tolerance below zero every step is taken and none meets it
-        (the residual, formed from the reduced gradient, can read exactly 0):
-        the solve fails loudly at the step cap, its residual at roundoff."""
-        spec = TheorySpec(
-            psi=(0.8, 1.4, 0.5), psi_n=2.0,
-            moments=(Moments(0.0, 0.7, 0.3), Moments(0.0, 0.2, 0.9), Moments(0.0, 1.1, 0.4)),
-            lam=1e-3,
-        )
-        monkeypatch.setattr(risk, "_TOL", -1.0)
-        monkeypatch.setattr(risk, "_MAX_ITER", 30)
-        with pytest.raises(NoConvergence, match="after 30 Newton steps") as exc:
-            asymptotic_risk(spec)
-        assert exc.value.iterations == 30
-        assert exc.value.residual < 1e-14

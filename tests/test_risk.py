@@ -665,21 +665,27 @@ class TestErrorPaths:
         output: fast points far from the peak, a slow one near c = 1 at a
         tiny lambda, one whose block scale lies below the float range (it
         fails before its first step), one that hits the step cap, one whose
-        residual is not finite, one whose Newton determinant is not positive
-        and one whose risk overflows.  A point that has left the solve keeps
-        its values while the others iterate."""
+        residual is not finite, one whose Newton determinant is not positive,
+        one whose risk overflows, and a wide linear block whose capped steps
+        are lengthened (it converges, with an ill-conditioned root).  A point
+        that has left the solve keeps its values while the others iterate."""
         base = TheorySpec(psi=(1.0, 1.0), psi_n=2.0, moments=(Moments(0, 0.8, 0.5), Moments(0, 1.0, 0.0)),
                           lam=1e-24)
         psi = np.array([(1e-3, 1e-3), (0.3, 0.3), (0.999, 0.999), (1e-320, 1.0), (1.0, 1.0), (3.0, 3.0),
-                        (1e150, 1e150), (1e300, 1e300), (1e290, 1e290)])
+                        (1e150, 1e150), (1e300, 1e300), (1e290, 1e290), (1.0, 1e40)])
         monkeypatch.setattr("multidescent.risk._MAX_ITER", 15)
-        *stack, errors = _theory(base, psi)
+        with pytest.warns(IllConditionedWarning) as caught:
+            *stack, errors = _theory(base, psi)
+        assert len(caught) == 1 and 1e-4 < _estimate(caught[0]) < 1e-3
         steps = stack[6]
         assert max(steps[[0, 1, 5]]) < steps[2] < 15 and steps[4] == 15 and steps[[3, 7, 8]].max() == 0
+        assert steps[9] < 15
         assert {i: type(e) for i, e in errors.items()} == {
             3: NoConvergence, 4: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: np.linalg.LinAlgError}
         for i in range(len(psi)):
-            *alone, alone_errors = _theory(base, psi[i:i + 1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                *alone, alone_errors = _theory(base, psi[i:i + 1])
             for a, b in zip(stack, alone):
                 np.testing.assert_array_equal(a[i], b[0])
             assert [(type(e), str(e)) for e in alone_errors.values()] == (
