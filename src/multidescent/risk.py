@@ -52,7 +52,7 @@ P^T A^{-1} P, and Sherman-Morrison adds the rank-one term.  One model at a
 stack of block widths, such as the points of a sweep grid, is solved and
 scored at once with batched arithmetic: each stage takes the model's
 ``TheorySpec``, whose moments, psi_n, lam, F1 and tau every point shares
-as scalars, and the widths as a (G, K) array.  Every point keeps its row of
+as scalars, and the widths as a (G, K) array.  Every point keeps its place in
 every array from start to end, with its own steps and failure; a point that
 has left the solve keeps its values while the others iterate.  The risk has a
 closed-form limit as the widths grow at fixed block proportions, for any K,
@@ -211,16 +211,27 @@ _S0 = 0.5
 # where that bound lies below it fails before its first step.
 _TINY = np.finfo(float).tiny
 
+# The rounding unit of the error estimate (``_score``).
+_EPS = np.finfo(float).eps
+
 # Estimated relative error of the scales above which a risk warns.
 _ERR_WARN = 1e-4
 
 
 def _moment_matrix(base: TheorySpec) -> np.ndarray:
     """The columns m1, m2 and m1 m2 (K, 3) of ``base``'s blocks, with
-    m1_c = mu_{c,1}^2 and m2_c = mu_{c,2}^2."""
-    m1 = np.array([m.mu1 * m.mu1 for m in base.moments])
-    m2 = np.array([m.mu2_sq for m in base.moments])
-    return np.column_stack((m1, m2, m1 * m2))
+    m1_c = mu_{c,1}^2 and m2_c = mu_{c,2}^2.  It is built once per moments
+    tuple and shared by every call, so it is read-only."""
+    return _moment_columns(base.moments)
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_columns(moments: tuple[Moments, ...]) -> np.ndarray:
+    m1 = np.array([m.mu1 * m.mu1 for m in moments])
+    m2 = np.array([m.mu2_sq for m in moments])
+    m = np.column_stack((m1, m2, m1 * m2))
+    m.flags.writeable = False
+    return m
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -250,12 +261,12 @@ def _start(base: TheorySpec, psi):
 
 def _hessian(bc_d, bn, s, m, sqrt_lam):
     """P, C, Q and the determinant of F's Hessian H = [[P + C, C], [C, Q + C]]
-    in (log b_n, log s) at G points, from b_c / D_c (G, K), b_n and s (G,).
+    in (log b_n, log s) at G points, from b_c / D_c (K, G), b_n and s (G,).
     With R_x = sum_c b_c x_c / D_c over x = m1, m2, m1 m2 (the columns of
     ``m``, (K, 3)), P = sqrt(lam) b_n (1 + R_m2), C = sqrt(lam) b_n s R_m1
     and Q = s (1 + b_n^2 R_m1m2).  The determinant PQ + C(P + Q) is a sum of
     terms >= 0, so it keeps its digits where H is nearly singular."""
-    r1, r2, r12 = (bc_d @ m).T
+    r1, r2, r12 = m.T @ bc_d
     lb = sqrt_lam * bn
     p = lb * (1.0 + r2)
     c = lb * s * r1
@@ -263,13 +274,15 @@ def _hessian(bc_d, bn, s, m, sqrt_lam):
     return p, c, q, p * q + c * (p + q)
 
 
-def _step(psi, psi_n, m, sqrt_lam, u, sigma):
+def _step(psi_t, psi_n, m, sqrt_lam, u, sigma):
     """At the G points (u, sigma) = (log b_n, log s), each (G,): the block
-    scales b_c (G, K) and b_n, the Newton step (du, dsigma) = H^-1 grad F,
+    scales b_c (K, G) and b_n, the Newton step (du, dsigma) = H^-1 grad F,
     the determinant of F's Hessian H (``_hessian``), the largest relative
     residual of the full K+1 system at (b_c, b_n) and grad F = (g_n, g_s);
-    ``psi`` (G, K) holds the block widths, the scalar ``psi_n`` the sample
+    ``psi_t`` (K, G) holds the block widths, the scalar ``psi_n`` the sample
     ratio and ``m`` (K, 3) each block's m1, m2, m1 m2 (``_moment_matrix``).
+    An array over blocks and points has a row per block, so that numpy's
+    loops run along the points.
 
     Block c's scale is b_c = psi_c / D_c with D_c = sqrt(lam) + b_n (m1_c s + m2_c).
     With the sums S_x = sum_c b_c x_c and T = b_n S_m1,
@@ -282,9 +295,9 @@ def _step(psi, psi_n, m, sqrt_lam, u, sigma):
     exact where the scale underflowed to 0 and its equation reads -psi_c.
     """
     bn, s = np.exp(u), np.exp(sigma)
-    d = sqrt_lam + bn[:, None] * (np.multiply.outer(s, m[:, 0]) + m[:, 1])
-    bc = psi / d
-    s1, s2 = (bc @ m[:, :2]).T
+    d = sqrt_lam + bn * (m[:, :1] * s + m[:, 1:2])
+    bc = psi_t / d
+    s1, s2 = m[:, :2].T @ bc
     t = bn * s1
     opt = 1.0 + t
     g_n = bn * (sqrt_lam + s * s1 + s2) - psi_n
@@ -293,8 +306,10 @@ def _step(psi, psi_n, m, sqrt_lam, u, sigma):
     du = ((q + c) * g_n - c * g_s) / det
     dsigma = ((p + c) * g_s - c * g_n) / det
     k = g_s / opt
-    rel = np.maximum(np.abs(g_n - t * k) / psi_n, bn * np.abs(k) * (m[:, 0] / d).max(axis=1))
-    return bc, bn, du, dsigma, det, np.maximum(rel, (bc < _TINY).any(axis=1)), g_n, g_s
+    rel = np.maximum(np.abs(g_n - t * k) / psi_n, bn * np.abs(k) * (m[:, :1] / d).max(axis=0))
+    if bc.min() < _TINY:
+        rel = np.maximum(rel, (bc < _TINY).any(axis=0))
+    return bc, bn, du, dsigma, det, rel, g_n, g_s
 
 
 def _extend(step, u, sigma, du, dsigma, slope, t, trial, active):
@@ -304,9 +319,11 @@ def _extend(step, u, sigma, du, dsigma, slope, t, trial, active):
     phi'(t) = -grad F . (du, dsigma) rises with t as F is convex.  While
     phi'(t) keeps 3/4 of phi'(0), or 4/5 of phi'(t/4), a secant on phi' has
     its zero at 4 t or beyond: t grows to min(4 t, 1), kept if phi' < 0, F's
-    Hessian determinant > 0 and the residual finite there.  Returns the
-    ends (u, sigma) and ``trial`` with their rows; F's value is never read."""
-    at, ratio = -(trial[6] * du + trial[7] * dsigma), 0.75
+    Hessian determinant > 0 and the residual finite there.  A first growth
+    past half the Newton step (4 t > 1/2) asks more: phi'(t) keeps 7/8 of
+    phi'(0), a secant zero at 8 t or beyond.  Returns the ends (u, sigma)
+    and ``trial`` with their values; F's value is never read."""
+    at, ratio = -(trial[6] * du + trial[7] * dsigma), np.where(t > 0.125, 0.875, 0.75)
     while True:
         grow = active & (t < 1.0) & (at <= ratio * slope)
         if not grow.any():
@@ -316,7 +333,7 @@ def _extend(step, u, sigma, du, dsigma, slope, t, trial, active):
         at_next = -(probe[6] * du + probe[7] * dsigma)
         active = grow & (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
         for kept, new in zip(trial, probe):
-            kept[active] = new[active]
+            kept[..., active] = new[..., active]
         slope, at, t = (np.where(active, a, b) for a, b in ((at, slope), (at_next, at), (t_next, t)))
         ratio = 0.8
 
@@ -336,13 +353,13 @@ def _newton(base: TheorySpec, psi):
     ended each failed point's solve by index (``NoConvergence``, or
     ``LinAlgError`` for a Newton matrix whose determinant is not positive);
     b is NaN on the failed points.  Each point iterates by the rules in
-    ``asymptotic_risk``'s docstring and keeps its row of every array; a
+    ``asymptotic_risk``'s docstring and keeps its place in every array; a
     point that has left keeps its scales, residual and steps while the
     others iterate.
     """
     lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base)
     sqrt_lam = math.sqrt(lam)
-    step = functools.partial(_step, psi, psi_n, m, sqrt_lam)
+    step = functools.partial(_step, np.ascontiguousarray(psi.T), psi_n, m, sqrt_lam)
     errors: dict = {}
     bound = psi / sqrt_lam
     lost = (bound < _TINY).any(axis=1)
@@ -351,36 +368,38 @@ def _newton(base: TheorySpec, psi):
         errors[int(i)] = NoConvergence(
             f"block {c + 1} scale is at most psi_{c + 1}/sqrt(lambda) = {bound[i, c]:.3e}, "
             f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
-    # The points still iterating; the others take no step.
+    # The points still iterating, each after the same ``n`` steps; the others take no step.
     active = ~lost
     u, sigma = np.log(_start(base, psi)), np.full(len(psi), math.log(_S0))
     bc, bn, du, dsigma, det, rel, g_n, g_s = step(u, sigma)
     rel[lost] = 1.0
-    steps, polished = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool)
+    steps, polished, n = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool), 0
     while True:
         within = rel <= _TOL
         # A root is accepted on the residual of the full system.  A point
         # leaves once polished, or fails: on a residual that is not finite,
         # then on a determinant that is not positive, then at the step limit.
-        failed = active & ~within & (~np.isfinite(rel) | ~(det > 0.0) | (steps >= _MAX_ITER))
-        for i in np.flatnonzero(failed):
-            if np.isfinite(rel[i]) and not det[i] > 0.0:
-                errors[int(i)] = np.linalg.LinAlgError(
-                    f"Newton matrix determinant {det[i]:.3e} is not positive after "
-                    f"{steps[i]} Newton steps at lambda={lam:.3e}")
-                continue
-            errors[int(i)] = NoConvergence(
-                f"residual {rel[i]:.3e} > tol {_TOL:.1e} after {steps[i]} Newton steps "
-                f"at lambda={lam:.3e}",
-                residual=float(rel[i]),
-                iterations=int(steps[i]),
-            )
-        active &= ~(polished | failed)
+        failed = active & ~within
+        if n < _MAX_ITER:
+            failed &= ~(np.isfinite(rel) & (det > 0.0))
+        if failed.any():
+            for i in np.flatnonzero(failed):
+                if np.isfinite(rel[i]) and not det[i] > 0.0:
+                    errors[int(i)] = np.linalg.LinAlgError(
+                        f"Newton matrix determinant {det[i]:.3e} is not positive after "
+                        f"{n} Newton steps at lambda={lam:.3e}")
+                    continue
+                errors[int(i)] = NoConvergence(
+                    f"residual {rel[i]:.3e} > tol {_TOL:.1e} after {n} Newton steps "
+                    f"at lambda={lam:.3e}", residual=float(rel[i]), iterations=n)
+            active &= ~failed
+        active &= ~polished
         if not active.any():
-            b = np.column_stack((bc, bn))
+            b = np.vstack((bc, bn)).T.copy()  # C order: _score's sums depend on it
             b[list(errors)] = np.nan
             return b, rel, steps, errors
-        t = active * _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
+        # A point that has left computes a step too; its values are discarded.
+        t = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
         # A point already within tol takes its last, polishing step; the
         # others take theirs, a capped one extended while F falls.
         x = (u - du * t, sigma - dsigma * t)
@@ -389,13 +408,13 @@ def _newton(base: TheorySpec, psi):
             x, trial = _extend(step, u, sigma, du, dsigma, -(g_n * du + g_s * dsigma), t, trial, active)
         u, sigma = x
         trial_bc, trial_bn, du, dsigma, det, trial_rel, g_n, g_s = trial
-        # A point that has left keeps its values, and the polishing step is
-        # undone where it raises the residual.
-        keep = ~active | (within & ~(trial_rel <= rel))
-        if keep.any():
-            trial_bc[keep], trial_bn[keep], trial_rel[keep] = bc[keep], bn[keep], rel[keep]
-        bc, bn, rel, polished = trial_bc, trial_bn, trial_rel, within
+        # A point still iterating takes its step, unless it is the polishing
+        # step and raises the residual; a point that has left keeps its values.
+        take = active & (~within | (trial_rel <= rel))
+        bc = np.where(take, trial_bc, bc)
+        bn, rel, polished = np.where(take, trial_bn, bn), np.where(take, trial_rel, rel), within
         steps += active
+        n += 1
 
 
 def _score(base: TheorySpec, b, errors: dict):
@@ -405,11 +424,11 @@ def _score(base: TheorySpec, b, errors: dict):
     scalars.
     ``errors`` maps the points that already failed to their exception; such
     a point comes with NaN scales, as from ``_newton``, and is neither
-    diagnosed again nor warned about.  ``errors`` gains ``LinAlgError`` where
-    a pivot b_c D_c, sigma or the Sherman-Morrison denominator is not
-    positive and finite (a singular S), and ``InvalidSpec`` for a risk that
-    is not finite.  Every point keeps its row, and every failed point reads
-    NaN.
+    diagnosed again nor warned about.  ``errors`` gains ``InvalidSpec`` where
+    (1 + T)^2 overflows, else ``LinAlgError`` where a pivot b_c D_c, sigma
+    or the Sherman-Morrison denominator is not positive and finite (a
+    singular S), and ``InvalidSpec`` for a risk that is not finite.  Every
+    point keeps its row, and every failed point reads NaN.
 
     Each point that does not fail warns ``IllConditionedWarning``, in order,
     where the estimated relative error of its scales exceeds ``_ERR_WARN``:
@@ -430,8 +449,9 @@ def _score(base: TheorySpec, b, errors: dict):
         s = 1.0 / (1.0 + t)
         bmix = bn[:, None] * (m2 + np.multiply.outer(s, m1))
         d = sqrt_lam + bmix
-        _, c, q, det = _hessian(bc / d, bn, s, m, sqrt_lam)
-        err = np.finfo(float).eps * ((q + c) * base.psi_n + c) / det
+        bc_d = bc / d
+        _, c, q, det = _hessian(bc_d.T, bn, s, m, sqrt_lam)
+        err = _EPS * ((q + c) * base.psi_n + c) / det
         a_d = bmix * bc / d
         sigma = sqrt_lam * (bn + a_d.sum(axis=1))
         # M_A = P^T A^-1 P, then M by Sherman-Morrison with w = P (0, T, b_n).
@@ -439,7 +459,7 @@ def _score(base: TheorySpec, b, errors: dict):
         x[:, 0], x[:, 2] = m2, m1
         eps = -(a_d @ x)
         eps[:, 1] = 1.0
-        ma = ((bc / d)[:, None, :] * x.T) @ x + eps[:, :, None] * (eps / sigma[:, None])[:, None, :]
+        ma = (bc_d[:, None, :] * x.T) @ x + eps[:, :, None] * (eps / sigma[:, None])[:, None, :]
         u = ma[:, :, 1] * t[:, None] + ma[:, :, 2] * bn[:, None]
         den = md2 - t * u[:, 1] - bn * u[:, 2]
         # G = P C, row by row, with MD^2 = (1 + T)^2.
@@ -464,12 +484,15 @@ def _score(base: TheorySpec, b, errors: dict):
     for e in err[(err > _ERR_WARN) & ~failed]:
         warnings.warn(f"estimated relative error {e:.3e} of the scales exceeds {_ERR_WARN:.0e}; risk may "
                       "be inaccurate", IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
-    for j in np.flatnonzero(failed):
-        errors[int(j)] = (
-            np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
-            if singular[j] else
-            InvalidSpec(f"risk overflows: bias {bias[j]:.3e} + variance {variance[j]:.3e} is not finite"))
-    risk[failed] = bias[failed] = variance[failed] = lr[failed] = np.nan
+    if failed.any():
+        # T past 1.3e154 overflows (1 + T)^2, not a singular S, though S's last pivot reads NaN.
+        for j in np.flatnonzero(failed):
+            errors[int(j)] = (
+                InvalidSpec(f"(1 + T)^2 overflows at T = {t[j]:.3e}") if md2[j] == math.inf else
+                np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
+                if singular[j] else
+                InvalidSpec(f"risk overflows: bias {bias[j]:.3e} + variance {variance[j]:.3e} is not finite"))
+        risk[failed] = bias[failed] = variance[failed] = lr[failed] = np.nan
     return risk, bias, variance, lr
 
 
@@ -494,19 +517,21 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     F(log b_n, log s), starting from s = 1/2 and the closed-form b_n of
     ``_start``, which depends on the point's own widths, moments and lambda
     alone.  A step that would move log b_n or log s by more than 2 is cut
-    to 2, then lengthened while F still falls (``_extend``), and is taken
-    whatever it does to the residual, the largest relative residual of the
-    full system at b_n and b_c = psi_c / D_c.  A solve fails as soon as that
-    residual is not finite, then when the determinant of F's Hessian is not
-    positive, or when it has not brought the residual to 1e-12 within 100
-    steps.  A solve that reaches it takes one more Newton step, kept only if
-    it does not raise the residual, so that the root carries the digits of a
-    full step rather than stopping at the first iterate under the tolerance;
-    ``iterations`` counts that step.  A point where some psi_c / sqrt(lam),
-    the largest b_c can be, lies below the normal float range fails before
-    its first step.
+    to 2, then lengthened fourfold while F still falls (``_extend``; a first
+    growth past half the Newton step needs F's slope to keep 7/8 of its
+    start), and is taken whatever it does to the residual, the largest
+    relative residual of the full system at b_n and b_c = psi_c / D_c.  A
+    solve fails as soon as that residual is not finite, then when the
+    determinant of F's Hessian is not positive, or when it has not brought
+    the residual to 1e-12 within 100 steps.  A solve that reaches it takes
+    one more Newton step, kept only if it does not raise the residual, so
+    that the root carries the digits of a full step rather than stopping at
+    the first iterate under the tolerance; ``iterations`` counts that step.
+    A point where some psi_c / sqrt(lam), the largest b_c can be, lies below
+    the normal float range fails before its first step.
     Raises ``NoConvergence``; ``LinAlgError`` for that determinant or a
-    singular S; or ``InvalidSpec`` for a risk that is not finite.
+    singular S; or ``InvalidSpec`` for a risk or a (1 + T)^2 that is not
+    finite.
     """
     risk, bias, variance, L, b, residual, steps, errors = _theory(spec, np.array([spec.psi]))
     if errors:

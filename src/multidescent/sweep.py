@@ -199,10 +199,14 @@ def csv_text(result: SweepResult) -> str:
     if not result.rows:
         raise EmptyGrid("no rows to write")
     rows = result.rows
-    floats = zip(*((r.c, *r.psi, r.psi_n, r.lam, r.theory_risk, r.theory_bias, r.theory_variance,
-                    math.nan if r.emp_mean is None else r.emp_mean,
-                    math.nan if r.emp_se is None else r.emp_se) for r in rows))
-    columns = [_column_cells(values) for values in floats]
+    floats = list(zip(*((r.c, *r.psi, r.psi_n, r.lam, r.theory_risk, r.theory_bias, r.theory_variance,
+                         math.nan if r.emp_mean is None else r.emp_mean,
+                         math.nan if r.emp_se is None else r.emp_se) for r in rows)))
+    # A column equal to an earlier one (psi_2 = psi_1 at equal ratios) reuses its cells.
+    columns = []
+    for values in floats:
+        first = floats.index(values)
+        columns.append(columns[first] if first < len(columns) else _column_cells(values))
     columns += [["" if v is None else str(v) for v in values]
                 for values in ([r.replications for r in rows], [r.solver_iterations for r in rows])]
     k = len(rows[0].psi)

@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 
 from multidescent import (
-    ActivationSpec,
     InvalidSpec,
     Moments,
     TheorySpec,
     asymptotic_risk,
-    compute_moments,
     risk,
 )
 from oracles import K, box_spec, mp_risk, psi_full, residual_vector, verify_complex
@@ -217,57 +215,6 @@ class TestSolutionProperties:
         b1 = asymptotic_risk(spec).b
         b2 = asymptotic_risk(spec).b
         assert np.array_equal(b1, b2)
-
-
-class TestVanishingRidge:
-    def test_lambda_path_shape(self):
-        """A small lambda is solved from the cold start to within tol."""
-        spec = TheorySpec(
-            psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-4
-        )
-        assert asymptotic_risk(spec).residual <= risk._TOL
-
-    def test_tiny_lambda(self):
-        """Newton in log b stays on the positive branch at 1e-10."""
-        spec = TheorySpec(
-            psi=(0.5,), psi_n=2.0, moments=(Moments(0.1, 0.4, 0.7),), lam=1e-10
-        )
-        out = asymptotic_risk(spec)
-        assert out.residual <= 1e-12
-        assert verify_complex(spec, out.b) < 1e-8
-
-    def test_interpolation_peak_at_tiny_lambda(self):
-        """The figure model at c=1, lam=1e-10 against a 50-digit mpmath solve."""
-        moments = tuple(
-            compute_moments(ActivationSpec(kind=kind, in_scale=scale))
-            for kind, scale in (("elu", 3.0), ("relu", 0.25))
-        )
-        spec = TheorySpec(
-            psi=(5 / 3, 5 / 3), psi_n=10 / 3, moments=moments, lam=1e-10, F1=1.0, tau=0.1
-        )
-        out = asymptotic_risk(spec)
-        # bench/references.json, "peak-c1-lam1e-10"
-        np.testing.assert_allclose(
-            out.b,
-            [0.1078373860287470069454352, 15.17355339439964475959739, 15.28139078042839176654282],
-            rtol=1e-10,
-        )
-        np.testing.assert_allclose(out.risk, 1162.634462666235186708418, rtol=1e-10)
-
-    @pytest.mark.parametrize("c,ridgeless", [(0.5, 0.466592137232), (2.0, 0.534890232573)])
-    def test_figure_model_at_lambda_1e_34(self, c, ridgeless):
-        """Off the peak the figure model's risk has reached its ridgeless
-        value (the lambda = 1e-30 risk) long before lambda = 1e-34, where the
-        scales lie 33 to 35 decades apart; the solve still converges to it."""
-        moments = tuple(
-            compute_moments(ActivationSpec(kind=kind, in_scale=scale))
-            for kind, scale in (("elu", 3.0), ("relu", 0.25))
-        )
-        psi = c * (10 / 3) / 2
-        spec = TheorySpec(psi=(psi, psi), psi_n=10 / 3, moments=moments, lam=1e-34, tau=0.1)
-        out = asymptotic_risk(spec)
-        assert out.residual <= risk._TOL
-        assert out.risk == pytest.approx(ridgeless, rel=1e-10)
 
 
 class TestSpecValidation:

@@ -14,7 +14,9 @@ warning reads to the framework matrix H of the printed formulas
 Every command's stdout and stderr through ``cli.dispatch`` are also pinned
 byte for byte, by SHA-256 digests, so that a change meant to keep the
 output shows that it does.  A change that moves digits on purpose records
-the digests again and says so.
+the digests again and says so.  The batched ``_step`` calls of every
+theory command are counted as well, so that work the solver adds or
+drops, such as a probe that is always refused, shows.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from multidescent import ActivationSpec, TheorySpec, compute_moments, parse_config
+from multidescent import ActivationSpec, TheorySpec, compute_moments, parse_config, risk
 from multidescent.cli import dispatch
 from multidescent.risk import _theory
 from oracles import build_matrices
@@ -164,3 +166,27 @@ def test_cli_bytes_match_recorded_digests(command):
     dispatch(command.subcommand, parse_config(command.config_text, overrides), out, err)
     digests = tuple(hashlib.sha256(stream.getvalue().encode()).hexdigest() for stream in (out, err))
     assert digests == CLI_DIGESTS[command.label], (out.getvalue()[:200], err.getvalue())
+
+
+# Batched ``_step`` calls of each theory command: the start, every Newton
+# step and every probe of ``_extend``.
+STEP_CALLS = {
+    "crit07": 8, "crit08-1to2": 8, "crit08-2to1": 8, "crit09": 9, "quickstart": 7,
+    **{f"peak-c1-lam{lam}": 7 for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
+    **{f"peak-c2-lam{lam}": 6 for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
+    "crit07-lam1e-08": 8,
+}
+
+
+@pytest.mark.parametrize("command", [command for command in COMMANDS if command.label in STEP_CALLS],
+                         ids=lambda command: command.label)
+def test_step_calls_per_command(command, monkeypatch):
+    calls, step = [], risk._step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(risk, "_step", counted)
+    status = dispatch(command.subcommand, parse_config(command.config_text), io.StringIO(), io.StringIO())
+    assert status == 0 and len(calls) == STEP_CALLS[command.label]

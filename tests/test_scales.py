@@ -5,12 +5,27 @@ docstring, evaluated by ``oracles.residual_vector`` rather than by the
 solver's own reduced residual.
 """
 
+import io
+import json
+import re
+
 import numpy as np
 import pytest
 
-from multidescent import Moments, NoConvergence, TheorySpec, asymptotic_risk, risk
-from multidescent.risk import _newton
-from oracles import NonPositiveInput, psi_full, residual_vector
+from multidescent import (
+    ActivationSpec,
+    InvalidSpec,
+    Moments,
+    NoConvergence,
+    TheorySpec,
+    asymptotic_risk,
+    compute_moments,
+    parse_config,
+    risk,
+)
+from multidescent.cli import ExitStatus, dispatch
+from multidescent.risk import _newton, _theory
+from oracles import NonPositiveInput, psi_full, residual_vector, verify_complex
 
 # A nonlinear block next to a purely linear one (mu2 = 0) at psi_n = 2.
 WIDE_LINEAR_MOMENTS = (Moments(0.0, 0.8, 0.5), Moments(0.0, 1.0, 0.0))
@@ -36,6 +51,34 @@ class TestWideLinearBlock:
             assert np.max(np.abs(residual_vector(spec, b[i])) / psi_full(spec)) <= risk._TOL, w
             assert residual[i] <= risk._TOL
 
+    def test_root_past_the_square_range_fails_as_overflow(self):
+        """At lam = 1e-24 the roots of w = 1e150 ... 1e280 are found, but
+        T = b_n sum_c m1_c b_c lies past 1e154, where (1 + T)^2 overflows:
+        each point fails with ``InvalidSpec`` naming (1 + T)^2 and T, not as
+        a singular S, while w = 1e10 ... 1e140 keep a finite risk."""
+        widths = [10.0 ** e for e in range(10, 290, 10)]
+        base = TheorySpec(psi=(1.0, 1.0), psi_n=2.0, moments=WIDE_LINEAR_MOMENTS, lam=1e-24)
+        with pytest.warns(risk.IllConditionedWarning):
+            risks, _, _, _, _, residual, _, errors = _theory(base, np.array([(1.0, w) for w in widths]))
+        assert np.all(residual <= risk._TOL)
+        for i, w in enumerate(widths):
+            if w < 1e150:
+                assert i not in errors and np.isfinite(risks[i]), w
+            else:
+                t = re.fullmatch(r"\(1 \+ T\)\^2 overflows at T = (\S+)", str(errors[i]))
+                assert isinstance(errors[i], InvalidSpec) and float(t[1]) > 1e154, w
+                assert np.isnan(risks[i])
+
+    def test_theory_command_reports_the_square_overflow(self):
+        """The ``theory`` command at such a root exits with the configuration
+        status and the overflow message, not the solver status."""
+        cfg = {"activations": [{"kind": "relu"}, {"kind": "identity"}],
+               "model": {"psi": [1.0, 1e200], "psi_n": 2.0, "lambda": 1e-8}}
+        out, err = io.StringIO(), io.StringIO()
+        status = dispatch("theory", parse_config(json.dumps(cfg)), out, err)
+        assert status == ExitStatus.CONFIG and out.getvalue() == ""
+        assert re.fullmatch(r"InvalidSpec: \(1 \+ T\)\^2 overflows at T = 3\.317e\+204\n", err.getvalue())
+
     def test_width_past_the_float_range_fails_at_once(self):
         """At lam = 1e-24, w = 1e300 puts psi / sqrt(lam) past the float
         range: the solve fails loudly before its first step."""
@@ -43,6 +86,57 @@ class TestWideLinearBlock:
         with pytest.raises(NoConvergence, match="after 0 Newton steps") as exc:
             asymptotic_risk(spec)
         assert exc.value.iterations == 0
+
+
+class TestVanishingRidge:
+    def test_lambda_path_shape(self):
+        """A small lambda is solved from the cold start to within tol."""
+        spec = TheorySpec(
+            psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-4
+        )
+        assert asymptotic_risk(spec).residual <= risk._TOL
+
+    def test_tiny_lambda(self):
+        """Newton in log b stays on the positive branch at 1e-10."""
+        spec = TheorySpec(
+            psi=(0.5,), psi_n=2.0, moments=(Moments(0.1, 0.4, 0.7),), lam=1e-10
+        )
+        out = asymptotic_risk(spec)
+        assert out.residual <= 1e-12
+        assert verify_complex(spec, out.b) < 1e-8
+
+    def test_interpolation_peak_at_tiny_lambda(self):
+        """The figure model at c=1, lam=1e-10 against a 50-digit mpmath solve."""
+        moments = tuple(
+            compute_moments(ActivationSpec(kind=kind, in_scale=scale))
+            for kind, scale in (("elu", 3.0), ("relu", 0.25))
+        )
+        spec = TheorySpec(
+            psi=(5 / 3, 5 / 3), psi_n=10 / 3, moments=moments, lam=1e-10, F1=1.0, tau=0.1
+        )
+        out = asymptotic_risk(spec)
+        # bench/references.json, "peak-c1-lam1e-10"
+        np.testing.assert_allclose(
+            out.b,
+            [0.1078373860287470069454352, 15.17355339439964475959739, 15.28139078042839176654282],
+            rtol=1e-10,
+        )
+        np.testing.assert_allclose(out.risk, 1162.634462666235186708418, rtol=1e-10)
+
+    @pytest.mark.parametrize("c,ridgeless", [(0.5, 0.466592137232), (2.0, 0.534890232573)])
+    def test_figure_model_at_lambda_1e_34(self, c, ridgeless):
+        """Off the peak the figure model's risk has reached its ridgeless
+        value (the lambda = 1e-30 risk) long before lambda = 1e-34, where the
+        scales lie 33 to 35 decades apart; the solve still converges to it."""
+        moments = tuple(
+            compute_moments(ActivationSpec(kind=kind, in_scale=scale))
+            for kind, scale in (("elu", 3.0), ("relu", 0.25))
+        )
+        psi = c * (10 / 3) / 2
+        spec = TheorySpec(psi=(psi, psi), psi_n=10 / 3, moments=moments, lam=1e-34, tau=0.1)
+        out = asymptotic_risk(spec)
+        assert out.residual <= risk._TOL
+        assert out.risk == pytest.approx(ridgeless, rel=1e-10)
 
 
 class TestErrorPaths:
