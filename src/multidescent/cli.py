@@ -30,7 +30,7 @@ from .config import (
     build_theory_spec,
     parse_config,
 )
-from .formatting import to_json
+from .formatting import _write_text, to_json
 from .risk import (
     DegenerateMoments,
     InvalidSpec,
@@ -116,18 +116,13 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
     out = cfg.output
     text = csv_text(result)
     if out.get("csv_path"):
-        with open(out["csv_path"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(out["csv_path"], text)
     if out.get("svg_path"):
         style = {key: cfg.sweep[key] for key in ("log_y", "y_cap") if key in cfg.sweep}
         render_svg(result, out["svg_path"], **style)
     if out.get("json_path"):
-        payload = {
-            "rows": [row.record() for row in result.rows],
-            "metadata": result.metadata,
-        }
-        with open(out["json_path"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(to_json(payload) + "\n")
+        payload = {"rows": [row.record() for row in result.rows], "metadata": result.metadata}
+        _write_text(out["json_path"], to_json(payload) + "\n")
     return text.rstrip("\n")
 
 

@@ -1,4 +1,5 @@
-"""Deterministic number and JSON rendering shared by the CSV writer and CLI.
+"""Deterministic number and JSON rendering shared by the CSV writer and CLI,
+and the one rule by which they write a text file: UTF-8 with LF newlines.
 
 Numbers are rendered with at least 12 significant digits, fixed-point for
 moderate magnitudes (``1.000000000000``) and scientific otherwise
@@ -24,6 +25,11 @@ def format_number(x: float) -> str:
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return _float_cells((v,))[0]
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _float_cells(values) -> list[str]:

@@ -25,15 +25,14 @@ D_c = sqrt(lam) + b_n (m2_c + m1_c s), which leaves the smooth convex
 
 in u_n = log b_n.  Its gradient (r_n at those b_c, s (1 + T) - 1) vanishes
 exactly at the root, where s = 1 / (1 + T).  The solver is Newton's method
-on F with its closed-form 2x2 Hessian, O(K) a step; its one safeguard cuts
-a step longer than 2 in (u_n, sigma) to 2, then extends it while F still
-falls (``_extend``), and a root is accepted on the relative
-residuals r_j / psi_j of the full system, formed from the sums the step
-takes.  Each point starts cold at s = 1/2 and a b_n of closed form: the
-root of d F / d u_n = 0 with every block given one width-weighted moment,
-which has b_n's own order as lam -> 0+ (b_n ~ 1/sqrt(lam) where
-sum_c psi_c < psi_n, with b_n's exact limit, and b_n ~ sqrt(lam) where
-sum_c psi_c > psi_n).
+on F with its closed-form 2x2 Hessian, O(K) a step, damped by one step rule
+that cuts a long step and lengthens it again while F falls (see the comment
+on it in ``_newton``); a root is accepted on the relative residuals
+r_j / psi_j of the full system, formed from the sums the step takes.  Each
+point starts cold at s = 1/2 and a b_n of closed form: the root of
+d F / d u_n = 0 with every block given one width-weighted moment, which has
+b_n's own order as lam -> 0+ (b_n ~ 1/sqrt(lam) where sum_c psi_c < psi_n,
+with b_n's exact limit, and b_n ~ sqrt(lam) where sum_c psi_c > psi_n).
 
 The risk differentiates Phi at its root.  It splits as
 
@@ -199,7 +198,7 @@ class LimitSpec:
 _TOL = 1e-12
 _MAX_ITER = 100
 
-# The change of log b_n or log s a long Newton step tries first (``_extend``).
+# The change of log b_n or log s a long Newton step tries first (``_newton``'s step rule).
 _MAX_LOG_STEP = 2.0
 
 # The s = 1 / (1 + T) every solve starts from, and at which its start
@@ -218,15 +217,11 @@ _EPS = np.finfo(float).eps
 _ERR_WARN = 1e-4
 
 
-def _moment_matrix(base: TheorySpec) -> np.ndarray:
-    """The columns m1, m2 and m1 m2 (K, 3) of ``base``'s blocks, with
+@functools.lru_cache(maxsize=64)
+def _moment_matrix(moments: tuple[Moments, ...]) -> np.ndarray:
+    """The columns m1, m2 and m1 m2 (K, 3) of the blocks' ``moments``, with
     m1_c = mu_{c,1}^2 and m2_c = mu_{c,2}^2.  It is built once per moments
     tuple and shared by every call, so it is read-only."""
-    return _moment_columns(base.moments)
-
-
-@functools.lru_cache(maxsize=64)
-def _moment_columns(moments: tuple[Moments, ...]) -> np.ndarray:
     m1 = np.array([m.mu1 * m.mu1 for m in moments])
     m2 = np.array([m.mu2_sq for m in moments])
     m = np.column_stack((m1, m2, m1 * m2))
@@ -250,7 +245,7 @@ def _start(base: TheorySpec, psi):
     the root free of cancellation; a = 0 gives psi_n / sqrt(lam).  The form
     not taken may divide by zero; it is discarded.
     """
-    lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base)
+    lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base.moments)
     sqrt_lam = math.sqrt(lam)
     total = psi.sum(axis=1)
     a = (psi * (m[:, 1] + _S0 * m[:, 0])).sum(axis=1) / total
@@ -312,32 +307,6 @@ def _step(psi_t, psi_n, m, sqrt_lam, u, sigma):
     return bc, bn, du, dsigma, det, rel, g_n, g_s
 
 
-def _extend(step, u, sigma, du, dsigma, slope, t, trial, active):
-    """Lengthen the capped steps t < 1 of the ``active`` points along
-    -(du, dsigma) from (u, sigma) while F falls, given ``step``'s outputs
-    ``trial`` at their ends and ``slope`` = phi'(0), where
-    phi'(t) = -grad F . (du, dsigma) rises with t as F is convex.  While
-    phi'(t) keeps 3/4 of phi'(0), or 4/5 of phi'(t/4), a secant on phi' has
-    its zero at 4 t or beyond: t grows to min(4 t, 1), kept if phi' < 0, F's
-    Hessian determinant > 0 and the residual finite there.  A first growth
-    past half the Newton step (4 t > 1/2) asks more: phi'(t) keeps 7/8 of
-    phi'(0), a secant zero at 8 t or beyond.  Returns the ends (u, sigma)
-    and ``trial`` with their values; F's value is never read."""
-    at, ratio = -(trial[6] * du + trial[7] * dsigma), np.where(t > 0.125, 0.875, 0.75)
-    while True:
-        grow = active & (t < 1.0) & (at <= ratio * slope)
-        if not grow.any():
-            return (u - du * t, sigma - dsigma * t), trial
-        t_next = np.minimum(4.0 * t, 1.0)
-        probe = step(u - du * t_next, sigma - dsigma * t_next)
-        at_next = -(probe[6] * du + probe[7] * dsigma)
-        active = grow & (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
-        for kept, new in zip(trial, probe):
-            kept[..., active] = new[..., active]
-        slope, at, t = (np.where(active, a, b) for a, b in ((at, slope), (at_next, at), (t_next, t)))
-        ratio = 0.8
-
-
 # A width near the float range overflows the scales, the residuals or the
 # Newton matrix to inf and NaN, and a scale below the normal float range pins
 # its block's relative residual at 1.  Such a point fails loudly all the same:
@@ -350,14 +319,15 @@ def _newton(base: TheorySpec, psi):
 
     Returns b (G, K+1), the largest relative residual (G,) of the full
     system and the Newton steps (G,) of every point, and the exception that
-    ended each failed point's solve by index (``NoConvergence``, or
-    ``LinAlgError`` for a Newton matrix whose determinant is not positive);
-    b is NaN on the failed points.  Each point iterates by the rules in
-    ``asymptotic_risk``'s docstring and keeps its place in every array; a
-    point that has left keeps its scales, residual and steps while the
+    ended each failed point's solve by index: ``NoConvergence``, or for a
+    Newton determinant that is not positive ``LinAlgError`` where it is
+    finite and ``InvalidSpec`` where it overflowed; b is NaN on the failed
+    points.  Each point iterates by the rules in ``asymptotic_risk``'s
+    docstring and the loop's step rule, and keeps its place in every array;
+    a point that has left keeps its scales, residual and steps while the
     others iterate.
     """
-    lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base)
+    lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base.moments)
     sqrt_lam = math.sqrt(lam)
     step = functools.partial(_step, np.ascontiguousarray(psi.T), psi_n, m, sqrt_lam)
     errors: dict = {}
@@ -383,30 +353,48 @@ def _newton(base: TheorySpec, psi):
         if n < _MAX_ITER:
             failed &= ~(np.isfinite(rel) & (det > 0.0))
         if failed.any():
+            where = f"after {n} Newton steps at lambda={lam:.3e}"
             for i in np.flatnonzero(failed):
-                if np.isfinite(rel[i]) and not det[i] > 0.0:
-                    errors[int(i)] = np.linalg.LinAlgError(
-                        f"Newton matrix determinant {det[i]:.3e} is not positive after "
-                        f"{n} Newton steps at lambda={lam:.3e}")
-                    continue
-                errors[int(i)] = NoConvergence(
-                    f"residual {rel[i]:.3e} > tol {_TOL:.1e} after {n} Newton steps "
-                    f"at lambda={lam:.3e}", residual=float(rel[i]), iterations=n)
+                if not np.isfinite(rel[i]) or det[i] > 0.0:
+                    errors[int(i)] = NoConvergence(f"residual {rel[i]:.3e} > tol {_TOL:.1e} {where}",
+                                                   residual=float(rel[i]), iterations=n)
+                elif np.isfinite(det[i]):
+                    errors[int(i)] = np.linalg.LinAlgError(f"Newton matrix determinant {det[i]:.3e} is not "
+                                                           f"positive {where}")
+                else:
+                    errors[int(i)] = InvalidSpec(f"Newton matrix overflows: determinant {det[i]:.3e} {where}")
             active &= ~failed
         active &= ~polished
         if not active.any():
             b = np.vstack((bc, bn)).T.copy()  # C order: _score's sums depend on it
             b[list(errors)] = np.nan
             return b, rel, steps, errors
-        # A point that has left computes a step too; its values are discarded.
+        # A point already within tol takes its last, polishing step, the others
+        # theirs; a point that has left computes one too, which is discarded.
+        # The step rule (damped Newton; Boyd & Vandenberghe, "Convex
+        # Optimization", 9.5): a step moving log b_n or log s by more than
+        # _MAX_LOG_STEP is cut to that, at t < 1 along the Newton step.  While
+        # phi'(t) = -grad F . (du, dsigma), rising in t as F is convex, is <=
+        # ratio * slope, a secant on phi' puts its zero at 4 t or beyond, and t
+        # grows to min(4 t, 1): first with slope = phi'(0) and ratio 7/8 where
+        # t > 1/8 (a secant zero at 8 t), else 3/4; then with slope = phi'(t/4)
+        # and ratio 4/5.  A probe is kept only where phi' < 0, F's Hessian
+        # determinant > 0 and the residual finite; F's value is never read.
         t = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
-        # A point already within tol takes its last, polishing step; the
-        # others take theirs, a capped one extended while F falls.
-        x = (u - du * t, sigma - dsigma * t)
-        trial = step(*x)
-        if (active & (t < 1.0)).any():
-            x, trial = _extend(step, u, sigma, du, dsigma, -(g_n * du + g_s * dsigma), t, trial, active)
-        u, sigma = x
+        trial = step(u - du * t, sigma - dsigma * t)
+        grow = active & (t < 1.0)
+        if grow.any():
+            slope, at = -(g_n * du + g_s * dsigma), -(trial[6] * du + trial[7] * dsigma)
+            ratio = np.where(t > 0.125, 0.875, 0.75)
+            while (grow := grow & (t < 1.0) & (at <= ratio * slope)).any():
+                t_next = np.minimum(4.0 * t, 1.0)
+                probe = step(u - du * t_next, sigma - dsigma * t_next)
+                at_next = -(probe[6] * du + probe[7] * dsigma)
+                grow &= (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
+                trial = tuple(np.where(grow, new, old) for new, old in zip(probe, trial))
+                slope, at, t = (np.where(grow, a, b) for a, b in ((at, slope), (at_next, at), (t_next, t)))
+                ratio = 0.8
+        u, sigma = u - du * t, sigma - dsigma * t
         trial_bc, trial_bn, du, dsigma, det, trial_rel, g_n, g_s = trial
         # A point still iterating takes its step, unless it is the polishing
         # step and raises the residual; a point that has left keeps its values.
@@ -439,7 +427,7 @@ def _score(base: TheorySpec, b, errors: dict):
     misses cancellation within L's entries, which can leave a risk near 0
     with no correct digit, even negative.
     """
-    sqrt_lam, m = math.sqrt(base.lam), _moment_matrix(base)
+    sqrt_lam, m = math.sqrt(base.lam), _moment_matrix(base.moments)
     m1, m2 = m[:, 0], m[:, 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bc, bn = b[:, :-1], b[:, -1]
@@ -516,22 +504,21 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     The scales are found by Newton's method on the module docstring's
     F(log b_n, log s), starting from s = 1/2 and the closed-form b_n of
     ``_start``, which depends on the point's own widths, moments and lambda
-    alone.  A step that would move log b_n or log s by more than 2 is cut
-    to 2, then lengthened fourfold while F still falls (``_extend``; a first
-    growth past half the Newton step needs F's slope to keep 7/8 of its
-    start), and is taken whatever it does to the residual, the largest
-    relative residual of the full system at b_n and b_c = psi_c / D_c.  A
-    solve fails as soon as that residual is not finite, then when the
-    determinant of F's Hessian is not positive, or when it has not brought
-    the residual to 1e-12 within 100 steps.  A solve that reaches it takes
+    alone.  Each step is cut to a change of 2 in log b_n or log s and
+    lengthened again while F still falls (``_newton``'s step rule), and is
+    taken whatever it does to the residual, the largest relative residual
+    of the full system at b_n and b_c = psi_c / D_c.  A solve fails as soon
+    as that residual is not finite, then when the determinant of F's
+    Hessian is not positive, or when it has not brought the residual to
+    1e-12 within 100 steps.  A solve that reaches it takes
     one more Newton step, kept only if it does not raise the residual, so
     that the root carries the digits of a full step rather than stopping at
     the first iterate under the tolerance; ``iterations`` counts that step.
     A point where some psi_c / sqrt(lam), the largest b_c can be, lies below
     the normal float range fails before its first step.
-    Raises ``NoConvergence``; ``LinAlgError`` for that determinant or a
-    singular S; or ``InvalidSpec`` for a risk or a (1 + T)^2 that is not
-    finite.
+    Raises ``NoConvergence``; ``LinAlgError`` for that determinant where it
+    is finite, or a singular S; or ``InvalidSpec`` for that determinant, a
+    (1 + T)^2 or a risk that is not finite.
     """
     risk, bias, variance, L, b, residual, steps, errors = _theory(spec, np.array([spec.psi]))
     if errors:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .formatting import _float_cells, to_json
+from .formatting import _float_cells, _write_text, to_json
 from .risk import InvalidSpec, TheorySpec, _theory
 from .simulator import EmpiricalConfig, run_experiments, theory_spec_from_empirical
 
@@ -223,8 +223,7 @@ def _column_cells(values: tuple) -> list[str]:
 
 def write_csv(result: SweepResult, path) -> None:
     """Write :func:`csv_text` to ``path`` with LF newlines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(result))
+    _write_text(path, csv_text(result))
 
 
 _WIDTH, _HEIGHT = 720, 480
@@ -353,5 +352,4 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         )
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from multidescent import (
-    InvalidSpec,
     Moments,
     TheorySpec,
     asymptotic_risk,
     risk,
 )
-from oracles import K, box_spec, mp_risk, psi_full, residual_vector, verify_complex
+from oracles import box_spec, mp_risk, psi_full, residual_vector, verify_complex
 
 
 def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
@@ -215,50 +214,4 @@ class TestSolutionProperties:
         b1 = asymptotic_risk(spec).b
         b2 = asymptotic_risk(spec).b
         assert np.array_equal(b1, b2)
-
-
-class TestSpecValidation:
-    def test_empty_psi(self):
-        with pytest.raises(InvalidSpec):
-            TheorySpec(psi=(), psi_n=1.0, moments=(), lam=1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidSpec):
-            TheorySpec(
-                psi=(1.0, 2.0), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0
-            )
-
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_lambda(self, lam):
-        with pytest.raises(InvalidSpec, match="lambda"):
-            TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=lam)
-
-    def test_bad_psi(self):
-        with pytest.raises(InvalidSpec):
-            TheorySpec(psi=(0.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0)
-        with pytest.raises(InvalidSpec):
-            TheorySpec(psi=(1.0,), psi_n=-2.0, moments=(Moments(0, 1, 0),), lam=1.0)
-
-    def test_negative_signal_or_noise(self):
-        with pytest.raises(InvalidSpec):
-            TheorySpec(
-                psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, F1=-1.0
-            )
-        with pytest.raises(InvalidSpec):
-            TheorySpec(
-                psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, tau=-0.1
-            )
-        for bad in ({"F1": math.nan}, {"F1": math.inf}, {"tau": math.nan}):
-            with pytest.raises(InvalidSpec):
-                TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, **bad)
-
-    def test_properties(self):
-        spec = TheorySpec(
-            psi=(1.0, 2.0),
-            psi_n=3.0,
-            moments=(Moments(0, 1, 0), Moments(0, 0, 1)),
-            lam=1.0,
-        )
-        assert K(spec) == 2
-        assert psi_full(spec) == (1.0, 2.0, 3.0)
 

@@ -11,9 +11,9 @@ reference.  The same instances tie the risk and the error estimate the
 warning reads to the framework matrix H of the printed formulas
 (``build_matrices`` in ``oracles.py``).
 
-Every command's stdout and stderr through ``cli.dispatch`` are also pinned
-byte for byte, by SHA-256 digests, so that a change meant to keep the
-output shows that it does.  A change that moves digits on purpose records
+Every command's stdout and stderr through ``cli.dispatch``, and the JSON
+and SVG files of every sweep, are also pinned byte for byte, by SHA-256
+digests, so that a change meant to keep the output shows that it does.  A change that moves digits on purpose records
 the digests again and says so.  The batched ``_step`` calls of every
 theory command are counted as well, so that work the solver adds or
 drops, such as a probe that is always refused, shows.
@@ -119,10 +119,15 @@ def test_newton_matrix_is_the_framework_matrix(command, monkeypatch):
                                    rtol=RTOL)
 
 
+def _replications(command) -> list[str]:
+    """The override that runs 4 of a Monte Carlo command's replications:
+    replication i's draws depend on (base seed, i) alone, so they take the
+    path of the full run."""
+    return ["empirical.replications=4"] if "empirical" in command.config else []
+
+
 # SHA-256 of each command's stdout and stderr, recorded with numpy 2.4 and
-# OpenBLAS 0.3.31.  The Monte Carlo commands run 4 of their replications:
-# replication i's draws depend on (base seed, i) alone, so they take the
-# path of the full run.
+# OpenBLAS 0.3.31.  The Monte Carlo commands run 4 of their replications.
 CLI_DIGESTS = {
     "crit07": ("892e47ec049984abc444846179fc4e6ac933a6fe8c1b037d10284748ee5afa56",
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -161,15 +166,43 @@ CLI_DIGESTS = {
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.label)
 def test_cli_bytes_match_recorded_digests(command):
-    overrides = ["empirical.replications=4"] if "empirical" in command.config else []
+    overrides = _replications(command)
     out, err = io.StringIO(), io.StringIO()
     dispatch(command.subcommand, parse_config(command.config_text, overrides), out, err)
     digests = tuple(hashlib.sha256(stream.getvalue().encode()).hexdigest() for stream in (out, err))
     assert digests == CLI_DIGESTS[command.label], (out.getvalue()[:200], err.getvalue())
 
 
+# SHA-256 of the JSON and SVG sidecars each sweep command writes, recorded as
+# ``CLI_DIGESTS`` are; the CSV is its stdout, pinned there.
+SIDECAR_DIGESTS = {
+    "crit07": ("78b03dbab52c740bb43a2f2106a54e3eddfc40fc3a3455ef0dc3e11fb235ac40",
+               "8d667796cba415cf638629df11b557dcba269d2b2045c8c1b18e28ed0d27f4cf"),
+    "crit08-1to2": ("d6c662f41c0d5f29649e834e47e69b9e3e99a04ed7d2999698bc81c2f923ed0b",
+                    "a5fbb4431779035ab0def131e385da7df18e40551bfb8138dc117c6e97860671"),
+    "crit08-2to1": ("cdac134b5ce107656310a2415f78c9eb398765249d8b1fe5e874208aac03cec8",
+                    "47dc7d426465ee833a04d6afdf0b02faa8b59c24c38a32fa63615b1f9c9154a5"),
+    "crit09": ("7d7abfb5b75a7432d3bd566f3e5d6c66be2822c233f00de26de15712d5eec726",
+               "cbf0444034d35428888f73c7c82fac7129714fb7438873fee40808549aa85fae"),
+    "crit07-lam1e-08": ("6def4f24cba69dc3f54cdc2abfdb8449a94b76ef62091006aea5dc6f3ff91b2f",
+                        "3a8eb343680d9997b27bfca97b0f6282139413c6f074702e378cb72046f04b37"),
+    "mc-sweep": ("5b7ec462740c965c45dc10b2cbe9aec2ea189929ec572014088c2c0e311a1e90",
+                 "044b4e8f37ebd3469d1eb6eb19969efe1ceb5dc8a34598079460fd401a5f9b77"),
+}
+
+
+@pytest.mark.parametrize("command", [command for command in COMMANDS if command.subcommand == "sweep"],
+                         ids=lambda command: command.label)
+def test_sweep_sidecars_match_recorded_digests(command, tmp_path):
+    paths = {key: tmp_path / f"out.{key}" for key in ("json", "svg")}
+    overrides = _replications(command) + [f"output.{key}_path={path}" for key, path in paths.items()]
+    status = dispatch("sweep", parse_config(command.config_text, overrides), io.StringIO(), io.StringIO())
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values())
+    assert status == 0 and digests == SIDECAR_DIGESTS[command.label]
+
+
 # Batched ``_step`` calls of each theory command: the start, every Newton
-# step and every probe of ``_extend``.
+# step and every probe that lengthens a capped step.
 STEP_CALLS = {
     "crit07": 8, "crit08-1to2": 8, "crit08-2to1": 8, "crit09": 9, "quickstart": 7,
     **{f"peak-c1-lam{lam}": 7 for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},

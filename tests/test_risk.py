@@ -665,10 +665,10 @@ class TestErrorPaths:
         output: fast points far from the peak, a slow one near c = 1 at a
         tiny lambda, one whose block scale lies below the float range (it
         fails before its first step), one that hits the step cap, one whose
-        residual is not finite, one whose Newton determinant is not positive,
-        one whose risk overflows, and a wide linear block whose capped steps
-        are lengthened (it converges, with an ill-conditioned root).  A point
-        that has left the solve keeps its values while the others iterate."""
+        residual is not finite, one whose Newton determinant overflows, one
+        whose risk overflows, and a wide linear block whose capped steps are
+        lengthened (it converges, with an ill-conditioned root).  A point that
+        has left the solve keeps its values while the others iterate."""
         base = TheorySpec(psi=(1.0, 1.0), psi_n=2.0, moments=(Moments(0, 0.8, 0.5), Moments(0, 1.0, 0.0)),
                           lam=1e-24)
         psi = np.array([(1e-3, 1e-3), (0.3, 0.3), (0.999, 0.999), (1e-320, 1.0), (1.0, 1.0), (3.0, 3.0),
@@ -681,7 +681,7 @@ class TestErrorPaths:
         assert max(steps[[0, 1, 5]]) < steps[2] < 15 and steps[4] == 15 and steps[[3, 7, 8]].max() == 0
         assert steps[9] < 15
         assert {i: type(e) for i, e in errors.items()} == {
-            3: NoConvergence, 4: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: np.linalg.LinAlgError}
+            3: NoConvergence, 4: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: InvalidSpec}
         for i in range(len(psi)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IllConditionedWarning)
@@ -750,3 +750,50 @@ class TestErrorPaths:
             LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, F1=-1.0)
         with pytest.raises(InvalidSpec, match="F1 and tau"):
             LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms, tau=-0.5)
+
+
+class TestSpecValidation:
+    def test_empty_psi(self):
+        with pytest.raises(InvalidSpec):
+            TheorySpec(psi=(), psi_n=1.0, moments=(), lam=1.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(InvalidSpec):
+            TheorySpec(
+                psi=(1.0, 2.0), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0
+            )
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lambda(self, lam):
+        with pytest.raises(InvalidSpec, match="lambda"):
+            TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=lam)
+
+    def test_bad_psi(self):
+        with pytest.raises(InvalidSpec):
+            TheorySpec(psi=(0.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0)
+        with pytest.raises(InvalidSpec):
+            TheorySpec(psi=(1.0,), psi_n=-2.0, moments=(Moments(0, 1, 0),), lam=1.0)
+
+    def test_negative_signal_or_noise(self):
+        with pytest.raises(InvalidSpec):
+            TheorySpec(
+                psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, F1=-1.0
+            )
+        with pytest.raises(InvalidSpec):
+            TheorySpec(
+                psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, tau=-0.1
+            )
+        for bad in ({"F1": math.nan}, {"F1": math.inf}, {"tau": math.nan}):
+            with pytest.raises(InvalidSpec):
+                TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, **bad)
+
+    def test_properties(self):
+        spec = TheorySpec(
+            psi=(1.0, 2.0),
+            psi_n=3.0,
+            moments=(Moments(0, 1, 0), Moments(0, 0, 1)),
+            lam=1.0,
+        )
+        assert K(spec) == 2
+        assert psi_full(spec) == (1.0, 2.0, 3.0)
+

@@ -5,9 +5,11 @@ docstring, evaluated by ``oracles.residual_vector`` rather than by the
 solver's own reduced residual.
 """
 
+import hashlib
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from multidescent import (
 )
 from multidescent.cli import ExitStatus, dispatch
 from multidescent.risk import _newton, _theory
-from oracles import NonPositiveInput, psi_full, residual_vector, verify_complex
+from oracles import NonPositiveInput, box_spec, psi_full, residual_vector, verify_complex
 
 # A nonlinear block next to a purely linear one (mu2 = 0) at psi_n = 2.
 WIDE_LINEAR_MOMENTS = (Moments(0.0, 0.8, 0.5), Moments(0.0, 1.0, 0.0))
@@ -78,6 +80,27 @@ class TestWideLinearBlock:
         status = dispatch("theory", parse_config(json.dumps(cfg)), out, err)
         assert status == ExitStatus.CONFIG and out.getvalue() == ""
         assert re.fullmatch(r"InvalidSpec: \(1 \+ T\)\^2 overflows at T = 3\.317e\+204\n", err.getvalue())
+
+    @pytest.mark.parametrize("w", [1e285, 1e290, 1e295])
+    def test_newton_matrix_past_the_float_range_fails_as_overflow(self, w):
+        """At lam = 1e-24, w = 1e285 ... 1e295 keeps psi / sqrt(lam) and the
+        first residual finite, but the Newton determinant overflows to NaN:
+        the solve fails with ``InvalidSpec`` before its first step, not as a
+        determinant that is not positive."""
+        spec = TheorySpec(psi=(1.0, w), psi_n=2.0, moments=WIDE_LINEAR_MOMENTS, lam=1e-24)
+        with pytest.raises(InvalidSpec, match=r"^Newton matrix overflows: determinant nan after 0 Newton "
+                                              r"steps at lambda=1\.000e-24$"):
+            asymptotic_risk(spec)
+
+    def test_theory_command_reports_the_newton_overflow(self):
+        """The ``theory`` command there exits with the configuration status."""
+        cfg = {"moments_override": [{"mu0": 0, "mu1": 0.8, "mu2_sq": 0.5}, {"mu0": 0, "mu1": 1, "mu2_sq": 0}],
+               "model": {"psi": [1.0, 1e290], "psi_n": 2.0, "lambda": 1e-24}}
+        out, err = io.StringIO(), io.StringIO()
+        status = dispatch("theory", parse_config(json.dumps(cfg)), out, err)
+        assert status == ExitStatus.CONFIG and out.getvalue() == ""
+        assert err.getvalue() == ("InvalidSpec: Newton matrix overflows: determinant nan after 0 Newton steps "
+                                  "at lambda=1.000e-24\n")
 
     def test_width_past_the_float_range_fails_at_once(self):
         """At lam = 1e-24, w = 1e300 puts psi / sqrt(lam) past the float
@@ -177,3 +200,30 @@ class TestErrorPaths:
             asymptotic_risk(spec)
         assert exc.value.iterations == 30
         assert exc.value.residual < 1e-14
+
+
+# SHA-256 over ``_theory``'s outputs on the harsh box, recorded with numpy 2.4
+# and OpenBLAS 0.3.31.  A change that moves the theory core's bits on purpose
+# records it again and says so.
+THEORY_BITS = "50243a001eac074934c0832313c317378e64aeb5b1ac83ea42485fe0d40c575f"
+
+
+def test_theory_bits_are_pinned():
+    """Risk, bias, variance, L, b, residuals, steps and error texts, bit for
+    bit, of the first 300 harsh-box specs solved one at a time and of 40
+    specs each stacked over widths scaled by 10**linspace(-8, 8, 60)."""
+    box = dict(lam_exp=(-33.0, 3.0), k_max=8)
+    calls = [(spec, np.array([spec.psi]))
+             for spec in (box_spec(np.random.default_rng([0, i]), **box) for i in range(300))]
+    scale = 10.0 ** np.linspace(-8.0, 8.0, 60)[:, None]
+    calls += [(spec, np.array(spec.psi) * scale)
+              for spec in (box_spec(np.random.default_rng([7, j]), **box) for j in range(40))]
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", risk.IllConditionedWarning)
+        for base, psi in calls:
+            *arrays, errors = _theory(base, psi)
+            for array in arrays:
+                digest.update(np.ascontiguousarray(array).tobytes())
+            digest.update(repr(sorted((i, type(e).__name__, str(e)) for i, e in errors.items())).encode())
+    assert digest.hexdigest() == THEORY_BITS
