@@ -41,13 +41,13 @@ The risk differentiates Phi at its root.  It splits as
 (1-based indices) with L = -G^T S^{-1} G, G = b * V and MD = -(1 + T), V
 real forms of the framework's auxiliary quantities (each squared scale
 nu_j^2 enters as -b_j^2).  L has a closed form, O(K) a point, no matrix
-solve: with s = 1/(1 + T), S = A - s^2 w w^T for w = (m1_c b_n b_c | T) and
-the arrowhead A with A_cc = b_c D_c, A_cn = a_c = b_n b_c (m2_c + m1_c s)
-and A_nn = sqrt(lam) b_n + sum_c a_c.  G's columns and w lie in the span
-of P = ((m2_c b_c | 0), e_n, (m1_c b_c | 0)), so L = -C^T (P^T S^{-1} P) C
-with C holding V's coefficients; A's Schur complement on b_n's row,
-sigma = sqrt(lam) (b_n + sum_c a_c / D_c), a sum of positive terms, gives
-P^T A^{-1} P, and Sherman-Morrison adds the rank-one term.  One model at a
+solve: G's columns lie in the span of P = ((m2_c b_c | 0), e_n, (m1_c b_c | 0)),
+so L = -C^T (P^T S^{-1} P) C with C holding V's coefficients, and eliminating
+the diagonal block b_c D_c from the Hessian of the jointly convex function of
+(u, sigma) above (Boyd & Vandenberghe, "Convex Optimization", A.5.5) leaves
+F's 2x2 Hessian H: P^T S^{-1} P = X + Y H^{-1} Y^T, X = sum_c (b_c / D_c)
+x_c x_c^T with x_c = (m2_c, 0, m1_c), and Y = (y_s + y_d, y_s) read off X's
+rows, y_s = s b_n X e_3 and y_d = b_n X e_1 - e_2.  One model at a
 stack of block widths, such as the points of a sweep grid, is solved and
 scored at once with batched arithmetic: each stage takes the model's
 ``TheorySpec``, whose moments, psi_n, lam, F1 and tau every point shares
@@ -142,6 +142,8 @@ class TheorySpec:
         object.__setattr__(self, "moments", tuple(self.moments))
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise InvalidSpec("lambda must be > 0")
+        if not math.isfinite(self.F0):
+            raise InvalidSpec("F0 must be finite")
         _check_blocks("psi", self.psi, self.moments, self.psi_n, self.F1, self.tau)
 
 
@@ -319,13 +321,13 @@ def _newton(base: TheorySpec, psi):
 
     Returns b (G, K+1), the largest relative residual (G,) of the full
     system and the Newton steps (G,) of every point, and the exception that
-    ended each failed point's solve by index: ``NoConvergence``, or for a
-    Newton determinant that is not positive ``LinAlgError`` where it is
-    finite and ``InvalidSpec`` where it overflowed; b is NaN on the failed
-    points.  Each point iterates by the rules in ``asymptotic_risk``'s
-    docstring and the loop's step rule, and keeps its place in every array;
-    a point that has left keeps its scales, residual and steps while the
-    others iterate.
+    ended each failed point's solve by index: ``NoConvergence``, or
+    ``InvalidSpec`` for a Newton determinant that is not positive: as
+    det(H) = PQ + C(P + Q) >= 0, that happens only where H has left the
+    float range.  b is NaN on the failed points.  Each point iterates by the
+    rules in ``asymptotic_risk``'s docstring and the loop's step rule, and
+    keeps its place in every array; a point that has left keeps its scales,
+    residual and steps while the others iterate.
     """
     lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base.moments)
     sqrt_lam = math.sqrt(lam)
@@ -358,11 +360,9 @@ def _newton(base: TheorySpec, psi):
                 if not np.isfinite(rel[i]) or det[i] > 0.0:
                     errors[int(i)] = NoConvergence(f"residual {rel[i]:.3e} > tol {_TOL:.1e} {where}",
                                                    residual=float(rel[i]), iterations=n)
-                elif np.isfinite(det[i]):
-                    errors[int(i)] = np.linalg.LinAlgError(f"Newton matrix determinant {det[i]:.3e} is not "
-                                                           f"positive {where}")
                 else:
-                    errors[int(i)] = InvalidSpec(f"Newton matrix overflows: determinant {det[i]:.3e} {where}")
+                    errors[int(i)] = InvalidSpec(f"Newton matrix leaves the float range: determinant "
+                                                 f"{det[i]:.3e} {where}")
             active &= ~failed
         active &= ~polished
         if not active.any():
@@ -413,9 +413,9 @@ def _score(base: TheorySpec, b, errors: dict):
     ``errors`` maps the points that already failed to their exception; such
     a point comes with NaN scales, as from ``_newton``, and is neither
     diagnosed again nor warned about.  ``errors`` gains ``InvalidSpec`` where
-    (1 + T)^2 overflows, else ``LinAlgError`` where a pivot b_c D_c, sigma
-    or the Sherman-Morrison denominator is not positive and finite (a
-    singular S), and ``InvalidSpec`` for a risk that is not finite.  Every
+    (1 + T)^2 overflows, else ``LinAlgError`` where a pivot of the
+    elimination, b_c D_c or det(H), is not positive and finite (a singular
+    S), and ``InvalidSpec`` for a risk that is not finite.  Every
     point keeps its row, and every failed point reads NaN.
 
     Each point that does not fail warns ``IllConditionedWarning``, in order,
@@ -424,8 +424,7 @@ def _score(base: TheorySpec, b, errors: dict):
     at ``b`` and s = 1 / (1 + T), how far rounding errors of eps psi_n and
     eps in grad F move log b_n.  It is eps psi_n / s_n, with s_n the Schur
     complement of S on b_n's row, up to a factor in [1, 1 + 1/psi_n].  It
-    misses cancellation within L's entries, which can leave a risk near 0
-    with no correct digit, even negative.
+    covers the scales alone, not the rounding of the closed form.
     """
     sqrt_lam, m = math.sqrt(base.lam), _moment_matrix(base.moments)
     m1, m2 = m[:, 0], m[:, 1]
@@ -435,31 +434,30 @@ def _score(base: TheorySpec, b, errors: dict):
         t = bn * mN
         md2 = (1.0 + t) ** 2
         s = 1.0 / (1.0 + t)
-        bmix = bn[:, None] * (m2 + np.multiply.outer(s, m1))
-        d = sqrt_lam + bmix
+        d = sqrt_lam + bn[:, None] * (m2 + np.multiply.outer(s, m1))
         bc_d = bc / d
-        _, c, q, det = _hessian(bc_d.T, bn, s, m, sqrt_lam)
+        p, c, q, det = _hessian(bc_d.T, bn, s, m, sqrt_lam)
         err = _EPS * ((q + c) * base.psi_n + c) / det
-        a_d = bmix * bc / d
-        sigma = sqrt_lam * (bn + a_d.sum(axis=1))
-        # M_A = P^T A^-1 P, then M by Sherman-Morrison with w = P (0, T, b_n).
+        # M = X + Y H^-1 Y^T (module docstring), X in xx.  As det(H) H^-1 = Q e1 e1^T + P e2 e2^T
+        # + C (e1 - e2)(e1 - e2)^T, Y's columns y_s + y_d, y_s and y_d enter weighed by Q, P, C >= 0.
         x = np.zeros((len(m1), 3))
         x[:, 0], x[:, 2] = m2, m1
-        eps = -(a_d @ x)
-        eps[:, 1] = 1.0
-        ma = (bc_d[:, None, :] * x.T) @ x + eps[:, :, None] * (eps / sigma[:, None])[:, None, :]
-        u = ma[:, :, 1] * t[:, None] + ma[:, :, 2] * bn[:, None]
-        den = md2 - t * u[:, 1] - bn * u[:, 2]
+        xx = (bc_d[:, None, :] * x.T) @ x
+        y_s, y_d = (s * bn)[:, None] * xx[:, 2], bn[:, None] * xx[:, 0]
+        y_d[:, 1] = -1.0
+        y = np.array((y_s + y_d, y_s, y_d)).transpose(1, 2, 0)
+        w = (np.array((q, p, c)) / det).T
+        ma = xx + (y * w[:, None, :]) @ np.swapaxes(y, 1, 2)
         # G = P C, row by row, with MD^2 = (1 + T)^2.
         coef = np.zeros((len(b), 3, 4))
         coef[:, 0, 0], coef[:, 1, 1] = 1.0, bn
         coef[:, 1, 2], coef[:, 1, 3] = -mN * mN * bn / md2, bn / md2
         coef[:, 2, 2], coef[:, 2, 3] = 1.0 / md2, -bn * bn / md2
-        lr = -(np.swapaxes(coef, 1, 2) @ (ma + u[:, :, None] * (u / den[:, None])[:, None, :]) @ coef)
+        lr = -(np.swapaxes(coef, 1, 2) @ ma @ coef)
         bias = base.F1 ** 2 * (1.0 / md2 + lr[:, 2, 3] + lr[:, 0, 3])
         variance = base.tau ** 2 * (lr[:, 1, 2] + lr[:, 0, 1])
         risk = bias + variance
-        pivots = np.concatenate((bc * d, sigma[:, None], den[:, None]), axis=1)
+        pivots = np.concatenate((bc * d, det[:, None], md2[:, None]), axis=1)
     valid = (pivots > 0.0) & (pivots < math.inf)
     singular = ~valid.all(axis=1)
     # F1^2 and tau^2 are finite, yet the risk may overflow, as may the sums of
@@ -473,7 +471,7 @@ def _score(base: TheorySpec, b, errors: dict):
         warnings.warn(f"estimated relative error {e:.3e} of the scales exceeds {_ERR_WARN:.0e}; risk may "
                       "be inaccurate", IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
     if failed.any():
-        # T past 1.3e154 overflows (1 + T)^2, not a singular S, though S's last pivot reads NaN.
+        # T past 1.3e154 overflows (1 + T)^2, a pivot so that the point fails, yet not a singular S.
         for j in np.flatnonzero(failed):
             errors[int(j)] = (
                 InvalidSpec(f"(1 + T)^2 overflows at T = {t[j]:.3e}") if md2[j] == math.inf else
@@ -516,9 +514,9 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     the first iterate under the tolerance; ``iterations`` counts that step.
     A point where some psi_c / sqrt(lam), the largest b_c can be, lies below
     the normal float range fails before its first step.
-    Raises ``NoConvergence``; ``LinAlgError`` for that determinant where it
-    is finite, or a singular S; or ``InvalidSpec`` for that determinant, a
-    (1 + T)^2 or a risk that is not finite.
+    Raises ``NoConvergence``; ``LinAlgError`` for a singular S; or
+    ``InvalidSpec`` for that determinant, a (1 + T)^2 or a risk that is not
+    finite.
     """
     risk, bias, variance, L, b, residual, steps, errors = _theory(spec, np.array([spec.psi]))
     if errors:

@@ -362,6 +362,8 @@ class TestOverrides:
             apply_overrides(_minimal(), [".x=1"])
         with pytest.raises(ConfigError, match="bad array index"):
             apply_overrides(_minimal(), ["activations.5=1"])
+        with pytest.raises(ConfigError, match="^/activations/5: override path runs off the document$"):
+            apply_overrides(_minimal(), ["activations.5.kind=relu"])
 
     def test_override_still_validated(self):
         with pytest.raises(ConfigError, match="lambda must be > 0"):
@@ -599,6 +601,24 @@ class TestDispatch:
         assert "created" not in sidecar["metadata"]
         root = ET.parse(tmp_path / "curve.svg").getroot()
         assert root.tag.endswith("svg")
+
+    def test_sweep_log_y_ticks(self, tmp_path):
+        """``sweep.log_y: true`` reaches the SVG: its y ticks are spaced
+        evenly in log10 between the smallest and the largest theory risk, so
+        the middle one is their geometric mean."""
+        cfg = _minimal()
+        cfg["sweep"] = {"c_grid": [0.5, 2.0, 8.0], "log_y": True}
+        cfg["output"] = {"svg_path": str(tmp_path / "curve.svg")}
+        status, out, err = _run("sweep", cfg)
+        assert status == ExitStatus.OK and err == ""
+        risks = [float(row.split(",")[5]) for row in out.strip().split("\n")[1:]]
+        root = ET.parse(tmp_path / "curve.svg").getroot()
+        ticks = [float(t.text) for t in root.iter() if t.tag.endswith("text") and t.get("text-anchor") == "end"]
+        lo, hi = min(risks), max(risks)
+        assert hi / lo > 1.5 and len(ticks) == 5  # the geometric mean lies 5 % below the arithmetic one
+        assert ticks[0] == pytest.approx(lo, rel=5e-3) and ticks[-1] == pytest.approx(hi, rel=5e-3)
+        assert ticks[2] == pytest.approx(math.sqrt(lo * hi), rel=5e-3)
+        assert '"log_y":true' in ET.tostring(root, encoding="unicode").replace(" ", "")
 
     def test_sweep_sidecar_row_keys(self, tmp_path):
         cfg = _minimal()

@@ -1,10 +1,9 @@
-"""Tests for the coupled self-consistent scale system.
+"""Properties of the solved scales: residuals of the real and the complex
+systems, bounds, symmetries and determinism.
 
-Single-component instances collapse to a quadratic (purely nonlinear
-features) or a cubic (purely linear features), both solvable in closed form;
-those are the primary oracles.  Every solver output is additionally pushed
-through ``verify_complex``, which re-evaluates the original complex-variable
-system independently of the real residual the Newton iteration drives to zero.
+Every solver output is pushed through ``verify_complex``, which
+re-evaluates the original complex-variable system independently of the real
+residual the Newton iteration drives to zero.
 """
 
 import math
@@ -19,31 +18,6 @@ from multidescent import (
     risk,
 )
 from oracles import box_spec, mp_risk, psi_full, residual_vector, verify_complex
-
-
-def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
-    """Closed-form b for K=1 with mu1 = 0 (quadratic in b_n).
-
-    Subtracting the two equations pins b_1 - b_n = (psi_1 - psi_n)/sqrt(lam);
-    substituting back leaves m2 b_n^2 + (sqrt(lam) + m2 delta) b_n - psi_n = 0.
-    """
-    s = math.sqrt(lam)
-    delta = (psi1 - psi_n) / s
-    p = s + m2 * delta
-    bn = (-p + math.sqrt(p * p + 4.0 * m2 * psi_n)) / (2.0 * m2)
-    return bn + delta, bn
-
-
-def _pure_linear_roots(psi1: float, psi_n: float, lam: float):
-    """Admissible (b_1, b_n) pairs for K=1 identity features (cubic in b_n)."""
-    s = math.sqrt(lam)
-    delta = (psi1 - psi_n) / s
-    roots = np.roots([s, s * delta + 1.0 - psi_n, s + delta - psi_n * delta, -psi_n])
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-12 and r.real > 0.0 and r.real + delta > 0.0:
-            out.append((r.real + delta, r.real))
-    return out
 
 
 def _cli_box_spec(rng) -> TheorySpec:
@@ -81,42 +55,6 @@ def _random_spec(rng, k=None) -> TheorySpec:
         moments=moments,
         lam=float(10.0 ** rng.uniform(-6, 0.5)),
     )
-
-
-class TestClosedFormOracles:
-    @pytest.mark.parametrize(
-        "psi1,psi_n,m2,lam",
-        [
-            (0.5, 2.0, 0.7, 1e-2),
-            (3.0, 1.5, 0.25, 1e-5),
-            (2.0, 2.0, 1.3, 1e-4),
-            (0.9, 0.4, 0.05, 1.0),
-        ],
-    )
-    def test_pure_nonlinear_quadratic(self, psi1, psi_n, m2, lam):
-        spec = TheorySpec(
-            psi=(psi1,), psi_n=psi_n, moments=(Moments(0.0, 0.0, m2),), lam=lam
-        )
-        out = asymptotic_risk(spec)
-        b1, bn = _pure_nonlinear_oracle(psi1, psi_n, m2, lam)
-        np.testing.assert_allclose(out.b, [b1, bn], rtol=1e-10)
-
-    @pytest.mark.parametrize(
-        "psi1,psi_n,lam",
-        [(0.5, 2.0, 1e-3), (3.0, 1.2, 1e-4), (1.0, 1.0, 1e-2), (2.5, 2.5, 1e-6)],
-    )
-    def test_pure_linear_cubic(self, psi1, psi_n, lam):
-        spec = TheorySpec(
-            psi=(psi1,), psi_n=psi_n, moments=(Moments(0.0, 1.0, 0.0),), lam=lam
-        )
-        out = asymptotic_risk(spec)
-        candidates = _pure_linear_roots(psi1, psi_n, lam)
-        assert candidates, "cubic oracle found no admissible root"
-        err = min(
-            max(abs(out.b[0] - b1) / b1, abs(out.b[1] - bn) / bn)
-            for b1, bn in candidates
-        )
-        assert err < 1e-9, f"solver b={out.b} not among cubic roots {candidates}"
 
 
 class TestSolutionProperties:

@@ -44,6 +44,7 @@ from oracles import (
     build_matrices,
     explicit_risk_k2,
     mp_limit_risk,
+    mp_risk,
     peak_risk,
     peak_spec,
     potential,
@@ -500,6 +501,17 @@ class TestPeakAccuracy:
             asymptotic_risk(spec)
         assert abs(risk / float(FIRST_ORDER_RISKS[lam]) - 1.0) <= 2.0 * _estimate(caught[0])
 
+    @pytest.mark.parametrize("index", [413, 1601, 1714])
+    def test_risk_near_zero_keeps_its_digits(self, index):
+        """Specs of ``box_spec(..., lam_exp=(-30, 0), k_max=4)`` at lambda from
+        8.2e-28 to 8.1e-25 whose risk is 1e-61 to 1e-69 of F1^2: the closed
+        form weighs its outer products by P, C, Q >= 0, so the risk keeps its
+        digits against ``mp_risk`` at 90 digits rather than reading negative."""
+        spec = box_spec(np.random.default_rng([0, index]), lam_exp=(-30.0, 0.0), k_max=4)
+        ref = mp_risk(spec.psi, spec.psi_n, [m.mu1 ** 2 for m in spec.moments],
+                      [m.mu2_sq for m in spec.moments], spec.lam, spec.F1, spec.tau, dps=90)
+        assert asymptotic_risk(spec).risk == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
     def test_references_generator(self):
         """``oracles.peak_risk`` reproduces PEAK_RISKS and FIRST_ORDER_RISKS
         to their 30 digits, and converges at 90 digits where the decrease of
@@ -783,7 +795,7 @@ class TestSpecValidation:
             TheorySpec(
                 psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, tau=-0.1
             )
-        for bad in ({"F1": math.nan}, {"F1": math.inf}, {"tau": math.nan}):
+        for bad in ({"F1": math.nan}, {"F1": math.inf}, {"tau": math.nan}, {"F0": math.nan}, {"F0": -math.inf}):
             with pytest.raises(InvalidSpec):
                 TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0),), lam=1.0, **bad)
 

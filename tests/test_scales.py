@@ -2,12 +2,15 @@
 
 The roots are checked against the full K+1 system of the ``risk`` module
 docstring, evaluated by ``oracles.residual_vector`` rather than by the
-solver's own reduced residual.
+solver's own reduced residual.  Single-component instances collapse to a
+quadratic (purely nonlinear features) or a cubic (purely linear features),
+both solvable in closed form; those check the roots themselves.
 """
 
 import hashlib
 import io
 import json
+import math
 import re
 import warnings
 
@@ -85,11 +88,10 @@ class TestWideLinearBlock:
     def test_newton_matrix_past_the_float_range_fails_as_overflow(self, w):
         """At lam = 1e-24, w = 1e285 ... 1e295 keeps psi / sqrt(lam) and the
         first residual finite, but the Newton determinant overflows to NaN:
-        the solve fails with ``InvalidSpec`` before its first step, not as a
-        determinant that is not positive."""
+        the solve fails with ``InvalidSpec`` before its first step."""
         spec = TheorySpec(psi=(1.0, w), psi_n=2.0, moments=WIDE_LINEAR_MOMENTS, lam=1e-24)
-        with pytest.raises(InvalidSpec, match=r"^Newton matrix overflows: determinant nan after 0 Newton "
-                                              r"steps at lambda=1\.000e-24$"):
+        with pytest.raises(InvalidSpec, match=r"^Newton matrix leaves the float range: determinant nan after 0 "
+                                              r"Newton steps at lambda=1\.000e-24$"):
             asymptotic_risk(spec)
 
     def test_theory_command_reports_the_newton_overflow(self):
@@ -99,8 +101,8 @@ class TestWideLinearBlock:
         out, err = io.StringIO(), io.StringIO()
         status = dispatch("theory", parse_config(json.dumps(cfg)), out, err)
         assert status == ExitStatus.CONFIG and out.getvalue() == ""
-        assert err.getvalue() == ("InvalidSpec: Newton matrix overflows: determinant nan after 0 Newton steps "
-                                  "at lambda=1.000e-24\n")
+        assert err.getvalue() == ("InvalidSpec: Newton matrix leaves the float range: determinant nan after 0 "
+                                  "Newton steps at lambda=1.000e-24\n")
 
     def test_width_past_the_float_range_fails_at_once(self):
         """At lam = 1e-24, w = 1e300 puts psi / sqrt(lam) past the float
@@ -109,6 +111,67 @@ class TestWideLinearBlock:
         with pytest.raises(NoConvergence, match="after 0 Newton steps") as exc:
             asymptotic_risk(spec)
         assert exc.value.iterations == 0
+
+
+def _pure_nonlinear_oracle(psi1: float, psi_n: float, m2: float, lam: float):
+    """Closed-form b for K=1 with mu1 = 0 (quadratic in b_n).
+
+    Subtracting the two equations pins b_1 - b_n = (psi_1 - psi_n)/sqrt(lam);
+    substituting back leaves m2 b_n^2 + (sqrt(lam) + m2 delta) b_n - psi_n = 0.
+    """
+    s = math.sqrt(lam)
+    delta = (psi1 - psi_n) / s
+    p = s + m2 * delta
+    bn = (-p + math.sqrt(p * p + 4.0 * m2 * psi_n)) / (2.0 * m2)
+    return bn + delta, bn
+
+
+def _pure_linear_roots(psi1: float, psi_n: float, lam: float):
+    """Admissible (b_1, b_n) pairs for K=1 identity features (cubic in b_n)."""
+    s = math.sqrt(lam)
+    delta = (psi1 - psi_n) / s
+    roots = np.roots([s, s * delta + 1.0 - psi_n, s + delta - psi_n * delta, -psi_n])
+    out = []
+    for r in roots:
+        if abs(r.imag) < 1e-12 and r.real > 0.0 and r.real + delta > 0.0:
+            out.append((r.real + delta, r.real))
+    return out
+
+
+class TestClosedFormOracles:
+    @pytest.mark.parametrize(
+        "psi1,psi_n,m2,lam",
+        [
+            (0.5, 2.0, 0.7, 1e-2),
+            (3.0, 1.5, 0.25, 1e-5),
+            (2.0, 2.0, 1.3, 1e-4),
+            (0.9, 0.4, 0.05, 1.0),
+        ],
+    )
+    def test_pure_nonlinear_quadratic(self, psi1, psi_n, m2, lam):
+        spec = TheorySpec(
+            psi=(psi1,), psi_n=psi_n, moments=(Moments(0.0, 0.0, m2),), lam=lam
+        )
+        out = asymptotic_risk(spec)
+        b1, bn = _pure_nonlinear_oracle(psi1, psi_n, m2, lam)
+        np.testing.assert_allclose(out.b, [b1, bn], rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "psi1,psi_n,lam",
+        [(0.5, 2.0, 1e-3), (3.0, 1.2, 1e-4), (1.0, 1.0, 1e-2), (2.5, 2.5, 1e-6)],
+    )
+    def test_pure_linear_cubic(self, psi1, psi_n, lam):
+        spec = TheorySpec(
+            psi=(psi1,), psi_n=psi_n, moments=(Moments(0.0, 1.0, 0.0),), lam=lam
+        )
+        out = asymptotic_risk(spec)
+        candidates = _pure_linear_roots(psi1, psi_n, lam)
+        assert candidates, "cubic oracle found no admissible root"
+        err = min(
+            max(abs(out.b[0] - b1) / b1, abs(out.b[1] - bn) / bn)
+            for b1, bn in candidates
+        )
+        assert err < 1e-9, f"solver b={out.b} not among cubic roots {candidates}"
 
 
 class TestVanishingRidge:
@@ -185,6 +248,19 @@ class TestErrorPaths:
         assert exc.value.iterations == 0
         assert exc.value.residual > 1e-12
 
+    def test_theory_command_reports_an_underflowed_newton_matrix(self):
+        """At psi = 1e200 against psi_n = 1e-100 and lam = 1e-33 the Newton
+        determinant, a sum of terms >= 0, underflows to 0 at the start: the
+        ``theory`` command fails with the configuration status, as for one
+        that overflows."""
+        cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
+               "model": {"psi": [1e200], "psi_n": 1e-100, "lambda": 1e-33}}
+        out, err = io.StringIO(), io.StringIO()
+        status = dispatch("theory", parse_config(json.dumps(cfg)), out, err)
+        assert status == ExitStatus.CONFIG and out.getvalue() == ""
+        assert err.getvalue() == ("InvalidSpec: Newton matrix leaves the float range: determinant 0.000e+00 "
+                                  "after 0 Newton steps at lambda=1.000e-33\n")
+
     def test_tolerance_below_roundoff_fails_at_the_cap(self, monkeypatch):
         """With a tolerance below zero every step is taken and none meets it
         (the residual, formed from the reduced gradient, can read exactly 0):
@@ -205,7 +281,7 @@ class TestErrorPaths:
 # SHA-256 over ``_theory``'s outputs on the harsh box, recorded with numpy 2.4
 # and OpenBLAS 0.3.31.  A change that moves the theory core's bits on purpose
 # records it again and says so.
-THEORY_BITS = "50243a001eac074934c0832313c317378e64aeb5b1ac83ea42485fe0d40c575f"
+THEORY_BITS = "d76c0f4d8a011d585f9909f23f8ac90ad182ade3dc91c78d2e4fc813b3fad291"
 
 
 def test_theory_bits_are_pinned():
