@@ -106,11 +106,11 @@ def _cmd_simulate(cfg: RootConfig, err_stream) -> str:
 def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
     spec = build_sweep_spec(cfg)
     result = run_sweep(spec, workers=_workers(cfg))
-    failed = [row for row in result.rows if row.error is not None]
+    failed = [error for error in result.error if error is not None]
     if failed:
         print(
-            f"sweep: {len(failed)} of {len(result.rows)} grid points failed "
-            f"(first: {failed[0].error})",
+            f"sweep: {len(failed)} of {len(result.error)} grid points failed "
+            f"(first: {failed[0]})",
             file=err_stream,
         )
     out = cfg.output

@@ -26,13 +26,17 @@ D_c = sqrt(lam) + b_n (m2_c + m1_c s), which leaves the smooth convex
 in u_n = log b_n.  Its gradient (r_n at those b_c, s (1 + T) - 1) vanishes
 exactly at the root, where s = 1 / (1 + T).  The solver is Newton's method
 on F with its closed-form 2x2 Hessian, O(K) a step, damped by one step rule
-that cuts a long step and lengthens it again while F falls (see the comment
-on it in ``_newton``); a root is accepted on the relative residuals
-r_j / psi_j of the full system, formed from the sums the step takes.  Each
-point starts cold at s = 1/2 and a b_n of closed form: the root of
-d F / d u_n = 0 with every block given one width-weighted moment, which has
-b_n's own order as lam -> 0+ (b_n ~ 1/sqrt(lam) where sum_c psi_c < psi_n,
-with b_n's exact limit, and b_n ~ sqrt(lam) where sum_c psi_c > psi_n).
+that cuts a long step and lengthens it again while F falls, and lengthens
+a full step that has entered a valley (see the comment on it in
+``_newton``); a root is accepted on the relative residuals r_j / psi_j of
+the full system, formed from the sums the step takes.  Each point starts
+from a b_n of closed form: the root of d F / d u_n = 0 at s = 1/2 with
+every block given one width-weighted moment, which has b_n's own order as
+lam -> 0+ (b_n ~ 1/sqrt(lam) where sum_c psi_c < psi_n, with b_n's exact
+limit, and b_n ~ sqrt(lam) where sum_c psi_c > psi_n).  Three Newton steps
+in log b_n on d F / d u_n = 0 at s = 1/2, with the true moments, refine
+it, and s starts at 1 / (1 + T) there, so that Newton's quadratic phase
+(Boyd & Vandenberghe, 9.5) begins at the first step for the paper's curves.
 
 The risk differentiates Phi at its root.  It splits as
 
@@ -203,9 +207,10 @@ _MAX_ITER = 100
 # The change of log b_n or log s a long Newton step tries first (``_newton``'s step rule).
 _MAX_LOG_STEP = 2.0
 
-# The s = 1 / (1 + T) every solve starts from, and at which its start
-# weighs the block moments.
+# The s = 1 / (1 + T) at which every solve's closed-form start weighs the
+# block moments and is refined, by _START_STEPS Newton steps in log b_n.
 _S0 = 0.5
+_START_STEPS = 3
 
 # The smallest normal float: a block scale below it fails the residual test
 # (see ``_step``).  As D_c >= sqrt(lam), b_c <= psi_c / sqrt(lam): a point
@@ -233,8 +238,9 @@ def _moment_matrix(moments: tuple[Moments, ...]) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _start(base: TheorySpec, psi):
-    """The cold start b_n (G,) of ``base``'s model at each row of the
-    widths ``psi`` (G, K); psi_n and lam are ``base``'s scalars.
+    """The closed-form start b_n (G,) of ``base``'s model at each row of
+    the widths ``psi`` (G, K), which ``_refine_start`` refines; psi_n and
+    lam are ``base``'s scalars.
 
     It is the positive root of a sqrt(lam) b^2 + (lam + (P - psi_n) a) b
     - psi_n sqrt(lam) = 0, with P = sum_c psi_c and a = sum_c psi_c
@@ -254,6 +260,26 @@ def _start(base: TheorySpec, psi):
     mid = lam + (total - psi_n) * a
     h = np.hypot(mid, 2.0 * sqrt_lam * np.sqrt(a * psi_n))
     return np.where(mid >= 0.0, 2.0 * sqrt_lam * psi_n / (mid + h), (h - mid) / (2.0 * sqrt_lam * a))
+
+
+def _refine_start(psi_t, psi_n, m, sqrt_lam, u):
+    """The (log b_n, log s) (G,) each solve starts from: ``_start``'s
+    log b_n ``u`` after ``_START_STEPS`` Newton steps on g_n(b_n; s0) = 0,
+    each cut to ``_MAX_LOG_STEP``, and s = 1 / (1 + T) at the b_n reached;
+    the arguments are ``_step``'s.  At fixed s, with w_c = m2_c + m1_c s,
+    g_n = b_n (sqrt(lam) + sum_c w_c b_c) - psi_n rises in u_n with slope
+    P + C = sqrt(lam) b_n (1 + sum_c w_c b_c / D_c) (``_hessian``).  A
+    step that is not finite is not taken.  The sums run over the rows of
+    (K, G) arrays, so that a point's start does not depend on G."""
+    w = m[:, 1:2] + _S0 * m[:, :1]
+    for _ in range(_START_STEPS):
+        bn = np.exp(u)
+        d = sqrt_lam + bn * w
+        wb = w * (psi_t / d)
+        du = (bn * (sqrt_lam + wb.sum(axis=0)) - psi_n) / (sqrt_lam * bn * (1.0 + (wb / d).sum(axis=0)))
+        u = np.where(np.isfinite(du), u - np.maximum(np.minimum(du, _MAX_LOG_STEP), -_MAX_LOG_STEP), u)
+    bn = np.exp(u)
+    return u, -np.log1p(bn * (m[:, :1] * psi_t / (sqrt_lam + bn * w)).sum(axis=0))
 
 
 def _hessian(bc_d, bn, s, m, sqrt_lam):
@@ -324,14 +350,16 @@ def _newton(base: TheorySpec, psi):
     ended each failed point's solve by index: ``NoConvergence``, or
     ``InvalidSpec`` for a Newton determinant that is not positive: as
     det(H) = PQ + C(P + Q) >= 0, that happens only where H has left the
-    float range.  b is NaN on the failed points.  Each point iterates by the
-    rules in ``asymptotic_risk``'s docstring and the loop's step rule, and
-    keeps its place in every array; a point that has left keeps its scales,
-    residual and steps while the others iterate.
+    float range.  b is NaN on the failed points.  Each point starts from
+    ``_refine_start``, iterates by the rules in ``asymptotic_risk``'s
+    docstring and the loop's step rule, and keeps its place in every
+    array; a point that has left keeps its scales, residual and steps
+    while the others iterate.
     """
     lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base.moments)
     sqrt_lam = math.sqrt(lam)
-    step = functools.partial(_step, np.ascontiguousarray(psi.T), psi_n, m, sqrt_lam)
+    psi_t = np.ascontiguousarray(psi.T)
+    step = functools.partial(_step, psi_t, psi_n, m, sqrt_lam)
     errors: dict = {}
     bound = psi / sqrt_lam
     lost = (bound < _TINY).any(axis=1)
@@ -342,7 +370,7 @@ def _newton(base: TheorySpec, psi):
             f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
     # The points still iterating, each after the same ``n`` steps; the others take no step.
     active = ~lost
-    u, sigma = np.log(_start(base, psi)), np.full(len(psi), math.log(_S0))
+    u, sigma = _refine_start(psi_t, psi_n, m, sqrt_lam, np.log(_start(base, psi)))
     bc, bn, du, dsigma, det, rel, g_n, g_s = step(u, sigma)
     rel[lost] = 1.0
     steps, polished, n = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool), 0
@@ -378,10 +406,18 @@ def _newton(base: TheorySpec, psi):
         # ratio * slope, a secant on phi' puts its zero at 4 t or beyond, and t
         # grows to min(4 t, 1): first with slope = phi'(0) and ratio 7/8 where
         # t > 1/8 (a secant zero at 8 t), else 3/4; then with slope = phi'(t/4)
-        # and ratio 4/5.  A probe is kept only where phi' < 0, F's Hessian
+        # and ratio 4/5.  A full step (t = 1) that leaves the residual above
+        # tol, cut by less than 4x, with phi'(1) <= phi'(0) / 4 and a Newton
+        # step at its end that is not cut, has entered a valley where F falls
+        # like exp(-t) and each Newton step has unit length: from its end the
+        # probes run along that point's own Newton step, whose cross-valley
+        # part is already small, to 3, 15, 63, ... times it (4, 16, 64, ...
+        # steps in all), on while residual and phi' still fall by less than 4x
+        # per unit of step.  A probe is kept only where phi' < 0, F's Hessian
         # determinant > 0 and the residual finite; F's value is never read.
         t = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
-        trial = step(u - du * t, sigma - dsigma * t)
+        u_end, sigma_end = u - du * t, sigma - dsigma * t
+        trial = step(u_end, sigma_end)
         grow = active & (t < 1.0)
         if grow.any():
             slope, at = -(g_n * du + g_s * dsigma), -(trial[6] * du + trial[7] * dsigma)
@@ -394,7 +430,26 @@ def _newton(base: TheorySpec, psi):
                 trial = tuple(np.where(grow, new, old) for new, old in zip(probe, trial))
                 slope, at, t = (np.where(grow, a, b) for a, b in ((at, slope), (at_next, at), (t_next, t)))
                 ratio = 0.8
-        u, sigma = u - du * t, sigma - dsigma * t
+            u_end, sigma_end = u - du * t, sigma - dsigma * t
+        u, sigma = u_end, sigma_end
+        far = trial[5] > np.maximum(0.25 * rel, _TOL)
+        if far.any():
+            slope, at = -(g_n * du + g_s * dsigma), -(trial[6] * du + trial[7] * dsigma)
+            du_end, dsigma_end, last, reach = trial[2], trial[3], trial[5], 0.0
+            far &= active & ~within & (t == 1.0) & (at <= 0.25 * slope)
+            far &= np.maximum(np.abs(du_end), np.abs(dsigma_end)) <= _MAX_LOG_STEP
+            slope = -(trial[6] * du_end + trial[7] * dsigma_end)
+            while far.any():
+                reach_next = 4.0 * reach + 3.0
+                u_next, sigma_next = u_end - du_end * reach_next, sigma_end - dsigma_end * reach_next
+                probe = step(u_next, sigma_next)
+                at_next = -(probe[6] * du_end + probe[7] * dsigma_end)
+                far &= (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
+                trial = tuple(np.where(far, new, old) for new, old in zip(probe, trial))
+                u, sigma = np.where(far, u_next, u), np.where(far, sigma_next, sigma)
+                fall = 0.25 ** (reach_next - reach)
+                far &= (probe[5] > fall * last) & (at_next <= fall * slope)
+                last, slope, reach = np.where(far, probe[5], last), np.where(far, at_next, slope), reach_next
         trial_bc, trial_bn, du, dsigma, det, trial_rel, g_n, g_s = trial
         # A point still iterating takes its step, unless it is the polishing
         # step and raises the residual; a point that has left keeps its values.
@@ -500,15 +555,18 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     widths, raising its failure.
 
     The scales are found by Newton's method on the module docstring's
-    F(log b_n, log s), starting from s = 1/2 and the closed-form b_n of
-    ``_start``, which depends on the point's own widths, moments and lambda
-    alone.  Each step is cut to a change of 2 in log b_n or log s and
-    lengthened again while F still falls (``_newton``'s step rule), and is
-    taken whatever it does to the residual, the largest relative residual
-    of the full system at b_n and b_c = psi_c / D_c.  A solve fails as soon
-    as that residual is not finite, then when the determinant of F's
-    Hessian is not positive, or when it has not brought the residual to
-    1e-12 within 100 steps.  A solve that reaches it takes
+    F(log b_n, log s).  It starts from the closed-form b_n of ``_start``,
+    refined by three Newton steps in log b_n at s = 1/2, and from
+    s = 1 / (1 + T) at that b_n (``_refine_start``); the start depends on
+    the point's own widths, moments and lambda alone.  Each step is cut to
+    a change of 2 in log b_n or log s and lengthened again while F still
+    falls, and a full step that cuts the residual by less than 4x is
+    lengthened along the valley it has entered (``_newton``'s step rule).
+    A step is taken whatever it does to the residual, the largest relative
+    residual of the full system at b_n and b_c = psi_c / D_c.  A solve
+    fails as soon as that residual is not finite, then when the determinant
+    of F's Hessian is not positive, or when it has not brought the residual
+    to 1e-12 within 100 steps.  A solve that reaches it takes
     one more Newton step, kept only if it does not raise the residual, so
     that the root carries the digits of a full step rather than stopping at
     the first iterate under the tolerance; ``iterations`` counts that step.

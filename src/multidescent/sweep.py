@@ -95,8 +95,38 @@ CSV_BASE_COLUMNS = tuple(_column(f.name) for f in fields(SweepRow)
 
 @dataclass
 class SweepResult:
-    rows: list[SweepRow]
+    """A sweep's output as columns under ``SweepRow``'s field names, one
+    entry per grid point in grid order, and its metadata.
+
+    ``c`` (G,), ``psi`` (G, K) and the theory columns are arrays, the
+    theory columns ``_theory``'s own, NaN where a point failed; ``psi_n``
+    and ``lam`` are the scalars every point shares.  The other columns are
+    lists, None where a point has no finite-size run, no converged solve or
+    no error.  ``rows`` derives one ``SweepRow`` per point from them.
+    """
+
+    c: np.ndarray
+    psi: np.ndarray
+    psi_n: float
+    lam: float
+    theory_risk: np.ndarray
+    theory_bias: np.ndarray
+    theory_variance: np.ndarray
+    emp_mean: list
+    emp_se: list
+    replications: list
+    solver_iterations: list
+    error: list
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[SweepRow]:
+        """One new ``SweepRow`` per point, at each call."""
+        g = len(self.c)
+        return [SweepRow(c, tuple(psi), *cells) for c, psi, *cells in zip(
+            self.c.tolist(), self.psi.tolist(), [self.psi_n] * g, [self.lam] * g, self.theory_risk.tolist(),
+            self.theory_bias.tolist(), self.theory_variance.tolist(), self.emp_mean, self.emp_se,
+            self.replications, self.solver_iterations, self.error)]
 
 
 def _along_grid(spec: SweepSpec, x: float, name: str, x_name: str) -> np.ndarray:
@@ -155,9 +185,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
     The theory pass solves and scores the whole grid as one stack of
     arrays, with no per-point spec or result objects, every point from the
-    closed-form start of its own widths (``risk._start``), so a row
-    depends on its own c alone: it is the same, bit for bit, in any stack
-    of two or more points.  From the one-point stack of ``asymptotic_risk``
+    refined closed-form start of its own widths (``risk._refine_start``),
+    so a row depends on its own c alone: it is the same, bit for bit, in
+    any stack of two or more points.  From the one-point stack of ``asymptotic_risk``
     (the ``theory`` command) a row of a model with K >= 4 blocks may differ
     in the last bits: numpy's one-row matrix product rounds differently.
     A failing point records its error in the row and leaves NaNs instead
@@ -169,25 +199,23 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     psi = _grid_psi(spec)
     counts = None if spec.empirical is None else _grid_counts(spec)
     risk, bias, variance, _, _, _, steps, errors = _theory(base, psi)
-    rows = [
-        SweepRow(c=c, psi=tuple(p), psi_n=base.psi_n, lam=base.lam, theory_risk=r,
-                 theory_bias=bi, theory_variance=v, solver_iterations=n)
-        for c, p, r, bi, v, n in zip(spec.c_grid, psi.tolist(), risk.tolist(), bias.tolist(),
-                                     variance.tolist(), steps.tolist())
-    ]
+    g = len(psi)
+    iterations, error = steps.tolist(), [None] * g
     for i, err in errors.items():
-        rows[i].solver_iterations = None
-        rows[i].error = f"{type(err).__name__}: {err}"
+        iterations[i], error[i] = None, f"{type(err).__name__}: {err}"
+    emp_mean, emp_se, replications = [None] * g, [None] * g, [None] * g
     if counts is not None:
-        for row, outcome in zip(rows, run_experiments(spec.empirical, counts, workers)):
+        for i, outcome in enumerate(run_experiments(spec.empirical, counts, workers)):
             if isinstance(outcome, Exception):
                 note = f"{type(outcome).__name__}: {outcome}"
-                row.error = note if row.error is None else row.error + "; " + note
+                error[i] = note if error[i] is None else error[i] + "; " + note
             else:
-                row.emp_mean = outcome.mean
-                row.emp_se = outcome.std_error
-                row.replications = spec.empirical.replications
-    return SweepResult(rows=rows, metadata=_metadata(spec))
+                emp_mean[i], emp_se[i] = outcome.mean, outcome.std_error
+                replications[i] = spec.empirical.replications
+    return SweepResult(c=np.array(spec.c_grid), psi=psi, psi_n=base.psi_n, lam=base.lam, theory_risk=risk,
+                       theory_bias=bias, theory_variance=variance, emp_mean=emp_mean, emp_se=emp_se,
+                       replications=replications, solver_iterations=iterations, error=error,
+                       metadata=_metadata(spec))
 
 
 def csv_header(k: int) -> str:
@@ -195,25 +223,25 @@ def csv_header(k: int) -> str:
 
 
 def csv_text(result: SweepResult) -> str:
-    """Fixed-schema CSV: one row per grid point, LF newlines, 12-digit numbers."""
-    if not result.rows:
+    """Fixed-schema CSV: one row per grid point, LF newlines, 12-digit
+    numbers, formatted column by column from the result's columns."""
+    g = len(result.c)
+    if g == 0:
         raise EmptyGrid("no rows to write")
-    rows = result.rows
-    floats = list(zip(*((r.c, *r.psi, r.psi_n, r.lam, r.theory_risk, r.theory_bias, r.theory_variance,
-                         math.nan if r.emp_mean is None else r.emp_mean,
-                         math.nan if r.emp_se is None else r.emp_se) for r in rows)))
+    floats = [result.c.tolist(), *result.psi.T.tolist(), [result.psi_n] * g, [result.lam] * g,
+              *(a.tolist() for a in (result.theory_risk, result.theory_bias, result.theory_variance)),
+              *([math.nan if v is None else v for v in values] for values in (result.emp_mean, result.emp_se))]
     # A column equal to an earlier one (psi_2 = psi_1 at equal ratios) reuses its cells.
     columns = []
     for values in floats:
         first = floats.index(values)
         columns.append(columns[first] if first < len(columns) else _column_cells(values))
     columns += [["" if v is None else str(v) for v in values]
-                for values in ([r.replications for r in rows], [r.solver_iterations for r in rows])]
-    k = len(rows[0].psi)
-    return "\n".join([csv_header(k), *map(",".join, zip(*columns))]) + "\n"
+                for values in (result.replications, result.solver_iterations)]
+    return "\n".join([csv_header(result.psi.shape[1]), *map(",".join, zip(*columns))]) + "\n"
 
 
-def _column_cells(values: tuple) -> list[str]:
+def _column_cells(values: list) -> list[str]:
     """The cells of one float column; a constant column, such as psi_n or
     lambda, is formatted once (values that compare equal format alike)."""
     if values.count(values[0]) == len(values):

@@ -137,7 +137,7 @@ class TestToJson:
         payload = {"values": [1e-7, 0.3, 12345.678], "empty": {}, "none": []}
         a, b = to_json(payload), to_json(payload)
         assert a == b
-        assert json.loads(a)["values"][0] == pytest.approx(1e-7, rel=1e-12)
+        assert json.loads(a)["values"][0] == pytest.approx(1e-7, rel=1e-12, abs=0.0)
 
     def test_unserializable(self):
         with pytest.raises(TypeError):
@@ -148,7 +148,7 @@ class TestConfigValidation:
     def test_minimal_parses(self):
         cfg = parse_config(_inline(_minimal()))
         assert cfg.model == {"psi": (1.0,), "psi_n": 1.0, "lambda": 1.0}
-        assert cfg.moments[0].mu1 == pytest.approx(0.5, rel=1e-12)
+        assert cfg.moments[0].mu1 == pytest.approx(0.5, rel=1e-12, abs=0.0)
         assert cfg.sweep is None and cfg.empirical is None and cfg.limit is None
         assert cfg.output == {}
 
@@ -353,7 +353,7 @@ class TestOverrides:
         apply_overrides(raw, ["activations.0.in_scale=2.0"])
         cfg = validate_config(raw)
         assert cfg.activations[0].in_scale == 2.0
-        assert cfg.moments[0].mu1 == pytest.approx(1.0, rel=1e-12)
+        assert cfg.moments[0].mu1 == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_malformed(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -501,7 +501,7 @@ class TestDispatch:
         assert status == ExitStatus.OK
         assert "1.000000000000" in out  # constant features leave risk at F1^2
         payload = json.loads(out)
-        assert payload["risk"] == pytest.approx(1.0, rel=1e-10)
+        assert payload["risk"] == pytest.approx(1.0, rel=1e-10, abs=0.0)
         # The solver line and b are the fields of the risk's own result.
         direct = asymptotic_risk(build_theory_spec(parse_config(_inline(cfg))))
         assert err.splitlines()[0] == (
@@ -514,7 +514,7 @@ class TestDispatch:
         one."""
         status, out, err = _run("theory", FAR_APART)
         assert status == ExitStatus.OK
-        assert json.loads(out)["risk"] == pytest.approx(float(FAR_APART_RISK), rel=1e-12)
+        assert json.loads(out)["risk"] == pytest.approx(float(FAR_APART_RISK), rel=1e-12, abs=0.0)
 
     def test_far_apart_risk_generator(self):
         """``oracles.mp_risk`` reproduces FAR_APART_RISK from the closed-form
@@ -541,7 +541,7 @@ class TestDispatch:
         status, out, err = _run("limit", cfg)
         assert (status, err) == (ExitStatus.OK, "")
         expected = float(mp_limit_risk(build_limit_spec(parse_config(_inline(cfg)))))
-        assert json.loads(out)["risk"] == pytest.approx(expected, rel=1e-11)
+        assert json.loads(out)["risk"] == pytest.approx(expected, rel=1e-11, abs=0.0)
 
     def test_theory_wide_linear_block(self):
         """A purely linear block 1e80 times as wide as a nonlinear one, at
@@ -575,7 +575,7 @@ class TestDispatch:
         assert payload["replications"] == 3
         assert len(payload["per_replication"]) == 3
         assert payload["mean"] == pytest.approx(
-            float(np.mean(payload["per_replication"])), rel=1e-10
+            float(np.mean(payload["per_replication"])), rel=1e-10, abs=0.0
         )
 
     def test_sweep_stdout_and_files(self, tmp_path):
@@ -616,8 +616,8 @@ class TestDispatch:
         ticks = [float(t.text) for t in root.iter() if t.tag.endswith("text") and t.get("text-anchor") == "end"]
         lo, hi = min(risks), max(risks)
         assert hi / lo > 1.5 and len(ticks) == 5  # the geometric mean lies 5 % below the arithmetic one
-        assert ticks[0] == pytest.approx(lo, rel=5e-3) and ticks[-1] == pytest.approx(hi, rel=5e-3)
-        assert ticks[2] == pytest.approx(math.sqrt(lo * hi), rel=5e-3)
+        assert ticks[0] == pytest.approx(lo, rel=5e-3, abs=0.0) and ticks[-1] == pytest.approx(hi, rel=5e-3, abs=0.0)
+        assert ticks[2] == pytest.approx(math.sqrt(lo * hi), rel=5e-3, abs=0.0)
         assert '"log_y":true' in ET.tostring(root, encoding="unicode").replace(" ", "")
 
     def test_sweep_sidecar_row_keys(self, tmp_path):
@@ -646,7 +646,7 @@ class TestDispatch:
         assert status == ExitStatus.OK
         assert "0.207106781187" in out  # (sqrt(2)-1)/2
         payload = json.loads(out)
-        assert payload["risk"] == pytest.approx((math.sqrt(2) - 1) / 2, rel=1e-12)
+        assert payload["risk"] == pytest.approx((math.sqrt(2) - 1) / 2, rel=0.0, abs=5e-13)
         assert payload["psi_n"] == 2.0
 
     @pytest.mark.parametrize("model", [{"psi_n": 2.0}, {"d": 10, "n": 20}])

@@ -102,7 +102,7 @@ class TestSolutionProperties:
         out = asymptotic_risk(spec)
         ref = mp_risk(spec.psi, spec.psi_n, [m.mu1 ** 2 for m in spec.moments],
                       [m.mu2_sq for m in spec.moments], spec.lam, spec.F1, spec.tau, dps=120)
-        assert out.risk == pytest.approx(float(ref), rel=1e-10)
+        assert out.risk == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
     def test_upper_bound(self):
         """All bracket terms are positive, so b_j <= psi_j / sqrt(lam)."""

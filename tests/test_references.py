@@ -129,35 +129,35 @@ def _replications(command) -> list[str]:
 # SHA-256 of each command's stdout and stderr, recorded with numpy 2.4 and
 # OpenBLAS 0.3.31.  The Monte Carlo commands run 4 of their replications.
 CLI_DIGESTS = {
-    "crit07": ("892e47ec049984abc444846179fc4e6ac933a6fe8c1b037d10284748ee5afa56",
+    "crit07": ("a8aa835246a2a6e2bca03d8fe75b9a6724493a659af69420950cbc02df544ede",
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "crit08-1to2": ("707e37cb869ad539275c7bd6a8a6dfae2ec006c837d52575048d5c2adad7a9ce",
+    "crit08-1to2": ("494dd02970b672a2ec8f60b85a91122842c6977bc9a040985d73ae1cf71835b4",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "crit08-2to1": ("f3fcd21ddace7a32cc3a61e1b92bc2e9cf1855d69869b928e6dd2515c4caade1",
+    "crit08-2to1": ("5aedbacbef64b93612685ea1b0356da8673e0b8cc5ba9b5fd46e235dde63d00a",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "crit09": ("49a99c6a50df91e040c1964d88d1afcacee63f8a53337393ee60b74653cd4e59",
+    "crit09": ("48429d8c0bb2150ee88a27eb93692b04bcfe7abcd5ceb038b3db86f95280db63",
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "quickstart": ("be0fdaefa10cf3547cabb323ff9b77ef16b74691e908aaafc6fcda08d8382022",
-                 "b339fe7184da2e89233ac0b961bea693daa0b0e9a6b450ee7126a83225fc4551"),
+                 "00b700975836f4307b1fb4587d79c187340c1501129dd57b78ff582d91abe303"),
     "peak-c1-lam1e-03": ("80ef5669beb14c9fa8f3a15b2c8b22af9d8351c7efb0932d6a3ae8ac7e6f5ab4",
-                       "9fe4cbacb73386ce2eedc1dbfb1e974338b44cc82fba3c6eefc7a94eeb5fc051"),
+                       "99b8cdb76142645e16b121287b1acfd9dbcca78f777f4aceac4924d88bcb88ef"),
     "peak-c1-lam1e-05": ("3348bf7def986e2b58de58aef24d1dd77f3c142e7f1097e01db3e5deb92dd203",
-                       "4a985c6fd13b647def06a1d7e60a04d6aec9f4db59390dba41523b8a307a4988"),
-    "peak-c1-lam1e-08": ("0cec4e9679b117091ef8bf0a39ac9cf179a9fde1a4a6adf86b4a01e30e22a515",
-                       "9fe4cbacb73386ce2eedc1dbfb1e974338b44cc82fba3c6eefc7a94eeb5fc051"),
-    "peak-c1-lam1e-10": ("92ace4d3bccb42bbd13c482d85da8e025fbc0325b4c6ffff792ec34b12c325be",
-                       "899a7ed5a5998548ab9a87144f782807baf1b8c119c08ecf17ed9242c9ababf6"),
+                       "4d1b0a773ec627a048ec74c1d5a7cdebe297726d759a2b40b634914e59331dea"),
+    "peak-c1-lam1e-08": ("034a39e97f98a3c4497089a48427909cfeaa280f1d19aa063d9ec3908c2dbf8a",
+                       "00b700975836f4307b1fb4587d79c187340c1501129dd57b78ff582d91abe303"),
+    "peak-c1-lam1e-10": ("190e03f59a45e5ca9bdd15678c585764a75f8c669cf21322353ee1b343a25691",
+                       "22b108cb6a6dda4f72a67a250ee2d1ea500a8a2fc767f8c5478b0ea442ecc3d4"),
     "peak-c2-lam1e-03": ("7bcd4f92101555e313e215ba12b2e329ed63e4f3061c0d738a311e0293cdaba4",
-                       "11a9c5511cdf51eb1ea6242f2e7f3d623c28ace598f48e85712dd699af9ab233"),
+                       "dbec1d8583b84c5bcc9a9f80c9394de0a4927c8e1361d34564033486f95c250e"),
     "peak-c2-lam1e-05": ("2d50ca75c8ea1c73fc4edcaf56b8e16c7e0f6bda0a20c7a97b996eaff0d34f5e",
-                       "d163e7271f460ad160c3775024eabac3b138a345963b7c8f30b435b781261c0a"),
+                       "eceaffc189c6bc93332c941b4289d6b18e407602358e23cd786226cf0a699fe0"),
     "peak-c2-lam1e-08": ("85c8f87350eb1fe05b33315c7c0d2f452914c21f1e987eed2b5b2c157f8ef530",
                        "640cdf900816d291d1f095500d1f6fe1fb388f5dab1b8f9cb7e6a076844dfb4a"),
-    "peak-c2-lam1e-10": ("ae6e7fa6d8e5a5ad55a31b69809743d2110aae872d63f743a5176ddbed65a9fe",
-                       "96d0bf151f9eaa9870038101f1fbc4105d17c7607f1587d012c07b6a0bdc0c4c"),
-    "crit07-lam1e-08": ("2e9720c5445057ca3a9139e9a2a98e1ee709635850535fa150c6a0f98113204a",
+    "peak-c2-lam1e-10": ("b9c91a8bf0dd2020b67b4af5787a530afebf9a500e5f9a2b485a3c14a82d016f",
+                       "021c9a90db171ab5a7ecc8995d902b2e2724bd948d91745ce168454440f73c25"),
+    "crit07-lam1e-08": ("89ed3fba1c42bd8c703d0b811964223c0751f811fcea554aa497df8f907c3836",
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "mc-sweep": ("43f4a8dbd79c9f0f5211352841c976e4711ff8ec3a563fdfd3ab60d05adae9f5",
+    "mc-sweep": ("a45515c1bb18263b7f6ae5aa60e3bcabc94b977ecd43d7da50071a7b90b5c7d5",
                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "mc-simulate": ("84856adb92c6dbbcca8f590bbb507f0c2db7b684afaea6533c18963ff1430e28",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -176,17 +176,17 @@ def test_cli_bytes_match_recorded_digests(command):
 # SHA-256 of the JSON and SVG sidecars each sweep command writes, recorded as
 # ``CLI_DIGESTS`` are; the CSV is its stdout, pinned there.
 SIDECAR_DIGESTS = {
-    "crit07": ("78b03dbab52c740bb43a2f2106a54e3eddfc40fc3a3455ef0dc3e11fb235ac40",
+    "crit07": ("9b35230e37e68238cf5cfcdff6d42dc59cf5214596f415676c02288936f9b04e",
                "8d667796cba415cf638629df11b557dcba269d2b2045c8c1b18e28ed0d27f4cf"),
-    "crit08-1to2": ("d6c662f41c0d5f29649e834e47e69b9e3e99a04ed7d2999698bc81c2f923ed0b",
+    "crit08-1to2": ("a0950f5634269af5f66afa4334f5378d4b8bbd579a9d901241772d1f042b5d8c",
                     "a5fbb4431779035ab0def131e385da7df18e40551bfb8138dc117c6e97860671"),
-    "crit08-2to1": ("cdac134b5ce107656310a2415f78c9eb398765249d8b1fe5e874208aac03cec8",
+    "crit08-2to1": ("bf193742e99f0ad82dbc54a0b9837fe15a5e49f55d6c5b165330692bd57f87fb",
                     "47dc7d426465ee833a04d6afdf0b02faa8b59c24c38a32fa63615b1f9c9154a5"),
-    "crit09": ("7d7abfb5b75a7432d3bd566f3e5d6c66be2822c233f00de26de15712d5eec726",
+    "crit09": ("aa07bc8604113a64226e15b57e0ae3010eb60821013050cac7d907d119daca40",
                "cbf0444034d35428888f73c7c82fac7129714fb7438873fee40808549aa85fae"),
-    "crit07-lam1e-08": ("6def4f24cba69dc3f54cdc2abfdb8449a94b76ef62091006aea5dc6f3ff91b2f",
+    "crit07-lam1e-08": ("10d249c24fa678448440624df9ef1083a0b4cc45142c414e7c488e1e1e58a44b",
                         "3a8eb343680d9997b27bfca97b0f6282139413c6f074702e378cb72046f04b37"),
-    "mc-sweep": ("5b7ec462740c965c45dc10b2cbe9aec2ea189929ec572014088c2c0e311a1e90",
+    "mc-sweep": ("2570473457100e3992234b70a03526162b3e2434f9b49eb841c87c2e7e2653ad",
                  "044b4e8f37ebd3469d1eb6eb19969efe1ceb5dc8a34598079460fd401a5f9b77"),
 }
 
@@ -202,12 +202,11 @@ def test_sweep_sidecars_match_recorded_digests(command, tmp_path):
 
 
 # Batched ``_step`` calls of each theory command: the start, every Newton
-# step and every probe that lengthens a capped step.
+# step and every probe that lengthens a capped or a full step.
 STEP_CALLS = {
-    "crit07": 8, "crit08-1to2": 8, "crit08-2to1": 8, "crit09": 9, "quickstart": 7,
-    **{f"peak-c1-lam{lam}": 7 for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
-    **{f"peak-c2-lam{lam}": 6 for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
-    "crit07-lam1e-08": 8,
+    "crit07": 6, "crit08-1to2": 6, "crit08-2to1": 6, "crit09": 6, "quickstart": 6,
+    **{f"peak-c{c}-lam{lam}": 6 for c in (1, 2) for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
+    "crit07-lam1e-08": 6,
 }
 
 

@@ -458,7 +458,7 @@ class TestWidthLimits:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 risk = limit_risk_infinite_width(ls)
-            assert risk == pytest.approx(float(mp_limit_risk(ls)), rel=1e-14)
+            assert risk == pytest.approx(float(mp_limit_risk(ls)), rel=1e-14, abs=0.0)
 
     def test_tiny_widths_approach_zero_width_limit(self):
         ms = (Moments(0.0, 0.8, 0.5), Moments(0.0, 0.3, 1.2))
@@ -540,7 +540,7 @@ class TestColdStart:
             for s in (spec, bare):
                 (bn,) = _start(s, np.array([s.psi]))
                 assert math.isfinite(bn) and bn > 0.0, i
-            assert bn == pytest.approx(spec.psi_n / math.sqrt(spec.lam), rel=1e-15), i
+            assert bn == pytest.approx(spec.psi_n / math.sqrt(spec.lam), rel=1e-15, abs=0.0), i
 
     @pytest.mark.parametrize("c", [0.5, 0.9, 1.0, 1.2, 2.0, 5.0])
     def test_ridgeless_limits(self, c):
@@ -554,11 +554,11 @@ class TestColdStart:
         (bn,) = _start(spec, np.array([spec.psi]))
         total, root = sum(spec.psi), math.sqrt(spec.lam)
         if c < 1.0:
-            assert root * bn == pytest.approx(spec.psi_n - total, rel=1e-12)
-            assert root * asymptotic_risk(spec).b[-1] == pytest.approx(spec.psi_n - total, rel=1e-12)
+            assert root * bn == pytest.approx(spec.psi_n - total, rel=1e-12, abs=0.0)
+            assert root * asymptotic_risk(spec).b[-1] == pytest.approx(spec.psi_n - total, rel=1e-12, abs=0.0)
         elif c > 1.0:
             a = sum(p * (m.mu2_sq + 0.5 * m.mu1 ** 2) for p, m in zip(spec.psi, moments)) / total
-            assert bn / root == pytest.approx(spec.psi_n / ((total - spec.psi_n) * a), rel=1e-12)
+            assert bn / root == pytest.approx(spec.psi_n / ((total - spec.psi_n) * a), rel=1e-12, abs=0.0)
         else:
             assert math.isfinite(bn) and bn > 0.0
 
@@ -674,26 +674,28 @@ class TestErrorPaths:
 
     def test_stack_rows_equal_single_point_solves(self, monkeypatch):
         """Every row of a stack equals its widths solved alone, in every
-        output: fast points far from the peak, a slow one near c = 1 at a
+        output: fast points far from the peak, slower ones near c = 1 at a
         tiny lambda, one whose block scale lies below the float range (it
-        fails before its first step), one that hits the step cap, one whose
-        residual is not finite, one whose Newton determinant overflows, one
-        whose risk overflows, and a wide linear block whose capped steps are
-        lengthened (it converges, with an ill-conditioned root).  A point that
-        has left the solve keeps its values while the others iterate."""
+        fails before its first step), one whose residual is not finite, one
+        whose Newton determinant overflows, one whose risk overflows, a wide
+        linear block whose capped steps are lengthened and whose full steps
+        cross a valley (it converges, with an ill-conditioned root), and a
+        wider linear block beside a narrow one, (0.01, 1e44), which needs 18
+        steps and so hits the step cap.  A point that has left the solve
+        keeps its values while the others iterate."""
         base = TheorySpec(psi=(1.0, 1.0), psi_n=2.0, moments=(Moments(0, 0.8, 0.5), Moments(0, 1.0, 0.0)),
                           lam=1e-24)
         psi = np.array([(1e-3, 1e-3), (0.3, 0.3), (0.999, 0.999), (1e-320, 1.0), (1.0, 1.0), (3.0, 3.0),
-                        (1e150, 1e150), (1e300, 1e300), (1e290, 1e290), (1.0, 1e40)])
+                        (1e150, 1e150), (1e300, 1e300), (1e290, 1e290), (1.0, 1e40), (0.01, 1e44)])
         monkeypatch.setattr("multidescent.risk._MAX_ITER", 15)
         with pytest.warns(IllConditionedWarning) as caught:
             *stack, errors = _theory(base, psi)
         assert len(caught) == 1 and 1e-4 < _estimate(caught[0]) < 1e-3
         steps = stack[6]
-        assert max(steps[[0, 1, 5]]) < steps[2] < 15 and steps[4] == 15 and steps[[3, 7, 8]].max() == 0
-        assert steps[9] < 15
+        assert max(steps[[0, 1, 5]]) < steps[2] < 15 and steps[10] == 15 and steps[[3, 7, 8]].max() == 0
+        assert steps[4] < 15 and steps[9] < 15
         assert {i: type(e) for i, e in errors.items()} == {
-            3: NoConvergence, 4: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: InvalidSpec}
+            3: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: InvalidSpec, 10: NoConvergence}
         for i in range(len(psi)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IllConditionedWarning)

@@ -457,7 +457,7 @@ class TestTheorySpecBridge:
         assert spec.psi_n == 2.5
         assert spec.lam == 0.2
         assert (spec.F0, spec.F1, spec.tau) == (0.3, 1.1, 0.4)
-        assert spec.moments[0].mu1 == pytest.approx(0.5, rel=1e-12)
+        assert spec.moments[0].mu1 == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_moments_computed_once_per_activation(self):
         """Theory matching and the intercept guard reuse cached moments."""
