@@ -47,9 +47,9 @@ def main() -> None:
     grid = tuple(0.2 + 0.05 * i for i in range(117))
     result = run_sweep(SweepSpec(base=base, c_grid=grid))
 
-    risks = [row.theory_risk for row in result.rows]
+    c, risks = result.c.tolist(), result.theory_risk
     peaks = [
-        result.rows[i].c
+        c[i]
         for i in range(1, len(risks) - 1)
         if risks[i] > risks[i - 1] and risks[i] > risks[i + 1]
     ]

@@ -21,11 +21,10 @@ from multidescent import (
 )
 
 
-def interior_maxima(rows) -> list[float]:
-    risks = [row.theory_risk for row in rows]
+def interior_maxima(c, risks) -> list[float]:
     return [
-        rows[i].c
-        for i in range(1, len(rows) - 1)
+        c[i]
+        for i in range(1, len(c) - 1)
         if risks[i] > risks[i - 1] and risks[i] > risks[i + 1]
     ]
 
@@ -53,8 +52,8 @@ def main() -> None:
     write_csv(result, str(csv_path))
     render_svg(result, str(svg_path), log_y=True)
 
-    peaks = interior_maxima(result.rows)
-    print(f"swept {len(result.rows)} grid points at lambda = {base.lam:g}")
+    peaks = interior_maxima(result.c.tolist(), result.theory_risk)
+    print(f"swept {len(result.c)} grid points at lambda = {base.lam:g}")
     print(f"interior risk maxima at c = {[round(p, 2) for p in peaks]}")
     print("descents: below c=1 (underparameterized), between the peaks, and")
     print("past the last peak where the risk falls toward its width limit.")

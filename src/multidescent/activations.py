@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureDiverged",
     "eval_activation",
     "compute_moments",
-    "represents_intercept",
     "ACTIVATION_KINDS",
 ]
 
@@ -99,9 +98,6 @@ class ActivationSpec:
         for name in ("in_scale", "out_scale", "shift"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    def __call__(self, x):
-        return eval_activation(self, x)
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,14 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
         style = {key: cfg.sweep[key] for key in ("log_y", "y_cap") if key in cfg.sweep}
         render_svg(result, out["svg_path"], **style)
     if out.get("json_path"):
-        payload = {"rows": [row.record() for row in result.rows], "metadata": result.metadata}
+        g = len(result.c)
+        columns = {"c": result.c.tolist(), "psi": result.psi.tolist(), "psi_n": [result.psi_n] * g,
+                   "lambda": [result.lam] * g, "theory_risk": result.theory_risk.tolist(),
+                   "theory_bias": result.theory_bias.tolist(), "theory_variance": result.theory_variance.tolist(),
+                   "emp_mean": result.emp_mean, "emp_se": result.emp_se, "replications": result.replications,
+                   "solver_iterations": result.solver_iterations, "error": result.error}
+        records = [dict(zip(columns, point)) for point in zip(*columns.values())]
+        payload = {"rows": records, "metadata": result.metadata}
         _write_text(out["json_path"], to_json(payload) + "\n")
     return text.rstrip("\n")
 

@@ -26,10 +26,6 @@ from .sweep import SweepSpec
 
 __all__ = [
     "ConfigError",
-    "RootConfig",
-    "load_raw",
-    "apply_overrides",
-    "validate_config",
     "parse_config",
     "build_theory_spec",
     "build_empirical_config",
@@ -311,21 +307,6 @@ def validate_config(raw: dict) -> RootConfig:
     )
 
 
-def load_raw(source: str) -> dict:
-    """Load a JSON document from a path, or parse inline text starting with '{'."""
-    text = source
-    if not source.lstrip().startswith("{"):
-        if not os.path.exists(source):
-            raise ConfigError("", f"config file not found: {source}")
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError("", f"invalid JSON: {err}") from err
-    return _object(raw, "")
-
-
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply dotted-path KEY=VALUE overrides; values parse as JSON, else string."""
     for item in overrides:
@@ -368,8 +349,18 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def parse_config(source: str, overrides: list[str] | None = None) -> RootConfig:
-    """Load, override and validate in one step."""
-    raw = load_raw(source)
+    """Load a JSON document from a path, or parse inline text starting with
+    '{', apply the ``overrides`` and validate it, in one step."""
+    text = source
+    if not source.lstrip().startswith("{"):
+        if not os.path.exists(source):
+            raise ConfigError("", f"config file not found: {source}")
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        raw = _object(json.loads(text), "")
+    except json.JSONDecodeError as err:
+        raise ConfigError("", f"invalid JSON: {err}") from err
     if overrides:
         raw = apply_overrides(raw, overrides)
     return validate_config(raw)

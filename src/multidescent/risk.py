@@ -63,7 +63,7 @@ and tends to F1^2 as they vanish.
 
 How far a root can be off is estimated from F's 2x2 Hessian at it, the
 matrix the solver steps with; a point warns where that estimate exceeds
-1e-4 (see ``_score``).
+1e-4 (``_score`` estimates it, ``_theory`` warns).
 """
 
 from __future__ import annotations
@@ -461,25 +461,26 @@ def _newton(base: TheorySpec, psi):
 
 
 def _score(base: TheorySpec, b, errors: dict):
-    """Risk, bias and variance (G,) and L (G, 4, 4) of ``base``'s model at G
-    solved points by the module docstring's closed form; ``b`` (G, K+1)
-    holds each point's scales, and psi_n, lam, F1 and tau are ``base``'s
-    scalars.
+    """Risk, bias and variance (G,), L (G, 4, 4) and the estimated relative
+    error e (G,) of the scales of ``base``'s model at G solved points, by the
+    module docstring's closed form; ``b`` (G, K+1) holds each point's
+    scales, and psi_n, lam, F1 and tau are ``base``'s scalars.  Every array
+    formed from ``b`` takes its dtype, so a complex ``b`` carries its
+    imaginary part through to the risk (a complex-step derivative).
     ``errors`` maps the points that already failed to their exception; such
-    a point comes with NaN scales, as from ``_newton``, and is neither
-    diagnosed again nor warned about.  ``errors`` gains ``InvalidSpec`` where
+    a point comes with NaN scales, as from ``_newton``, and is not
+    diagnosed again.  ``errors`` gains ``InvalidSpec`` where
     (1 + T)^2 overflows, else ``LinAlgError`` where a pivot of the
     elimination, b_c D_c or det(H), is not positive and finite (a singular
     S), and ``InvalidSpec`` for a risk that is not finite.  Every
-    point keeps its row, and every failed point reads NaN.
+    point keeps its row, and every failed point reads NaN, e included.
 
-    Each point that does not fail warns ``IllConditionedWarning``, in order,
-    where the estimated relative error of its scales exceeds ``_ERR_WARN``:
     e = eps ((Q + C) psi_n + C) / det(H) from F's Hessian H (``_hessian``)
-    at ``b`` and s = 1 / (1 + T), how far rounding errors of eps psi_n and
+    at ``b`` and s = 1 / (1 + T) is how far rounding errors of eps psi_n and
     eps in grad F move log b_n.  It is eps psi_n / s_n, with s_n the Schur
     complement of S on b_n's row, up to a factor in [1, 1 + 1/psi_n].  It
-    covers the scales alone, not the rounding of the closed form.
+    covers the scales alone, not the rounding of the closed form;
+    ``_theory`` warns on it.
     """
     sqrt_lam, m = math.sqrt(base.lam), _moment_matrix(base.moments)
     m1, m2 = m[:, 0], m[:, 1]
@@ -504,7 +505,7 @@ def _score(base: TheorySpec, b, errors: dict):
         w = (np.array((q, p, c)) / det).T
         ma = xx + (y * w[:, None, :]) @ np.swapaxes(y, 1, 2)
         # G = P C, row by row, with MD^2 = (1 + T)^2.
-        coef = np.zeros((len(b), 3, 4))
+        coef = np.zeros((len(b), 3, 4), dtype=b.dtype)
         coef[:, 0, 0], coef[:, 1, 1] = 1.0, bn
         coef[:, 1, 2], coef[:, 1, 3] = -mN * mN * bn / md2, bn / md2
         coef[:, 2, 2], coef[:, 2, 3] = 1.0 / md2, -bn * bn / md2
@@ -517,14 +518,12 @@ def _score(base: TheorySpec, b, errors: dict):
     singular = ~valid.all(axis=1)
     # F1^2 and tau^2 are finite, yet the risk may overflow, as may the sums of
     # a root near the ends of the float range: such a point fails with
-    # InvalidSpec.  A failed point gives no warning for a risk it lacks.
+    # InvalidSpec.  A failed point reads NaN in e too, so that it gives no
+    # warning for a risk it lacks.
     failed = singular | ~np.isfinite(risk)
-    # A point that already failed reads NaN from its NaN scales, gives no
-    # warning and keeps the exception it has.
+    # A point that already failed reads NaN from its NaN scales and keeps
+    # the exception it has.
     failed[list(errors)] = False
-    for e in err[(err > _ERR_WARN) & ~failed]:
-        warnings.warn(f"estimated relative error {e:.3e} of the scales exceeds {_ERR_WARN:.0e}; risk may "
-                      "be inaccurate", IllConditionedWarning, stacklevel=4)  # _score <- _theory <- entry point <- caller
     if failed.any():
         # T past 1.3e154 overflows (1 + T)^2, a pivot so that the point fails, yet not a singular S.
         for j in np.flatnonzero(failed):
@@ -533,8 +532,8 @@ def _score(base: TheorySpec, b, errors: dict):
                 np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
                 if singular[j] else
                 InvalidSpec(f"risk overflows: bias {bias[j]:.3e} + variance {variance[j]:.3e} is not finite"))
-        risk[failed] = bias[failed] = variance[failed] = lr[failed] = np.nan
-    return risk, bias, variance, lr
+        risk[failed] = bias[failed] = variance[failed] = lr[failed] = err[failed] = np.nan
+    return risk, bias, variance, lr, err
 
 
 def _theory(base: TheorySpec, psi):
@@ -543,11 +542,24 @@ def _theory(base: TheorySpec, psi):
 
     Returns risk, bias, variance and L as from ``_score``, then b, the
     residuals and the steps as from ``_newton``, then the exception of every
-    failed point by index.  Every public entry point calls it directly, so
-    an ``IllConditionedWarning`` names the line that called the entry point.
+    failed point by index.  A lone row is solved as two equal rows, as
+    numpy's one-row matrix products round differently, so that a point's
+    bits do not depend on its stack.  Each point that does not fail warns
+    ``IllConditionedWarning``, in order, where ``_score``'s error estimate
+    exceeds ``_ERR_WARN``; every public entry point calls ``_theory``
+    directly, so the warning names the line that called the entry point.
     """
-    b, residual, steps, errors = _newton(base, psi)
-    return (*_score(base, b, errors), b, residual, steps, errors)
+    lone = len(psi) == 1
+    b, residual, steps, errors = _newton(base, np.vstack((psi, psi)) if lone else psi)
+    *scores, err = _score(base, b, errors)
+    out = (*scores, b, residual, steps)
+    if lone:
+        out, err = tuple(a[:1] for a in out), err[:1]
+        errors.pop(1, None)
+    for e in err[err > _ERR_WARN]:
+        warnings.warn(f"estimated relative error {e:.3e} of the scales exceeds {_ERR_WARN:.0e}; risk may "
+                      "be inaccurate", IllConditionedWarning, stacklevel=3)  # _theory <- entry point <- caller
+    return (*out, errors)
 
 
 def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:

@@ -34,10 +34,8 @@ __all__ = [
     "EmpiricalRisk",
     "ShapeMismatch",
     "SolveFailure",
-    "replication_rng",
     "feature_matrix",
     "ridge_fit",
-    "excess_risk_on",
     "run_experiment",
     "run_experiments",
     "theory_spec_from_empirical",

@@ -10,7 +10,7 @@ finite-size run of the same model can be simulated at every point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "run_sweep",
-    "csv_header",
     "csv_text",
     "write_csv",
     "render_svg",
@@ -64,7 +63,8 @@ class SweepSpec:
 
 @dataclass
 class SweepRow:
-    """One grid point; the fields are the output columns, in order."""
+    """One grid point, as ``SweepResult.rows`` derives it: the fields are
+    the result's columns at that point."""
 
     c: float
     psi: tuple[float, ...]
@@ -79,30 +79,24 @@ class SweepRow:
     solver_iterations: int | None = None
     error: str | None = None
 
-    def record(self) -> dict:
-        """Every field under its output column name, as in the JSON sidecar."""
-        return {_column(key): value for key, value in asdict(self).items()}
-
-
-def _column(field_name: str) -> str:
-    return "lambda" if field_name == "lam" else field_name
-
 
 # CSV cells after c and psi_1..psi_K.
-CSV_BASE_COLUMNS = tuple(_column(f.name) for f in fields(SweepRow)
-                         if f.name not in ("c", "psi", "error"))
+CSV_BASE_COLUMNS = ("psi_n", "lambda", "theory_risk", "theory_bias", "theory_variance", "emp_mean", "emp_se",
+                    "replications", "solver_iterations")
 
 
 @dataclass
 class SweepResult:
-    """A sweep's output as columns under ``SweepRow``'s field names, one
-    entry per grid point in grid order, and its metadata.
+    """A sweep's output as columns, one entry per grid point in grid
+    order, and its metadata: the one data model that the CSV, the SVG and
+    the JSON sidecar read.
 
     ``c`` (G,), ``psi`` (G, K) and the theory columns are arrays, the
     theory columns ``_theory``'s own, NaN where a point failed; ``psi_n``
     and ``lam`` are the scalars every point shares.  The other columns are
     lists, None where a point has no finite-size run, no converged solve or
-    no error.  ``rows`` derives one ``SweepRow`` per point from them.
+    no error.  ``rows`` derives one ``SweepRow`` per point from them; it is
+    kept only for the benchmark's tracer, which reads it.
     """
 
     c: np.ndarray
@@ -187,9 +181,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     arrays, with no per-point spec or result objects, every point from the
     refined closed-form start of its own widths (``risk._refine_start``),
     so a row depends on its own c alone: it is the same, bit for bit, in
-    any stack of two or more points.  From the one-point stack of ``asymptotic_risk``
-    (the ``theory`` command) a row of a model with K >= 4 blocks may differ
-    in the last bits: numpy's one-row matrix product rounds differently.
+    any stack, and equals ``asymptotic_risk`` (the ``theory`` command) at
+    its widths.
     A failing point records its error in the row and leaves NaNs instead
     of aborting the sweep.
     ``workers`` threads run every replication of every point, in one
@@ -218,10 +211,6 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
                        metadata=_metadata(spec))
 
 
-def csv_header(k: int) -> str:
-    return ",".join(["c"] + [f"psi_{i + 1}" for i in range(k)] + list(CSV_BASE_COLUMNS))
-
-
 def csv_text(result: SweepResult) -> str:
     """Fixed-schema CSV: one row per grid point, LF newlines, 12-digit
     numbers, formatted column by column from the result's columns."""
@@ -238,7 +227,8 @@ def csv_text(result: SweepResult) -> str:
         columns.append(columns[first] if first < len(columns) else _column_cells(values))
     columns += [["" if v is None else str(v) for v in values]
                 for values in (result.replications, result.solver_iterations)]
-    return "\n".join([csv_header(result.psi.shape[1]), *map(",".join, zip(*columns))]) + "\n"
+    header = ",".join(["c", *(f"psi_{i + 1}" for i in range(result.psi.shape[1])), *CSV_BASE_COLUMNS])
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _column_cells(values: list) -> list[str]:
@@ -281,17 +271,18 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         return (math.log10(v) if log_y else v), capped
 
     # Theory vertices (c, t, capped) per unbroken segment; dots (c, t, capped, whisker ends or []).
+    cs, risks = result.c.tolist(), result.theory_risk.tolist()
     segments: list[list[tuple]] = [[]]
     dots = []
-    for r in result.rows:
-        if usable(r.theory_risk):
-            segments[-1].append((r.c, *mark(r.theory_risk)))
+    for c, risk, mean, se in zip(cs, risks, result.emp_mean, result.emp_se):
+        if usable(risk):
+            segments[-1].append((c, *mark(risk)))
         elif segments[-1]:
             segments.append([])
-        if usable(r.emp_mean):
-            t, capped = mark(r.emp_mean)
-            ends = [r.emp_mean + k * r.emp_se for k in (-2.0, 2.0)] if r.emp_se and not capped else []
-            dots.append((r.c, t, capped, [mark(e)[0] for e in ends] if all(map(usable, ends)) else []))
+        if usable(mean):
+            t, capped = mark(mean)
+            ends = [mean + k * se for k in (-2.0, 2.0)] if se and not capped else []
+            dots.append((c, t, capped, [mark(e)[0] for e in ends] if all(map(usable, ends)) else []))
     vertices = [v for seg in segments for v in seg]
     xs = [v[0] for v in vertices] + [d[0] for d in dots]
     if not xs:
@@ -320,10 +311,10 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     series = {
-        "c": [r.c for r in result.rows],
-        "theory_risk": [r.theory_risk for r in result.rows],
-        "emp_mean": [r.emp_mean for r in result.rows],
-        "emp_se": [r.emp_se for r in result.rows],
+        "c": cs,
+        "theory_risk": risks,
+        "emp_mean": result.emp_mean,
+        "emp_se": result.emp_se,
         "log_y": log_y,
         "y_cap": y_cap,
         "metadata": result.metadata,

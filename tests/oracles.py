@@ -49,13 +49,13 @@ from multidescent import (
     EmpiricalConfig,
     LimitSpec,
     eval_activation,
-    replication_rng,
     Moments,
     SweepSpec,
     TheoryRisk,
     TheorySpec,
     compute_moments,
 )
+from multidescent.simulator import replication_rng
 from multidescent.sweep import _grid_counts, _grid_psi
 
 

@@ -63,7 +63,7 @@ def _c_grid(start, stop, step=0.05):
 def _theory_curve(moments, ratios, c_grid, lam, psi_n=10.0 / 3.0):
     base = TheorySpec(psi=ratios, psi_n=psi_n, moments=moments, lam=lam, F1=1.0, tau=0.1)
     result = run_sweep(SweepSpec(base=base, c_grid=c_grid))
-    risks = np.array([row.theory_risk for row in result.rows])
+    risks = result.theory_risk
     assert np.all(np.isfinite(risks))
     return np.asarray(c_grid), risks
 

@@ -38,7 +38,7 @@ from multidescent import (
 )
 from multidescent import config as config_module
 from multidescent.cli import _CONFIG_ERRORS, _SOLVER_ERRORS, ExitStatus, dispatch, main
-from multidescent.config import apply_overrides, load_raw, validate_config
+from multidescent.config import apply_overrides, validate_config
 from multidescent.formatting import _float_cells
 from oracles import mp_limit_risk, mp_risk
 
@@ -315,18 +315,20 @@ class TestConfigValidation:
         path = tmp_path / "run.json"
         path.write_text(_inline(_minimal()), encoding="utf-8")
         assert parse_config(str(path)).model["lambda"] == 1.0
-        with pytest.raises(ConfigError, match="not found"):
-            load_raw(str(tmp_path / "missing.json"))
+        with pytest.raises(ConfigError, match="^config file not found: .*missing.json$"):
+            parse_config(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            load_raw(str(bad))
+        with pytest.raises(ConfigError, match="^invalid JSON: "):
+            parse_config(str(bad))
+        with pytest.raises(ConfigError, match="^invalid JSON: "):
+            parse_config("{oops")
 
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="expected an object"):
-            load_raw(str(path))
+        with pytest.raises(ConfigError, match="^expected an object, got list$"):
+            parse_config(str(path), ["model.lambda=1"])
 
 
 class TestOverrides:

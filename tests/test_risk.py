@@ -564,6 +564,10 @@ class TestColdStart:
 
 
 class TestErrorPaths:
+    # A well-posed K = 2 point that the risk core is driven at directly.
+    GOOD = TheorySpec(psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
+                      lam=1e-3, tau=0.2)
+
     def test_degenerate_b(self):
         """A zero scale zeroes its row and column of S, so the risk core fails
         its point with ``LinAlgError`` and NaN, and no warning, and the oracle
@@ -575,7 +579,7 @@ class TestErrorPaths:
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            risk, _, _, L = _score(spec, b, errors)
+            risk, _, _, L, _ = _score(spec, b, errors)
         assert list(errors) == [0] and isinstance(errors[0], np.linalg.LinAlgError)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
@@ -624,46 +628,38 @@ class TestErrorPaths:
     def test_stack_isolates_a_singular_s(self):
         """One exactly singular S in a stack fails its own point alone, with
         no warning; the other points equal their single-point evaluations."""
-        good = TheorySpec(
-            psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
-            lam=1e-3, tau=0.2,
-        )
         # Each pivot of S carries a factor b_j, so at scales b_j = 5e-324
         # every pivot underflows to zero.  No solve returns such scales, so
         # the risk core is driven directly, with the solved scales of
-        # ``good`` at the other points.
+        # ``self.GOOD`` at the other points.
         degenerate = np.full(3, 5e-324)
-        direct = asymptotic_risk(good)
+        direct = asymptotic_risk(self.GOOD)
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            risk, bias, variance, _ = _score(good, np.array([direct.b, degenerate, direct.b]), errors)
+            risk, bias, variance, *_ = _score(self.GOOD, np.array([direct.b, degenerate, direct.b]), errors)
         assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
         for i in (0, 2):
             assert (risk[i], bias[i], variance[i]) == (direct.risk, direct.bias, direct.variance)
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _score(good, degenerate[None], errors)
+            _score(self.GOOD, degenerate[None], errors)
         assert isinstance(errors[0], np.linalg.LinAlgError)
 
     def test_score_leaves_known_failures_alone(self):
         """A point that failed in the solve reaches the risk core with NaN
         scales and its exception: it reads NaN and is neither diagnosed again
         nor warned about, while a singular point in the same stack still
-        fails and a good one equals its single-point evaluation."""
-        good = TheorySpec(
-            psi=(1.0, 2.0), psi_n=1.5, moments=(Moments(0, 0.8, 0.5), Moments(0, 0.3, 1.2)),
-            lam=1e-3, tau=0.2,
-        )
-        direct = asymptotic_risk(good)
+        fails and a self.GOOD one equals its single-point evaluation."""
+        direct = asymptotic_risk(self.GOOD)
         known = NoConvergence("residual nan > tol 1.0e-12 after 0 Newton steps", residual=math.nan,
                               iterations=0)
         errors = {0: known}
         b = np.array([np.full(3, np.nan), np.full(3, 5e-324), direct.b])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            risk, bias, variance, L = _score(good, b, errors)
+            risk, bias, variance, L, _ = _score(self.GOOD, b, errors)
         assert list(errors) == [0, 1] and errors[0] is known
         assert str(known) == "residual nan > tol 1.0e-12 after 0 Newton steps" and known.iterations == 0
         assert isinstance(errors[1], np.linalg.LinAlgError)
@@ -671,6 +667,37 @@ class TestErrorPaths:
             assert np.isnan([risk[i], bias[i], variance[i]]).all() and np.isnan(L[i]).all()
         assert (risk[2], bias[2], variance[2]) == (direct.risk, direct.bias, direct.variance)
         np.testing.assert_array_equal(L[2], direct.L)
+
+    def test_score_carries_a_complex_step(self):
+        """A complex ``b`` keeps its imaginary part through the risk core:
+        the complex-step dR/d log b_j (step 1e-30) at ``GOOD``'s root
+        matches a central difference to 1e-7 relative for every j, with no
+        ``ComplexWarning``."""
+        b = asymptotic_risk(self.GOOD).b
+        for j in range(len(b)):
+            unit = np.eye(len(b))[j]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                derivative = _score(self.GOOD, (b * np.exp(1e-30j * unit))[None], {})[0][0].imag / 1e-30
+            up, down = (_score(self.GOOD, (b * np.exp(h * unit))[None], {})[0][0] for h in (1e-5, -1e-5))
+            assert derivative == pytest.approx((up - down) / 2e-5, rel=1e-7, abs=0.0)
+
+    def test_one_point_solves_equal_their_stack_row(self):
+        """At every K up to 8, a point solved alone equals its row of a
+        nine-point stack in every output and error text: 300 specs of the
+        box down to lambda = 1e-30, each stacked over its widths scaled by
+        10**linspace(-2, 2, 9), whose middle row is its own widths."""
+        scale = 10.0 ** np.linspace(-2.0, 2.0, 9)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for i in range(300):
+                spec = box_spec(np.random.default_rng([5, i]), lam_exp=(-30.0, 0.0), k_max=8)
+                *stack, errors = _theory(spec, np.array(spec.psi) * scale)
+                *alone, alone_errors = _theory(spec, np.array([spec.psi]))
+                for a, b in zip(stack, alone):
+                    np.testing.assert_array_equal(a[4], b[0])
+                assert [(type(e), str(e)) for e in alone_errors.values()] == (
+                    [(type(errors[4]), str(errors[4]))] if 4 in errors else [])
 
     def test_stack_rows_equal_single_point_solves(self, monkeypatch):
         """Every row of a stack equals its widths solved alone, in every

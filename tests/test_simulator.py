@@ -30,10 +30,8 @@ from multidescent import (
     asymptotic_risk,
     compute_moments,
     eval_activation,
-    excess_risk_on,
     feature_matrix,
     parse_config,
-    replication_rng,
     ridge_fit,
     run_experiment,
     run_experiments,
@@ -42,7 +40,7 @@ from multidescent import (
 )
 from multidescent import simulator
 from multidescent.cli import ExitStatus, dispatch
-from multidescent.simulator import _openblas_thread_calls, _sphere_rows
+from multidescent.simulator import _openblas_thread_calls, _sphere_rows, excess_risk_on, replication_rng
 
 
 class TestSphereSampling:
@@ -385,10 +383,10 @@ class TestSharedDraws:
     def test_sweep_rows_equal_their_configs_alone(self):
         spec = SweepSpec(base=replace(theory_spec_from_empirical(self.BASE), psi=(1.0, 2.0)),
                          c_grid=(0.4, 1.0, 1.6), empirical=self.BASE)
-        rows = run_sweep(spec, workers=2).rows
-        for row, point in zip(rows, expand_grid(spec)):
+        result = run_sweep(spec, workers=2)
+        for i, point in enumerate(expand_grid(spec)):
             alone = run_experiment(point.empirical)
-            assert (row.emp_mean, row.emp_se) == (alone.mean, alone.std_error)
+            assert (result.emp_mean[i], result.emp_se[i]) == (alone.mean, alone.std_error)
 
 
 class TestStatistics:

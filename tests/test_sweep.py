@@ -35,7 +35,6 @@ from multidescent import (
     TheorySpec,
     asymptotic_risk,
     build_sweep_spec,
-    csv_header,
     csv_text,
     format_number,
     parse_config,
@@ -183,16 +182,14 @@ class TestTheoryPass:
         spec = SweepSpec(base=_base((1.0, 2.0), lam=1e-4), c_grid=tuple(np.arange(0.2, 3.0, 0.2)))
         result = run_sweep(spec)
         points = expand_grid(spec)
-        assert len(result.rows) == len(points)
-        for row, point in zip(result.rows, points):
-            direct = asymptotic_risk(point.theory)
-            assert row.theory_risk == direct.risk
-            assert row.theory_bias == direct.bias
-            assert row.theory_variance == direct.variance
-            assert row.solver_iterations == direct.iterations
-            assert row.error is None
-            assert row.solver_iterations >= 1
-            assert row.psi == point.theory.psi
+        direct = [asymptotic_risk(point.theory) for point in points]
+        assert result.theory_risk.tolist() == [out.risk for out in direct]
+        assert result.theory_bias.tolist() == [out.bias for out in direct]
+        assert result.theory_variance.tolist() == [out.variance for out in direct]
+        assert result.solver_iterations == [out.iterations for out in direct]
+        assert result.error == [None] * len(points)
+        assert min(result.solver_iterations) >= 1
+        assert result.psi.tolist() == [list(point.theory.psi) for point in points]
 
     def test_constant_variance_features_flat_curve(self):
         """Zero linear and nonlinear moments leave the risk at F1^2 everywhere."""
@@ -206,19 +203,17 @@ class TestTheoryPass:
         )
         spec = SweepSpec(base=base, c_grid=(0.5, 1.0, 2.0, 4.0))
         result = run_sweep(spec)
-        for row in result.rows:
-            np.testing.assert_allclose(row.theory_risk, 1.3 ** 2, rtol=1e-10)
-            np.testing.assert_allclose(row.theory_variance, 0.0, atol=1e-12)
+        np.testing.assert_allclose(result.theory_risk, 1.3 ** 2, rtol=1e-10)
+        np.testing.assert_allclose(result.theory_variance, 0.0, atol=1e-12)
 
     def test_failed_points_record_error(self, monkeypatch):
         """A starved solver leaves NaN theory values and an error note."""
         spec = SweepSpec(base=_base(lam=1e-6), c_grid=(0.5, 1.0))
         monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
         result = run_sweep(spec)
-        for row in result.rows:
-            assert math.isnan(row.theory_risk)
-            assert row.solver_iterations is None
-            assert "NoConvergence" in row.error
+        assert np.isnan(result.theory_risk).all()
+        assert result.solver_iterations == [None, None]
+        assert all("NoConvergence" in error for error in result.error)
 
     def test_overflowing_widths_name_the_overflow(self):
         """Finite c values and ratios whose widths overflow fail, with no numpy
@@ -259,10 +254,10 @@ class TestTheoryPass:
         and the other point keeps its row."""
         spec = build_sweep_spec(parse_config(json.dumps(
             _sweep_config(acts, [1, 1], 1e-3, c_grid=[1.0, 1e307]))))
-        ok, failed = run_sweep(spec).rows
-        assert ok.error is None and math.isfinite(ok.theory_risk)
-        assert failed.error.startswith("NoConvergence: residual ")
-        assert math.isnan(failed.theory_risk)
+        result = run_sweep(spec)
+        assert result.error[0] is None and math.isfinite(result.theory_risk[0])
+        assert result.error[1].startswith("NoConvergence: residual ")
+        assert math.isnan(result.theory_risk[1])
 
     def test_overflowing_risk_fails_its_point(self):
         """F1 = tau = 1e154 have finite squares, but at c = 0.5 the risk they
@@ -275,13 +270,14 @@ class TestTheoryPass:
         spec = build_sweep_spec(parse_config(json.dumps(cfg)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ok, failed = run_sweep(spec).rows
-        direct = asymptotic_risk(replace(spec.base, psi=ok.psi))
-        assert ok.error is None and (ok.theory_risk, ok.solver_iterations) == (direct.risk, direct.iterations)
-        assert failed.error == ("InvalidSpec: risk overflows: bias 1.119e+308 + variance 8.079e+307 "
-                                "is not finite")
-        assert math.isnan(failed.theory_risk) and math.isnan(failed.theory_bias)
-        assert failed.solver_iterations is None
+            result = run_sweep(spec)
+        direct = asymptotic_risk(replace(spec.base, psi=result.psi[0]))
+        assert result.error[0] is None
+        assert (result.theory_risk[0], result.solver_iterations[0]) == (direct.risk, direct.iterations)
+        assert result.error[1] == ("InvalidSpec: risk overflows: bias 1.119e+308 + variance 8.079e+307 "
+                                   "is not finite")
+        assert math.isnan(result.theory_risk[1]) and math.isnan(result.theory_bias[1])
+        assert result.solver_iterations[1] is None
 
     def test_row_prints_theory_command_digits(self):
         """Through the CLI, every row of the criterion-07 sweep prints the
@@ -315,18 +311,15 @@ class TestTheoryPass:
         free = run_sweep(spec)
         monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 3)
         capped = run_sweep(spec)
-        failed = [row for row in capped.rows if row.error is not None]
-        assert 0 < len(failed) < len(capped.rows)
-        for a, b in zip(free.rows, capped.rows):
-            if b.error is None:
-                assert (b.theory_risk, b.theory_bias, b.theory_variance, b.solver_iterations) == (
-                    a.theory_risk, a.theory_bias, a.theory_variance, a.solver_iterations)
+        assert 0 < sum(error is not None for error in capped.error) < len(capped.error)
+        for i, error in enumerate(capped.error):
+            if error is None:
+                assert _theory_cells(capped, i) == _theory_cells(free, i)
             else:
                 assert re.fullmatch(r"NoConvergence: residual \S+ > tol 1\.0e-12 after 3 Newton steps "
-                                    r"at lambda=1\.000e-05", b.error)
-                assert math.isnan(b.theory_risk) and math.isnan(b.theory_bias)
-                assert math.isnan(b.theory_variance) and b.solver_iterations is None
-                assert a.solver_iterations > 3
+                                    r"at lambda=1\.000e-05", error)
+                assert all(map(math.isnan, _theory_cells(capped, i)[:3]))
+                assert capped.solver_iterations[i] is None and free.solver_iterations[i] > 3
 
     @pytest.mark.parametrize(
         "acts,ratios,stop,lam",
@@ -338,9 +331,9 @@ class TestTheoryPass:
         """Every point of the paper's sweeps converges from the refined start
         in at most 5 Newton steps, the polishing step included."""
         cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
-        rows = run_sweep(build_sweep_spec(parse_config(json.dumps(cfg)))).rows
-        assert all(row.error is None for row in rows)
-        assert max(row.solver_iterations for row in rows) <= 5
+        result = run_sweep(build_sweep_spec(parse_config(json.dumps(cfg))))
+        assert all(error is None for error in result.error)
+        assert max(result.solver_iterations) <= 5
 
     @pytest.mark.parametrize(
         "acts,ratios,stop,lam,max_iter",
@@ -361,7 +354,7 @@ class TestTheoryPass:
         cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
         spec = build_sweep_spec(parse_config(json.dumps(cfg)))
         monkeypatch.setattr(multidescent.risk, "_MAX_ITER", max_iter)
-        rows = run_sweep(spec).rows
+        result = run_sweep(spec)
         points = expand_grid(spec)
 
         def outcome(theory):
@@ -371,18 +364,17 @@ class TestTheoryPass:
                 return err
 
         outcomes = [outcome(p.theory) for p in points]
-        assert len(rows) == len(points) == len(outcomes)
-        for row, point, out in zip(rows, points, outcomes):
-            assert (row.c, row.psi) == (point.c, point.theory.psi)
+        assert result.c.tolist() == [point.c for point in points]
+        assert result.psi.tolist() == [list(point.theory.psi) for point in points]
+        for i, out in enumerate(outcomes):
             if isinstance(out, Exception):
-                assert row.error == f"{type(out).__name__}: {out}"
-                assert row.solver_iterations is None
-                assert all(map(math.isnan, (row.theory_risk, row.theory_bias, row.theory_variance)))
+                assert result.error[i] == f"{type(out).__name__}: {out}"
+                assert result.solver_iterations[i] is None
+                assert all(map(math.isnan, _theory_cells(result, i)[:3]))
             else:
-                assert row.error is None
-                assert (row.theory_risk, row.theory_bias, row.theory_variance, row.solver_iterations) == (
-                    out.risk, out.bias, out.variance, out.iterations)
-        failed = sum(row.error is not None for row in rows)
+                assert result.error[i] is None
+                assert _theory_cells(result, i) == (out.risk, out.bias, out.variance, out.iterations)
+        failed = sum(error is not None for error in result.error)
         assert (failed > 0) == (max_iter == 3)
 
     def test_singular_jacobian_fails_its_point_alone(self):
@@ -397,16 +389,15 @@ class TestTheoryPass:
         spec = build_sweep_spec(parse_config(json.dumps(cfg)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = run_sweep(spec).rows
+            result = run_sweep(spec)
         reason = ("NoConvergence: block 1 scale is at most psi_1/sqrt(lambda) = 4.941e-324, "
                   "below the normal float range, at lambda=9.000e+00")
-        assert rows[0].error == reason
-        assert math.isnan(rows[0].theory_risk) and rows[0].solver_iterations is None
-        for row in rows[1:]:
-            direct = asymptotic_risk(replace(spec.base, psi=row.psi))
-            assert row.error is None
-            assert (row.theory_risk, row.theory_bias, row.theory_variance, row.solver_iterations) == (
-                direct.risk, direct.bias, direct.variance, direct.iterations)
+        assert result.error[0] == reason
+        assert math.isnan(result.theory_risk[0]) and result.solver_iterations[0] is None
+        for i in (1, 2):
+            direct = asymptotic_risk(replace(spec.base, psi=result.psi[i]))
+            assert result.error[i] is None
+            assert _theory_cells(result, i) == (direct.risk, direct.bias, direct.variance, direct.iterations)
         out, err = io.StringIO(), io.StringIO()
         assert dispatch("sweep", parse_config(json.dumps(cfg)), out, err) == ExitStatus.OK
         assert err.getvalue() == f"sweep: 1 of 3 grid points failed (first: {reason})\n"
@@ -450,17 +441,14 @@ class TestBaseWidths:
 class TestEmpiricalPass:
     def test_empirical_columns_filled(self):
         result = _small_empirical_sweep()
-        for row in result.rows:
-            assert row.emp_mean is not None and math.isfinite(row.emp_mean)
-            assert row.emp_se is not None and row.emp_se >= 0.0
-            assert row.replications == 3
+        assert all(mean is not None and math.isfinite(mean) for mean in result.emp_mean)
+        assert all(se is not None and se >= 0.0 for se in result.emp_se)
+        assert result.replications == [3, 3, 3]
 
     def test_worker_count_is_invisible(self):
         serial = _small_empirical_sweep(workers=1)
         threaded = _small_empirical_sweep(workers=4)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.emp_mean == b.emp_mean
-            assert a.emp_se == b.emp_se
+        assert (serial.emp_mean, serial.emp_se) == (threaded.emp_mean, threaded.emp_se)
 
     def test_failed_replications_keep_theory_columns(self, monkeypatch):
         """A ridge fit that fails every point's Monte Carlo fails no theory column."""
@@ -470,10 +458,22 @@ class TestEmpiricalPass:
 
         monkeypatch.setattr(simulator, "ridge_fit", failing)
         result = _small_empirical_sweep(workers=2)
-        for row in result.rows:
-            assert row.error == "SolveFailure: replication 0: non-finite entries in ridge inputs"
-            assert (row.emp_mean, row.emp_se, row.replications) == (None, None, None)
-            assert all(map(math.isfinite, (row.theory_risk, row.theory_bias, row.theory_variance)))
+        assert result.error == ["SolveFailure: replication 0: non-finite entries in ridge inputs"] * 3
+        assert result.emp_mean == result.emp_se == result.replications == [None] * 3
+        assert np.isfinite([result.theory_risk, result.theory_bias, result.theory_variance]).all()
+
+    def test_rows_are_the_columns_by_point(self):
+        """``rows``, which the benchmark's tracer reads, holds every column at
+        each point."""
+        result = _small_empirical_sweep()
+        rows = result.rows
+        assert len(rows) == len(result.c)
+        for i, row in enumerate(rows):
+            assert row == SweepRow(c=result.c[i], psi=tuple(result.psi[i]), psi_n=result.psi_n, lam=result.lam,
+                                   theory_risk=result.theory_risk[i], theory_bias=result.theory_bias[i],
+                                   theory_variance=result.theory_variance[i], emp_mean=result.emp_mean[i],
+                                   emp_se=result.emp_se[i], replications=result.replications[i],
+                                   solver_iterations=result.solver_iterations[i], error=result.error[i])
 
     def test_oversized_runs_fail_before_any_draw(self, monkeypatch):
         """A grid value whose finite-size run would need more memory than the
@@ -514,11 +514,10 @@ class TestEmpiricalPass:
 
 class TestCsv:
     def test_header(self):
-        assert csv_header(2) == (
-            "c,psi_1,psi_2,psi_n,lambda,theory_risk,theory_bias,theory_variance,"
-            "emp_mean,emp_se,replications,solver_iterations"
-        )
-        assert csv_header(1).startswith("c,psi_1,psi_n,")
+        for psi, widths in (((1.0, 1.0), "psi_1,psi_2"), ((1.0,), "psi_1")):
+            header = csv_text(_result(c=[1.0], psi=[psi])).split("\n")[0]
+            assert header == (f"c,{widths},psi_n,lambda,theory_risk,theory_bias,theory_variance,"
+                              "emp_mean,emp_se,replications,solver_iterations")
 
     def test_round_trip(self):
         spec = SweepSpec(base=_base(), c_grid=(0.5, 1.0, 2.0))
@@ -527,20 +526,19 @@ class TestCsv:
         assert text.endswith("\n") and "\r" not in text
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 3
-        for rec, row in zip(parsed, result.rows):
-            assert rec["c"] == format_number(row.c)
-            assert rec["psi_1"] == format_number(row.psi[0])
-            assert rec["lambda"] == format_number(row.lam)
-            np.testing.assert_allclose(float(rec["theory_risk"]), row.theory_risk, rtol=1e-11)
+        for i, rec in enumerate(parsed):
+            assert rec["c"] == format_number(result.c[i])
+            assert rec["psi_1"] == format_number(result.psi[i, 0])
+            assert rec["lambda"] == format_number(result.lam)
+            np.testing.assert_allclose(float(rec["theory_risk"]), result.theory_risk[i], rtol=1e-11)
             assert rec["emp_mean"] == "" and rec["emp_se"] == "" and rec["replications"] == ""
-            assert int(rec["solver_iterations"]) == row.solver_iterations
+            assert int(rec["solver_iterations"]) == result.solver_iterations[i]
 
     def test_empirical_cells(self):
         result = _small_empirical_sweep()
         parsed = list(csv.DictReader(io.StringIO(csv_text(result))))
-        for rec, row in zip(parsed, result.rows):
-            np.testing.assert_allclose(float(rec["emp_mean"]), row.emp_mean, rtol=1e-11)
-            assert rec["replications"] == "3"
+        np.testing.assert_allclose([float(rec["emp_mean"]) for rec in parsed], result.emp_mean, rtol=1e-11)
+        assert [rec["replications"] for rec in parsed] == ["3"] * 3
 
     def test_failed_rows_leave_empty_cells(self, monkeypatch):
         spec = SweepSpec(base=_base(lam=1e-6), c_grid=(0.5, 1.0))
@@ -556,16 +554,13 @@ class TestCsv:
         """None, int, NaN, inf, signed zero and both sides of each fixed/scientific
         boundary, as format_number writes them."""
         nan, inf = float("nan"), float("inf")
-        rows = [
-            SweepRow(c=0.5, psi=(0.25, 1e-7), psi_n=3.0, lam=1e-5, theory_risk=1.25,
-                     theory_bias=0.0, theory_variance=-0.0, solver_iterations=9),
-            SweepRow(c=1.0, psi=(0.1, 2e15), psi_n=3.0, lam=1e-5, theory_risk=nan,
-                     theory_bias=inf, theory_variance=-inf, error="NoConvergence: x"),
-            SweepRow(c=1.5, psi=(0.09999999999999999, 123.456), psi_n=3.0, lam=1e-5,
-                     theory_risk=-0.3, theory_bias=1e15, theory_variance=999999999999999.9,
-                     emp_mean=0.31, emp_se=0.0, replications=20, solver_iterations=11),
-        ]
-        assert csv_text(_result(rows)) == (
+        result = _result(
+            c=[0.5, 1.0, 1.5], psi=[(0.25, 1e-7), (0.1, 2e15), (0.09999999999999999, 123.456)],
+            theory_risk=[1.25, nan, -0.3], theory_bias=[0.0, inf, 1e15],
+            theory_variance=[-0.0, -inf, 999999999999999.9], emp_mean=[None, None, 0.31],
+            emp_se=[None, None, 0.0], replications=[None, None, 20], solver_iterations=[9, None, 11],
+            error=[None, "NoConvergence: x", None])
+        assert csv_text(result) == (
             "c,psi_1,psi_2,psi_n,lambda,theory_risk,theory_bias,theory_variance,"
             "emp_mean,emp_se,replications,solver_iterations\n"
             "0.500000000000,0.250000000000,1.000000000000e-07,3.000000000000,"
@@ -593,19 +588,21 @@ class TestCsv:
             spec = build_sweep_spec(parse_config(json.dumps(
                 _sweep_config(CASCADE_ACTS, [1, 1, 3], 1e-4, c_grid=[0.5, 1.0, 2.5, 1e307]))))
         result = run_sweep(spec)
-        assert 0 < sum(row.error is not None for row in result.rows) < len(result.rows)
-        assert all((row.emp_mean is not None) == empirical for row in result.rows)
+        assert 0 < sum(error is not None for error in result.error) < len(result.error)
+        assert all((mean is not None) == empirical for mean in result.emp_mean)
 
         def cell(v):
             if isinstance(v, int) or v is None:
                 return "" if v is None else str(v)
             return format_number(v) if math.isfinite(v) else ""
 
-        expected = [csv_header(3)] + [
-            ",".join(map(cell, (row.c, *row.psi, row.psi_n, row.lam, row.theory_risk, row.theory_bias,
-                                row.theory_variance, row.emp_mean, row.emp_se, row.replications,
-                                row.solver_iterations)))
-            for row in result.rows]
+        g = len(result.c)
+        columns = (result.c.tolist(), *result.psi.T.tolist(), [result.psi_n] * g, [result.lam] * g,
+                   result.theory_risk.tolist(), result.theory_bias.tolist(), result.theory_variance.tolist(),
+                   result.emp_mean, result.emp_se, result.replications, result.solver_iterations)
+        expected = [("c,psi_1,psi_2,psi_3,psi_n,lambda,theory_risk,theory_bias,theory_variance,"
+                     "emp_mean,emp_se,replications,solver_iterations")]
+        expected += [",".join(map(cell, point)) for point in zip(*columns)]
         assert csv_text(result) == "\n".join(expected) + "\n"
 
     def test_write_csv_matches_text(self, tmp_path):
@@ -617,7 +614,7 @@ class TestCsv:
 
     def test_empty_result_raises(self):
         with pytest.raises(EmptyGrid):
-            csv_text(_result([], k=2))
+            csv_text(_result(c=[], psi=np.zeros((0, 2))))
 
 
 # Quarters from -2 to 10 and the non-finite values: distinct drawable values are
@@ -662,9 +659,7 @@ class TestSvg:
         meta_el = next(el for el in root.iter() if el.tag.endswith("metadata"))
         payload = json.loads(meta_el.text)
         assert payload["c"] == [0.5, 1.0, 1.5]
-        np.testing.assert_allclose(
-            payload["theory_risk"], [r.theory_risk for r in result.rows], rtol=1e-11
-        )
+        np.testing.assert_allclose(payload["theory_risk"], result.theory_risk, rtol=1e-11)
         assert payload["log_y"] is False and payload["y_cap"] is None
         assert "created" not in payload["metadata"]
         assert payload["metadata"]["ratios"] == [1.0, 1.0]
@@ -672,7 +667,7 @@ class TestSvg:
     def test_y_cap_marks_clipped_points(self, tmp_path):
         spec = SweepSpec(base=_base(lam=1e-4), c_grid=(0.6, 1.0, 1.4))
         result = run_sweep(spec)
-        cap = min(r.theory_risk for r in result.rows) * 1.01
+        cap = float(result.theory_risk.min()) * 1.01
         out = tmp_path / "capped.svg"
         render_svg(result, out, y_cap=cap)
         root = _svg_root(out)
@@ -824,22 +819,27 @@ def _y_labels(root) -> list[str]:
     return [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
 
 
-def _result(rows, k=None) -> SweepResult:
-    """The columnar result of ``rows``, which share psi_n and lambda; ``k``
-    gives the block count where there are no rows."""
-    psi = np.array([row.psi for row in rows]).reshape(len(rows), k or len(rows[0].psi))
-    arrays = {name: np.array([getattr(row, name) for row in rows], dtype=float)
-              for name in ("c", "theory_risk", "theory_bias", "theory_variance")}
-    lists = {name: [getattr(row, name) for row in rows]
+def _result(c, psi, **columns) -> SweepResult:
+    """The result of the columns ``c``, ``psi`` (G, K) and any others given
+    by name, at psi_n = 3 and lambda = 1e-5; a theory column not given is
+    NaN at every point, and any other None."""
+    g = len(c)
+    theory = {name: np.array(columns.pop(name, [math.nan] * g), dtype=float)
+              for name in ("theory_risk", "theory_bias", "theory_variance")}
+    lists = {name: columns.pop(name, [None] * g)
              for name in ("emp_mean", "emp_se", "replications", "solver_iterations", "error")}
-    return SweepResult(psi=psi, psi_n=rows[0].psi_n if rows else 1.0, lam=rows[0].lam if rows else 1.0,
-                       **arrays, **lists)
+    assert not columns, columns
+    return SweepResult(c=np.array(c, dtype=float), psi=np.array(psi, dtype=float), psi_n=3.0, lam=1e-5,
+                       **theory, **lists)
 
 
 def _drawn(points) -> SweepResult:
-    """A result to draw at c = 1, 2, ...: (theory risk, emp mean, emp se) per row."""
-    return _result([
-        SweepRow(c=float(i + 1), psi=(0.5, 0.5), psi_n=1.0, lam=1e-3, theory_risk=risk,
-                 theory_bias=0.0, theory_variance=0.0, emp_mean=mean, emp_se=se)
-        for i, (risk, mean, se) in enumerate(points)
-    ])
+    """A result to draw at c = 1, 2, ...: (theory risk, emp mean, emp se) per point."""
+    risk, mean, se = (list(column) for column in zip(*points))
+    return _result(c=range(1, len(points) + 1), psi=[(0.5, 0.5)] * len(points), theory_risk=risk,
+                   emp_mean=mean, emp_se=se)
+
+
+def _theory_cells(result: SweepResult, i: int) -> tuple:
+    """Point ``i``'s theory risk, bias and variance and its Newton steps."""
+    return (result.theory_risk[i], result.theory_bias[i], result.theory_variance[i], result.solver_iterations[i])
