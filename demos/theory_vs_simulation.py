@@ -11,13 +11,7 @@ curve.
 import argparse
 from dataclasses import replace
 
-from multidescent import (
-    ActivationSpec,
-    EmpiricalConfig,
-    asymptotic_risk,
-    run_experiments,
-    theory_spec_from_empirical,
-)
+from multidescent import ActivationSpec, EmpiricalConfig, SweepSpec, run_sweep, theory_spec_from_empirical
 
 
 def main() -> None:
@@ -37,22 +31,21 @@ def main() -> None:
     print(f"d={d}, n={n}, activations (elu(3x), relu(x/4)), lambda=1e-3, tau=0.1")
     print(f"{'c':>5} {'theory':>12} {'empirical':>12} {'std err':>10} {'gap/se':>8}")
     grid = (0.5, 1.0, 1.5, 2.0, 3.0)
-    counts = [(round(c * n / 2.0),) * 2 for c in grid]
+    # The run at c = 1; the sweep splits c*n features evenly between the blocks at each c.
     cfg = EmpiricalConfig(
-        d=d, n=n, N=counts[0], activations=acts,
+        d=d, n=n, N=(n // 2,) * 2, activations=acts,
         lam=1e-3, F0=0.2, F1=1.0, tau=0.1,
         n_test=500, replications=args.replications, base_seed=args.seed,
     )
+    spec = SweepSpec(base=replace(theory_spec_from_empirical(cfg), psi=(1.0, 1.0)), c_grid=grid, empirical=cfg)
     # One call: the worker threads run every replication of every point.
-    for c, N, emp in zip(grid, counts, run_experiments(cfg, counts, workers=args.workers)):
-        if isinstance(emp, Exception):
-            raise emp
-        theory = asymptotic_risk(theory_spec_from_empirical(replace(cfg, N=N))).risk
-        pulls = abs(emp.mean - theory) / emp.std_error if emp.std_error else 0.0
-        print(
-            f"{c:>5.2f} {theory:>12.6f} {emp.mean:>12.6f} "
-            f"{emp.std_error:>10.6f} {pulls:>8.2f}"
-        )
+    result = run_sweep(spec, workers=args.workers)
+    for c, theory, mean, se, error in zip(grid, result.theory_risk, result.emp_mean, result.emp_se,
+                                          result.error):
+        if error is not None:
+            raise SystemExit(f"c={c}: {error}")
+        pulls = abs(mean - theory) / se if se else 0.0
+        print(f"{c:>5.2f} {theory:>12.6f} {mean:>12.6f} {se:>10.6f} {pulls:>8.2f}")
     print()
     print("gap/se is the distance between simulation and theory in units of")
     print("the Monte Carlo standard error; values of order one mean the")

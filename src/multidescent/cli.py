@@ -4,8 +4,11 @@ Usage: ``multidescent <subcommand> --config <path> [--set key=value ...]``
 with subcommands ``moments``, ``theory``, ``simulate``, ``sweep`` and
 ``limit``.  Results go to stdout as JSON (CSV for ``sweep``) with 12-digit
 numbers; diagnostics and errors go to stderr, one line per error carrying
-the error class name.  Exit codes: 0 success, 2 configuration error,
-3 numerical/solver failure, 4 I/O error.  ``simulate`` and ``sweep`` run
+the error class name.  Exit codes: 0 success; 2 for an input error
+(``ConfigError``, ``InvalidSpec``, ``QuadratureDiverged``); 3 for a solver
+failure (``NoConvergence``, ``SolveFailure``); 4 for an I/O error
+(``OSError``).  The handlers read the validated document that
+``parse_config`` returns and never change it.  ``simulate`` and ``sweep`` run
 their Monte Carlo replications in one pool of ``empirical.workers``
 threads; ``--set empirical.workers=N`` changes that count, never the output.
 """
@@ -23,7 +26,6 @@ from . import __version__
 from .activations import QuadratureDiverged
 from .config import (
     ConfigError,
-    RootConfig,
     build_empirical_config,
     build_limit_spec,
     build_sweep_spec,
@@ -31,15 +33,9 @@ from .config import (
     parse_config,
 )
 from .formatting import _write_text, to_json
-from .risk import (
-    DegenerateMoments,
-    InvalidSpec,
-    NoConvergence,
-    asymptotic_risk,
-    limit_risk_infinite_width,
-)
-from .simulator import ShapeMismatch, SolveFailure, run_experiment
-from .sweep import EmptyGrid, csv_text, render_svg, run_sweep
+from .risk import InvalidSpec, NoConvergence, asymptotic_risk, limit_risk_infinite_width
+from .simulator import SolveFailure, run_experiment
+from .sweep import csv_text, render_svg, run_sweep
 
 __all__ = ["ExitStatus", "main", "dispatch"]
 
@@ -51,8 +47,8 @@ class ExitStatus(IntEnum):
     IO = 4
 
 
-_CONFIG_ERRORS = (ConfigError, InvalidSpec, DegenerateMoments, EmptyGrid, QuadratureDiverged)
-_SOLVER_ERRORS = (NoConvergence, SolveFailure, ShapeMismatch, np.linalg.LinAlgError)
+_CONFIG_ERRORS = (ConfigError, InvalidSpec, QuadratureDiverged)
+_SOLVER_ERRORS = (NoConvergence, SolveFailure, np.linalg.LinAlgError)
 _STATUSES = ((_CONFIG_ERRORS, ExitStatus.CONFIG), (_SOLVER_ERRORS, ExitStatus.SOLVER),
              ((OSError,), ExitStatus.IO))
 _ERRORS = _CONFIG_ERRORS + _SOLVER_ERRORS + (OSError,)
@@ -64,19 +60,19 @@ def _failure(err: Exception, stream) -> ExitStatus:
     return next(status for kinds, status in _STATUSES if isinstance(err, kinds))
 
 
-def _workers(cfg: RootConfig) -> int | None:
-    return (cfg.empirical or {}).get("workers")
+def _workers(cfg: dict) -> int | None:
+    return cfg.get("empirical", {}).get("workers")
 
 
 def _moments_payload(m) -> dict:
     return {"mu0": m.mu0, "mu1": m.mu1, "mu2_sq": m.mu2_sq}
 
 
-def _cmd_moments(cfg: RootConfig, err_stream) -> str:
-    return to_json({"moments": [_moments_payload(m) for m in cfg.moments]})
+def _cmd_moments(cfg: dict, err_stream) -> str:
+    return to_json({"moments": [_moments_payload(m) for m in cfg["moments"]]})
 
 
-def _cmd_theory(cfg: RootConfig, err_stream) -> str:
+def _cmd_theory(cfg: dict, err_stream) -> str:
     result = asymptotic_risk(build_theory_spec(cfg))
     print(f"solver: {result.iterations} iterations, residual {result.residual:.3e}",
           file=err_stream)
@@ -90,7 +86,7 @@ def _cmd_theory(cfg: RootConfig, err_stream) -> str:
     )
 
 
-def _cmd_simulate(cfg: RootConfig, err_stream) -> str:
+def _cmd_simulate(cfg: dict, err_stream) -> str:
     ecfg = build_empirical_config(cfg)
     result = run_experiment(ecfg, workers=_workers(cfg))
     return to_json(
@@ -103,7 +99,7 @@ def _cmd_simulate(cfg: RootConfig, err_stream) -> str:
     )
 
 
-def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
+def _cmd_sweep(cfg: dict, err_stream) -> str:
     spec = build_sweep_spec(cfg)
     result = run_sweep(spec, workers=_workers(cfg))
     failed = [error for error in result.error if error is not None]
@@ -113,12 +109,12 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
             f"(first: {failed[0]})",
             file=err_stream,
         )
-    out = cfg.output
+    out = cfg["output"]
     text = csv_text(result)
     if out.get("csv_path"):
         _write_text(out["csv_path"], text)
     if out.get("svg_path"):
-        style = {key: cfg.sweep[key] for key in ("log_y", "y_cap") if key in cfg.sweep}
+        style = {key: cfg["sweep"][key] for key in ("log_y", "y_cap") if key in cfg["sweep"]}
         render_svg(result, out["svg_path"], **style)
     if out.get("json_path"):
         g = len(result.c)
@@ -133,7 +129,7 @@ def _cmd_sweep(cfg: RootConfig, err_stream) -> str:
     return text.rstrip("\n")
 
 
-def _cmd_limit(cfg: RootConfig, err_stream) -> str:
+def _cmd_limit(cfg: dict, err_stream) -> str:
     ls = build_limit_spec(cfg)
     return to_json(
         {"risk": limit_risk_infinite_width(ls), "r": list(ls.r), "psi_n": ls.psi_n}
@@ -152,8 +148,8 @@ _COMMANDS = {
 }
 
 
-def dispatch(command: str, cfg: RootConfig, out_stream=None, err_stream=None) -> ExitStatus:
-    """Run one subcommand against a validated config; returns the exit status."""
+def dispatch(command: str, cfg: dict, out_stream=None, err_stream=None) -> ExitStatus:
+    """Run one subcommand against a validated document; returns the exit status."""
     out_stream = out_stream if out_stream is not None else sys.stdout
     err_stream = err_stream if err_stream is not None else sys.stderr
     try:

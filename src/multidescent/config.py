@@ -5,11 +5,17 @@ unknown keys are rejected, and every error carries a JSON-pointer-style
 location (``/model/lambda: lambda must be > 0``) so a long config can be
 fixed without guesswork.  Each section is a ``{key: check}`` table walked by
 :func:`_fields`; only rules that span several keys are written by hand.
-There is one data model: a validated section is the dict of its checked
-keys, and the builders read those dicts into ``TheorySpec``,
-``EmpiricalConfig``, ``SweepSpec`` and ``LimitSpec``.  A builder passes an
-optional key only when the document gives it, so every default lives in
-the spec (or ``render_svg``) that reads it.
+A validated document is the one data model: the dict of its checked
+sections, each the dict of its checked keys named as in the JSON
+(``"lambda"``; ``sweep`` holds ``c_grid`` whether the document gave a grid
+or a ``c_range``; ``activations`` is a tuple of ``ActivationSpec``), with
+``output`` defaulting to ``{}`` and one moment triple per block under
+``moments``, computed from the activations or moved there from
+``moments_override`` (a key no document can hold, since unknown keys are
+refused).  The builders read it, and never change it,
+into ``TheorySpec``, ``EmpiricalConfig``, ``SweepSpec`` and ``LimitSpec``.
+A builder passes an optional key only when the document gives it, so every
+default lives in the spec (or ``render_svg``) that reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments, represents_intercept
 from .risk import LimitSpec, TheorySpec
@@ -175,26 +180,6 @@ def _c_range(value, pointer: str) -> tuple[float, ...]:
     return grid
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Validated configuration with activation moments already resolved.
-
-    Every other section is the dict of its checked keys, named as in the
-    JSON (``"lambda"``); a section the document omits is None (``output``:
-    empty).  A key the document omits is absent, so the builders leave it
-    to the default of the spec they build.  ``sweep`` holds ``c_grid``
-    whether the document gave a grid or a ``c_range``.
-    """
-
-    activations: tuple[ActivationSpec, ...] | None
-    moments: tuple[Moments, ...]
-    model: dict | None
-    empirical: dict | None
-    sweep: dict | None
-    limit: dict | None
-    output: dict
-
-
 _ACTIVATION = {"kind": _kind, "in_scale": _number, "out_scale": _number, "shift": _number}
 _MOMENTS = {"mu0": _number, "mu1": _number, "mu2_sq": _nonnegative}
 _MODEL = {
@@ -267,26 +252,26 @@ _ROOT = {
 }
 
 
-def validate_config(raw: dict) -> RootConfig:
-    """Validate a parsed JSON document into a RootConfig, eagerly and strictly."""
+def validate_config(raw: dict) -> dict:
+    """Validate a parsed JSON document, eagerly and strictly, into its
+    checked sections with the moments resolved (see the module docstring)."""
     doc = _fields(raw, "", _ROOT)
     if ("activations" in doc) == ("moments_override" in doc):
         raise ConfigError("", "give exactly one of activations or moments_override")
-    activations = doc.get("activations")
-    if activations is not None:
-        moments = tuple(compute_moments(a) for a in activations)
+    if "activations" in doc:
+        doc["moments"] = tuple(compute_moments(a) for a in doc["activations"])
     else:
-        moments = doc["moments_override"]
+        doc["moments"] = doc.pop("moments_override")
 
     model = doc.get("model", {})
-    k = len(moments)
+    k = len(doc["moments"])
     widths = model.get("psi", model.get("N"))
     if widths is not None and len(widths) != k:
         raise ConfigError(
             "/model",
             f"model has {len(widths)} components but {k} activations/moments given",
         )
-    if model.get("F0") and not represents_intercept(moments):
+    if model.get("F0") and not represents_intercept(doc["moments"]):
         raise ConfigError(
             "/model/F0",
             "F0 != 0 requires at least one activation with nonzero Gaussian mean",
@@ -295,16 +280,8 @@ def validate_config(raw: dict) -> RootConfig:
         values = doc.get(section, {}).get(key)
         if values is not None and len(values) != k:
             raise ConfigError(f"/{section}/{key}", f"expected {k} entries to match the model")
-
-    return RootConfig(
-        activations=activations,
-        moments=moments,
-        model=doc.get("model"),
-        empirical=doc.get("empirical"),
-        sweep=doc.get("sweep"),
-        limit=doc.get("limit"),
-        output=doc.get("output", {}),
-    )
+    doc.setdefault("output", {})
+    return doc
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -348,9 +325,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
-def parse_config(source: str, overrides: list[str] | None = None) -> RootConfig:
+def parse_config(source: str, overrides: list[str] | None = None) -> dict:
     """Load a JSON document from a path, or parse inline text starting with
-    '{', apply the ``overrides`` and validate it, in one step."""
+    '{', apply the ``overrides`` and validate it, in one step; returns the
+    validated document (see :func:`validate_config`)."""
     text = source
     if not source.lstrip().startswith("{"):
         if not os.path.exists(source):
@@ -375,20 +353,21 @@ def _psi_n(model: dict) -> float:
     return model["psi_n"] if "psi_n" in model else model["n"] / model["d"]
 
 
-def _model_of(cfg: RootConfig) -> dict:
+def _model_of(cfg: dict) -> dict:
     """The model section, which every command but ``moments`` reads."""
-    if cfg.model is None:
+    if "model" not in cfg:
         raise ConfigError("", "missing required section 'model'")
-    return cfg.model
+    return cfg["model"]
 
 
-def _at_widths(cfg: RootConfig, psi) -> TheorySpec:
+def _at_widths(cfg: dict, psi) -> TheorySpec:
     """The model at the widths ``psi``; its ``lambda`` must be given."""
-    return TheorySpec(psi=psi, psi_n=_psi_n(cfg.model), moments=cfg.moments, lam=cfg.model["lambda"],
-                      **_given(cfg.model, ("F0", "F1", "tau")))
+    model = cfg["model"]
+    return TheorySpec(psi=psi, psi_n=_psi_n(model), moments=cfg["moments"], lam=model["lambda"],
+                      **_given(model, ("F0", "F1", "tau")))
 
 
-def build_theory_spec(cfg: RootConfig) -> TheorySpec:
+def build_theory_spec(cfg: dict) -> TheorySpec:
     """Asymptotic instance from the model section (counts become ratios)."""
     model = _model_of(cfg)
     widths = "psi" if "psi_n" in model else "N"
@@ -396,39 +375,51 @@ def build_theory_spec(cfg: RootConfig) -> TheorySpec:
     return _at_widths(cfg, model["psi"] if widths == "psi" else tuple(nc / model["d"] for nc in model["N"]))
 
 
-def build_empirical_config(cfg: RootConfig) -> EmpiricalConfig:
-    """The finite-size run of the model: its activations, d, n and N, and the
-    empirical section's settings."""
+def _finite_size(cfg: dict, counts=None) -> EmpiricalConfig:
+    """The finite-size run of the model: its activations, d, n and N (or
+    ``counts``, where the model gives d and n but no N), and the empirical
+    section's settings."""
     model = _model_of(cfg)
-    if cfg.activations is None:
+    if "activations" not in cfg:
         raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
-    if "N" not in model:
+    counts = model.get("N", counts if "d" in model else None)
+    if counts is None:
         raise ConfigError("/model", "finite-size runs need explicit feature counts N")
-    spec = build_theory_spec(cfg)
+    _require(model, "/model", ("lambda",))
+    spec = _at_widths(cfg, tuple(nc / model["d"] for nc in counts))
     return EmpiricalConfig(
-        d=model["d"], n=model["n"], N=model["N"], activations=cfg.activations,
+        d=model["d"], n=model["n"], N=counts, activations=cfg["activations"],
         lam=spec.lam, F0=spec.F0, F1=spec.F1, tau=spec.tau,
-        **_given(cfg.empirical or {}, ("n_test", "replications", "base_seed")),
+        **_given(cfg.get("empirical", {}), ("n_test", "replications", "base_seed")),
     )
 
 
-def build_sweep_spec(cfg: RootConfig) -> SweepSpec:
+def build_empirical_config(cfg: dict) -> EmpiricalConfig:
+    """The finite-size run of the model, at its feature counts N."""
+    return _finite_size(cfg)
+
+
+def build_sweep_spec(cfg: dict) -> SweepSpec:
     """Sweep instance: the model at widths ``sweep.ratios`` (all 1 by default), so a theory-only
-    sweep reads no model widths; attaches the model's finite-size run iff /empirical is present."""
+    sweep reads no model widths; attaches the model's finite-size run iff /empirical is present.
+    That run is built at the model's N, or at one feature a block without it: the sweep runs
+    its own counts at each c, never these."""
     model = _model_of(cfg)
-    if cfg.sweep is None:
+    if "sweep" not in cfg:
         raise ConfigError("", "missing required section 'sweep'")
     _require(model, "/model", ("lambda",))
-    base = _at_widths(cfg, cfg.sweep.get("ratios", (1.0,) * len(cfg.moments)))
-    empirical = build_empirical_config(cfg) if cfg.empirical is not None else None
-    return SweepSpec(base=base, c_grid=cfg.sweep["c_grid"], empirical=empirical)
+    ones = (1,) * len(cfg["moments"])
+    base = _at_widths(cfg, cfg["sweep"].get("ratios", ones))
+    empirical = _finite_size(cfg, ones) if "empirical" in cfg else None
+    return SweepSpec(base=base, c_grid=cfg["sweep"]["c_grid"], empirical=empirical)
 
 
-def build_limit_spec(cfg: RootConfig) -> LimitSpec:
+def build_limit_spec(cfg: dict) -> LimitSpec:
     """Infinite-width instance; the block weights default to all 1."""
+    model = _model_of(cfg)
     return LimitSpec(
-        r=(cfg.limit or {}).get("r", (1.0,) * len(cfg.moments)),
-        psi_n=_psi_n(_model_of(cfg)),
-        moments=cfg.moments,
-        **_given(cfg.model, ("F1", "tau")),
+        r=cfg.get("limit", {}).get("r", (1.0,) * len(cfg["moments"])),
+        psi_n=_psi_n(model),
+        moments=cfg["moments"],
+        **_given(model, ("F1", "tau")),
     )

@@ -83,7 +83,6 @@ __all__ = [
     "NoConvergence",
     "TheoryRisk",
     "LimitSpec",
-    "DegenerateMoments",
     "IllConditionedWarning",
     "asymptotic_risk",
     "limit_risk_infinite_width",
@@ -91,7 +90,9 @@ __all__ = [
 
 
 class InvalidSpec(ValueError):
-    """Problem instance violates a hard precondition (e.g. lambda <= 0)."""
+    """An input violates a hard precondition: lambda <= 0, an empty c grid,
+    moments that leave the width limit undefined, arrays whose shapes
+    disagree, a value that leaves the float range, and the like."""
 
 
 class NoConvergence(RuntimeError):
@@ -149,10 +150,6 @@ class TheorySpec:
         if not math.isfinite(self.F0):
             raise InvalidSpec("F0 must be finite")
         _check_blocks("psi", self.psi, self.moments, self.psi_n, self.F1, self.tau)
-
-
-class DegenerateMoments(ValueError):
-    """Width-limit formula needs nonzero linear and nonlinear moment weights."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -619,7 +616,7 @@ def limit_risk_infinite_width(ls: LimitSpec) -> float:
     lin = float(sum(x * m.mu1 * m.mu1 for x, m in zip(r, ls.moments)))
     nonlin = float(sum(x * m.mu2_sq for x, m in zip(r, ls.moments)))
     if lin * nonlin <= 0.0:
-        raise DegenerateMoments(
+        raise InvalidSpec(
             "need sum_c r_c mu_{c,1}^2 > 0 and sum_c r_c mu_{c,2}^2 > 0 for the width limit"
         )
     # In Python floats an overflow below gives inf, refused at the end,

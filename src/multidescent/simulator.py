@@ -32,7 +32,6 @@ from .risk import InvalidSpec, TheorySpec
 __all__ = [
     "EmpiricalConfig",
     "EmpiricalRisk",
-    "ShapeMismatch",
     "SolveFailure",
     "feature_matrix",
     "ridge_fit",
@@ -40,10 +39,6 @@ __all__ = [
     "run_experiments",
     "theory_spec_from_empirical",
 ]
-
-
-class ShapeMismatch(ValueError):
-    """Matrix dimensions disagree with the declared activation split."""
 
 
 class SolveFailure(RuntimeError):
@@ -138,9 +133,9 @@ def feature_matrix(
     of rows at a time.
     """
     if X.ndim != 2 or Theta.ndim != 2 or X.shape[1] != Theta.shape[1]:
-        raise ShapeMismatch(f"X {X.shape} and Theta {Theta.shape} disagree on d")
+        raise InvalidSpec(f"X {X.shape} and Theta {Theta.shape} disagree on d")
     if len(acts) != len(n_split) or sum(n_split) != Theta.shape[0]:
-        raise ShapeMismatch(
+        raise InvalidSpec(
             f"split {tuple(n_split)} does not partition the {Theta.shape[0]} features"
         )
     root_d = math.sqrt(X.shape[1])
@@ -165,7 +160,7 @@ def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: int) -> np.ndarray:
     samples, keeping the factorization at min(N, n)^3 cost.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be > 0")
+        raise InvalidSpec("lambda must be > 0")
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(y))):
         raise SolveFailure("non-finite entries in ridge inputs")
     n, N = Z.shape
@@ -178,7 +173,9 @@ def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: int) -> np.ndarray:
             gram = Z @ Z.T
             gram[np.arange(n), np.arange(n)] += lam
             ahat = Z.T @ np.linalg.solve(gram, y)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - lam > 0 makes SPD
+    # lam > 0 makes the Gram SPD in exact arithmetic, but a lam below the
+    # rounding of its diagonal leaves repeated columns exactly singular.
+    except np.linalg.LinAlgError as err:
         raise SolveFailure(str(err)) from err
     return ahat / math.sqrt(d)
 

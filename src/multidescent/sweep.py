@@ -20,7 +20,6 @@ from .risk import InvalidSpec, TheorySpec, _theory
 from .simulator import EmpiricalConfig, run_experiments, theory_spec_from_empirical
 
 __all__ = [
-    "EmptyGrid",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -30,10 +29,6 @@ __all__ = [
     "render_svg",
 ]
 
-class EmptyGrid(ValueError):
-    """The complexity grid contains no points."""
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A complexity sweep: ``base`` moved along the c grid.
@@ -41,7 +36,9 @@ class SweepSpec:
     The widths of ``base`` are the block proportions (only their direction
     matters), scaled at each c to sum to c*psi_n, and the counts of the
     finite-size run to c*n.  ``empirical``, when given, is that run: its
-    theory instance may differ from ``base`` in the widths alone.
+    theory instance may differ from ``base`` in the widths alone, and its
+    own counts N are never run.  The grid must be non-empty, finite, > 0 and
+    strictly increasing; a spec that breaks a rule raises ``InvalidSpec``.
     """
 
     base: TheorySpec
@@ -50,6 +47,8 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
+        if not self.c_grid:
+            raise InvalidSpec("c grid is empty")
         if any(not (c > 0.0 and math.isfinite(c)) for c in self.c_grid):
             raise InvalidSpec("c grid values must be > 0")
         if any(b >= a for a, b in zip(self.c_grid[1:], self.c_grid)):
@@ -142,8 +141,6 @@ def _along_grid(spec: SweepSpec, x: float, name: str, x_name: str) -> np.ndarray
 def _grid_psi(spec: SweepSpec) -> np.ndarray:
     """Widths psi_c = r_c*c*psi_n/sum(r) of every grid value, shape (G, K);
     widths that overflow to inf or underflow to 0 raise ``InvalidSpec``."""
-    if len(spec.c_grid) == 0:
-        raise EmptyGrid("c grid is empty")
     psi = _along_grid(spec, spec.base.psi_n, "psi entries", "psi_n")
     if not (psi > 0.0).all():
         raise InvalidSpec("all psi entries must be > 0")
@@ -216,7 +213,7 @@ def csv_text(result: SweepResult) -> str:
     numbers, formatted column by column from the result's columns."""
     g = len(result.c)
     if g == 0:
-        raise EmptyGrid("no rows to write")
+        raise InvalidSpec("no rows to write")
     floats = [result.c.tolist(), *result.psi.T.tolist(), [result.psi_n] * g, [result.lam] * g,
               *(a.tolist() for a in (result.theory_risk, result.theory_bias, result.theory_variance)),
               *([math.nan if v is None else v for v in values] for values in (result.emp_mean, result.emp_se))]
@@ -286,7 +283,7 @@ def render_svg(result: SweepResult, path, log_y: bool = False, y_cap: float | No
     vertices = [v for seg in segments for v in seg]
     xs = [v[0] for v in vertices] + [d[0] for d in dots]
     if not xs:
-        raise EmptyGrid("no drawable values on this axis scale")
+        raise InvalidSpec("no drawable values on this axis scale")
     ys = [v[1] for v in vertices] + [d[1] for d in dots] + [e for d in dots for e in d[3]]
     y_lo, y_hi = min(ys), max(ys)
     if y_hi - y_lo < 1e-12:

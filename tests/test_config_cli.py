@@ -7,6 +7,7 @@ come from closed forms: 1/sqrt(2*pi) for the relu mean, F1^2 for the
 constant-feature risk, and (sqrt(2)-1)/2 for the equal-ratio width limit.
 """
 
+import copy
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import multidescent
 from multidescent import (
     ActivationSpec,
     ConfigError,
@@ -37,7 +39,7 @@ from multidescent import (
     to_json,
 )
 from multidescent import config as config_module
-from multidescent.cli import _CONFIG_ERRORS, _SOLVER_ERRORS, ExitStatus, dispatch, main
+from multidescent.cli import _CONFIG_ERRORS, _SOLVER_ERRORS, _STATUSES, ExitStatus, dispatch, main
 from multidescent.config import apply_overrides, validate_config
 from multidescent.formatting import _float_cells
 from oracles import mp_limit_risk, mp_risk
@@ -147,10 +149,10 @@ class TestToJson:
 class TestConfigValidation:
     def test_minimal_parses(self):
         cfg = parse_config(_inline(_minimal()))
-        assert cfg.model == {"psi": (1.0,), "psi_n": 1.0, "lambda": 1.0}
-        assert cfg.moments[0].mu1 == pytest.approx(0.5, rel=1e-12, abs=0.0)
-        assert cfg.sweep is None and cfg.empirical is None and cfg.limit is None
-        assert cfg.output == {}
+        assert set(cfg) == {"activations", "model", "moments", "output"}
+        assert cfg["model"] == {"psi": (1.0,), "psi_n": 1.0, "lambda": 1.0}
+        assert cfg["moments"][0].mu1 == pytest.approx(0.5, rel=1e-12, abs=0.0)
+        assert cfg["output"] == {}
 
     def test_lambda_zero(self):
         with pytest.raises(ConfigError, match="lambda must be > 0"):
@@ -217,7 +219,7 @@ class TestConfigValidation:
 
     def test_count_form_derives_ratios(self):
         cfg = parse_config(_inline(_k2_counts_config()))
-        assert cfg.model["N"] == (120, 80) and "psi" not in cfg.model
+        assert cfg["model"]["N"] == (120, 80) and "psi" not in cfg["model"]
         spec = build_theory_spec(cfg)
         assert spec.psi == (1.2, 0.8) and spec.psi_n == 2.5
         assert len(spec.moments) == 2
@@ -238,8 +240,8 @@ class TestConfigValidation:
                 }
             )
         )
-        assert cfg.activations is None
-        assert cfg.moments[0].mu1 == 0.9
+        assert "activations" not in cfg and "moments_override" not in cfg
+        assert cfg["moments"][0].mu1 == 0.9
 
     def test_negative_mu2_sq(self):
         with pytest.raises(ConfigError, match="/moments_override/0/mu2_sq"):
@@ -262,8 +264,8 @@ class TestConfigValidation:
         cfg = _minimal()
         cfg["sweep"] = {"c_range": {"start": 0.2, "stop": 3.0, "step": 0.05}}
         parsed = parse_config(_inline(cfg))
-        assert "c_range" not in parsed.sweep
-        grid = parsed.sweep["c_grid"]
+        assert "c_range" not in parsed["sweep"]
+        grid = parsed["sweep"]["c_grid"]
         assert len(grid) == 57
         assert grid[0] == pytest.approx(0.2, abs=1e-12)
         assert grid[-1] == pytest.approx(3.0, abs=1e-12)
@@ -272,7 +274,7 @@ class TestConfigValidation:
     def test_sweep_range_default_step(self):
         cfg = _minimal()
         cfg["sweep"] = {"c_range": {"start": 0.5, "stop": 0.7}}
-        assert len(parse_config(_inline(cfg)).sweep["c_grid"]) == 5
+        assert len(parse_config(_inline(cfg))["sweep"]["c_grid"]) == 5
 
     def test_sweep_range_count_overflow(self):
         cfg = _minimal()
@@ -314,7 +316,7 @@ class TestConfigValidation:
     def test_file_loading(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(_inline(_minimal()), encoding="utf-8")
-        assert parse_config(str(path)).model["lambda"] == 1.0
+        assert parse_config(str(path))["model"]["lambda"] == 1.0
         with pytest.raises(ConfigError, match="^config file not found: .*missing.json$"):
             parse_config(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
@@ -354,8 +356,8 @@ class TestOverrides:
         raw = _minimal()
         apply_overrides(raw, ["activations.0.in_scale=2.0"])
         cfg = validate_config(raw)
-        assert cfg.activations[0].in_scale == 2.0
-        assert cfg.moments[0].mu1 == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert cfg["activations"][0].in_scale == 2.0
+        assert cfg["moments"][0].mu1 == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_malformed(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -430,6 +432,28 @@ class TestBuilders:
         assert spec.empirical == build_empirical_config(parsed)
         assert replace(theory_spec_from_empirical(spec.empirical), psi=(1.0, 1.0)) == spec.base
         assert spec.empirical.replications == 2
+
+    def test_builders_leave_the_document_unchanged(self):
+        """One parsed document serves any number of builds."""
+        cfg = parse_config(_inline(_k2_counts_config(empirical={}, sweep={"c_grid": [0.5, 1.0]})))
+        before = copy.deepcopy(cfg)
+        for build in (build_theory_spec, build_empirical_config, build_sweep_spec, build_limit_spec):
+            build(cfg)
+        assert cfg == before
+
+    def test_sweep_runs_no_model_counts(self, capsys):
+        """An empirical sweep runs its own counts at each c: it prints the same
+        bytes whatever model.N is, or without it, while simulate needs N."""
+        cfg = {"activations": [{"kind": "relu"}, {"kind": "tanh"}], "model": {"d": 40, "n": 120, "lambda": 0.01},
+               "empirical": {"replications": 3}, "sweep": {"ratios": [1, 1], "c_grid": [0.5, 1.5]}}
+        outputs = []
+        for extra in ({}, {"N": [90, 90]}, {"N": [1, 1000]}, {"N": [7, 3]}):
+            assert main(["sweep", "--config", _inline(dict(cfg, model=dict(cfg["model"], **extra)))]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("\n") == 3 and outputs == outputs[:1] * 4
+        assert main(["simulate", "--config", _inline(cfg)]) == ExitStatus.CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == "ConfigError: /model: finite-size runs need explicit feature counts N\n"
 
     def test_sweep_simulates_its_own_model(self, capsys):
         """A sweep cannot print the theory of one model beside simulations of
@@ -841,6 +865,18 @@ class TestCliContract:
     nothing on stderr but the package's own diagnostic lines: no traceback
     and no numpy warning."""
 
+    def test_every_public_error_has_one_exit_status(self):
+        """Each exception the package exports (warnings aside) maps to exactly
+        one status, so none reaches the user as a traceback; the tables name
+        no other class but numpy's LinAlgError and OSError."""
+        public = {getattr(multidescent, name) for name in multidescent.__all__}
+        errors = {kind for kind in public if isinstance(kind, type) and issubclass(kind, Exception)
+                  and not issubclass(kind, Warning)}
+        for kind in errors:
+            assert sum(issubclass(kind, kinds) for kinds, _ in _STATUSES) == 1, kind
+        named = {kind for kinds, _ in _STATUSES for kind in kinds}
+        assert named - errors == {np.linalg.LinAlgError, OSError}
+
     @pytest.mark.parametrize("command, cfg", [
         pytest.param("theory", _figure(F1=1e300), id="theory-F1-square-overflows"),
         pytest.param("theory", _figure(tau=1e160), id="theory-tau-square-overflows"),
@@ -890,8 +926,8 @@ class TestReadme:
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         assert len(blocks) == 1
         cfg = validate_config(json.loads(blocks[0]))
-        assert cfg.empirical is not None and cfg.sweep is not None
-        assert cfg.output["csv_path"] == "curve.csv"
+        assert "empirical" in cfg and "sweep" in cfg
+        assert cfg["output"]["csv_path"] == "curve.csv"
 
     def test_python_blocks_run(self, capsys):
         """The quickstart's Python blocks run as written, so none names a

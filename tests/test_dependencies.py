@@ -58,9 +58,9 @@ def test_public_names_are_the_module_lists():
 def test_public_names_are_pinned():
     """Adding or removing a public name is a deliberate edit of this list."""
     assert sorted(multidescent.__all__) == [
-        "ACTIVATION_KINDS", "ActivationSpec", "ConfigError", "DegenerateMoments", "EmpiricalConfig",
-        "EmpiricalRisk", "EmptyGrid", "IllConditionedWarning", "InvalidSpec", "LimitSpec", "Moments",
-        "NoConvergence", "QuadratureDiverged", "ShapeMismatch", "SolveFailure", "SweepResult", "SweepRow",
+        "ACTIVATION_KINDS", "ActivationSpec", "ConfigError", "EmpiricalConfig", "EmpiricalRisk",
+        "IllConditionedWarning", "InvalidSpec", "LimitSpec", "Moments", "NoConvergence",
+        "QuadratureDiverged", "SolveFailure", "SweepResult", "SweepRow",
         "SweepSpec", "TheoryRisk", "TheorySpec", "__version__", "asymptotic_risk", "build_empirical_config",
         "build_limit_spec", "build_sweep_spec", "build_theory_spec", "compute_moments", "csv_text",
         "eval_activation", "feature_matrix", "format_number", "limit_risk_infinite_width", "parse_config",

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidescent import (
-    DegenerateMoments,
     IllConditionedWarning,
     InvalidSpec,
     LimitSpec,
@@ -387,7 +386,7 @@ class TestWidthLimits:
     def test_power_of_two_weights_give_identical_limit(self):
         """r, r*2^1000 and r*2^-1000 give the same limit bit for bit, so
         extreme weights neither overflow to NaN nor underflow to a false
-        DegenerateMoments."""
+        degenerate-moments InvalidSpec."""
         ms = (Moments(0.1, 0.7, 0.3), Moments(0.0, 0.4, 1.1))
         risks = [
             limit_risk_infinite_width(LimitSpec(
@@ -734,7 +733,7 @@ class TestErrorPaths:
 
     def test_limit_needs_coupling(self):
         ms = (Moments(0.0, 1.0, 0.0), Moments(0.0, 1.0, 0.0))
-        with pytest.raises(DegenerateMoments):
+        with pytest.raises(InvalidSpec, match=r"^need sum_c r_c mu_\{c,1\}\^2 > 0 and .* for the width limit$"):
             limit_risk_infinite_width(LimitSpec(r=(1.0, 1.0), psi_n=2.0, moments=ms))
 
     def test_squares_of_F1_and_tau_must_be_finite(self):

@@ -24,7 +24,6 @@ from multidescent import (
     EmpiricalConfig,
     EmpiricalRisk,
     InvalidSpec,
-    ShapeMismatch,
     SolveFailure,
     SweepSpec,
     asymptotic_risk,
@@ -107,13 +106,26 @@ class TestRidgeFit:
     def test_lambda_validation(self):
         Z = np.eye(2)
         for lam in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="> 0"):
+            with pytest.raises(InvalidSpec, match="^lambda must be > 0$"):
                 ridge_fit(Z, np.ones(2), lam=lam, d=1)
 
     def test_nonfinite_inputs(self):
         Z = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(SolveFailure, match="non-finite"):
             ridge_fit(Z, np.ones(2), lam=1.0, d=1)
+
+    def test_singular_gram(self):
+        """Identical feature columns and a lam below the rounding of the Gram's
+        diagonal leave the system exactly singular: the primal and the dual
+        route raise SolveFailure, which the CLI reports on one line, exit 3."""
+        y = np.arange(20.0)
+        for Z in (np.ones((20, 3)), np.ones((3, 20))):
+            with pytest.raises(SolveFailure, match="^Singular matrix$"):
+                ridge_fit(Z, y[:Z.shape[0]], lam=1e-20, d=4)
+        config = {"activations": [{"kind": "constant"}], "model": {"d": 10, "n": 20, "N": [3], "lambda": 1e-20}}
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch("simulate", parse_config(json.dumps(config)), out, err) == ExitStatus.SOLVER
+        assert out.getvalue() == "" and err.getvalue() == "SolveFailure: replication 0: Singular matrix\n"
 
 
 class TestFeatureMatrix:
@@ -167,9 +179,9 @@ class TestFeatureMatrix:
 
     def test_shape_mismatch(self):
         X = np.zeros((4, 3))
-        with pytest.raises(ShapeMismatch, match="disagree on d"):
+        with pytest.raises(InvalidSpec, match="disagree on d"):
             feature_matrix(X, np.zeros((5, 2)), (ActivationSpec("relu"),), (5,))
-        with pytest.raises(ShapeMismatch, match="partition"):
+        with pytest.raises(InvalidSpec, match="partition"):
             feature_matrix(X, np.zeros((5, 3)), (ActivationSpec("relu"),), (4,))
 
 

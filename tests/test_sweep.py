@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import multidescent
 from multidescent import (
     EmpiricalConfig,
-    EmptyGrid,
     ActivationSpec,
     InvalidSpec,
     Moments,
@@ -109,9 +108,8 @@ class TestExpandGrid:
         np.testing.assert_allclose(tiny.theory.psi, (0.001 * 10 / 6,) * 2, rtol=1e-15)
 
     def test_empty_grid(self):
-        spec = SweepSpec(base=_base(), c_grid=())
-        with pytest.raises(EmptyGrid):
-            expand_grid(spec)
+        with pytest.raises(InvalidSpec, match="^c grid is empty$"):
+            SweepSpec(base=_base(), c_grid=())
 
     def test_spec_validation(self):
         """The proportions are the base widths, which the base checks."""
@@ -613,7 +611,7 @@ class TestCsv:
         assert out.read_bytes().decode("utf-8") == csv_text(result)
 
     def test_empty_result_raises(self):
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(InvalidSpec, match="^no rows to write$"):
             csv_text(_result(c=[], psi=np.zeros((0, 2))))
 
 
@@ -704,7 +702,7 @@ class TestSvg:
         spec = SweepSpec(base=_base(), c_grid=(0.5, 1.0))
         result = run_sweep(spec)
         result.theory_risk[:] = math.nan
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(InvalidSpec, match="^no drawable values on this axis scale$"):
             render_svg(result, tmp_path / "never.svg")
 
     def test_single_point_grid(self, tmp_path):
@@ -796,7 +794,7 @@ class TestSvg:
         drawable = [v for r, m, _ in rows for v in (r, m)
                     if v is not None and math.isfinite(v) and (v > 0.0 or not log_y)]
         if not drawable:
-            with pytest.raises(EmptyGrid):
+            with pytest.raises(InvalidSpec, match="^no drawable values on this axis scale$"):
                 render_svg(_drawn(rows), out, log_y=log_y, y_cap=y_cap)
             return
         render_svg(_drawn(rows), out, log_y=log_y, y_cap=y_cap)
