@@ -22,16 +22,18 @@ import numpy as np
 __all__ = [
     "ActivationSpec",
     "Moments",
-    "QuadratureDiverged",
+    "InvalidSpec",
     "eval_activation",
     "compute_moments",
     "ACTIVATION_KINDS",
 ]
 
 
-class QuadratureDiverged(RuntimeError):
-    """Raised when a moment integral is not finite, or refining the
-    quadrature still moves one by > 1e-8."""
+class InvalidSpec(ValueError):
+    """Bad input, the one class of the CLI's exit status 2: an input that
+    violates a hard precondition (lambda <= 0, an empty c grid, arrays whose
+    shapes disagree, a value that leaves the float range, and the like), or
+    an activation whose moment integrals the quadrature cannot resolve."""
 
 
 def _elu_in_place(z: np.ndarray) -> None:
@@ -92,12 +94,12 @@ class ActivationSpec:
 
     def __post_init__(self):
         if self.kind not in _BASE_IN_PLACE:
-            raise ValueError(
+            raise InvalidSpec(
                 f"unknown activation kind {self.kind!r}; expected one of {ACTIVATION_KINDS}"
             )
         for name in ("in_scale", "out_scale", "shift"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidSpec(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,9 @@ class Moments:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.mu0, self.mu1, self.mu2_sq))):
-            raise ValueError("moments must be finite")
+            raise InvalidSpec("moments must be finite")
         if self.mu2_sq < 0.0:
-            raise ValueError("mu2_sq must be nonnegative (clamp before constructing)")
+            raise InvalidSpec("mu2_sq must be nonnegative (clamp before constructing)")
 
 
 def eval_activation(act: ActivationSpec, x):
@@ -159,10 +161,10 @@ def compute_moments(act: ActivationSpec) -> Moments:
     The rule is evaluated at 64 nodes per panel and at twice that count; if
     any of the three raw integrals is not finite in double precision, or
     moves by more than 1e-8 of its scale under the refinement, the
-    quadrature is considered unresolved and ``QuadratureDiverged`` is
-    raised.  The scale of E sigma^2 is itself and that of mu0 and mu1 its
-    square root, so the check does not depend on the scale of sigma.  The
-    refined values are returned.
+    quadrature is considered unresolved and ``InvalidSpec`` is raised.
+    The scale of E sigma^2 is itself and that of mu0 and mu1 its square
+    root, so the check does not depend on the scale of sigma.  The refined
+    values are returned.
     Results are memoized on the frozen spec, so callers that need the
     same activation's moments share one quadrature.
     """
@@ -170,21 +172,21 @@ def compute_moments(act: ActivationSpec) -> Moments:
         coarse = _gauss_moments(act, _NODES_PER_PANEL)
         fine = _gauss_moments(act, 2 * _NODES_PER_PANEL)
     if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
-        raise QuadratureDiverged(
+        raise InvalidSpec(
             f"moment integrals are not finite in double precision "
             f"(E sigma^2 = {fine[2]:.3e}, kind={act.kind!r})"
         )
     rms = math.sqrt(fine[2])
     drift = np.abs(fine - coarse)
     if np.any(drift > 1e-8 * np.array([rms, rms, fine[2]])):
-        raise QuadratureDiverged(
+        raise InvalidSpec(
             f"moment integrals moved by {drift.max():.3e} under node doubling, more than "
             f"1e-8 of their scale (E sigma^2 = {fine[2]:.3e}, kind={act.kind!r})"
         )
     mu0, mu1 = fine[0], fine[1]
     raw = fine[2] - mu0 * mu0 - mu1 * mu1
     if raw < -1e-8 * fine[2]:
-        raise QuadratureDiverged(
+        raise InvalidSpec(
             f"nonlinear variance came out at {raw:.3e} < 0 beyond quadrature tolerance"
         )
     return Moments(mu0=mu0, mu1=mu1, mu2_sq=max(raw, 0.0))

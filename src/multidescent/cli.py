@@ -5,9 +5,9 @@ with subcommands ``moments``, ``theory``, ``simulate``, ``sweep`` and
 ``limit``.  Results go to stdout as JSON (CSV for ``sweep``) with 12-digit
 numbers; diagnostics and errors go to stderr, one line per error carrying
 the error class name.  Exit codes: 0 success; 2 for an input error
-(``ConfigError``, ``InvalidSpec``, ``QuadratureDiverged``); 3 for a solver
-failure (``NoConvergence``, ``SolveFailure``); 4 for an I/O error
-(``OSError``).  The handlers read the validated document that
+(``InvalidSpec``, or its subclass ``ConfigError``, which names the
+offending key); 3 for a failed solve (``SolveFailure``); 4 for an I/O
+error (``OSError``).  The handlers read the validated document that
 ``parse_config`` returns and never change it.  ``simulate`` and ``sweep`` run
 their Monte Carlo replications in one pool of ``empirical.workers``
 threads; ``--set empirical.workers=N`` changes that count, never the output.
@@ -20,12 +20,9 @@ import sys
 import warnings
 from enum import IntEnum
 
-import numpy as np
-
 from . import __version__
-from .activations import QuadratureDiverged
+from .activations import InvalidSpec
 from .config import (
-    ConfigError,
     build_empirical_config,
     build_limit_spec,
     build_sweep_spec,
@@ -33,8 +30,8 @@ from .config import (
     parse_config,
 )
 from .formatting import _write_text, to_json
-from .risk import InvalidSpec, NoConvergence, asymptotic_risk, limit_risk_infinite_width
-from .simulator import SolveFailure, run_experiment
+from .risk import SolveFailure, asymptotic_risk, limit_risk_infinite_width
+from .simulator import run_experiment
 from .sweep import csv_text, render_svg, run_sweep
 
 __all__ = ["ExitStatus", "main", "dispatch"]
@@ -47,8 +44,8 @@ class ExitStatus(IntEnum):
     IO = 4
 
 
-_CONFIG_ERRORS = (ConfigError, InvalidSpec, QuadratureDiverged)
-_SOLVER_ERRORS = (NoConvergence, SolveFailure, np.linalg.LinAlgError)
+_CONFIG_ERRORS = (InvalidSpec,)
+_SOLVER_ERRORS = (SolveFailure,)
 _STATUSES = ((_CONFIG_ERRORS, ExitStatus.CONFIG), (_SOLVER_ERRORS, ExitStatus.SOLVER),
              ((OSError,), ExitStatus.IO))
 _ERRORS = _CONFIG_ERRORS + _SOLVER_ERRORS + (OSError,)

@@ -24,7 +24,8 @@ import json
 import math
 import os
 
-from .activations import ACTIVATION_KINDS, ActivationSpec, Moments, compute_moments, represents_intercept
+from .activations import (ACTIVATION_KINDS, ActivationSpec, InvalidSpec, Moments, compute_moments,
+                          represents_intercept)
 from .risk import LimitSpec, TheorySpec
 from .simulator import EmpiricalConfig
 from .sweep import SweepSpec
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidSpec):
     """Invalid configuration; ``pointer`` locates the offending key."""
 
     def __init__(self, pointer: str, message: str):
@@ -382,9 +383,11 @@ def _finite_size(cfg: dict, counts=None) -> EmpiricalConfig:
     model = _model_of(cfg)
     if "activations" not in cfg:
         raise ConfigError("/activations", "finite-size runs need activations, not moments_override")
-    counts = model.get("N", counts if "d" in model else None)
+    counts = model.get("N", counts)
     if counts is None:
         raise ConfigError("/model", "finite-size runs need explicit feature counts N")
+    if "d" not in model:  # a psi-form model gives no N, so only a sweep's counts reach here
+        raise ConfigError("/model", "finite-size sweeps need d and n")
     _require(model, "/model", ("lambda",))
     spec = _at_widths(cfg, tuple(nc / model["d"] for nc in counts))
     return EmpiricalConfig(

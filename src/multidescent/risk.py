@@ -75,12 +75,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Moments
+from .activations import InvalidSpec, Moments
 
 __all__ = [
     "TheorySpec",
-    "InvalidSpec",
-    "NoConvergence",
+    "SolveFailure",
     "TheoryRisk",
     "LimitSpec",
     "IllConditionedWarning",
@@ -89,18 +88,16 @@ __all__ = [
 ]
 
 
-class InvalidSpec(ValueError):
-    """An input violates a hard precondition: lambda <= 0, an empty c grid,
-    moments that leave the width limit undefined, arrays whose shapes
-    disagree, a value that leaves the float range, and the like."""
+class SolveFailure(RuntimeError):
+    """A failed solve, the one class of the CLI's exit status 3: Newton's
+    method missed the tolerance within its step limit, its residual stopped
+    being finite, or a block scale lies below the normal float range
+    whatever the step; S is singular; or a Monte Carlo replication's ridge
+    system could not be factorized or its excess risk is not finite.
+    ``residual`` and ``iterations`` are those of the Newton solve that
+    failed, None where the failure has none."""
 
-
-class NoConvergence(RuntimeError):
-    """Newton's method missed the tolerance within its step limit, its
-    residual stopped being finite, or a block scale lies below the normal
-    float range whatever the step."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, residual: float | None = None, iterations: int | None = None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
@@ -344,7 +341,7 @@ def _newton(base: TheorySpec, psi):
 
     Returns b (G, K+1), the largest relative residual (G,) of the full
     system and the Newton steps (G,) of every point, and the exception that
-    ended each failed point's solve by index: ``NoConvergence``, or
+    ended each failed point's solve by index: ``SolveFailure``, or
     ``InvalidSpec`` for a Newton determinant that is not positive: as
     det(H) = PQ + C(P + Q) >= 0, that happens only where H has left the
     float range.  b is NaN on the failed points.  Each point starts from
@@ -362,7 +359,7 @@ def _newton(base: TheorySpec, psi):
     lost = (bound < _TINY).any(axis=1)
     for i in np.flatnonzero(lost):
         c = int(np.argmax(bound[i] < _TINY))
-        errors[int(i)] = NoConvergence(
+        errors[int(i)] = SolveFailure(
             f"block {c + 1} scale is at most psi_{c + 1}/sqrt(lambda) = {bound[i, c]:.3e}, "
             f"below the normal float range, at lambda={lam:.3e}", residual=1.0, iterations=0)
     # The points still iterating, each after the same ``n`` steps; the others take no step.
@@ -383,8 +380,8 @@ def _newton(base: TheorySpec, psi):
             where = f"after {n} Newton steps at lambda={lam:.3e}"
             for i in np.flatnonzero(failed):
                 if not np.isfinite(rel[i]) or det[i] > 0.0:
-                    errors[int(i)] = NoConvergence(f"residual {rel[i]:.3e} > tol {_TOL:.1e} {where}",
-                                                   residual=float(rel[i]), iterations=n)
+                    errors[int(i)] = SolveFailure(f"residual {rel[i]:.3e} > tol {_TOL:.1e} {where}",
+                                                  residual=float(rel[i]), iterations=n)
                 else:
                     errors[int(i)] = InvalidSpec(f"Newton matrix leaves the float range: determinant "
                                                  f"{det[i]:.3e} {where}")
@@ -467,7 +464,7 @@ def _score(base: TheorySpec, b, errors: dict):
     ``errors`` maps the points that already failed to their exception; such
     a point comes with NaN scales, as from ``_newton``, and is not
     diagnosed again.  ``errors`` gains ``InvalidSpec`` where
-    (1 + T)^2 overflows, else ``LinAlgError`` where a pivot of the
+    (1 + T)^2 overflows, else ``SolveFailure`` where a pivot of the
     elimination, b_c D_c or det(H), is not positive and finite (a singular
     S), and ``InvalidSpec`` for a risk that is not finite.  Every
     point keeps its row, and every failed point reads NaN, e included.
@@ -526,7 +523,7 @@ def _score(base: TheorySpec, b, errors: dict):
         for j in np.flatnonzero(failed):
             errors[int(j)] = (
                 InvalidSpec(f"(1 + T)^2 overflows at T = {t[j]:.3e}") if md2[j] == math.inf else
-                np.linalg.LinAlgError(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
+                SolveFailure(f"S is singular: pivot {pivots[j][~valid[j]][0]:.3e} is not positive and finite")
                 if singular[j] else
                 InvalidSpec(f"risk overflows: bias {bias[j]:.3e} + variance {variance[j]:.3e} is not finite"))
         risk[failed] = bias[failed] = variance[failed] = lr[failed] = err[failed] = np.nan
@@ -581,7 +578,7 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     the first iterate under the tolerance; ``iterations`` counts that step.
     A point where some psi_c / sqrt(lam), the largest b_c can be, lies below
     the normal float range fails before its first step.
-    Raises ``NoConvergence``; ``LinAlgError`` for a singular S; or
+    Raises ``SolveFailure`` for a failed solve or a singular S, or
     ``InvalidSpec`` for that determinant, a (1 + T)^2 or a risk that is not
     finite.
     """

@@ -26,24 +26,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activations import _BASE_IN_PLACE, ActivationSpec, Moments, compute_moments, represents_intercept
-from .risk import InvalidSpec, TheorySpec
+from .activations import (_BASE_IN_PLACE, ActivationSpec, InvalidSpec, Moments, compute_moments,
+                          represents_intercept)
+from .risk import SolveFailure, TheorySpec
 
 __all__ = [
     "EmpiricalConfig",
     "EmpiricalRisk",
-    "SolveFailure",
     "feature_matrix",
     "ridge_fit",
     "run_experiment",
     "run_experiments",
     "theory_spec_from_empirical",
 ]
-
-
-class SolveFailure(RuntimeError):
-    """A replication failed: its ridge system could not be factorized
-    (NaN/Inf inputs), or its excess risk is not finite."""
 
 
 # float64 entries (1 GiB) that the arrays of one replication may hold: the

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__
 from .formatting import _float_cells, _write_text, to_json
-from .risk import InvalidSpec, TheorySpec, _theory
+from .activations import InvalidSpec
+from .risk import TheorySpec, _theory
 from .simulator import EmpiricalConfig, run_experiments, theory_spec_from_empirical
 
 __all__ = [

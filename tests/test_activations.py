@@ -16,8 +16,8 @@ from scipy import integrate
 from multidescent import (
     ACTIVATION_KINDS,
     ActivationSpec,
+    InvalidSpec,
     Moments,
-    QuadratureDiverged,
     compute_moments,
     eval_activation,
 )
@@ -362,26 +362,26 @@ class TestEvaluation:
 
 class TestErrorPaths:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown activation kind"):
+        with pytest.raises(InvalidSpec, match="unknown activation kind"):
             ActivationSpec("swish")
 
     def test_nonfinite_scale(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidSpec, match="^in_scale must be finite$"):
             ActivationSpec("relu", in_scale=float("inf"))
 
     def test_negative_mu2_sq_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(InvalidSpec, match="nonnegative"):
             Moments(mu0=0.0, mu1=1.0, mu2_sq=-0.1)
 
     def test_oscillatory_integrand_diverges(self):
         """A wildly oscillatory activation fails the node-doubling check."""
-        with pytest.raises(QuadratureDiverged):
+        with pytest.raises(InvalidSpec):
             compute_moments(ActivationSpec("sin", in_scale=300.0))
 
     @pytest.mark.parametrize("a", [1e-8, 1e5])
     def test_oscillatory_integrand_diverges_at_any_scale(self, a):
         """Scaling the output scales the drift with it: no scale resolves sin(300 x)."""
-        with pytest.raises(QuadratureDiverged, match="more than 1e-8 of their scale"):
+        with pytest.raises(InvalidSpec, match="more than 1e-8 of their scale"):
             compute_moments(ActivationSpec("sin", in_scale=300.0, out_scale=a))
 
     @pytest.mark.parametrize(
@@ -393,14 +393,14 @@ class TestErrorPaths:
     def test_nonfinite_integral_diverges(self, act):
         """An integral that overflows or turns NaN in double precision fails
         the quadrature without a numpy warning, which pytest makes an error."""
-        with pytest.raises(QuadratureDiverged, match="not finite"):
+        with pytest.raises(InvalidSpec, match="not finite"):
             compute_moments(act)
 
     @pytest.mark.parametrize("bad", [{"mu0": math.nan}, {"mu1": math.inf}, {"mu2_sq": math.nan},
                                      {"mu2_sq": math.inf}],
                              ids=["mu0-nan", "mu1-inf", "mu2_sq-nan", "mu2_sq-inf"])
     def test_nonfinite_moments_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidSpec, match="^moments must be finite$"):
             Moments(**{"mu0": 0.0, "mu1": 1.0, "mu2_sq": 0.5, **bad})
 
     def test_scaled_moments_nonfinite(self):

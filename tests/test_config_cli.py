@@ -7,7 +7,10 @@ come from closed forms: 1/sqrt(2*pi) for the relu mean, F1^2 for the
 constant-feature risk, and (sqrt(2)-1)/2 for the equal-ratio width limit.
 """
 
+import ast
+import builtins
 import copy
+import importlib
 import io
 import json
 import math
@@ -26,8 +29,8 @@ from multidescent import (
     ConfigError,
     EmpiricalConfig,
     InvalidSpec,
+    SolveFailure,
     SweepSpec,
-    QuadratureDiverged,
     asymptotic_risk,
     build_empirical_config,
     build_limit_spec,
@@ -457,12 +460,12 @@ class TestBuilders:
 
     def test_sweep_simulates_its_own_model(self, capsys):
         """A sweep cannot print the theory of one model beside simulations of
-        another: a psi-mode model has no counts to simulate (exit 2), and a
+        another: a psi-mode model has no d and n to simulate (exit 2), and a
         library spec whose run differs from its base raises InvalidSpec."""
         psi_mode = {"activations": [{"kind": "relu"}], "model": {"psi": [1], "psi_n": 3, "lambda": 0.01},
                     "sweep": {"c_grid": [1]}}
         for empirical, message in (({"d": 20, "n": 20}, "/empirical/d: unknown key"),
-                                   ({}, "/model: finite-size runs need explicit feature counts N")):
+                                   ({}, "/model: finite-size sweeps need d and n")):
             argv = ["sweep", "--config", _inline(dict(psi_mode, empirical=empirical))]
             assert main(argv) == ExitStatus.CONFIG
             out, err = capsys.readouterr()
@@ -589,9 +592,23 @@ class TestDispatch:
         status, out, err = _run("theory", cfg)
         assert status == ExitStatus.SOLVER
         assert out == ""
-        lines = [l for l in err.splitlines() if l]
-        assert len(lines) == 1
-        assert lines[0].startswith("NoConvergence:")
+        assert err == "SolveFailure: residual 1.314e-08 > tol 1.0e-12 after 2 Newton steps at lambda=1.000e-06\n"
+
+    def test_theory_singular_s_is_solver_failure(self, monkeypatch):
+        """Scales at which every pivot of S underflows to zero fail the theory
+        command with the solver status.  No solve returns such scales, so the
+        Newton solve is made to."""
+        newton = multidescent.risk._newton
+
+        def degenerate(base, psi):
+            b, residual, steps, errors = newton(base, psi)
+            b[:] = 5e-324
+            return b, residual, steps, errors
+
+        monkeypatch.setattr("multidescent.risk._newton", degenerate)
+        status, out, err = _run("theory", _minimal(**{"lambda": 1e-6}))
+        assert (status, out) == (ExitStatus.SOLVER, "")
+        assert err == "SolveFailure: S is singular: pivot 0.000e+00 is not positive and finite\n"
 
     def test_simulate(self):
         cfg = _k2_counts_config(empirical={"replications": 3, "n_test": 32})
@@ -762,10 +779,15 @@ class TestMain:
         assert "invalid JSON" in capsys.readouterr().err
 
     def test_quadrature_failure_is_config_error(self, capsys):
-        cfg = _minimal()
-        cfg["activations"] = [{"kind": "sin", "in_scale": 300.0}]
-        assert main(["moments", "--config", _inline(cfg)]) == 2
-        assert "QuadratureDiverged" in capsys.readouterr().err
+        for command, in_scale, drift, second in (("moments", 300.0, "7.641e-02", "4.993e-01"),
+                                                  ("theory", 1e8, "1.114e-01", "4.990e-01")):
+            cfg = _minimal()
+            cfg["activations"] = [{"kind": "sin", "in_scale": in_scale}]
+            assert main([command, "--config", _inline(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"InvalidSpec: moment integrals moved by {drift} under node doubling, more "
+                                    f"than 1e-8 of their scale (E sigma^2 = {second}, kind='sin')\n")
 
     @pytest.mark.parametrize("command", ["moments", "theory"])
     def test_overflowing_moments_are_config_error(self, command, capsys):
@@ -776,7 +798,7 @@ class TestMain:
         assert main([command, "--config", _inline(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(r"QuadratureDiverged: moment integrals are not finite .*\n", captured.err)
+        assert re.fullmatch(r"InvalidSpec: moment integrals are not finite .*\n", captured.err)
 
     def test_set_overrides(self, capsys):
         argv = ["theory", "--config", _inline(_minimal())]
@@ -868,14 +890,41 @@ class TestCliContract:
     def test_every_public_error_has_one_exit_status(self):
         """Each exception the package exports (warnings aside) maps to exactly
         one status, so none reaches the user as a traceback; the tables name
-        no other class but numpy's LinAlgError and OSError."""
+        no other class but OSError."""
         public = {getattr(multidescent, name) for name in multidescent.__all__}
         errors = {kind for kind in public if isinstance(kind, type) and issubclass(kind, Exception)
                   and not issubclass(kind, Warning)}
         for kind in errors:
             assert sum(issubclass(kind, kinds) for kinds, _ in _STATUSES) == 1, kind
         named = {kind for kinds, _ in _STATUSES for kind in kinds}
-        assert named - errors == {np.linalg.LinAlgError, OSError}
+        assert named - errors == {OSError}
+
+    def test_src_constructs_only_the_status_classes(self):
+        """Every exception the package makes, raised at once or stored and
+        raised later, is of a class the status tables sort, or the TypeError
+        of an object ``to_json`` cannot serialize: each call or bare raise
+        whose callee resolves, in its module's namespace (numpy included), to
+        an Exception subclass names one of those classes."""
+        allowed = {InvalidSpec, ConfigError, SolveFailure, TypeError}
+
+        def resolve(node, namespace):
+            if isinstance(node, ast.Name):
+                return namespace.get(node.id, getattr(builtins, node.id, None))
+            if isinstance(node, ast.Attribute):
+                return getattr(resolve(node.value, namespace), node.attr, None)
+            return None
+
+        made = []
+        for path in sorted(Path(multidescent.__file__).parent.glob("*.py")):
+            module = multidescent if path.stem == "__init__" else importlib.import_module(
+                f"multidescent.{path.stem}")
+            for node in ast.walk(ast.parse(path.read_text())):
+                callee = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+                kind = resolve(callee, vars(module))
+                if isinstance(kind, type) and issubclass(kind, Exception):
+                    made.append((path.name, node.lineno, kind))
+        assert [(name, line, kind.__name__) for name, line, kind in made if kind not in allowed] == []
+        assert {kind for _, _, kind in made} == allowed
 
     @pytest.mark.parametrize("command, cfg", [
         pytest.param("theory", _figure(F1=1e300), id="theory-F1-square-overflows"),

@@ -250,7 +250,7 @@ CASES = [
     case("build-sweep-no-counts", {"sweep": {"c_grid": [1.0]}, "empirical": {"d": 10}},
          "/empirical/d", "/empirical/d: unknown key"),
     case("build-sweep-psi-model", {"sweep": {"c_grid": [1.0]}, "empirical": {}},
-         "/model", "/model: finite-size runs need explicit feature counts N", build="sweep"),
+         "/model", "/model: finite-size sweeps need d and n", build="sweep"),
 ]
 
 

@@ -59,8 +59,8 @@ def test_public_names_are_pinned():
     """Adding or removing a public name is a deliberate edit of this list."""
     assert sorted(multidescent.__all__) == [
         "ACTIVATION_KINDS", "ActivationSpec", "ConfigError", "EmpiricalConfig", "EmpiricalRisk",
-        "IllConditionedWarning", "InvalidSpec", "LimitSpec", "Moments", "NoConvergence",
-        "QuadratureDiverged", "SolveFailure", "SweepResult", "SweepRow",
+        "IllConditionedWarning", "InvalidSpec", "LimitSpec", "Moments",
+        "SolveFailure", "SweepResult", "SweepRow",
         "SweepSpec", "TheoryRisk", "TheorySpec", "__version__", "asymptotic_risk", "build_empirical_config",
         "build_limit_spec", "build_sweep_spec", "build_theory_spec", "compute_moments", "csv_text",
         "eval_activation", "feature_matrix", "format_number", "limit_risk_infinite_width", "parse_config",

@@ -27,7 +27,7 @@ from multidescent import (
     InvalidSpec,
     LimitSpec,
     Moments,
-    NoConvergence,
+    SolveFailure,
     SweepSpec,
     TheorySpec,
     asymptotic_risk,
@@ -569,7 +569,7 @@ class TestErrorPaths:
 
     def test_degenerate_b(self):
         """A zero scale zeroes its row and column of S, so the risk core fails
-        its point with ``LinAlgError`` and NaN, and no warning, and the oracle
+        its point with ``SolveFailure`` and NaN, and no warning, and the oracle
         refuses it; no solve returns one, so the core is driven directly."""
         spec = TheorySpec(psi=(1.0,), psi_n=1.0, moments=(Moments(0, 1, 0.5),), lam=1.0)
         b = np.array([[0.0, 1.0]])
@@ -579,7 +579,7 @@ class TestErrorPaths:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             risk, _, _, L, _ = _score(spec, b, errors)
-        assert list(errors) == [0] and isinstance(errors[0], np.linalg.LinAlgError)
+        assert list(errors) == [0] and isinstance(errors[0], SolveFailure)
         assert np.isnan(risk[0]) and np.isnan(L[0]).all()
 
     def test_wrong_k(self):
@@ -637,14 +637,14 @@ class TestErrorPaths:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             risk, bias, variance, *_ = _score(self.GOOD, np.array([direct.b, degenerate, direct.b]), errors)
-        assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
+        assert list(errors) == [1] and isinstance(errors[1], SolveFailure)
         for i in (0, 2):
             assert (risk[i], bias[i], variance[i]) == (direct.risk, direct.bias, direct.variance)
         errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _score(self.GOOD, degenerate[None], errors)
-        assert isinstance(errors[0], np.linalg.LinAlgError)
+        assert isinstance(errors[0], SolveFailure)
 
     def test_score_leaves_known_failures_alone(self):
         """A point that failed in the solve reaches the risk core with NaN
@@ -652,8 +652,8 @@ class TestErrorPaths:
         nor warned about, while a singular point in the same stack still
         fails and a self.GOOD one equals its single-point evaluation."""
         direct = asymptotic_risk(self.GOOD)
-        known = NoConvergence("residual nan > tol 1.0e-12 after 0 Newton steps", residual=math.nan,
-                              iterations=0)
+        known = SolveFailure("residual nan > tol 1.0e-12 after 0 Newton steps", residual=math.nan,
+                             iterations=0)
         errors = {0: known}
         b = np.array([np.full(3, np.nan), np.full(3, 5e-324), direct.b])
         with warnings.catch_warnings():
@@ -661,7 +661,7 @@ class TestErrorPaths:
             risk, bias, variance, L, _ = _score(self.GOOD, b, errors)
         assert list(errors) == [0, 1] and errors[0] is known
         assert str(known) == "residual nan > tol 1.0e-12 after 0 Newton steps" and known.iterations == 0
-        assert isinstance(errors[1], np.linalg.LinAlgError)
+        assert isinstance(errors[1], SolveFailure)
         for i in (0, 1):
             assert np.isnan([risk[i], bias[i], variance[i]]).all() and np.isnan(L[i]).all()
         assert (risk[2], bias[2], variance[2]) == (direct.risk, direct.bias, direct.variance)
@@ -721,7 +721,7 @@ class TestErrorPaths:
         assert max(steps[[0, 1, 5]]) < steps[2] < 15 and steps[10] == 15 and steps[[3, 7, 8]].max() == 0
         assert steps[4] < 15 and steps[9] < 15
         assert {i: type(e) for i, e in errors.items()} == {
-            3: NoConvergence, 6: InvalidSpec, 7: NoConvergence, 8: InvalidSpec, 10: NoConvergence}
+            3: SolveFailure, 6: InvalidSpec, 7: SolveFailure, 8: InvalidSpec, 10: SolveFailure}
         for i in range(len(psi)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IllConditionedWarning)

@@ -25,7 +25,7 @@ from multidescent import (
     ActivationSpec,
     InvalidSpec,
     Moments,
-    NoConvergence,
+    SolveFailure,
     TheorySpec,
     asymptotic_risk,
     compute_moments,
@@ -113,7 +113,7 @@ class TestWideLinearBlock:
         """At lam = 1e-24, w = 1e300 puts psi / sqrt(lam) past the float
         range: the solve fails loudly before its first step."""
         spec = TheorySpec(psi=(1.0, 1e300), psi_n=2.0, moments=WIDE_LINEAR_MOMENTS, lam=1e-24)
-        with pytest.raises(NoConvergence, match="after 0 Newton steps") as exc:
+        with pytest.raises(SolveFailure, match="after 0 Newton steps") as exc:
             asymptotic_risk(spec)
         assert exc.value.iterations == 0
 
@@ -248,7 +248,7 @@ class TestErrorPaths:
             psi=(1.0,), psi_n=2.0, moments=(Moments(0.0, 1.0, 0.5),), lam=1e-6
         )
         monkeypatch.setattr(risk, "_MAX_ITER", 0)
-        with pytest.raises(NoConvergence) as exc:
+        with pytest.raises(SolveFailure) as exc:
             asymptotic_risk(spec)
         assert exc.value.iterations == 0
         assert exc.value.residual > 1e-12
@@ -277,7 +277,7 @@ class TestErrorPaths:
         )
         monkeypatch.setattr(risk, "_TOL", -1.0)
         monkeypatch.setattr(risk, "_MAX_ITER", 30)
-        with pytest.raises(NoConvergence, match="after 30 Newton steps") as exc:
+        with pytest.raises(SolveFailure, match="after 30 Newton steps") as exc:
             asymptotic_risk(spec)
         assert exc.value.iterations == 30
         assert exc.value.residual < 1e-14

@@ -27,7 +27,7 @@ from multidescent import (
     ActivationSpec,
     InvalidSpec,
     Moments,
-    NoConvergence,
+    SolveFailure,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -211,7 +211,7 @@ class TestTheoryPass:
         result = run_sweep(spec)
         assert np.isnan(result.theory_risk).all()
         assert result.solver_iterations == [None, None]
-        assert all("NoConvergence" in error for error in result.error)
+        assert all("SolveFailure" in error for error in result.error)
 
     def test_overflowing_widths_name_the_overflow(self):
         """Finite c values and ratios whose widths overflow fail, with no numpy
@@ -248,13 +248,13 @@ class TestTheoryPass:
     @pytest.mark.parametrize("acts", [[{"kind": "elu"}, {"kind": "relu"}], FIGURE_ACTS])
     def test_overflowing_newton_step_fails_its_point_quietly(self, acts):
         """Widths near the float range overflow the first residual or a trial
-        step; that point fails with ``NoConvergence`` and no numpy warning,
+        step; that point fails with ``SolveFailure`` and no numpy warning,
         and the other point keeps its row."""
         spec = build_sweep_spec(parse_config(json.dumps(
             _sweep_config(acts, [1, 1], 1e-3, c_grid=[1.0, 1e307]))))
         result = run_sweep(spec)
         assert result.error[0] is None and math.isfinite(result.theory_risk[0])
-        assert result.error[1].startswith("NoConvergence: residual ")
+        assert result.error[1].startswith("SolveFailure: residual ")
         assert math.isnan(result.theory_risk[1])
 
     def test_overflowing_risk_fails_its_point(self):
@@ -314,7 +314,7 @@ class TestTheoryPass:
             if error is None:
                 assert _theory_cells(capped, i) == _theory_cells(free, i)
             else:
-                assert re.fullmatch(r"NoConvergence: residual \S+ > tol 1\.0e-12 after 3 Newton steps "
+                assert re.fullmatch(r"SolveFailure: residual \S+ > tol 1\.0e-12 after 3 Newton steps "
                                     r"at lambda=1\.000e-05", error)
                 assert all(map(math.isnan, _theory_cells(capped, i)[:3]))
                 assert capped.solver_iterations[i] is None and free.solver_iterations[i] > 3
@@ -358,7 +358,7 @@ class TestTheoryPass:
         def outcome(theory):
             try:
                 return asymptotic_risk(theory)
-            except NoConvergence as err:
+            except SolveFailure as err:
                 return err
 
         outcomes = [outcome(p.theory) for p in points]
@@ -378,7 +378,7 @@ class TestTheoryPass:
     def test_singular_jacobian_fails_its_point_alone(self):
         """At c = 1e-323 the bound psi_1/sqrt(lambda) of the scale b_1 lies
         below the normal float range, so that point fails with
-        ``NoConvergence`` before its first step, naming the block, and no
+        ``SolveFailure`` before its first step, naming the block, and no
         numpy warning, and the other rows equal ``asymptotic_risk`` at their
         widths bit for bit, through the library and the CLI."""
         cfg = {"moments_override": [{"mu0": 0, "mu1": 1, "mu2_sq": 1}],
@@ -388,7 +388,7 @@ class TestTheoryPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_sweep(spec)
-        reason = ("NoConvergence: block 1 scale is at most psi_1/sqrt(lambda) = 4.941e-324, "
+        reason = ("SolveFailure: block 1 scale is at most psi_1/sqrt(lambda) = 4.941e-324, "
                   "below the normal float range, at lambda=9.000e+00")
         assert result.error[0] == reason
         assert math.isnan(result.theory_risk[0]) and result.solver_iterations[0] is None
@@ -452,7 +452,7 @@ class TestEmpiricalPass:
         """A ridge fit that fails every point's Monte Carlo fails no theory column."""
 
         def failing(*args):
-            raise simulator.SolveFailure("non-finite entries in ridge inputs")
+            raise SolveFailure("non-finite entries in ridge inputs")
 
         monkeypatch.setattr(simulator, "ridge_fit", failing)
         result = _small_empirical_sweep(workers=2)
@@ -557,7 +557,7 @@ class TestCsv:
             theory_risk=[1.25, nan, -0.3], theory_bias=[0.0, inf, 1e15],
             theory_variance=[-0.0, -inf, 999999999999999.9], emp_mean=[None, None, 0.31],
             emp_se=[None, None, 0.0], replications=[None, None, 20], solver_iterations=[9, None, 11],
-            error=[None, "NoConvergence: x", None])
+            error=[None, "SolveFailure: x", None])
         assert csv_text(result) == (
             "c,psi_1,psi_2,psi_n,lambda,theory_risk,theory_bias,theory_variance,"
             "emp_mean,emp_se,replications,solver_iterations\n"
