@@ -33,10 +33,12 @@ the full system, formed from the sums the step takes.  Each point starts
 from a b_n of closed form: the root of d F / d u_n = 0 at s = 1/2 with
 every block given one width-weighted moment, which has b_n's own order as
 lam -> 0+ (b_n ~ 1/sqrt(lam) where sum_c psi_c < psi_n, with b_n's exact
-limit, and b_n ~ sqrt(lam) where sum_c psi_c > psi_n).  Three Newton steps
-in log b_n on d F / d u_n = 0 at s = 1/2, with the true moments, refine
-it, and s starts at 1 / (1 + T) there, so that Newton's quadratic phase
-(Boyd & Vandenberghe, 9.5) begins at the first step for the paper's curves.
+limit, and b_n ~ sqrt(lam) where sum_c psi_c > psi_n).  Four rounds of
+block Gauss-Seidel on F's two variables refine it, with the true moments:
+a Newton step in log b_n on d F / d u_n = 0 at the current s, then
+s = 1 / (1 + T) at the b_n reached.  Both variables then start near the
+root, so that Newton's quadratic phase (Boyd & Vandenberghe, 9.5) begins
+at the first step for the paper's curves.
 
 The risk differentiates Phi at its root.  It splits as
 
@@ -161,7 +163,8 @@ class TheoryRisk:
 
     ``b`` holds the solved scales b_1..b_{K+1}, ``residual`` the largest
     relative residual at them, and ``iterations`` the Newton steps, the
-    polishing step after reaching the tolerance included.
+    polishing step after reaching the tolerance included; a solve that
+    reaches the rounding floor takes no polishing step.
     """
 
     risk: float
@@ -202,9 +205,10 @@ _MAX_ITER = 100
 _MAX_LOG_STEP = 2.0
 
 # The s = 1 / (1 + T) at which every solve's closed-form start weighs the
-# block moments and is refined, by _START_STEPS Newton steps in log b_n.
+# block moments, and the rounds in which ``_refine_start`` refines it (3 and
+# 5 rounds were slower on the paper's curves).
 _S0 = 0.5
-_START_STEPS = 3
+_START_STEPS = 4
 
 # The smallest normal float: a block scale below it fails the residual test
 # (see ``_step``).  As D_c >= sqrt(lam), b_c <= psi_c / sqrt(lam): a point
@@ -213,6 +217,10 @@ _TINY = np.finfo(float).tiny
 
 # The rounding unit of the error estimate (``_score``).
 _EPS = np.finfo(float).eps
+
+# A residual at or below it (and under _TOL) lies at the rounding floor,
+# where a solve stops without its polishing step (``_newton``).
+_FLOOR = 4.0 * _EPS
 
 # Estimated relative error of the scales above which a risk warns.
 _ERR_WARN = 1e-4
@@ -258,22 +266,27 @@ def _start(base: TheorySpec, psi):
 
 def _refine_start(psi_t, psi_n, m, sqrt_lam, u):
     """The (log b_n, log s) (G,) each solve starts from: ``_start``'s
-    log b_n ``u`` after ``_START_STEPS`` Newton steps on g_n(b_n; s0) = 0,
-    each cut to ``_MAX_LOG_STEP``, and s = 1 / (1 + T) at the b_n reached;
-    the arguments are ``_step``'s.  At fixed s, with w_c = m2_c + m1_c s,
-    g_n = b_n (sqrt(lam) + sum_c w_c b_c) - psi_n rises in u_n with slope
-    P + C = sqrt(lam) b_n (1 + sum_c w_c b_c / D_c) (``_hessian``).  A
-    step that is not finite is not taken.  The sums run over the rows of
-    (K, G) arrays, so that a point's start does not depend on G."""
-    w = m[:, 1:2] + _S0 * m[:, :1]
+    log b_n ``u`` and s = ``_S0`` after ``_START_STEPS`` rounds of block
+    Gauss-Seidel on F's two variables, each a Newton step on
+    g_n(b_n; s) = 0, cut to ``_MAX_LOG_STEP``, then s = 1 / (1 + T) at the
+    b_n reached; the arguments are ``_step``'s.  At fixed s, with
+    w_c = m2_c + m1_c s, g_n = b_n (sqrt(lam) + sum_c w_c b_c) - psi_n
+    rises in u_n with slope P + C = sqrt(lam) b_n (1 + sum_c w_c b_c / D_c)
+    (``_hessian``).  A step that is not finite is not taken.  The sums run
+    over the rows of (K, G) arrays, so that a point's start does not depend
+    on G."""
+    s = _S0
     for _ in range(_START_STEPS):
+        w = m[:, 1:2] + s * m[:, :1]
         bn = np.exp(u)
         d = sqrt_lam + bn * w
         wb = w * (psi_t / d)
         du = (bn * (sqrt_lam + wb.sum(axis=0)) - psi_n) / (sqrt_lam * bn * (1.0 + (wb / d).sum(axis=0)))
         u = np.where(np.isfinite(du), u - np.maximum(np.minimum(du, _MAX_LOG_STEP), -_MAX_LOG_STEP), u)
-    bn = np.exp(u)
-    return u, -np.log1p(bn * (m[:, :1] * psi_t / (sqrt_lam + bn * w)).sum(axis=0))
+        bn = np.exp(u)
+        t = bn * (m[:, :1] * psi_t / (sqrt_lam + bn * w)).sum(axis=0)
+        s = 1.0 / (1.0 + t)
+    return u, -np.log1p(t)
 
 
 def _hessian(bc_d, bn, s, m, sqrt_lam):
@@ -348,7 +361,11 @@ def _newton(base: TheorySpec, psi):
     ``_refine_start``, iterates by the rules in ``asymptotic_risk``'s
     docstring and the loop's step rule, and keeps its place in every
     array; a point that has left keeps its scales, residual and steps
-    while the others iterate.
+    while the others iterate.  Where every point agrees, the loop skips
+    work that cannot change a bit: the failure classification when every
+    determinant is > 0 and every residual finite, the cap and its growth
+    search when no step is cut, and the per-point merge when every point
+    takes its step.
     """
     lam, psi_n, m = base.lam, base.psi_n, _moment_matrix(base.moments)
     sqrt_lam = math.sqrt(lam)
@@ -368,15 +385,18 @@ def _newton(base: TheorySpec, psi):
     bc, bn, du, dsigma, det, rel, g_n, g_s = step(u, sigma)
     rel[lost] = 1.0
     steps, polished, n = np.zeros(len(psi), dtype=int), np.zeros(len(psi), dtype=bool), 0
+    floor = min(_TOL, _FLOOR)
     while True:
         within = rel <= _TOL
         # A root is accepted on the residual of the full system.  A point
-        # leaves once polished, or fails: on a residual that is not finite,
-        # then on a determinant that is not positive, then at the step limit.
-        failed = active & ~within
-        if n < _MAX_ITER:
-            failed &= ~(np.isfinite(rel) & (det > 0.0))
-        if failed.any():
+        # leaves once polished or at the rounding floor, or fails: on a
+        # residual that is not finite, then on a determinant that is not
+        # positive, then at the step limit.  Where every determinant is > 0
+        # and every residual finite, only the step limit can fail a point.
+        if n >= _MAX_ITER or not (det.min() > 0.0 and math.isfinite(rel.sum())):
+            failed = active & ~within
+            if n < _MAX_ITER:
+                failed &= ~(np.isfinite(rel) & (det > 0.0))
             where = f"after {n} Newton steps at lambda={lam:.3e}"
             for i in np.flatnonzero(failed):
                 if not np.isfinite(rel[i]) or det[i] > 0.0:
@@ -386,7 +406,7 @@ def _newton(base: TheorySpec, psi):
                     errors[int(i)] = InvalidSpec(f"Newton matrix leaves the float range: determinant "
                                                  f"{det[i]:.3e} {where}")
             active &= ~failed
-        active &= ~polished
+        active &= ~(polished | (rel <= floor))
         if not active.any():
             b = np.vstack((bc, bn)).T.copy()  # C order: _score's sums depend on it
             b[list(errors)] = np.nan
@@ -409,11 +429,15 @@ def _newton(base: TheorySpec, psi):
         # steps in all), on while residual and phi' still fall by less than 4x
         # per unit of step.  A probe is kept only where phi' < 0, F's Hessian
         # determinant > 0 and the residual finite; F's value is never read.
-        t = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
-        u_end, sigma_end = u - du * t, sigma - dsigma * t
+        if np.abs(du).max() <= _MAX_LOG_STEP and np.abs(dsigma).max() <= _MAX_LOG_STEP:
+            t, grow = 1.0, None
+            u_end, sigma_end = u - du, sigma - dsigma
+        else:
+            t = _MAX_LOG_STEP / np.maximum(np.maximum(np.abs(du), np.abs(dsigma)), _MAX_LOG_STEP)
+            u_end, sigma_end = u - du * t, sigma - dsigma * t
+            grow = active & (t < 1.0)
         trial = step(u_end, sigma_end)
-        grow = active & (t < 1.0)
-        if grow.any():
+        if grow is not None and grow.any():
             slope, at = -(g_n * du + g_s * dsigma), -(trial[6] * du + trial[7] * dsigma)
             ratio = np.where(t > 0.125, 0.875, 0.75)
             while (grow := grow & (t < 1.0) & (at <= ratio * slope)).any():
@@ -448,8 +472,12 @@ def _newton(base: TheorySpec, psi):
         # A point still iterating takes its step, unless it is the polishing
         # step and raises the residual; a point that has left keeps its values.
         take = active & (~within | (trial_rel <= rel))
-        bc = np.where(take, trial_bc, bc)
-        bn, rel, polished = np.where(take, trial_bn, bn), np.where(take, trial_rel, rel), within
+        if take.all():
+            bc, bn, rel = trial_bc, trial_bn, trial_rel
+        else:
+            bc = np.where(take, trial_bc, bc)
+            bn, rel = np.where(take, trial_bn, bn), np.where(take, trial_rel, rel)
+        polished = within
         steps += active
         n += 1
 
@@ -562,9 +590,10 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
 
     The scales are found by Newton's method on the module docstring's
     F(log b_n, log s).  It starts from the closed-form b_n of ``_start``,
-    refined by three Newton steps in log b_n at s = 1/2, and from
-    s = 1 / (1 + T) at that b_n (``_refine_start``); the start depends on
-    the point's own widths, moments and lambda alone.  Each step is cut to
+    and from s = 1/2, refined by four rounds of a Newton step in log b_n
+    at the current s, then s = 1 / (1 + T) at the b_n reached
+    (``_refine_start``); the start depends on the point's own widths,
+    moments and lambda alone.  Each step is cut to
     a change of 2 in log b_n or log s and lengthened again while F still
     falls, and a full step that cuts the residual by less than 4x is
     lengthened along the valley it has entered (``_newton``'s step rule).
@@ -576,6 +605,8 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     one more Newton step, kept only if it does not raise the residual, so
     that the root carries the digits of a full step rather than stopping at
     the first iterate under the tolerance; ``iterations`` counts that step.
+    A solve whose residual already lies at the rounding floor,
+    min(1e-12, 4 eps), stops without it, as it could add no digits there.
     A point where some psi_c / sqrt(lam), the largest b_c can be, lies below
     the normal float range fails before its first step.
     Raises ``SolveFailure`` for a failed solve or a singular S, or

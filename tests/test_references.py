@@ -129,35 +129,35 @@ def _replications(command) -> list[str]:
 # SHA-256 of each command's stdout and stderr, recorded with numpy 2.4 and
 # OpenBLAS 0.3.31.  The Monte Carlo commands run 4 of their replications.
 CLI_DIGESTS = {
-    "crit07": ("a8aa835246a2a6e2bca03d8fe75b9a6724493a659af69420950cbc02df544ede",
+    "crit07": ("3c447ab69ae88a1ab125837b2ec899296e0c7c84915d4218ec789738f063cc7f",
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "crit08-1to2": ("494dd02970b672a2ec8f60b85a91122842c6977bc9a040985d73ae1cf71835b4",
+    "crit08-1to2": ("fca13c5e1b776ebe87fa04b96ec50b622ba0d2b94183e42cd9a819401ed6ca9b",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "crit08-2to1": ("5aedbacbef64b93612685ea1b0356da8673e0b8cc5ba9b5fd46e235dde63d00a",
+    "crit08-2to1": ("0f18567eb928776db080f53d8526fc80843d7fb0a6777de4fd8333af7d6a7a1b",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "crit09": ("48429d8c0bb2150ee88a27eb93692b04bcfe7abcd5ceb038b3db86f95280db63",
+    "crit09": ("aec0c040332014ce8133d96e73ed2b3b4628a8ace3624842a0249b425d000b13",
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "quickstart": ("be0fdaefa10cf3547cabb323ff9b77ef16b74691e908aaafc6fcda08d8382022",
-                 "00b700975836f4307b1fb4587d79c187340c1501129dd57b78ff582d91abe303"),
+                 "1048adc693b0a260be375673395166d37da74a0f758e3583727224d04007700e"),
     "peak-c1-lam1e-03": ("80ef5669beb14c9fa8f3a15b2c8b22af9d8351c7efb0932d6a3ae8ac7e6f5ab4",
-                       "99b8cdb76142645e16b121287b1acfd9dbcca78f777f4aceac4924d88bcb88ef"),
+                       "a41ea3400765e6a63a3dd4299f2363a7f8c39b8d726212dc1b23e4298ab3b7ba"),
     "peak-c1-lam1e-05": ("3348bf7def986e2b58de58aef24d1dd77f3c142e7f1097e01db3e5deb92dd203",
-                       "4d1b0a773ec627a048ec74c1d5a7cdebe297726d759a2b40b634914e59331dea"),
-    "peak-c1-lam1e-08": ("034a39e97f98a3c4497089a48427909cfeaa280f1d19aa063d9ec3908c2dbf8a",
-                       "00b700975836f4307b1fb4587d79c187340c1501129dd57b78ff582d91abe303"),
-    "peak-c1-lam1e-10": ("190e03f59a45e5ca9bdd15678c585764a75f8c669cf21322353ee1b343a25691",
-                       "22b108cb6a6dda4f72a67a250ee2d1ea500a8a2fc767f8c5478b0ea442ecc3d4"),
+                       "91c91583d22528f9bc99540a948f31e046be3a82d6e855b32a2f0996392ecd95"),
+    "peak-c1-lam1e-08": ("2989af984e18a6a5938350619232e366ce1963f4b29b0a94fe9868ec9b321f51",
+                       "39a3ab79069c8969417c3c1e9c715071f9b3dd265cbf872e14676fb16c59423b"),
+    "peak-c1-lam1e-10": ("eb7502c26fbd5f1e5b1cbb3fceac60286fa95b7400f5e2db70b303205a821e18",
+                       "c3d7fa328ae0ab87ec5678596ee2e122dead51aaa2f3d26dec04c32239f05d43"),
     "peak-c2-lam1e-03": ("7bcd4f92101555e313e215ba12b2e329ed63e4f3061c0d738a311e0293cdaba4",
-                       "dbec1d8583b84c5bcc9a9f80c9394de0a4927c8e1361d34564033486f95c250e"),
+                       "88936a8c2cd8f8480105ec62e075cd75f802ef7cb44127045ae3e6dc08070fec"),
     "peak-c2-lam1e-05": ("2d50ca75c8ea1c73fc4edcaf56b8e16c7e0f6bda0a20c7a97b996eaff0d34f5e",
-                       "eceaffc189c6bc93332c941b4289d6b18e407602358e23cd786226cf0a699fe0"),
-    "peak-c2-lam1e-08": ("85c8f87350eb1fe05b33315c7c0d2f452914c21f1e987eed2b5b2c157f8ef530",
-                       "640cdf900816d291d1f095500d1f6fe1fb388f5dab1b8f9cb7e6a076844dfb4a"),
-    "peak-c2-lam1e-10": ("b9c91a8bf0dd2020b67b4af5787a530afebf9a500e5f9a2b485a3c14a82d016f",
-                       "021c9a90db171ab5a7ecc8995d902b2e2724bd948d91745ce168454440f73c25"),
-    "crit07-lam1e-08": ("89ed3fba1c42bd8c703d0b811964223c0751f811fcea554aa497df8f907c3836",
+                       "3ce6710d70e47cc8ee4f1672f0311c4092ad76d3282c6f0629d38d08be53b167"),
+    "peak-c2-lam1e-08": ("ff76545385ee4c91347636995c6f2ee69715988e15e8278067c2e725b3becaa6",
+                       "e75127605ad15187dff7b6e8b9a14b24268e62f9569963439648115712d1784d"),
+    "peak-c2-lam1e-10": ("b56a54a20416afc22e266697f46fc924ff9c3e313a737a6e511bd928f0ced44c",
+                       "e94033d5274495418182ebe5436a49e8fe47797ef1e0ba507482ba9cafb42ded"),
+    "crit07-lam1e-08": ("dbd097450dca0e25df78a30dfa39972f24ac69785f6657b46eb0f9686e1838ef",
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "mc-sweep": ("a45515c1bb18263b7f6ae5aa60e3bcabc94b977ecd43d7da50071a7b90b5c7d5",
+    "mc-sweep": ("191ce1d7e9037cfb9cb70f8ae27f45a3dea0f13a580270a4896b104e7782433f",
                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "mc-simulate": ("84856adb92c6dbbcca8f590bbb507f0c2db7b684afaea6533c18963ff1430e28",
                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -176,17 +176,17 @@ def test_cli_bytes_match_recorded_digests(command):
 # SHA-256 of the JSON and SVG sidecars each sweep command writes, recorded as
 # ``CLI_DIGESTS`` are; the CSV is its stdout, pinned there.
 SIDECAR_DIGESTS = {
-    "crit07": ("9b35230e37e68238cf5cfcdff6d42dc59cf5214596f415676c02288936f9b04e",
+    "crit07": ("41a6c35a24e2fcfeefdd164d8b40fa7094c5fd65ee4b6e4a2235c33339c08d82",
                "8d667796cba415cf638629df11b557dcba269d2b2045c8c1b18e28ed0d27f4cf"),
-    "crit08-1to2": ("a0950f5634269af5f66afa4334f5378d4b8bbd579a9d901241772d1f042b5d8c",
+    "crit08-1to2": ("6bc378c91ea733baa1834f143fa62fa883dbc7a4e751269b352a1ae495a9f25a",
                     "a5fbb4431779035ab0def131e385da7df18e40551bfb8138dc117c6e97860671"),
-    "crit08-2to1": ("bf193742e99f0ad82dbc54a0b9837fe15a5e49f55d6c5b165330692bd57f87fb",
+    "crit08-2to1": ("8b3211a69fd2bfb96007520a3bf8bf350caf3ecafd84b7d5e3f5bb667de53030",
                     "47dc7d426465ee833a04d6afdf0b02faa8b59c24c38a32fa63615b1f9c9154a5"),
-    "crit09": ("aa07bc8604113a64226e15b57e0ae3010eb60821013050cac7d907d119daca40",
+    "crit09": ("f350644f972c7c86c4b88db6953ce69ceb1e3bc5b1cf6a94b00cb2f952acc00e",
                "cbf0444034d35428888f73c7c82fac7129714fb7438873fee40808549aa85fae"),
-    "crit07-lam1e-08": ("10d249c24fa678448440624df9ef1083a0b4cc45142c414e7c488e1e1e58a44b",
+    "crit07-lam1e-08": ("123218372dcdd38e68623f632d0ae6fc400ef9836e27f33bd625744c4a0d0a4f",
                         "3a8eb343680d9997b27bfca97b0f6282139413c6f074702e378cb72046f04b37"),
-    "mc-sweep": ("2570473457100e3992234b70a03526162b3e2434f9b49eb841c87c2e7e2653ad",
+    "mc-sweep": ("ddd731ee380eec6d8b10793c9c434198b3a820268bad36d26f8f30e5e47f4c4b",
                  "044b4e8f37ebd3469d1eb6eb19969efe1ceb5dc8a34598079460fd401a5f9b77"),
 }
 
@@ -204,9 +204,9 @@ def test_sweep_sidecars_match_recorded_digests(command, tmp_path):
 # Batched ``_step`` calls of each theory command: the start, every Newton
 # step and every probe that lengthens a capped or a full step.
 STEP_CALLS = {
-    "crit07": 6, "crit08-1to2": 6, "crit08-2to1": 6, "crit09": 6, "quickstart": 6,
-    **{f"peak-c{c}-lam{lam}": 6 for c in (1, 2) for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
-    "crit07-lam1e-08": 6,
+    "crit07": 4, "crit08-1to2": 4, "crit08-2to1": 4, "crit09": 5, "quickstart": 4,
+    **{f"peak-c{c}-lam{lam}": 4 for c in (1, 2) for lam in ("1e-03", "1e-05", "1e-08", "1e-10")},
+    "crit07-lam1e-08": 4,
 }
 
 

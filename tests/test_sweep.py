@@ -207,7 +207,7 @@ class TestTheoryPass:
     def test_failed_points_record_error(self, monkeypatch):
         """A starved solver leaves NaN theory values and an error note."""
         spec = SweepSpec(base=_base(lam=1e-6), c_grid=(0.5, 1.0))
-        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 1)
         result = run_sweep(spec)
         assert np.isnan(result.theory_risk).all()
         assert result.solver_iterations == [None, None]
@@ -307,17 +307,17 @@ class TestTheoryPass:
         rows equal those of an uncapped run, the others carry the error."""
         spec = _figure_sweep(FIGURE_GRID)
         free = run_sweep(spec)
-        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 3)
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
         capped = run_sweep(spec)
         assert 0 < sum(error is not None for error in capped.error) < len(capped.error)
         for i, error in enumerate(capped.error):
             if error is None:
                 assert _theory_cells(capped, i) == _theory_cells(free, i)
             else:
-                assert re.fullmatch(r"SolveFailure: residual \S+ > tol 1\.0e-12 after 3 Newton steps "
+                assert re.fullmatch(r"SolveFailure: residual \S+ > tol 1\.0e-12 after 2 Newton steps "
                                     r"at lambda=1\.000e-05", error)
                 assert all(map(math.isnan, _theory_cells(capped, i)[:3]))
-                assert capped.solver_iterations[i] is None and free.solver_iterations[i] > 3
+                assert capped.solver_iterations[i] is None and free.solver_iterations[i] > 2
 
     @pytest.mark.parametrize(
         "acts,ratios,stop,lam",
@@ -327,11 +327,11 @@ class TestTheoryPass:
     )
     def test_newton_step_budget(self, acts, ratios, stop, lam):
         """Every point of the paper's sweeps converges from the refined start
-        in at most 5 Newton steps, the polishing step included."""
+        in at most 4 Newton steps, the polishing step included."""
         cfg = _sweep_config(acts, ratios, lam, c_range={"start": 0.2, "stop": stop, "step": 0.05})
         result = run_sweep(build_sweep_spec(parse_config(json.dumps(cfg))))
         assert all(error is None for error in result.error)
-        assert max(result.solver_iterations) <= 5
+        assert max(result.solver_iterations) <= 4
 
     @pytest.mark.parametrize(
         "acts,ratios,stop,lam,max_iter",
@@ -340,10 +340,10 @@ class TestTheoryPass:
             (FIGURE_ACTS, [1, 2], 3.6, 1e-5, 100),
             (FIGURE_ACTS, [2, 1], 3.2, 1e-5, 100),
             (CASCADE_ACTS, [1, 1, 3], 6.0, 1e-4, 100),
-            (FIGURE_ACTS, [1, 1], 3.2, 1e-5, 3),
+            (FIGURE_ACTS, [1, 1], 3.2, 1e-5, 2),
         ],
         ids=["criterion-07", "criterion-08-1to2", "criterion-08-2to1", "criterion-09",
-             "criterion-07-max-iter-3"],
+             "criterion-07-max-iter-2"],
     )
     def test_rows_equal_public_stack_api(self, acts, ratios, stop, lam, max_iter, monkeypatch):
         """The sweep's array pass gives, bit for bit, what ``asymptotic_risk``
@@ -373,7 +373,7 @@ class TestTheoryPass:
                 assert result.error[i] is None
                 assert _theory_cells(result, i) == (out.risk, out.bias, out.variance, out.iterations)
         failed = sum(error is not None for error in result.error)
-        assert (failed > 0) == (max_iter == 3)
+        assert (failed > 0) == (max_iter == 2)
 
     def test_singular_jacobian_fails_its_point_alone(self):
         """At c = 1e-323 the bound psi_1/sqrt(lambda) of the scale b_1 lies
@@ -540,7 +540,7 @@ class TestCsv:
 
     def test_failed_rows_leave_empty_cells(self, monkeypatch):
         spec = SweepSpec(base=_base(lam=1e-6), c_grid=(0.5, 1.0))
-        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
+        monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 1)
         result = run_sweep(spec)
         parsed = list(csv.DictReader(io.StringIO(csv_text(result))))
         for rec in parsed:
@@ -580,8 +580,8 @@ class TestCsv:
         if empirical:
             run = _run(d=15, n=30, N=(10, 10, 10), n_test=40, replications=3, base_seed=11,
                        activations=(ActivationSpec("relu"), ActivationSpec("tanh"), ActivationSpec("elu")))
-            spec = _matched(run, ratios=(1.0, 1.0, 3.0), c_grid=(0.5, 1.0, 1.5, 3.0))
-            monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 4)
+            spec = _matched(run, ratios=(1.0, 1.0, 3.0), c_grid=(0.3, 1.0, 1.5, 3.0))
+            monkeypatch.setattr(multidescent.risk, "_MAX_ITER", 2)
         else:
             spec = build_sweep_spec(parse_config(json.dumps(
                 _sweep_config(CASCADE_ACTS, [1, 1, 3], 1e-4, c_grid=[0.5, 1.0, 2.5, 1e307]))))
