@@ -25,11 +25,13 @@ D_c = sqrt(lam) + b_n (m2_c + m1_c s), which leaves the smooth convex
 
 in u_n = log b_n.  Its gradient (r_n at those b_c, s (1 + T) - 1) vanishes
 exactly at the root, where s = 1 / (1 + T).  The solver is Newton's method
-on F with its closed-form 2x2 Hessian, O(K) a step, damped by one step rule
-that cuts a long step and lengthens it again while F falls, and lengthens
-a full step that has entered a valley (see the comment on it in
-``_newton``); a root is accepted on the relative residuals r_j / psi_j of
-the full system, formed from the sums the step takes.  Each point starts
+on F with its closed-form 2x2 Hessian, O(K) a step, damped by one step rule:
+a long step is cut, then lengthened 4x at a time while F's slope along it
+keeps 4/5 of its slope at the start, and a full step that has entered a
+valley is lengthened along the Newton step at its end, 4x at a time, while
+F still falls there (see the comment on it in ``_newton``); a root is
+accepted on the relative residuals r_j / psi_j of the full system, formed
+from the sums the step takes.  Each point starts
 from a b_n of closed form: the root of d F / d u_n = 0 at s = 1/2 with
 every block given one width-weighted moment, which has b_n's own order as
 lam -> 0+ (b_n ~ 1/sqrt(lam) where sum_c psi_c < psi_n, with b_n's exact
@@ -416,19 +418,17 @@ def _newton(base: TheorySpec, psi):
         # The step rule (damped Newton; Boyd & Vandenberghe, "Convex
         # Optimization", 9.5): a step moving log b_n or log s by more than
         # _MAX_LOG_STEP is cut to that, at t < 1 along the Newton step.  While
-        # phi'(t) = -grad F . (du, dsigma), rising in t as F is convex, is <=
-        # ratio * slope, a secant on phi' puts its zero at 4 t or beyond, and t
-        # grows to min(4 t, 1): first with slope = phi'(0) and ratio 7/8 where
-        # t > 1/8 (a secant zero at 8 t), else 3/4; then with slope = phi'(t/4)
-        # and ratio 4/5.  A full step (t = 1) that leaves the residual above
-        # tol, cut by less than 4x, with phi'(1) <= phi'(0) / 4 and a Newton
-        # step at its end that is not cut, has entered a valley where F falls
-        # like exp(-t) and each Newton step has unit length: from its end the
+        # phi'(t) = -grad F . (du, dsigma), rising in t as F is convex, is
+        # <= 4/5 phi'(0), the secant on phi' through 0 and t puts its zero at
+        # 5 t or beyond, and t grows to min(4 t, 1).  A full step (t = 1) that
+        # leaves the residual above tol, cut by less than 4x, with
+        # phi'(1) <= phi'(0) / 4 has entered a valley where F falls like
+        # exp(-t) and each Newton step has unit length: from its end the
         # probes run along that point's own Newton step, whose cross-valley
         # part is already small, to 3, 15, 63, ... times it (4, 16, 64, ...
-        # steps in all), on while residual and phi' still fall by less than 4x
-        # per unit of step.  A probe is kept only where phi' < 0, F's Hessian
-        # determinant > 0 and the residual finite; F's value is never read.
+        # steps in all), on while each probe is kept.  A probe of either
+        # search is kept only where phi' < 0, F's Hessian determinant > 0
+        # and the residual finite; F's value is never read.
         if np.abs(du).max() <= _MAX_LOG_STEP and np.abs(dsigma).max() <= _MAX_LOG_STEP:
             t, grow = 1.0, None
             u_end, sigma_end = u - du, sigma - dsigma
@@ -439,35 +439,28 @@ def _newton(base: TheorySpec, psi):
         trial = step(u_end, sigma_end)
         if grow is not None and grow.any():
             slope, at = -(g_n * du + g_s * dsigma), -(trial[6] * du + trial[7] * dsigma)
-            ratio = np.where(t > 0.125, 0.875, 0.75)
-            while (grow := grow & (t < 1.0) & (at <= ratio * slope)).any():
+            while (grow := grow & (t < 1.0) & (at <= 0.8 * slope)).any():
                 t_next = np.minimum(4.0 * t, 1.0)
                 probe = step(u - du * t_next, sigma - dsigma * t_next)
                 at_next = -(probe[6] * du + probe[7] * dsigma)
                 grow &= (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
                 trial = tuple(np.where(grow, new, old) for new, old in zip(probe, trial))
-                slope, at, t = (np.where(grow, a, b) for a, b in ((at, slope), (at_next, at), (t_next, t)))
-                ratio = 0.8
+                at, t = np.where(grow, at_next, at), np.where(grow, t_next, t)
             u_end, sigma_end = u - du * t, sigma - dsigma * t
         u, sigma = u_end, sigma_end
         far = trial[5] > np.maximum(0.25 * rel, _TOL)
         if far.any():
             slope, at = -(g_n * du + g_s * dsigma), -(trial[6] * du + trial[7] * dsigma)
-            du_end, dsigma_end, last, reach = trial[2], trial[3], trial[5], 0.0
+            du_end, dsigma_end, reach = trial[2], trial[3], 0.0
             far &= active & ~within & (t == 1.0) & (at <= 0.25 * slope)
-            far &= np.maximum(np.abs(du_end), np.abs(dsigma_end)) <= _MAX_LOG_STEP
-            slope = -(trial[6] * du_end + trial[7] * dsigma_end)
             while far.any():
-                reach_next = 4.0 * reach + 3.0
-                u_next, sigma_next = u_end - du_end * reach_next, sigma_end - dsigma_end * reach_next
+                reach = 4.0 * reach + 3.0
+                u_next, sigma_next = u_end - du_end * reach, sigma_end - dsigma_end * reach
                 probe = step(u_next, sigma_next)
                 at_next = -(probe[6] * du_end + probe[7] * dsigma_end)
                 far &= (at_next < 0.0) & (probe[4] > 0.0) & np.isfinite(probe[5])
                 trial = tuple(np.where(far, new, old) for new, old in zip(probe, trial))
                 u, sigma = np.where(far, u_next, u), np.where(far, sigma_next, sigma)
-                fall = 0.25 ** (reach_next - reach)
-                far &= (probe[5] > fall * last) & (at_next <= fall * slope)
-                last, slope, reach = np.where(far, probe[5], last), np.where(far, at_next, slope), reach_next
         trial_bc, trial_bn, du, dsigma, det, trial_rel, g_n, g_s = trial
         # A point still iterating takes its step, unless it is the polishing
         # step and raises the residual; a point that has left keeps its values.
@@ -594,9 +587,11 @@ def asymptotic_risk(spec: TheorySpec) -> TheoryRisk:
     at the current s, then s = 1 / (1 + T) at the b_n reached
     (``_refine_start``); the start depends on the point's own widths,
     moments and lambda alone.  Each step is cut to
-    a change of 2 in log b_n or log s and lengthened again while F still
-    falls, and a full step that cuts the residual by less than 4x is
-    lengthened along the valley it has entered (``_newton``'s step rule).
+    a change of 2 in log b_n or log s and lengthened again, 4x at a time,
+    while F's slope along it keeps 4/5 of its slope at the start; a full
+    step that cuts the residual by less than 4x and F's slope by at least
+    4x is lengthened along the valley it has entered, 4x at a time, while F
+    still falls there (``_newton``'s step rule).
     A step is taken whatever it does to the residual, the largest relative
     residual of the full system at b_n and b_c = psi_c / D_c.  A solve
     fails as soon as that residual is not finite, then when the determinant
